@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Commands: solve, sweep, expand, verify, physical.
-Exit codes: 0 success, 1 validation error, 2 solver non-convergence
-(solve only), 3 I/O error.
+Exit codes: 0 success, 1 validation error (including values that are not
+finite), 2 solver non-convergence (solve and physical), 3 I/O error.
+JSON output follows RFC 8259: quantities that are not finite are null.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -35,6 +35,7 @@ from .physics import (
 )
 from .sweep import (
     SweepSpec,
+    dumps_json,
     emit_results,
     mirror_conjugate,
     record_from_branch,
@@ -53,11 +54,21 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value must be finite: {text!r}")
+    return value
+
+
 def _add_rho_eps(p, eps_required=False):
-    p.add_argument("--rho-re", type=float, default=0.0)
-    p.add_argument("--rho-im", type=float, default=0.0)
-    p.add_argument("--eps-re", type=float, default=1.0)
-    p.add_argument("--eps-im", type=float, default=0.0)
+    p.add_argument("--rho-re", type=_finite_float, default=0.0)
+    p.add_argument("--rho-im", type=_finite_float, default=0.0)
+    p.add_argument("--eps-re", type=_finite_float, default=1.0)
+    p.add_argument("--eps-im", type=_finite_float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,26 +79,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rho_eps(p)
     p.add_argument("--method", choices=list(METHOD_ALIASES), default="fp")
     p.add_argument("--nodes", type=int, default=257)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_finite_float, default=1e-12)
 
     p = sub.add_parser("sweep", help="sweep the bifurcation parameter")
     p.add_argument("--mode", choices=["rect", "arg", "mod"], required=True)
     p.add_argument("--method", choices=list(METHOD_ALIASES), default="fp")
-    p.add_argument("--eps-re", type=float, default=1.0)
-    p.add_argument("--eps-im", type=float, default=0.0)
+    p.add_argument("--eps-re", type=_finite_float, default=1.0)
+    p.add_argument("--eps-im", type=_finite_float, default=0.0)
     p.add_argument("--nodes", type=int, default=257)
-    p.add_argument("--re-min", type=float, default=-3.5)
-    p.add_argument("--re-max", type=float, default=3.5)
+    p.add_argument("--re-min", type=_finite_float, default=-3.5)
+    p.add_argument("--re-max", type=_finite_float, default=3.5)
     p.add_argument("--re-steps", type=int, default=15)
-    p.add_argument("--im-min", type=float, default=0.0)
-    p.add_argument("--im-max", type=float, default=1.5)
+    p.add_argument("--im-min", type=_finite_float, default=0.0)
+    p.add_argument("--im-max", type=_finite_float, default=1.5)
     p.add_argument("--im-steps", type=int, default=7)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--arg-min", type=float, default=0.0)
-    p.add_argument("--arg-max", type=float, default=float(np.pi))
-    p.add_argument("--arg", dest="ray_arg", type=float, default=0.0)
-    p.add_argument("--mod-min", type=float, default=1.0)
-    p.add_argument("--mod-max", type=float, default=9.0)
+    p.add_argument("--radius", type=_finite_float, default=1.0)
+    p.add_argument("--arg-min", type=_finite_float, default=0.0)
+    p.add_argument("--arg-max", type=_finite_float, default=float(np.pi))
+    p.add_argument("--arg", dest="ray_arg", type=_finite_float, default=0.0)
+    p.add_argument("--mod-min", type=_finite_float, default=1.0)
+    p.add_argument("--mod-max", type=_finite_float, default=9.0)
     p.add_argument("--steps", type=int, default=None,
                    help="steps for arg/mod modes (defaults 64/32)")
     p.add_argument("--continue", dest="warm_start", action="store_true",
@@ -100,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="asymptotic branch data")
     _add_rho_eps(p)
     p.add_argument("--order", type=int, choices=[0, 1, 2], default=2)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--nu", type=float, default=0.0)
+    p.add_argument("--mu", type=_finite_float, default=0.0)
+    p.add_argument("--nu", type=_finite_float, default=0.0)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--samples", type=int, default=33)
 
@@ -110,11 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=257)
 
     p = sub.add_parser("physical", help="physical constants of one branch")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--nu", type=float, required=True)
+    p.add_argument("--mu", type=_finite_float, required=True)
+    p.add_argument("--nu", type=_finite_float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps-re", type=float, default=1.0)
-    p.add_argument("--eps-im", type=float, default=0.0)
+    p.add_argument("--eps-re", type=_finite_float, default=1.0)
+    p.add_argument("--eps-im", type=_finite_float, default=0.0)
     p.add_argument("--nodes", type=int, default=257)
     return parser
 
@@ -128,7 +139,7 @@ def _solve_by_method(method, rho, eps, grid, tol):
         return branch
     if method == "shooting":
         return shoot_solve(rho, eps, grid=grid)
-    state = FdState(grid=grid, picard_tol=tol)
+    state = FdState(grid=grid, tol=tol)
     return fd_solve(rho, eps, state=state)
 
 
@@ -158,7 +169,7 @@ def _cmd_solve(args) -> int:
     grid = make_grid(args.nodes)
     method = METHOD_ALIASES[args.method]
     branch = _solve_by_method(method, rho, eps, grid, args.tol)
-    print(json.dumps(_branch_summary(branch), indent=2))
+    print(dumps_json(_branch_summary(branch)))
     return 0 if branch.converged else 2
 
 
@@ -214,7 +225,7 @@ def _cmd_expand(args) -> int:
         "omega": asymptotic_omega(eps, args.mu, args.nu, args.n),
         "U": {"x": xs.tolist(), "re": u.real.tolist(), "im": u.imag.tolist()},
     }
-    print(json.dumps(out, indent=2))
+    print(dumps_json(out))
     return 0
 
 
@@ -302,8 +313,8 @@ def _cmd_physical(args) -> int:
         "R_asymptotic": asymptotic_R(eps, args.mu, args.nu, args.n),
         "omega_asymptotic": asymptotic_omega(eps, args.mu, args.nu, args.n),
     }
-    print(json.dumps(out, indent=2))
-    return 0
+    print(dumps_json(out))
+    return 0 if branch.converged else 2
 
 
 def main(argv=None) -> int:

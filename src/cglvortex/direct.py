@@ -14,14 +14,16 @@ The finite-difference solver assembles the centered-difference system with
 a bordered normalization row.  The extra unknown is lam = rho * r, which
 keeps the bordered matrix nonsingular in the linear limit rho -> 0 (there
 r itself drops out of the equation and is reported through the integral
-convention instead).  The cubic term is handled either by Picard lagging
-(each pass one direct solve) or by a full Newton linearization in real
-variables; Picard stalls for |rho| beyond roughly 20, Newton continues to
-the largest radii.
+convention instead).  The system is solved by Newton's method in real
+variables, one sparse direct solve per pass, which continues to the
+largest radii.  The bordered Jacobian has the same sparse pattern at every
+pass, so it is laid out once per grid and each pass only rewrites its
+values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -295,44 +297,115 @@ def _escaped_branch(params, grid) -> Branch:
 
 @dataclass(frozen=True)
 class FdState:
-    """Grid and iteration controls for the finite-difference solver."""
+    """Grid and Newton iteration controls for the finite-difference solver."""
 
     grid: Grid
-    picard_tol: float = 1e-11
-    picard_max: int = 200
-    damping: float = 1.0
+    tol: float = 1e-11
+    max_iter: int = 200
 
     def __post_init__(self):
-        if self.picard_tol <= 0:
-            raise InvalidArgument("picard_tol must be positive")
-        if self.picard_max < 1:
-            raise InvalidArgument("picard_max must be >= 1")
-        if not (0.0 < self.damping <= 1.0):
-            raise InvalidArgument("damping must lie in (0, 1]")
+        if self.tol <= 0:
+            raise InvalidArgument("tol must be positive")
+        if self.max_iter < 1:
+            raise InvalidArgument("max_iter must be >= 1")
 
 
-def _fd_operator(grid: Grid):
-    """Centered-difference matrix of (-D2 - I) on interior nodes (CSR)."""
-    n = grid.n_nodes
-    h = grid.spacing
-    ni = n - 2
-    return sp.diags(
-        [
-            np.full(ni - 1, -1.0 / h**2),
-            np.full(ni, 2.0 / h**2 - 1.0),
-            np.full(ni - 1, -1.0 / h**2),
-        ],
+@dataclass(frozen=True)
+class _FdSystem:
+    """Per-grid pieces of the bordered finite-difference system.
+
+    The real unknowns are ordered (Re u, Im u, Re lam, Im lam) over the ni
+    interior nodes.  The Jacobian has a fixed CSC pattern (indices, indptr);
+    ``data`` holds its constant entries (off-diagonals of -D2 - I and the two
+    normalization rows) and zeros in the slots a Newton pass refills:
+    ``diag[k]`` are the diagonals of the blocks (re,re), (re,im), (im,re),
+    (im,im) and ``lam[k]`` the halves (re rows, im rows) of the Re lam
+    column and then of the Im lam column.  All arrays are read-only.
+    """
+
+    base: sp.csr_matrix  # -D2 - I on the interior nodes
+    base_diag: float
+    row: np.ndarray  # normalization row on the interior nodes
+    indices: np.ndarray
+    indptr: np.ndarray
+    data: np.ndarray
+    diag: np.ndarray  # (4, ni) slots into data
+    lam: np.ndarray  # (4, ni)
+
+    def jacobian(self) -> sp.csc_matrix:
+        """A bordered Jacobian with the constant entries set; refill it with
+        ``_refill_jacobian`` before every solve."""
+        n2 = len(self.indptr) - 1
+        return sp.csc_matrix(
+            (self.data.copy(), self.indices, self.indptr), shape=(n2, n2)
+        )
+
+
+@lru_cache(maxsize=32)
+def _fd_system(n_nodes: int) -> _FdSystem:
+    h = np.pi / (n_nodes - 1)
+    ni = n_nodes - 2
+    off = -1.0 / h**2
+    base_diag = 2.0 / h**2 - 1.0
+    base = sp.diags(
+        [np.full(ni - 1, off), np.full(ni, base_diag), np.full(ni - 1, off)],
         [-1, 0, 1],
         format="csr",
     )
+    _, cos, _, cos2, _ = trig_tables(n_nodes)
+    sw = simpson_weights(n_nodes)
+    row = sw[1:-1] * cos[1:-1] / float(np.dot(sw, cos2))
+
+    i = np.arange(ni)
+    re, im, lre, lim = i, ni + i, np.full(ni, 2 * ni), np.full(ni, 2 * ni + 1)
+    # (rows, cols, constant value) of each group of entries; the first eight
+    # groups are the slots a Newton pass refills
+    groups = [
+        (re, re, 0.0), (re, im, 0.0), (im, re, 0.0), (im, im, 0.0),  # diag
+        (re, lre, 0.0), (im, lre, 0.0), (re, lim, 0.0), (im, lim, 0.0),  # lam
+        (lre, re, row), (lim, im, row),  # norm
+        (re[1:], re[:-1], off), (re[:-1], re[1:], off),  # off-diagonals
+        (im[1:], im[:-1], off), (im[:-1], im[1:], off),
+    ]
+    rows = np.concatenate([g[0] for g in groups])
+    cols = np.concatenate([g[1] for g in groups])
+    vals = np.concatenate([np.broadcast_to(g[2], g[0].shape) for g in groups])
+    n2 = 2 * ni + 2
+    # mark each entry with its 1-based position to read off where the CSC
+    # conversion puts it
+    marks = sp.coo_matrix(
+        (np.arange(1, len(rows) + 1, dtype=float), (rows, cols)), shape=(n2, n2)
+    ).tocsc()
+    slot = np.empty(len(rows), dtype=np.intp)
+    slot[marks.data.astype(np.intp) - 1] = np.arange(len(rows))
+    data = np.zeros(len(rows))
+    data[slot] = vals
+    slots = slot[: 8 * ni].reshape(8, ni)
+    for a in (base.data, base.indices, base.indptr, row, marks.indices,
+              marks.indptr, data, slots):
+        a.setflags(write=False)
+    return _FdSystem(
+        base=base, base_diag=base_diag, row=row,
+        indices=marks.indices, indptr=marks.indptr, data=data,
+        diag=slots[:4], lam=slots[4:],
+    )
 
 
-def _norm_row(grid: Grid) -> np.ndarray:
-    """Coefficients of the normalization row on interior nodes."""
-    n = grid.n_nodes
-    _, cos, _, cos2, _ = trig_tables(n)
-    sw = simpson_weights(n)
-    return sw[1:-1] * cos[1:-1] / float(np.dot(sw, cos2))
+def _refill_jacobian(jac: sp.csc_matrix, system: _FdSystem, ui, lam, rho) -> None:
+    """Write the Newton Jacobian at (ui, lam) into jac.data in place.
+
+    Real block form of d(|U|^2 U) = 2|U|^2 dU + U^2 conj(dU)."""
+    arr = 2.0 * rho * (ui * ui.conjugate()).real - lam
+    usq = rho * ui * ui
+    d = jac.data
+    d[system.diag[0]] = system.base_diag + (arr.real + usq.real)
+    d[system.diag[1]] = -arr.imag + usq.imag
+    d[system.diag[2]] = arr.imag + usq.imag
+    d[system.diag[3]] = system.base_diag + (arr.real - usq.real)
+    d[system.lam[0]] = -ui.real
+    d[system.lam[1]] = -ui.imag
+    d[system.lam[2]] = ui.imag
+    d[system.lam[3]] = -ui.real
 
 
 def _fd_branch(params, grid, u_vals, lam, iterations, resid, converged, increments,
@@ -372,24 +445,20 @@ def fd_solve(
     state: FdState | None = None,
     seed: GridFunction | None = None,
     r0: complex | None = None,
-    linearization: str = "auto",
 ) -> Branch:
     """Finite-difference solution with a bordered normalization row.
 
-    linearization "picard": lag the cubic term and the lam column at the
-    previous iterate; one direct sparse solve per pass.  linearization
-    "newton": solve the full real-variable linearization per pass with a
-    backtracking line search.  "auto" (default) runs Picard and falls
-    back to Newton when Picard stalls; Picard alone loses stability for
-    moderate |rho| |eps|^2 (grid dependent), Newton continues to the
-    largest radii.
+    Newton iteration on the bordered system in real variables, one sparse
+    direct solve per pass, each step damped by halving
+    (at most six times) until the h^2-scaled residual decreases.  Starts
+    from ``seed`` (default eps cos x) and lam = rho * r0 (default r0 from
+    the small-amplitude series); stops when the step falls below
+    ``state.tol * max(1, |eps|)``.
     """
     if eps == 0:
         raise InvalidArgument("eps must be nonzero")
     if state is None:
         state = FdState(grid=make_grid(257))
-    if linearization not in ("auto", "picard", "newton"):
-        raise InvalidArgument(f"unknown linearization {linearization!r}")
     grid = state.grid
     n = grid.n_nodes
     _, cos, _, _, _ = trig_tables(n)
@@ -402,76 +471,13 @@ def fd_solve(
     if r0 is None:
         r0 = asymptotic_r(rho, eps, 1)
     lam = rho * complex(r0)
-    params = CoreParams(
-        rho=rho, eps=eps, max_iter=state.picard_max, tol_fp=state.picard_tol
-    )
-    if linearization == "picard":
-        return _fd_picard(params, state, u)
-    if linearization == "newton":
-        return _fd_newton(params, state, u, lam)
-    branch = _fd_picard(params, state, u)
-    if branch.converged:
-        return branch
-    return _fd_newton(params, state, u, lam)
+    params = CoreParams(rho=rho, eps=eps, max_iter=state.max_iter, tol_fp=state.tol)
 
-
-def _fd_picard(params: CoreParams, state: FdState, u0: np.ndarray) -> Branch:
-    grid = state.grid
-    n = grid.n_nodes
-    ni = n - 2
-    rho, eps = params.rho, params.eps
-    base = _fd_operator(grid)
-    row = _norm_row(grid)
-    u = u0.copy()
-    lam = 0.0 + 0.0j
-    increments = []
-    converged = False
-    iterations = 0
-    scale = max(1.0, abs(eps))
-    for _ in range(state.picard_max):
-        ui = u[1:-1]
-        if not np.all(np.isfinite(ui)) or np.max(np.abs(ui)) > 1e80:
-            # iteration escaped: report, do not raise
-            zeros = np.zeros(n, dtype=complex)
-            return _fd_branch(params, grid, zeros, 0j, iterations,
-                              float("inf"), False, increments, diverged=True)
-        bordered = sp.lil_matrix((ni + 1, ni + 1), dtype=complex)
-        bordered[:ni, :ni] = base
-        bordered[:ni, ni] = -ui.reshape(-1, 1)
-        bordered[ni, :ni] = row
-        rhs = np.empty(ni + 1, dtype=complex)
-        rhs[:ni] = -rho * (ui * ui.conjugate()).real * ui
-        rhs[ni] = eps
-        sol = spsolve(sp.csc_matrix(bordered), rhs)
-        if not np.all(np.isfinite(sol)):
-            raise DegenerateSystem("singular bordered finite-difference matrix")
-        u_new = np.zeros(n, dtype=complex)
-        u_new[1:-1] = sol[:ni]
-        lam = complex(sol[ni])
-        if state.damping != 1.0:
-            u_new = (1.0 - state.damping) * u + state.damping * u_new
-        inc = float(np.max(np.abs(u_new - u)))
-        increments.append(inc)
-        u = u_new
-        iterations += 1
-        if inc <= state.picard_tol * scale:
-            converged = True
-            break
-    return _fd_branch(params, grid, u, lam, iterations,
-                      increments[-1] if increments else float("inf"),
-                      converged, increments)
-
-
-def _fd_newton(params: CoreParams, state: FdState, u0: np.ndarray, lam0: complex) -> Branch:
-    grid = state.grid
-    n = grid.n_nodes
     h = grid.spacing
     ni = n - 2
-    rho, eps = params.rho, params.eps
-    base = _fd_operator(grid)
-    row = _norm_row(grid)
-    u = u0.copy()
-    lam = lam0
+    system = _fd_system(n)
+    base, row = system.base, system.row
+    jac = system.jacobian()
     increments = []
     converged = False
     iterations = 0
@@ -483,30 +489,17 @@ def _fd_newton(params: CoreParams, state: FdState, u0: np.ndarray, lam0: complex
         # h^2 scaling keeps the interior residual comparable to the state
         return g, gn, max(float(np.max(np.abs(g))) * h * h, abs(gn))
 
-    for _ in range(state.picard_max):
+    for _ in range(state.max_iter):
         ui = u[1:-1]
         if not np.all(np.isfinite(ui)) or np.max(np.abs(ui)) > 1e80:
+            # iteration escaped: report, do not raise
             zeros = np.zeros(n, dtype=complex)
             return _fd_branch(params, grid, zeros, 0j, iterations,
                               float("inf"), False, increments, diverged=True)
         g, gn, res0 = residual(ui, lam)
-        # real block linearization: d(|U|^2 U) = 2|U|^2 dU + U^2 conj(dU)
-        arr = 2.0 * rho * (ui * ui.conjugate()).real - lam
-        usq = rho * ui * ui
-        n2 = 2 * ni + 2
-        bordered = sp.lil_matrix((n2, n2))
-        bordered[:ni, :ni] = base + sp.diags(arr.real + usq.real)
-        bordered[:ni, ni:2 * ni] = sp.diags(-arr.imag + usq.imag)
-        bordered[ni:2 * ni, :ni] = sp.diags(arr.imag + usq.imag)
-        bordered[ni:2 * ni, ni:2 * ni] = base + sp.diags(arr.real - usq.real)
-        bordered[:ni, 2 * ni] = -ui.real.reshape(-1, 1)
-        bordered[:ni, 2 * ni + 1] = ui.imag.reshape(-1, 1)
-        bordered[ni:2 * ni, 2 * ni] = -ui.imag.reshape(-1, 1)
-        bordered[ni:2 * ni, 2 * ni + 1] = -ui.real.reshape(-1, 1)
-        bordered[2 * ni, :ni] = row
-        bordered[2 * ni + 1, ni:2 * ni] = row
+        _refill_jacobian(jac, system, ui, lam, rho)
         rhs = np.concatenate([-g.real, -g.imag, [-gn.real, -gn.imag]])
-        sol = spsolve(sp.csc_matrix(bordered), rhs)
+        sol = spsolve(jac, rhs)
         if not np.all(np.isfinite(sol)):
             raise DegenerateSystem("singular bordered finite-difference matrix")
         du = sol[:ni] + 1j * sol[ni:2 * ni]
@@ -525,7 +518,7 @@ def _fd_newton(params: CoreParams, state: FdState, u0: np.ndarray, lam0: complex
         iterations += 1
         inc = float(max(np.max(np.abs(step * du)), abs(step * dlam)))
         increments.append(inc)
-        if inc <= state.picard_tol * scale:
+        if inc <= state.tol * scale:
             converged = True
             break
     return _fd_branch(params, grid, u, lam, iterations,

@@ -4,7 +4,8 @@ A sweep evaluates the selected solver at every grid point of a rectangle,
 an argument arc, or a modulus ray, and summarizes each branch in one flat
 record (convergence, r, zero structure, symmetry, envelope minimum,
 collocation residual).  Emission is deterministic: identical specs produce
-byte-identical CSV or JSON files.
+byte-identical CSV or JSON files.  JSON follows RFC 8259: quantities that
+are not finite are written as null.
 """
 from __future__ import annotations
 
@@ -100,6 +101,13 @@ class SweepSpec:
             raise InvalidArgument(f"unknown sweep mode {self.mode!r}")
         if self.method not in METHODS:
             raise InvalidArgument(f"unknown method {self.method!r}")
+        reals = (
+            self.re_min, self.re_max, self.im_min, self.im_max, self.radius,
+            self.arg_min, self.arg_max, self.ray_arg, self.mod_min, self.mod_max,
+            self.tol,
+        )
+        if not (np.all(np.isfinite(reals)) and np.isfinite(self.eps)):
+            raise InvalidArgument("sweep bounds, tol and eps must be finite")
         if self.mode == "rectangle":
             if self.re_steps < 2 or self.im_steps < 2:
                 raise InvalidArgument("rectangle sweeps need >= 2 steps per axis")
@@ -195,7 +203,7 @@ def _solve_point(
             init = ShootingState(a=prev.v.values[0], r=prev.r, newton_max=spec.max_iter,
                                  newton_tol=spec.tol)
         return shoot_solve(rho, eps, init=init, grid=grid)
-    state = FdState(grid=grid, picard_tol=spec.tol, picard_max=spec.max_iter)
+    state = FdState(grid=grid, tol=spec.tol, max_iter=spec.max_iter)
     seed = prev.U if (spec.warm_start and prev is not None and prev.converged) else None
     r0 = prev.r if (spec.warm_start and prev is not None and prev.converged) else None
     return fd_solve(rho, eps, state=state, seed=seed, r0=r0)
@@ -289,6 +297,22 @@ def mirror_conjugate(records: Sequence[SweepRecord]) -> list[SweepRecord]:
     return out
 
 
+def _json_ready(obj):
+    """obj with every float that is not finite replaced by None."""
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    return obj
+
+
+def dumps_json(obj) -> str:
+    """RFC 8259 JSON text of obj (indent 2); NaN and infinities become null."""
+    return json.dumps(_json_ready(obj), indent=2, allow_nan=False)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -315,13 +339,18 @@ def emit_results(records: Sequence[SweepRecord], format_: str, path) -> None:
             lines.append(",".join(row))
         payload = "\n".join(lines) + "\n"
     else:
-        payload = json.dumps([rec.as_dict() for rec in records], indent=2) + "\n"
+        payload = dumps_json([rec.as_dict() for rec in records]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(payload)
 
 
+def _float(x) -> float:
+    return float("nan") if x is None else float(x)
+
+
 def load_records(path, format_: str) -> list[SweepRecord]:
-    """Parse a file produced by emit_results back into records."""
+    """Parse a file produced by emit_results back into records (JSON null
+    reads as NaN)."""
     if format_ == "json":
         with open(path, "r", encoding="utf-8") as fh:
             rows = json.load(fh)
@@ -352,13 +381,13 @@ def load_records(path, format_: str) -> list[SweepRecord]:
             rho=complex(d["rho_re"], d["rho_im"]),
             method=d["method"],
             converged=bool(d["converged"]),
-            r=complex(d["r_re"], d["r_im"]),
+            r=complex(_float(d["r_re"]), _float(d["r_im"])),
             iterations=int(d["iterations"]),
             zero_count=int(d["zero_count"]),
             extra_zeros=int(d["extra_zeros"]),
-            symmetry_defect=float(d["symmetry_defect"]),
-            min_abs_v=float(d["min_abs_v"]),
-            ode_residual=float(d["ode_residual"]),
+            symmetry_defect=_float(d["symmetry_defect"]),
+            min_abs_v=_float(d["min_abs_v"]),
+            ode_residual=_float(d["ode_residual"]),
         )
         for d in rows
     ]

@@ -183,10 +183,10 @@ def test_criterion_5_rectangle_sweep():
 def _fd_ramp(target_mod, arg, n_nodes, eps=1.0):
     """Adaptive warm-started continuation of the FD solver along a ray."""
     grid = make_grid(n_nodes)
-    state = FdState(grid=grid, picard_max=80)
+    state = FdState(grid=grid, max_iter=80)
     mod = 1.0
     rho = mod * complex(np.cos(arg), np.sin(arg))
-    branch = fd_solve(rho, eps, state=state, linearization="newton")
+    branch = fd_solve(rho, eps, state=state)
     if not branch.converged:
         return None
     factor = 1.35
@@ -194,8 +194,7 @@ def _fd_ramp(target_mod, arg, n_nodes, eps=1.0):
     while mod < target_mod - 1e-9:
         mod_try = min(target_mod, mod * factor)
         rho = mod_try * complex(np.cos(arg), np.sin(arg))
-        nxt = fd_solve(rho, eps, state=state, seed=branch.U, r0=branch.r,
-                       linearization="newton")
+        nxt = fd_solve(rho, eps, state=state, seed=branch.U, r0=branch.r)
         if nxt.converged:
             mod = mod_try
             branch = nxt

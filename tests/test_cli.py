@@ -14,6 +14,14 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON; bare NaN or Infinity is an error."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestSolve:
     def test_json_summary(self, capsys):
         code, out, _ = run_cli(
@@ -48,6 +56,26 @@ class TestSolve:
             "--nodes", "129",
         )
         assert code == 2
+
+    def test_nonconverged_json_is_strict(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "solve", "--rho-re", "40", "--eps-re", "3", "--nodes", "129",
+        )
+        assert code == 2
+        doc = strict_json(out)
+        assert doc["converged"] is False
+        assert doc["r_re"] is None
+        assert doc["fp_residual"] is None
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--rho-re", "nan"), ("--rho-im", "inf"), ("--eps-re", "-inf"),
+        ("--eps-im", "nan"),
+    ])
+    def test_nonfinite_rejected(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "solve", f"{flag}={value}")
+        assert code == 1
+        assert "finite" in err
+        assert out == ""
 
     def test_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--nodes", "128")
@@ -85,6 +113,31 @@ class TestSweepCommand:
         docs = json.loads(path.read_text())
         assert len(docs) == 4
         assert docs[2]["rho_im"] == -docs[0]["rho_im"]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--re-min", "nan"), ("--re-max", "inf"), ("--im-min", "-inf"),
+        ("--eps-re", "nan"),
+    ])
+    def test_nonfinite_bounds_rejected(self, capsys, tmp_path, flag, value):
+        path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--mode", "rect", f"{flag}={value}", "--out", str(path),
+        )
+        assert code == 1
+        assert "finite" in err
+        assert not path.exists()
+
+    def test_failure_records_strict_json(self, capsys, tmp_path):
+        path = tmp_path / "fail.json"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--mode", "mod", "--mod-min", "38", "--mod-max", "40",
+            "--steps", "2", "--eps-re", "3", "--nodes", "129",
+            "--format", "json", "--out", str(path),
+        )
+        assert code == 0
+        docs = strict_json(path.read_text())
+        assert [d["converged"] for d in docs] == [False, False]
+        assert all(d["r_re"] is None for d in docs)
 
     def test_empty_range_validation(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -130,6 +183,23 @@ class TestPhysical:
         assert doc["rho_re"] == 1.0
         assert doc["R"] == pytest.approx(doc["R_asymptotic"], abs=1e-6)
         assert abs(doc["omega"]) < 1e-12
+
+    def test_nonconvergence_exit_code(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "physical", "--mu", "40", "--nu", "-40", "--n", "1",
+            "--eps-re", "3", "--nodes", "129",
+        )
+        assert code == 2
+        doc = strict_json(out)
+        assert doc["converged"] is False
+        assert doc["R"] is None and doc["omega"] is None
+
+    def test_nonfinite_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "physical", "--mu", "nan", "--nu", "0", "--n", "1",
+        )
+        assert code == 1
+        assert out == ""
 
 
 class TestVerify:

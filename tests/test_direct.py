@@ -17,7 +17,8 @@ from cglvortex import (
     project_mean,
     shoot_solve,
 )
-from cglvortex.direct import _rk4_profile
+from cglvortex.direct import _fd_branch, _fd_system, _refill_jacobian, _rk4_profile
+from cglvortex.quadrature import simpson_weights
 
 
 class TestOdeForcing:
@@ -80,12 +81,66 @@ class TestShooting:
             ShootingState(a=1.0, r=0.75, step_count=32)
 
 
+def _lagged_fd_step(branch):
+    """One Picard pass of the bordered FD system, built densely here:
+    solve (-D2 - I) u' - lam' u = -rho |u|^2 u with the normalization row,
+    lagging the cubic term and the lam column at branch.U."""
+    grid = branch.grid
+    n, h = grid.n_nodes, grid.spacing
+    ni = n - 2
+    rho, eps = branch.params.rho, branch.params.eps
+    ui = branch.U.values[1:-1]
+    base = (np.diag(np.full(ni, 2.0 / h**2 - 1.0))
+            - np.diag(np.full(ni - 1, 1.0 / h**2), 1)
+            - np.diag(np.full(ni - 1, 1.0 / h**2), -1))
+    cos = np.cos(grid.nodes)
+    sw = simpson_weights(n)
+    mat = np.zeros((ni + 1, ni + 1), dtype=complex)
+    mat[:ni, :ni] = base
+    mat[:ni, ni] = -ui
+    mat[ni, :ni] = sw[1:-1] * cos[1:-1] / np.dot(sw, cos**2)
+    rhs = np.append(-rho * np.abs(ui) ** 2 * ui, eps)
+    sol = np.linalg.solve(mat, rhs)
+    u = np.zeros(n, dtype=complex)
+    u[1:-1] = sol[:ni]
+    return _fd_branch(branch.params, grid, u, sol[ni], 1, 0.0, True, ())
+
+
+def _dense_fd_jacobian(grid, u, lam, rho):
+    """Real Jacobian of the bordered FD residual in the unknowns
+    (Re u, Im u, Re lam, Im lam), from
+    d(-u'' - u - lam u + rho |u|^2 u) = A du + B conj(du) - u dlam
+    with A = -D2 - I - lam + 2 rho |u|^2 and B = rho u^2."""
+    n, h = grid.n_nodes, grid.spacing
+    ni = n - 2
+    lap = (np.diag(np.full(ni, 2.0 / h**2 - 1.0))
+           - np.diag(np.full(ni - 1, 1.0 / h**2), 1)
+           - np.diag(np.full(ni - 1, 1.0 / h**2), -1))
+    a = lap + np.diag(2.0 * rho * np.abs(u) ** 2 - lam)
+    b = np.diag(rho * u * u)
+    cos = np.cos(grid.nodes)
+    sw = simpson_weights(n)
+    row = sw[1:-1] * cos[1:-1] / np.dot(sw, cos**2)
+    jac = np.zeros((2 * ni + 2, 2 * ni + 2))
+    jac[:ni, :ni] = a.real + b.real
+    jac[:ni, ni:2 * ni] = -a.imag + b.imag
+    jac[ni:2 * ni, :ni] = a.imag + b.imag
+    jac[ni:2 * ni, ni:2 * ni] = a.real - b.real
+    jac[:ni, 2 * ni], jac[:ni, 2 * ni + 1] = -u.real, u.imag
+    jac[ni:2 * ni, 2 * ni], jac[ni:2 * ni, 2 * ni + 1] = -u.imag, -u.real
+    jac[2 * ni, :ni] = row
+    jac[2 * ni + 1, ni:2 * ni] = row
+    return jac
+
+
 class TestFiniteDifference:
-    def test_linear_limit_one_pass(self, grid257):
-        # the discrete cosine is an exact eigenvector of the bordered system
+    def test_linear_limit_two_passes(self, grid257):
+        # the discrete cosine is an exact eigenvector of the bordered system:
+        # the first Newton step moves lam from 0 to the discrete eigenvalue
+        # shift (about h^2/12) and the second confirms convergence
         b = fd_solve(0.0, 1.0, state=FdState(grid=grid257))
         assert b.converged
-        assert b.iterations == 1
+        assert b.iterations == 2
         assert np.max(np.abs(b.U.values - np.cos(grid257.nodes))) < 1e-12
         assert b.r == pytest.approx(0.75, abs=1e-11)
 
@@ -108,11 +163,10 @@ class TestFiniteDifference:
             assert 3.2 < a / b < 4.8  # Richardson slope ~ 2
 
     def test_newton_matches_picard(self, grid257):
-        rho, eps = 2.0 + 1.0j, 1.0
-        p = fd_solve(rho, eps, state=FdState(grid=grid257), linearization="picard")
-        n = fd_solve(rho, eps, state=FdState(grid=grid257), linearization="newton")
-        assert p.converged and n.converged
-        assert compare_branches(p, n) < 1e-9
+        # the Newton solution is the fixed point of the lagged (Picard) map
+        b = fd_solve(2.0 + 1.0j, 1.0, state=FdState(grid=grid257))
+        assert b.converged
+        assert compare_branches(b, _lagged_fd_step(b)) < 1e-9
 
     def test_ode_residual_second_order(self):
         rho, eps = 1.5, 0.4
@@ -128,21 +182,38 @@ class TestFiniteDifference:
         with pytest.raises(InvalidArgument):
             fd_solve(1.0, 0.0, state=FdState(grid=grid257))
 
-    def test_unknown_linearization(self, grid257):
-        with pytest.raises(InvalidArgument):
-            fd_solve(1.0, 1.0, state=FdState(grid=grid257), linearization="secant")
-
     def test_stagnation_reported_not_raised(self, grid257):
-        # plain Picard stalls far outside its basin; must return a record
-        b = fd_solve(
-            60.0, 1.0, state=FdState(grid=grid257, picard_max=30),
-            linearization="picard",
-        )
+        # two Newton passes from the cold seed cannot reach rho = 60; the
+        # solver must return a record, not raise
+        b = fd_solve(60.0, 1.0, state=FdState(grid=grid257, max_iter=2))
         assert not b.converged
+        assert b.iterations == 2
 
-    def test_auto_falls_back_to_newton(self, grid257):
-        b = fd_solve(60.0, 1.0, state=FdState(grid=grid257, picard_max=30))
+    def test_converges_far_from_linear_limit(self, grid257):
+        b = fd_solve(60.0, 1.0, state=FdState(grid=grid257))
         assert b.converged
+
+    @pytest.mark.parametrize("n_nodes", [9, 257])
+    def test_jacobian_assembly(self, n_nodes):
+        grid = make_grid(n_nodes)
+        ni = n_nodes - 2
+        rho = 3.0 + 2.0j
+        rng = np.random.default_rng(n_nodes)
+        system = _fd_system(n_nodes)
+        jac = system.jacobian()
+        pattern = None
+        for _ in range(2):
+            u = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
+            lam = complex(rng.standard_normal(), rng.standard_normal())
+            _refill_jacobian(jac, system, u, lam, rho)
+            dense = _dense_fd_jacobian(grid, u, lam, rho)
+            assert np.max(np.abs(jac.toarray() - dense)) <= 1e-12 * np.max(np.abs(dense))
+            now = (jac.nnz, jac.indices.copy(), jac.indptr.copy())
+            if pattern is not None:
+                assert now[0] == pattern[0]
+                assert np.array_equal(now[1], pattern[1])
+                assert np.array_equal(now[2], pattern[2])
+            pattern = now
 
 
 class TestCompareBranches:

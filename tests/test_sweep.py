@@ -88,6 +88,16 @@ class TestSweepSpec:
         with pytest.raises(InvalidArgument):
             SweepSpec(mode="disk")
 
+    @pytest.mark.parametrize("field,value", [
+        ("re_min", float("nan")), ("im_max", float("inf")),
+        ("radius", float("nan")), ("arg_max", float("-inf")),
+        ("ray_arg", float("nan")), ("mod_max", float("inf")),
+        ("eps", complex(1.0, float("nan"))),
+    ])
+    def test_nonfinite_values_rejected(self, field, value):
+        with pytest.raises(InvalidArgument):
+            SweepSpec(mode="rectangle", **{field: value})
+
     def test_rectangle_points_row_major(self):
         spec = SweepSpec(
             mode="rectangle", re_min=0, re_max=1, re_steps=2,
@@ -193,6 +203,34 @@ class TestEmission:
         emit_results(recs, "json", path)
         back = load_records(path, "json")
         assert back == recs
+
+    def _failure_record(self):
+        return SweepRecord(
+            rho=1.25 - 0.5j, method="fixed_point", converged=False,
+            r=complex(float("nan"), float("inf")), iterations=0, zero_count=0,
+            extra_zeros=0, symmetry_defect=float("nan"),
+            min_abs_v=float("inf"), ode_residual=float("nan"),
+        )
+
+    def test_json_nonfinite_as_null(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        path = tmp_path / "fail.json"
+        emit_results([self._failure_record()], "json", path)
+        (doc,) = json.loads(path.read_text(), parse_constant=reject)
+        for key in ("r_re", "r_im", "symmetry_defect", "min_abs_v", "ode_residual"):
+            assert doc[key] is None
+        (back,) = load_records(path, "json")
+        assert np.isnan(back.r.real) and np.isnan(back.r.imag)
+        assert np.isnan(back.min_abs_v)
+
+    def test_csv_nonfinite_bytes(self, tmp_path):
+        path = tmp_path / "fail.csv"
+        emit_results([self._failure_record()], "csv", path)
+        assert path.read_bytes().split(b"\n")[1] == (
+            b"1.25,-0.5,fixed_point,false,nan,inf,0,0,0,nan,inf,nan"
+        )
 
     def test_csv_round_trip(self, tmp_path):
         recs = [self._one_record()]

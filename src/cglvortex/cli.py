@@ -14,16 +14,12 @@ import numpy as np
 
 from .errors import InvalidArgument, ToolkitError
 from .quadrature import make_grid
-from .reduction import (
-    CoreParams,
-    asymptotic_r,
-    asymptotic_U,
-    cubic_forcing,
-    fixed_point_solve,
-    project_mean,
-)
+from .reduction import asymptotic_r, asymptotic_U, cubic_forcing, project_mean
 from .greens import solvability_residual
-from .direct import FdState, compare_branches, fd_solve, shoot_solve
+from .direct import compare_branches
+# not called here: bench/tracing.py wraps the solvers under these names
+from .reduction import fixed_point_solve  # noqa: F401
+from .direct import fd_solve, shoot_solve  # noqa: F401
 from .physics import (
     asymptotic_R,
     asymptotic_omega,
@@ -40,6 +36,7 @@ from .sweep import (
     mirror_conjugate,
     record_from_branch,
     run_sweep,
+    solve,
 )
 
 METHOD_ALIASES = {"fp": "fixed_point", "shoot": "shooting", "fd": "finite_difference"}
@@ -130,19 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solve_by_method(method, rho, eps, grid, tol):
-    if method == "fixed_point":
-        params = CoreParams(rho=rho, eps=eps, max_iter=800, tol_fp=tol)
-        branch = fixed_point_solve(params, grid=grid)
-        if not branch.converged and not branch.diverged:
-            branch = fixed_point_solve(params, grid=grid, relaxation=0.5)
-        return branch
-    if method == "shooting":
-        return shoot_solve(rho, eps, grid=grid)
-    state = FdState(grid=grid, tol=tol)
-    return fd_solve(rho, eps, state=state)
-
-
 def _branch_summary(branch):
     rec = record_from_branch(branch)
     grid = branch.grid
@@ -168,7 +152,7 @@ def _cmd_solve(args) -> int:
     eps = complex(args.eps_re, args.eps_im)
     grid = make_grid(args.nodes)
     method = METHOD_ALIASES[args.method]
-    branch = _solve_by_method(method, rho, eps, grid, args.tol)
+    branch = solve(method, rho, eps, grid, tol=args.tol)
     print(dumps_json(_branch_summary(branch)))
     return 0 if branch.converged else 2
 
@@ -239,7 +223,7 @@ def _cmd_verify(args) -> int:
 
     branches = {}
     for method in ("fixed_point", "shooting", "finite_difference"):
-        branches[method] = _solve_by_method(method, rho, eps, grid, 1e-12)
+        branches[method] = solve(method, rho, eps, grid)
     for name, br in branches.items():
         checks.append((f"converged[{name}]", 0.0 if br.converged else 1.0, 0.5))
 
@@ -264,7 +248,7 @@ def _cmd_verify(args) -> int:
              1e-10 * max(1.0, forcing.sup_norm))
         )
         # gauge invariance of r under a quarter-turn of eps
-        rot = _solve_by_method("fixed_point", rho, eps * 1j, grid, 1e-12)
+        rot = solve("fixed_point", rho, eps * 1j, grid)
         checks.append(
             ("gauge[r]", abs(rot.r - branches["fixed_point"].r), 1e-12 * max(1.0, abs(rho)))
         )
@@ -300,7 +284,7 @@ def _cmd_physical(args) -> int:
     eps = complex(args.eps_re, args.eps_im)
     rho = rho_from_physical(args.mu, args.nu, args.n)
     grid = make_grid(args.nodes)
-    branch = _solve_by_method("fixed_point", rho, eps, grid, 1e-12)
+    branch = solve("fixed_point", rho, eps, grid)
     phys = physical_from_r(branch.r, args.mu, args.nu, args.n)
     out = {
         "rho_re": rho.real,

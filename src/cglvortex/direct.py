@@ -31,9 +31,9 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import spsolve
 
 from .errors import DegenerateSystem, InvalidArgument, InvalidState
-from .quadrature import Grid, GridFunction, make_grid, simpson_weights, trig_tables
-from .greens import envelope_residual, resample_periodic
-from .reduction import Branch, CoreParams, asymptotic_r, compute_r
+from .quadrature import Grid, GridFunction, make_grid
+from .greens import resample_periodic
+from .reduction import Branch, CoreParams, _ode_residual, asymptotic_r, compute_r
 
 ESCAPE_CAP = 1e6
 RHO_ZERO_CUTOFF = 1e-13
@@ -41,17 +41,10 @@ RHO_ZERO_CUTOFF = 1e-13
 
 def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
     """Pointwise forcing f(x) = rho (r - |v|^2 cos^2 x) v(x) cos x."""
-    n = v.grid.n_nodes
-    _, cos, _, cos2, _ = trig_tables(n)
+    grid = v.grid
     vals = v.values
     absq = (vals * vals.conjugate()).real
-    return GridFunction(v.grid, rho * (r - absq * cos2) * vals * cos)
-
-
-def _branch_ode_residual(v_vals, u_vals, rho, r, grid) -> float:
-    absq = (u_vals * u_vals.conjugate()).real
-    f_vals = rho * (r - absq) * u_vals
-    return envelope_residual(v_vals, f_vals, grid)
+    return GridFunction(grid, rho * (r - absq * grid.cos2) * vals * grid.cos)
 
 
 # --------------------------------------------------------------- shooting
@@ -145,9 +138,8 @@ def shoot_solve(
         init = ShootingState(a=eps, r=asymptotic_r(rho, eps, 1))
     stride = -(-init.step_count // (n - 1))  # ceil
     n_steps = stride * (n - 1)
-    _, cos, _, cos2, _ = trig_tables(n)
-    sw = simpson_weights(n)
-    denom = float(np.dot(sw, cos2))
+    cos, sw = grid.cos, grid.weights
+    denom = float(np.dot(sw, grid.cos2))
 
     def conditions(a, r):
         res = _rk4_profile(rho, r, a, n_steps, n)
@@ -237,9 +229,7 @@ def shoot_solve(
         U=branch.U,
         iterations=branch.iterations,
         fp_residual=branch.fp_residual,
-        ode_residual=_branch_ode_residual(
-            branch.v.values, branch.U.values, rho, complex(r), grid
-        ),
+        ode_residual=_ode_residual(branch.v.values, branch.U.values, rho, complex(r), grid),
         converged=branch.converged,
         method="shooting",
         increments=tuple(increments),
@@ -251,11 +241,9 @@ def _shooting_branch(params, grid, u_vals, v_left, v_end_slope, iterations, resi
 
     Envelope by division away from the interval ends; at the ends the
     l'Hopital limits v(-pi/2) = U'(-pi/2) and v(pi/2) = -U'(pi/2)."""
-    n = grid.n_nodes
-    _, cos, _, _, _ = trig_tables(n)
     eps = params.eps
-    v = np.empty(n, dtype=complex)
-    v[1:-1] = u_vals[1:-1] / cos[1:-1]
+    v = np.empty(grid.n_nodes, dtype=complex)
+    v[1:-1] = u_vals[1:-1] / grid.cos[1:-1]
     v[0] = v_left
     v[-1] = -v_end_slope
     w = v / eps - 1.0
@@ -269,7 +257,7 @@ def _shooting_branch(params, grid, u_vals, v_left, v_end_slope, iterations, resi
         U=GridFunction(grid, np.asarray(u_vals, dtype=complex)),
         iterations=iterations,
         fp_residual=resid,
-        ode_residual=_branch_ode_residual(v, np.asarray(u_vals), rho, r, grid),
+        ode_residual=_ode_residual(v, np.asarray(u_vals), rho, r, grid),
         converged=converged,
         method="shooting",
     )
@@ -352,9 +340,9 @@ def _fd_system(n_nodes: int) -> _FdSystem:
         [-1, 0, 1],
         format="csr",
     )
-    _, cos, _, cos2, _ = trig_tables(n_nodes)
-    sw = simpson_weights(n_nodes)
-    row = sw[1:-1] * cos[1:-1] / float(np.dot(sw, cos2))
+    grid = make_grid(n_nodes)
+    sw = grid.weights
+    row = sw[1:-1] * grid.cos[1:-1] / float(np.dot(sw, grid.cos2))
 
     i = np.arange(ni)
     re, im, lre, lim = i, ni + i, np.full(ni, 2 * ni), np.full(ni, 2 * ni + 1)
@@ -410,11 +398,9 @@ def _refill_jacobian(jac: sp.csc_matrix, system: _FdSystem, ui, lam, rho) -> Non
 
 def _fd_branch(params, grid, u_vals, lam, iterations, resid, converged, increments,
                diverged=False):
-    n = grid.n_nodes
-    _, cos, _, _, _ = trig_tables(n)
     rho, eps = params.rho, params.eps
-    v = np.empty(n, dtype=complex)
-    v[1:-1] = u_vals[1:-1] / cos[1:-1]
+    v = np.empty(grid.n_nodes, dtype=complex)
+    v[1:-1] = u_vals[1:-1] / grid.cos[1:-1]
     # cubic extrapolation for the envelope limits at the interval ends
     v[0] = 4 * v[1] - 6 * v[2] + 4 * v[3] - v[4]
     v[-1] = 4 * v[-2] - 6 * v[-3] + 4 * v[-4] - v[-5]
@@ -431,7 +417,7 @@ def _fd_branch(params, grid, u_vals, lam, iterations, resid, converged, incremen
         U=GridFunction(grid, u_vals),
         iterations=iterations,
         fp_residual=resid,
-        ode_residual=_branch_ode_residual(v, u_vals, rho, complex(r), grid),
+        ode_residual=_ode_residual(v, u_vals, rho, complex(r), grid),
         converged=converged,
         diverged=diverged,
         method="finite_difference",
@@ -449,11 +435,11 @@ def fd_solve(
     """Finite-difference solution with a bordered normalization row.
 
     Newton iteration on the bordered system in real variables, one sparse
-    direct solve per pass, each step damped by halving
-    (at most six times) until the h^2-scaled residual decreases.  Starts
-    from ``seed`` (default eps cos x) and lam = rho * r0 (default r0 from
-    the small-amplitude series); stops when the step falls below
-    ``state.tol * max(1, |eps|)``.
+    direct solve per pass, each step damped by halving until the
+    h^2-scaled residual decreases (the sixth trial, 1/32 of the step, is
+    taken regardless).  Starts from ``seed`` (default eps cos x) and
+    lam = rho * r0 (default r0 from the small-amplitude series); stops when
+    the step taken falls below ``state.tol * max(1, |eps|)``.
     """
     if eps == 0:
         raise InvalidArgument("eps must be nonzero")
@@ -461,9 +447,8 @@ def fd_solve(
         state = FdState(grid=make_grid(257))
     grid = state.grid
     n = grid.n_nodes
-    _, cos, _, _, _ = trig_tables(n)
     if seed is None:
-        u = eps * cos.astype(complex)
+        u = eps * grid.cos.astype(complex)
     else:
         if seed.grid != grid:
             raise InvalidArgument("seed must live on the solver grid")
@@ -504,14 +489,13 @@ def fd_solve(
             raise DegenerateSystem("singular bordered finite-difference matrix")
         du = sol[:ni] + 1j * sol[ni:2 * ni]
         dlam = sol[2 * ni] + 1j * sol[2 * ni + 1]
-        step = 1.0
-        for _ in range(6):
+        for halvings in range(6):
+            step = 0.5 ** halvings
             u_try = ui + step * du
             lam_try = lam + step * dlam
             _, _, res1 = residual(u_try, lam_try)
             if res1 < res0 or res0 < 1e-13:
                 break
-            step *= 0.5
         u = u.copy()
         u[1:-1] = u_try
         lam = lam_try

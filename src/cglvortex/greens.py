@@ -19,16 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, SolvabilityError
-from .quadrature import (
-    HALF_PI,
-    Grid,
-    GridFunction,
-    integrate,
-    integrate_samples,
-    running_integral,
-    simpson_weights,
-    trig_tables,
-)
+from .quadrature import HALF_PI, Grid, GridFunction, running_integral
 
 # nodes this close to +-pi/2 take the limit formula instead of sin/cos
 ENDPOINT_COS_CUTOFF = 1e-8
@@ -73,8 +64,7 @@ class KernelPoint:
 
 def solvability_residual(f: GridFunction) -> complex:
     """int_J f(y) cos y dy.  Zero (within tolerance) marks f as admissible."""
-    _, cos, _, _, _ = trig_tables(f.grid.n_nodes)
-    return integrate_samples(f.values * cos, f.grid.n_nodes)
+    return f.grid.integrate(f.values * f.grid.cos)
 
 
 def jump_increment(f: GridFunction) -> complex:
@@ -82,8 +72,13 @@ def jump_increment(f: GridFunction) -> complex:
 
     Equals v(pi/2) - v(-pi/2) for the solution of the linearized problem,
     and vanishes for even forcing."""
-    _, _, sin, _, _ = trig_tables(f.grid.n_nodes)
-    return integrate_samples(f.values * sin, f.grid.n_nodes)
+    return f.grid.integrate(f.values * f.grid.sin)
+
+
+def _remove_cos_mode(values: np.ndarray, grid: Grid) -> np.ndarray:
+    cos, w = grid.cos, grid.weights
+    c = np.dot(w, values * cos) / np.dot(w, grid.cos2)
+    return values - c * cos
 
 
 def enforce_solvability(f: GridFunction) -> GridFunction:
@@ -92,25 +87,29 @@ def enforce_solvability(f: GridFunction) -> GridFunction:
     Returns f - c cos x with c = (int f cos) / (int cos^2), computed with
     the same quadrature, so the residual of the result vanishes to
     roundoff regardless of quadrature error.  Idempotent."""
-    n = f.grid.n_nodes
-    _, cos, _, cos2, _ = trig_tables(n)
-    c = integrate_samples(f.values * cos, n) / integrate_samples(cos2 + 0j, n)
-    return GridFunction(f.grid, f.values - c * cos)
+    return GridFunction(f.grid, _remove_cos_mode(f.values, f.grid))
 
 
-def _solve_envelope_raw(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndarray:
+def _check_admissible(f: GridFunction) -> None:
+    resid = solvability_residual(f)
+    if abs(resid) > TOL_SOLV * max(1e-300, f.sup_norm):
+        raise SolvabilityError(
+            f"forcing violates the solvability condition: |int f cos| = {abs(resid):.3e}"
+        )
+
+
+def _solve_envelope(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndarray:
     """Envelope samples from the split representation (no solvability check)."""
-    n = grid.n_nodes
     h = grid.spacing
-    x, cos, sin, _, _ = trig_tables(n)
+    cos, sin = grid.cos, grid.sin
     A = running_integral(f_values * sin, h)
     C = running_integral(f_values * cos, h)
     B = C[-1] - C
-    v = np.empty(n, dtype=complex)
+    v = np.empty(grid.n_nodes, dtype=complex)
     # interior: |cos x| >= sin(h) >> cutoff, so the ratio is safe
     v[1:-1] = v_left + A[1:-1] + (sin[1:-1] / cos[1:-1]) * B[1:-1]
     v[0] = v_left
-    v[-1] = v_left + integrate_samples(f_values * sin, n)
+    v[-1] = v_left + grid.integrate(f_values * sin)
     return v
 
 
@@ -120,12 +119,8 @@ def solve_linear_inhomogeneous(f: GridFunction, v_left: complex = 0.0) -> GridFu
     The forcing must satisfy the solvability condition; otherwise no
     solution with bounded envelope exists and the input is rejected.
     """
-    resid = solvability_residual(f)
-    if abs(resid) > TOL_SOLV * max(1e-300, f.sup_norm):
-        raise SolvabilityError(
-            f"forcing violates the solvability condition: |int f cos| = {abs(resid):.3e}"
-        )
-    return GridFunction(f.grid, _solve_envelope_raw(f.values, f.grid, complex(v_left)))
+    _check_admissible(f)
+    return GridFunction(f.grid, _solve_envelope(f.values, f.grid, complex(v_left)))
 
 
 def envelope_residual(
@@ -140,7 +135,7 @@ def envelope_residual(
     Returns the sup over interior nodes.
     """
     h = grid.spacing
-    x, cos, sin, _, _ = trig_tables(grid.n_nodes)
+    cos, sin = grid.cos, grid.sin
     d1 = (v_values[2:] - v_values[:-2]) / (2 * h)
     d2 = (v_values[2:] - 2 * v_values[1:-1] + v_values[:-2]) / (h * h)
     resid = -d2 * cos[1:-1] + 2 * d1 * sin[1:-1] - f_values[1:-1]

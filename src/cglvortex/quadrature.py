@@ -7,7 +7,7 @@ the same order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -19,17 +19,41 @@ HALF_PI = np.pi / 2.0
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform nodes spanning J = [-pi/2, pi/2], endpoints included."""
+    """Uniform nodes spanning J = [-pi/2, pi/2], endpoints included.
+
+    The grid owns the tables every operator on J reads: the
+    composite-Simpson ``weights`` and the samples ``cos``, ``sin``,
+    ``cos2`` (cos^2) and ``cos4`` (cos^4).  All arrays are read-only."""
 
     n_nodes: int
     nodes: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
+    cos: np.ndarray = field(init=False, repr=False)
+    sin: np.ndarray = field(init=False, repr=False)
+    cos2: np.ndarray = field(init=False, repr=False)
+    cos4: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        weights = np.ones(self.n_nodes)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        weights *= self.spacing / 3.0
+        cos = np.cos(self.nodes)
+        cos2 = cos * cos
+        tables = dict(weights=weights, cos=cos, sin=np.sin(self.nodes),
+                      cos2=cos2, cos4=cos2 * cos2)
+        for name, a in tables.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         self.nodes.setflags(write=False)
 
     @property
     def spacing(self) -> float:
         return np.pi / (self.n_nodes - 1)
+
+    def integrate(self, values: np.ndarray) -> complex:
+        """Composite-Simpson integral over J of samples on this grid."""
+        return complex(np.dot(self.weights, values))
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.n_nodes == other.n_nodes
@@ -38,9 +62,10 @@ class Grid:
         return hash(("Grid", self.n_nodes))
 
 
+@lru_cache(maxsize=32)
 def make_grid(n_nodes: int) -> Grid:
-    """Build the uniform grid on J.  n_nodes must be odd and at least 5
-    so that composite Simpson applies."""
+    """The uniform grid on J (one shared instance per node count).
+    n_nodes must be odd and at least 5 so that composite Simpson applies."""
     if n_nodes < 5 or n_nodes % 2 == 0:
         raise InvalidArgument(f"n_nodes must be odd and >= 5, got {n_nodes}")
     nodes = np.linspace(-HALF_PI, HALF_PI, n_nodes)
@@ -75,26 +100,9 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
 
-@lru_cache(maxsize=32)
-def simpson_weights(n_nodes: int) -> np.ndarray:
-    """Composite-Simpson weights for n_nodes (odd) uniform nodes on J."""
-    h = np.pi / (n_nodes - 1)
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= h / 3.0
-    w.setflags(write=False)
-    return w
-
-
 def integrate(f: GridFunction) -> complex:
     """Integral of f over J by composite Simpson (error O(h^4) for C^4 f)."""
-    return complex(np.dot(simpson_weights(f.grid.n_nodes), f.values))
-
-
-def integrate_samples(values: np.ndarray, n_nodes: int) -> complex:
-    """Simpson integral over J for raw samples (hot-path variant)."""
-    return complex(np.dot(simpson_weights(n_nodes), values))
+    return f.grid.integrate(f.values)
 
 
 def running_integral(values: np.ndarray, h: float) -> np.ndarray:
@@ -115,16 +123,3 @@ def running_integral(values: np.ndarray, h: float) -> np.ndarray:
     np.cumsum(cell, out=out[1:])
     out *= h
     return out
-
-
-@lru_cache(maxsize=32)
-def trig_tables(n_nodes: int):
-    """Cached cos/sin/cos^2/cos^4 samples for the J grid (read-only)."""
-    x = np.linspace(-HALF_PI, HALF_PI, n_nodes)
-    cos = np.cos(x)
-    sin = np.sin(x)
-    cos2 = cos * cos
-    cos4 = cos2 * cos2
-    for a in (x, cos, sin, cos2, cos4):
-        a.setflags(write=False)
-    return x, cos, sin, cos2, cos4

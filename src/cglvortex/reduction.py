@@ -11,7 +11,13 @@ linearized operator and removes the mean mode.  For |eps|^2 below an
 explicit radius the map is a contraction and plain iteration from w = 0
 converges geometrically; far outside that certificate the iteration is
 still attempted (optionally with averaging, which preserves the fixed
-point but tames period-two oscillations seen near the convergence edge).
+point but tames period-two oscillations seen near the convergence edge;
+``cglvortex.sweep.solve`` restarts with it when plain iteration stalls).
+
+Each operator (mean projection, Green inverse, cubic forcing) has one
+implementation on sample arrays that reads the Grid's tables; the public
+functions on GridFunctions validate their input and call it, and the
+fixed-point loop calls it directly.
 """
 from __future__ import annotations
 
@@ -20,15 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, InvalidState
-from .quadrature import (
-    Grid,
-    GridFunction,
-    integrate_samples,
-    make_grid,
-    simpson_weights,
-    trig_tables,
-)
-from .greens import _solve_envelope_raw, envelope_residual
+from .quadrature import Grid, GridFunction, make_grid
+from .greens import _check_admissible, _remove_cos_mode, _solve_envelope, envelope_residual
 
 DEFAULT_NODES = 257
 
@@ -85,6 +84,11 @@ class Branch:
         return self.U.grid
 
 
+def _project_mean(values: np.ndarray, grid: Grid) -> complex:
+    w = grid.weights
+    return complex(np.dot(w, values * grid.cos2) / np.dot(w, grid.cos2))
+
+
 def project_mean(u: GridFunction) -> complex:
     """cos^2-weighted mean of u over J: (int u cos^2) / (int cos^2).
 
@@ -92,22 +96,12 @@ def project_mean(u: GridFunction) -> complex:
     normalization by the quadrature value of int cos^2 (= pi/2) makes the
     projector exactly idempotent on the grid, so project_mean(1) == 1 to
     roundoff."""
-    n = u.grid.n_nodes
-    _, _, _, cos2, _ = trig_tables(n)
-    return integrate_samples(u.values * cos2, n) / integrate_samples(cos2 + 0j, n)
+    return _project_mean(u.values, u.grid)
 
 
-def _project_mean_raw(values: np.ndarray, n: int) -> complex:
-    _, _, _, cos2, _ = trig_tables(n)
-    return complex(
-        np.dot(simpson_weights(n), values * cos2)
-        / np.dot(simpson_weights(n), cos2)
-    )
-
-
-def _apply_green_raw(f_values: np.ndarray, grid: Grid) -> np.ndarray:
-    v = _solve_envelope_raw(f_values, grid, 0.0)
-    return v - _project_mean_raw(v, grid.n_nodes)
+def _apply_green(f_values: np.ndarray, grid: Grid) -> np.ndarray:
+    v = _solve_envelope(f_values, grid, 0.0)
+    return v - _project_mean(v, grid)
 
 
 def apply_green_op(f: GridFunction) -> GridFunction:
@@ -117,24 +111,17 @@ def apply_green_op(f: GridFunction) -> GridFunction:
     cos^2-weighted mean, so the output lies in the complement range; its
     sup norm is bounded by 3 pi times the sup norm of the forcing.
     """
-    from .greens import solve_linear_inhomogeneous
-
-    v = solve_linear_inhomogeneous(f, 0.0)
-    c = project_mean(v)
-    return GridFunction(f.grid, v.values - c)
+    _check_admissible(f)
+    return GridFunction(f.grid, _apply_green(f.values, f.grid))
 
 
-def _cubic_forcing_raw(w_values: np.ndarray, rho: complex, grid: Grid) -> np.ndarray:
-    n = grid.n_nodes
-    _, cos, _, cos2, cos4 = trig_tables(n)
-    sw = simpson_weights(n)
+def _cubic_forcing(w_values: np.ndarray, rho: complex, grid: Grid) -> np.ndarray:
     one = 1.0 + w_values
     absq = (one * one.conjugate()).real
-    bulk = (2.0 / np.pi) * complex(np.dot(sw, absq * one * cos4))
-    f = rho * (bulk - absq * cos2) * one * cos
+    bulk = (2.0 / np.pi) * grid.integrate(absq * one * grid.cos4)
+    f = rho * (bulk - absq * grid.cos2) * one * grid.cos
     # absorb quadrature drift so the output is exactly admissible
-    c = np.dot(sw, f * cos) / np.dot(sw, cos2)
-    return f - c * cos
+    return _remove_cos_mode(f, grid)
 
 
 def cubic_forcing(w: GridFunction, rho: complex) -> GridFunction:
@@ -148,18 +135,22 @@ def cubic_forcing(w: GridFunction, rho: complex) -> GridFunction:
     """
     if abs(project_mean(w)) > MEAN_FREE_TOL * max(1.0, w.sup_norm):
         raise InvalidArgument("correction w must be mean-free")
-    return GridFunction(w.grid, _cubic_forcing_raw(w.values, rho, w.grid))
+    return GridFunction(w.grid, _cubic_forcing(w.values, rho, w.grid))
 
 
 def compute_r(v: GridFunction, eps: complex) -> complex:
     """Response coefficient r = (2 / (eps pi)) int |v|^2 v cos^4 y dy."""
     if eps == 0:
         raise InvalidArgument("eps must be nonzero")
-    n = v.grid.n_nodes
-    _, _, _, _, cos4 = trig_tables(n)
     vals = v.values
     absq = (vals * vals.conjugate()).real
-    return (2.0 / (eps * np.pi)) * integrate_samples(absq * vals * cos4, n)
+    return (2.0 / (eps * np.pi)) * v.grid.integrate(absq * vals * v.grid.cos4)
+
+
+def _ode_residual(v_vals, u_vals, rho, r, grid: Grid) -> float:
+    """Envelope collocation residual of -U'' - U = rho (r - |U|^2) U."""
+    absq = (u_vals * u_vals.conjugate()).real
+    return envelope_residual(v_vals, rho * (r - absq) * u_vals, grid)
 
 
 def contraction_radius(sigma: float, rho_abs: float) -> float:
@@ -193,51 +184,51 @@ def fixed_point_solve(
         raise InvalidArgument("relaxation must lie in (0, 1]")
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
-    n = grid.n_nodes
-    x, cos, _, _, _ = trig_tables(n)
     rho, eps = params.rho, params.eps
     s = abs(eps) ** 2
 
-    w = np.zeros(n, dtype=complex) if w0 is None else w0.values.astype(complex)
+    def fp_map(w):
+        return s * _apply_green(_cubic_forcing(w, rho, grid), grid)
+
+    w = np.zeros(grid.n_nodes, dtype=complex) if w0 is None else w0.values.astype(complex)
     increments: list[float] = []
     sups: list[float] = []
     converged = False
     diverged = False
     iterations = 0
 
-    for _ in range(params.max_iter):
-        t_w = s * _apply_green_raw(_cubic_forcing_raw(w, rho, grid), grid)
-        if not np.all(np.isfinite(t_w)):
-            diverged = True
+    # overflow on the way to divergence is expected: the isfinite test
+    # below catches it and the Branch reports it as diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.max_iter):
+            t_w = fp_map(w)
+            if not np.all(np.isfinite(t_w)):
+                diverged = True
+                iterations += 1
+                break
+            w_new = t_w if relaxation == 1.0 else (1.0 - relaxation) * w + relaxation * t_w
+            inc = float(np.max(np.abs(w_new - w)))
+            increments.append(inc)
+            sups.append(float(np.max(np.abs(w_new))))
+            w = w_new
             iterations += 1
-            break
-        w_new = t_w if relaxation == 1.0 else (1.0 - relaxation) * w + relaxation * t_w
-        inc = float(np.max(np.abs(w_new - w)))
-        increments.append(inc)
-        sups.append(float(np.max(np.abs(w_new))))
-        w = w_new
-        iterations += 1
-        if inc <= params.tol_fp:
-            converged = True
-            break
+            if inc <= params.tol_fp:
+                converged = True
+                break
 
-    if diverged:
-        w = np.where(np.isfinite(w), w, 0.0)
-        fp_residual = float("inf")
-    else:
-        t_w = s * _apply_green_raw(_cubic_forcing_raw(w, rho, grid), grid)
-        fp_residual = float(np.max(np.abs(t_w - w)))
+        if diverged:
+            w = np.where(np.isfinite(w), w, 0.0)
+            fp_residual = float("inf")
+        else:
+            fp_residual = float(np.max(np.abs(fp_map(w) - w)))
 
-    v_vals = eps * (1.0 + w)
-    u_vals = v_vals * cos
-    w_gf = GridFunction(grid, w)
-    v_gf = GridFunction(grid, v_vals)
-    u_gf = GridFunction(grid, u_vals)
-    r = compute_r(v_gf, eps) if eps != 0 else 0.0 + 0.0j
-
-    absq = (u_vals * u_vals.conjugate()).real
-    f_vals = rho * (r - absq) * u_vals
-    ode_res = envelope_residual(v_vals, f_vals, grid)
+        v_vals = eps * (1.0 + w)
+        u_vals = v_vals * grid.cos
+        w_gf = GridFunction(grid, w)
+        v_gf = GridFunction(grid, v_vals)
+        u_gf = GridFunction(grid, u_vals)
+        r = compute_r(v_gf, eps) if eps != 0 else 0.0 + 0.0j
+        ode_res = _ode_residual(v_vals, u_vals, rho, r, grid)
 
     return Branch(
         params=params,

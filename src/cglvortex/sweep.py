@@ -181,38 +181,60 @@ def symmetry_defect(u: GridFunction) -> float:
     return float(np.max(np.abs(vals - vals[::-1])))
 
 
-def _solve_point(
+def solve(
+    method: str,
     rho: complex,
-    spec: SweepSpec,
+    eps: complex,
     grid: Grid,
-    prev: Branch | None,
+    tol: float = 1e-12,
+    max_iter: int = 800,
+    prev: Branch | None = None,
 ) -> Branch:
-    eps = spec.eps
-    if spec.method == "fixed_point":
-        params = CoreParams(rho=rho, eps=eps, max_iter=spec.max_iter, tol_fp=spec.tol)
-        w0 = prev.w if (spec.warm_start and prev is not None) else None
+    """Solve one parameter point with one of METHODS.
+
+    ``prev``, a converged branch on the same grid, warm-starts the solve:
+    its correction w (fixed point), its left slope and r (shooting) or its
+    profile and r (finite differences).  When plain fixed-point iteration
+    neither converges nor diverges, it is restarted with the same
+    CoreParams and 0.5-averaging: near the convergence edge the plain
+    iteration oscillates with period two, and the averaged map has the
+    same fixed point.  A cold shooting solve keeps ShootingState's own
+    Newton controls; ``tol`` and ``max_iter`` apply to every other solve.
+    """
+    if prev is not None and not prev.converged:
+        raise InvalidArgument("prev must be a converged branch")
+    if method == "fixed_point":
+        params = CoreParams(rho=rho, eps=eps, max_iter=max_iter, tol_fp=tol)
+        w0 = None if prev is None else prev.w
         branch = fixed_point_solve(params, grid=grid, w0=w0)
         if not branch.converged and not branch.diverged:
-            # period-two oscillation near the convergence edge: averaged
-            # iteration has the same fixed point and restores convergence
             branch = fixed_point_solve(params, grid=grid, w0=w0, relaxation=0.5)
         return branch
-    if spec.method == "shooting":
+    if method == "shooting":
         init = None
-        if spec.warm_start and prev is not None and prev.converged:
-            init = ShootingState(a=prev.v.values[0], r=prev.r, newton_max=spec.max_iter,
-                                 newton_tol=spec.tol)
+        if prev is not None:
+            init = ShootingState(a=prev.v.values[0], r=prev.r, newton_max=max_iter,
+                                 newton_tol=tol)
         return shoot_solve(rho, eps, init=init, grid=grid)
-    state = FdState(grid=grid, tol=spec.tol, max_iter=spec.max_iter)
-    seed = prev.U if (spec.warm_start and prev is not None and prev.converged) else None
-    r0 = prev.r if (spec.warm_start and prev is not None and prev.converged) else None
-    return fd_solve(rho, eps, state=state, seed=seed, r0=r0)
+    if method == "finite_difference":
+        state = FdState(grid=grid, tol=tol, max_iter=max_iter)
+        if prev is None:
+            return fd_solve(rho, eps, state=state)
+        return fd_solve(rho, eps, state=state, seed=prev.U, r0=prev.r)
+    raise InvalidArgument(f"unknown method {method!r}")
 
 
 def record_from_branch(branch: Branch, tol_zero: float = DEFAULT_ZERO_TOL) -> SweepRecord:
-    """Summarize one branch; zero census on the n = 1 periodic extension."""
-    defect = symmetry_defect(branch.U)
-    min_v = float(np.min(np.abs(branch.v.values)))
+    """Summarize one branch; zero census on the n = 1 periodic extension.
+
+    A diverged branch holds no profile to measure: its symmetry defect,
+    envelope minimum and collocation residual are recorded as NaN."""
+    nan = float("nan")
+    defect, min_v, ode_res = nan, nan, nan
+    if not branch.diverged:
+        defect = symmetry_defect(branch.U)
+        min_v = float(np.min(np.abs(branch.v.values)))
+        ode_res = branch.ode_residual
     zero_count, extra = 0, 0
     if branch.converged:
         try:
@@ -232,7 +254,7 @@ def record_from_branch(branch: Branch, tol_zero: float = DEFAULT_ZERO_TOL) -> Sw
         extra_zeros=extra,
         symmetry_defect=defect,
         min_abs_v=min_v,
-        ode_residual=branch.ode_residual,
+        ode_residual=ode_res,
     )
 
 
@@ -247,7 +269,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     prev: Branch | None = None
     for rho in spec.points():
         try:
-            branch = _solve_point(rho, spec, grid, prev)
+            branch = solve(spec.method, rho, spec.eps, grid, tol=spec.tol,
+                           max_iter=spec.max_iter, prev=prev if spec.warm_start else None)
             records.append(record_from_branch(branch))
             if branch.converged:
                 prev = branch
@@ -275,8 +298,7 @@ def detect_asymmetric(
     """
     if grid is None:
         grid = make_grid(257)
-    x = grid.nodes
-    seed_vals = eps * np.cos(x) + 0.1 * abs(eps) * np.sin(2 * x)
+    seed_vals = eps * grid.cos + 0.1 * abs(eps) * np.sin(2 * grid.nodes)
     seed = GridFunction(grid, seed_vals)
     state = FdState(grid=grid)
     branch = fd_solve(rho, eps, state=state, seed=seed)

@@ -32,6 +32,7 @@ from cglvortex import (
     run_sweep,
     shoot_solve,
     solvability_residual,
+    solve,
 )
 from conftest import random_admissible, random_mean_free_ball
 
@@ -57,12 +58,8 @@ def _report(num, ok, detail):
 
 @lru_cache(maxsize=None)
 def _fp(rho, eps, n_nodes, tol=1e-12, max_iter=800):
-    params = CoreParams(rho=rho, eps=eps, max_iter=max_iter, tol_fp=tol)
     grid = make_grid(n_nodes)
-    b = fixed_point_solve(params, grid=grid)
-    if not b.converged and not b.diverged:
-        b = fixed_point_solve(params, grid=grid, relaxation=0.5)
-    return _register(b)
+    return _register(solve("fixed_point", rho, eps, grid, tol=tol, max_iter=max_iter))
 
 
 def test_criterion_1_lowest_order_branch():

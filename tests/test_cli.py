@@ -67,6 +67,20 @@ class TestSolve:
         assert doc["r_re"] is None
         assert doc["fp_residual"] is None
 
+    def test_diverged_diagnostics_null_and_quiet(self):
+        # the blown-up iterate of a diverged branch is not a measurement, and
+        # the overflow on the way there must not reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "cglvortex", "solve", "--rho-re", "40",
+             "--eps-re", "3", "--nodes", "129"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        doc = strict_json(proc.stdout)
+        for key in ("symmetry_defect", "min_abs_v", "ode_residual"):
+            assert doc[key] is None
+
     @pytest.mark.parametrize("flag,value", [
         ("--rho-re", "nan"), ("--rho-im", "inf"), ("--eps-re", "-inf"),
         ("--eps-im", "nan"),

@@ -18,7 +18,6 @@ from cglvortex import (
     shoot_solve,
 )
 from cglvortex.direct import _fd_branch, _fd_system, _refill_jacobian, _rk4_profile
-from cglvortex.quadrature import simpson_weights
 
 
 class TestOdeForcing:
@@ -94,7 +93,7 @@ def _lagged_fd_step(branch):
             - np.diag(np.full(ni - 1, 1.0 / h**2), 1)
             - np.diag(np.full(ni - 1, 1.0 / h**2), -1))
     cos = np.cos(grid.nodes)
-    sw = simpson_weights(n)
+    sw = grid.weights
     mat = np.zeros((ni + 1, ni + 1), dtype=complex)
     mat[:ni, :ni] = base
     mat[:ni, ni] = -ui
@@ -119,7 +118,7 @@ def _dense_fd_jacobian(grid, u, lam, rho):
     a = lap + np.diag(2.0 * rho * np.abs(u) ** 2 - lam)
     b = np.diag(rho * u * u)
     cos = np.cos(grid.nodes)
-    sw = simpson_weights(n)
+    sw = grid.weights
     row = sw[1:-1] * cos[1:-1] / np.dot(sw, cos**2)
     jac = np.zeros((2 * ni + 2, 2 * ni + 2))
     jac[:ni, :ni] = a.real + b.real
@@ -188,6 +187,16 @@ class TestFiniteDifference:
         b = fd_solve(60.0, 1.0, state=FdState(grid=grid257, max_iter=2))
         assert not b.converged
         assert b.iterations == 2
+
+    def test_increment_is_step_applied(self, grid257):
+        # pass 66 at rho = -50 exhausts the six trial steps; the recorded
+        # increment must be the move of the last trial, not half of it
+        rho = -50.0
+        b65 = fd_solve(rho, 1.0, state=FdState(grid=grid257, max_iter=65))
+        b66 = fd_solve(rho, 1.0, state=FdState(grid=grid257, max_iter=66))
+        assert not b66.converged and not b66.diverged
+        moved = max(np.max(np.abs(b66.U.values - b65.U.values)), abs(rho * (b66.r - b65.r)))
+        assert b66.increments[65] == pytest.approx(moved, rel=1e-9)
 
     def test_converges_far_from_linear_limit(self, grid257):
         b = fd_solve(60.0, 1.0, state=FdState(grid=grid257))

@@ -18,6 +18,25 @@ class TestMakeGrid:
         assert g.nodes[-1] == np.pi / 2
         assert np.allclose(np.diff(g.nodes), g.spacing, rtol=1e-13)
 
+    def test_tables_shared_and_read_only(self):
+        g = make_grid(129)
+        assert make_grid(129) is g
+        x = g.nodes
+        tables = {"cos": np.cos(x), "sin": np.sin(x), "cos2": np.cos(x) ** 2,
+                  "cos4": np.cos(x) ** 4, "weights": None}
+        for name, expect in tables.items():
+            arr = getattr(g, name)
+            if expect is not None:
+                assert np.allclose(arr, expect, rtol=0, atol=1e-15)
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # composite Simpson: h/3 (1, 4, 2, 4, ..., 2, 4, 1)
+        simpson = np.full(129, 2.0)
+        simpson[1::2] = 4.0
+        simpson[[0, -1]] = 1.0
+        assert np.allclose(g.weights, simpson * g.spacing / 3, rtol=1e-15, atol=0)
+        assert g.integrate(np.cos(x) ** 2) == pytest.approx(np.pi / 2, abs=1e-12)
+
     @pytest.mark.parametrize("bad", [4, 3, 0, -7, 256])
     def test_invalid_counts_rejected(self, bad):
         with pytest.raises(InvalidArgument):

@@ -18,6 +18,7 @@ from cglvortex import (
     make_grid,
     mirror_conjugate,
     run_sweep,
+    solve,
     symmetry_defect,
 )
 
@@ -158,6 +159,40 @@ class TestRunSweep:
         records = run_sweep(spec)
         assert all(r.converged for r in records)
         assert all(r.extra_zeros == 0 for r in records)
+
+
+class TestSolve:
+    def test_fixed_point_restarts_relaxed(self, grid257):
+        # plain iteration oscillates with period two at the rectangle edge
+        plain = fixed_point_solve(CoreParams(rho=3.5, eps=1.0, max_iter=800), grid=grid257)
+        assert not plain.converged and not plain.diverged
+        b = solve("fixed_point", 3.5, 1.0, grid257)
+        assert b.converged
+        assert b.fp_residual < 5e-12
+
+    @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
+    def test_prev_matches_warm_sweep(self, method):
+        spec = SweepSpec(
+            mode="modulus_sweep", method=method, mod_min=1.0, mod_max=2.0,
+            mod_steps=2, ray_arg=0.3, n_nodes=129, warm_start=True,
+        )
+        records = run_sweep(spec)
+        grid = make_grid(129)
+        rho0, rho1 = spec.points()
+        prev = solve(method, rho0, spec.eps, grid)
+        b = solve(method, rho1, spec.eps, grid, prev=prev)
+        assert records[1].converged and b.converged
+        assert b.r == records[1].r
+        assert b.iterations == records[1].iterations
+
+    def test_unknown_method_rejected(self, grid257):
+        with pytest.raises(InvalidArgument):
+            solve("newton", 1.0, 1.0, grid257)
+
+    def test_unconverged_prev_rejected(self, grid257):
+        bad = fixed_point_solve(CoreParams(rho=3.5, eps=1.0, max_iter=5), grid=grid257)
+        with pytest.raises(InvalidArgument):
+            solve("fixed_point", 3.5, 1.0, grid257, prev=bad)
 
 
 class TestDetectAsymmetric:

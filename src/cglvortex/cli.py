@@ -319,9 +319,6 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "physical":
             return _cmd_physical(args)
-    except InvalidArgument as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,12 @@
 """Independent solvers for the steady equation -U'' - U = rho (r - |U|^2) U.
 
-Both solvers fix the amplitude through the same normalization as the
-reduced solve (the cos^2-weighted mean of the envelope equals eps) and
-return the same Branch record, so results can be compared directly against
-the fixed-point method.
+Both solvers take the same CoreParams as the reduced solve (rho, eps, the
+stopping tolerance tol_fp and the iteration cap max_iter), fix the amplitude
+through the same normalization (the cos^2-weighted mean of the envelope
+equals eps) and return the same Branch record, so results can be compared
+directly against the fixed-point method.  Every failure (iteration cap,
+escape, singular Jacobian) is reported in the returned Branch, never
+raised.
 
 Shooting integrates the initial value problem from the left end with RK4
 and applies a damped Newton iteration to the unknowns (U'(-pi/2), r).
@@ -30,13 +33,15 @@ import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import spsolve
 
-from .errors import DegenerateSystem, InvalidArgument, InvalidState
+from .errors import InvalidArgument, InvalidState
 from .quadrature import Grid, GridFunction, make_grid
 from .greens import resample_periodic
 from .reduction import Branch, CoreParams, _ode_residual, asymptotic_r, compute_r
 
 ESCAPE_CAP = 1e6
 RHO_ZERO_CUTOFF = 1e-13
+# RK4 steps across J, rounded up to a multiple of the grid intervals
+RK4_STEPS = 2048
 
 
 def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
@@ -48,23 +53,6 @@ def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
 
 
 # --------------------------------------------------------------- shooting
-
-@dataclass(frozen=True)
-class ShootingState:
-    """Initial data and controls for the shooting solver."""
-
-    a: complex
-    r: complex
-    step_count: int = 2048
-    newton_tol: float = 1e-11
-    newton_max: int = 60
-
-    def __post_init__(self):
-        if self.step_count < 64:
-            raise InvalidArgument("step_count must be >= 64")
-        if self.newton_tol <= 0:
-            raise InvalidArgument("newton_tol must be positive")
-
 
 def _rk4_profile(rho, r, a, n_steps, n_nodes):
     """Integrate from -pi/2 with U = 0, U' = a; fixed-step RK4.
@@ -117,29 +105,33 @@ def _rk4_profile(rho, r, a, n_steps, n_nodes):
 
 
 def shoot_solve(
-    rho: complex,
-    eps: complex,
-    init: ShootingState | None = None,
+    params: CoreParams,
     grid: Grid | None = None,
+    a0: complex | None = None,
+    r0: complex | None = None,
 ) -> Branch:
     """Shooting solution of the full nonlinear problem.
 
     Unknowns (U'(-pi/2), r) as four real variables against the four real
     conditions U(pi/2) = 0 and mean-normalization = eps.  Jacobian by
     forward differences (relative step 1e-7), damped by backtracking on
-    the condition norm.
+    the condition norm.  Starts from U'(-pi/2) = a0 (default eps) and r0
+    (default from the small-amplitude series); stops when the condition
+    norm falls below ``params.tol_fp * max(1, |eps|)``, after at most
+    ``params.max_iter`` Newton steps.  A step that cannot be taken (a
+    trial escapes in a Jacobian column, the Jacobian is singular, or ten
+    halvings do not decrease the norm) ends the iteration at the current
+    iterate with converged False.
     """
-    if eps == 0:
-        raise InvalidArgument("eps must be nonzero")
+    rho, eps = params.rho, params.eps
     if grid is None:
         grid = make_grid(257)
     n = grid.n_nodes
-    if init is None:
-        init = ShootingState(a=eps, r=asymptotic_r(rho, eps, 1))
-    stride = -(-init.step_count // (n - 1))  # ceil
+    stride = -(-RK4_STEPS // (n - 1))  # ceil
     n_steps = stride * (n - 1)
     cos, sw = grid.cos, grid.weights
     denom = float(np.dot(sw, grid.cos2))
+    tol = params.tol_fp * max(1.0, abs(eps))
 
     def conditions(a, r):
         res = _rk4_profile(rho, r, a, n_steps, n)
@@ -149,53 +141,48 @@ def shoot_solve(
         norm_cond = np.dot(sw, out * cos) / denom - eps
         return np.array([u_end, norm_cond]), out, v_end
 
-    params = CoreParams(
-        rho=rho, eps=eps, max_iter=init.newton_max, tol_fp=init.newton_tol
-    )
-    scale = max(1.0, abs(eps))
-
     if abs(rho) <= RHO_ZERO_CUTOFF:
         # linear limit: U = eps cos x exactly; r drops out of the equation
+        # and is reported through the integral convention
         g, out, v_end = conditions(eps, 0.0)
-        return _shooting_branch(params, grid, out, eps, v_end, 0, float(abs(g[0])), True)
+        return _shooting_branch(params, grid, out, eps, v_end, None, 0,
+                                float(abs(g[0])), True, ())
 
-    z = np.array(
-        [init.a.real, init.a.imag, init.r.real, init.r.imag], dtype=float
-    )
+    a = complex(eps if a0 is None else a0)
+    r = complex(asymptotic_r(rho, eps, 1) if r0 is None else r0)
+    z = np.array([a.real, a.imag, r.real, r.imag], dtype=float)
     g, out, v_end = conditions(z[0] + 1j * z[1], z[2] + 1j * z[3])
     if g is None:
         return _escaped_branch(params, grid)
     increments = []
     converged = False
     iterations = 0
-    for _ in range(init.newton_max):
+    for _ in range(params.max_iter):
         gnorm = float(max(abs(g[0]), abs(g[1])))
         increments.append(gnorm)
-        if gnorm < init.newton_tol * scale:
+        if gnorm < tol:
             converged = True
             break
         gr = np.array([g[0].real, g[0].imag, g[1].real, g[1].imag])
         jac = np.empty((4, 4))
-        failed = False
+        delta = None
         for j in range(4):
             zp = z.copy()
             step = 1e-7 * max(1.0, abs(z[j]))
             zp[j] += step
             gp, _, _ = conditions(zp[0] + 1j * zp[1], zp[2] + 1j * zp[3])
             if gp is None:
-                failed = True
-                break
+                break  # the trial escaped: no Jacobian
             jac[:, j] = (
                 np.array([gp[0].real, gp[0].imag, gp[1].real, gp[1].imag]) - gr
             ) / step
-        if failed:
+        else:
+            try:
+                delta = np.linalg.solve(jac, -gr)
+            except np.linalg.LinAlgError:
+                pass  # singular Jacobian
+        if delta is None or not np.all(np.isfinite(delta)):
             break
-        try:
-            delta = np.linalg.solve(jac, -gr)
-        except np.linalg.LinAlgError:
-            raise DegenerateSystem("singular shooting Jacobian") from None
-        if not np.all(np.isfinite(delta)):
-            raise DegenerateSystem("singular shooting Jacobian")
         # backtrack until the condition norm decreases (escapes count as
         # unbounded norm)
         t = 1.0
@@ -207,7 +194,7 @@ def shoot_solve(
             )
             if g_try is not None:
                 gt = float(max(abs(g_try[0]), abs(g_try[1])))
-                if gt < gnorm or gt < init.newton_tol * scale:
+                if gt < gnorm or gt < tol:
                     z, g, out, v_end = z_try, g_try, out_try, vend_try
                     accepted = True
                     break
@@ -216,39 +203,26 @@ def shoot_solve(
         if not accepted:
             break
 
-    a = z[0] + 1j * z[1]
-    gnorm = float(max(abs(g[0]), abs(g[1])))
-    branch = _shooting_branch(params, grid, out, a, v_end, iterations, gnorm, converged)
     # r is a Newton unknown here, not the integral functional of the profile
-    r = z[2] + 1j * z[3]
-    return Branch(
-        params=branch.params,
-        r=complex(r),
-        w=branch.w,
-        v=branch.v,
-        U=branch.U,
-        iterations=branch.iterations,
-        fp_residual=branch.fp_residual,
-        ode_residual=_ode_residual(branch.v.values, branch.U.values, rho, complex(r), grid),
-        converged=branch.converged,
-        method="shooting",
-        increments=tuple(increments),
-    )
+    gnorm = float(max(abs(g[0]), abs(g[1])))
+    return _shooting_branch(params, grid, out, z[0] + 1j * z[1], v_end,
+                            z[2] + 1j * z[3], iterations, gnorm, converged, increments)
 
 
-def _shooting_branch(params, grid, u_vals, v_left, v_end_slope, iterations, resid, converged):
+def _shooting_branch(params, grid, u_vals, v_left, v_end_slope, r, iterations, resid,
+                     converged, increments):
     """Assemble a Branch from a shooting trajectory.
 
     Envelope by division away from the interval ends; at the ends the
-    l'Hopital limits v(-pi/2) = U'(-pi/2) and v(pi/2) = -U'(pi/2)."""
-    eps = params.eps
+    l'Hopital limits v(-pi/2) = U'(-pi/2) and v(pi/2) = -U'(pi/2).
+    ``r`` None takes r from the envelope's integral (the linear limit)."""
+    rho, eps = params.rho, params.eps
     v = np.empty(grid.n_nodes, dtype=complex)
     v[1:-1] = u_vals[1:-1] / grid.cos[1:-1]
     v[0] = v_left
     v[-1] = -v_end_slope
     w = v / eps - 1.0
-    rho = params.rho
-    r = compute_r(GridFunction(grid, v), eps)
+    r = complex(compute_r(GridFunction(grid, v), eps) if r is None else r)
     return Branch(
         params=params,
         r=r,
@@ -260,6 +234,7 @@ def _shooting_branch(params, grid, u_vals, v_left, v_end_slope, iterations, resi
         ode_residual=_ode_residual(v, np.asarray(u_vals), rho, r, grid),
         converged=converged,
         method="shooting",
+        increments=tuple(increments),
     )
 
 
@@ -282,21 +257,6 @@ def _escaped_branch(params, grid) -> Branch:
 
 
 # ------------------------------------------------------ finite differences
-
-@dataclass(frozen=True)
-class FdState:
-    """Grid and Newton iteration controls for the finite-difference solver."""
-
-    grid: Grid
-    tol: float = 1e-11
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidArgument("tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidArgument("max_iter must be >= 1")
-
 
 @dataclass(frozen=True)
 class _FdSystem:
@@ -426,9 +386,8 @@ def _fd_branch(params, grid, u_vals, lam, iterations, resid, converged, incremen
 
 
 def fd_solve(
-    rho: complex,
-    eps: complex,
-    state: FdState | None = None,
+    params: CoreParams,
+    grid: Grid | None = None,
     seed: GridFunction | None = None,
     r0: complex | None = None,
 ) -> Branch:
@@ -439,13 +398,13 @@ def fd_solve(
     h^2-scaled residual decreases (the sixth trial, 1/32 of the step, is
     taken regardless).  Starts from ``seed`` (default eps cos x) and
     lam = rho * r0 (default r0 from the small-amplitude series); stops when
-    the step taken falls below ``state.tol * max(1, |eps|)``.
+    the step taken falls below ``params.tol_fp * max(1, |eps|)``, after at
+    most ``params.max_iter`` passes.  A singular bordered matrix ends the
+    iteration at the current iterate with converged False.
     """
-    if eps == 0:
-        raise InvalidArgument("eps must be nonzero")
-    if state is None:
-        state = FdState(grid=make_grid(257))
-    grid = state.grid
+    rho, eps = params.rho, params.eps
+    if grid is None:
+        grid = make_grid(257)
     n = grid.n_nodes
     if seed is None:
         u = eps * grid.cos.astype(complex)
@@ -456,7 +415,6 @@ def fd_solve(
     if r0 is None:
         r0 = asymptotic_r(rho, eps, 1)
     lam = rho * complex(r0)
-    params = CoreParams(rho=rho, eps=eps, max_iter=state.max_iter, tol_fp=state.tol)
 
     h = grid.spacing
     ni = n - 2
@@ -474,7 +432,7 @@ def fd_solve(
         # h^2 scaling keeps the interior residual comparable to the state
         return g, gn, max(float(np.max(np.abs(g))) * h * h, abs(gn))
 
-    for _ in range(state.max_iter):
+    for _ in range(params.max_iter):
         ui = u[1:-1]
         if not np.all(np.isfinite(ui)) or np.max(np.abs(ui)) > 1e80:
             # iteration escaped: report, do not raise
@@ -486,7 +444,7 @@ def fd_solve(
         rhs = np.concatenate([-g.real, -g.imag, [-gn.real, -gn.imag]])
         sol = spsolve(jac, rhs)
         if not np.all(np.isfinite(sol)):
-            raise DegenerateSystem("singular bordered finite-difference matrix")
+            break  # singular bordered matrix
         du = sol[:ni] + 1j * sol[ni:2 * ni]
         dlam = sol[2 * ni] + 1j * sol[2 * ni + 1]
         for halvings in range(6):
@@ -502,7 +460,7 @@ def fd_solve(
         iterations += 1
         inc = float(max(np.max(np.abs(step * du)), abs(step * dlam)))
         increments.append(inc)
-        if inc <= state.tol * scale:
+        if inc <= params.tol_fp * scale:
             converged = True
             break
     return _fd_branch(params, grid, u, lam, iterations,

@@ -18,10 +18,6 @@ class InvalidState(ToolkitError):
     non-converged branch where a converged one is required)."""
 
 
-class DegenerateSystem(ToolkitError):
-    """A linear system arising inside a solver is singular."""
-
-
 class ExtensionError(ToolkitError):
     """Periodic extension blocked: the envelope has a nonzero jump
     across the half-period, so no periodic continuation exists."""

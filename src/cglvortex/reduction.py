@@ -37,7 +37,9 @@ MEAN_FREE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CoreParams:
-    """Inputs of one reduced solve."""
+    """Inputs of one solve, shared by the fixed-point, shooting and
+    finite-difference solvers: rho, eps, the stopping tolerance tol_fp and
+    the iteration cap max_iter (sigma only enters the certificate)."""
 
     rho: complex
     eps: complex
@@ -46,6 +48,10 @@ class CoreParams:
     tol_fp: float = 1e-12
 
     def __post_init__(self):
+        if not (np.isfinite(self.rho) and np.isfinite(self.eps)):
+            raise InvalidArgument("rho and eps must be finite")
+        if self.eps == 0:
+            raise InvalidArgument("eps must be nonzero")
         if self.sigma <= 0:
             raise InvalidArgument("sigma must be positive")
         if self.tol_fp <= 0:
@@ -227,7 +233,7 @@ def fixed_point_solve(
         w_gf = GridFunction(grid, w)
         v_gf = GridFunction(grid, v_vals)
         u_gf = GridFunction(grid, u_vals)
-        r = compute_r(v_gf, eps) if eps != 0 else 0.0 + 0.0j
+        r = compute_r(v_gf, eps)
         ode_res = _ode_residual(v_vals, u_vals, rho, r, grid)
 
     return Branch(
@@ -294,8 +300,6 @@ def r_correction_factor(branch: Branch) -> complex:
     if not branch.converged:
         raise InvalidState("branch did not converge")
     eps = branch.params.eps
-    if eps == 0:
-        raise InvalidArgument("eps must be nonzero")
     s = abs(eps) ** 2
     return (branch.r / (0.75 * s) - 1.0) / s
 
@@ -308,6 +312,4 @@ def profile_correction(branch: Branch) -> GridFunction:
     if not branch.converged:
         raise InvalidState("branch did not converge")
     eps = branch.params.eps
-    if eps == 0:
-        raise InvalidArgument("eps must be nonzero")
     return GridFunction(branch.grid, branch.w.values / abs(eps) ** 2)

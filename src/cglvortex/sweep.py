@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidArgument, ToolkitError
 from .quadrature import Grid, GridFunction, make_grid
 from .reduction import Branch, CoreParams, fixed_point_solve
-from .direct import FdState, ShootingState, fd_solve, shoot_solve
+from .direct import fd_solve, shoot_solve
 from .physics import extend_solution
 
 METHODS = ("fixed_point", "shooting", "finite_difference")
@@ -108,6 +108,12 @@ class SweepSpec:
         )
         if not (np.all(np.isfinite(reals)) and np.isfinite(self.eps)):
             raise InvalidArgument("sweep bounds, tol and eps must be finite")
+        if self.eps == 0:
+            raise InvalidArgument("eps must be nonzero")
+        if self.tol <= 0:
+            raise InvalidArgument("tol must be positive")
+        if self.max_iter < 1:
+            raise InvalidArgument("max_iter must be >= 1")
         if self.mode == "rectangle":
             if self.re_steps < 2 or self.im_steps < 2:
                 raise InvalidArgument("rectangle sweeps need >= 2 steps per axis")
@@ -192,36 +198,31 @@ def solve(
 ) -> Branch:
     """Solve one parameter point with one of METHODS.
 
+    Every method gets the same CoreParams (``tol`` as tol_fp, ``max_iter``).
     ``prev``, a converged branch on the same grid, warm-starts the solve:
     its correction w (fixed point), its left slope and r (shooting) or its
     profile and r (finite differences).  When plain fixed-point iteration
     neither converges nor diverges, it is restarted with the same
     CoreParams and 0.5-averaging: near the convergence edge the plain
     iteration oscillates with period two, and the averaged map has the
-    same fixed point.  A cold shooting solve keeps ShootingState's own
-    Newton controls; ``tol`` and ``max_iter`` apply to every other solve.
+    same fixed point.  Failures are reported in the returned Branch.
     """
+    if method not in METHODS:
+        raise InvalidArgument(f"unknown method {method!r}")
     if prev is not None and not prev.converged:
         raise InvalidArgument("prev must be a converged branch")
+    params = CoreParams(rho=rho, eps=eps, max_iter=max_iter, tol_fp=tol)
+    w0 = a0 = seed = r0 = None
+    if prev is not None:
+        w0, a0, seed, r0 = prev.w, prev.v.values[0], prev.U, prev.r
     if method == "fixed_point":
-        params = CoreParams(rho=rho, eps=eps, max_iter=max_iter, tol_fp=tol)
-        w0 = None if prev is None else prev.w
         branch = fixed_point_solve(params, grid=grid, w0=w0)
         if not branch.converged and not branch.diverged:
             branch = fixed_point_solve(params, grid=grid, w0=w0, relaxation=0.5)
         return branch
     if method == "shooting":
-        init = None
-        if prev is not None:
-            init = ShootingState(a=prev.v.values[0], r=prev.r, newton_max=max_iter,
-                                 newton_tol=tol)
-        return shoot_solve(rho, eps, init=init, grid=grid)
-    if method == "finite_difference":
-        state = FdState(grid=grid, tol=tol, max_iter=max_iter)
-        if prev is None:
-            return fd_solve(rho, eps, state=state)
-        return fd_solve(rho, eps, state=state, seed=prev.U, r0=prev.r)
-    raise InvalidArgument(f"unknown method {method!r}")
+        return shoot_solve(params, grid=grid, a0=a0, r0=r0)
+    return fd_solve(params, grid=grid, seed=seed, r0=r0)
 
 
 def record_from_branch(branch: Branch, tol_zero: float = DEFAULT_ZERO_TOL) -> SweepRecord:
@@ -261,28 +262,20 @@ def record_from_branch(branch: Branch, tol_zero: float = DEFAULT_ZERO_TOL) -> Sw
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate the sweep; one record per grid point, in grid order.
 
-    Per-point failures are captured in the record (converged false),
-    never aborting the sweep.  Deterministic for a given spec.
+    Per-point failures are reported by the solver's Branch and recorded
+    (converged false), never aborting the sweep.  With ``warm_start`` each
+    point starts from the last converged branch.  Deterministic for a
+    given spec.
     """
     grid = make_grid(spec.n_nodes)
     records: list[SweepRecord] = []
     prev: Branch | None = None
     for rho in spec.points():
-        try:
-            branch = solve(spec.method, rho, spec.eps, grid, tol=spec.tol,
-                           max_iter=spec.max_iter, prev=prev if spec.warm_start else None)
-            records.append(record_from_branch(branch))
-            if branch.converged:
-                prev = branch
-        except ToolkitError:
-            records.append(
-                SweepRecord(
-                    rho=rho, method=spec.method, converged=False, r=0j,
-                    iterations=0, zero_count=0, extra_zeros=0,
-                    symmetry_defect=float("nan"), min_abs_v=float("nan"),
-                    ode_residual=float("nan"),
-                )
-            )
+        branch = solve(spec.method, rho, spec.eps, grid, tol=spec.tol,
+                       max_iter=spec.max_iter, prev=prev)
+        records.append(record_from_branch(branch))
+        if spec.warm_start and branch.converged:
+            prev = branch
     return records
 
 
@@ -300,8 +293,7 @@ def detect_asymmetric(
         grid = make_grid(257)
     seed_vals = eps * grid.cos + 0.1 * abs(eps) * np.sin(2 * grid.nodes)
     seed = GridFunction(grid, seed_vals)
-    state = FdState(grid=grid)
-    branch = fd_solve(rho, eps, state=state, seed=seed)
+    branch = fd_solve(CoreParams(rho=rho, eps=eps, tol_fp=1e-11), grid=grid, seed=seed)
     record = record_from_branch(branch)
     flagged = bool(
         branch.converged

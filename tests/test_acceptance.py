@@ -11,8 +11,6 @@ import pytest
 
 from cglvortex import (
     CoreParams,
-    FdState,
-    ShootingState,
     SweepSpec,
     apply_green_op,
     asymptotic_U,
@@ -180,10 +178,9 @@ def test_criterion_5_rectangle_sweep():
 def _fd_ramp(target_mod, arg, n_nodes, eps=1.0):
     """Adaptive warm-started continuation of the FD solver along a ray."""
     grid = make_grid(n_nodes)
-    state = FdState(grid=grid, max_iter=80)
     mod = 1.0
     rho = mod * complex(np.cos(arg), np.sin(arg))
-    branch = fd_solve(rho, eps, state=state)
+    branch = fd_solve(CoreParams(rho=rho, eps=eps, tol_fp=1e-11, max_iter=80), grid=grid)
     if not branch.converged:
         return None
     factor = 1.35
@@ -191,7 +188,8 @@ def _fd_ramp(target_mod, arg, n_nodes, eps=1.0):
     while mod < target_mod - 1e-9:
         mod_try = min(target_mod, mod * factor)
         rho = mod_try * complex(np.cos(arg), np.sin(arg))
-        nxt = fd_solve(rho, eps, state=state, seed=branch.U, r0=branch.r)
+        nxt = fd_solve(CoreParams(rho=rho, eps=eps, tol_fp=1e-11, max_iter=80), grid=grid,
+                       seed=branch.U, r0=branch.r)
         if nxt.converged:
             mod = mod_try
             branch = nxt
@@ -212,8 +210,8 @@ def _shoot_ramp(target_mod, arg, n_nodes, eps=1.0):
     branch = None
     while True:
         rho = mod * complex(np.cos(arg), np.sin(arg))
-        init = ShootingState(a=a, r=r)
-        nxt = shoot_solve(rho, eps, init=init, grid=grid)
+        nxt = shoot_solve(CoreParams(rho=rho, eps=eps, tol_fp=1e-11, max_iter=60), grid=grid,
+                          a0=a, r0=r)
         if not nxt.converged:
             return None
         branch = nxt
@@ -232,9 +230,11 @@ def test_criterion_6_cross_method_agreement():
 
     for rho in RECTANGLE_SAMPLES:
         fp = _fp(rho, eps, 513)
-        sh = _register(shoot_solve(rho, eps, grid=make_grid(513)))
-        fd_f = _register(fd_solve(rho, eps, state=FdState(grid=make_grid(513))))
-        fd_c = fd_solve(rho, eps, state=FdState(grid=make_grid(257)))
+        sh = _register(shoot_solve(CoreParams(rho=rho, eps=eps, tol_fp=1e-11, max_iter=60),
+                                   grid=make_grid(513)))
+        fd_params = CoreParams(rho=rho, eps=eps, tol_fp=1e-11)
+        fd_f = _register(fd_solve(fd_params, grid=make_grid(513)))
+        fd_c = fd_solve(fd_params, grid=make_grid(257))
         if not (fp.converged and sh.converged and fd_f.converged and fd_c.converged):
             ok = False
             details.append(f"rho={rho}: convergence failure")

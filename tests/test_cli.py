@@ -3,8 +3,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from cglvortex import direct
 from cglvortex.cli import main
 
 
@@ -91,6 +93,26 @@ class TestSolve:
         assert "finite" in err
         assert out == ""
 
+    def test_cold_shooting_honours_tol(self, capsys):
+        iterations = []
+        for tol in ("1e-12", "1e-3"):
+            code, out, _ = run_cli(
+                capsys, "solve", "--rho-re", "2", "--rho-im", "0.5",
+                "--method", "shoot", "--tol", tol,
+            )
+            assert code == 0
+            iterations.append(json.loads(out)["iterations"])
+        assert iterations[1] < iterations[0]
+
+    def test_singular_jacobian_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(direct, "spsolve", lambda jac, rhs: np.full_like(rhs, np.nan))
+        code, out, _ = run_cli(
+            capsys, "solve", "--rho-re", "2", "--rho-im", "0.5", "--method", "fd",
+            "--nodes", "129",
+        )
+        assert code == 2
+        assert strict_json(out)["converged"] is False
+
     def test_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--nodes", "128")
         assert code == 1
@@ -152,6 +174,16 @@ class TestSweepCommand:
         docs = strict_json(path.read_text())
         assert [d["converged"] for d in docs] == [False, False]
         assert all(d["r_re"] is None for d in docs)
+
+    def test_zero_eps_rejected(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--mode", "rect", "--method", "fd", "--eps-re", "0",
+            "--out", str(path),
+        )
+        assert code == 1
+        assert "eps" in err
+        assert not path.exists()
 
     def test_empty_range_validation(self, capsys, tmp_path):
         code, _, err = run_cli(

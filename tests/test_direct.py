@@ -4,11 +4,10 @@ import pytest
 
 from cglvortex import (
     CoreParams,
-    FdState,
     GridFunction,
     InvalidArgument,
     InvalidState,
-    ShootingState,
+    asymptotic_r,
     compare_branches,
     fd_solve,
     fixed_point_solve,
@@ -17,7 +16,12 @@ from cglvortex import (
     project_mean,
     shoot_solve,
 )
+from cglvortex import direct
 from cglvortex.direct import _fd_branch, _fd_system, _refill_jacobian, _rk4_profile
+
+# Newton controls of the direct-solver tests
+SHOOT = dict(tol_fp=1e-11, max_iter=60)
+FD = dict(tol_fp=1e-11)
 
 
 class TestOdeForcing:
@@ -46,7 +50,7 @@ class TestOdeForcing:
 class TestShooting:
     def test_linear_limit_exact(self, grid257):
         eps = 0.5 + 0.1j
-        b = shoot_solve(0.0, eps, grid=grid257)
+        b = shoot_solve(CoreParams(rho=0.0, eps=eps, **SHOOT), grid=grid257)
         assert b.converged
         assert np.max(np.abs(b.U.values - eps * np.cos(grid257.nodes))) < 1e-12
         assert b.r == pytest.approx(0.75 * abs(eps) ** 2, abs=1e-12)
@@ -62,22 +66,34 @@ class TestShooting:
     def test_agrees_with_fixed_point_small_amplitude(self, grid257):
         rho, eps = 0.8 + 0.3j, 0.3
         fp = fixed_point_solve(CoreParams(rho=rho, eps=eps), grid=grid257)
-        sh = shoot_solve(rho, eps, grid=grid257)
+        sh = shoot_solve(CoreParams(rho=rho, eps=eps, **SHOOT), grid=grid257)
         assert sh.converged
         assert compare_branches(fp, sh) < 1e-6
 
     def test_cold_start_rectangle_corner(self, grid257):
-        b = shoot_solve(3.5 + 1.5j, 1.0, grid=grid257)
+        b = shoot_solve(CoreParams(rho=3.5 + 1.5j, eps=1.0, **SHOOT), grid=grid257)
         assert b.converged
         assert abs(project_mean(b.w)) < 1e-10
 
     def test_eps_zero_rejected(self, grid257):
         with pytest.raises(InvalidArgument):
-            shoot_solve(1.0, 0.0, grid=grid257)
+            shoot_solve(CoreParams(rho=1.0, eps=0.0, **SHOOT), grid=grid257)
 
-    def test_step_count_validated(self):
-        with pytest.raises(InvalidArgument):
-            ShootingState(a=1.0, r=0.75, step_count=32)
+    @pytest.mark.parametrize("singular", ["raise", "nan"])
+    def test_singular_jacobian_reported_not_raised(self, grid257, monkeypatch, singular):
+        # a singular Newton Jacobian ends the iteration at the starting
+        # iterate; the Branch reports it
+        def solve(a, b):
+            if singular == "raise":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        rho, eps = 2.0 + 0.5j, 1.0
+        b = shoot_solve(CoreParams(rho=rho, eps=eps, **SHOOT), grid=grid257)
+        assert not b.converged and not b.diverged
+        assert b.iterations == 0
+        assert b.r == asymptotic_r(rho, eps, 1)
 
 
 def _lagged_fd_step(branch):
@@ -137,7 +153,7 @@ class TestFiniteDifference:
         # the discrete cosine is an exact eigenvector of the bordered system:
         # the first Newton step moves lam from 0 to the discrete eigenvalue
         # shift (about h^2/12) and the second confirms convergence
-        b = fd_solve(0.0, 1.0, state=FdState(grid=grid257))
+        b = fd_solve(CoreParams(rho=0.0, eps=1.0, **FD), grid=grid257)
         assert b.converged
         assert b.iterations == 2
         assert np.max(np.abs(b.U.values - np.cos(grid257.nodes))) < 1e-12
@@ -146,7 +162,7 @@ class TestFiniteDifference:
     def test_agrees_with_fixed_point(self):
         grid = make_grid(1025)
         fp = fixed_point_solve(CoreParams(rho=1 + 0.5j, eps=1.0, max_iter=400), grid=grid)
-        fd = fd_solve(1 + 0.5j, 1.0, state=FdState(grid=grid))
+        fd = fd_solve(CoreParams(rho=1 + 0.5j, eps=1.0, **FD), grid=grid)
         assert fd.converged
         assert compare_branches(fp, fd) < 1e-6
 
@@ -156,14 +172,14 @@ class TestFiniteDifference:
         for n in (257, 513, 1025):
             grid = make_grid(n)
             fp = fixed_point_solve(CoreParams(rho=rho, eps=eps, max_iter=400), grid=grid)
-            fd = fd_solve(rho, eps, state=FdState(grid=grid))
+            fd = fd_solve(CoreParams(rho=rho, eps=eps, **FD), grid=grid)
             diffs.append(compare_branches(fp, fd))
         for a, b in zip(diffs, diffs[1:]):
             assert 3.2 < a / b < 4.8  # Richardson slope ~ 2
 
     def test_newton_matches_picard(self, grid257):
         # the Newton solution is the fixed point of the lagged (Picard) map
-        b = fd_solve(2.0 + 1.0j, 1.0, state=FdState(grid=grid257))
+        b = fd_solve(CoreParams(rho=2.0 + 1.0j, eps=1.0, **FD), grid=grid257)
         assert b.converged
         assert compare_branches(b, _lagged_fd_step(b)) < 1e-9
 
@@ -171,7 +187,7 @@ class TestFiniteDifference:
         rho, eps = 1.5, 0.4
         res = []
         for n in (257, 513, 1025):
-            b = fd_solve(rho, eps, state=FdState(grid=make_grid(n)))
+            b = fd_solve(CoreParams(rho=rho, eps=eps, **FD), grid=make_grid(n))
             assert b.converged
             res.append(b.ode_residual)
         for a, b in zip(res, res[1:]):
@@ -179,12 +195,19 @@ class TestFiniteDifference:
 
     def test_eps_zero_rejected(self, grid257):
         with pytest.raises(InvalidArgument):
-            fd_solve(1.0, 0.0, state=FdState(grid=grid257))
+            fd_solve(CoreParams(rho=1.0, eps=0.0, **FD), grid=grid257)
+
+    def test_singular_matrix_reported_not_raised(self, grid257, monkeypatch):
+        monkeypatch.setattr(direct, "spsolve", lambda jac, rhs: np.full_like(rhs, np.nan))
+        b = fd_solve(CoreParams(rho=2.0 + 0.5j, eps=1.0, **FD), grid=grid257)
+        assert not b.converged and not b.diverged
+        assert b.iterations == 0
+        assert np.array_equal(b.U.values, np.cos(grid257.nodes) * (1.0 + 0j))
 
     def test_stagnation_reported_not_raised(self, grid257):
         # two Newton passes from the cold seed cannot reach rho = 60; the
         # solver must return a record, not raise
-        b = fd_solve(60.0, 1.0, state=FdState(grid=grid257, max_iter=2))
+        b = fd_solve(CoreParams(rho=60.0, eps=1.0, tol_fp=1e-11, max_iter=2), grid=grid257)
         assert not b.converged
         assert b.iterations == 2
 
@@ -192,14 +215,14 @@ class TestFiniteDifference:
         # pass 66 at rho = -50 exhausts the six trial steps; the recorded
         # increment must be the move of the last trial, not half of it
         rho = -50.0
-        b65 = fd_solve(rho, 1.0, state=FdState(grid=grid257, max_iter=65))
-        b66 = fd_solve(rho, 1.0, state=FdState(grid=grid257, max_iter=66))
+        b65 = fd_solve(CoreParams(rho=rho, eps=1.0, tol_fp=1e-11, max_iter=65), grid=grid257)
+        b66 = fd_solve(CoreParams(rho=rho, eps=1.0, tol_fp=1e-11, max_iter=66), grid=grid257)
         assert not b66.converged and not b66.diverged
         moved = max(np.max(np.abs(b66.U.values - b65.U.values)), abs(rho * (b66.r - b65.r)))
         assert b66.increments[65] == pytest.approx(moved, rel=1e-9)
 
     def test_converges_far_from_linear_limit(self, grid257):
-        b = fd_solve(60.0, 1.0, state=FdState(grid=grid257))
+        b = fd_solve(CoreParams(rho=60.0, eps=1.0, **FD), grid=grid257)
         assert b.converged
 
     @pytest.mark.parametrize("n_nodes", [9, 257])

@@ -99,6 +99,15 @@ class TestSweepSpec:
         with pytest.raises(InvalidArgument):
             SweepSpec(mode="rectangle", **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("eps", 0.0), ("tol", 0.0), ("tol", -1e-12), ("max_iter", 0),
+    ])
+    def test_solver_controls_validated(self, field, value):
+        # a sweep that cannot run any solver is refused up front instead of
+        # writing a record per point that did not converge
+        with pytest.raises(InvalidArgument):
+            SweepSpec(mode="rectangle", **{field: value})
+
     def test_rectangle_points_row_major(self):
         spec = SweepSpec(
             mode="rectangle", re_min=0, re_max=1, re_steps=2,

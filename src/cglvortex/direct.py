@@ -9,9 +9,12 @@ escape, singular Jacobian) is reported in the returned Branch, never
 raised.
 
 Shooting integrates the initial value problem from the left end with RK4
-and applies a damped Newton iteration to the unknowns (U'(-pi/2), r).
-Trial integrations can escape in finite x for strongly amplifying rho;
-escapes are detected and force the line search to backtrack.
+and applies a damped Newton iteration to the unknowns (U'(-pi/2), r).  The
+integration carries only U and U'; the normalization is the Simpson
+quadrature of the profile at the grid nodes.  Trial integrations can escape
+in finite x for strongly amplifying rho; an escape (|U| reaching
+ESCAPE_CAP * max(1, |eps|)) is detected and forces the line search to
+backtrack.
 
 The finite-difference solver assembles the centered-difference system with
 a bordered normalization row.  The extra unknown is lam = rho * r, which
@@ -54,54 +57,44 @@ def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
 
 # --------------------------------------------------------------- shooting
 
-def _rk4_profile(rho, r, a, n_steps, n_nodes):
+def _rk4_profile(rho, r, a, stride, n_nodes, cap):
     """Integrate from -pi/2 with U = 0, U' = a; fixed-step RK4.
 
-    Carries the running normalization integral int U cos as an extra
-    state.  Returns (U at the n_nodes output nodes, U_end, U'_end, I) or
-    None when |U| escapes the cap (finite-x blowup of a trial)."""
-    h = np.pi / n_steps
-    stride = n_steps // (n_nodes - 1)
-    half_pi = np.pi / 2
+    Takes ``stride`` steps across each of the n_nodes - 1 grid intervals, on
+    Python complex scalars; the state is (U, U') alone.  Returns (U at the
+    n_nodes output nodes, U_end, U'_end) or None when |U| reaches ``cap``
+    (finite-x blowup of a trial; shoot_solve passes
+    ESCAPE_CAP * max(1, |eps|))."""
+    rho, r, V = complex(rho), complex(r), complex(a)
+    h = np.pi / (stride * (n_nodes - 1))
+    hh = 0.5 * h
+    h6 = h / 6.0
     U = 0.0 + 0.0j
-    V = complex(a)
-    integ = 0.0 + 0.0j
+    aU = 0.0
     out = np.empty(n_nodes, dtype=complex)
     out[0] = U
-    k = 0
-    for istep in range(n_steps):
-        x = -half_pi + istep * h
-        # stage derivatives of (U, V, I)
-        aU = abs(U)
-        f1v = -U - rho * (r - aU * aU) * U
-        f1i = U * np.cos(x)
-        U2 = U + 0.5 * h * V
-        V2 = V + 0.5 * h * f1v
-        xm = x + 0.5 * h
-        aU = abs(U2)
-        f2v = -U2 - rho * (r - aU * aU) * U2
-        f2i = U2 * np.cos(xm)
-        U3 = U + 0.5 * h * V2
-        V3 = V + 0.5 * h * f2v
-        aU = abs(U3)
-        f3v = -U3 - rho * (r - aU * aU) * U3
-        f3i = U3 * np.cos(xm)
-        U4 = U + h * V3
-        V4 = V + h * f3v
-        aU = abs(U4)
-        f4v = -U4 - rho * (r - aU * aU) * U4
-        f4i = U4 * np.cos(x + h)
-        Unew = U + h / 6.0 * (V + 2.0 * V2 + 2.0 * V3 + V4)
-        V = V + h / 6.0 * (f1v + 2.0 * f2v + 2.0 * f3v + f4v)
-        integ = integ + h / 6.0 * (f1i + 2.0 * f2i + 2.0 * f3i + f4i)
-        U = Unew
-        au = abs(U)
-        if not (au < ESCAPE_CAP):
-            return None
-        if (istep + 1) % stride == 0:
-            k += 1
-            out[k] = U
-    return out, U, V, integ
+    for k in range(1, n_nodes):
+        for _ in range(stride):
+            f1v = -U - rho * (r - aU * aU) * U
+            U2 = U + hh * V
+            V2 = V + hh * f1v
+            aU = abs(U2)
+            f2v = -U2 - rho * (r - aU * aU) * U2
+            U3 = U + hh * V2
+            V3 = V + hh * f2v
+            aU = abs(U3)
+            f3v = -U3 - rho * (r - aU * aU) * U3
+            U4 = U + h * V3
+            V4 = V + h * f3v
+            aU = abs(U4)
+            f4v = -U4 - rho * (r - aU * aU) * U4
+            U = U + h6 * (V + 2.0 * V2 + 2.0 * V3 + V4)
+            V = V + h6 * (f1v + 2.0 * f2v + 2.0 * f3v + f4v)
+            aU = abs(U)
+            if not (aU < cap):
+                return None
+        out[k] = U
+    return out, U, V
 
 
 def shoot_solve(
@@ -128,16 +121,16 @@ def shoot_solve(
         grid = make_grid(257)
     n = grid.n_nodes
     stride = -(-RK4_STEPS // (n - 1))  # ceil
-    n_steps = stride * (n - 1)
     cos, sw = grid.cos, grid.weights
     denom = float(np.dot(sw, grid.cos2))
     tol = params.tol_fp * max(1.0, abs(eps))
+    cap = ESCAPE_CAP * max(1.0, abs(eps))
 
     def conditions(a, r):
-        res = _rk4_profile(rho, r, a, n_steps, n)
+        res = _rk4_profile(rho, r, a, stride, n, cap)
         if res is None:
             return None, None, None
-        out, u_end, v_end, _ = res
+        out, u_end, v_end = res
         norm_cond = np.dot(sw, out * cos) / denom - eps
         return np.array([u_end, norm_cond]), out, v_end
 
@@ -145,6 +138,8 @@ def shoot_solve(
         # linear limit: U = eps cos x exactly; r drops out of the equation
         # and is reported through the integral convention
         g, out, v_end = conditions(eps, 0.0)
+        if g is None:
+            return _escaped_branch(params, grid)
         return _shooting_branch(params, grid, out, eps, v_end, None, 0,
                                 float(abs(g[0])), True, ())
 

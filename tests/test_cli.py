@@ -104,6 +104,22 @@ class TestSolve:
             iterations.append(json.loads(out)["iterations"])
         assert iterations[1] < iterations[0]
 
+    def test_linear_limit_shooting_large_eps(self, capsys):
+        # the exact profile eps cos x peaks at 2e6: the escape cap scales
+        # with |eps| so shooting reaches the linear limit as FD does
+        r = {}
+        for method in ("shoot", "fd"):
+            code, out, _ = run_cli(
+                capsys, "solve", "--method", method, "--rho-re", "0",
+                "--eps-re", "2e6",
+            )
+            assert code == 0
+            doc = strict_json(out)
+            assert doc["converged"] is True
+            r[method] = complex(doc["r_re"], doc["r_im"])
+        assert r["shoot"] == pytest.approx(3e12, rel=1e-12)
+        assert r["shoot"] == pytest.approx(r["fd"], rel=1e-12)
+
     def test_singular_jacobian_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(direct, "spsolve", lambda jac, rhs: np.full_like(rhs, np.nan))
         code, out, _ = run_cli(

@@ -47,6 +47,42 @@ class TestOdeForcing:
         assert np.max(np.abs(out.values - expect)) < 1e-14
 
 
+def _reference_rk4(rho, r, a, n_steps, n_nodes):
+    """The shooting RK4 written out step by step, on numpy scalars: the
+    reference that _rk4_profile must match bit for bit."""
+    h = np.pi / n_steps
+    stride = n_steps // (n_nodes - 1)
+    U = np.complex128(0.0)
+    V = np.complex128(a)
+    out = np.empty(n_nodes, dtype=complex)
+    out[0] = U
+    k = 0
+    for istep in range(n_steps):
+        aU = abs(U)
+        f1v = -U - rho * (r - aU * aU) * U
+        U2 = U + 0.5 * h * V
+        V2 = V + 0.5 * h * f1v
+        aU = abs(U2)
+        f2v = -U2 - rho * (r - aU * aU) * U2
+        U3 = U + 0.5 * h * V2
+        V3 = V + 0.5 * h * f2v
+        aU = abs(U3)
+        f3v = -U3 - rho * (r - aU * aU) * U3
+        U4 = U + h * V3
+        V4 = V + h * f3v
+        aU = abs(U4)
+        f4v = -U4 - rho * (r - aU * aU) * U4
+        Unew = U + h / 6.0 * (V + 2.0 * V2 + 2.0 * V3 + V4)
+        V = V + h / 6.0 * (f1v + 2.0 * f2v + 2.0 * f3v + f4v)
+        U = Unew
+        if not (abs(U) < direct.ESCAPE_CAP):
+            return None
+        if (istep + 1) % stride == 0:
+            k += 1
+            out[k] = U
+    return out, U, V
+
+
 class TestShooting:
     def test_linear_limit_exact(self, grid257):
         eps = 0.5 + 0.1j
@@ -55,13 +91,35 @@ class TestShooting:
         assert np.max(np.abs(b.U.values - eps * np.cos(grid257.nodes))) < 1e-12
         assert b.r == pytest.approx(0.75 * abs(eps) ** 2, abs=1e-12)
 
+    def test_linear_limit_escape_reported(self, grid257, monkeypatch):
+        # a profile beyond the cap is an escape in the linear limit too
+        monkeypatch.setattr(direct, "ESCAPE_CAP", 0.5)
+        b = shoot_solve(CoreParams(rho=0.0, eps=1.0, **SHOOT), grid=grid257)
+        assert b.diverged and not b.converged
+
     def test_rk4_order(self):
         # halving the step cuts the terminal error ~16x on the linear problem
         errs = []
-        for steps in (256, 512):
-            out, u_end, v_end, _ = _rk4_profile(0.0, 0.0, 1.0, steps, 5)
+        for stride in (64, 128):
+            out, u_end, v_end = _rk4_profile(0.0, 0.0, 1.0, stride, 5, direct.ESCAPE_CAP)
             errs.append(abs(u_end))  # exact terminal value is 0 for U = cos
         assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+    @pytest.mark.parametrize("n_nodes", [129, 257, 513])
+    @pytest.mark.parametrize("rho", [2.0 + 0.5j, -3.5, 0.0])
+    def test_rk4_matches_reference_bitwise(self, n_nodes, rho):
+        # numpy-scalar a and r, as shoot_solve builds them from its unknowns
+        stride = -(-direct.RK4_STEPS // (n_nodes - 1))
+        a, r = np.complex128(0.9 + 0.2j), np.complex128(0.6 - 0.1j)
+        ref = _reference_rk4(rho, r, a, stride * (n_nodes - 1), n_nodes)
+        got = _rk4_profile(rho, r, a, stride, n_nodes, direct.ESCAPE_CAP)
+        assert np.array_equal(got[0], ref[0])
+        assert got[1] == ref[1] and got[2] == ref[2]
+
+    def test_rk4_escape_matches_reference(self):
+        a, r = np.complex128(20.0), np.complex128(0.0)
+        assert _reference_rk4(9.0, r, a, 2048, 257) is None
+        assert _rk4_profile(9.0, r, a, 8, 257, direct.ESCAPE_CAP) is None
 
     def test_agrees_with_fixed_point_small_amplitude(self, grid257):
         rho, eps = 0.8 + 0.3j, 0.3

@@ -1,11 +1,28 @@
 """Property tests of invariants the solvers and sweeps rely on."""
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cglvortex import CoreParams, InvalidArgument, make_grid, solve
+from cglvortex import (
+    CoreParams,
+    GridFunction,
+    InvalidArgument,
+    SweepSpec,
+    apply_green_op,
+    cubic_forcing,
+    emit_results,
+    enforce_solvability,
+    make_grid,
+    project_mean,
+    run_sweep,
+    solvability_residual,
+    solve,
+)
+from cglvortex.sweep import METHODS
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25, database=None)
 
@@ -19,6 +36,19 @@ rhos = st.builds(
 )
 moduli = st.floats(0.3, 0.8, allow_nan=False)
 not_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# coefficients of cos x, sin x, cos 2x, sin 2x, ...
+trig_coeffs = st.lists(
+    st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=12,
+)
+
+
+def trig(coeffs):
+    x = GRID.nodes
+    vals = np.zeros(GRID.n_nodes, dtype=complex)
+    for k, c in enumerate(coeffs):
+        vals += c * (np.cos, np.sin)[k % 2]((k // 2 + 1) * x)
+    return GridFunction(GRID, vals)
 
 
 @PROPERTY
@@ -31,16 +61,66 @@ def test_r_gauge_invariant(rho, modulus, theta):
     assert abs(rot.r - b.r) <= 1e-12 * max(1.0, abs(rho))
 
 
-@pytest.mark.parametrize("method", ["fixed_point", "finite_difference"])
-@PROPERTY
-@given(rho=rhos, eps=moduli)
-def test_conjugate_rho_conjugates_branch(method, rho, eps):
+@pytest.mark.parametrize("method,examples", [
+    pytest.param("fixed_point", 25, id="fixed_point"),
+    pytest.param("finite_difference", 25, id="finite_difference"),
+    pytest.param("shooting", 10, id="shooting"),
+])
+def test_conjugate_rho_conjugates_branch(method, examples):
     # mirror_conjugate relies on this: rho -> conj rho gives conj r, conj U
-    b = solve(method, rho, eps, GRID)
-    c = solve(method, rho.conjugate(), eps, GRID)
-    assert b.converged and c.converged
-    assert abs(c.r - b.r.conjugate()) <= 1e-12 * max(1.0, abs(b.r))
-    assert np.max(np.abs(c.U.values - b.U.values.conjugate())) <= 1e-12 * max(1.0, eps)
+    @settings(PROPERTY, max_examples=examples)
+    @given(rho=rhos, eps=moduli)
+    def check(rho, eps):
+        b = solve(method, rho, eps, GRID)
+        c = solve(method, rho.conjugate(), eps, GRID)
+        assert b.converged and c.converged
+        assert abs(c.r - b.r.conjugate()) <= 1e-12 * max(1.0, abs(b.r))
+        assert np.max(np.abs(c.U.values - b.U.values.conjugate())) <= 1e-12 * max(1.0, eps)
+
+    check()
+
+
+@PROPERTY
+@given(coeffs=trig_coeffs)
+def test_green_response_mean_free(coeffs):
+    raw = trig(coeffs)
+    f = enforce_solvability(raw)
+    # a forcing (nearly) all in the cos x mode leaves roundoff, which the
+    # admissibility check, relative to sup |f|, rejects
+    assume(f.sup_norm > 1e-4 * raw.sup_norm)
+    assert abs(project_mean(apply_green_op(f))) <= 1e-12
+
+
+@PROPERTY
+@given(coeffs=trig_coeffs, rho=rhos, scale=st.floats(0.0, 1.0, allow_nan=False))
+def test_cubic_forcing_solvable(coeffs, rho, scale):
+    f = trig(coeffs)
+    vals = f.values - project_mean(f)
+    w = GridFunction(GRID, scale * vals / max(np.max(np.abs(vals)), 1e-300))
+    n = cubic_forcing(w, rho)
+    assert abs(solvability_residual(n)) <= 1e-10 * n.sup_norm
+
+
+@settings(PROPERTY, max_examples=6)
+@given(
+    method=st.sampled_from(METHODS),
+    re=st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=2, max_size=2),
+    im=st.lists(st.floats(0.0, 1.5, allow_nan=False), min_size=2, max_size=2),
+    re_steps=st.integers(2, 3),
+    eps=moduli,
+    warm_start=st.booleans(),
+)
+def test_sweep_csv_deterministic(method, re, im, re_steps, eps, warm_start):
+    spec = SweepSpec(
+        mode="rectangle", method=method, eps=eps, n_nodes=65,
+        re_min=min(re), re_max=max(re), re_steps=re_steps,
+        im_min=min(im), im_max=max(im), im_steps=2, warm_start=warm_start,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "a.csv", Path(tmp) / "b.csv"]
+        for path in paths:
+            emit_results(run_sweep(spec), "csv", path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @PROPERTY

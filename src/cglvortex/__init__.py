@@ -13,7 +13,6 @@ from .errors import (
 )
 from .quadrature import Grid, GridFunction, integrate, make_grid
 from .greens import (
-    KernelPoint,
     enforce_solvability,
     envelope_residual,
     green_kernel,
@@ -75,7 +74,6 @@ __all__ = [
     "GridFunction",
     "InvalidArgument",
     "InvalidState",
-    "KernelPoint",
     "PhysParams",
     "SolvabilityError",
     "SweepRecord",

@@ -191,7 +191,9 @@ def _cmd_sweep(args) -> int:
         records = mirror_conjugate(records)
     emit_results(records, args.format, args.out)
     conv = sum(1 for r in records if r.converged)
-    print(f"wrote {len(records)} records to {args.out} ({conv} converged)")
+    accelerated = sum(1 for r in records if r.accelerated_at is not None)
+    print(f"wrote {len(records)} records to {args.out} "
+          f"({conv} converged, {accelerated} accelerated)")
     return 0
 
 

@@ -10,9 +10,9 @@ where N is the amplitude-scaled cubic forcing and G inverts the
 linearized operator and removes the mean mode.  For |eps|^2 below an
 explicit radius the map is a contraction and plain iteration from w = 0
 converges geometrically; far outside that certificate the iteration is
-still attempted (optionally with averaging, which preserves the fixed
-point but tames period-two oscillations seen near the convergence edge;
-``cglvortex.sweep.solve`` restarts with it when plain iteration stalls).
+still attempted.  Near the convergence edge plain iteration settles into
+a period-two oscillation; once its increments neither shrink nor grow
+the same solve switches to Anderson mixing, which has the same fixed point.
 
 Each operator (mean projection, Green inverse, cubic forcing) has one
 implementation on sample arrays that reads the Grid's tables; the public
@@ -21,6 +21,7 @@ fixed-point loop calls it directly.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,15 @@ DEFAULT_NODES = 257
 
 # precondition tolerance: corrections fed to the forcing map must be mean-free
 MEAN_FREE_TOL = 1e-10
+
+# plain iteration has stalled at iteration k >= STALL_MIN_ITER when
+# STALL_BAND[0] |dw_{k-2}| < |dw_k| <= STALL_BAND[1] |dw_{k-2}|
+STALL_MIN_ITER = 10
+STALL_BAND = (0.95, 1.05)
+# Anderson mixing depth, and the growth of sup|T(w) - w| over its value at
+# the switch that ends the accelerated phase as diverged
+ANDERSON_DEPTH = 6
+ANDERSON_DIVERGENCE = 100.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,12 @@ class CoreParams:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
-    """One converged (or attempted) solution of the reduced problem."""
+    """One converged (or attempted) solution of the reduced problem.
+
+    accelerated_at is the number of plain map applications after which a
+    fixed-point solve switched to Anderson mixing, or None when it did not;
+    increments and iterate_sups then continue with the accelerated
+    iterates."""
 
     params: CoreParams
     r: complex
@@ -84,6 +99,7 @@ class Branch:
     method: str = "fixed_point"
     increments: tuple = field(default_factory=tuple)
     iterate_sups: tuple = field(default_factory=tuple)
+    accelerated_at: int | None = None
 
     @property
     def grid(self) -> Grid:
@@ -172,22 +188,65 @@ def contraction_radius(sigma: float, rho_abs: float) -> float:
     )
 
 
+class _Anderson:
+    """Type-II Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni 2011).
+
+    Each step takes the residual f = T(w) - w and g = T(w) and returns
+    g - dG gamma, where gamma minimizes |f - dF gamma|_2 over the last
+    differences dF, dG of residuals and map values.  gamma is real, from
+    least squares on the stacked real and imaginary parts, because the
+    map is not complex-linear in w; a real combination of map values is
+    mean-free like each of them.
+    """
+
+    def __init__(self):
+        self.d_f: deque = deque(maxlen=ANDERSON_DEPTH)
+        self.d_g: deque = deque(maxlen=ANDERSON_DEPTH)
+        self.f = self.g = None
+
+    def step(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        if self.f is not None:
+            self.d_f.append(f - self.f)
+            self.d_g.append(g - self.g)
+        self.f, self.g = f, g
+        if not self.d_f:
+            return g
+        d_f = np.array(self.d_f)
+        gamma = np.linalg.lstsq(
+            np.hstack((d_f.real, d_f.imag)).T, np.concatenate((f.real, f.imag)), rcond=None
+        )[0]
+        return g - gamma @ np.array(self.d_g)
+
+
+def _stalled(increments: list[float]) -> bool:
+    """True when the latest increment |dw_k| neither shrank nor grew
+    against |dw_{k-2}|: the period-two oscillation of the plain map."""
+    k = len(increments) - 1
+    if k < STALL_MIN_ITER:
+        return False
+    low, high = STALL_BAND
+    return low * increments[k - 2] < increments[k] <= high * increments[k - 2]
+
+
 def fixed_point_solve(
     params: CoreParams,
     grid: Grid | None = None,
     w0: GridFunction | None = None,
-    relaxation: float = 1.0,
 ) -> Branch:
     """Iterate the reduced fixed-point map from w0 (default 0).
 
-    Plain iteration (relaxation 1) reproduces the contraction argument and
-    is geometric inside the certified ball.  relaxation theta in (0, 1]
-    replaces the update by (1-theta) w + theta T(w); the fixed point is
-    unchanged.  Non-convergence is reported in the returned Branch, not
-    raised; NaN or overflow during iteration sets the diverged flag.
+    Plain iteration w <- T(w) reproduces the contraction argument and is
+    geometric inside the certified ball.  When it stalls (see _stalled),
+    the same loop continues from the current iterate with Anderson mixing
+    (_Anderson), and Branch.accelerated_at records the iteration of the
+    switch; the fixed point is the same.  Both phases stop when
+    sup|T(w) - w| <= tol_fp and return T(w).  Branch.iterations counts
+    every map application of both phases except the one that measures
+    fp_residual.  Non-convergence is reported in the returned Branch, not
+    raised: NaN or overflow of the map, or an accelerated residual
+    ANDERSON_DIVERGENCE times its value at the switch, sets the diverged
+    flag.
     """
-    if not (0.0 < relaxation <= 1.0):
-        raise InvalidArgument("relaxation must lie in (0, 1]")
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
     rho, eps = params.rho, params.eps
@@ -201,31 +260,40 @@ def fixed_point_solve(
     sups: list[float] = []
     converged = False
     diverged = False
-    iterations = 0
+    fp_residual = None
+    mixer: _Anderson | None = None
+    accelerated_at = None
 
     # overflow on the way to divergence is expected: the isfinite test
     # below catches it and the Branch reports it as diverged
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(params.max_iter):
+        for iterations in range(1, params.max_iter + 1):
             t_w = fp_map(w)
             if not np.all(np.isfinite(t_w)):
                 diverged = True
-                iterations += 1
+                w = np.where(np.isfinite(w), w, 0.0)
+                fp_residual = float("inf")
                 break
-            w_new = t_w if relaxation == 1.0 else (1.0 - relaxation) * w + relaxation * t_w
-            inc = float(np.max(np.abs(w_new - w)))
+            f = t_w - w
+            inc = float(np.max(np.abs(f)))
             increments.append(inc)
-            sups.append(float(np.max(np.abs(w_new))))
-            w = w_new
-            iterations += 1
+            sups.append(float(np.max(np.abs(t_w))))
             if inc <= params.tol_fp:
+                w = t_w
                 converged = True
                 break
+            if mixer is None and _stalled(increments):
+                mixer, accelerated_at = _Anderson(), iterations
+            if mixer is None:
+                w = t_w
+            elif inc > ANDERSON_DIVERGENCE * increments[accelerated_at - 1]:
+                diverged = True
+                fp_residual = inc
+                break
+            else:
+                w = mixer.step(f, t_w)
 
-        if diverged:
-            w = np.where(np.isfinite(w), w, 0.0)
-            fp_residual = float("inf")
-        else:
+        if fp_residual is None:
             fp_residual = float(np.max(np.abs(fp_map(w) - w)))
 
         v_vals = eps * (1.0 + w)
@@ -250,6 +318,7 @@ def fixed_point_solve(
         method="fixed_point",
         increments=tuple(increments),
         iterate_sups=tuple(sups),
+        accelerated_at=accelerated_at,
     )
 
 

@@ -34,7 +34,12 @@ DEFAULT_ZERO_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Flat summary of one solve at one parameter point."""
+    """Flat summary of one solve at one parameter point.
+
+    accelerated_at is the Branch's: the plain iterations after which a
+    fixed-point solve switched to Anderson mixing, or None.  It is not one
+    of the emitted columns, so records read back by load_records hold None.
+    """
 
     rho: complex
     method: str
@@ -46,6 +51,7 @@ class SweepRecord:
     symmetry_defect: float
     min_abs_v: float
     ode_residual: float
+    accelerated_at: int | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -201,11 +207,8 @@ def solve(
     Every method gets the same CoreParams (``tol`` as tol_fp, ``max_iter``).
     ``prev``, a converged branch on the same grid, warm-starts the solve:
     its correction w (fixed point), its left slope and r (shooting) or its
-    profile and r (finite differences).  When plain fixed-point iteration
-    neither converges nor diverges, it is restarted with the same
-    CoreParams and 0.5-averaging: near the convergence edge the plain
-    iteration oscillates with period two, and the averaged map has the
-    same fixed point.  Failures are reported in the returned Branch.
+    profile and r (finite differences).  Failures are reported in the
+    returned Branch.
     """
     if method not in METHODS:
         raise InvalidArgument(f"unknown method {method!r}")
@@ -216,10 +219,7 @@ def solve(
     if prev is not None:
         w0, a0, seed, r0 = prev.w, prev.v.values[0], prev.U, prev.r
     if method == "fixed_point":
-        branch = fixed_point_solve(params, grid=grid, w0=w0)
-        if not branch.converged and not branch.diverged:
-            branch = fixed_point_solve(params, grid=grid, w0=w0, relaxation=0.5)
-        return branch
+        return fixed_point_solve(params, grid=grid, w0=w0)
     if method == "shooting":
         return shoot_solve(params, grid=grid, a0=a0, r0=r0)
     return fd_solve(params, grid=grid, seed=seed, r0=r0)
@@ -256,6 +256,7 @@ def record_from_branch(branch: Branch, tol_zero: float = DEFAULT_ZERO_TOL) -> Sw
         symmetry_defect=defect,
         min_abs_v=min_v,
         ode_residual=ode_res,
+        accelerated_at=branch.accelerated_at,
     )
 
 

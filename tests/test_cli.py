@@ -149,9 +149,21 @@ class TestSweepCommand:
             "--nodes", "129", "--out", str(path),
         )
         assert code == 0
+        assert out == f"wrote 6 records to {path} (6 converged, 0 accelerated)\n"
         lines = path.read_text().splitlines()
         assert len(lines) == 7
         assert lines[0].split(",")[0] == "rho_re"
+
+    def test_rect_summary_counts_accelerated(self, capsys, tmp_path):
+        # the two right-hand columns of the default rectangle: plain
+        # iteration stalls at all 14 points
+        path = tmp_path / "edge.csv"
+        code, out, _ = run_cli(
+            capsys, "sweep", "--mode", "rect", "--re-min", "3", "--re-max", "3.5",
+            "--re-steps", "2", "--out", str(path),
+        )
+        assert code == 0
+        assert out == f"wrote 14 records to {path} (14 converged, 14 accelerated)\n"
 
     def test_mod_json_with_mirror(self, capsys, tmp_path):
         path = tmp_path / "mod.json"

@@ -188,18 +188,3 @@ class TestLinearSolve:
         ratios = [res[i] / res[i + 1] for i in range(2)]
         for r in ratios:
             assert 3.0 < r < 5.5  # second order: ratio ~ 4 per halving
-
-
-class TestKernelPoint:
-    def test_at_builds_consistent_sample(self):
-        from cglvortex import KernelPoint
-
-        kp = KernelPoint.at(np.pi / 3, np.pi / 6)
-        assert kp.value == pytest.approx(0.25, abs=1e-15)
-        assert abs(kp.value) <= 1.0
-
-    def test_inconsistent_value_rejected(self):
-        from cglvortex import KernelPoint
-
-        with pytest.raises(InvalidArgument):
-            KernelPoint(x=0.3, y=0.1, value=0.9)

@@ -184,6 +184,7 @@ class TestFixedPoint:
         assert params.contraction_certified
         branch = fixed_point_solve(params, grid=grid257)
         assert branch.converged
+        assert branch.accelerated_at is None  # the ratios below are of plain steps
         assert all(sup <= sigma for sup in branch.iterate_sups)
         k_bound = 9 * np.pi * s * abs(rho) * (2 + sigma) * (1 + sigma) ** 2
         incs = branch.increments
@@ -191,19 +192,26 @@ class TestFixedPoint:
             if a > 1e-13:
                 assert b / a <= k_bound * 1.0000001
 
-    def test_relaxation_restores_convergence_at_edge(self, grid257):
-        params = CoreParams(rho=3.5, eps=1.0, max_iter=300)
-        plain = fixed_point_solve(params, grid=grid257)
-        assert not plain.converged  # period-two oscillation of the plain map
-        damped = fixed_point_solve(params, grid=grid257, relaxation=0.5)
-        assert damped.converged
-        assert damped.fp_residual < 5e-12
+    def test_stall_switches_to_anderson_at_edge(self, grid257):
+        # plain iteration settles into a period-two oscillation at rho = 3.5;
+        # the increments grow until it saturates, so the switch comes late
+        branch = fixed_point_solve(CoreParams(rho=3.5, eps=1.0, max_iter=300), grid=grid257)
+        assert branch.converged and not branch.diverged
+        assert branch.accelerated_at is not None
+        assert branch.iterations - branch.accelerated_at < 20
+        assert branch.iterations < 200
+        assert branch.fp_residual < 5e-12
+        assert len(branch.increments) == branch.iterations
 
-    def test_relaxation_validated(self, grid257):
-        params = CoreParams(rho=1.0, eps=0.1)
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(InvalidArgument):
-                fixed_point_solve(params, grid=grid257, relaxation=bad)
+    @pytest.mark.parametrize("rho,eps,switched", [(-20 + 5j, 1.0, False), (-5.0, 1.3, True)])
+    def test_divergence_reported_within_40_maps(self, grid257, rho, eps, switched):
+        # -20+5j overflows in the plain phase; -5 switches to Anderson and
+        # its residual grows past ANDERSON_DIVERGENCE times the switch value
+        branch = fixed_point_solve(CoreParams(rho=rho, eps=eps, max_iter=800), grid=grid257)
+        assert branch.diverged and not branch.converged
+        assert (branch.accelerated_at is not None) == switched
+        # a diverged solve measures no final residual: iterations are all its maps
+        assert branch.iterations <= 40
 
     def test_warm_start_shortens_iteration(self, grid257):
         params = CoreParams(rho=2.5 + 1.0j, eps=1.0, max_iter=400)

@@ -17,10 +17,12 @@ from cglvortex import (
     load_records,
     make_grid,
     mirror_conjugate,
+    record_from_branch,
     run_sweep,
     solve,
     symmetry_defect,
 )
+from cglvortex import sweep
 
 
 def one_period_nodes(m):
@@ -171,13 +173,22 @@ class TestRunSweep:
 
 
 class TestSolve:
-    def test_fixed_point_restarts_relaxed(self, grid257):
-        # plain iteration oscillates with period two at the rectangle edge
-        plain = fixed_point_solve(CoreParams(rho=3.5, eps=1.0, max_iter=800), grid=grid257)
-        assert not plain.converged and not plain.diverged
+    def test_fixed_point_accelerates_at_edge(self, grid257, monkeypatch):
+        # plain iteration oscillates with period two at the rectangle edge;
+        # one fixed-point call switches to Anderson and converges
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fixed_point_solve(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "fixed_point_solve", counted)
         b = solve("fixed_point", 3.5, 1.0, grid257)
-        assert b.converged
+        assert len(calls) == 1
+        assert b.converged and b.accelerated_at is not None
+        assert b.iterations < 200
         assert b.fp_residual < 5e-12
+        assert record_from_branch(b).accelerated_at == b.accelerated_at
 
     @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
     def test_prev_matches_warm_sweep(self, method):

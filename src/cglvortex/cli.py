@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidArgument, ToolkitError
 from .quadrature import make_grid
-from .reduction import asymptotic_r, asymptotic_U, cubic_forcing, project_mean
+from .reduction import DEFAULT_NODES, asymptotic_r, asymptotic_U, cubic_forcing, project_mean
 from .greens import solvability_residual
 from .direct import compare_branches
 # not called here: bench/tracing.py wraps the solvers under these names
@@ -61,7 +61,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_rho_eps(p, eps_required=False):
+def _add_rho_eps(p):
     p.add_argument("--rho-re", type=_finite_float, default=0.0)
     p.add_argument("--rho-im", type=_finite_float, default=0.0)
     p.add_argument("--eps-re", type=_finite_float, default=1.0)
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one parameter point")
     _add_rho_eps(p)
     p.add_argument("--method", choices=list(METHOD_ALIASES), default="fp")
-    p.add_argument("--nodes", type=int, default=257)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p.add_argument("--tol", type=_finite_float, default=1e-12)
 
     p = sub.add_parser("sweep", help="sweep the bifurcation parameter")
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=list(METHOD_ALIASES), default="fp")
     p.add_argument("--eps-re", type=_finite_float, default=1.0)
     p.add_argument("--eps-im", type=_finite_float, default=0.0)
-    p.add_argument("--nodes", type=int, default=257)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p.add_argument("--re-min", type=_finite_float, default=-3.5)
     p.add_argument("--re-max", type=_finite_float, default=3.5)
     p.add_argument("--re-steps", type=int, default=15)
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check all three solvers")
     _add_rho_eps(p)
-    p.add_argument("--nodes", type=int, default=257)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
 
     p = sub.add_parser("physical", help="physical constants of one branch")
     p.add_argument("--mu", type=_finite_float, required=True)
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps-re", type=_finite_float, default=1.0)
     p.add_argument("--eps-im", type=_finite_float, default=0.0)
-    p.add_argument("--nodes", type=int, default=257)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     return parser
 
 
@@ -163,7 +163,6 @@ def _cmd_sweep(args) -> int:
         eps=complex(args.eps_re, args.eps_im),
         n_nodes=args.nodes,
         warm_start=args.warm_start,
-        out=args.out,
     )
     if args.mode == "rect":
         spec = SweepSpec(
@@ -255,13 +254,10 @@ def _cmd_verify(args) -> int:
             ("gauge[r]", abs(rot.r - branches["fixed_point"].r), 1e-12 * max(1.0, abs(rho)))
         )
         fp = branches["fixed_point"]
-        sol = extend_solution(fp, 1, 0.0, enforce_jump_gate=False)
-        from .sweep import count_zeros, symmetry_defect
-
-        zc, extra = count_zeros(sol.nodes, sol.values, 1)
-        checks.append(("zero_count-2", abs(zc - 2), 0.5))
-        checks.append(("extra_zeros", float(extra), 0.5))
-        checks.append(("symmetry_defect", symmetry_defect(fp.U), 1e-8 * max(1.0, abs(eps))))
+        rec = record_from_branch(fp)
+        checks.append(("zero_count-2", abs(rec.zero_count - 2), 0.5))
+        checks.append(("extra_zeros", float(rec.extra_zeros), 0.5))
+        checks.append(("symmetry_defect", rec.symmetry_defect, 1e-8 * max(1.0, abs(eps))))
         try:
             mu, nu = mu_nu_from_rho(rho, 1)
         except InvalidArgument:

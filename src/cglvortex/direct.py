@@ -6,7 +6,8 @@ through the same normalization (the cos^2-weighted mean of the envelope
 equals eps) and return the same Branch record, so results can be compared
 directly against the fixed-point method.  Every failure (iteration cap,
 escape, singular Jacobian) is reported in the returned Branch, never
-raised.
+raised; an escape of the first shooting trajectory or of the FD iterate
+is the one diverged record of reduction._diverged_branch (r = nan).
 
 Shooting integrates the initial value problem from the left end with RK4
 and applies a damped Newton iteration to the unknowns (U'(-pi/2), r).  The
@@ -39,7 +40,9 @@ from scipy.sparse.linalg import spsolve
 from .errors import InvalidArgument, InvalidState
 from .quadrature import Grid, GridFunction, make_grid
 from .greens import resample_periodic
-from .reduction import Branch, CoreParams, _ode_residual, asymptotic_r, compute_r
+from .reduction import (
+    DEFAULT_NODES, Branch, CoreParams, _branch, _diverged_branch, _ode_forcing, asymptotic_r,
+)
 
 ESCAPE_CAP = 1e6
 RHO_ZERO_CUTOFF = 1e-13
@@ -49,10 +52,7 @@ RK4_STEPS = 2048
 
 def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
     """Pointwise forcing f(x) = rho (r - |v|^2 cos^2 x) v(x) cos x."""
-    grid = v.grid
-    vals = v.values
-    absq = (vals * vals.conjugate()).real
-    return GridFunction(grid, rho * (r - absq * grid.cos2) * vals * grid.cos)
+    return GridFunction(v.grid, _ode_forcing(v.values * v.grid.cos, rho, r))
 
 
 # --------------------------------------------------------------- shooting
@@ -118,7 +118,7 @@ def shoot_solve(
     """
     rho, eps = params.rho, params.eps
     if grid is None:
-        grid = make_grid(257)
+        grid = make_grid(DEFAULT_NODES)
     n = grid.n_nodes
     stride = -(-RK4_STEPS // (n - 1))  # ceil
     cos, sw = grid.cos, grid.weights
@@ -139,7 +139,7 @@ def shoot_solve(
         # and is reported through the integral convention
         g, out, v_end = conditions(eps, 0.0)
         if g is None:
-            return _escaped_branch(params, grid)
+            return _diverged_branch(params, grid, "shooting", 0)
         return _shooting_branch(params, grid, out, eps, v_end, None, 0,
                                 float(abs(g[0])), True, ())
 
@@ -148,7 +148,7 @@ def shoot_solve(
     z = np.array([a.real, a.imag, r.real, r.imag], dtype=float)
     g, out, v_end = conditions(z[0] + 1j * z[1], z[2] + 1j * z[3])
     if g is None:
-        return _escaped_branch(params, grid)
+        return _diverged_branch(params, grid, "shooting", 0)
     increments = []
     converged = False
     iterations = 0
@@ -206,49 +206,17 @@ def shoot_solve(
 
 def _shooting_branch(params, grid, u_vals, v_left, v_end_slope, r, iterations, resid,
                      converged, increments):
-    """Assemble a Branch from a shooting trajectory.
+    """Branch of a shooting trajectory.
 
     Envelope by division away from the interval ends; at the ends the
     l'Hopital limits v(-pi/2) = U'(-pi/2) and v(pi/2) = -U'(pi/2).
     ``r`` None takes r from the envelope's integral (the linear limit)."""
-    rho, eps = params.rho, params.eps
     v = np.empty(grid.n_nodes, dtype=complex)
     v[1:-1] = u_vals[1:-1] / grid.cos[1:-1]
     v[0] = v_left
     v[-1] = -v_end_slope
-    w = v / eps - 1.0
-    r = complex(compute_r(GridFunction(grid, v), eps) if r is None else r)
-    return Branch(
-        params=params,
-        r=r,
-        w=GridFunction(grid, w),
-        v=GridFunction(grid, v),
-        U=GridFunction(grid, np.asarray(u_vals, dtype=complex)),
-        iterations=iterations,
-        fp_residual=resid,
-        ode_residual=_ode_residual(v, np.asarray(u_vals), rho, r, grid),
-        converged=converged,
-        method="shooting",
-        increments=tuple(increments),
-    )
-
-
-def _escaped_branch(params, grid) -> Branch:
-    n = grid.n_nodes
-    zeros = GridFunction(grid, np.zeros(n, dtype=complex))
-    return Branch(
-        params=params,
-        r=0j,
-        w=zeros,
-        v=zeros,
-        U=zeros,
-        iterations=0,
-        fp_residual=float("inf"),
-        ode_residual=float("inf"),
-        converged=False,
-        diverged=True,
-        method="shooting",
-    )
+    return _branch(params, grid, "shooting", v, u_vals, r, iterations, resid, converged,
+                   increments=tuple(increments))
 
 
 # ------------------------------------------------------ finite differences
@@ -351,33 +319,16 @@ def _refill_jacobian(jac: sp.csc_matrix, system: _FdSystem, ui, lam, rho) -> Non
     d[system.lam[3]] = -ui.real
 
 
-def _fd_branch(params, grid, u_vals, lam, iterations, resid, converged, increments,
-               diverged=False):
-    rho, eps = params.rho, params.eps
+def _fd_branch(params, grid, u_vals, lam, iterations, resid, converged, increments):
     v = np.empty(grid.n_nodes, dtype=complex)
     v[1:-1] = u_vals[1:-1] / grid.cos[1:-1]
     # cubic extrapolation for the envelope limits at the interval ends
     v[0] = 4 * v[1] - 6 * v[2] + 4 * v[3] - v[4]
     v[-1] = 4 * v[-2] - 6 * v[-3] + 4 * v[-4] - v[-5]
-    if abs(rho) > RHO_ZERO_CUTOFF and not diverged:
-        r = lam / rho
-    else:
-        r = compute_r(GridFunction(grid, v), eps) if not diverged else 0j
-    w = v / eps - 1.0
-    return Branch(
-        params=params,
-        r=complex(r),
-        w=GridFunction(grid, w),
-        v=GridFunction(grid, v),
-        U=GridFunction(grid, u_vals),
-        iterations=iterations,
-        fp_residual=resid,
-        ode_residual=_ode_residual(v, u_vals, rho, complex(r), grid),
-        converged=converged,
-        diverged=diverged,
-        method="finite_difference",
-        increments=tuple(increments),
-    )
+    # in the linear limit r is the envelope's integral (r None)
+    r = lam / params.rho if abs(params.rho) > RHO_ZERO_CUTOFF else None
+    return _branch(params, grid, "finite_difference", v, u_vals, r, iterations, resid,
+                   converged, increments=tuple(increments))
 
 
 def fd_solve(
@@ -399,7 +350,7 @@ def fd_solve(
     """
     rho, eps = params.rho, params.eps
     if grid is None:
-        grid = make_grid(257)
+        grid = make_grid(DEFAULT_NODES)
     n = grid.n_nodes
     if seed is None:
         u = eps * grid.cos.astype(complex)
@@ -431,9 +382,8 @@ def fd_solve(
         ui = u[1:-1]
         if not np.all(np.isfinite(ui)) or np.max(np.abs(ui)) > 1e80:
             # iteration escaped: report, do not raise
-            zeros = np.zeros(n, dtype=complex)
-            return _fd_branch(params, grid, zeros, 0j, iterations,
-                              float("inf"), False, increments, diverged=True)
+            return _diverged_branch(params, grid, "finite_difference", iterations,
+                                    increments=tuple(increments))
         g, gn, res0 = residual(ui, lam)
         _refill_jacobian(jac, system, ui, lam, rho)
         rhs = np.concatenate([-g.real, -g.imag, [-gn.real, -gn.imag]])

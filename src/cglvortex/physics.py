@@ -139,12 +139,13 @@ def extend_solution(
         raise InvalidState("cannot extend a non-converged branch")
     if n < 1:
         raise InvalidArgument("n must be >= 1")
-    forcing = ode_forcing(branch.v, branch.params.rho, branch.r)
-    jump = abs(jump_increment(forcing))
-    if enforce_jump_gate and jump > JUMP_GATE * max(1.0, forcing.sup_norm):
-        raise ExtensionError(
-            f"envelope jump {jump:.3e} blocks the periodic extension"
-        )
+    if enforce_jump_gate:
+        forcing = ode_forcing(branch.v, branch.params.rho, branch.r)
+        jump = abs(jump_increment(forcing))
+        if jump > JUMP_GATE * max(1.0, forcing.sup_norm):
+            raise ExtensionError(
+                f"envelope jump {jump:.3e} blocks the periodic extension"
+            )
     grid = branch.grid
     m = grid.n_nodes - 1
     h = grid.spacing

@@ -81,6 +81,11 @@ class CoreParams:
 class Branch:
     """One converged (or attempted) solution of the reduced problem.
 
+    Every solver builds it with _branch or, when the solve blew up,
+    _diverged_branch: a diverged branch holds no profile (w, v and U are
+    zero, r is nan+nanj, ode_residual is inf) and keeps the rest of what
+    the solve did before it stopped.
+
     accelerated_at is the number of plain map applications after which a
     fixed-point solve switched to Anderson mixing, or None when it did not;
     increments and iterate_sups then continue with the accelerated
@@ -169,10 +174,60 @@ def compute_r(v: GridFunction, eps: complex) -> complex:
     return (2.0 / (eps * np.pi)) * v.grid.integrate(absq * vals * v.grid.cos4)
 
 
+def _ode_forcing(u_vals: np.ndarray, rho: complex, r: complex) -> np.ndarray:
+    """Right-hand side rho (r - |U|^2) U of the branch ODE."""
+    absq = (u_vals * u_vals.conjugate()).real
+    return rho * (r - absq) * u_vals
+
+
 def _ode_residual(v_vals, u_vals, rho, r, grid: Grid) -> float:
     """Envelope collocation residual of -U'' - U = rho (r - |U|^2) U."""
-    absq = (u_vals * u_vals.conjugate()).real
-    return envelope_residual(v_vals, rho * (r - absq) * u_vals, grid)
+    return envelope_residual(v_vals, _ode_forcing(u_vals, rho, r), grid)
+
+
+def _branch(params: CoreParams, grid: Grid, method: str, v_vals, u_vals, r,
+            iterations: int, fp_residual: float, converged: bool, w=None,
+            **extra) -> Branch:
+    """Branch of a solve that ended on the envelope v_vals and profile u_vals.
+
+    w defaults to v / eps - 1 and r, when None, to compute_r of the
+    envelope; extra holds the optional Branch fields."""
+    eps = params.eps
+    v = GridFunction(grid, v_vals)
+    r = complex(compute_r(v, eps) if r is None else r)
+    return Branch(
+        params=params,
+        r=r,
+        w=GridFunction(grid, v_vals / eps - 1.0 if w is None else w),
+        v=v,
+        U=GridFunction(grid, u_vals),
+        iterations=iterations,
+        fp_residual=fp_residual,
+        ode_residual=_ode_residual(v_vals, u_vals, params.rho, r, grid),
+        converged=converged,
+        method=method,
+        **extra,
+    )
+
+
+def _diverged_branch(params: CoreParams, grid: Grid, method: str, iterations: int,
+                     fp_residual: float = float("inf"), **extra) -> Branch:
+    """The one record of a solve that blew up (see Branch)."""
+    zeros = GridFunction(grid, np.zeros(grid.n_nodes, dtype=complex))
+    return Branch(
+        params=params,
+        r=complex(float("nan"), float("nan")),
+        w=zeros,
+        v=zeros,
+        U=zeros,
+        iterations=iterations,
+        fp_residual=fp_residual,
+        ode_residual=float("inf"),
+        converged=False,
+        diverged=True,
+        method=method,
+        **extra,
+    )
 
 
 def contraction_radius(sigma: float, rho_abs: float) -> float:
@@ -243,9 +298,10 @@ def fixed_point_solve(
     sup|T(w) - w| <= tol_fp and return T(w).  Branch.iterations counts
     every map application of both phases except the one that measures
     fp_residual.  Non-convergence is reported in the returned Branch, not
-    raised: NaN or overflow of the map, or an accelerated residual
-    ANDERSON_DIVERGENCE times its value at the switch, sets the diverged
-    flag.
+    raised: NaN or overflow of the map (fp_residual inf), or an accelerated
+    residual ANDERSON_DIVERGENCE times its value at the switch (fp_residual
+    that residual), ends the solve with the diverged record of
+    _diverged_branch.
     """
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
@@ -260,7 +316,6 @@ def fixed_point_solve(
     sups: list[float] = []
     converged = False
     diverged = False
-    fp_residual = None
     mixer: _Anderson | None = None
     accelerated_at = None
 
@@ -271,7 +326,6 @@ def fixed_point_solve(
             t_w = fp_map(w)
             if not np.all(np.isfinite(t_w)):
                 diverged = True
-                w = np.where(np.isfinite(w), w, 0.0)
                 fp_residual = float("inf")
                 break
             f = t_w - w
@@ -293,33 +347,15 @@ def fixed_point_solve(
             else:
                 w = mixer.step(f, t_w)
 
-        if fp_residual is None:
-            fp_residual = float(np.max(np.abs(fp_map(w) - w)))
-
+        history = dict(increments=tuple(increments), iterate_sups=tuple(sups),
+                       accelerated_at=accelerated_at)
+        if diverged:
+            return _diverged_branch(params, grid, "fixed_point", iterations,
+                                    fp_residual, **history)
+        fp_residual = float(np.max(np.abs(fp_map(w) - w)))
         v_vals = eps * (1.0 + w)
-        u_vals = v_vals * grid.cos
-        w_gf = GridFunction(grid, w)
-        v_gf = GridFunction(grid, v_vals)
-        u_gf = GridFunction(grid, u_vals)
-        r = compute_r(v_gf, eps)
-        ode_res = _ode_residual(v_vals, u_vals, rho, r, grid)
-
-    return Branch(
-        params=params,
-        r=r,
-        w=w_gf,
-        v=v_gf,
-        U=u_gf,
-        iterations=iterations,
-        fp_residual=fp_residual,
-        ode_residual=ode_res,
-        converged=converged,
-        diverged=diverged,
-        method="fixed_point",
-        increments=tuple(increments),
-        iterate_sups=tuple(sups),
-        accelerated_at=accelerated_at,
-    )
+        return _branch(params, grid, "fixed_point", v_vals, v_vals * grid.cos, None,
+                       iterations, fp_residual, converged, w=w, **history)
 
 
 def asymptotic_r(rho: complex, eps: complex, order: int) -> complex:

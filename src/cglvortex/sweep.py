@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgument, ToolkitError
 from .quadrature import Grid, GridFunction, make_grid
-from .reduction import Branch, CoreParams, fixed_point_solve
+from .reduction import DEFAULT_NODES, Branch, CoreParams, fixed_point_solve
 from .direct import fd_solve, shoot_solve
 from .physics import extend_solution
 
@@ -82,7 +82,7 @@ class SweepSpec:
     mode: str
     method: str = "fixed_point"
     eps: complex = 1.0 + 0.0j
-    n_nodes: int = 257
+    n_nodes: int = DEFAULT_NODES
     re_min: float = -3.5
     re_max: float = 3.5
     re_steps: int = 15
@@ -100,7 +100,6 @@ class SweepSpec:
     max_iter: int = 800
     tol: float = 1e-12
     warm_start: bool = False
-    out: str | None = None
 
     def __post_init__(self):
         if self.mode not in ("rectangle", "arg_sweep", "modulus_sweep"):
@@ -291,7 +290,7 @@ def detect_asymmetric(
     1e-3 times the profile size.  Non-detection is a valid outcome.
     """
     if grid is None:
-        grid = make_grid(257)
+        grid = make_grid(DEFAULT_NODES)
     seed_vals = eps * grid.cos + 0.1 * abs(eps) * np.sin(2 * grid.nodes)
     seed = GridFunction(grid, seed_vals)
     branch = fd_solve(CoreParams(rho=rho, eps=eps, tol_fp=1e-11), grid=grid, seed=seed)

@@ -22,7 +22,7 @@ from cglvortex import (
     solve,
     symmetry_defect,
 )
-from cglvortex import sweep
+from cglvortex import direct, sweep
 
 
 def one_period_nodes(m):
@@ -213,6 +213,31 @@ class TestSolve:
         bad = fixed_point_solve(CoreParams(rho=3.5, eps=1.0, max_iter=5), grid=grid257)
         with pytest.raises(InvalidArgument):
             solve("fixed_point", 3.5, 1.0, grid257, prev=bad)
+
+
+class TestDivergedRecord:
+    # one blow-up of each solver: the fixed point's Anderson phase diverges
+    # at rho = -6; shooting escapes at iteration 0 where the RK4 step is
+    # unstable; FD escapes after one pass when the sparse solve returns a
+    # huge finite step
+    @pytest.mark.parametrize("method,rho,eps", [
+        ("fixed_point", -6.0, 1.0),
+        ("shooting", 1e-3, 2e6),
+        ("finite_difference", 2.0 + 0.5j, 1.0),
+    ])
+    def test_one_diverged_record(self, grid257, tmp_path, monkeypatch, method, rho, eps):
+        if method == "finite_difference":
+            monkeypatch.setattr(direct, "spsolve", lambda jac, rhs: np.full_like(rhs, 1e85))
+        b = solve(method, rho, eps, grid257)
+        assert b.diverged and not b.converged
+        assert not np.isfinite(b.r.real) and not np.isfinite(b.r.imag)
+        assert not np.any(b.U.values)
+        assert b.ode_residual == float("inf")
+        path = tmp_path / "diverged.csv"
+        emit_results([record_from_branch(b)], "csv", path)
+        row = path.read_text().split("\n")[1].split(",")
+        assert row[2] == method
+        assert row[4:6] == ["nan", "nan"]
 
 
 class TestDetectAsymmetric:

@@ -30,9 +30,7 @@ from .reduction import (
     contraction_radius,
     cubic_forcing,
     fixed_point_solve,
-    profile_correction,
     project_mean,
-    r_correction_factor,
 )
 from .direct import (
     compare_branches,
@@ -107,9 +105,7 @@ __all__ = [
     "mu_nu_from_rho",
     "ode_forcing",
     "physical_from_r",
-    "profile_correction",
     "project_mean",
-    "r_correction_factor",
     "r_from_physical",
     "record_from_branch",
     "rho_from_physical",

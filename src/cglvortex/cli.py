@@ -30,6 +30,7 @@ from .physics import (
     rho_from_physical,
 )
 from .sweep import (
+    METHODS,
     SweepSpec,
     dumps_json,
     emit_results,
@@ -40,6 +41,7 @@ from .sweep import (
 )
 
 METHOD_ALIASES = {"fp": "fixed_point", "shoot": "shooting", "fd": "finite_difference"}
+SWEEP_MODES = {"rect": "rectangle", "arg": "arg_sweep", "mod": "modulus_sweep"}
 
 
 class _CliError(Exception):
@@ -78,29 +80,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p.add_argument("--tol", type=_finite_float, default=1e-12)
 
-    p = sub.add_parser("sweep", help="sweep the bifurcation parameter")
-    p.add_argument("--mode", choices=["rect", "arg", "mod"], required=True)
-    p.add_argument("--method", choices=list(METHOD_ALIASES), default="fp")
-    p.add_argument("--eps-re", type=_finite_float, default=1.0)
-    p.add_argument("--eps-im", type=_finite_float, default=0.0)
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
-    p.add_argument("--re-min", type=_finite_float, default=-3.5)
-    p.add_argument("--re-max", type=_finite_float, default=3.5)
-    p.add_argument("--re-steps", type=int, default=15)
-    p.add_argument("--im-min", type=_finite_float, default=0.0)
-    p.add_argument("--im-max", type=_finite_float, default=1.5)
-    p.add_argument("--im-steps", type=int, default=7)
-    p.add_argument("--radius", type=_finite_float, default=1.0)
-    p.add_argument("--arg-min", type=_finite_float, default=0.0)
-    p.add_argument("--arg-max", type=_finite_float, default=float(np.pi))
-    p.add_argument("--arg", dest="ray_arg", type=_finite_float, default=0.0)
-    p.add_argument("--mod-min", type=_finite_float, default=1.0)
-    p.add_argument("--mod-max", type=_finite_float, default=9.0)
-    p.add_argument("--steps", type=int, default=None,
-                   help="steps for arg/mod modes (defaults 64/32)")
+    # a sweep option the user leaves out is not passed on: SweepSpec owns
+    # every sweep default
+    p = sub.add_parser("sweep", help="sweep the bifurcation parameter",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--mode", choices=list(SWEEP_MODES), required=True)
+    p.add_argument("--method", choices=list(METHOD_ALIASES))
+    p.add_argument("--nodes", dest="n_nodes", metavar="NODES", type=int)
+    for flag in ("--eps-re", "--eps-im", "--re-min", "--re-max", "--im-min", "--im-max",
+                 "--radius", "--arg-min", "--arg-max", "--mod-min", "--mod-max"):
+        p.add_argument(flag, type=_finite_float)
+    p.add_argument("--arg", dest="ray_arg", type=_finite_float)
+    p.add_argument("--re-steps", type=int)
+    p.add_argument("--im-steps", type=int)
+    p.add_argument("--steps", type=int,
+                   help=f"steps for arg/mod modes (defaults "
+                        f"{SweepSpec.arg_steps}/{SweepSpec.mod_steps})")
     p.add_argument("--continue", dest="warm_start", action="store_true",
                    help="warm-start each point from its neighbor")
-    p.add_argument("--mirror", action="store_true",
+    p.add_argument("--mirror", action="store_true", default=False,
                    help="append conjugate-parameter records")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -158,33 +156,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    kw = dict(
-        method=METHOD_ALIASES[args.method],
-        eps=complex(args.eps_re, args.eps_im),
-        n_nodes=args.nodes,
-        warm_start=args.warm_start,
-    )
-    if args.mode == "rect":
-        spec = SweepSpec(
-            mode="rectangle",
-            re_min=args.re_min, re_max=args.re_max, re_steps=args.re_steps,
-            im_min=args.im_min, im_max=args.im_max, im_steps=args.im_steps,
-            **kw,
-        )
-    elif args.mode == "arg":
-        spec = SweepSpec(
-            mode="arg_sweep",
-            radius=args.radius, arg_min=args.arg_min, arg_max=args.arg_max,
-            arg_steps=args.steps if args.steps else 64,
-            **kw,
-        )
-    else:
-        spec = SweepSpec(
-            mode="modulus_sweep",
-            ray_arg=args.ray_arg, mod_min=args.mod_min, mod_max=args.mod_max,
-            mod_steps=args.steps if args.steps else 32,
-            **kw,
-        )
+    """Run the sweep of the options the user set; SweepSpec fills in the rest."""
+    opts = {key: value for key, value in vars(args).items()
+            if key not in ("command", "mode", "out", "format", "mirror")}
+    if "method" in opts:
+        opts["method"] = METHOD_ALIASES[opts["method"]]
+    if "eps_re" in opts or "eps_im" in opts:
+        opts["eps"] = complex(opts.pop("eps_re", SweepSpec.eps.real),
+                              opts.pop("eps_im", SweepSpec.eps.imag))
+    steps = opts.pop("steps", None)
+    if steps is not None and args.mode != "rect":
+        opts[f"{args.mode}_steps"] = steps  # arg_steps or mod_steps
+    spec = SweepSpec(mode=SWEEP_MODES[args.mode], **opts)
     records = run_sweep(spec)
     if args.mirror:
         records = mirror_conjugate(records)
@@ -199,6 +182,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_expand(args) -> int:
     rho = complex(args.rho_re, args.rho_im)
     eps = complex(args.eps_re, args.eps_im)
+    if args.samples < 1:
+        raise InvalidArgument("--samples must be >= 1")
     r = asymptotic_r(rho, eps, min(args.order, 1))
     xs = np.linspace(-np.pi / 2, np.pi / 2, args.samples)
     u = asymptotic_U(rho, eps, xs, args.order)
@@ -222,9 +207,7 @@ def _cmd_verify(args) -> int:
     zeta = abs(rho) * abs(eps) ** 2
     checks: list[tuple[str, float, float]] = []  # (name, value, bound)
 
-    branches = {}
-    for method in ("fixed_point", "shooting", "finite_difference"):
-        branches[method] = solve(method, rho, eps, grid)
+    branches = {method: solve(method, rho, eps, grid) for method in METHODS}
     for name, br in branches.items():
         checks.append((f"converged[{name}]", 0.0 if br.converged else 1.0, 0.5))
 
@@ -299,6 +282,10 @@ def _cmd_physical(args) -> int:
     return 0 if branch.converged else 2
 
 
+COMMANDS = {"solve": _cmd_solve, "sweep": _cmd_sweep, "expand": _cmd_expand,
+            "verify": _cmd_verify, "physical": _cmd_physical}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -307,23 +294,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "expand":
-            return _cmd_expand(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "physical":
-            return _cmd_physical(args)
+        return COMMANDS[args.command](args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    return 1
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidState
+from .errors import InvalidArgument
 from .quadrature import Grid, GridFunction, make_grid
 from .greens import _check_admissible, _remove_cos_mode, _solve_envelope, envelope_residual
 
@@ -48,12 +48,12 @@ ANDERSON_DIVERGENCE = 100.0
 @dataclass(frozen=True)
 class CoreParams:
     """Inputs of one solve, shared by the fixed-point, shooting and
-    finite-difference solvers: rho, eps, the stopping tolerance tol_fp and
-    the iteration cap max_iter (sigma only enters the certificate)."""
+    finite-difference solvers: rho, eps, the iteration cap max_iter and the
+    stopping tolerance tol_fp.  No solve reads the certificate: see
+    contraction_radius."""
 
     rho: complex
     eps: complex
-    sigma: float = 1.0
     max_iter: int = 200
     tol_fp: float = 1e-12
 
@@ -62,19 +62,10 @@ class CoreParams:
             raise InvalidArgument("rho and eps must be finite")
         if self.eps == 0:
             raise InvalidArgument("eps must be nonzero")
-        if self.sigma <= 0:
-            raise InvalidArgument("sigma must be positive")
         if self.tol_fp <= 0:
             raise InvalidArgument("tol_fp must be positive")
         if self.max_iter < 1:
             raise InvalidArgument("max_iter must be >= 1")
-
-    @property
-    def contraction_certified(self) -> bool:
-        """True when |eps|^2 lies inside the certified contraction ball."""
-        if self.rho == 0:
-            return True
-        return abs(self.eps) ** 2 < contraction_radius(self.sigma, abs(self.rho))
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,22 +390,3 @@ def asymptotic_U(rho: complex, eps: complex, x, order: int):
         return complex(out)
     return out
 
-
-def r_correction_factor(branch: Branch) -> complex:
-    """Relative correction phi with r = (3/4)|eps|^2 (1 + |eps|^2 phi)."""
-    if not branch.converged:
-        raise InvalidState("branch did not converge")
-    eps = branch.params.eps
-    s = abs(eps) ** 2
-    return (branch.r / (0.75 * s) - 1.0) / s
-
-
-def profile_correction(branch: Branch) -> GridFunction:
-    """Scaled profile correction: U = eps (1 + |eps|^2 Phi) cos x.
-
-    Phi = w / |eps|^2 inherits mean-freeness from w (the projection is
-    taken per half-period on J)."""
-    if not branch.converged:
-        raise InvalidState("branch did not converge")
-    eps = branch.params.eps
-    return GridFunction(branch.grid, branch.w.values / abs(eps) ** 2)

@@ -29,7 +29,7 @@ CSV_COLUMNS = (
     "min_abs_v", "ode_residual",
 )
 
-DEFAULT_ZERO_TOL = 1e-6
+ZERO_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,6 @@ class SweepSpec:
     mod_min: float = 1.0
     mod_max: float = 9.0
     mod_steps: int = 32
-    max_iter: int = 800
-    tol: float = 1e-12
     warm_start: bool = False
 
     def __post_init__(self):
@@ -109,16 +107,11 @@ class SweepSpec:
         reals = (
             self.re_min, self.re_max, self.im_min, self.im_max, self.radius,
             self.arg_min, self.arg_max, self.ray_arg, self.mod_min, self.mod_max,
-            self.tol,
         )
         if not (np.all(np.isfinite(reals)) and np.isfinite(self.eps)):
-            raise InvalidArgument("sweep bounds, tol and eps must be finite")
+            raise InvalidArgument("sweep bounds and eps must be finite")
         if self.eps == 0:
             raise InvalidArgument("eps must be nonzero")
-        if self.tol <= 0:
-            raise InvalidArgument("tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidArgument("max_iter must be >= 1")
         if self.mode == "rectangle":
             if self.re_steps < 2 or self.im_steps < 2:
                 raise InvalidArgument("rectangle sweeps need >= 2 steps per axis")
@@ -149,12 +142,12 @@ class SweepSpec:
         return [m * complex(np.cos(self.ray_arg), np.sin(self.ray_arg)) for m in mods]
 
 
-def count_zeros(nodes: np.ndarray, values: np.ndarray, n: int, tol_zero: float = DEFAULT_ZERO_TOL):
+def count_zeros(nodes: np.ndarray, values: np.ndarray, n: int):
     """Zero census of one 2 pi period of u = U(n x).
 
     Structural zeros are the 2n zeros of cos(n x); any further zero must
     come from the envelope, so extra zeros are counted as cyclic local
-    minima of |v| that dip below tol_zero times sup |v|.
+    minima of |v| that dip below ZERO_TOL times sup |v|.
     Returns (zero_count, extra_zeros) with zero_count = 2n + extra_zeros.
     """
     values = np.asarray(values)
@@ -181,7 +174,7 @@ def count_zeros(nodes: np.ndarray, values: np.ndarray, n: int, tol_zero: float =
         return 2 * n, 0
     left = np.roll(vab, 1)
     right = np.roll(vab, -1)
-    minima = (vab < left) & (vab <= right) & (vab <= tol_zero * top)
+    minima = (vab < left) & (vab <= right) & (vab <= ZERO_TOL * top)
     extra = int(np.count_nonzero(minima))
     return 2 * n + extra, extra
 
@@ -224,7 +217,7 @@ def solve(
     return fd_solve(params, grid=grid, seed=seed, r0=r0)
 
 
-def record_from_branch(branch: Branch, tol_zero: float = DEFAULT_ZERO_TOL) -> SweepRecord:
+def record_from_branch(branch: Branch) -> SweepRecord:
     """Summarize one branch; zero census on the n = 1 periodic extension.
 
     A diverged branch holds no profile to measure: its symmetry defect,
@@ -241,7 +234,7 @@ def record_from_branch(branch: Branch, tol_zero: float = DEFAULT_ZERO_TOL) -> Sw
             sol = extend_solution(
                 branch, 1, 0.0, enforce_jump_gate=False
             )
-            zero_count, extra = count_zeros(sol.nodes, sol.values, 1, tol_zero)
+            zero_count, extra = count_zeros(sol.nodes, sol.values, 1)
         except ToolkitError:
             pass
     return SweepRecord(
@@ -271,8 +264,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     records: list[SweepRecord] = []
     prev: Branch | None = None
     for rho in spec.points():
-        branch = solve(spec.method, rho, spec.eps, grid, tol=spec.tol,
-                       max_iter=spec.max_iter, prev=prev)
+        branch = solve(spec.method, rho, spec.eps, grid, prev=prev)
         records.append(record_from_branch(branch))
         if spec.warm_start and branch.converged:
             prev = branch
@@ -327,8 +319,12 @@ def dumps_json(obj) -> str:
     return json.dumps(_json_ready(obj), indent=2, allow_nan=False)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
 
 
 def emit_results(records: Sequence[SweepRecord], format_: str, path) -> None:
@@ -342,15 +338,7 @@ def emit_results(records: Sequence[SweepRecord], format_: str, path) -> None:
         lines = [",".join(CSV_COLUMNS)]
         for rec in records:
             d = rec.as_dict()
-            row = [
-                _fmt(d["rho_re"]), _fmt(d["rho_im"]), d["method"],
-                "true" if d["converged"] else "false",
-                _fmt(d["r_re"]), _fmt(d["r_im"]),
-                str(d["iterations"]), str(d["zero_count"]), str(d["extra_zeros"]),
-                _fmt(d["symmetry_defect"]), _fmt(d["min_abs_v"]),
-                _fmt(d["ode_residual"]),
-            ]
-            lines.append(",".join(row))
+            lines.append(",".join(_csv_cell(d[col]) for col in CSV_COLUMNS))
         payload = "\n".join(lines) + "\n"
     else:
         payload = dumps_json([rec.as_dict() for rec in records]) + "\n"
@@ -358,50 +346,41 @@ def emit_results(records: Sequence[SweepRecord], format_: str, path) -> None:
         fh.write(payload)
 
 
-def _float(x) -> float:
-    return float("nan") if x is None else float(x)
+def _record_from_row(d: dict) -> SweepRecord:
+    """The record of one emitted row: a JSON object, or a CSV line keyed by
+    CSV_COLUMNS (its cells still text).  JSON null reads as NaN."""
+
+    def num(key) -> float:
+        return float("nan") if d[key] is None else float(d[key])
+
+    return SweepRecord(
+        rho=complex(num("rho_re"), num("rho_im")),
+        method=d["method"],
+        converged=d["converged"] in (True, "true"),
+        r=complex(num("r_re"), num("r_im")),
+        iterations=int(d["iterations"]),
+        zero_count=int(d["zero_count"]),
+        extra_zeros=int(d["extra_zeros"]),
+        symmetry_defect=num("symmetry_defect"),
+        min_abs_v=num("min_abs_v"),
+        ode_residual=num("ode_residual"),
+    )
 
 
 def load_records(path, format_: str) -> list[SweepRecord]:
-    """Parse a file produced by emit_results back into records (JSON null
-    reads as NaN)."""
-    if format_ == "json":
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = json.load(fh)
-    elif format_ == "csv":
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if tuple(header) != CSV_COLUMNS:
-                raise InvalidArgument(f"unexpected CSV header in {path}")
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                rows.append(
-                    {
-                        "rho_re": float(parts[0]), "rho_im": float(parts[1]),
-                        "method": parts[2], "converged": parts[3] == "true",
-                        "r_re": float(parts[4]), "r_im": float(parts[5]),
-                        "iterations": int(parts[6]), "zero_count": int(parts[7]),
-                        "extra_zeros": int(parts[8]),
-                        "symmetry_defect": float(parts[9]),
-                        "min_abs_v": float(parts[10]),
-                        "ode_residual": float(parts[11]),
-                    }
-                )
-    else:
+    """Parse a file produced by emit_results back into records.  A CSV file
+    must carry the CSV_COLUMNS header and one field per column in each row."""
+    if format_ not in ("csv", "json"):
         raise InvalidArgument(f"unknown format {format_!r}")
-    return [
-        SweepRecord(
-            rho=complex(d["rho_re"], d["rho_im"]),
-            method=d["method"],
-            converged=bool(d["converged"]),
-            r=complex(_float(d["r_re"]), _float(d["r_im"])),
-            iterations=int(d["iterations"]),
-            zero_count=int(d["zero_count"]),
-            extra_zeros=int(d["extra_zeros"]),
-            symmetry_defect=_float(d["symmetry_defect"]),
-            min_abs_v=_float(d["min_abs_v"]),
-            ode_residual=_float(d["ode_residual"]),
-        )
-        for d in rows
-    ]
+    with open(path, "r", encoding="utf-8") as fh:
+        if format_ == "json":
+            return [_record_from_row(d) for d in json.load(fh)]
+        if tuple(fh.readline().rstrip("\n").split(",")) != CSV_COLUMNS:
+            raise InvalidArgument(f"unexpected CSV header in {path}")
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    for line_no, cells in enumerate(rows, start=2):
+        if len(cells) != len(CSV_COLUMNS):
+            raise InvalidArgument(
+                f"{path} line {line_no}: {len(cells)} fields, expected {len(CSV_COLUMNS)}"
+            )
+    return [_record_from_row(dict(zip(CSV_COLUMNS, cells))) for cells in rows]

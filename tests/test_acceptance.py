@@ -132,9 +132,7 @@ def test_criterion_4_contraction_certificate():
         arg = float(rng.uniform(0.0, np.pi))
         rho = mod * complex(np.cos(arg), np.sin(arg))
         s = 0.9 * contraction_radius(sigma, mod)
-        params = CoreParams(
-            rho=rho, eps=float(np.sqrt(s)), sigma=sigma, max_iter=600, tol_fp=1e-12
-        )
+        params = CoreParams(rho=rho, eps=float(np.sqrt(s)), max_iter=600, tol_fp=1e-12)
         b = _register(fixed_point_solve(params, grid=grid))
         k_bound = 9 * np.pi * s * mod * (2 + sigma) * (1 + sigma) ** 2
         ratios = [

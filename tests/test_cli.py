@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cglvortex import direct
-from cglvortex.cli import main
+from cglvortex.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +220,23 @@ class TestSweepCommand:
         )
         assert code == 1
 
+    def test_zero_steps_rejected(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--mode", "arg", "--steps", "0", "--radius", "0.5",
+            "--out", str(path),
+        )
+        assert code == 1
+        assert "steps" in err
+        assert not path.exists()
+
+    def test_unset_options_left_to_sweepspec(self):
+        args = build_parser().parse_args(["sweep", "--mode", "rect", "--out", "x.csv"])
+        assert vars(args) == {
+            "command": "sweep", "mode": "rect", "out": "x.csv", "format": "csv",
+            "mirror": False,
+        }
+
     def test_io_error(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--mode", "mod", "--mod-min", "0.5",
@@ -243,6 +260,16 @@ class TestExpand:
         assert len(doc["U"]["x"]) == 9
         # profile vanishes at the half-period end
         assert abs(doc["U"]["re"][-1]) < 1e-14
+
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_bad_samples_rejected(self, capsys, samples):
+        code, out, err = run_cli(
+            capsys, "expand", "--rho-re", "1.0", "--eps-re", "0.2", "--samples", samples,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--samples" in err
 
 
 class TestPhysical:

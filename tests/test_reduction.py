@@ -6,7 +6,6 @@ from cglvortex import (
     CoreParams,
     GridFunction,
     InvalidArgument,
-    InvalidState,
     apply_green_op,
     asymptotic_U,
     asymptotic_r,
@@ -15,9 +14,7 @@ from cglvortex import (
     cubic_forcing,
     fixed_point_solve,
     make_grid,
-    profile_correction,
     project_mean,
-    r_correction_factor,
     solvability_residual,
 )
 from conftest import random_admissible, random_mean_free_ball
@@ -180,8 +177,8 @@ class TestFixedPoint:
     def test_certificate_regime(self, grid257):
         sigma, rho = 1.0, 2.0 + 1.0j
         s = 0.9 * contraction_radius(sigma, abs(rho))
-        params = CoreParams(rho=rho, eps=np.sqrt(s), sigma=sigma, max_iter=400)
-        assert params.contraction_certified
+        params = CoreParams(rho=rho, eps=np.sqrt(s), max_iter=400)
+        assert abs(params.eps) ** 2 < contraction_radius(sigma, abs(rho))
         branch = fixed_point_solve(params, grid=grid257)
         assert branch.converged
         assert branch.accelerated_at is None  # the ratios below are of plain steps
@@ -253,13 +250,11 @@ class TestFixedPoint:
         assert b.converged and b.fp_residual <= b.params.tol_fp
 
     def test_certificate_property(self):
-        assert CoreParams(rho=1.0, eps=0.01, sigma=1.0).contraction_certified
-        assert not CoreParams(rho=1.0, eps=1.0, sigma=1.0).contraction_certified
-        assert CoreParams(rho=0.0, eps=5.0).contraction_certified
+        # |eps|^2 inside the radius certifies the contraction on the ball
+        assert abs(0.01) ** 2 < contraction_radius(1.0, 1.0)
+        assert not abs(1.0) ** 2 < contraction_radius(1.0, 1.0)
 
     def test_invalid_core_params(self):
-        with pytest.raises(InvalidArgument):
-            CoreParams(rho=1.0, eps=0.1, sigma=0.0)
         with pytest.raises(InvalidArgument):
             CoreParams(rho=1.0, eps=0.1, tol_fp=0.0)
         with pytest.raises(InvalidArgument):
@@ -310,10 +305,13 @@ class TestAsymptotics:
 
 
 class TestCorrectionExtraction:
+    # the relative corrections phi in r = (3/4)|eps|^2 (1 + |eps|^2 phi) and
+    # Phi in U = eps (1 + |eps|^2 Phi) cos x, read off converged branches
     def test_r_factor_inverts_r(self, grid257):
         b = fixed_point_solve(CoreParams(rho=1.0 + 0.5j, eps=0.3), grid=grid257)
-        phi = r_correction_factor(b)
+        assert b.converged
         s = 0.09
+        phi = (b.r / (0.75 * s) - 1.0) / s
         assert 0.75 * s * (1 + s * phi) == pytest.approx(b.r, rel=1e-13)
 
     def test_r_factor_limit_matches_series_coefficient(self):
@@ -323,7 +321,9 @@ class TestCorrectionExtraction:
         phis = []
         for eps in (0.2, 0.1, 0.05):
             b = fixed_point_solve(CoreParams(rho=rho, eps=eps), grid=grid)
-            phis.append(complex(r_correction_factor(b)))
+            assert b.converged
+            s = eps ** 2
+            phis.append(complex((b.r / (0.75 * s) - 1.0) / s))
         series = (asymptotic_r(rho, 1.0, 1) / 0.75 - 1.0)  # = -rho/32
         assert phis[-1] == pytest.approx(series, rel=2e-3)
         # smooth refinement, no jumps
@@ -331,22 +331,17 @@ class TestCorrectionExtraction:
         d2 = abs(phis[2] - phis[1])
         assert d2 < d1
 
-    def test_r_factor_requires_convergence(self, grid257):
-        params = CoreParams(rho=3.5, eps=1.0, max_iter=5)
-        b = fixed_point_solve(params, grid=grid257)
-        assert not b.converged
-        with pytest.raises(InvalidState):
-            r_correction_factor(b)
-
     def test_profile_correction_zero(self, grid257):
         b = fixed_point_solve(CoreParams(rho=0.0, eps=0.5), grid=grid257)
-        assert profile_correction(b).sup_norm == 0
+        assert b.converged
+        assert b.w.sup_norm == 0
 
     def test_profile_correction_leading_order(self, grid513):
         rho, eps = 0.8 - 0.6j, 0.05
         b = fixed_point_solve(CoreParams(rho=rho, eps=eps), grid=grid513)
-        phi = profile_correction(b)
-        lead = -(rho / 32) * (2 * np.cos(2 * grid513.nodes) - 1)
+        assert b.converged
         s = abs(eps) ** 2
+        phi = GridFunction(grid513, b.w.values / s)
+        lead = -(rho / 32) * (2 * np.cos(2 * grid513.nodes) - 1)
         assert np.max(np.abs(phi.values - lead)) < 3 * abs(rho) ** 2 * s
         assert abs(project_mean(phi)) <= 1e-10

@@ -42,6 +42,15 @@ from .sweep import (
 
 METHOD_ALIASES = {"fp": "fixed_point", "shoot": "shooting", "fd": "finite_difference"}
 SWEEP_MODES = {"rect": "rectangle", "arg": "arg_sweep", "mod": "modulus_sweep"}
+# the sweep options that only some modes read (dest: flag)
+_MODE_OPTIONS = {
+    "rect": {"re_min": "--re-min", "re_max": "--re-max", "im_min": "--im-min",
+             "im_max": "--im-max", "re_steps": "--re-steps", "im_steps": "--im-steps"},
+    "arg": {"radius": "--radius", "arg_min": "--arg-min", "arg_max": "--arg-max",
+            "steps": "--steps"},
+    "mod": {"ray_arg": "--arg", "mod_min": "--mod-min", "mod_max": "--mod-max",
+            "steps": "--steps"},
+}
 
 
 class _CliError(Exception):
@@ -156,17 +165,21 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """Run the sweep of the options the user set; SweepSpec fills in the rest."""
+    """Run the sweep of the options the user set; SweepSpec fills in the rest.
+    An option that the chosen mode does not read is an error."""
     opts = {key: value for key, value in vars(args).items()
             if key not in ("command", "mode", "out", "format", "mirror")}
+    for options in _MODE_OPTIONS.values():
+        for dest, flag in options.items():
+            if dest in opts and dest not in _MODE_OPTIONS[args.mode]:
+                raise InvalidArgument(f"{flag} does not apply to --mode {args.mode}")
     if "method" in opts:
         opts["method"] = METHOD_ALIASES[opts["method"]]
     if "eps_re" in opts or "eps_im" in opts:
         opts["eps"] = complex(opts.pop("eps_re", SweepSpec.eps.real),
                               opts.pop("eps_im", SweepSpec.eps.imag))
-    steps = opts.pop("steps", None)
-    if steps is not None and args.mode != "rect":
-        opts[f"{args.mode}_steps"] = steps  # arg_steps or mod_steps
+    if "steps" in opts:
+        opts[f"{args.mode}_steps"] = opts.pop("steps")  # arg_steps or mod_steps
     spec = SweepSpec(mode=SWEEP_MODES[args.mode], **opts)
     records = run_sweep(spec)
     if args.mirror:

@@ -6,16 +6,21 @@ through the same normalization (the cos^2-weighted mean of the envelope
 equals eps) and return the same Branch record, so results can be compared
 directly against the fixed-point method.  Every failure (iteration cap,
 escape, singular Jacobian) is reported in the returned Branch, never
-raised; an escape of the first shooting trajectory or of the FD iterate
+raised; an escape of the first shooting integration or of the FD iterate
 is the one diverged record of reduction._diverged_branch (r = nan).
 
-Shooting integrates the initial value problem from the left end with RK4
-and applies a damped Newton iteration to the unknowns (U'(-pi/2), r).  The
-integration carries only U and U'; the normalization is the Simpson
-quadrature of the profile at the grid nodes.  Trial integrations can escape
-in finite x for strongly amplifying rho; an escape (|U| reaching
-ESCAPE_CAP * max(1, |eps|)) is detected and forces the line search to
-backtrack.
+Shooting is multiple shooting (Keller 1968; Ascher, Mattheij & Russell
+1995, ch. 4).  J is cut at grid nodes into SHOOT_SEGMENTS segments (fewer
+when that does not divide the grid intervals), and RK4 integrates all of
+them at once as numpy lanes.  Each lane also carries the variational
+equations of its six real directions (segment start U and U', the shared
+r), so the Newton Jacobian comes exactly from the same integration as the
+conditions: continuity at the inner boundaries, U(pi/2) = 0, and the
+normalization as the Simpson quadrature of the segment outputs at the
+grid nodes.  Short segments bound the growth that blows a single
+trajectory up at |rho| beyond about 9.  A trial can still escape in
+finite x; an escape (|U| reaching ESCAPE_CAP * max(1, |eps|) in any lane)
+forces the line search to backtrack.
 
 The finite-difference solver assembles the centered-difference system with
 a bordered normalization row.  The extra unknown is lam = rho * r, which
@@ -48,6 +53,8 @@ ESCAPE_CAP = 1e6
 RHO_ZERO_CUTOFF = 1e-13
 # RK4 steps across J, rounded up to a multiple of the grid intervals
 RK4_STEPS = 2048
+# multiple-shooting segments, lowered to a divisor of the grid intervals
+SHOOT_SEGMENTS = 32
 
 
 def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
@@ -57,44 +64,72 @@ def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
 
 # --------------------------------------------------------------- shooting
 
-def _rk4_profile(rho, r, a, stride, n_nodes, cap):
-    """Integrate from -pi/2 with U = 0, U' = a; fixed-step RK4.
+# the real directions the variational lanes 1..6 follow: Re and Im of the
+# segment's starting U, of its starting U', and of the shared r
+_DIRECTION_U = np.array([1, 1j, 0, 0, 0, 0])
+_DIRECTION_V = np.array([0, 0, 1, 1j, 0, 0])
+_DIRECTION_R = np.array([0, 0, 0, 0, 1, 1j])
 
-    Takes ``stride`` steps across each of the n_nodes - 1 grid intervals, on
-    Python complex scalars; the state is (U, U') alone.  Returns (U at the
-    n_nodes output nodes, U_end, U'_end) or None when |U| reaches ``cap``
-    (finite-x blowup of a trial; shoot_solve passes
-    ESCAPE_CAP * max(1, |eps|))."""
-    rho, r, V = complex(rho), complex(r), complex(a)
-    h = np.pi / (stride * (n_nodes - 1))
+
+def _rk4_lanes(rho, r, u0, v0, h, stride, m, cap, tangents=False):
+    """Fixed-step RK4 of U'' = -U - rho (r - |U|^2) U on numpy lanes.
+
+    Lane k starts from U = u0[k], U' = v0[k] and takes ``stride`` steps of
+    length h across each of m output intervals.  With ``tangents`` every
+    lane also carries the variational equations of its six real directions
+    (the _DIRECTION_* rows), integrated by the same RK4 stages, so they are
+    the exact derivatives of the discrete trajectory.  Returns (U at the
+    m + 1 output points, U at the end, U' at the end), shaped (m + 1, L, K)
+    and (L, K) with L = 7 (trajectory, then the six tangents) or L = 1; or
+    None when a trajectory reaches |U| = ``cap`` (finite-x blowup of a
+    trial) or a tangent overflows.
+    """
+    u0 = np.asarray(u0, dtype=complex)
+    lanes = 7 if tangents else 1
+    U = np.empty((lanes,) + u0.shape, dtype=complex)
+    V = np.empty_like(U)
+    U[0], V[0] = u0, v0
+    if tangents:
+        U[1:] = _DIRECTION_U[:, None]
+        V[1:] = _DIRECTION_V[:, None]
+        rho_dr = (rho * _DIRECTION_R[4:])[:, None]
+    out = np.empty((m + 1,) + U.shape, dtype=complex)
+    out[0] = U
     hh = 0.5 * h
     h6 = h / 6.0
-    U = 0.0 + 0.0j
-    aU = 0.0
-    out = np.empty(n_nodes, dtype=complex)
-    out[0] = U
-    for k in range(1, n_nodes):
-        for _ in range(stride):
-            f1v = -U - rho * (r - aU * aU) * U
-            U2 = U + hh * V
-            V2 = V + hh * f1v
-            aU = abs(U2)
-            f2v = -U2 - rho * (r - aU * aU) * U2
-            U3 = U + hh * V2
-            V3 = V + hh * f2v
-            aU = abs(U3)
-            f3v = -U3 - rho * (r - aU * aU) * U3
-            U4 = U + h * V3
-            V4 = V + h * f3v
-            aU = abs(U4)
-            f4v = -U4 - rho * (r - aU * aU) * U4
-            U = U + h6 * (V + 2.0 * V2 + 2.0 * V3 + V4)
-            V = V + h6 * (f1v + 2.0 * f2v + 2.0 * f3v + f4v)
-            aU = abs(U)
-            if not (aU < cap):
-                return None
-        out[k] = U
-    return out, U, V
+
+    c0 = -1.0 - rho * r
+
+    def force(U):
+        u = U[0]
+        F = (c0 + rho * (u.real * u.real + u.imag * u.imag)) * U
+        if tangents:
+            # d(|U|^2) = 2 Re(conj(U) dU); r enters the r lanes as -rho dr U
+            dU = U[1:]
+            F[1:] += (2.0 * rho * u) * (u.real * dU.real + u.imag * dU.imag)
+            F[5:] -= rho_dr * u
+        return F
+
+    # an escaping lane overflows: its inf and nan are caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, m + 1):
+            for _ in range(stride):
+                F1 = force(U)
+                U2 = U + hh * V
+                V2 = V + hh * F1
+                F2 = force(U2)
+                U3 = U + hh * V2
+                V3 = V + hh * F2
+                F3 = force(U3)
+                U4 = U + h * V3
+                V4 = V + h * F3
+                F4 = force(U4)
+                U = U + h6 * (V + 2.0 * V2 + 2.0 * V3 + V4)
+                V = V + h6 * (F1 + 2.0 * F2 + 2.0 * F3 + F4)
+            out[j] = U
+        escaped = not (np.max(np.abs(out[:, 0])) < cap
+                       and np.all(np.isfinite(U)) and np.all(np.isfinite(V)))
+    return None if escaped else (out, U, V)
 
 
 def shoot_solve(
@@ -103,79 +138,125 @@ def shoot_solve(
     a0: complex | None = None,
     r0: complex | None = None,
 ) -> Branch:
-    """Shooting solution of the full nonlinear problem.
+    """Multiple-shooting solution of the full nonlinear problem.
 
-    Unknowns (U'(-pi/2), r) as four real variables against the four real
-    conditions U(pi/2) = 0 and mean-normalization = eps.  Jacobian by
-    forward differences (relative step 1e-7), damped by backtracking on
-    the condition norm.  Starts from U'(-pi/2) = a0 (default eps) and r0
-    (default from the small-amplitude series); stops when the condition
-    norm falls below ``params.tol_fp * max(1, |eps|)``, after at most
-    ``params.max_iter`` Newton steps.  A step that cannot be taken (a
-    trial escapes in a Jacobian column, the Jacobian is singular, or ten
-    halvings do not decrease the norm) ends the iteration at the current
-    iterate with converged False.
+    J is cut at grid nodes into K segments (SHOOT_SEGMENTS, lowered to the
+    largest divisor of n - 1 that is at most SHOOT_SEGMENTS), all
+    integrated at once by _rk4_lanes with ceil(RK4_STEPS / (n - 1)) steps
+    per grid interval.  The 4K real unknowns are a = U'(-pi/2), r and
+    (U, U') at the start of segments 1..K-1; the 4K real conditions are
+    continuity of (U, U') at the K - 1 inner boundaries, U(pi/2) = 0 and
+    mean-normalization = eps (Simpson over the segment outputs at the grid
+    nodes).  Newton's method on them takes its Jacobian from the
+    variational lanes of the same integration and is damped by
+    backtracking on the max-norm of the conditions.  Starts from the
+    linear profile a0 cos x (a0 default eps) and r0 (default from the
+    small-amplitude series); stops when the condition norm falls below
+    ``params.tol_fp * max(1, |eps|)``, after at most ``params.max_iter``
+    Newton steps.  A step that cannot be taken (the Jacobian is singular,
+    or ten halvings do not decrease the norm) ends the iteration at the
+    current iterate with converged False; an escape of the starting
+    iterate is the diverged record.
     """
     rho, eps = params.rho, params.eps
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
     n = grid.n_nodes
     stride = -(-RK4_STEPS // (n - 1))  # ceil
-    cos, sw = grid.cos, grid.weights
-    denom = float(np.dot(sw, grid.cos2))
+    h = np.pi / (stride * (n - 1))
+    k_seg = max(k for k in range(1, SHOOT_SEGMENTS + 1) if (n - 1) % k == 0)
+    m = (n - 1) // k_seg
+    starts = np.arange(k_seg) * m
+    # normalization weights of the segment outputs: each segment owns its
+    # starting node, the last one also the node at pi/2
+    wn = grid.weights * grid.cos / float(np.dot(grid.weights, grid.cos2))
+    wseg = np.zeros((m + 1, k_seg))
+    wseg[:m] = wn[:-1].reshape(k_seg, m).T
+    wseg[m, -1] = wn[-1]
     tol = params.tol_fp * max(1.0, abs(eps))
     cap = ESCAPE_CAP * max(1.0, abs(eps))
+    kk = np.arange(k_seg)
 
-    def conditions(a, r):
-        res = _rk4_profile(rho, r, a, stride, n, cap)
-        if res is None:
-            return None, None, None
-        out, u_end, v_end = res
-        norm_cond = np.dot(sw, out * cos) / denom - eps
-        return np.array([u_end, norm_cond]), out, v_end
+    # the real unknowns z: (Re, Im) of a, of (U, U') at the start of each of
+    # segments 1..K-1, then of r
+    def unknowns(u0, v0, r):
+        return np.concatenate([np.stack([u0, v0], axis=1).view(float).ravel()[2:],
+                               [r.real, r.imag]])
+
+    def states(z):
+        s = np.concatenate([[0.0, 0.0], z[:-2]]).view(complex).reshape(k_seg, 2)
+        return s[:, 0], s[:, 1], complex(z[-2], z[-1])
+
+    def linear_starts(a):
+        """Segment starts on the linear profile a cos x, U' = -a sin x."""
+        u0 = a * grid.cos[starts]
+        v0 = -a * grid.sin[starts]
+        u0[0], v0[0] = 0.0, a
+        return u0, v0
+
+    def evaluate(u0, v0, r, tangents=True):
+        """(complex conditions, their max-norm, lanes) or None on escape."""
+        lanes = _rk4_lanes(rho, r, u0, v0, h, stride, m, cap, tangents)
+        if lanes is None:
+            return None
+        out, ue, ve = lanes
+        c = np.empty(2 * k_seg, dtype=complex)
+        c[:k_seg] = ue[0]
+        c[:k_seg - 1] -= u0[1:]
+        c[k_seg:-1] = ve[0, :-1] - v0[1:]
+        c[-1] = np.sum(wseg * out[:, 0]) - eps
+        return c, float(np.max(np.abs(c))), lanes
+
+    def jacobian(lanes):
+        """Real Jacobian of the conditions in z from the tangent lanes."""
+        out, ue, ve = lanes
+        # rows: conditions; columns: (segment, direction), then r; the
+        # columns of U at -pi/2 and the two unused ones are dropped
+        jac = np.zeros((2 * k_seg, k_seg + 1, 4), dtype=complex)
+        jac[kk, kk] = ue[1:5].T
+        jac[:k_seg, k_seg, :2] = ue[5:].T
+        jac[k_seg + kk[:-1], kk[:-1]] = ve[1:5, :-1].T
+        jac[k_seg:-1, k_seg, :2] = ve[5:, :-1].T
+        jac[kk[:-1], kk[1:], :2] = (-1, -1j)
+        jac[k_seg + kk[:-1], kk[1:], 2:] = (-1, -1j)
+        dnorm = np.einsum("jk,jdk->dk", wseg, out[:, 1:])
+        jac[-1, :k_seg] = dnorm[:4].T
+        jac[-1, k_seg, :2] = dnorm[4:].sum(axis=1)
+        jac = jac.reshape(2 * k_seg, 4 * k_seg + 4)[:, 2:-2]
+        return np.concatenate([jac.real, jac.imag])
+
+    def profile(lanes):
+        out = lanes[0][:, 0]
+        return np.append(out[:m].T.ravel(), out[m, -1]), lanes[2][0, -1]
 
     if abs(rho) <= RHO_ZERO_CUTOFF:
         # linear limit: U = eps cos x exactly; r drops out of the equation
         # and is reported through the integral convention
-        g, out, v_end = conditions(eps, 0.0)
-        if g is None:
+        ev = evaluate(*linear_starts(complex(eps)), 0.0, tangents=False)
+        if ev is None:
             return _diverged_branch(params, grid, "shooting", 0)
-        return _shooting_branch(params, grid, out, eps, v_end, None, 0,
-                                float(abs(g[0])), True, ())
+        u_vals, v_end = profile(ev[2])
+        return _shooting_branch(params, grid, u_vals, eps, v_end, None, 0, ev[1], True, ())
 
-    a = complex(eps if a0 is None else a0)
+    u0, v0 = linear_starts(complex(eps if a0 is None else a0))
     r = complex(asymptotic_r(rho, eps, 1) if r0 is None else r0)
-    z = np.array([a.real, a.imag, r.real, r.imag], dtype=float)
-    g, out, v_end = conditions(z[0] + 1j * z[1], z[2] + 1j * z[3])
-    if g is None:
+    z = unknowns(u0, v0, r)
+    ev = evaluate(u0, v0, r)
+    if ev is None:
         return _diverged_branch(params, grid, "shooting", 0)
     increments = []
     converged = False
     iterations = 0
     for _ in range(params.max_iter):
-        gnorm = float(max(abs(g[0]), abs(g[1])))
+        c, gnorm, lanes = ev
         increments.append(gnorm)
         if gnorm < tol:
             converged = True
             break
-        gr = np.array([g[0].real, g[0].imag, g[1].real, g[1].imag])
-        jac = np.empty((4, 4))
-        delta = None
-        for j in range(4):
-            zp = z.copy()
-            step = 1e-7 * max(1.0, abs(z[j]))
-            zp[j] += step
-            gp, _, _ = conditions(zp[0] + 1j * zp[1], zp[2] + 1j * zp[3])
-            if gp is None:
-                break  # the trial escaped: no Jacobian
-            jac[:, j] = (
-                np.array([gp[0].real, gp[0].imag, gp[1].real, gp[1].imag]) - gr
-            ) / step
-        else:
-            try:
-                delta = np.linalg.solve(jac, -gr)
-            except np.linalg.LinAlgError:
-                pass  # singular Jacobian
+        try:
+            delta = np.linalg.solve(jacobian(lanes), -np.concatenate([c.real, c.imag]))
+        except np.linalg.LinAlgError:
+            delta = None  # singular Jacobian
         if delta is None or not np.all(np.isfinite(delta)):
             break
         # backtrack until the condition norm decreases (escapes count as
@@ -184,24 +265,20 @@ def shoot_solve(
         accepted = False
         for _ in range(10):
             z_try = z + t * delta
-            g_try, out_try, vend_try = conditions(
-                z_try[0] + 1j * z_try[1], z_try[2] + 1j * z_try[3]
-            )
-            if g_try is not None:
-                gt = float(max(abs(g_try[0]), abs(g_try[1])))
-                if gt < gnorm or gt < tol:
-                    z, g, out, v_end = z_try, g_try, out_try, vend_try
-                    accepted = True
-                    break
+            ev_try = evaluate(*states(z_try))
+            if ev_try is not None and (ev_try[1] < gnorm or ev_try[1] < tol):
+                z, ev = z_try, ev_try
+                accepted = True
+                break
             t *= 0.5
         iterations += 1
         if not accepted:
             break
 
     # r is a Newton unknown here, not the integral functional of the profile
-    gnorm = float(max(abs(g[0]), abs(g[1])))
-    return _shooting_branch(params, grid, out, z[0] + 1j * z[1], v_end,
-                            z[2] + 1j * z[3], iterations, gnorm, converged, increments)
+    u_vals, v_end = profile(ev[2])
+    return _shooting_branch(params, grid, u_vals, complex(z[0], z[1]), v_end,
+                            complex(z[-2], z[-1]), iterations, ev[1], converged, increments)
 
 
 def _shooting_branch(params, grid, u_vals, v_left, v_end_slope, r, iterations, resid,

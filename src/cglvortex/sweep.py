@@ -346,41 +346,68 @@ def emit_results(records: Sequence[SweepRecord], format_: str, path) -> None:
         fh.write(payload)
 
 
-def _record_from_row(d: dict) -> SweepRecord:
-    """The record of one emitted row: a JSON object, or a CSV line keyed by
-    CSV_COLUMNS (its cells still text).  JSON null reads as NaN."""
+def _flag(value) -> bool:
+    """A converged cell: JSON true/false or CSV text true/false."""
+    if value is True or value == "true":
+        return True
+    if value is False or value == "false":
+        return False
+    raise ValueError(f"expected true or false, got {value!r}")
 
-    def num(key) -> float:
-        return float("nan") if d[key] is None else float(d[key])
+
+def _number(value) -> float:
+    """A float cell; JSON null reads as NaN."""
+    return float("nan") if value is None else float(value)
+
+
+def _record_from_row(d, where: str) -> SweepRecord:
+    """The record of one emitted row: a JSON object, or a CSV line keyed by
+    CSV_COLUMNS (its cells still text).  A missing or unreadable cell raises
+    InvalidArgument naming ``where`` (file and line or row) and the column."""
+    if not isinstance(d, dict):
+        raise InvalidArgument(f"{where}: expected an object of {len(CSV_COLUMNS)} columns")
+
+    def cell(key, parse):
+        if key not in d:
+            raise InvalidArgument(f"{where}: missing column {key}")
+        try:
+            return parse(d[key])
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"{where}, column {key}: cannot read {d[key]!r}") from None
 
     return SweepRecord(
-        rho=complex(num("rho_re"), num("rho_im")),
-        method=d["method"],
-        converged=d["converged"] in (True, "true"),
-        r=complex(num("r_re"), num("r_im")),
-        iterations=int(d["iterations"]),
-        zero_count=int(d["zero_count"]),
-        extra_zeros=int(d["extra_zeros"]),
-        symmetry_defect=num("symmetry_defect"),
-        min_abs_v=num("min_abs_v"),
-        ode_residual=num("ode_residual"),
+        rho=complex(cell("rho_re", _number), cell("rho_im", _number)),
+        method=cell("method", str),
+        converged=cell("converged", _flag),
+        r=complex(cell("r_re", _number), cell("r_im", _number)),
+        iterations=cell("iterations", int),
+        zero_count=cell("zero_count", int),
+        extra_zeros=cell("extra_zeros", int),
+        symmetry_defect=cell("symmetry_defect", _number),
+        min_abs_v=cell("min_abs_v", _number),
+        ode_residual=cell("ode_residual", _number),
     )
 
 
 def load_records(path, format_: str) -> list[SweepRecord]:
     """Parse a file produced by emit_results back into records.  A CSV file
-    must carry the CSV_COLUMNS header and one field per column in each row."""
+    must carry the CSV_COLUMNS header and one field per column in each row;
+    every cell must read as its column's type (converged only true or
+    false), or InvalidArgument names the line (CSV) or row (JSON) and
+    column."""
     if format_ not in ("csv", "json"):
         raise InvalidArgument(f"unknown format {format_!r}")
     with open(path, "r", encoding="utf-8") as fh:
         if format_ == "json":
-            return [_record_from_row(d) for d in json.load(fh)]
+            return [_record_from_row(d, f"{path} row {i}") for i, d in enumerate(json.load(fh))]
         if tuple(fh.readline().rstrip("\n").split(",")) != CSV_COLUMNS:
             raise InvalidArgument(f"unexpected CSV header in {path}")
         rows = [line.rstrip("\n").split(",") for line in fh]
+    records = []
     for line_no, cells in enumerate(rows, start=2):
         if len(cells) != len(CSV_COLUMNS):
             raise InvalidArgument(
                 f"{path} line {line_no}: {len(cells)} fields, expected {len(CSV_COLUMNS)}"
             )
-    return [_record_from_row(dict(zip(CSV_COLUMNS, cells))) for cells in rows]
+        records.append(_record_from_row(dict(zip(CSV_COLUMNS, cells)), f"{path} line {line_no}"))
+    return records

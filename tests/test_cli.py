@@ -53,8 +53,9 @@ class TestSolve:
         assert abs(r_vals[0] - r_vals[2]) < 1e-3  # fd is O(h^2) at 129 nodes
 
     def test_nonconvergence_exit_code(self, capsys):
+        # shooting escapes here: a solve that did not converge exits 2
         code, out, _ = run_cli(
-            capsys, "solve", "--rho-re", "40.0", "--method", "shoot",
+            capsys, "solve", "--rho-re", "40.0", "--eps-re", "3", "--method", "shoot",
             "--nodes", "129",
         )
         assert code == 2
@@ -228,6 +229,23 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "steps" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("mode,flag,value", [
+        ("rect", "--steps", "3"), ("rect", "--radius", "2"), ("rect", "--mod-max", "5"),
+        ("rect", "--arg", "0.3"), ("arg", "--re-min", "-1"), ("arg", "--mod-min", "2"),
+        ("arg", "--arg", "0.3"), ("mod", "--radius", "2"), ("mod", "--arg-max", "1"),
+        ("mod", "--im-steps", "3"),
+    ])
+    def test_option_of_other_mode_rejected(self, capsys, tmp_path, mode, flag, value):
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--mode", mode, flag, value, "--nodes", "129",
+            "--out", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and flag in err
         assert not path.exists()
 
     def test_unset_options_left_to_sweepspec(self):

@@ -17,7 +17,7 @@ from cglvortex import (
     shoot_solve,
 )
 from cglvortex import direct
-from cglvortex.direct import _fd_branch, _fd_system, _refill_jacobian, _rk4_profile
+from cglvortex.direct import _fd_branch, _fd_system, _refill_jacobian, _rk4_lanes
 
 # Newton controls of the direct-solver tests
 SHOOT = dict(tol_fp=1e-11, max_iter=60)
@@ -48,8 +48,9 @@ class TestOdeForcing:
 
 
 def _reference_rk4(rho, r, a, n_steps, n_nodes):
-    """The shooting RK4 written out step by step, on numpy scalars: the
-    reference that _rk4_profile must match bit for bit."""
+    """The shooting RK4 written out step by step, on numpy scalars, for one
+    trajectory from U = 0, U' = a: the reference each lane of _rk4_lanes
+    must match to rounding."""
     h = np.pi / n_steps
     stride = n_steps // (n_nodes - 1)
     U = np.complex128(0.0)
@@ -101,25 +102,60 @@ class TestShooting:
         # halving the step cuts the terminal error ~16x on the linear problem
         errs = []
         for stride in (64, 128):
-            out, u_end, v_end = _rk4_profile(0.0, 0.0, 1.0, stride, 5, direct.ESCAPE_CAP)
-            errs.append(abs(u_end))  # exact terminal value is 0 for U = cos
+            h = np.pi / (stride * 4)
+            out, u_end, v_end = _rk4_lanes(0.0, 0.0, [0.0], [1.0], h, stride, 4,
+                                           direct.ESCAPE_CAP)
+            errs.append(abs(u_end[0, 0]))  # exact terminal value is 0 for U = cos
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
     @pytest.mark.parametrize("n_nodes", [129, 257, 513])
     @pytest.mark.parametrize("rho", [2.0 + 0.5j, -3.5, 0.0])
     def test_rk4_matches_reference_bitwise(self, n_nodes, rho):
-        # numpy-scalar a and r, as shoot_solve builds them from its unknowns
+        # each lane is one trajectory across J; numpy arrays and scalars
+        # need not round alike, so the lanes agree with the reference to
+        # 1e-13 relative rather than bit for bit
         stride = -(-direct.RK4_STEPS // (n_nodes - 1))
-        a, r = np.complex128(0.9 + 0.2j), np.complex128(0.6 - 0.1j)
-        ref = _reference_rk4(rho, r, a, stride * (n_nodes - 1), n_nodes)
-        got = _rk4_profile(rho, r, a, stride, n_nodes, direct.ESCAPE_CAP)
-        assert np.array_equal(got[0], ref[0])
-        assert got[1] == ref[1] and got[2] == ref[2]
+        r = np.complex128(0.6 - 0.1j)
+        slopes = np.array([0.9 + 0.2j, 0.3 - 0.7j, -1.1 + 0.05j])
+        h = np.pi / (stride * (n_nodes - 1))
+        got = _rk4_lanes(rho, r, np.zeros(3), slopes, h, stride, n_nodes - 1,
+                         direct.ESCAPE_CAP)
+        for lane, a in enumerate(slopes):
+            ref = _reference_rk4(rho, r, np.complex128(a), stride * (n_nodes - 1), n_nodes)
+            for got_k, ref_k in ((got[0][:, 0, lane], ref[0]), (got[1][0, lane], ref[1]),
+                                 (got[2][0, lane], ref[2])):
+                scale = max(1.0, np.max(np.abs(ref_k)))
+                assert np.max(np.abs(got_k - ref_k)) <= 1e-13 * scale
 
     def test_rk4_escape_matches_reference(self):
         a, r = np.complex128(20.0), np.complex128(0.0)
         assert _reference_rk4(9.0, r, a, 2048, 257) is None
-        assert _rk4_profile(9.0, r, a, 8, 257, direct.ESCAPE_CAP) is None
+        h = np.pi / 2048
+        assert _rk4_lanes(9.0, r, [0.0], [a], h, 8, 256, direct.ESCAPE_CAP) is None
+        # one escaping lane fails the whole trial, tangents on or off
+        for tangents in (False, True):
+            assert _rk4_lanes(9.0, r, [0.0, 0.0], [1.0, a], h, 8, 256, direct.ESCAPE_CAP,
+                              tangents) is None
+
+    def test_tangent_lanes_are_trajectory_derivatives(self):
+        # the variational lanes against central differences of the trajectory
+        rho, r = 2.0 + 0.5j, 0.6 - 0.1j
+        u0, v0 = np.array([0.3 + 0.1j, -0.2j]), np.array([0.9 + 0.2j, 0.4 - 0.3j])
+        h, stride, m = np.pi / 2048, 8, 8
+        out, ue, ve = _rk4_lanes(rho, r, u0, v0, h, stride, m, direct.ESCAPE_CAP, True)
+        step = 1e-6
+        for d in range(6):
+            shifted = []
+            for sign in (1, -1):
+                t = sign * step
+                lanes = _rk4_lanes(rho, r + t * direct._DIRECTION_R[d],
+                                   u0 + t * direct._DIRECTION_U[d],
+                                   v0 + t * direct._DIRECTION_V[d],
+                                   h, stride, m, direct.ESCAPE_CAP)
+                shifted.append(lanes)
+            for i, got in enumerate((out[:, 1 + d], ue[1 + d], ve[1 + d])):
+                fd = (shifted[0][i][..., 0, :] - shifted[1][i][..., 0, :]) / (2 * step)
+                assert np.max(np.abs(got - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
 
     def test_agrees_with_fixed_point_small_amplitude(self, grid257):
         rho, eps = 0.8 + 0.3j, 0.3
@@ -132,6 +168,17 @@ class TestShooting:
         b = shoot_solve(CoreParams(rho=3.5 + 1.5j, eps=1.0, **SHOOT), grid=grid257)
         assert b.converged
         assert abs(project_mean(b.w)) < 1e-10
+
+    @pytest.mark.parametrize("modulus", [15.0, 30.0, 60.0])
+    def test_cold_start_far_along_ray(self, grid257, modulus):
+        # past the |rho| ~ 9 reach of a single shooting trajectory: cold
+        # solves on the pi/12 ray agree with FD within verify's FD bound
+        rho = modulus * np.exp(1j * np.pi / 12)
+        sh = shoot_solve(CoreParams(rho=rho, eps=1.0, **SHOOT), grid=grid257)
+        fd = fd_solve(CoreParams(rho=rho, eps=1.0, **FD), grid=grid257)
+        assert sh.converged and fd.converged
+        h = grid257.spacing
+        assert compare_branches(sh, fd) <= max(1e-6, h * h * (1.0 + modulus))
 
     def test_eps_zero_rejected(self, grid257):
         with pytest.raises(InvalidArgument):

@@ -23,6 +23,7 @@ from cglvortex import (
     symmetry_defect,
 )
 from cglvortex import direct, sweep
+from cglvortex.sweep import CSV_COLUMNS
 
 
 def one_period_nodes(m):
@@ -327,6 +328,28 @@ class TestEmission:
         path.write_text("\n".join([header, first, edit(second)]) + "\n")
         with pytest.raises(InvalidArgument, match="line 3"):
             load_records(path, "csv")
+
+    @pytest.mark.parametrize("column,cell", [("r_re", "abc"), ("converged", "abc")])
+    def test_csv_bad_cell_named(self, tmp_path, column, cell):
+        # a cell that does not read as its column's type names file, line
+        # and column; converged is only true or false
+        path = tmp_path / "two.csv"
+        emit_results([self._one_record()] * 2, "csv", path)
+        header, first, second = path.read_text().splitlines()
+        cells = second.split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        with pytest.raises(InvalidArgument, match=rf"two\.csv line 3, column {column}"):
+            load_records(path, "csv")
+
+    def test_json_missing_column_named(self, tmp_path):
+        path = tmp_path / "two.json"
+        emit_results([self._one_record()] * 2, "json", path)
+        rows = json.loads(path.read_text())
+        del rows[1]["rho_im"]
+        path.write_text(json.dumps(rows))
+        with pytest.raises(InvalidArgument, match=r"two\.json row 1: missing column rho_im"):
+            load_records(path, "json")
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(InvalidArgument):

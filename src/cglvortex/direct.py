@@ -9,13 +9,20 @@ escape, singular Jacobian) is reported in the returned Branch, never
 raised; an escape of the first shooting integration or of the FD iterate
 is the one diverged record of reduction._diverged_branch (r = nan).
 
+Both solvers border their Newton system with the unknown lam = rho * r in
+place of r.  r drops out of the equation in the linear limit rho -> 0,
+while lam stays regular there, so neither solver has a separate path for
+rho = 0.  Shooting reports r as the envelope's integral (compute_r), as
+the fixed point does; FD reports lam / rho, and the integral only when
+|rho| <= RHO_ZERO_CUTOFF.
+
 Shooting is multiple shooting (Keller 1968; Ascher, Mattheij & Russell
 1995, ch. 4).  J is cut at grid nodes into SHOOT_SEGMENTS segments (fewer
 when that does not divide the grid intervals), and RK4 integrates all of
 them at once as numpy lanes.  Each lane also carries the variational
 equations of its six real directions (segment start U and U', the shared
-r), so the Newton Jacobian comes exactly from the same integration as the
-conditions: continuity at the inner boundaries, U(pi/2) = 0, and the
+lam), so the Newton Jacobian comes exactly from the same integration as
+the conditions: continuity at the inner boundaries, U(pi/2) = 0, and the
 normalization as the Simpson quadrature of the segment outputs at the
 grid nodes.  Short segments bound the growth that blows a single
 trajectory up at |rho| beyond about 9.  A trial can still escape in
@@ -23,11 +30,8 @@ finite x; an escape (|U| reaching ESCAPE_CAP * max(1, |eps|) in any lane)
 forces the line search to backtrack.
 
 The finite-difference solver assembles the centered-difference system with
-a bordered normalization row.  The extra unknown is lam = rho * r, which
-keeps the bordered matrix nonsingular in the linear limit rho -> 0 (there
-r itself drops out of the equation and is reported through the integral
-convention instead).  The system is solved by Newton's method in real
-variables, one sparse direct solve per pass, which continues to the
+a bordered normalization row for lam and solves it by Newton's method in
+real variables, one sparse direct solve per pass, which continues to the
 largest radii.  The bordered Jacobian has the same sparse pattern at every
 pass, so it is laid out once per grid and each pass only rewrites its
 values.
@@ -39,7 +43,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import spsolve
 
 from .errors import InvalidArgument, InvalidState
@@ -65,49 +68,46 @@ def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
 # --------------------------------------------------------------- shooting
 
 # the real directions the variational lanes 1..6 follow: Re and Im of the
-# segment's starting U, of its starting U', and of the shared r
+# segment's starting U, of its starting U', and of the shared lam
 _DIRECTION_U = np.array([1, 1j, 0, 0, 0, 0])
 _DIRECTION_V = np.array([0, 0, 1, 1j, 0, 0])
-_DIRECTION_R = np.array([0, 0, 0, 0, 1, 1j])
+_DIRECTION_LAM = np.array([0, 0, 0, 0, 1, 1j])
 
 
-def _rk4_lanes(rho, r, u0, v0, h, stride, m, cap, tangents=False):
-    """Fixed-step RK4 of U'' = -U - rho (r - |U|^2) U on numpy lanes.
+def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap):
+    """Fixed-step RK4 of U'' = -(1 + lam) U + rho |U|^2 U on numpy lanes.
 
     Lane k starts from U = u0[k], U' = v0[k] and takes ``stride`` steps of
-    length h across each of m output intervals.  With ``tangents`` every
-    lane also carries the variational equations of its six real directions
-    (the _DIRECTION_* rows), integrated by the same RK4 stages, so they are
-    the exact derivatives of the discrete trajectory.  Returns (U at the
-    m + 1 output points, U at the end, U' at the end), shaped (m + 1, L, K)
-    and (L, K) with L = 7 (trajectory, then the six tangents) or L = 1; or
-    None when a trajectory reaches |U| = ``cap`` (finite-x blowup of a
-    trial) or a tangent overflows.
+    length h across each of m output intervals.  Every lane also carries
+    the variational equations of its six real directions (the _DIRECTION_*
+    rows), integrated by the same RK4 stages, so they are the exact
+    derivatives of the discrete trajectory.  Returns (U at the m + 1 output
+    points, U at the end, U' at the end), shaped (m + 1, 7, K) and (7, K)
+    (the trajectory, then the six tangents); or None when a trajectory
+    reaches |U| = ``cap`` (finite-x blowup of a trial) or a tangent
+    overflows.
     """
     u0 = np.asarray(u0, dtype=complex)
-    lanes = 7 if tangents else 1
-    U = np.empty((lanes,) + u0.shape, dtype=complex)
+    U = np.empty((7,) + u0.shape, dtype=complex)
     V = np.empty_like(U)
     U[0], V[0] = u0, v0
-    if tangents:
-        U[1:] = _DIRECTION_U[:, None]
-        V[1:] = _DIRECTION_V[:, None]
-        rho_dr = (rho * _DIRECTION_R[4:])[:, None]
+    U[1:] = _DIRECTION_U[:, None]
+    V[1:] = _DIRECTION_V[:, None]
+    dlam = _DIRECTION_LAM[4:, None]
     out = np.empty((m + 1,) + U.shape, dtype=complex)
     out[0] = U
     hh = 0.5 * h
     h6 = h / 6.0
 
-    c0 = -1.0 - rho * r
+    c0 = -1.0 - lam
 
     def force(U):
         u = U[0]
         F = (c0 + rho * (u.real * u.real + u.imag * u.imag)) * U
-        if tangents:
-            # d(|U|^2) = 2 Re(conj(U) dU); r enters the r lanes as -rho dr U
-            dU = U[1:]
-            F[1:] += (2.0 * rho * u) * (u.real * dU.real + u.imag * dU.imag)
-            F[5:] -= rho_dr * u
+        # d(|U|^2) = 2 Re(conj(U) dU); lam enters the lam lanes as -dlam U
+        dU = U[1:]
+        F[1:] += (2.0 * rho * u) * (u.real * dU.real + u.imag * dU.imag)
+        F[5:] -= dlam * u
         return F
 
     # an escaping lane overflows: its inf and nan are caught below
@@ -143,20 +143,23 @@ def shoot_solve(
     J is cut at grid nodes into K segments (SHOOT_SEGMENTS, lowered to the
     largest divisor of n - 1 that is at most SHOOT_SEGMENTS), all
     integrated at once by _rk4_lanes with ceil(RK4_STEPS / (n - 1)) steps
-    per grid interval.  The 4K real unknowns are a = U'(-pi/2), r and
-    (U, U') at the start of segments 1..K-1; the 4K real conditions are
-    continuity of (U, U') at the K - 1 inner boundaries, U(pi/2) = 0 and
-    mean-normalization = eps (Simpson over the segment outputs at the grid
-    nodes).  Newton's method on them takes its Jacobian from the
-    variational lanes of the same integration and is damped by
+    per grid interval.  The 4K real unknowns are a = U'(-pi/2), the
+    bordered unknown lam = rho r and (U, U') at the start of segments
+    1..K-1; the 4K real conditions are continuity of (U, U') at the K - 1
+    inner boundaries, U(pi/2) = 0 and mean-normalization = eps (Simpson
+    over the segment outputs at the grid nodes).  lam keeps the Jacobian
+    regular at rho = 0, where r drops out of the equation, so every rho
+    takes the same Newton path.  Newton's method takes its Jacobian from
+    the variational lanes of the same integration and is damped by
     backtracking on the max-norm of the conditions.  Starts from the
-    linear profile a0 cos x (a0 default eps) and r0 (default from the
-    small-amplitude series); stops when the condition norm falls below
-    ``params.tol_fp * max(1, |eps|)``, after at most ``params.max_iter``
-    Newton steps.  A step that cannot be taken (the Jacobian is singular,
-    or ten halvings do not decrease the norm) ends the iteration at the
-    current iterate with converged False; an escape of the starting
-    iterate is the diverged record.
+    linear profile a0 cos x (a0 default eps) and lam = rho * r0 (r0
+    default from the small-amplitude series); stops when the condition
+    norm falls below ``params.tol_fp * max(1, |eps|)``, after at most
+    ``params.max_iter`` Newton steps.  A step that cannot be taken (the
+    Jacobian is singular, or ten halvings do not decrease the norm) ends
+    the iteration at the current iterate with converged False; an escape
+    of the starting iterate is the diverged record.  The reported r is the
+    envelope's integral (compute_r), as for the fixed point.
     """
     rho, eps = params.rho, params.eps
     if grid is None:
@@ -178,25 +181,18 @@ def shoot_solve(
     kk = np.arange(k_seg)
 
     # the real unknowns z: (Re, Im) of a, of (U, U') at the start of each of
-    # segments 1..K-1, then of r
-    def unknowns(u0, v0, r):
+    # segments 1..K-1, then of lam
+    def unknowns(u0, v0, lam):
         return np.concatenate([np.stack([u0, v0], axis=1).view(float).ravel()[2:],
-                               [r.real, r.imag]])
+                               [lam.real, lam.imag]])
 
     def states(z):
         s = np.concatenate([[0.0, 0.0], z[:-2]]).view(complex).reshape(k_seg, 2)
         return s[:, 0], s[:, 1], complex(z[-2], z[-1])
 
-    def linear_starts(a):
-        """Segment starts on the linear profile a cos x, U' = -a sin x."""
-        u0 = a * grid.cos[starts]
-        v0 = -a * grid.sin[starts]
-        u0[0], v0[0] = 0.0, a
-        return u0, v0
-
-    def evaluate(u0, v0, r, tangents=True):
+    def evaluate(u0, v0, lam):
         """(complex conditions, their max-norm, lanes) or None on escape."""
-        lanes = _rk4_lanes(rho, r, u0, v0, h, stride, m, cap, tangents)
+        lanes = _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap)
         if lanes is None:
             return None
         out, ue, ve = lanes
@@ -210,7 +206,7 @@ def shoot_solve(
     def jacobian(lanes):
         """Real Jacobian of the conditions in z from the tangent lanes."""
         out, ue, ve = lanes
-        # rows: conditions; columns: (segment, direction), then r; the
+        # rows: conditions; columns: (segment, direction), then lam; the
         # columns of U at -pi/2 and the two unused ones are dropped
         jac = np.zeros((2 * k_seg, k_seg + 1, 4), dtype=complex)
         jac[kk, kk] = ue[1:5].T
@@ -225,23 +221,14 @@ def shoot_solve(
         jac = jac.reshape(2 * k_seg, 4 * k_seg + 4)[:, 2:-2]
         return np.concatenate([jac.real, jac.imag])
 
-    def profile(lanes):
-        out = lanes[0][:, 0]
-        return np.append(out[:m].T.ravel(), out[m, -1]), lanes[2][0, -1]
-
-    if abs(rho) <= RHO_ZERO_CUTOFF:
-        # linear limit: U = eps cos x exactly; r drops out of the equation
-        # and is reported through the integral convention
-        ev = evaluate(*linear_starts(complex(eps)), 0.0, tangents=False)
-        if ev is None:
-            return _diverged_branch(params, grid, "shooting", 0)
-        u_vals, v_end = profile(ev[2])
-        return _shooting_branch(params, grid, u_vals, eps, v_end, None, 0, ev[1], True, ())
-
-    u0, v0 = linear_starts(complex(eps if a0 is None else a0))
-    r = complex(asymptotic_r(rho, eps, 1) if r0 is None else r0)
-    z = unknowns(u0, v0, r)
-    ev = evaluate(u0, v0, r)
+    # segment starts on the linear profile a cos x, U' = -a sin x
+    a = complex(eps if a0 is None else a0)
+    u0 = a * grid.cos[starts]
+    v0 = -a * grid.sin[starts]
+    u0[0], v0[0] = 0.0, a
+    lam = rho * complex(asymptotic_r(rho, eps, 1) if r0 is None else r0)
+    z = unknowns(u0, v0, lam)
+    ev = evaluate(u0, v0, lam)
     if ev is None:
         return _diverged_branch(params, grid, "shooting", 0)
     increments = []
@@ -275,24 +262,15 @@ def shoot_solve(
         if not accepted:
             break
 
-    # r is a Newton unknown here, not the integral functional of the profile
-    u_vals, v_end = profile(ev[2])
-    return _shooting_branch(params, grid, u_vals, complex(z[0], z[1]), v_end,
-                            complex(z[-2], z[-1]), iterations, ev[1], converged, increments)
-
-
-def _shooting_branch(params, grid, u_vals, v_left, v_end_slope, r, iterations, resid,
-                     converged, increments):
-    """Branch of a shooting trajectory.
-
-    Envelope by division away from the interval ends; at the ends the
-    l'Hopital limits v(-pi/2) = U'(-pi/2) and v(pi/2) = -U'(pi/2).
-    ``r`` None takes r from the envelope's integral (the linear limit)."""
-    v = np.empty(grid.n_nodes, dtype=complex)
+    # the envelope by division away from the interval ends; there the
+    # l'Hopital limits v(-pi/2) = U'(-pi/2) = a and v(pi/2) = -U'(pi/2)
+    out, _, ve = ev[2]
+    u_vals = np.append(out[:m, 0].T.ravel(), out[m, 0, -1])
+    v = np.empty(n, dtype=complex)
     v[1:-1] = u_vals[1:-1] / grid.cos[1:-1]
-    v[0] = v_left
-    v[-1] = -v_end_slope
-    return _branch(params, grid, "shooting", v, u_vals, r, iterations, resid, converged,
+    v[0] = complex(z[0], z[1])
+    v[-1] = -ve[0, -1]
+    return _branch(params, grid, "shooting", v, u_vals, None, iterations, ev[1], converged,
                    increments=tuple(increments))
 
 
@@ -496,9 +474,10 @@ def compare_branches(b1: Branch, b2: Branch) -> float:
     """Distance between two branches modulo the free phase.
 
     Resamples b2 onto b1's grid (trigonometric interpolation of the
-    periodic extension) when grids differ, aligns the unit phase factor
-    that minimizes the sup difference of the profiles, and returns
-    max(sup |U1 - U2|, |r1 - r2|)."""
+    periodic extension) when grids differ, aligns b2 by the closed-form
+    phase theta = arg(vdot(u2, u1)), which minimizes the sum over the
+    nodes of |U1 - e^{i theta} U2|^2, and returns the sup distance at that
+    phase, max(sup |U1 - e^{i theta} U2|, |r1 - r2|)."""
     if not (b1.converged and b2.converged):
         raise InvalidState("compare_branches requires converged branches")
     u1 = b1.U.values
@@ -507,17 +486,6 @@ def compare_branches(b1: Branch, b2: Branch) -> float:
     else:
         open2 = np.concatenate([b2.U.values[:-1], -b2.U.values[:-1]])
         u2 = resample_periodic(open2, -np.pi / 2, 2 * np.pi, b1.grid.nodes)
-    inner = complex(np.vdot(u2, u1))  # conj(u2) . u1
-    theta0 = np.angle(inner) if inner != 0 else 0.0
-
-    def sup_at(theta):
-        return float(np.max(np.abs(u1 - np.exp(1j * theta) * u2)))
-
-    res = minimize_scalar(
-        sup_at,
-        bounds=(theta0 - 0.5, theta0 + 0.5),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    best = min(sup_at(theta0), float(res.fun))
-    return max(best, float(abs(b1.r - b2.r)))
+    theta = np.angle(np.vdot(u2, u1))  # conj(u2) . u1
+    sup = float(np.max(np.abs(u1 - np.exp(1j * theta) * u2)))
+    return max(sup, float(abs(b1.r - b2.r)))

@@ -7,7 +7,6 @@ from cglvortex import (
     GridFunction,
     InvalidArgument,
     InvalidState,
-    asymptotic_r,
     compare_branches,
     fd_solve,
     fixed_point_solve,
@@ -103,6 +102,7 @@ class TestShooting:
         errs = []
         for stride in (64, 128):
             h = np.pi / (stride * 4)
+            # rho = 0 and lam = rho r = 0
             out, u_end, v_end = _rk4_lanes(0.0, 0.0, [0.0], [1.0], h, stride, 4,
                                            direct.ESCAPE_CAP)
             errs.append(abs(u_end[0, 0]))  # exact terminal value is 0 for U = cos
@@ -118,7 +118,7 @@ class TestShooting:
         r = np.complex128(0.6 - 0.1j)
         slopes = np.array([0.9 + 0.2j, 0.3 - 0.7j, -1.1 + 0.05j])
         h = np.pi / (stride * (n_nodes - 1))
-        got = _rk4_lanes(rho, r, np.zeros(3), slopes, h, stride, n_nodes - 1,
+        got = _rk4_lanes(rho, rho * r, np.zeros(3), slopes, h, stride, n_nodes - 1,
                          direct.ESCAPE_CAP)
         for lane, a in enumerate(slopes):
             ref = _reference_rk4(rho, r, np.complex128(a), stride * (n_nodes - 1), n_nodes)
@@ -131,24 +131,24 @@ class TestShooting:
         a, r = np.complex128(20.0), np.complex128(0.0)
         assert _reference_rk4(9.0, r, a, 2048, 257) is None
         h = np.pi / 2048
-        assert _rk4_lanes(9.0, r, [0.0], [a], h, 8, 256, direct.ESCAPE_CAP) is None
-        # one escaping lane fails the whole trial, tangents on or off
-        for tangents in (False, True):
-            assert _rk4_lanes(9.0, r, [0.0, 0.0], [1.0, a], h, 8, 256, direct.ESCAPE_CAP,
-                              tangents) is None
+        assert _rk4_lanes(9.0, 9.0 * r, [0.0], [a], h, 8, 256, direct.ESCAPE_CAP) is None
+        # one escaping lane fails the whole trial
+        assert _rk4_lanes(9.0, 9.0 * r, [0.0, 0.0], [1.0, a], h, 8, 256,
+                          direct.ESCAPE_CAP) is None
 
     def test_tangent_lanes_are_trajectory_derivatives(self):
         # the variational lanes against central differences of the trajectory
         rho, r = 2.0 + 0.5j, 0.6 - 0.1j
+        lam = rho * r
         u0, v0 = np.array([0.3 + 0.1j, -0.2j]), np.array([0.9 + 0.2j, 0.4 - 0.3j])
         h, stride, m = np.pi / 2048, 8, 8
-        out, ue, ve = _rk4_lanes(rho, r, u0, v0, h, stride, m, direct.ESCAPE_CAP, True)
+        out, ue, ve = _rk4_lanes(rho, lam, u0, v0, h, stride, m, direct.ESCAPE_CAP)
         step = 1e-6
         for d in range(6):
             shifted = []
             for sign in (1, -1):
                 t = sign * step
-                lanes = _rk4_lanes(rho, r + t * direct._DIRECTION_R[d],
+                lanes = _rk4_lanes(rho, lam + t * direct._DIRECTION_LAM[d],
                                    u0 + t * direct._DIRECTION_U[d],
                                    v0 + t * direct._DIRECTION_V[d],
                                    h, stride, m, direct.ESCAPE_CAP)
@@ -197,8 +197,18 @@ class TestShooting:
         rho, eps = 2.0 + 0.5j, 1.0
         b = shoot_solve(CoreParams(rho=rho, eps=eps, **SHOOT), grid=grid257)
         assert not b.converged and not b.diverged
-        assert b.iterations == 0
-        assert b.r == asymptotic_r(rho, eps, 1)
+        assert b.iterations == 0 and len(b.increments) == 1
+        # the unknown a = U'(-pi/2) = v(-pi/2) is still at its start
+        assert b.v.values[0] == eps
+
+    @pytest.mark.parametrize("rho", [1e-10, 1e-6])
+    def test_r_exact_at_small_rho(self, grid257, rho):
+        # lam = rho r is the Newton unknown and r the envelope's integral,
+        # so r carries no Newton error divided by |rho|
+        sh = shoot_solve(CoreParams(rho=rho, eps=1.0), grid=grid257)
+        fp = fixed_point_solve(CoreParams(rho=rho, eps=1.0), grid=grid257)
+        assert sh.converged and fp.converged
+        assert abs(sh.r - fp.r) <= 1e-12
 
 
 def _lagged_fd_step(branch):
@@ -358,11 +368,21 @@ class TestCompareBranches:
         b = fixed_point_solve(CoreParams(rho=1.0, eps=0.5), grid=grid257)
         assert compare_branches(b, b) == 0
 
-    def test_phase_rotation_aligned(self, grid257):
+    @pytest.mark.parametrize("angle", [0.7, 3.0, -2.5])
+    def test_phase_rotation_aligned(self, grid257, angle):
         rho = 1.2 + 0.3j
         b1 = fixed_point_solve(CoreParams(rho=rho, eps=0.5), grid=grid257)
-        b2 = fixed_point_solve(CoreParams(rho=rho, eps=0.5 * np.exp(0.7j)), grid=grid257)
+        b2 = fixed_point_solve(CoreParams(rho=rho, eps=0.5 * np.exp(1j * angle)),
+                               grid=grid257)
         assert compare_branches(b1, b2) < 1e-11
+
+    def test_symmetric_on_one_grid(self, grid257):
+        params = CoreParams(rho=2.0 + 0.5j, eps=1.0, **FD)
+        fp = fixed_point_solve(params, grid=grid257)
+        fd = fd_solve(params, grid=grid257)
+        d = compare_branches(fp, fd)
+        assert d > 0
+        assert abs(d - compare_branches(fd, fp)) <= 1e-15
 
     def test_cross_grid_resampling(self):
         rho, eps = 0.9 + 0.2j, 0.6

@@ -1,5 +1,8 @@
 """Every exported name has a caller inside the package or a stated reason."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cglvortex
@@ -52,3 +55,16 @@ def test_every_export_has_a_caller_or_a_reason():
 
 def test_reasons_name_exports():
     assert set(REASONS) <= set(cglvortex.__all__)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize costs about 0.35 s and 17 MiB to import; the package
+    # does not need it
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cglvortex; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -10,40 +10,32 @@ raised; an escape of the first shooting integration or of the FD iterate
 is the one diverged record of reduction._diverged_branch (r = nan).
 
 Both solvers border their Newton system with the unknown lam = rho * r in
-place of r.  r drops out of the equation in the linear limit rho -> 0,
-while lam stays regular there, so neither solver has a separate path for
-rho = 0.  Shooting reports r as the envelope's integral (compute_r), as
-the fixed point does; FD reports lam / rho, and the integral only when
-|rho| <= RHO_ZERO_CUTOFF.
+place of r, which stays regular in the linear limit rho -> 0, so neither
+has a separate path for rho = 0.  Shooting reports r as the envelope's
+integral (compute_r), as the fixed point does; FD reports lam / rho, and
+the integral only when |rho| <= RHO_ZERO_CUTOFF.  Both order their real
+unknowns and conditions along J, so every Newton step is one call of
+spsolve: a banded core bordered by the two lam columns and the two
+normalization rows, solved by block elimination on a banded LU (LAPACK
+gbtrf/gbtrs; scipy is imported at the first call).
 
 Shooting is multiple shooting (Keller 1968; Ascher, Mattheij & Russell
 1995, ch. 4).  J is cut at grid nodes into SHOOT_SEGMENTS segments (fewer
 when that does not divide the grid intervals), and RK4 integrates all of
-them at once as numpy lanes.  Each lane also carries the variational
-equations of its six real directions (segment start U and U', the shared
-lam), so the Newton Jacobian comes exactly from the same integration as
-the conditions: continuity at the inner boundaries, U(pi/2) = 0, and the
-normalization as the Simpson quadrature of the segment outputs at the
-grid nodes.  Short segments bound the growth that blows a single
-trajectory up at |rho| beyond about 9.  A trial can still escape in
-finite x; an escape (|U| reaching ESCAPE_CAP * max(1, |eps|) in any lane)
-forces the line search to backtrack.
-
-The finite-difference solver assembles the centered-difference system with
-a bordered normalization row for lam and solves it by Newton's method in
-real variables, one sparse direct solve per pass, which continues to the
-largest radii.  The bordered Jacobian has the same sparse pattern at every
-pass, so it is laid out once per grid and each pass only rewrites its
-values.
+them at once as numpy lanes that also carry the variational equations, so
+the Newton Jacobian comes exactly from the same integration as the
+conditions.  Short segments bound the growth that blows a single
+trajectory up at |rho| beyond about 9; an escape of a trial (|U| reaching
+ESCAPE_CAP * max(1, |eps|) in any lane) forces the line search to
+backtrack.  The finite-difference solver takes Newton steps on the
+centered-difference system in real variables and continues to the
+largest radii.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .errors import InvalidArgument, InvalidState
 from .quadrature import Grid, GridFunction, make_grid
@@ -57,12 +49,62 @@ RHO_ZERO_CUTOFF = 1e-13
 # RK4 steps across J, rounded up to a multiple of the grid intervals
 RK4_STEPS = 2048
 # multiple-shooting segments, lowered to a divisor of the grid intervals
-SHOOT_SEGMENTS = 32
+SHOOT_SEGMENTS = 128
 
 
 def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
     """Pointwise forcing f(x) = rho (r - |v|^2 cos^2 x) v(x) cos x."""
     return GridFunction(v.grid, _ode_forcing(v.values * v.grid.cos, rho, r))
+
+
+# ------------------------------------------------------- bordered Newton solve
+
+@lru_cache(maxsize=1)
+def _gb_lapack():
+    """LAPACK's banded LU factorization and solve (dgbtrf, dgbtrs).  scipy
+    is imported here, at the first Newton step, so that importing the
+    package does not load it."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("gbtrf", "gbtrs"), (np.empty(0),))
+
+
+def spsolve(ab, kl, ku, cols, rows, corner, rhs):
+    """Solve the bordered system [[A, cols], [rows, corner]] x = rhs.
+
+    A is the n x n core with kl sub- and ku superdiagonals in LAPACK band
+    storage ab[ku + i - j, j] = A[i, j]; cols is n x 2, rows 2 x n.  Block
+    elimination (Keller 1968) on one banded LU of A, in the mixed form of
+    Govaerts & Pryce (1993): the last two unknowns are estimated through
+    the left solve V = A^-T rows^T, then corrected through one solve of A
+    for the remaining rhs and both columns.  The phase symmetry makes A
+    nearly singular at every solution, which V shows as one dominant
+    direction; rotating the rows so that the first is blind to it keeps
+    the solve as accurate as a dense one.  A singular core or Schur
+    complement gives a solution of nan, never an exception.
+    """
+    gbtrf, gbtrs = _gb_lapack()
+    n = ab.shape[1]
+    lu = np.zeros((2 * kl + ku + 1, n), order="F")
+    lu[kl:] = ab
+    lu, piv, info = gbtrf(lu, kl, ku, overwrite_ab=1)
+    if info != 0:
+        return np.full(n + 2, np.nan)
+    f = rhs[:n]
+    v = gbtrs(lu, kl, ku, rows.T, piv, trans=1)[0]
+    try:
+        with np.errstate(all="ignore"):
+            # q's rows: the minor, then the dominant direction of v
+            q = np.linalg.eigh(v.T @ v)[1].T
+            rows, corner, g = q @ rows, q @ corner, q @ rhs[n:]
+            v = np.column_stack([gbtrs(lu, kl, ku, rows[0], piv, trans=1)[0], v @ q[1]])
+            t1 = np.linalg.solve(corner - v.T @ cols, g - f @ v)
+            sol = gbtrs(lu, kl, ku, np.column_stack([f - cols @ t1, cols]), piv)[0]
+            x, w = sol[:, 0], sol[:, 1:]
+            t2 = np.linalg.solve(corner - rows @ w, g - rows @ x - corner @ t1)
+            return np.concatenate([x - w @ t2, t1 + t2])
+    except np.linalg.LinAlgError:
+        return np.full(n + 2, np.nan)
 
 
 # --------------------------------------------------------------- shooting
@@ -132,102 +174,138 @@ def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap):
     return None if escaped else (out, U, V)
 
 
+def _segments(grid: Grid):
+    """(RK4 steps per grid interval, RK4 step, normalization weights) of
+    multiple shooting on grid.  The K segments, K the largest divisor of
+    n - 1 up to SHOOT_SEGMENTS, span m grid intervals each; the weights,
+    (m + 1, K), give each segment its starting node, the last one also
+    the node at pi/2."""
+    n = grid.n_nodes
+    stride = -(-RK4_STEPS // (n - 1))  # ceil
+    k_seg = max(k for k in range(1, SHOOT_SEGMENTS + 1) if (n - 1) % k == 0)
+    m = (n - 1) // k_seg
+    wn = grid.weights * grid.cos / float(np.dot(grid.weights, grid.cos2))
+    wseg = np.zeros((m + 1, k_seg))
+    wseg[:m] = wn[:-1].reshape(k_seg, m).T
+    wseg[m, -1] = wn[-1]
+    return stride, np.pi / (stride * (n - 1)), wseg
+
+
+def _slopes(u: np.ndarray, h: float) -> np.ndarray:
+    """U' at the nodes of a uniform grid from the samples u, to fourth
+    order: five-point differences, one-sided at the two nodes by each end."""
+    d = np.empty_like(u)
+    d[2:-2] = u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]
+    d[0] = -25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2] + 16.0 * u[3] - 3.0 * u[4]
+    d[1] = -3.0 * u[0] - 10.0 * u[1] + 18.0 * u[2] - 6.0 * u[3] + u[4]
+    d[-2] = 3.0 * u[-1] + 10.0 * u[-2] - 18.0 * u[-3] + 6.0 * u[-4] - u[-5]
+    d[-1] = 25.0 * u[-1] - 48.0 * u[-2] + 36.0 * u[-3] - 16.0 * u[-4] + 3.0 * u[-5]
+    return d / (12.0 * h)
+
+
+def _shoot_conditions(lanes, u0, v0, wseg, eps):
+    """The complex shooting conditions ordered by segment: the mismatch of
+    U and of U' at its end with the next segment's start (U(pi/2) alone
+    for the last segment), then the normalization."""
+    out, ue, ve = lanes
+    c = np.stack([ue[0], ve[0]], axis=1)
+    c[:-1] -= np.stack([u0[1:], v0[1:]], axis=1)
+    c = c.ravel()
+    # the slot of the last segment's free end slope holds the normalization
+    c[-1] = np.sum(wseg * out[:, 0]) - eps
+    return c
+
+
+def _shoot_newton_system(lanes, wseg):
+    """The Newton system of _shoot_conditions from the tangent lanes, as
+    spsolve takes it.  Condition (segment k, p) is row 4k + p and start
+    direction (k, d) column 4k + d - 2, p and d over Re U, Im U, Re U',
+    Im U' (segment 0 starts at U = 0; the last ends with U only).  A
+    segment's end depends on its own start and the next start enters with
+    -1: 5 sub- and 2 superdiagonals.  lam borders the columns, the
+    normalization the rows."""
+    out, ue, ve = lanes
+    k_seg = wseg.shape[1]
+    size = 4 * k_seg - 2
+    # tan[d, p, k]: (Re U, Im U, Re U', Im U') of segment k's end along direction d
+    tan = np.stack([ue[1:], ve[1:]], axis=1)
+    tan = np.stack([tan.real, tan.imag], axis=2).reshape(6, 4, k_seg)
+    k, p, d = np.meshgrid(np.arange(k_seg), np.arange(4), np.arange(4), indexing="ij")
+    row, col = 4 * k + p, 4 * k + d - 2
+    inside = (col >= 0) & (row < size)
+    ab = np.zeros((8, size))
+    ab[(2 + row - col)[inside], col[inside]] = tan[:4].transpose(2, 1, 0)[inside]
+    ab[0, 2:] = -1.0
+    cols = tan[4:].transpose(2, 1, 0).reshape(4 * k_seg, 2)[:size]
+    dnorm = np.einsum("jk,jdk->dk", wseg, out[:, 1:])
+    rows = dnorm[:4].T.ravel()[2:]
+    dlam = dnorm[4:].sum(axis=1)
+    return (ab, 5, 2, cols, np.stack([rows.real, rows.imag]),
+            np.stack([dlam.real, dlam.imag]))
+
+
 def shoot_solve(
     params: CoreParams,
     grid: Grid | None = None,
-    a0: complex | None = None,
+    seed: GridFunction | None = None,
     r0: complex | None = None,
 ) -> Branch:
     """Multiple-shooting solution of the full nonlinear problem.
 
-    J is cut at grid nodes into K segments (SHOOT_SEGMENTS, lowered to the
-    largest divisor of n - 1 that is at most SHOOT_SEGMENTS), all
-    integrated at once by _rk4_lanes with ceil(RK4_STEPS / (n - 1)) steps
-    per grid interval.  The 4K real unknowns are a = U'(-pi/2), the
-    bordered unknown lam = rho r and (U, U') at the start of segments
-    1..K-1; the 4K real conditions are continuity of (U, U') at the K - 1
-    inner boundaries, U(pi/2) = 0 and mean-normalization = eps (Simpson
-    over the segment outputs at the grid nodes).  lam keeps the Jacobian
-    regular at rho = 0, where r drops out of the equation, so every rho
-    takes the same Newton path.  Newton's method takes its Jacobian from
-    the variational lanes of the same integration and is damped by
-    backtracking on the max-norm of the conditions.  Starts from the
-    linear profile a0 cos x (a0 default eps) and lam = rho * r0 (r0
-    default from the small-amplitude series); stops when the condition
-    norm falls below ``params.tol_fp * max(1, |eps|)``, after at most
-    ``params.max_iter`` Newton steps.  A step that cannot be taken (the
-    Jacobian is singular, or ten halvings do not decrease the norm) ends
-    the iteration at the current iterate with converged False; an escape
-    of the starting iterate is the diverged record.  The reported r is the
-    envelope's integral (compute_r), as for the fixed point.
+    The 4K real unknowns of the K segments (_segments) are a = U'(-pi/2),
+    (U, U') at the start of segments 1..K-1 and lam = rho r; the conditions
+    are continuity of (U, U') at the inner boundaries, U(pi/2) = 0 and the
+    normalization (_shoot_conditions).  Damped Newton: each step solves
+    _shoot_newton_system with spsolve and backtracks on the condition norm
+    (the sum of the jumps, or the normalization mismatch if larger).  The
+    segment starts come from ``seed`` (U from its samples, U' from
+    fourth-order differences; default the linear profile eps cos x), lam
+    from rho * r0 (default r0 from the small-amplitude series).  Stops when
+    the norm falls below ``params.tol_fp * max(1, |eps|)``, after at most
+    ``params.max_iter`` steps.  A step that cannot be taken (a singular
+    Newton system, or ten halvings without decrease) ends the iteration at
+    the current iterate with converged False; an escape of the starting
+    iterate is the diverged record.  r is the envelope's integral.
     """
     rho, eps = params.rho, params.eps
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
     n = grid.n_nodes
-    stride = -(-RK4_STEPS // (n - 1))  # ceil
-    h = np.pi / (stride * (n - 1))
-    k_seg = max(k for k in range(1, SHOOT_SEGMENTS + 1) if (n - 1) % k == 0)
-    m = (n - 1) // k_seg
+    stride, h, wseg = _segments(grid)
+    m, k_seg = wseg.shape[0] - 1, wseg.shape[1]
     starts = np.arange(k_seg) * m
-    # normalization weights of the segment outputs: each segment owns its
-    # starting node, the last one also the node at pi/2
-    wn = grid.weights * grid.cos / float(np.dot(grid.weights, grid.cos2))
-    wseg = np.zeros((m + 1, k_seg))
-    wseg[:m] = wn[:-1].reshape(k_seg, m).T
-    wseg[m, -1] = wn[-1]
     tol = params.tol_fp * max(1.0, abs(eps))
     cap = ESCAPE_CAP * max(1.0, abs(eps))
-    kk = np.arange(k_seg)
-
-    # the real unknowns z: (Re, Im) of a, of (U, U') at the start of each of
-    # segments 1..K-1, then of lam
-    def unknowns(u0, v0, lam):
-        return np.concatenate([np.stack([u0, v0], axis=1).view(float).ravel()[2:],
-                               [lam.real, lam.imag]])
 
     def states(z):
+        """(U, U') at the segment starts and lam from the real unknowns z:
+        (Re, Im) of a, of (U, U') at the start of segments 1..K-1, of lam."""
         s = np.concatenate([[0.0, 0.0], z[:-2]]).view(complex).reshape(k_seg, 2)
         return s[:, 0], s[:, 1], complex(z[-2], z[-1])
 
     def evaluate(u0, v0, lam):
-        """(complex conditions, their max-norm, lanes) or None on escape."""
+        """(complex conditions, their norm, lanes) or None on escape."""
         lanes = _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap)
         if lanes is None:
             return None
-        out, ue, ve = lanes
-        c = np.empty(2 * k_seg, dtype=complex)
-        c[:k_seg] = ue[0]
-        c[:k_seg - 1] -= u0[1:]
-        c[k_seg:-1] = ve[0, :-1] - v0[1:]
-        c[-1] = np.sum(wseg * out[:, 0]) - eps
-        return c, float(np.max(np.abs(c))), lanes
+        c = _shoot_conditions(lanes, u0, v0, wseg, eps)
+        # the jumps add up along J: their sum, not the largest, measures the
+        # profile's error whatever the segment count
+        return c, float(max(np.sum(np.abs(c[:-1])), abs(c[-1]))), lanes
 
-    def jacobian(lanes):
-        """Real Jacobian of the conditions in z from the tangent lanes."""
-        out, ue, ve = lanes
-        # rows: conditions; columns: (segment, direction), then lam; the
-        # columns of U at -pi/2 and the two unused ones are dropped
-        jac = np.zeros((2 * k_seg, k_seg + 1, 4), dtype=complex)
-        jac[kk, kk] = ue[1:5].T
-        jac[:k_seg, k_seg, :2] = ue[5:].T
-        jac[k_seg + kk[:-1], kk[:-1]] = ve[1:5, :-1].T
-        jac[k_seg:-1, k_seg, :2] = ve[5:, :-1].T
-        jac[kk[:-1], kk[1:], :2] = (-1, -1j)
-        jac[k_seg + kk[:-1], kk[1:], 2:] = (-1, -1j)
-        dnorm = np.einsum("jk,jdk->dk", wseg, out[:, 1:])
-        jac[-1, :k_seg] = dnorm[:4].T
-        jac[-1, k_seg, :2] = dnorm[4:].sum(axis=1)
-        jac = jac.reshape(2 * k_seg, 4 * k_seg + 4)[:, 2:-2]
-        return np.concatenate([jac.real, jac.imag])
-
-    # segment starts on the linear profile a cos x, U' = -a sin x
-    a = complex(eps if a0 is None else a0)
-    u0 = a * grid.cos[starts]
-    v0 = -a * grid.sin[starts]
-    u0[0], v0[0] = 0.0, a
+    if seed is None:
+        a = complex(eps)
+        u0 = a * grid.cos[starts]
+        v0 = -a * grid.sin[starts]
+    else:
+        if seed.grid != grid:
+            raise InvalidArgument("seed must live on the solver grid")
+        values = np.asarray(seed.values, dtype=complex)
+        u0 = values[starts]
+        v0 = _slopes(values, grid.spacing)[starts]
+    u0[0] = 0.0
     lam = rho * complex(asymptotic_r(rho, eps, 1) if r0 is None else r0)
-    z = unknowns(u0, v0, lam)
+    z = np.append(np.stack([u0, v0], axis=1).view(float).ravel()[2:], [lam.real, lam.imag])
     ev = evaluate(u0, v0, lam)
     if ev is None:
         return _diverged_branch(params, grid, "shooting", 0)
@@ -240,12 +318,9 @@ def shoot_solve(
         if gnorm < tol:
             converged = True
             break
-        try:
-            delta = np.linalg.solve(jacobian(lanes), -np.concatenate([c.real, c.imag]))
-        except np.linalg.LinAlgError:
-            delta = None  # singular Jacobian
-        if delta is None or not np.all(np.isfinite(delta)):
-            break
+        delta = spsolve(*_shoot_newton_system(lanes, wseg), -c.view(float))
+        if not np.all(np.isfinite(delta)):
+            break  # singular Newton system
         # backtrack until the condition norm decreases (escapes count as
         # unbounded norm)
         t = 1.0
@@ -276,102 +351,26 @@ def shoot_solve(
 
 # ------------------------------------------------------ finite differences
 
-@dataclass(frozen=True)
-class _FdSystem:
-    """Per-grid pieces of the bordered finite-difference system.
-
-    The real unknowns are ordered (Re u, Im u, Re lam, Im lam) over the ni
-    interior nodes.  The Jacobian has a fixed CSC pattern (indices, indptr);
-    ``data`` holds its constant entries (off-diagonals of -D2 - I and the two
-    normalization rows) and zeros in the slots a Newton pass refills:
-    ``diag[k]`` are the diagonals of the blocks (re,re), (re,im), (im,re),
-    (im,im) and ``lam[k]`` the halves (re rows, im rows) of the Re lam
-    column and then of the Im lam column.  All arrays are read-only.
-    """
-
-    base: sp.csr_matrix  # -D2 - I on the interior nodes
-    base_diag: float
-    row: np.ndarray  # normalization row on the interior nodes
-    indices: np.ndarray
-    indptr: np.ndarray
-    data: np.ndarray
-    diag: np.ndarray  # (4, ni) slots into data
-    lam: np.ndarray  # (4, ni)
-
-    def jacobian(self) -> sp.csc_matrix:
-        """A bordered Jacobian with the constant entries set; refill it with
-        ``_refill_jacobian`` before every solve."""
-        n2 = len(self.indptr) - 1
-        return sp.csc_matrix(
-            (self.data.copy(), self.indices, self.indptr), shape=(n2, n2)
-        )
-
-
-@lru_cache(maxsize=32)
-def _fd_system(n_nodes: int) -> _FdSystem:
-    h = np.pi / (n_nodes - 1)
-    ni = n_nodes - 2
-    off = -1.0 / h**2
-    base_diag = 2.0 / h**2 - 1.0
-    base = sp.diags(
-        [np.full(ni - 1, off), np.full(ni, base_diag), np.full(ni - 1, off)],
-        [-1, 0, 1],
-        format="csr",
-    )
-    grid = make_grid(n_nodes)
-    sw = grid.weights
-    row = sw[1:-1] * grid.cos[1:-1] / float(np.dot(sw, grid.cos2))
-
-    i = np.arange(ni)
-    re, im, lre, lim = i, ni + i, np.full(ni, 2 * ni), np.full(ni, 2 * ni + 1)
-    # (rows, cols, constant value) of each group of entries; the first eight
-    # groups are the slots a Newton pass refills
-    groups = [
-        (re, re, 0.0), (re, im, 0.0), (im, re, 0.0), (im, im, 0.0),  # diag
-        (re, lre, 0.0), (im, lre, 0.0), (re, lim, 0.0), (im, lim, 0.0),  # lam
-        (lre, re, row), (lim, im, row),  # norm
-        (re[1:], re[:-1], off), (re[:-1], re[1:], off),  # off-diagonals
-        (im[1:], im[:-1], off), (im[:-1], im[1:], off),
-    ]
-    rows = np.concatenate([g[0] for g in groups])
-    cols = np.concatenate([g[1] for g in groups])
-    vals = np.concatenate([np.broadcast_to(g[2], g[0].shape) for g in groups])
-    n2 = 2 * ni + 2
-    # mark each entry with its 1-based position to read off where the CSC
-    # conversion puts it
-    marks = sp.coo_matrix(
-        (np.arange(1, len(rows) + 1, dtype=float), (rows, cols)), shape=(n2, n2)
-    ).tocsc()
-    slot = np.empty(len(rows), dtype=np.intp)
-    slot[marks.data.astype(np.intp) - 1] = np.arange(len(rows))
-    data = np.zeros(len(rows))
-    data[slot] = vals
-    slots = slot[: 8 * ni].reshape(8, ni)
-    for a in (base.data, base.indices, base.indptr, row, marks.indices,
-              marks.indptr, data, slots):
-        a.setflags(write=False)
-    return _FdSystem(
-        base=base, base_diag=base_diag, row=row,
-        indices=marks.indices, indptr=marks.indptr, data=data,
-        diag=slots[:4], lam=slots[4:],
-    )
-
-
-def _refill_jacobian(jac: sp.csc_matrix, system: _FdSystem, ui, lam, rho) -> None:
-    """Write the Newton Jacobian at (ui, lam) into jac.data in place.
-
-    Real block form of d(|U|^2 U) = 2|U|^2 dU + U^2 conj(dU)."""
+def _fd_newton_system(ui, lam, rho, h, row):
+    """The Newton system of the FD residual at (ui, lam), as spsolve takes
+    it.  Re u and Im u interleave per node, so -D2 - I and the 2 x 2 blocks
+    of d(|U|^2 U) = 2|U|^2 dU + U^2 conj(dU) make a (2, 2)-banded core; the
+    columns are d/d(Re lam) = -u and d/d(Im lam) = -i u, the rows the
+    normalization of Re u and of Im u."""
+    ni = len(ui)
     arr = 2.0 * rho * (ui * ui.conjugate()).real - lam
     usq = rho * ui * ui
-    d = jac.data
-    d[system.diag[0]] = system.base_diag + (arr.real + usq.real)
-    d[system.diag[1]] = -arr.imag + usq.imag
-    d[system.diag[2]] = arr.imag + usq.imag
-    d[system.diag[3]] = system.base_diag + (arr.real - usq.real)
-    d[system.lam[0]] = -ui.real
-    d[system.lam[1]] = -ui.imag
-    d[system.lam[2]] = ui.imag
-    d[system.lam[3]] = -ui.real
+    diag = 2.0 / h**2 - 1.0
+    ab = np.zeros((5, 2 * ni))
+    ab[0, 2:] = ab[4, :-2] = -1.0 / h**2
+    ab[1, 1::2] = -arr.imag + usq.imag
+    ab[2, 0::2] = diag + (arr.real + usq.real)
+    ab[2, 1::2] = diag + (arr.real - usq.real)
+    ab[3, 0::2] = arr.imag + usq.imag
+    cols = np.stack([(-ui).view(float), (-1j * ui).view(float)], axis=1)
+    rows = np.zeros((2, 2 * ni))
+    rows[0, 0::2] = rows[1, 1::2] = row
+    return ab, 2, 2, cols, rows, np.zeros((2, 2))
 
 
 def _fd_branch(params, grid, u_vals, lam, iterations, resid, converged, increments):
@@ -394,19 +393,18 @@ def fd_solve(
 ) -> Branch:
     """Finite-difference solution with a bordered normalization row.
 
-    Newton iteration on the bordered system in real variables, one sparse
-    direct solve per pass, each step damped by halving until the
-    h^2-scaled residual decreases (the sixth trial, 1/32 of the step, is
-    taken regardless).  Starts from ``seed`` (default eps cos x) and
-    lam = rho * r0 (default r0 from the small-amplitude series); stops when
-    the step taken falls below ``params.tol_fp * max(1, |eps|)``, after at
-    most ``params.max_iter`` passes.  A singular bordered matrix ends the
-    iteration at the current iterate with converged False.
+    Newton iteration on the bordered system in real variables, one spsolve
+    per pass, each step damped by halving until the h^2-scaled residual
+    decreases (the sixth trial, 1/32 of the step, is taken regardless).
+    Starts from ``seed`` (default eps cos x) and lam = rho * r0 (default r0
+    from the small-amplitude series); stops when the step taken falls below
+    ``params.tol_fp * max(1, |eps|)``, after at most ``params.max_iter``
+    passes.  A singular Newton system ends the iteration at the current
+    iterate with converged False.
     """
     rho, eps = params.rho, params.eps
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
-    n = grid.n_nodes
     if seed is None:
         u = eps * grid.cos.astype(complex)
     else:
@@ -418,17 +416,18 @@ def fd_solve(
     lam = rho * complex(r0)
 
     h = grid.spacing
-    ni = n - 2
-    system = _fd_system(n)
-    base, row = system.base, system.row
-    jac = system.jacobian()
+    row = grid.weights[1:-1] * grid.cos[1:-1] / float(np.dot(grid.weights, grid.cos2))
+    diag, off = 2.0 / h**2 - 1.0, -1.0 / h**2
     increments = []
     converged = False
     iterations = 0
     scale = max(1.0, abs(eps))
 
     def residual(ui, lam):
-        g = base @ ui - lam * ui + rho * (ui * ui.conjugate()).real * ui
+        lap = diag * ui  # (-D2 - I) ui
+        lap[1:] += off * ui[:-1]
+        lap[:-1] += off * ui[1:]
+        g = lap - lam * ui + rho * (ui * ui.conjugate()).real * ui
         gn = complex(np.dot(row, ui) - eps)
         # h^2 scaling keeps the interior residual comparable to the state
         return g, gn, max(float(np.max(np.abs(g))) * h * h, abs(gn))
@@ -440,13 +439,12 @@ def fd_solve(
             return _diverged_branch(params, grid, "finite_difference", iterations,
                                     increments=tuple(increments))
         g, gn, res0 = residual(ui, lam)
-        _refill_jacobian(jac, system, ui, lam, rho)
-        rhs = np.concatenate([-g.real, -g.imag, [-gn.real, -gn.imag]])
-        sol = spsolve(jac, rhs)
+        rhs = -np.append(g.view(float), [gn.real, gn.imag])
+        sol = spsolve(*_fd_newton_system(ui, lam, rho, h, row), rhs)
         if not np.all(np.isfinite(sol)):
-            break  # singular bordered matrix
-        du = sol[:ni] + 1j * sol[ni:2 * ni]
-        dlam = sol[2 * ni] + 1j * sol[2 * ni + 1]
+            break  # singular Newton system
+        du = sol[:-2].view(complex)
+        dlam = complex(sol[-2], sol[-1])
         for halvings in range(6):
             step = 0.5 ** halvings
             u_try = ui + step * du

@@ -198,22 +198,21 @@ def solve(
 
     Every method gets the same CoreParams (``tol`` as tol_fp, ``max_iter``).
     ``prev``, a converged branch on the same grid, warm-starts the solve:
-    its correction w (fixed point), its left slope and r (shooting) or its
-    profile and r (finite differences).  Failures are reported in the
-    returned Branch.
+    its correction w (fixed point), or its profile and r (shooting and
+    finite differences).  Failures are reported in the returned Branch.
     """
     if method not in METHODS:
         raise InvalidArgument(f"unknown method {method!r}")
     if prev is not None and not prev.converged:
         raise InvalidArgument("prev must be a converged branch")
     params = CoreParams(rho=rho, eps=eps, max_iter=max_iter, tol_fp=tol)
-    w0 = a0 = seed = r0 = None
+    w0 = seed = r0 = None
     if prev is not None:
-        w0, a0, seed, r0 = prev.w, prev.v.values[0], prev.U, prev.r
+        w0, seed, r0 = prev.w, prev.U, prev.r
     if method == "fixed_point":
         return fixed_point_solve(params, grid=grid, w0=w0)
     if method == "shooting":
-        return shoot_solve(params, grid=grid, a0=a0, r0=r0)
+        return shoot_solve(params, grid=grid, seed=seed, r0=r0)
     return fd_solve(params, grid=grid, seed=seed, r0=r0)
 
 

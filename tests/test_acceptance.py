@@ -203,17 +203,17 @@ def _fd_ramp(target_mod, arg, n_nodes, eps=1.0):
 def _shoot_ramp(target_mod, arg, n_nodes, eps=1.0):
     """Warm-started shooting continuation along a ray."""
     grid = make_grid(n_nodes)
-    a, r = complex(eps), asymptotic_r(1.0, eps, 1)
+    seed, r = None, asymptotic_r(1.0, eps, 1)
     mod = 1.0
     branch = None
     while True:
         rho = mod * complex(np.cos(arg), np.sin(arg))
         nxt = shoot_solve(CoreParams(rho=rho, eps=eps, tol_fp=1e-11, max_iter=60), grid=grid,
-                          a0=a, r0=r)
+                          seed=seed, r0=r)
         if not nxt.converged:
             return None
         branch = nxt
-        a, r = branch.v.values[0], branch.r
+        seed, r = branch.U, branch.r
         if mod >= target_mod - 1e-9:
             return _register(branch)
         mod = min(target_mod, mod * 1.12)

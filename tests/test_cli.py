@@ -53,9 +53,10 @@ class TestSolve:
         assert abs(r_vals[0] - r_vals[2]) < 1e-3  # fd is O(h^2) at 129 nodes
 
     def test_nonconvergence_exit_code(self, capsys):
-        # shooting escapes here: a solve that did not converge exits 2
+        # shooting escapes here (the RK4 step is unstable at this |eps|): a
+        # solve that did not converge exits 2
         code, out, _ = run_cli(
-            capsys, "solve", "--rho-re", "40.0", "--eps-re", "3", "--method", "shoot",
+            capsys, "solve", "--rho-re", "1e-3", "--eps-re", "2e6", "--method", "shoot",
             "--nodes", "129",
         )
         assert code == 2
@@ -122,7 +123,7 @@ class TestSolve:
         assert r["shoot"] == pytest.approx(r["fd"], rel=1e-12)
 
     def test_singular_jacobian_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(direct, "spsolve", lambda jac, rhs: np.full_like(rhs, np.nan))
+        monkeypatch.setattr(direct, "spsolve", lambda *system: np.full_like(system[-1], np.nan))
         code, out, _ = run_cli(
             capsys, "solve", "--rho-re", "2", "--rho-im", "0.5", "--method", "fd",
             "--nodes", "129",

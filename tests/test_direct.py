@@ -16,7 +16,10 @@ from cglvortex import (
     shoot_solve,
 )
 from cglvortex import direct
-from cglvortex.direct import _fd_branch, _fd_system, _refill_jacobian, _rk4_lanes
+from cglvortex.direct import (
+    _fd_branch, _fd_newton_system, _rk4_lanes, _segments, _shoot_conditions,
+    _shoot_newton_system, _slopes, spsolve,
+)
 
 # Newton controls of the direct-solver tests
 SHOOT = dict(tol_fp=1e-11, max_iter=60)
@@ -186,20 +189,76 @@ class TestShooting:
 
     @pytest.mark.parametrize("singular", ["raise", "nan"])
     def test_singular_jacobian_reported_not_raised(self, grid257, monkeypatch, singular):
-        # a singular Newton Jacobian ends the iteration at the starting
-        # iterate; the Branch reports it
-        def solve(a, b):
-            if singular == "raise":
-                raise np.linalg.LinAlgError("Singular matrix")
-            return np.full_like(b, np.nan)
+        # a singular Newton system ends the iteration at the starting
+        # iterate; the Branch reports it.  "raise": the banded LU flags a
+        # zero pivot (where a dense solve raises); "nan": the solve returns
+        # non-finite values
+        if singular == "raise":
+            gbtrf, gbtrs = direct._gb_lapack()
 
-        monkeypatch.setattr(np.linalg, "solve", solve)
+            def flagged(*args, **kwargs):
+                lu, piv, _ = gbtrf(*args, **kwargs)
+                return lu, piv, 1
+
+            monkeypatch.setattr(direct, "_gb_lapack", lambda: (flagged, gbtrs))
+        else:
+            monkeypatch.setattr(direct, "spsolve",
+                                lambda *system: np.full_like(system[-1], np.nan))
         rho, eps = 2.0 + 0.5j, 1.0
         b = shoot_solve(CoreParams(rho=rho, eps=eps, **SHOOT), grid=grid257)
         assert not b.converged and not b.diverged
         assert b.iterations == 0 and len(b.increments) == 1
         # the unknown a = U'(-pi/2) = v(-pi/2) is still at its start
         assert b.v.values[0] == eps
+
+    @pytest.mark.parametrize("n_nodes,segments", [(9, 128), (33, 4)])
+    def test_newton_system_matches_difference_quotients(self, monkeypatch, n_nodes, segments):
+        # the banded core, border and corner assembled from the tangent
+        # lanes against central differences of the conditions in z
+        monkeypatch.setattr(direct, "SHOOT_SEGMENTS", segments)
+        grid = make_grid(n_nodes)
+        stride, h, wseg = _segments(grid)
+        m, k_seg = wseg.shape[0] - 1, wseg.shape[1]
+        rho, eps = 2.0 + 0.5j, 0.8 - 0.3j
+        z = 0.5 * np.random.default_rng(n_nodes).standard_normal(4 * k_seg)
+
+        def conditions(z):
+            s = np.concatenate([[0.0, 0.0], z[:-2]]).view(complex).reshape(k_seg, 2)
+            u0, v0 = s[:, 0], s[:, 1]
+            lanes = _rk4_lanes(rho, complex(z[-2], z[-1]), u0, v0, h, stride, m,
+                               direct.ESCAPE_CAP)
+            return lanes, _shoot_conditions(lanes, u0, v0, wseg, eps).view(float)
+
+        got = _bordered_dense(*_shoot_newton_system(conditions(z)[0], wseg))
+        step = 1e-6
+        quotients = np.empty_like(got)
+        for j in range(len(z)):
+            dz = np.zeros_like(z)
+            dz[j] = step
+            quotients[:, j] = (conditions(z + dz)[1] - conditions(z - dz)[1]) / (2 * step)
+        assert np.max(np.abs(got - quotients)) <= 1e-7 * np.max(np.abs(quotients))
+
+    def test_seed_at_solution_converges_at_once(self, grid257):
+        # segment starts taken from a converged profile: U from the samples
+        # and U' from fourth-order differences are within h^4 of the solution
+        params = CoreParams(rho=2.0 + 0.5j, eps=1.0, **SHOOT)
+        b = shoot_solve(params, grid=grid257)
+        warm = shoot_solve(params, grid=grid257, seed=b.U, r0=b.r)
+        assert b.converged and warm.converged
+        assert warm.iterations <= 2
+        assert compare_branches(b, warm) < 1e-10
+
+    def test_seed_on_other_grid_rejected(self, grid257):
+        b = shoot_solve(CoreParams(rho=1.0, eps=1.0, **SHOOT), grid=make_grid(129))
+        with pytest.raises(InvalidArgument):
+            shoot_solve(CoreParams(rho=1.0, eps=1.0, **SHOOT), grid=grid257, seed=b.U)
+
+    def test_slopes_fourth_order(self):
+        # exact on quartics, at the ends too
+        x = make_grid(17).nodes
+        u = (1 + 2j) * x**4 - 3 * x**3 + x - 0.5j
+        du = 4 * (1 + 2j) * x**3 - 9 * x**2 + 1
+        assert np.max(np.abs(_slopes(u, x[1] - x[0]) - du)) < 1e-11
 
     @pytest.mark.parametrize("rho", [1e-10, 1e-6])
     def test_r_exact_at_small_rho(self, grid257, rho):
@@ -313,7 +372,7 @@ class TestFiniteDifference:
             fd_solve(CoreParams(rho=1.0, eps=0.0, **FD), grid=grid257)
 
     def test_singular_matrix_reported_not_raised(self, grid257, monkeypatch):
-        monkeypatch.setattr(direct, "spsolve", lambda jac, rhs: np.full_like(rhs, np.nan))
+        monkeypatch.setattr(direct, "spsolve", lambda *system: np.full_like(system[-1], np.nan))
         b = fd_solve(CoreParams(rho=2.0 + 0.5j, eps=1.0, **FD), grid=grid257)
         assert not b.converged and not b.diverged
         assert b.iterations == 0
@@ -342,25 +401,88 @@ class TestFiniteDifference:
 
     @pytest.mark.parametrize("n_nodes", [9, 257])
     def test_jacobian_assembly(self, n_nodes):
+        # the banded core, border and corner against the dense Jacobian,
+        # whose unknowns (Re u, Im u, Re lam, Im lam) are reordered to the
+        # interleaved (Re u_i, Im u_i) per node
         grid = make_grid(n_nodes)
         ni = n_nodes - 2
         rho = 3.0 + 2.0j
         rng = np.random.default_rng(n_nodes)
-        system = _fd_system(n_nodes)
-        jac = system.jacobian()
+        row = grid.weights[1:-1] * grid.cos[1:-1] / np.dot(grid.weights, grid.cos2)
+        order = np.append(np.stack([np.arange(ni), ni + np.arange(ni)], axis=1).ravel(),
+                          [2 * ni, 2 * ni + 1])
         pattern = None
         for _ in range(2):
             u = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
             lam = complex(rng.standard_normal(), rng.standard_normal())
-            _refill_jacobian(jac, system, u, lam, rho)
-            dense = _dense_fd_jacobian(grid, u, lam, rho)
-            assert np.max(np.abs(jac.toarray() - dense)) <= 1e-12 * np.max(np.abs(dense))
-            now = (jac.nnz, jac.indices.copy(), jac.indptr.copy())
+            system = _fd_newton_system(u, lam, rho, grid.spacing, row)
+            dense = _dense_fd_jacobian(grid, u, lam, rho)[np.ix_(order, order)]
+            got = _bordered_dense(*system)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+            # the same band layout at every pass
+            now = (system[0].shape, system[1], system[2])
             if pattern is not None:
-                assert now[0] == pattern[0]
-                assert np.array_equal(now[1], pattern[1])
-                assert np.array_equal(now[2], pattern[2])
+                assert now == pattern
             pattern = now
+
+
+def _bordered_dense(ab, kl, ku, cols, rows, corner):
+    """The dense matrix [[A, cols], [rows, corner]] of a bordered band
+    system, reading A from the band storage ab[ku + i - j, j]."""
+    n = ab.shape[1]
+    mat = np.zeros((n + 2, n + 2))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            mat[i, j] = ab[ku + i - j, j]
+    mat[:n, n:], mat[n:, :n], mat[n:, n:] = cols, rows, corner
+    return mat
+
+
+def _random_bordered(rng, n, kl, ku):
+    ab = rng.standard_normal((kl + ku + 1, n))
+    ab[ku] += 4.0 * (kl + ku)  # a diagonally dominant core
+    return (ab, kl, ku, rng.standard_normal((n, 2)), rng.standard_normal((2, n)),
+            rng.standard_normal((2, 2)))
+
+
+class TestBorderedSolve:
+    @pytest.mark.parametrize("kl,ku,n", [(2, 2, 40), (5, 2, 62)])
+    def test_matches_dense(self, kl, ku, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            system = _random_bordered(rng, n, kl, ku)
+            rhs = rng.standard_normal(n + 2)
+            ref = np.linalg.solve(_bordered_dense(*system), rhs)
+            got = spsolve(*system, rhs)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kl,ku,n", [(2, 2, 40), (5, 2, 62)])
+    def test_singular_core_regular_border(self, kl, ku, n):
+        # the core annihilates a known vector phi, as the phase symmetry
+        # makes the Newton core singular at every solution; the bordered
+        # matrix stays regular and the solve must match the dense one
+        rng = np.random.default_rng(n + 1)
+        ab, kl, ku, cols, rows, corner = _random_bordered(rng, n, kl, ku)
+        phi = 1.0 + rng.random(n)
+        core = _bordered_dense(ab, kl, ku, cols, rows, corner)[:n, :n]
+        ab[ku] -= core @ phi / phi
+        mat = _bordered_dense(ab, kl, ku, cols, rows, corner)
+        assert np.max(np.abs(mat[:n, :n] @ phi)) <= 1e-12 * np.max(np.abs(mat))
+        rhs = rng.standard_normal(n + 2)
+        ref = np.linalg.solve(mat, rhs)
+        got = spsolve(ab, kl, ku, cols, rows, corner, rhs)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_singular_reported_as_nan(self):
+        rng = np.random.default_rng(3)
+        ab, kl, ku, cols, rows, corner = _random_bordered(rng, 20, 2, 2)
+        rhs = rng.standard_normal(22)
+        zero_column = ab.copy()
+        zero_column[:, 7] = 0.0
+        assert np.all(np.isnan(spsolve(zero_column, kl, ku, cols, rows, corner, rhs)))
+        # a regular core with zero border: the Schur complement is singular
+        zeros = np.zeros((20, 2))
+        assert np.all(np.isnan(spsolve(ab, kl, ku, zeros, zeros.T, np.zeros((2, 2)), rhs)))
 
 
 class TestCompareBranches:

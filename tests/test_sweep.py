@@ -159,6 +159,19 @@ class TestRunSweep:
         records = run_sweep(spec)
         assert all(r.converged for r in records)
 
+    def test_shooting_warm_start_no_worse_than_cold(self):
+        # warm-started shooting starts every segment from the previous
+        # profile, so it converges at least wherever a cold start does
+        converged = {}
+        for warm in (False, True):
+            spec = SweepSpec(
+                mode="modulus_sweep", method="shooting", ray_arg=np.pi / 12,
+                mod_min=1.0, mod_max=60.0, mod_steps=32, warm_start=warm,
+            )
+            converged[warm] = {r.rho for r in run_sweep(spec) if r.converged}
+        assert converged[False] <= converged[True]
+        assert len(converged[True]) == 32
+
     def test_shooting_modulus_sweep_to_nine(self):
         # warm-started shooting along the positive real axis, |rho| = 1..9
         spec = SweepSpec(
@@ -217,7 +230,7 @@ class TestSolve:
 class TestDivergedRecord:
     # one blow-up of each solver: the fixed point's Anderson phase diverges
     # at rho = -6; shooting escapes at iteration 0 where the RK4 step is
-    # unstable; FD escapes after one pass when the sparse solve returns a
+    # unstable; FD escapes after one pass when the Newton solve returns a
     # huge finite step
     @pytest.mark.parametrize("method,rho,eps", [
         ("fixed_point", -6.0, 1.0),
@@ -226,7 +239,7 @@ class TestDivergedRecord:
     ])
     def test_one_diverged_record(self, grid257, tmp_path, monkeypatch, method, rho, eps):
         if method == "finite_difference":
-            monkeypatch.setattr(direct, "spsolve", lambda jac, rhs: np.full_like(rhs, 1e85))
+            monkeypatch.setattr(direct, "spsolve", lambda *system: np.full_like(system[-1], 1e85))
         b = solve(method, rho, eps, grid257)
         assert b.diverged and not b.converged
         assert not np.isfinite(b.r.real) and not np.isfinite(b.r.imag)

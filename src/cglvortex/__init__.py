@@ -30,12 +30,12 @@ from .reduction import (
     contraction_radius,
     cubic_forcing,
     fixed_point_solve,
+    ode_forcing,
     project_mean,
 )
 from .direct import (
     compare_branches,
     fd_solve,
-    ode_forcing,
     shoot_solve,
 )
 from .physics import (

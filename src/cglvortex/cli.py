@@ -260,7 +260,7 @@ def _cmd_verify(args) -> int:
             print("SKIP  cgl_residual            (rho has no physical preimage)")
         else:
             phys = physical_from_r(fp.r, mu, nu, 1)
-            sol_w = extend_solution(fp, 1, phys.omega, enforce_jump_gate=False)
+            sol_w = extend_solution(fp, 1, enforce_jump_gate=False)
             resid = cgl_residual(sol_w, phys)
             bound = 4.0 * h * h * max(1.0, zeta) * abs(complex(1, nu)) * max(1.0, abs(eps))
             checks.append(("cgl_residual", resid, bound))

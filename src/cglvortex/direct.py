@@ -41,7 +41,7 @@ from .errors import InvalidArgument, InvalidState
 from .quadrature import Grid, GridFunction, make_grid
 from .greens import resample_periodic
 from .reduction import (
-    DEFAULT_NODES, Branch, CoreParams, _branch, _diverged_branch, _ode_forcing, asymptotic_r,
+    DEFAULT_NODES, Branch, CoreParams, _branch, _diverged_branch, asymptotic_r,
 )
 
 ESCAPE_CAP = 1e6
@@ -50,11 +50,6 @@ RHO_ZERO_CUTOFF = 1e-13
 RK4_STEPS = 2048
 # multiple-shooting segments, lowered to a divisor of the grid intervals
 SHOOT_SEGMENTS = 128
-
-
-def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
-    """Pointwise forcing f(x) = rho (r - |v|^2 cos^2 x) v(x) cos x."""
-    return GridFunction(v.grid, _ode_forcing(v.values * v.grid.cos, rho, r))
 
 
 # ------------------------------------------------------- bordered Newton solve

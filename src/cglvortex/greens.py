@@ -19,9 +19,6 @@ import numpy as np
 from .errors import InvalidArgument, SolvabilityError
 from .quadrature import HALF_PI, Grid, GridFunction, running_integral
 
-# nodes this close to +-pi/2 take the limit formula instead of sin/cos
-ENDPOINT_COS_CUTOFF = 1e-8
-
 # default absolute solvability tolerance, scaled by sup|f|
 TOL_SOLV = 1e-10
 # enforce_solvability projects a second time when the first leaves less

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import ExtensionError, InvalidArgument, InvalidState
 from .greens import jump_increment
-from .reduction import Branch
-from .direct import ode_forcing
+from .reduction import Branch, ode_forcing
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,6 @@ def rho_from_physical(mu: float, nu: float, n: int) -> complex:
 
 def physical_from_r(r: complex, mu: float, nu: float, n: int) -> PhysParams:
     """Invert the definition of r: R and omega from a computed branch."""
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
     z = complex(1.0, mu) * r
     return PhysParams(
         R=z.real + n * n, mu=mu, nu=nu, n=n, omega=z.imag + nu * n * n
@@ -114,7 +111,6 @@ class VortexSolution:
     values: np.ndarray
     envelope: np.ndarray
     n: int
-    omega: float
 
     def __post_init__(self):
         for a in (self.nodes, self.values, self.envelope):
@@ -126,7 +122,7 @@ JUMP_GATE = 1e-10
 
 
 def extend_solution(
-    branch: Branch, n: int, omega: float, enforce_jump_gate: bool = True
+    branch: Branch, n: int, *, enforce_jump_gate: bool = True
 ) -> VortexSolution:
     """Periodic extension of a branch to one 2 pi period of u = U(n x).
 
@@ -157,9 +153,7 @@ def extend_solution(
     y = -np.pi / 2 + j * h          # argument of U
     x = y / n                        # argument of u
     u_ext = v_ext * np.cos(y)
-    return VortexSolution(
-        nodes=x, values=u_ext, envelope=v_ext, n=int(n), omega=float(omega)
-    )
+    return VortexSolution(nodes=x, values=u_ext, envelope=v_ext, n=int(n))
 
 
 def cgl_residual(sol: VortexSolution, p: PhysParams) -> float:
@@ -171,8 +165,8 @@ def cgl_residual(sol: VortexSolution, p: PhysParams) -> float:
     the cosine factor and its derivatives are exact, so the residual
     carries only the envelope discretization error, O(h^2).
     """
-    if p.n != sol.n or abs(p.omega - sol.omega) > 1e-12 * max(1.0, abs(p.omega)):
-        raise InvalidArgument("solution and parameters disagree in n or omega")
+    if p.n != sol.n:
+        raise InvalidArgument("solution and parameters disagree in n")
     x = sol.nodes
     hx = x[1] - x[0]
     nn = sol.n

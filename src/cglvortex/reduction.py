@@ -171,6 +171,11 @@ def _ode_forcing(u_vals: np.ndarray, rho: complex, r: complex) -> np.ndarray:
     return rho * (r - absq) * u_vals
 
 
+def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
+    """Pointwise forcing f(x) = rho (r - |v|^2 cos^2 x) v(x) cos x."""
+    return GridFunction(v.grid, _ode_forcing(v.values * v.grid.cos, rho, r))
+
+
 def _ode_residual(v_vals, u_vals, rho, r, grid: Grid) -> float:
     """Envelope collocation residual of -U'' - U = rho (r - |U|^2) U."""
     return envelope_residual(v_vals, _ode_forcing(u_vals, rho, r), grid)

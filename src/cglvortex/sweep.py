@@ -15,11 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, ToolkitError
+from .errors import InvalidArgument
 from .quadrature import Grid, GridFunction, make_grid
 from .reduction import DEFAULT_NODES, Branch, CoreParams, fixed_point_solve
 from .direct import fd_solve, shoot_solve
-from .physics import extend_solution
+# not called here: bench/tracing.py wraps it under this name
+from .physics import extend_solution  # noqa: F401
 
 METHODS = ("fixed_point", "shooting", "finite_difference")
 
@@ -142,40 +143,25 @@ class SweepSpec:
         return [m * complex(np.cos(self.ray_arg), np.sin(self.ray_arg)) for m in mods]
 
 
-def count_zeros(nodes: np.ndarray, values: np.ndarray, n: int):
-    """Zero census of one 2 pi period of u = U(n x).
+def count_zeros(envelope: np.ndarray, n: int):
+    """Zero census of one 2 pi period of u = U(n x), read off its envelope.
 
-    Structural zeros are the 2n zeros of cos(n x); any further zero must
-    come from the envelope, so extra zeros are counted as cyclic local
-    minima of |v| that dip below ZERO_TOL times sup |v|.
+    envelope holds cyclic samples of v over the period, as
+    VortexSolution.envelope does.  The 2n zeros of cos(n x) are structural;
+    every further zero is the envelope's: a cyclic pair of neighbouring
+    samples across which v changes sign (Re v_i conj v_{i+1} < 0) or,
+    where neither adjoining pair does, a cyclic local minimum of |v| at or
+    below ZERO_TOL times sup |v|.  A zero on a sample thus counts once.
     Returns (zero_count, extra_zeros) with zero_count = 2n + extra_zeros.
     """
-    values = np.asarray(values)
-    cosn = np.cos(n * np.asarray(nodes, dtype=float))
-    safe = np.abs(cosn) > 1e-2
-    vab = np.empty(len(values))
-    vab[safe] = np.abs(values[safe]) / np.abs(cosn[safe])
-    # fill the nodes straddling the structural zeros from their neighbors
-    idx = np.where(~safe)[0]
-    m = len(values)
-    for i in idx:
-        lo, hi = (i - 1) % m, (i + 1) % m
-        steps_lo, steps_hi = 1, 1
-        while not safe[lo]:
-            lo = (lo - 1) % m
-            steps_lo += 1
-        while not safe[hi]:
-            hi = (hi + 1) % m
-            steps_hi += 1
-        wlo = steps_hi / (steps_lo + steps_hi)
-        vab[i] = wlo * vab[lo] + (1 - wlo) * vab[hi]
-    top = float(np.max(vab))
-    if top == 0.0:
-        return 2 * n, 0
-    left = np.roll(vab, 1)
-    right = np.roll(vab, -1)
-    minima = (vab < left) & (vab <= right) & (vab <= ZERO_TOL * top)
-    extra = int(np.count_nonzero(minima))
+    v = np.asarray(envelope)
+    flips = (v * np.roll(v, -1).conjugate()).real < 0
+    vab = np.abs(v)
+    dips = (
+        (vab < np.roll(vab, 1)) & (vab <= np.roll(vab, -1))
+        & (vab <= ZERO_TOL * np.max(vab)) & ~flips & ~np.roll(flips, 1)
+    )
+    extra = int(np.count_nonzero(flips) + np.count_nonzero(dips))
     return 2 * n + extra, extra
 
 
@@ -217,7 +203,7 @@ def solve(
 
 
 def record_from_branch(branch: Branch) -> SweepRecord:
-    """Summarize one branch; zero census on the n = 1 periodic extension.
+    """Summarize one branch; zero census on its envelope over the n = 1 period.
 
     A diverged branch holds no profile to measure: its symmetry defect,
     envelope minimum and collocation residual are recorded as NaN."""
@@ -229,13 +215,8 @@ def record_from_branch(branch: Branch) -> SweepRecord:
         ode_res = branch.ode_residual
     zero_count, extra = 0, 0
     if branch.converged:
-        try:
-            sol = extend_solution(
-                branch, 1, 0.0, enforce_jump_gate=False
-            )
-            zero_count, extra = count_zeros(sol.nodes, sol.values, 1)
-        except ToolkitError:
-            pass
+        # that period holds the envelope on J twice
+        zero_count, extra = count_zeros(np.tile(branch.v.values[:-1], 2), 1)
     return SweepRecord(
         rho=branch.params.rho,
         method=branch.method,

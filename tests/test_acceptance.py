@@ -276,7 +276,7 @@ def test_criterion_7_pde_residual():
         eps = 0.1
         b = _fp(rho, eps, 513)
         phys = physical_from_r(b.r, mu, nu, n)
-        sol = extend_solution(b, n, phys.omega)
+        sol = extend_solution(b, n)
         resid = cgl_residual(sol, phys)
         if resid > 1e-6 * eps:
             ok = False
@@ -290,7 +290,7 @@ def test_criterion_7_pde_residual():
     for nn in (257, 513, 1025):
         b = _fp(rho, 0.2, nn)
         phys = physical_from_r(b.r, mu, nu, n)
-        sol = extend_solution(b, n, phys.omega)
+        sol = extend_solution(b, n)
         res.append(cgl_residual(sol, phys))
         hs.append(make_grid(nn).spacing)
     slope = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
@@ -369,8 +369,8 @@ def test_criterion_8_structural_invariants():
     # zero census of periodic extensions for n = 1, 2, 3
     b = _fp(0.8 + 0.4j, 0.5, 257)
     for n in (1, 2, 3):
-        sol = extend_solution(b, n, 0.0)
-        zc, extra = count_zeros(sol.nodes, sol.values, n)
+        sol = extend_solution(b, n)
+        zc, extra = count_zeros(sol.envelope, n)
         if zc != 2 * n or extra != 0:
             ok = False
             details.append(f"n={n}: zeros ({zc},{extra})")

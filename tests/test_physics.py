@@ -136,7 +136,7 @@ def _converged_branch(rho, eps, n_nodes=257):
 class TestExtendSolution:
     def test_pure_cosine_two_zeros(self):
         b = _converged_branch(0.0, 1.0)
-        sol = extend_solution(b, 1, 0.0)
+        sol = extend_solution(b, 1)
         assert len(sol.nodes) == 2 * 256
         assert np.allclose(sol.values, np.cos(sol.nodes), atol=1e-12)
         # the structural zeros land exactly on grid nodes
@@ -145,7 +145,7 @@ class TestExtendSolution:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_node_count_scales(self, n):
         b = _converged_branch(0.5, 0.5)
-        sol = extend_solution(b, n, 0.0)
+        sol = extend_solution(b, n)
         assert len(sol.nodes) == 2 * n * 256
         assert sol.n == n
 
@@ -165,7 +165,12 @@ class TestExtendSolution:
             CoreParams(rho=3.5, eps=1.0, max_iter=5), grid=make_grid(257)
         )
         with pytest.raises(InvalidState):
-            extend_solution(b, 1, 0.0)
+            extend_solution(b, 1)
+
+    def test_gate_flag_is_keyword_only(self):
+        b = _converged_branch(0.5, 0.5)
+        with pytest.raises(TypeError):
+            extend_solution(b, 1, False)
 
     def test_jump_gate_blocks_asymmetric_envelope(self):
         # hand-built branch whose forcing has an odd component
@@ -181,7 +186,7 @@ class TestExtendSolution:
             iterations=1, fp_residual=0.0, ode_residual=0.0, converged=True,
         )
         with pytest.raises(ExtensionError):
-            extend_solution(fake, 1, 0.0)
+            extend_solution(fake, 1)
 
 
 class TestCglResidual:
@@ -190,7 +195,7 @@ class TestCglResidual:
         x = np.arange(m) * (2 * np.pi / m)
         sol = VortexSolution(
             nodes=x, values=np.zeros(m, dtype=complex),
-            envelope=np.zeros(m, dtype=complex), n=1, omega=0.0,
+            envelope=np.zeros(m, dtype=complex), n=1,
         )
         p = PhysParams(R=5.0, mu=0.3, nu=0.7, n=1, omega=0.0)
         assert cgl_residual(sol, p) == 0.0
@@ -200,7 +205,7 @@ class TestCglResidual:
         rho = rho_from_physical(mu, nu, n)
         b = _converged_branch(rho, 0.1, n_nodes=513)
         phys = physical_from_r(b.r, mu, nu, n)
-        sol = extend_solution(b, n, phys.omega)
+        sol = extend_solution(b, n)
         assert cgl_residual(sol, phys) <= 1e-6 * 0.1
 
     def test_residual_second_order(self):
@@ -210,7 +215,7 @@ class TestCglResidual:
         for nn in (257, 513, 1025):
             b = _converged_branch(rho, 0.2, n_nodes=nn)
             phys = physical_from_r(b.r, mu, nu, n)
-            sol = extend_solution(b, n, phys.omega)
+            sol = extend_solution(b, n)
             res.append(cgl_residual(sol, phys))
         for a, c in zip(res, res[1:]):
             assert 3.0 < a / c < 5.5
@@ -218,7 +223,7 @@ class TestCglResidual:
     def test_detects_wrong_omega(self):
         b = _converged_branch(1.0, 0.5, n_nodes=257)
         phys = physical_from_r(b.r, 0.0, 0.0, 1)
-        sol = extend_solution(b, 1, phys.omega + 0.1)
+        sol = extend_solution(b, 1)
         bad = PhysParams(R=phys.R, mu=0.0, nu=0.0, n=1, omega=phys.omega + 0.1)
         sup_u = float(np.max(np.abs(sol.values)))
         assert cgl_residual(sol, bad) >= 0.05 * sup_u
@@ -230,14 +235,14 @@ class TestCglResidual:
         b2 = _converged_branch(rho, 0.4 * np.exp(1j * theta))
         p1 = physical_from_r(b1.r, 0.0, 0.0, 1)
         p2 = physical_from_r(b2.r, 0.0, 0.0, 1)
-        s1 = extend_solution(b1, 1, p1.omega)
-        s2 = extend_solution(b2, 1, p2.omega)
+        s1 = extend_solution(b1, 1)
+        s2 = extend_solution(b2, 1)
         assert abs(cgl_residual(s1, p1) - cgl_residual(s2, p2)) < 1e-12
 
     def test_mismatched_parameters_rejected(self):
         b = _converged_branch(1.0, 0.5)
         phys = physical_from_r(b.r, 0.0, 0.0, 1)
-        sol = extend_solution(b, 1, phys.omega)
+        sol = extend_solution(b, 1)
         other = PhysParams(R=phys.R, mu=0.0, nu=0.0, n=2, omega=phys.omega)
         with pytest.raises(InvalidArgument):
             cgl_residual(sol, other)

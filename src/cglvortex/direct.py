@@ -179,7 +179,7 @@ def _segments(grid: Grid):
     stride = -(-RK4_STEPS // (n - 1))  # ceil
     k_seg = max(k for k in range(1, SHOOT_SEGMENTS + 1) if (n - 1) % k == 0)
     m = (n - 1) // k_seg
-    wn = grid.weights * grid.cos / float(np.dot(grid.weights, grid.cos2))
+    wn = grid.weights * grid.cos / grid.cos2_mass
     wseg = np.zeros((m + 1, k_seg))
     wseg[:m] = wn[:-1].reshape(k_seg, m).T
     wseg[m, -1] = wn[-1]
@@ -411,7 +411,7 @@ def fd_solve(
     lam = rho * complex(r0)
 
     h = grid.spacing
-    row = grid.weights[1:-1] * grid.cos[1:-1] / float(np.dot(grid.weights, grid.cos2))
+    row = grid.weights[1:-1] * grid.cos[1:-1] / grid.cos2_mass
     diag, off = 2.0 / h**2 - 1.0, -1.0 / h**2
     increments = []
     converged = False

@@ -56,8 +56,8 @@ def jump_increment(f: GridFunction) -> complex:
 
 
 def _remove_cos_mode(values: np.ndarray, grid: Grid) -> np.ndarray:
-    cos, w = grid.cos, grid.weights
-    c = np.dot(w, values * cos) / np.dot(w, grid.cos2)
+    cos = grid.cos
+    c = np.dot(grid.weights, values * cos) / grid.cos2_mass
     return values - c * cos
 
 
@@ -87,15 +87,15 @@ def _check_admissible(f: GridFunction) -> None:
 def _solve_envelope(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndarray:
     """Envelope samples from the split representation (no solvability check)."""
     h = grid.spacing
-    cos, sin = grid.cos, grid.sin
-    A = running_integral(f_values * sin, h)
-    C = running_integral(f_values * cos, h)
-    B = C[-1] - C
+    f_sin = f_values * grid.sin
+    A = running_integral(f_sin, h)
+    C = running_integral(f_values * grid.cos, h)
+    B = C[-1] - C[1:-1]
     v = np.empty(grid.n_nodes, dtype=complex)
-    # interior: |cos x| >= sin(h) >> cutoff, so the ratio is safe
-    v[1:-1] = v_left + A[1:-1] + (sin[1:-1] / cos[1:-1]) * B[1:-1]
+    # interior: |cos x| >= sin(h), so grid.tan is finite there
+    v[1:-1] = v_left + A[1:-1] + grid.tan * B
     v[0] = v_left
-    v[-1] = v_left + grid.integrate(f_values * sin)
+    v[-1] = v_left + grid.integrate(f_sin)
     return v
 
 

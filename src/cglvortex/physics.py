@@ -117,34 +117,35 @@ class VortexSolution:
             a.setflags(write=False)
 
 
-# absolute floor of the jump gate; scaled up by sup|f| for large forcings
+# floor of the jump gate; on coarse grids the gate is h^4, the order of the
+# Simpson error in int f sin, and either is scaled up by sup|f| for large
+# forcings
 JUMP_GATE = 1e-10
 
 
-def extend_solution(
-    branch: Branch, n: int, *, enforce_jump_gate: bool = True
-) -> VortexSolution:
+def extend_solution(branch: Branch, n: int) -> VortexSolution:
     """Periodic extension of a branch to one 2 pi period of u = U(n x).
 
     The envelope is continued pi-periodically, so the profile obeys
     U(x + pi) = -U(x); that continuation is consistent exactly when the
-    envelope jump int f sin of the branch forcing vanishes, which the
-    gate checks (symmetric branches pass with large margin).
+    envelope jump int f sin of the branch forcing vanishes.  The gate
+    rejects a jump above max(JUMP_GATE, h^4) max(1, sup|f|): symmetric
+    branches leave only quadrature and solver error, which falls about
+    as h^5.
     """
     if not branch.converged:
         raise InvalidState("cannot extend a non-converged branch")
     if n < 1:
         raise InvalidArgument("n must be >= 1")
-    if enforce_jump_gate:
-        forcing = ode_forcing(branch.v, branch.params.rho, branch.r)
-        jump = abs(jump_increment(forcing))
-        if jump > JUMP_GATE * max(1.0, forcing.sup_norm):
-            raise ExtensionError(
-                f"envelope jump {jump:.3e} blocks the periodic extension"
-            )
     grid = branch.grid
     m = grid.n_nodes - 1
     h = grid.spacing
+    forcing = ode_forcing(branch.v, branch.params.rho, branch.r)
+    jump = abs(jump_increment(forcing))
+    if jump > max(JUMP_GATE, h**4) * max(1.0, forcing.sup_norm):
+        raise ExtensionError(
+            f"envelope jump {jump:.3e} blocks the periodic extension"
+        )
     v_open = branch.v.values[:-1]
     # one 2 pi period of U in its own argument = two sign-flipped copies,
     # then u(x) = U(n x) tiles that pattern n times

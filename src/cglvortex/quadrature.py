@@ -22,8 +22,11 @@ class Grid:
     """Uniform nodes spanning J = [-pi/2, pi/2], endpoints included.
 
     The grid owns the tables every operator on J reads: the
-    composite-Simpson ``weights`` and the samples ``cos``, ``sin``,
-    ``cos2`` (cos^2) and ``cos4`` (cos^4).  All arrays are read-only."""
+    composite-Simpson ``weights``, the samples ``cos``, ``sin``, ``cos2``
+    (cos^2) and ``cos4`` (cos^4), ``tan`` (sin / cos on the interior nodes
+    only, where cos does not vanish) and the float ``cos2_mass``, the
+    quadrature value of int cos^2 (= pi/2 up to roundoff).  All arrays are
+    read-only."""
 
     n_nodes: int
     nodes: np.ndarray
@@ -32,19 +35,22 @@ class Grid:
     sin: np.ndarray = field(init=False, repr=False)
     cos2: np.ndarray = field(init=False, repr=False)
     cos4: np.ndarray = field(init=False, repr=False)
+    tan: np.ndarray = field(init=False, repr=False)
+    cos2_mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
         weights = np.ones(self.n_nodes)
         weights[1:-1:2] = 4.0
         weights[2:-1:2] = 2.0
         weights *= self.spacing / 3.0
-        cos = np.cos(self.nodes)
+        cos, sin = np.cos(self.nodes), np.sin(self.nodes)
         cos2 = cos * cos
-        tables = dict(weights=weights, cos=cos, sin=np.sin(self.nodes),
-                      cos2=cos2, cos4=cos2 * cos2)
+        tables = dict(weights=weights, cos=cos, sin=sin, cos2=cos2,
+                      cos4=cos2 * cos2, tan=sin[1:-1] / cos[1:-1])
         for name, a in tables.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "cos2_mass", float(np.dot(weights, cos2)))
         self.nodes.setflags(write=False)
 
     @property
@@ -110,16 +116,22 @@ def running_integral(values: np.ndarray, h: float) -> np.ndarray:
 
     Each cell integral uses the cubic through the four nearest samples:
     interior cells the centered (-1, 13, 13, -1)/24 rule, the first and
-    last cells the one-sided (9, 19, -5, 1)/24 rule.
+    last cells the one-sided (9, 19, -5, 1)/24 rule.  cell[i] below holds
+    the integral over [x_{i-1}, x_i] and cell[0] = 0, so one cumulative sum
+    gives F; the interior cells are built in place, term by term.
     """
     g = np.asarray(values)
     n = g.shape[0]
-    cell = np.empty(n - 1, dtype=g.dtype)
-    cell[0] = (9 * g[0] + 19 * g[1] - 5 * g[2] + g[3]) / 24.0
-    cell[1:-1] = (-g[:-3] + 13 * g[1:-2] + 13 * g[2:-1] - g[3:]) / 24.0
+    g13 = 13 * g
+    cell = np.empty(n, dtype=np.result_type(g, 1.0))
+    cell[0] = 0.0
+    cell[1] = (9 * g[0] + 19 * g[1] - 5 * g[2] + g[3]) / 24.0
+    mid = cell[2:-1]
+    np.subtract(g13[1:-2], g[:-3], out=mid)  # -g_{i-1} + 13 g_i, to the bit
+    mid += g13[2:-1]
+    mid -= g[3:]
+    mid /= 24.0
     cell[-1] = (g[-4] - 5 * g[-3] + 19 * g[-2] + 9 * g[-1]) / 24.0
-    out = np.empty(n, dtype=g.dtype)
-    out[0] = 0.0
-    np.cumsum(cell, out=out[1:])
+    out = cell.cumsum()
     out *= h
     return out

@@ -11,8 +11,9 @@ linearized operator and removes the mean mode.  For |eps|^2 below an
 explicit radius the map is a contraction and plain iteration from w = 0
 converges geometrically; far outside that certificate the iteration is
 still attempted.  Near the convergence edge plain iteration settles into
-a period-two oscillation; once its increments neither shrink nor grow
-the same solve switches to Anderson mixing, which has the same fixed point.
+a period-two oscillation, or moves away from the fixed point; once its
+increments stop shrinking the same solve switches to Anderson mixing,
+which has the same fixed point, and gives up when that makes no progress.
 
 Each operator (mean projection, Green inverse, cubic forcing) has one
 implementation on sample arrays that reads the Grid's tables; the public
@@ -36,13 +37,18 @@ DEFAULT_NODES = 257
 MEAN_FREE_TOL = 1e-10
 
 # plain iteration has stalled at iteration k >= STALL_MIN_ITER when
-# STALL_BAND[0] |dw_{k-2}| < |dw_k| <= STALL_BAND[1] |dw_{k-2}|
+# |dw_k| > STALL_RATIO |dw_{k-2}|: it no longer contracts
 STALL_MIN_ITER = 10
-STALL_BAND = (0.95, 1.05)
+STALL_RATIO = 0.95
 # Anderson mixing depth, and the growth of sup|T(w) - w| over its value at
 # the switch that ends the accelerated phase as diverged
 ANDERSON_DEPTH = 6
 ANDERSON_DIVERGENCE = 100.0
+# the accelerated phase also ends as diverged when, ANDERSON_PATIENCE maps
+# after the switch, its best residual is still above ANDERSON_PROGRESS
+# times the residual at the switch
+ANDERSON_PATIENCE = 15
+ANDERSON_PROGRESS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,7 @@ class Branch:
 
 
 def _project_mean(values: np.ndarray, grid: Grid) -> complex:
-    w = grid.weights
-    return complex(np.dot(w, values * grid.cos2) / np.dot(w, grid.cos2))
+    return complex(np.dot(grid.weights, values * grid.cos2) / grid.cos2_mass)
 
 
 def project_mean(u: GridFunction) -> complex:
@@ -270,13 +275,11 @@ class _Anderson:
 
 
 def _stalled(increments: list[float]) -> bool:
-    """True when the latest increment |dw_k| neither shrank nor grew
-    against |dw_{k-2}|: the period-two oscillation of the plain map."""
+    """True when the latest increment |dw_k| did not shrink against
+    |dw_{k-2}|: the plain map is caught in a period-two oscillation, or is
+    moving away from the fixed point (a period-doubling instability)."""
     k = len(increments) - 1
-    if k < STALL_MIN_ITER:
-        return False
-    low, high = STALL_BAND
-    return low * increments[k - 2] < increments[k] <= high * increments[k - 2]
+    return k >= STALL_MIN_ITER and increments[k] > STALL_RATIO * increments[k - 2]
 
 
 def fixed_point_solve(
@@ -294,10 +297,15 @@ def fixed_point_solve(
     sup|T(w) - w| <= tol_fp and return T(w).  Branch.iterations counts
     every map application of both phases except the one that measures
     fp_residual.  Non-convergence is reported in the returned Branch, not
-    raised: NaN or overflow of the map (fp_residual inf), or an accelerated
-    residual ANDERSON_DIVERGENCE times its value at the switch (fp_residual
-    that residual), ends the solve with the diverged record of
-    _diverged_branch.
+    raised.  These end the solve with the diverged record of
+    _diverged_branch:
+      - NaN or overflow of the map (fp_residual inf);
+      - an accelerated residual ANDERSON_DIVERGENCE times its value at the
+        switch;
+      - no progress: ANDERSON_PATIENCE maps after the switch, the best
+        accelerated residual is still above ANDERSON_PROGRESS times its
+        value at the switch.
+    In the last two cases fp_residual is the latest residual.
     """
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
@@ -315,33 +323,39 @@ def fixed_point_solve(
     mixer: _Anderson | None = None
     accelerated_at = None
 
-    # overflow on the way to divergence is expected: the isfinite test
-    # below catches it and the Branch reports it as diverged
+    # overflow on the way to divergence is expected: sup|T(w)| is nan or
+    # inf exactly when T(w) is, and the Branch reports it as diverged
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, params.max_iter + 1):
             t_w = fp_map(w)
-            if not np.all(np.isfinite(t_w)):
+            sup = float(np.max(np.abs(t_w)))
+            if not np.isfinite(sup):
                 diverged = True
                 fp_residual = float("inf")
                 break
             f = t_w - w
             inc = float(np.max(np.abs(f)))
             increments.append(inc)
-            sups.append(float(np.max(np.abs(t_w))))
+            sups.append(sup)
             if inc <= params.tol_fp:
                 w = t_w
                 converged = True
                 break
             if mixer is None and _stalled(increments):
                 mixer, accelerated_at = _Anderson(), iterations
+                at_switch = best = inc
             if mixer is None:
                 w = t_w
-            elif inc > ANDERSON_DIVERGENCE * increments[accelerated_at - 1]:
+                continue
+            best = min(best, inc)
+            if inc > ANDERSON_DIVERGENCE * at_switch or (
+                iterations - accelerated_at >= ANDERSON_PATIENCE
+                and best > ANDERSON_PROGRESS * at_switch
+            ):
                 diverged = True
                 fp_residual = inc
                 break
-            else:
-                w = mixer.step(f, t_w)
+            w = mixer.step(f, t_w)
 
         history = dict(increments=tuple(increments), iterate_sups=tuple(sups),
                        accelerated_at=accelerated_at)

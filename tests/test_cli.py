@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from cglvortex import direct
+from cglvortex import ExtensionError, cli, direct
 from cglvortex.cli import build_parser, main
 
 
@@ -331,6 +331,20 @@ class TestVerify:
         assert code == 0
         assert "verify: PASS" in out
         assert "FAIL" not in out.replace("verify: PASS", "")
+
+    def test_jump_gate_rejection_fails_the_extension_check(self, capsys, monkeypatch):
+        def blocked(branch, n):
+            raise ExtensionError("envelope jump 1.000e-03 blocks the periodic extension")
+
+        monkeypatch.setattr(cli, "extend_solution", blocked)
+        code, out, err = run_cli(
+            capsys, "verify", "--rho-re", "0.9", "--rho-im", "0.3",
+            "--eps-re", "0.4", "--nodes", "129",
+        )
+        assert code == 1
+        assert "FAIL  cgl_residual             inf" in out
+        assert out.splitlines()[-1] == "verify: FAIL"
+        assert "envelope jump 1.000e-03" in err
 
 
 class TestEntryPoint:

@@ -127,6 +127,13 @@ class TestAsymptoticPhysical:
         assert errs[0] / errs[1] == pytest.approx(gaps[0] / gaps[1], rel=0.05)
 
 
+# the rectangle points of acceptance criterion 6
+CRITERION6_POINTS = [
+    -3.5 + 0.75j, -2.0 + 1.5j, -1.0 + 0.25j, -0.5 + 1.0j, 0.5 + 0.5j,
+    1.0 + 0.0j, 1.5 + 1.25j, 2.0 + 0.5j, 3.0 + 1.0j, 3.5 + 1.5j,
+]
+
+
 def _converged_branch(rho, eps, n_nodes=257):
     return fixed_point_solve(
         CoreParams(rho=rho, eps=eps, max_iter=400), grid=make_grid(n_nodes)
@@ -167,10 +174,15 @@ class TestExtendSolution:
         with pytest.raises(InvalidState):
             extend_solution(b, 1)
 
-    def test_gate_flag_is_keyword_only(self):
-        b = _converged_branch(0.5, 0.5)
-        with pytest.raises(TypeError):
-            extend_solution(b, 1, False)
+    @pytest.mark.parametrize("n_nodes", [129, 257, 513])
+    def test_criterion6_branches_pass_the_gate(self, n_nodes):
+        # the jump of these symmetric branches is quadrature and solver
+        # error: up to 1.25e-7 max(1, sup|f|) at 129 nodes, falling about
+        # as h^5, below the gate's h^4
+        for rho in CRITERION6_POINTS:
+            b = _converged_branch(rho, 1.0, n_nodes)
+            assert b.converged
+            assert extend_solution(b, 1).n == 1
 
     def test_jump_gate_blocks_asymmetric_envelope(self):
         # hand-built branch whose forcing has an odd component

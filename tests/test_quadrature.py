@@ -120,3 +120,40 @@ class TestRunningIntegral:
             out = running_integral(np.sin(x), x[1] - x[0])
             errs.append(np.max(np.abs(out - (1 - np.cos(x)))))
         assert errs[0] / errs[1] >= 12.0
+
+
+def _running_integral_reference(g, h):
+    """The 4-point cell rules written out one cell at a time."""
+    n = len(g)
+    cells = [(9 * g[0] + 19 * g[1] - 5 * g[2] + g[3]) / 24.0]
+    for i in range(1, n - 2):
+        cells.append((-g[i - 1] + 13 * g[i] + 13 * g[i + 1] - g[i + 2]) / 24.0)
+    cells.append((g[-4] - 5 * g[-3] + 19 * g[-2] + 9 * g[-1]) / 24.0)
+    out = [0.0 * g[0]]
+    for c in cells:
+        out.append(out[-1] + c)
+    return np.array(out) * h
+
+
+class TestKernelsBitIdentical:
+    @pytest.mark.parametrize("n", [5, 7, 257])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_running_integral_matches_cell_rules(self, n, kind):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal(n)
+        if kind == "complex":
+            g = g + 1j * rng.standard_normal(n)
+        h = np.pi / (n - 1)
+        assert np.array_equal(running_integral(g, h), _running_integral_reference(g, h))
+
+    @pytest.mark.parametrize("n", [5, 257, 1025])
+    def test_tan_and_cos2_mass_tables(self, n):
+        g = make_grid(n)
+        cos, sin = np.cos(g.nodes), np.sin(g.nodes)
+        assert np.array_equal(g.tan, sin[1:-1] / cos[1:-1])
+        assert g.cos2_mass == np.dot(g.weights, cos * cos)
+        assert not g.tan.flags.writeable
+        with pytest.raises(ValueError):
+            g.tan[0] = 0.0
+        with pytest.raises(AttributeError):
+            g.cos2_mass = 1.0

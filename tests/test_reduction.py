@@ -17,6 +17,8 @@ from cglvortex import (
     project_mean,
     solvability_residual,
 )
+from cglvortex.reduction import ANDERSON_DIVERGENCE, ANDERSON_PATIENCE, ANDERSON_PROGRESS
+from cglvortex.sweep import solve
 from conftest import random_admissible, random_mean_free_ball
 
 L_BOUND = 3 * np.pi
@@ -200,6 +202,29 @@ class TestFixedPoint:
         assert branch.fp_residual < 5e-12
         assert len(branch.increments) == branch.iterations
 
+    @pytest.mark.parametrize("im", [0.0, 0.25, 0.5, 0.75])
+    def test_growth_switches_before_the_orbit_saturates(self, grid257, im):
+        # at rho = 3.5 the plain increments grow by about x1.17 a step once
+        # they bottom out; growth alone triggers the switch
+        branch = fixed_point_solve(CoreParams(rho=complex(3.5, im), eps=1.0, max_iter=800),
+                                   grid=grid257)
+        assert branch.converged and branch.accelerated_at is not None
+        assert branch.iterations + 1 < 40  # every map, the measuring one too
+
+    @pytest.mark.parametrize("rho", [6.0, -6.0])
+    def test_branch_found_where_increments_jump(self, rho):
+        # at rho = 6 the plain ratios |dw_k| / |dw_{k-2}| go 0.81, 1.09,
+        # 1.67, 2.55: growth with no step near 1.  r agrees with shooting
+        # within verify's bounds at eps = 1: the grid-order one at 257 nodes
+        # and 1e-6 at 513, where the quadrature error of the map is 16x smaller
+        for n_nodes, bound in ((257, max(1e-6, (np.pi / 256) ** 2 * (1 + abs(rho)))),
+                               (513, 1e-6)):
+            grid = make_grid(n_nodes)
+            fp = solve("fixed_point", rho, 1.0, grid)
+            sh = solve("shooting", rho, 1.0, grid)
+            assert fp.converged and sh.converged
+            assert abs(fp.r - sh.r) <= bound
+
     @pytest.mark.parametrize("rho,eps,switched", [(-20 + 5j, 1.0, False), (-5.0, 1.3, True)])
     def test_divergence_reported_within_40_maps(self, grid257, rho, eps, switched):
         # -20+5j overflows in the plain phase; -5 switches to Anderson and
@@ -209,6 +234,17 @@ class TestFixedPoint:
         assert (branch.accelerated_at is not None) == switched
         # a diverged solve measures no final residual: iterations are all its maps
         assert branch.iterations <= 40
+
+    def test_anderson_without_progress_ends_diverged(self, grid257):
+        # at (-5, 1.3) the accelerated residual neither blows up nor falls
+        # by 1e-3: the solve ends ANDERSON_PATIENCE maps after the switch
+        branch = fixed_point_solve(CoreParams(rho=-5.0, eps=1.3, max_iter=800), grid=grid257)
+        assert branch.diverged
+        at_switch = branch.increments[branch.accelerated_at - 1]
+        accelerated = branch.increments[branch.accelerated_at - 1:]
+        assert branch.iterations - branch.accelerated_at == ANDERSON_PATIENCE
+        assert max(accelerated) <= ANDERSON_DIVERGENCE * at_switch
+        assert min(accelerated) > ANDERSON_PROGRESS * at_switch
 
     def test_warm_start_shortens_iteration(self, grid257):
         params = CoreParams(rho=2.5 + 1.0j, eps=1.0, max_iter=400)

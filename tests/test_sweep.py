@@ -237,12 +237,12 @@ class TestSolve:
 
 
 class TestDivergedRecord:
-    # one blow-up of each solver: the fixed point's Anderson phase diverges
-    # at rho = -6; shooting escapes at iteration 0 where the RK4 step is
-    # unstable; FD escapes after one pass when the Newton solve returns a
-    # huge finite step
+    # one blow-up of each solver: the fixed point's plain phase overflows at
+    # rho = -20 + 5i, where no method converges; shooting escapes at
+    # iteration 0 where the RK4 step is unstable; FD escapes after one pass
+    # when the Newton solve returns a huge finite step
     @pytest.mark.parametrize("method,rho,eps", [
-        ("fixed_point", -6.0, 1.0),
+        ("fixed_point", -20.0 + 5.0j, 1.0),
         ("shooting", 1e-3, 2e6),
         ("finite_difference", 2.0 + 0.5j, 1.0),
     ])

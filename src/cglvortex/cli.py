@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +80,8 @@ def _add_rho_eps(p):
     p.add_argument("--eps-im", type=_finite_float, default=0.0)
 
 
+# parsing leaves the parser as it was, so one process builds it once
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cglvortex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

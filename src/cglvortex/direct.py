@@ -20,11 +20,13 @@ normalization rows, solved by block elimination on a banded LU (LAPACK
 gbtrf/gbtrs; scipy is imported at the first call).
 
 Shooting is multiple shooting (Keller 1968; Ascher, Mattheij & Russell
-1995, ch. 4).  J is cut at grid nodes into SHOOT_SEGMENTS segments (fewer
-when that does not divide the grid intervals), and RK4 integrates all of
-them at once as numpy lanes that also carry the variational equations, so
-the Newton Jacobian comes exactly from the same integration as the
-conditions.  Short segments bound the growth that blows a single
+1995, ch. 4).  J is cut at grid nodes into SHOOT_SEGMENTS = 256 segments
+(fewer when that does not divide the grid intervals): one grid interval
+each up to 257 nodes, several on finer grids, where one lane per interval
+would be too wide to stay in cache.  Classical RK4 in Nystrom form
+integrates all segments at once as numpy lanes that also carry the
+variational equations, so the Newton Jacobian comes exactly from the same
+integration as the conditions.  Short segments bound the growth that blows a single
 trajectory up at |rho| beyond about 9; an escape of a trial (|U| reaching
 ESCAPE_CAP * max(1, |eps|) in any lane) forces the line search to
 backtrack.  The finite-difference solver takes Newton steps on the
@@ -49,7 +51,7 @@ RHO_ZERO_CUTOFF = 1e-13
 # RK4 steps across J, rounded up to a multiple of the grid intervals
 RK4_STEPS = 2048
 # multiple-shooting segments, lowered to a divisor of the grid intervals
-SHOOT_SEGMENTS = 128
+SHOOT_SEGMENTS = 256
 
 
 # ------------------------------------------------------- bordered Newton solve
@@ -115,14 +117,19 @@ def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap):
     """Fixed-step RK4 of U'' = -(1 + lam) U + rho |U|^2 U on numpy lanes.
 
     Lane k starts from U = u0[k], U' = v0[k] and takes ``stride`` steps of
-    length h across each of m output intervals.  Every lane also carries
-    the variational equations of its six real directions (the _DIRECTION_*
-    rows), integrated by the same RK4 stages, so they are the exact
-    derivatives of the discrete trajectory.  Returns (U at the m + 1 output
-    points, U at the end, U' at the end), shaped (m + 1, 7, K) and (7, K)
-    (the trajectory, then the six tangents); or None when a trajectory
-    reaches |U| = ``cap`` (finite-x blowup of a trial) or a tangent
-    overflows.
+    length h across each of m output intervals.  The steps are classical
+    RK4 in Nystrom form: the force F depends on U alone, so the stages
+    take F at P = U + (h/2) U', at P + (h^2/4) F1 and at
+    U + h U' + (h^2/2) F2, and U advances by h U' + (h^2/6)(F1 + F2 + F3),
+    U' by (h/6)(F1 + 2 F2 + 2 F3 + F4): the classical method up to
+    rounding, in fewer array passes.  Every lane also carries the
+    variational equations of its six real directions (the _DIRECTION_*
+    rows), integrated by the same stages, which are linear in the stage
+    values, so they are the exact derivatives of the discrete trajectory.
+    Returns (U at the m + 1 output points, U at the end, U' at
+    the end), shaped (m + 1, 7, K) and (7, K) (the trajectory, then the six
+    tangents); or None when a trajectory reaches |U| = ``cap`` (finite-x
+    blowup of a trial) or a tangent overflows.
     """
     u0 = np.asarray(u0, dtype=complex)
     U = np.empty((7,) + u0.shape, dtype=complex)
@@ -135,6 +142,7 @@ def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap):
     out[0] = U
     hh = 0.5 * h
     h6 = h / 6.0
+    hsq4, hsq2, hsq6 = h * h / 4.0, h * h / 2.0, h * h / 6.0
 
     c0 = -1.0 - lam
 
@@ -152,17 +160,14 @@ def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap):
         for j in range(1, m + 1):
             for _ in range(stride):
                 F1 = force(U)
-                U2 = U + hh * V
-                V2 = V + hh * F1
-                F2 = force(U2)
-                U3 = U + hh * V2
-                V3 = V + hh * F2
-                F3 = force(U3)
-                U4 = U + h * V3
-                V4 = V + h * F3
-                F4 = force(U4)
-                U = U + h6 * (V + 2.0 * V2 + 2.0 * V3 + V4)
-                V = V + h6 * (F1 + 2.0 * F2 + 2.0 * F3 + F4)
+                P = U + hh * V
+                F2 = force(P)
+                F3 = force(P + hsq4 * F1)
+                Q = U + h * V
+                F4 = force(Q + hsq2 * F2)
+                F23 = F2 + F3
+                U = Q + hsq6 * (F1 + F23)
+                V = V + h6 * (F1 + 2.0 * F23 + F4)
             out[j] = U
         escaped = not (np.max(np.abs(out[:, 0])) < cap
                        and np.all(np.isfinite(U)) and np.all(np.isfinite(V)))
@@ -211,6 +216,23 @@ def _shoot_conditions(lanes, u0, v0, wseg, eps):
     return c
 
 
+@lru_cache(maxsize=8)
+def _shoot_band_pattern(k_seg):
+    """Where the tangents of K = k_seg segments go in the band storage of
+    _shoot_newton_system's core: (band row, column, mask).  tan[:4]
+    transposed to (k, p, d) and masked by ``mask`` fills ab[band, column];
+    the mask drops segment 0's fixed start U and the last segment's free
+    end slope."""
+    size = 4 * k_seg - 2
+    k, p, d = np.meshgrid(np.arange(k_seg), np.arange(4), np.arange(4), indexing="ij")
+    row, col = 4 * k + p, 4 * k + d - 2
+    inside = (col >= 0) & (row < size)
+    pattern = (2 + row - col)[inside], col[inside], inside
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
+
+
 def _shoot_newton_system(lanes, wseg):
     """The Newton system of _shoot_conditions from the tangent lanes, as
     spsolve takes it.  Condition (segment k, p) is row 4k + p and start
@@ -225,11 +247,9 @@ def _shoot_newton_system(lanes, wseg):
     # tan[d, p, k]: (Re U, Im U, Re U', Im U') of segment k's end along direction d
     tan = np.stack([ue[1:], ve[1:]], axis=1)
     tan = np.stack([tan.real, tan.imag], axis=2).reshape(6, 4, k_seg)
-    k, p, d = np.meshgrid(np.arange(k_seg), np.arange(4), np.arange(4), indexing="ij")
-    row, col = 4 * k + p, 4 * k + d - 2
-    inside = (col >= 0) & (row < size)
+    band, col, inside = _shoot_band_pattern(k_seg)
     ab = np.zeros((8, size))
-    ab[(2 + row - col)[inside], col[inside]] = tan[:4].transpose(2, 1, 0)[inside]
+    ab[band, col] = tan[:4].transpose(2, 1, 0)[inside]
     ab[0, 2:] = -1.0
     cols = tan[4:].transpose(2, 1, 0).reshape(4 * k_seg, 2)[:size]
     dnorm = np.einsum("jk,jdk->dk", wseg, out[:, 1:])

@@ -347,6 +347,22 @@ class TestVerify:
         assert "envelope jump 1.000e-03" in err
 
 
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_after_a_parse_error(self, capsys):
+        # a rejected command line leaves the shared parser as it was
+        code, _, err = run_cli(capsys, "verify", "--rho-re", "0.9", "--no-such-flag")
+        assert code == 1 and err.startswith("error:")
+        code, out, _ = run_cli(
+            capsys, "verify", "--rho-re", "0.9", "--rho-im", "0.3",
+            "--eps-re", "0.4", "--nodes", "129",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "verify: PASS"
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

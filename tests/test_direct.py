@@ -211,7 +211,7 @@ class TestShooting:
         # the unknown a = U'(-pi/2) = v(-pi/2) is still at its start
         assert b.v.values[0] == eps
 
-    @pytest.mark.parametrize("n_nodes,segments", [(9, 128), (33, 4)])
+    @pytest.mark.parametrize("n_nodes,segments", [(9, 128), (17, 16), (33, 4)])
     def test_newton_system_matches_difference_quotients(self, monkeypatch, n_nodes, segments):
         # the banded core, border and corner assembled from the tangent
         # lanes against central differences of the conditions in z
@@ -237,6 +237,28 @@ class TestShooting:
             dz[j] = step
             quotients[:, j] = (conditions(z + dz)[1] - conditions(z - dz)[1]) / (2 * step)
         assert np.max(np.abs(got - quotients)) <= 1e-7 * np.max(np.abs(quotients))
+
+    @pytest.mark.parametrize("n_nodes,k_seg,m", [(129, 128, 1), (257, 256, 1), (513, 256, 2)])
+    def test_segment_layout(self, n_nodes, k_seg, m):
+        # one grid interval per segment up to SHOOT_SEGMENTS intervals, then
+        # SHOOT_SEGMENTS segments of several; RK4_STEPS steps across J
+        stride, h, wseg = _segments(make_grid(n_nodes))
+        assert wseg.shape == (m + 1, k_seg)
+        assert stride * (n_nodes - 1) == direct.RK4_STEPS
+        assert h == np.pi / direct.RK4_STEPS
+
+    @pytest.mark.parametrize("rho", [-3.5 + 0.75j, 3.5 + 1.5j])
+    def test_branch_independent_of_segment_count(self, grid257, monkeypatch, rho):
+        # the segments only cut the same RK4 trajectory: at verify's
+        # tolerance the converged branch agrees to rounding whatever K
+        params = CoreParams(rho=rho, eps=1.0, tol_fp=1e-12, max_iter=800)
+        branches = []
+        for segments in (32, 128, 256):
+            monkeypatch.setattr(direct, "SHOOT_SEGMENTS", segments)
+            branches.append(shoot_solve(params, grid=grid257))
+        assert all(b.converged for b in branches)
+        for b in branches[1:]:
+            assert compare_branches(branches[0], b) <= 1e-12
 
     def test_seed_at_solution_converges_at_once(self, grid257):
         # segment starts taken from a converged profile: U from the samples

@@ -41,8 +41,7 @@ from .direct import (
 from .physics import (
     PhysParams,
     VortexSolution,
-    asymptotic_R,
-    asymptotic_omega,
+    asymptotic_physical,
     cgl_residual,
     extend_solution,
     mu_nu_from_rho,
@@ -79,9 +78,8 @@ __all__ = [
     "ToolkitError",
     "VortexSolution",
     "apply_green_op",
-    "asymptotic_R",
     "asymptotic_U",
-    "asymptotic_omega",
+    "asymptotic_physical",
     "asymptotic_r",
     "cgl_residual",
     "compare_branches",

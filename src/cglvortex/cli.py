@@ -22,8 +22,7 @@ from .direct import compare_branches
 from .reduction import fixed_point_solve  # noqa: F401
 from .direct import fd_solve, shoot_solve  # noqa: F401
 from .physics import (
-    asymptotic_R,
-    asymptotic_omega,
+    asymptotic_physical,
     cgl_residual,
     extend_solution,
     mu_nu_from_rho,
@@ -203,12 +202,13 @@ def _cmd_expand(args) -> int:
     r = asymptotic_r(rho, eps, min(args.order, 1))
     xs = np.linspace(-np.pi / 2, np.pi / 2, args.samples)
     u = asymptotic_U(rho, eps, xs, args.order)
+    series = asymptotic_physical(eps, args.mu, args.nu, args.n)
     out = {
         "order": args.order,
         "r_re": r.real,
         "r_im": r.imag,
-        "R": asymptotic_R(eps, args.mu, args.nu, args.n),
-        "omega": asymptotic_omega(eps, args.mu, args.nu, args.n),
+        "R": series.R,
+        "omega": series.omega,
         "U": {"x": xs.tolist(), "re": u.real.tolist(), "im": u.imag.tolist()},
     }
     print(dumps_json(out))
@@ -286,6 +286,7 @@ def _cmd_physical(args) -> int:
     grid = make_grid(args.nodes)
     branch = solve("fixed_point", rho, eps, grid)
     phys = physical_from_r(branch.r, args.mu, args.nu, args.n)
+    series = asymptotic_physical(eps, args.mu, args.nu, args.n)
     out = {
         "rho_re": rho.real,
         "rho_im": rho.imag,
@@ -294,8 +295,8 @@ def _cmd_physical(args) -> int:
         "r_im": branch.r.imag,
         "R": phys.R,
         "omega": phys.omega,
-        "R_asymptotic": asymptotic_R(eps, args.mu, args.nu, args.n),
-        "omega_asymptotic": asymptotic_omega(eps, args.mu, args.nu, args.n),
+        "R_asymptotic": series.R,
+        "omega_asymptotic": series.omega,
     }
     print(dumps_json(out))
     return 0 if branch.converged else 2

@@ -415,11 +415,14 @@ def fd_solve(
     from the small-amplitude series); stops when the step taken falls below
     ``params.tol_fp * max(1, |eps|)``, after at most ``params.max_iter``
     passes.  A singular Newton system ends the iteration at the current
-    iterate with converged False.
+    iterate with converged False.  The grid needs at least 7 nodes.
     """
     rho, eps = params.rho, params.eps
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
+    if grid.n_nodes < 7:
+        # the envelope's cubic end rule reads four interior nodes
+        raise InvalidArgument(f"finite differences need >= 7 nodes, got {grid.n_nodes}")
     if seed is None:
         u = eps * grid.cos.astype(complex)
     else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ExtensionError, InvalidArgument, InvalidState
 from .greens import jump_increment
-from .reduction import Branch, ode_forcing
+from .reduction import Branch, asymptotic_r, ode_forcing
 
 
 @dataclass(frozen=True)
@@ -78,25 +78,15 @@ def mu_nu_from_rho(rho: complex, n: int) -> tuple[float, float]:
     return mu, nu
 
 
-def asymptotic_R(eps: complex, mu: float, nu: float, n: int) -> float:
-    """Small-amplitude series for R through fourth order in |eps|."""
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
-    s = abs(eps) ** 2
-    coef = (1.0 - mu * mu + 2.0 * mu * nu) / (32.0 * n * n * (1.0 + nu * nu))
-    return n * n + 0.75 * s * (1.0 - coef * s)
-
-
-def asymptotic_omega(eps: complex, mu: float, nu: float, n: int) -> float:
-    """Small-amplitude series for omega through fourth order in |eps|.
+def asymptotic_physical(eps: complex, mu: float, nu: float, n: int) -> PhysParams:
+    """Small-amplitude series for R and omega through fourth order in |eps|:
+    the first-order series for r at rho_from_physical(mu, nu, n), mapped
+    by physical_from_r.
 
     Near the bifurcation point omega also satisfies
     omega = mu R + (nu - mu) n^2 + O((R - n^2)^2)."""
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
-    s = abs(eps) ** 2
-    coef = (mu * mu * nu + 2.0 * mu - nu) / (32.0 * n * n * (1.0 + nu * nu))
-    return nu * n * n + 0.75 * s * (mu - coef * s)
+    r = asymptotic_r(rho_from_physical(mu, nu, n), eps, 1)
+    return physical_from_r(r, mu, nu, n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,9 @@ HALF_PI = np.pi / 2.0
 class Grid:
     """Uniform nodes spanning J = [-pi/2, pi/2], endpoints included.
 
-    The grid owns the tables every operator on J reads: the
+    n_nodes must be odd and at least 5 so that composite Simpson applies;
+    the grid builds its nodes from it, so grids with equal node counts are
+    equal.  The grid owns the tables every operator on J reads: the
     composite-Simpson ``weights``, the samples ``cos``, ``sin``, ``cos2``
     (cos^2) and ``cos4`` (cos^4), ``tan`` (sin / cos on the interior nodes
     only, where cos does not vanish) and the float ``cos2_mass``, the
@@ -29,7 +31,7 @@ class Grid:
     read-only."""
 
     n_nodes: int
-    nodes: np.ndarray
+    nodes: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     cos: np.ndarray = field(init=False, repr=False)
     sin: np.ndarray = field(init=False, repr=False)
@@ -39,19 +41,23 @@ class Grid:
     cos2_mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        n = self.n_nodes
+        if n != int(n) or n < 5 or n % 2 == 0:
+            raise InvalidArgument(f"n_nodes must be odd and >= 5, got {n}")
+        object.__setattr__(self, "n_nodes", int(n))
         weights = np.ones(self.n_nodes)
         weights[1:-1:2] = 4.0
         weights[2:-1:2] = 2.0
         weights *= self.spacing / 3.0
-        cos, sin = np.cos(self.nodes), np.sin(self.nodes)
+        nodes = np.linspace(-HALF_PI, HALF_PI, self.n_nodes)
+        cos, sin = np.cos(nodes), np.sin(nodes)
         cos2 = cos * cos
-        tables = dict(weights=weights, cos=cos, sin=sin, cos2=cos2,
+        tables = dict(nodes=nodes, weights=weights, cos=cos, sin=sin, cos2=cos2,
                       cos4=cos2 * cos2, tan=sin[1:-1] / cos[1:-1])
         for name, a in tables.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "cos2_mass", float(np.dot(weights, cos2)))
-        self.nodes.setflags(write=False)
 
     @property
     def spacing(self) -> float:
@@ -70,12 +76,8 @@ class Grid:
 
 @lru_cache(maxsize=32)
 def make_grid(n_nodes: int) -> Grid:
-    """The uniform grid on J (one shared instance per node count).
-    n_nodes must be odd and at least 5 so that composite Simpson applies."""
-    if n_nodes < 5 or n_nodes % 2 == 0:
-        raise InvalidArgument(f"n_nodes must be odd and >= 5, got {n_nodes}")
-    nodes = np.linspace(-HALF_PI, HALF_PI, n_nodes)
-    return Grid(n_nodes=int(n_nodes), nodes=nodes)
+    """The uniform grid on J (one shared instance per node count)."""
+    return Grid(n_nodes)
 
 
 @dataclass(frozen=True, eq=False)

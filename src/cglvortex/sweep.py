@@ -10,7 +10,7 @@ are not finite are written as null.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -24,12 +24,6 @@ from .physics import extend_solution  # noqa: F401
 
 METHODS = ("fixed_point", "shooting", "finite_difference")
 
-CSV_COLUMNS = (
-    "rho_re", "rho_im", "method", "converged", "r_re", "r_im",
-    "iterations", "zero_count", "extra_zeros", "symmetry_defect",
-    "min_abs_v", "ode_residual",
-)
-
 ZERO_TOL = 1e-6
 
 
@@ -37,38 +31,32 @@ ZERO_TOL = 1e-6
 class SweepRecord:
     """Flat summary of one solve at one parameter point.
 
-    accelerated_at is the Branch's: the plain iterations after which a
-    fixed-point solve switched to Anderson mixing, or None.  It is not one
-    of the emitted columns, so records read back by load_records hold None.
+    Every field but the last is one emitted column, in column order, and
+    load_records parses each cell by its field's type.  accelerated_at is
+    the Branch's: the plain iterations after which a fixed-point solve
+    switched to Anderson mixing, or None.  It is not emitted, so records
+    read back by load_records hold None, and equality ignores it.
     """
 
-    rho: complex
+    rho_re: float
+    rho_im: float
     method: str
     converged: bool
-    r: complex
+    r_re: float
+    r_im: float
     iterations: int
     zero_count: int
     extra_zeros: int
     symmetry_defect: float
     min_abs_v: float
     ode_residual: float
-    accelerated_at: int | None = None
+    accelerated_at: int | None = field(default=None, compare=False)
 
     def as_dict(self) -> dict:
-        return {
-            "rho_re": self.rho.real,
-            "rho_im": self.rho.imag,
-            "method": self.method,
-            "converged": self.converged,
-            "r_re": self.r.real,
-            "r_im": self.r.imag,
-            "iterations": self.iterations,
-            "zero_count": self.zero_count,
-            "extra_zeros": self.extra_zeros,
-            "symmetry_defect": self.symmetry_defect,
-            "min_abs_v": self.min_abs_v,
-            "ode_residual": self.ode_residual,
-        }
+        return {col: getattr(self, col) for col in CSV_COLUMNS}
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord) if f.name != "accelerated_at")
 
 
 @dataclass(frozen=True)
@@ -217,11 +205,14 @@ def record_from_branch(branch: Branch) -> SweepRecord:
     if branch.converged:
         # that period holds the envelope on J twice
         zero_count, extra = count_zeros(np.tile(branch.v.values[:-1], 2), 1)
+    rho = branch.params.rho
     return SweepRecord(
-        rho=branch.params.rho,
+        rho_re=rho.real,
+        rho_im=rho.imag,
         method=branch.method,
         converged=bool(branch.converged),
-        r=branch.r,
+        r_re=branch.r.real,
+        r_im=branch.r.imag,
         iterations=branch.iterations,
         zero_count=zero_count,
         extra_zeros=extra,
@@ -279,7 +270,7 @@ def mirror_conjugate(records: Sequence[SweepRecord]) -> list[SweepRecord]:
     to branches with r -> conj r and identical real diagnostics."""
     out = list(records)
     for rec in records:
-        out.append(replace(rec, rho=rec.rho.conjugate(), r=rec.r.conjugate()))
+        out.append(replace(rec, rho_im=-rec.rho_im, r_im=-rec.r_im))
     return out
 
 
@@ -342,35 +333,28 @@ def _number(value) -> float:
 
 def _record_from_row(d, where: str) -> SweepRecord:
     """The record of one emitted row: a JSON object, or a CSV line keyed by
-    CSV_COLUMNS (its cells still text).  A missing or unreadable cell raises
-    InvalidArgument naming ``where`` (file and line or row) and the column."""
+    CSV_COLUMNS (its cells still text), each cell parsed by its field's
+    type.  A missing or unreadable cell raises InvalidArgument naming
+    ``where`` (file and line or row) and the column."""
     if not isinstance(d, dict):
         raise InvalidArgument(f"{where}: expected an object of {len(CSV_COLUMNS)} columns")
+    # keyed by the annotations' text (this module postpones annotations)
+    parsers = {"float": _number, "int": int, "bool": _flag, "str": str}
 
-    def cell(key, parse):
-        if key not in d:
-            raise InvalidArgument(f"{where}: missing column {key}")
+    def cell(f):
+        if f.name not in d:
+            raise InvalidArgument(f"{where}: missing column {f.name}")
         try:
-            return parse(d[key])
+            return parsers[f.type](d[f.name])
         except (TypeError, ValueError):
-            raise InvalidArgument(f"{where}, column {key}: cannot read {d[key]!r}") from None
+            raise InvalidArgument(f"{where}, column {f.name}: cannot read {d[f.name]!r}") from None
 
-    return SweepRecord(
-        rho=complex(cell("rho_re", _number), cell("rho_im", _number)),
-        method=cell("method", str),
-        converged=cell("converged", _flag),
-        r=complex(cell("r_re", _number), cell("r_im", _number)),
-        iterations=cell("iterations", int),
-        zero_count=cell("zero_count", int),
-        extra_zeros=cell("extra_zeros", int),
-        symmetry_defect=cell("symmetry_defect", _number),
-        min_abs_v=cell("min_abs_v", _number),
-        ode_residual=cell("ode_residual", _number),
-    )
+    return SweepRecord(**{f.name: cell(f) for f in fields(SweepRecord) if f.name in CSV_COLUMNS})
 
 
 def load_records(path, format_: str) -> list[SweepRecord]:
-    """Parse a file produced by emit_results back into records.  A CSV file
+    """Parse a file produced by emit_results back into records.  A JSON
+    file must hold an array, or InvalidArgument names the file; a CSV file
     must carry the CSV_COLUMNS header and one field per column in each row;
     every cell must read as its column's type (converged only true or
     false), or InvalidArgument names the line (CSV) or row (JSON) and
@@ -379,7 +363,13 @@ def load_records(path, format_: str) -> list[SweepRecord]:
         raise InvalidArgument(f"unknown format {format_!r}")
     with open(path, "r", encoding="utf-8") as fh:
         if format_ == "json":
-            return [_record_from_row(d, f"{path} row {i}") for i, d in enumerate(json.load(fh))]
+            try:
+                rows = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
+                raise InvalidArgument(f"{path} is not JSON: {exc}") from None
+            if not isinstance(rows, list):
+                raise InvalidArgument(f"{path}: expected an array of records")
+            return [_record_from_row(d, f"{path} row {i}") for i, d in enumerate(rows)]
         if tuple(fh.readline().rstrip("\n").split(",")) != CSV_COLUMNS:
             raise InvalidArgument(f"unexpected CSV header in {path}")
         rows = [line.rstrip("\n").split(",") for line in fh]

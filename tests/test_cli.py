@@ -140,6 +140,11 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--method", "magic")
         assert code == 1
 
+    def test_fd_needs_seven_nodes(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--method", "fd", "--nodes", "5")
+        assert (code, out) == (1, "")
+        assert "7 nodes" in err
+
 
 class TestSweepCommand:
     def test_rect_csv(self, capsys, tmp_path):
@@ -247,6 +252,15 @@ class TestSweepCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and flag in err
+        assert not path.exists()
+
+    def test_fd_needs_seven_nodes(self, capsys, tmp_path):
+        path = tmp_path / "fd5.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--mode", "rect", "--method", "fd", "--nodes", "5",
+            "--re-steps", "2", "--im-steps", "2", "--out", str(path),
+        )
+        assert code == 1 and "7 nodes" in err
         assert not path.exists()
 
     def test_unset_options_left_to_sweepspec(self):

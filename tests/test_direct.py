@@ -393,6 +393,12 @@ class TestFiniteDifference:
         with pytest.raises(InvalidArgument):
             fd_solve(CoreParams(rho=1.0, eps=0.0, **FD), grid=grid257)
 
+    def test_five_nodes_rejected(self):
+        # the cubic end rule extrapolates each envelope end from four
+        # interior nodes; a 5-node grid has three
+        with pytest.raises(InvalidArgument, match="7 nodes"):
+            fd_solve(CoreParams(rho=0.5, eps=1.0), grid=make_grid(5))
+
     def test_singular_matrix_reported_not_raised(self, grid257, monkeypatch):
         monkeypatch.setattr(direct, "spsolve", lambda *system: np.full_like(system[-1], np.nan))
         b = fd_solve(CoreParams(rho=2.0 + 0.5j, eps=1.0, **FD), grid=grid257)

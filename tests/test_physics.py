@@ -10,9 +10,7 @@ from cglvortex import (
     InvalidState,
     PhysParams,
     VortexSolution,
-    asymptotic_R,
-    asymptotic_omega,
-    asymptotic_r,
+    asymptotic_physical,
     cgl_residual,
     extend_solution,
     fixed_point_solve,
@@ -80,38 +78,38 @@ class TestAsymptoticPhysical:
     def test_R_reference(self):
         s = 0.09
         eps = np.sqrt(s)
-        assert asymptotic_R(eps, 0.0, 0.0, 1) == pytest.approx(
+        assert asymptotic_physical(eps, 0.0, 0.0, 1).R == pytest.approx(
             1 + 0.75 * s * (1 - s / 32), rel=1e-14
         )
 
     def test_R_at_zero_amplitude(self):
-        assert asymptotic_R(0.0, 0.7, -0.3, 3) == 9.0
+        assert asymptotic_physical(0.0, 0.7, -0.3, 3).R == 9.0
 
     def test_R_chain_consistency(self):
-        # mapping the printed r series through the parameter map reproduces
-        # the printed R series identically
+        # the r series mapped through the parameter map is the printed R
+        # series, expanded by hand
         mu, nu, n = 0.6, -0.4, 2
-        rho = rho_from_physical(mu, nu, n)
         for eps in (0.1, 0.3):
-            r1 = asymptotic_r(rho, eps, 1)
-            assert physical_from_r(r1, mu, nu, n).R == pytest.approx(
-                asymptotic_R(eps, mu, nu, n), rel=1e-13
+            s = eps * eps
+            coef = (1.0 - mu * mu + 2.0 * mu * nu) / (32.0 * n * n * (1.0 + nu * nu))
+            assert asymptotic_physical(eps, mu, nu, n).R == pytest.approx(
+                n * n + 0.75 * s * (1.0 - coef * s), rel=1e-13
             )
 
     def test_omega_chain_consistency(self):
         mu, nu, n = 0.6, -0.4, 2
-        rho = rho_from_physical(mu, nu, n)
         for eps in (0.1, 0.3):
-            r1 = asymptotic_r(rho, eps, 1)
-            assert physical_from_r(r1, mu, nu, n).omega == pytest.approx(
-                asymptotic_omega(eps, mu, nu, n), rel=1e-13
+            s = eps * eps
+            coef = (mu * mu * nu + 2.0 * mu - nu) / (32.0 * n * n * (1.0 + nu * nu))
+            assert asymptotic_physical(eps, mu, nu, n).omega == pytest.approx(
+                nu * n * n + 0.75 * s * (mu - coef * s), rel=1e-13
             )
 
     def test_omega_vanishes_for_real_equation(self):
-        assert asymptotic_omega(0.5, 0.0, 0.0, 1) == 0.0
+        assert asymptotic_physical(0.5, 0.0, 0.0, 1).omega == 0.0
 
     def test_omega_at_zero_amplitude(self):
-        assert asymptotic_omega(0.0, 0.2, 0.8, 2) == pytest.approx(0.8 * 4)
+        assert asymptotic_physical(0.0, 0.2, 0.8, 2).omega == pytest.approx(0.8 * 4)
 
     def test_omega_linear_identity_quadratic_remainder(self):
         # omega - [mu R + (nu - mu) n^2] shrinks like (R - n^2)^2
@@ -119,12 +117,15 @@ class TestAsymptoticPhysical:
         errs = []
         gaps = []
         for s in (0.04, 0.01):
-            eps = np.sqrt(s)
-            R = asymptotic_R(eps, mu, nu, n)
-            om = asymptotic_omega(eps, mu, nu, n)
-            errs.append(abs(om - (mu * R + (nu - mu) * n * n)))
-            gaps.append((R - n * n) ** 2)
+            series = asymptotic_physical(np.sqrt(s), mu, nu, n)
+            errs.append(abs(series.omega - (mu * series.R + (nu - mu) * n * n)))
+            gaps.append((series.R - n * n) ** 2)
         assert errs[0] / errs[1] == pytest.approx(gaps[0] / gaps[1], rel=0.05)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_invalid_mode_rejected(self, n):
+        with pytest.raises(InvalidArgument):
+            asymptotic_physical(0.3, 0.2, 0.1, n)
 
 
 # the rectangle points of acceptance criterion 6

@@ -1,6 +1,7 @@
 """Property tests of invariants the solvers and sweeps rely on."""
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,18 +12,20 @@ from cglvortex import (
     CoreParams,
     GridFunction,
     InvalidArgument,
+    SweepRecord,
     SweepSpec,
     apply_green_op,
     cubic_forcing,
     emit_results,
     enforce_solvability,
+    load_records,
     make_grid,
     project_mean,
     run_sweep,
     solvability_residual,
     solve,
 )
-from cglvortex.sweep import METHODS
+from cglvortex.sweep import CSV_COLUMNS, METHODS
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25, database=None)
 
@@ -120,6 +123,55 @@ def test_sweep_csv_deterministic(method, re, im, re_steps, eps, warm_start):
         for path in paths:
             emit_results(run_sweep(spec), "csv", path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# every float, NaN, the infinities and -0.0 among them
+cells = st.floats()
+counts = st.integers(0, 10**9)
+records = st.builds(
+    SweepRecord, rho_re=cells, rho_im=cells, method=st.sampled_from(METHODS),
+    converged=st.booleans(), r_re=cells, r_im=cells, iterations=counts,
+    zero_count=counts, extra_zeros=counts, symmetry_defect=cells,
+    min_abs_v=cells, ode_residual=cells, accelerated_at=st.none() | counts,
+)
+ODD_RECORD = SweepRecord(
+    -0.0, math.inf, "shooting", False, math.nan, -math.inf, 0, 0, 0,
+    -0.0, 5e-324, 1.7976931348623157e308, accelerated_at=148,
+)
+
+
+def written(rec):
+    """The cells of rec as text: -0.0, NaN and the infinities as written."""
+    return [repr(getattr(rec, col)) for col in CSV_COLUMNS]
+
+
+def float_columns(rec, pred):
+    """The columns of rec that hold a float satisfying pred."""
+    return [col for col in CSV_COLUMNS
+            if isinstance(getattr(rec, col), float) and pred(getattr(rec, col))]
+
+
+def nan_free(rec):
+    """rec with its NaN cells as None, so that == holds between NaN cells."""
+    return replace(rec, **dict.fromkeys(float_columns(rec, math.isnan)))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(PROPERTY, max_examples=100)
+@given(recs=st.lists(records, min_size=1, max_size=4))
+@example(recs=[ODD_RECORD])
+def test_records_survive_emission(fmt, recs):
+    # equality ignores accelerated_at, which is not emitted; JSON writes an
+    # infinity as null, which reads back as NaN
+    expect = recs
+    if fmt == "json":
+        expect = [replace(r, **dict.fromkeys(float_columns(r, math.isinf), math.nan)) for r in recs]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"records.{fmt}"
+        emit_results(recs, fmt, path)
+        back = load_records(path, fmt)
+    assert [written(b) for b in back] == [written(r) for r in expect]
+    assert [nan_free(b) for b in back] == [nan_free(r) for r in expect]
 
 
 @PROPERTY

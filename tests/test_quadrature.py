@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cglvortex import GridFunction, InvalidArgument, integrate, make_grid
+from cglvortex import Grid, GridFunction, InvalidArgument, integrate, make_grid
 from cglvortex.quadrature import running_integral
 
 
@@ -41,6 +41,22 @@ class TestMakeGrid:
     def test_invalid_counts_rejected(self, bad):
         with pytest.raises(InvalidArgument):
             make_grid(bad)
+
+    @pytest.mark.parametrize("bad", [4, 3, 0, -7, 256, 5.5])
+    def test_grid_validates_its_count(self, bad):
+        with pytest.raises(InvalidArgument):
+            Grid(bad)
+
+    def test_grid_builds_its_nodes(self):
+        # nodes are not an input, so equal grids carry equal nodes
+        with pytest.raises(TypeError):
+            Grid(257, np.linspace(0.0, 1.0, 257))
+        g = Grid(257)
+        assert g == make_grid(257) and g is not make_grid(257)
+        assert np.array_equal(g.nodes, make_grid(257).nodes)
+        assert g.cos2_mass == pytest.approx(np.pi / 2, rel=1e-14)
+        with pytest.raises(ValueError):
+            g.nodes[0] = 0.0
 
 
 class TestGridFunction:

@@ -177,7 +177,7 @@ class TestRunSweep:
                 mode="modulus_sweep", method="shooting", ray_arg=np.pi / 12,
                 mod_min=1.0, mod_max=60.0, mod_steps=32, warm_start=warm,
             )
-            converged[warm] = {r.rho for r in run_sweep(spec) if r.converged}
+            converged[warm] = {(r.rho_re, r.rho_im) for r in run_sweep(spec) if r.converged}
         assert converged[False] <= converged[True]
         assert len(converged[True]) == 32
 
@@ -223,7 +223,7 @@ class TestSolve:
         prev = solve(method, rho0, spec.eps, grid)
         b = solve(method, rho1, spec.eps, grid, prev=prev)
         assert records[1].converged and b.converged
-        assert b.r == records[1].r
+        assert b.r == complex(records[1].r_re, records[1].r_im)
         assert b.iterations == records[1].iterations
 
     def test_unknown_method_rejected(self, grid257):
@@ -285,8 +285,8 @@ class TestDetectAsymmetric:
 class TestEmission:
     def _one_record(self):
         return SweepRecord(
-            rho=1.25 - 0.5j, method="fixed_point", converged=True,
-            r=0.75 + 0.001j, iterations=12, zero_count=2, extra_zeros=0,
+            rho_re=1.25, rho_im=-0.5, method="fixed_point", converged=True,
+            r_re=0.75, r_im=0.001, iterations=12, zero_count=2, extra_zeros=0,
             symmetry_defect=1e-12, min_abs_v=0.93, ode_residual=2e-9,
         )
 
@@ -307,8 +307,8 @@ class TestEmission:
 
     def _failure_record(self):
         return SweepRecord(
-            rho=1.25 - 0.5j, method="fixed_point", converged=False,
-            r=complex(float("nan"), float("inf")), iterations=0, zero_count=0,
+            rho_re=1.25, rho_im=-0.5, method="fixed_point", converged=False,
+            r_re=float("nan"), r_im=float("inf"), iterations=0, zero_count=0,
             extra_zeros=0, symmetry_defect=float("nan"),
             min_abs_v=float("inf"), ode_residual=float("nan"),
         )
@@ -323,7 +323,7 @@ class TestEmission:
         for key in ("r_re", "r_im", "symmetry_defect", "min_abs_v", "ode_residual"):
             assert doc[key] is None
         (back,) = load_records(path, "json")
-        assert np.isnan(back.r.real) and np.isnan(back.r.imag)
+        assert np.isnan(back.r_re) and np.isnan(back.r_im)
         assert np.isnan(back.min_abs_v)
 
     def test_csv_nonfinite_bytes(self, tmp_path):
@@ -373,6 +373,30 @@ class TestEmission:
         with pytest.raises(InvalidArgument, match=r"two\.json row 1: missing column rho_im"):
             load_records(path, "json")
 
+    @pytest.mark.parametrize("text", ["rho_re,rho_im\n", "[{]"], ids=["csv", "truncated"])
+    def test_json_not_json_named(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(InvalidArgument, match=r"bad\.json is not JSON"):
+            load_records(path, "json")
+
+    @pytest.mark.parametrize("doc", [5, {"rho_re": 1.0}, None], ids=["number", "object", "null"])
+    def test_json_top_level_not_array_named(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidArgument, match=r"bad\.json: expected an array"):
+            load_records(path, "json")
+
+    def test_default_rectangle_round_trip(self, tmp_path):
+        # the 14 accelerated records read back equal: equality ignores
+        # accelerated_at, the one field that is not emitted
+        records = run_sweep(SweepSpec(mode="rectangle"))
+        assert sum(r.accelerated_at is not None for r in records) == 14
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"rect.{fmt}"
+            emit_results(records, fmt, path)
+            assert load_records(path, fmt) == records
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(InvalidArgument):
             emit_results([], "csv", tmp_path / "x.csv")
@@ -385,8 +409,8 @@ class TestEmission:
         rec = self._one_record()
         out = mirror_conjugate([rec])
         assert len(out) == 2
-        assert out[1].rho == rec.rho.conjugate()
-        assert out[1].r == rec.r.conjugate()
+        assert (out[1].rho_re, out[1].rho_im) == (rec.rho_re, -rec.rho_im)
+        assert (out[1].r_re, out[1].r_im) == (rec.r_re, -rec.r_im)
         assert out[1].symmetry_defect == rec.symmetry_defect
 
     def test_csv_loadable_as_table(self, tmp_path):

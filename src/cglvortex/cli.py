@@ -30,7 +30,6 @@ from .physics import (
     rho_from_physical,
 )
 from .sweep import (
-    METHODS,
     SweepSpec,
     dumps_json,
     emit_results,
@@ -223,15 +222,21 @@ def _cmd_verify(args) -> int:
     zeta = abs(rho) * abs(eps) ** 2
     checks: list[tuple[str, float, float]] = []  # (name, value, bound)
 
-    branches = {method: solve(method, rho, eps, grid) for method in METHODS}
+    # shooting and FD start from the converged fixed-point branch, which
+    # lies within the discretization error of both; cold where it failed
+    fp = solve("fixed_point", rho, eps, grid)
+    prev = fp if fp.converged else None
+    branches = {"fixed_point": fp}
+    for method in ("shooting", "finite_difference"):
+        branches[method] = solve(method, rho, eps, grid, prev=prev)
     for name, br in branches.items():
         checks.append((f"converged[{name}]", 0.0 if br.converged else 1.0, 0.5))
 
     pair_tol_fd = max(1e-6, h * h * (1.0 + zeta)) * max(1.0, abs(eps))
     pair_tol_hi = 1e-6 * max(1.0, abs(eps))
     if all(b.converged for b in branches.values()):
-        d1 = compare_branches(branches["fixed_point"], branches["shooting"])
-        d2 = compare_branches(branches["fixed_point"], branches["finite_difference"])
+        d1 = compare_branches(fp, branches["shooting"])
+        d2 = compare_branches(fp, branches["finite_difference"])
         d3 = compare_branches(branches["shooting"], branches["finite_difference"])
         checks.append(("diff[fp,shoot]", d1, pair_tol_hi))
         checks.append(("diff[fp,fd]", d2, pair_tol_fd))
@@ -241,7 +246,7 @@ def _cmd_verify(args) -> int:
             checks.append(
                 (f"mean_free[{name}]", abs(project_mean(br.w)), 1e-10)
             )
-        forcing = cubic_forcing(branches["fixed_point"].w, rho)
+        forcing = cubic_forcing(fp.w, rho)
         checks.append(
             ("solvability[N(w)]",
              abs(solvability_residual(forcing)),
@@ -250,9 +255,8 @@ def _cmd_verify(args) -> int:
         # gauge invariance of r under a quarter-turn of eps
         rot = solve("fixed_point", rho, eps * 1j, grid)
         checks.append(
-            ("gauge[r]", abs(rot.r - branches["fixed_point"].r), 1e-12 * max(1.0, abs(rho)))
+            ("gauge[r]", abs(rot.r - fp.r), 1e-12 * max(1.0, abs(rho)))
         )
-        fp = branches["fixed_point"]
         rec = record_from_branch(fp)
         checks.append(("zero_count-2", abs(rec.zero_count - 2), 0.5))
         checks.append(("extra_zeros", float(rec.extra_zeros), 0.5))

@@ -353,12 +353,12 @@ def _record_from_row(d, where: str) -> SweepRecord:
 
 
 def load_records(path, format_: str) -> list[SweepRecord]:
-    """Parse a file produced by emit_results back into records.  A JSON
-    file must hold an array, or InvalidArgument names the file; a CSV file
-    must carry the CSV_COLUMNS header and one field per column in each row;
-    every cell must read as its column's type (converged only true or
-    false), or InvalidArgument names the line (CSV) or row (JSON) and
-    column."""
+    """Parse a file produced by emit_results back into records.  The file
+    must be UTF-8 text and a JSON file must hold an array, or
+    InvalidArgument names the file; a CSV file must carry the CSV_COLUMNS
+    header and one field per column in each row; every cell must read as
+    its column's type (converged only true or false), or InvalidArgument
+    names the line (CSV) or row (JSON) and column."""
     if format_ not in ("csv", "json"):
         raise InvalidArgument(f"unknown format {format_!r}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -370,9 +370,13 @@ def load_records(path, format_: str) -> list[SweepRecord]:
             if not isinstance(rows, list):
                 raise InvalidArgument(f"{path}: expected an array of records")
             return [_record_from_row(d, f"{path} row {i}") for i, d in enumerate(rows)]
-        if tuple(fh.readline().rstrip("\n").split(",")) != CSV_COLUMNS:
-            raise InvalidArgument(f"unexpected CSV header in {path}")
-        rows = [line.rstrip("\n").split(",") for line in fh]
+        try:
+            header = fh.readline()
+            rows = [line.rstrip("\n").split(",") for line in fh]
+        except UnicodeDecodeError as exc:
+            raise InvalidArgument(f"{path} is not UTF-8 text: {exc}") from None
+    if tuple(header.rstrip("\n").split(",")) != CSV_COLUMNS:
+        raise InvalidArgument(f"unexpected CSV header in {path}")
     records = []
     for line_no, cells in enumerate(rows, start=2):
         if len(cells) != len(CSV_COLUMNS):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from cglvortex import ExtensionError, cli, direct
+from cglvortex import ExtensionError, cli, direct, sweep
 from cglvortex.cli import build_parser, main
 
 
@@ -359,6 +359,53 @@ class TestVerify:
         assert "FAIL  cgl_residual             inf" in out
         assert out.splitlines()[-1] == "verify: FAIL"
         assert "envelope jump 1.000e-03" in err
+
+    @staticmethod
+    def _record_solves(monkeypatch):
+        """Wrap the solvers that sweep.solve dispatches to; return the
+        fixed-point branches and the seed each direct solver received."""
+        fp_branches, seeds = [], {}
+
+        def fixed_point(*args, **kwargs):
+            branch = real_fp(*args, **kwargs)
+            fp_branches.append(branch)
+            return branch
+
+        def recording(name, real):
+            def wrapper(params, grid=None, seed=None, r0=None):
+                seeds[name] = seed
+                return real(params, grid=grid, seed=seed, r0=r0)
+            return wrapper
+
+        real_fp = sweep.fixed_point_solve
+        monkeypatch.setattr(sweep, "fixed_point_solve", fixed_point)
+        monkeypatch.setattr(sweep, "shoot_solve", recording("shooting", sweep.shoot_solve))
+        monkeypatch.setattr(sweep, "fd_solve", recording("finite_difference", sweep.fd_solve))
+        return fp_branches, seeds
+
+    def test_direct_solves_start_from_the_fixed_point(self, capsys, monkeypatch):
+        fp_branches, seeds = self._record_solves(monkeypatch)
+        code, _, _ = run_cli(
+            capsys, "verify", "--rho-re", "0.9", "--rho-im", "0.3", "--eps-re", "0.4",
+        )
+        assert code == 0
+        fp = fp_branches[0]  # the second is the gauge check's solve at eps*i
+        assert fp.converged
+        assert seeds["shooting"] is fp.U
+        assert seeds["finite_difference"] is fp.U
+
+    def test_direct_solves_cold_where_the_fixed_point_fails(self, capsys, monkeypatch):
+        fp_branches, seeds = self._record_solves(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "verify", "--rho-re", "6.286210262265264", "--rho-im", "-5.136819171419674",
+            "--eps-re", "1.4", "--nodes", "129",
+        )
+        assert code == 1
+        assert not fp_branches[0].converged
+        assert seeds == {"shooting": None, "finite_difference": None}
+        assert "FAIL  converged[fixed_point]" in out
+        assert "PASS  converged[shooting]" in out
+        assert "PASS  converged[finite_difference]" in out
 
 
 class TestParser:

@@ -14,6 +14,7 @@ from cglvortex import (
     ode_forcing,
     project_mean,
     shoot_solve,
+    solve,
 )
 from cglvortex import direct
 from cglvortex.direct import (
@@ -24,6 +25,11 @@ from cglvortex.direct import (
 # Newton controls of the direct-solver tests
 SHOOT = dict(tol_fp=1e-11, max_iter=60)
 FD = dict(tol_fp=1e-11)
+# the criterion-6 rectangle points (RECTANGLE_SAMPLES in test_acceptance.py)
+CRITERION6_POINTS = [
+    -3.5 + 0.75j, -2.0 + 1.5j, -1.0 + 0.25j, -0.5 + 1.0j, 0.5 + 0.5j,
+    1.0 + 0.0j, 1.5 + 1.25j, 2.0 + 0.5j, 3.0 + 1.0j, 3.5 + 1.5j,
+]
 
 
 class TestOdeForcing:
@@ -546,3 +552,19 @@ class TestCompareBranches:
         assert not bad.converged
         with pytest.raises(InvalidState):
             compare_branches(good, bad)
+
+
+class TestWarmFromFixedPoint:
+    """verify starts shooting and FD from the converged fixed-point branch:
+    the warm start reaches the cold start's branch in no more steps."""
+
+    @pytest.mark.parametrize("rho", CRITERION6_POINTS)
+    def test_warm_matches_cold(self, grid257, rho):
+        fp = solve("fixed_point", rho, 1.0, grid257)
+        assert fp.converged
+        for method in ("shooting", "finite_difference"):
+            cold = solve(method, rho, 1.0, grid257)
+            warm = solve(method, rho, 1.0, grid257, prev=fp)
+            assert cold.converged and warm.converged, method
+            assert warm.iterations <= cold.iterations, method
+            assert compare_branches(cold, warm) <= 1e-11, method

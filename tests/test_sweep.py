@@ -380,6 +380,13 @@ class TestEmission:
         with pytest.raises(InvalidArgument, match=r"bad\.json is not JSON"):
             load_records(path, "json")
 
+    @pytest.mark.parametrize("format_", ["csv", "json"])
+    def test_not_utf8_named(self, tmp_path, format_):
+        path = tmp_path / f"bad.{format_}"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(InvalidArgument, match=rf"bad\.{format_} is not"):
+            load_records(path, format_)
+
     @pytest.mark.parametrize("doc", [5, {"rho_re": 1.0}, None], ids=["number", "object", "null"])
     def test_json_top_level_not_array_named(self, tmp_path, doc):
         path = tmp_path / "bad.json"

@@ -17,7 +17,9 @@ the integral only when |rho| <= RHO_ZERO_CUTOFF.  Both order their real
 unknowns and conditions along J, so every Newton step is one call of
 spsolve: a banded core bordered by the two lam columns and the two
 normalization rows, solved by block elimination on a banded LU (LAPACK
-gbtrf/gbtrs; scipy is imported at the first call).
+gbtrf/gbtrs from scipy's compiled LAPACK module, loaded by itself at the
+first call: scipy.linalg's package init would cost about 0.3 s and 28 MiB
+per process for these two routines).
 
 Shooting is multiple shooting (Keller 1968; Ascher, Mattheij & Russell
 1995, ch. 4).  J is cut at grid nodes into SHOOT_SEGMENTS = 256 segments
@@ -58,12 +60,40 @@ SHOOT_SEGMENTS = 256
 
 @lru_cache(maxsize=1)
 def _gb_lapack():
-    """LAPACK's banded LU factorization and solve (dgbtrf, dgbtrs).  scipy
-    is imported here, at the first Newton step, so that importing the
-    package does not load it."""
-    from scipy.linalg import get_lapack_funcs
+    """LAPACK's banded LU factorization and solve (dgbtrf, dgbtrs), loaded
+    at the first Newton step from scipy's compiled LAPACK module.
 
-    return get_lapack_funcs(("gbtrf", "gbtrs"), (np.empty(0),))
+    The module file is loaded by itself, not through scipy.linalg: that
+    package's init imports 334 modules, 0.25-0.32 s and about 28 MiB
+    per process, for two routines.  The routines are the very objects
+    scipy.linalg's get_lapack_funcs returns for float64, from the same
+    file; once either side has loaded it, the other gets the same module.
+    A missing file raises ImportError naming scipy's version and the
+    path searched.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    scipy_spec = importlib.util.find_spec("scipy")  # does not import scipy
+    if scipy_spec is None:
+        raise ImportError("the direct solvers need scipy's LAPACK; scipy is not installed")
+    folder = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        from importlib.metadata import version
+
+        suffixes = ", ".join(importlib.machinery.EXTENSION_SUFFIXES)
+        raise ImportError(f"scipy {version('scipy')}: no compiled LAPACK module "
+                          f"_flapack ({suffixes}) in {folder}")
+    name = "scipy.linalg._flapack"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(flapack)
+    return flapack.dgbtrf, flapack.dgbtrs
 
 
 def spsolve(ab, kl, ku, cols, rows, corner, rhs):
@@ -450,13 +480,18 @@ def fd_solve(
         # h^2 scaling keeps the interior residual comparable to the state
         return g, gn, max(float(np.max(np.abs(g))) * h * h, abs(gn))
 
+    # the residual at (u, lam): the line search's last trial is the step
+    # taken, so its residual serves the next pass
+    current = None
     for _ in range(params.max_iter):
         ui = u[1:-1]
         if not np.all(np.isfinite(ui)) or np.max(np.abs(ui)) > 1e80:
             # iteration escaped: report, do not raise
             return _diverged_branch(params, grid, "finite_difference", iterations,
                                     increments=tuple(increments))
-        g, gn, res0 = residual(ui, lam)
+        if current is None:
+            current = residual(ui, lam)
+        g, gn, res0 = current
         rhs = -np.append(g.view(float), [gn.real, gn.imag])
         sol = spsolve(*_fd_newton_system(ui, lam, rho, h, row), rhs)
         if not np.all(np.isfinite(sol)):
@@ -467,8 +502,8 @@ def fd_solve(
             step = 0.5 ** halvings
             u_try = ui + step * du
             lam_try = lam + step * dlam
-            _, _, res1 = residual(u_try, lam_try)
-            if res1 < res0 or res0 < 1e-13:
+            current = residual(u_try, lam_try)
+            if current[2] < res0 or res0 < 1e-13:
                 break
         u = u.copy()
         u[1:-1] = u_try

@@ -1,4 +1,9 @@
 """Shooting and finite-difference solvers, and branch comparison."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -517,6 +522,61 @@ class TestBorderedSolve:
         # a regular core with zero border: the Schur complement is singular
         zeros = np.zeros((20, 2))
         assert np.all(np.isnan(spsolve(ab, kl, ku, zeros, zeros.T, np.zeros((2, 2)), rhs)))
+
+
+class TestBandedLapack:
+    """direct._gb_lapack loads scipy's compiled LAPACK module by itself; its
+    pair must be scipy.linalg.lapack's own dgbtrf and dgbtrs, bit for bit."""
+
+    def test_loads_scipys_own_module_file(self):
+        from scipy.linalg import _flapack
+
+        env = dict(os.environ, PYTHONPATH=str(Path(direct.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from cglvortex import direct; direct._gb_lapack(); "
+             "print(sys.modules['scipy.linalg._flapack'].__file__)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == _flapack.__file__
+
+    def test_missing_module_names_version_and_folder(self, monkeypatch):
+        import importlib.machinery
+        from importlib.metadata import version
+
+        from scipy.linalg import _flapack
+
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError) as err:
+            direct._gb_lapack.__wrapped__()
+        assert f"scipy {version('scipy')}" in str(err.value)
+        assert str(Path(_flapack.__file__).parent) in str(err.value)
+
+    # the two band shapes in use: FD (2, 2) and shooting (5, 2)
+    @pytest.mark.parametrize("kl,ku,n", [(2, 2, 40), (5, 2, 62)])
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_bitwise_equal_to_scipy_linalg(self, kl, ku, n, singular):
+        from scipy.linalg import lapack
+
+        rng = np.random.default_rng(n + singular)
+        ab = _random_bordered(rng, n, kl, ku)[0]
+        if singular:
+            ab[:, n // 2] = 0.0  # a zero column: gbtrf reports info > 0
+        rhs = rng.standard_normal((n, 3))
+        results = []
+        for gbtrf, gbtrs in (direct._gb_lapack(), (lapack.dgbtrf, lapack.dgbtrs)):
+            lu = np.zeros((2 * kl + ku + 1, n), order="F")
+            lu[kl:] = ab
+            lu, piv, info = gbtrf(lu, kl, ku)
+            solves = [] if info else [gbtrs(lu, kl, ku, rhs, piv, trans=t) for t in (0, 1)]
+            results.append((lu, piv, info, solves))
+        (lu, piv, info, solves), (lu_ref, piv_ref, info_ref, solves_ref) = results
+        assert (info > 0) == singular and info == info_ref
+        assert lu.tobytes() == lu_ref.tobytes() and piv.tobytes() == piv_ref.tobytes()
+        assert len(solves) == (0 if singular else 2)
+        for (x, x_info), (x_ref, x_info_ref) in zip(solves, solves_ref):
+            assert x_info == x_info_ref == 0 and x.tobytes() == x_ref.tobytes()
 
 
 class TestCompareBranches:

@@ -58,13 +58,31 @@ def test_reasons_name_exports():
 
 
 def test_import_does_not_load_scipy():
-    # scipy costs about 0.5 s to import; only the direct solvers' banded
-    # LAPACK pair needs it, and they load it at their first Newton step
+    # scipy.linalg's package init costs about 0.3 s and 28 MiB (334
+    # modules); only the direct solvers' banded LAPACK pair needs scipy,
+    # and they load it at their first Newton step
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, cglvortex; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_direct_solves_do_not_load_scipy_linalg():
+    # the banded LAPACK pair comes from scipy's compiled module file alone:
+    # neither scipy.linalg's package init nor the scipy.sparse it pulls in
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cglvortex import CoreParams, fd_solve, make_grid, shoot_solve; "
+         "grid = make_grid(257); params = CoreParams(rho=2.0 + 0.5j, eps=1.0); "
+         "assert fd_solve(params, grid).converged and shoot_solve(params, grid).converged; "
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy.linalg' or m.startswith('scipy.sparse')))"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr

@@ -28,8 +28,9 @@ each up to 257 nodes, several on finer grids, where one lane per interval
 would be too wide to stay in cache.  Classical RK4 in Nystrom form
 integrates all segments at once as numpy lanes that also carry the
 variational equations, so the Newton Jacobian comes exactly from the same
-integration as the conditions.  Short segments bound the growth that blows a single
-trajectory up at |rho| beyond about 9; an escape of a trial (|U| reaching
+integration as the conditions; line-search trials run the trajectory
+alone.  Short segments bound the growth that blows a single trajectory up
+at |rho| beyond about 9; an escape of a trial (|U| reaching
 ESCAPE_CAP * max(1, |eps|) in any lane) forces the line search to
 backtrack.  The finite-difference solver takes Newton steps on the
 centered-difference system in real variables and continues to the
@@ -143,7 +144,7 @@ _DIRECTION_V = np.array([0, 0, 1, 1j, 0, 0])
 _DIRECTION_LAM = np.array([0, 0, 0, 0, 1, 1j])
 
 
-def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap):
+def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap, tangents=True):
     """Fixed-step RK4 of U'' = -(1 + lam) U + rho |U|^2 U on numpy lanes.
 
     Lane k starts from U = u0[k], U' = v0[k] and takes ``stride`` steps of
@@ -159,14 +160,16 @@ def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap):
     Returns (U at the m + 1 output points, U at the end, U' at
     the end), shaped (m + 1, 7, K) and (7, K) (the trajectory, then the six
     tangents); or None when a trajectory reaches |U| = ``cap`` (finite-x
-    blowup of a trial) or a tangent overflows.
+    blowup of a trial) or a tangent overflows.  ``tangents=False`` runs
+    lane 0 alone, shaped (m + 1, 1, K) and (1, K), to the bit.
     """
     u0 = np.asarray(u0, dtype=complex)
-    U = np.empty((7,) + u0.shape, dtype=complex)
+    U = np.empty((7 if tangents else 1,) + u0.shape, dtype=complex)
     V = np.empty_like(U)
     U[0], V[0] = u0, v0
-    U[1:] = _DIRECTION_U[:, None]
-    V[1:] = _DIRECTION_V[:, None]
+    if tangents:
+        U[1:] = _DIRECTION_U[:, None]
+        V[1:] = _DIRECTION_V[:, None]
     dlam = _DIRECTION_LAM[4:, None]
     out = np.empty((m + 1,) + U.shape, dtype=complex)
     out[0] = U
@@ -179,10 +182,11 @@ def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap):
     def force(U):
         u = U[0]
         F = (c0 + rho * (u.real * u.real + u.imag * u.imag)) * U
-        # d(|U|^2) = 2 Re(conj(U) dU); lam enters the lam lanes as -dlam U
-        dU = U[1:]
-        F[1:] += (2.0 * rho * u) * (u.real * dU.real + u.imag * dU.imag)
-        F[5:] -= dlam * u
+        if tangents:
+            # d(|U|^2) = 2 Re(conj(U) dU); lam enters the lam lanes as -dlam U
+            dU = U[1:]
+            F[1:] += (2.0 * rho * u) * (u.real * dU.real + u.imag * dU.imag)
+            F[5:] -= dlam * u
         return F
 
     # an escaping lane overflows: its inf and nan are caught below
@@ -209,15 +213,22 @@ def _segments(grid: Grid):
     multiple shooting on grid.  The K segments, K the largest divisor of
     n - 1 up to SHOOT_SEGMENTS, span m grid intervals each; the weights,
     (m + 1, K), give each segment its starting node, the last one also
-    the node at pi/2."""
+    the node at pi/2.  Cached per grid and constants; the weights are
+    read-only."""
+    return _segment_layout(grid, SHOOT_SEGMENTS, RK4_STEPS)
+
+
+@lru_cache(maxsize=8)
+def _segment_layout(grid, segments, steps):
     n = grid.n_nodes
-    stride = -(-RK4_STEPS // (n - 1))  # ceil
-    k_seg = max(k for k in range(1, SHOOT_SEGMENTS + 1) if (n - 1) % k == 0)
+    stride = -(-steps // (n - 1))  # ceil
+    k_seg = max(k for k in range(1, segments + 1) if (n - 1) % k == 0)
     m = (n - 1) // k_seg
     wn = grid.weights * grid.cos / grid.cos2_mass
     wseg = np.zeros((m + 1, k_seg))
     wseg[:m] = wn[:-1].reshape(k_seg, m).T
     wseg[m, -1] = wn[-1]
+    wseg.flags.writeable = False
     return stride, np.pi / (stride * (n - 1)), wseg
 
 
@@ -302,7 +313,9 @@ def shoot_solve(
     are continuity of (U, U') at the inner boundaries, U(pi/2) = 0 and the
     normalization (_shoot_conditions).  Damped Newton: each step solves
     _shoot_newton_system with spsolve and backtracks on the condition norm
-    (the sum of the jumps, or the normalization mismatch if larger).  The
+    (the sum of the jumps, or the normalization mismatch if larger).  Trials
+    run the trajectory alone; one taken without converging is run again
+    with its tangents, and rejected if a tangent overflows.  The
     segment starts come from ``seed`` (U from its samples, U' from
     fourth-order differences; default the linear profile eps cos x), lam
     from rho * r0 (default r0 from the small-amplitude series).  Stops when
@@ -328,9 +341,9 @@ def shoot_solve(
         s = np.concatenate([[0.0, 0.0], z[:-2]]).view(complex).reshape(k_seg, 2)
         return s[:, 0], s[:, 1], complex(z[-2], z[-1])
 
-    def evaluate(u0, v0, lam):
+    def evaluate(u0, v0, lam, tangents=True):
         """(complex conditions, their norm, lanes) or None on escape."""
-        lanes = _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap)
+        lanes = _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap, tangents=tangents)
         if lanes is None:
             return None
         c = _shoot_conditions(lanes, u0, v0, wseg, eps)
@@ -372,11 +385,14 @@ def shoot_solve(
         accepted = False
         for _ in range(10):
             z_try = z + t * delta
-            ev_try = evaluate(*states(z_try))
+            ev_try = evaluate(*states(z_try), tangents=False)
             if ev_try is not None and (ev_try[1] < gnorm or ev_try[1] < tol):
-                z, ev = z_try, ev_try
-                accepted = True
-                break
+                if ev_try[1] >= tol:
+                    ev_try = evaluate(*states(z_try))  # tangents; None on overflow
+                if ev_try is not None:
+                    z, ev = z_try, ev_try
+                    accepted = True
+                    break
             t *= 0.5
         iterations += 1
         if not accepted:

@@ -150,6 +150,30 @@ class TestShooting:
         assert _rk4_lanes(9.0, 9.0 * r, [0.0, 0.0], [1.0, a], h, 8, 256,
                           direct.ESCAPE_CAP) is None
 
+    @pytest.mark.parametrize("n_nodes", [129, 257, 513])
+    @pytest.mark.parametrize("rho", [2.0 + 0.5j, -3.5, 0.0])
+    def test_trajectory_only_is_lane_zero_bitwise(self, n_nodes, rho):
+        # the line search's trajectory-only run takes the full run's stages
+        stride = -(-direct.RK4_STEPS // (n_nodes - 1))
+        lam = rho * (0.6 - 0.1j)
+        u0 = np.array([0.0, 0.2 + 0.1j, -0.3j])
+        v0 = np.array([0.9 + 0.2j, 0.3 - 0.7j, -1.1 + 0.05j])
+        args = (rho, lam, u0, v0, np.pi / (stride * (n_nodes - 1)), stride, n_nodes - 1,
+                direct.ESCAPE_CAP)
+        full = _rk4_lanes(*args)
+        alone = _rk4_lanes(*args, tangents=False)
+        for got, lanes in zip(alone, full):
+            assert got.shape == lanes[..., :1, :].shape
+            assert got.tobytes() == np.ascontiguousarray(lanes[..., :1, :]).tobytes()
+
+    @pytest.mark.parametrize("slopes", [[20.0], [1.0, 20.0], [0.1]])
+    def test_trajectory_only_escapes_like_full_run(self, slopes):
+        # the escapes of test_rk4_escape_matches_reference, and a lane that stays bounded
+        args = (9.0, 0.0, np.zeros(len(slopes)), slopes, np.pi / 2048, 8, 256, direct.ESCAPE_CAP)
+        escaped = slopes != [0.1]
+        assert (_rk4_lanes(*args) is None) == escaped
+        assert (_rk4_lanes(*args, tangents=False) is None) == escaped
+
     def test_tangent_lanes_are_trajectory_derivatives(self):
         # the variational lanes against central differences of the trajectory
         rho, r = 2.0 + 0.5j, 0.6 - 0.1j
@@ -222,6 +246,72 @@ class TestShooting:
         # the unknown a = U'(-pi/2) = v(-pi/2) is still at its start
         assert b.v.values[0] == eps
 
+    @pytest.mark.parametrize("case", ["cold", "ray60", "ray134", "warm"])
+    def test_line_search_trajectory_only_leaves_branch_unchanged(self, grid257, monkeypatch,
+                                                                  case):
+        # trials integrate the trajectory alone; taking lane 0 of a full run
+        # instead must give the same branch to the bit.  ray134 stalls
+        # after many halvings; warm starts from the fixed point, as verify does
+        if case == "warm":
+            prev = solve("fixed_point", 1.5 + 1.25j, 1.0, grid257)
+
+            def run():
+                return solve("shooting", 1.5 + 1.25j, 1.0, grid257, prev=prev)
+        else:
+            rho = {"cold": 3.5 + 1.5j, "ray60": 60.0 * np.exp(1j * np.pi / 12),
+                   "ray134": 134.0 * np.exp(1j * np.pi / 12)}[case]
+
+            def run():
+                return shoot_solve(CoreParams(rho=rho, eps=1.0, **SHOOT), grid=grid257)
+
+        real = direct._rk4_lanes
+        alone = []
+
+        def sliced(*args, tangents=True):
+            lanes = real(*args)
+            if lanes is None or tangents:
+                return lanes
+            alone.append(args)
+            return tuple(np.ascontiguousarray(a[..., :1, :]) for a in lanes)
+
+        expect = run()
+        monkeypatch.setattr(direct, "_rk4_lanes", sliced)
+        got = run()
+        assert alone  # the line search ran
+        assert got.U.values.tobytes() == expect.U.values.tobytes()
+        assert got.r == expect.r and got.converged == expect.converged
+        assert got.iterations == expect.iterations and got.increments == expect.increments
+        if case == "ray134":
+            assert not got.converged and len(alone) > 2 * got.iterations
+
+    def test_tangent_overflow_of_taken_trial_rejects_it(self, grid257, monkeypatch):
+        # the first Newton step's trial at t = 1 is taken, then its tangent
+        # run fails: halving goes on from there, exactly as if the trial
+        # itself had escaped
+        params = CoreParams(rho=3.5 + 1.5j, eps=1.0, **SHOOT)
+        real = direct._rk4_lanes
+
+        def failing(fail_at):
+            calls = []
+
+            def lanes(*args, tangents=True):
+                calls.append((tangents, args[1]))
+                return None if len(calls) == fail_at else real(*args, tangents=tangents)
+            return calls, lanes
+
+        calls, lanes = failing(3)
+        monkeypatch.setattr(direct, "_rk4_lanes", lanes)
+        b = shoot_solve(params, grid=grid257)
+        assert [tangents for tangents, _ in calls[:5]] == [True, False, True, False, True]
+        lam0, lam1, lam2 = calls[0][1], calls[1][1], calls[3][1]
+        assert lam2 - lam0 == pytest.approx(0.5 * (lam1 - lam0), rel=1e-12)
+        _, escaped = failing(2)
+        monkeypatch.setattr(direct, "_rk4_lanes", escaped)
+        ref = shoot_solve(params, grid=grid257)
+        assert b.converged and ref.converged
+        assert b.U.values.tobytes() == ref.U.values.tobytes() and b.r == ref.r
+        assert b.iterations == ref.iterations and b.increments == ref.increments
+
     @pytest.mark.parametrize("n_nodes,segments", [(9, 128), (17, 16), (33, 4)])
     def test_newton_system_matches_difference_quotients(self, monkeypatch, n_nodes, segments):
         # the banded core, border and corner assembled from the tangent
@@ -257,6 +347,13 @@ class TestShooting:
         assert wseg.shape == (m + 1, k_seg)
         assert stride * (n_nodes - 1) == direct.RK4_STEPS
         assert h == np.pi / direct.RK4_STEPS
+
+    def test_segment_layout_cached_read_only(self, monkeypatch):
+        grid = make_grid(257)
+        layout = _segments(grid)
+        assert _segments(grid) is layout and not layout[2].flags.writeable
+        monkeypatch.setattr(direct, "SHOOT_SEGMENTS", 32)
+        assert _segments(grid)[2].shape == (9, 32)
 
     @pytest.mark.parametrize("rho", [-3.5 + 0.75j, 3.5 + 1.5j])
     def test_branch_independent_of_segment_count(self, grid257, monkeypatch, rho):

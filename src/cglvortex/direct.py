@@ -1,39 +1,32 @@
 """Independent solvers for the steady equation -U'' - U = rho (r - |U|^2) U.
 
-Both solvers take the same CoreParams as the reduced solve (rho, eps, the
-stopping tolerance tol_fp and the iteration cap max_iter), fix the amplitude
-through the same normalization (the cos^2-weighted mean of the envelope
-equals eps) and return the same Branch record, so results can be compared
-directly against the fixed-point method.  Every failure (iteration cap,
-escape, singular Jacobian) is reported in the returned Branch, never
-raised; an escape of the first shooting integration or of the FD iterate
-is the one diverged record of reduction._diverged_branch (r = nan).
+Both solvers take the same CoreParams as the reduced solve (rho, eps,
+tol_fp, max_iter), fix the amplitude through the same normalization (the
+cos^2-weighted mean of the envelope equals eps) and return the same Branch
+record, so results can be compared directly against the fixed-point
+method.  Every failure (iteration cap, escape, singular Jacobian) is
+reported in the returned Branch, never raised; an escaped iterate is the
+one diverged record of reduction._diverged_branch (r = nan).
 
 Both solvers border their Newton system with the unknown lam = rho * r in
 place of r, which stays regular in the linear limit rho -> 0, so neither
 has a separate path for rho = 0.  Shooting reports r as the envelope's
 integral (compute_r), as the fixed point does; FD reports lam / rho, and
-the integral only when |rho| <= RHO_ZERO_CUTOFF.  Both order their real
-unknowns and conditions along J, so every Newton step is one call of
-spsolve: a banded core bordered by the two lam columns and the two
-normalization rows, solved by block elimination on a banded LU (LAPACK
-gbtrf/gbtrs from scipy's compiled LAPACK module, loaded by itself at the
-first call: scipy.linalg's package init would cost about 0.3 s and 28 MiB
-per process for these two routines).
+the integral only when |rho| <= RHO_ZERO_CUTOFF.  Both run the one damped
+Newton loop, _newton, under their own rules, and order their real unknowns
+and conditions along J, so every Newton step is one call of spsolve: a
+banded core bordered by the two lam columns and the two normalization
+rows, solved by block elimination on a banded LU (_gb_lapack).
 
 Shooting is multiple shooting (Keller 1968; Ascher, Mattheij & Russell
-1995, ch. 4).  J is cut at grid nodes into SHOOT_SEGMENTS = 256 segments
-(fewer when that does not divide the grid intervals): one grid interval
-each up to 257 nodes, several on finer grids, where one lane per interval
-would be too wide to stay in cache.  Classical RK4 in Nystrom form
-integrates all segments at once as numpy lanes that also carry the
-variational equations, so the Newton Jacobian comes exactly from the same
-integration as the conditions; line-search trials run the trajectory
-alone.  Short segments bound the growth that blows a single trajectory up
-at |rho| beyond about 9; an escape of a trial (|U| reaching
-ESCAPE_CAP * max(1, |eps|) in any lane) forces the line search to
-backtrack.  The finite-difference solver takes Newton steps on the
-centered-difference system in real variables and continues to the
+1995, ch. 4).  J is cut at grid nodes into up to SHOOT_SEGMENTS = 256
+segments (_segments), one grid interval each up to 257 nodes.  Classical
+RK4 in Nystrom form integrates all segments at once as numpy lanes that
+also carry the variational equations, so the Newton Jacobian comes
+exactly from the same integration as the conditions.  Short segments
+bound the growth that blows a single trajectory up at |rho| beyond about
+9; a trial that escapes (|U| reaching ESCAPE_CAP * max(1, |eps|) in any
+lane) is rejected.  The finite-difference solver continues to the
 largest radii.
 """
 from __future__ import annotations
@@ -133,6 +126,55 @@ def spsolve(ab, kl, ku, cols, rows, corner, rhs):
             return np.concatenate([x - w @ t2, t1 + t2])
     except np.linalg.LinAlgError:
         return np.full(n + 2, np.nan)
+
+
+def _newton(z, residual, linearize, max_iter, done, accept, halvings, take_last):
+    """Damped Newton on the real unknowns z, the loop of both solvers.
+
+    An evaluation is (F, norm, data), F the real conditions.  residual(z)
+    evaluates a trial, None if z escaped; linearize(z, ev) evaluates in
+    full an iterate that steps next: ev (None at the start) plus spsolve's
+    first six arguments, or None if it cannot.  Each pass solves for delta
+    and tries z + t delta, t = 1, 1/2, ..., at most ``halvings`` times; a
+    trial is taken if accept(its norm, inf if escaped; the norm), or if it
+    is the last and ``take_last``, unless it cannot be linearized.
+    done(norm, step) is asked of every iterate, step the largest modulus
+    over the complex pairs of the step to it (inf at the start).  Ends
+    converged, after ``max_iter`` passes, at a non-finite solve, when no
+    trial is taken, or at an iterate without evaluation.  Returns (z, its
+    evaluation, passes, the norms of the iterates, the steps, converged)."""
+    norms, steps = [], []
+    ev = linearize(z, None)
+    step = float("inf")
+    passes = 0
+    converged = False
+    while ev is not None:
+        norms.append(ev[1])
+        converged = done(ev[1], step)
+        if converged or passes == max_iter:
+            break
+        delta = spsolve(*ev[3:], -ev[0])
+        if not np.all(np.isfinite(delta)):
+            break  # singular Newton system
+        passes += 1
+        for k in range(halvings):
+            dz = 0.5**k * delta
+            z_try = z + dz
+            trial = residual(z_try)
+            if (accept(float("inf") if trial is None else trial[1], ev[1])
+                    or take_last and k == halvings - 1):
+                d = dz.view(complex)
+                step = max(float(np.abs(d[:-1]).max()), abs(complex(d[-1])))
+                if trial is None or done(trial[1], step) or passes == max_iter:
+                    break
+                trial = linearize(z_try, trial)
+                if trial is not None:
+                    break
+        else:
+            break  # line search exhausted
+        z, ev = z_try, trial
+        steps.append(step)
+    return z, ev, passes, norms, steps, converged
 
 
 # --------------------------------------------------------------- shooting
@@ -311,45 +353,42 @@ def shoot_solve(
     The 4K real unknowns of the K segments (_segments) are a = U'(-pi/2),
     (U, U') at the start of segments 1..K-1 and lam = rho r; the conditions
     are continuity of (U, U') at the inner boundaries, U(pi/2) = 0 and the
-    normalization (_shoot_conditions).  Damped Newton: each step solves
-    _shoot_newton_system with spsolve and backtracks on the condition norm
-    (the sum of the jumps, or the normalization mismatch if larger).  Trials
-    run the trajectory alone; one taken without converging is run again
-    with its tangents, and rejected if a tangent overflows.  The
-    segment starts come from ``seed`` (U from its samples, U' from
-    fourth-order differences; default the linear profile eps cos x), lam
-    from rho * r0 (default r0 from the small-amplitude series).  Stops when
-    the norm falls below ``params.tol_fp * max(1, |eps|)``, after at most
-    ``params.max_iter`` steps.  A step that cannot be taken (a singular
-    Newton system, or ten halvings without decrease) ends the iteration at
-    the current iterate with converged False; an escape of the starting
-    iterate is the diverged record.  r is the envelope's integral.
+    normalization (_shoot_conditions).  The segment starts come from
+    ``seed`` (U from its samples, U' from fourth-order differences; default
+    eps cos x), lam from rho * r0 (default r0 from the small-amplitude
+    series).  _newton's rules: the norm is the sum of the jumps, or the
+    normalization mismatch if larger; done when it is below
+    ``params.tol_fp * max(1, |eps|)``; a trial is taken when it decreases
+    the norm or is done, within ten halvings.  Trials integrate the
+    trajectory alone; linearizing adds the tangents and fails when one
+    overflows.  At most ``params.max_iter`` steps.  r is the envelope's
+    integral.
     """
     rho, eps = params.rho, params.eps
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
-    n = grid.n_nodes
     stride, h, wseg = _segments(grid)
     m, k_seg = wseg.shape[0] - 1, wseg.shape[1]
     starts = np.arange(k_seg) * m
     tol = params.tol_fp * max(1.0, abs(eps))
     cap = ESCAPE_CAP * max(1.0, abs(eps))
 
-    def states(z):
-        """(U, U') at the segment starts and lam from the real unknowns z:
-        (Re, Im) of a, of (U, U') at the start of segments 1..K-1, of lam."""
+    def residual(z, tangents=False):
+        # z: segment 0's U' = a, (U, U') of segments 1..K-1, lam
         s = np.concatenate([[0.0, 0.0], z[:-2]]).view(complex).reshape(k_seg, 2)
-        return s[:, 0], s[:, 1], complex(z[-2], z[-1])
-
-    def evaluate(u0, v0, lam, tangents=True):
-        """(complex conditions, their norm, lanes) or None on escape."""
-        lanes = _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap, tangents=tangents)
+        u0, v0 = s[:, 0], s[:, 1]
+        lanes = _rk4_lanes(rho, complex(z[-2], z[-1]), u0, v0, h, stride, m, cap,
+                           tangents=tangents)
         if lanes is None:
             return None
         c = _shoot_conditions(lanes, u0, v0, wseg, eps)
         # the jumps add up along J: their sum, not the largest, measures the
         # profile's error whatever the segment count
-        return c, float(max(np.sum(np.abs(c[:-1])), abs(c[-1]))), lanes
+        return c.view(float), float(max(np.sum(np.abs(c[:-1])), abs(c[-1]))), lanes
+
+    def linearize(z, ev):
+        ev = residual(z, tangents=True)  # None on a tangent overflow
+        return None if ev is None else ev + _shoot_newton_system(ev[2], wseg)
 
     if seed is None:
         a = complex(eps)
@@ -361,53 +400,24 @@ def shoot_solve(
         values = np.asarray(seed.values, dtype=complex)
         u0 = values[starts]
         v0 = _slopes(values, grid.spacing)[starts]
-    u0[0] = 0.0
     lam = rho * complex(asymptotic_r(rho, eps, 1) if r0 is None else r0)
     z = np.append(np.stack([u0, v0], axis=1).view(float).ravel()[2:], [lam.real, lam.imag])
-    ev = evaluate(u0, v0, lam)
+    z, ev, iterations, norms, _, converged = _newton(
+        z, residual, linearize, params.max_iter, done=lambda norm, step: norm < tol,
+        accept=lambda trial, norm: trial < norm or trial < tol, halvings=10, take_last=False)
     if ev is None:
-        return _diverged_branch(params, grid, "shooting", 0)
-    increments = []
-    converged = False
-    iterations = 0
-    for _ in range(params.max_iter):
-        c, gnorm, lanes = ev
-        increments.append(gnorm)
-        if gnorm < tol:
-            converged = True
-            break
-        delta = spsolve(*_shoot_newton_system(lanes, wseg), -c.view(float))
-        if not np.all(np.isfinite(delta)):
-            break  # singular Newton system
-        # backtrack until the condition norm decreases (escapes count as
-        # unbounded norm)
-        t = 1.0
-        accepted = False
-        for _ in range(10):
-            z_try = z + t * delta
-            ev_try = evaluate(*states(z_try), tangents=False)
-            if ev_try is not None and (ev_try[1] < gnorm or ev_try[1] < tol):
-                if ev_try[1] >= tol:
-                    ev_try = evaluate(*states(z_try))  # tangents; None on overflow
-                if ev_try is not None:
-                    z, ev = z_try, ev_try
-                    accepted = True
-                    break
-            t *= 0.5
-        iterations += 1
-        if not accepted:
-            break
+        return _diverged_branch(params, grid, "shooting", iterations)
 
     # the envelope by division away from the interval ends; there the
     # l'Hopital limits v(-pi/2) = U'(-pi/2) = a and v(pi/2) = -U'(pi/2)
     out, _, ve = ev[2]
     u_vals = np.append(out[:m, 0].T.ravel(), out[m, 0, -1])
-    v = np.empty(n, dtype=complex)
+    v = np.empty(grid.n_nodes, dtype=complex)
     v[1:-1] = u_vals[1:-1] / grid.cos[1:-1]
     v[0] = complex(z[0], z[1])
     v[-1] = -ve[0, -1]
     return _branch(params, grid, "shooting", v, u_vals, None, iterations, ev[1], converged,
-                   increments=tuple(increments))
+                   increments=tuple(norms))
 
 
 # ------------------------------------------------------ finite differences
@@ -454,14 +464,14 @@ def fd_solve(
 ) -> Branch:
     """Finite-difference solution with a bordered normalization row.
 
-    Newton iteration on the bordered system in real variables, one spsolve
-    per pass, each step damped by halving until the h^2-scaled residual
-    decreases (the sixth trial, 1/32 of the step, is taken regardless).
-    Starts from ``seed`` (default eps cos x) and lam = rho * r0 (default r0
-    from the small-amplitude series); stops when the step taken falls below
-    ``params.tol_fp * max(1, |eps|)``, after at most ``params.max_iter``
-    passes.  A singular Newton system ends the iteration at the current
-    iterate with converged False.  The grid needs at least 7 nodes.
+    Unknowns: U at the interior nodes and lam, in real variables, from
+    ``seed`` (default eps cos x) and lam = rho * r0 (default r0 from the
+    small-amplitude series).  _newton's rules: the norm is the h^2-scaled
+    residual; done when the step taken is at most
+    ``params.tol_fp * max(1, |eps|)``; a trial is taken when it decreases
+    the norm or the norm is below 1e-13, the sixth (1/32 of the step)
+    regardless; an iterate escapes when |U| exceeds 1e80 or is not finite.
+    At most ``params.max_iter`` passes.  The grid needs at least 7 nodes.
     """
     rho, eps = params.rho, params.eps
     if grid is None:
@@ -475,64 +485,42 @@ def fd_solve(
         if seed.grid != grid:
             raise InvalidArgument("seed must live on the solver grid")
         u = seed.values.astype(complex)
-    if r0 is None:
-        r0 = asymptotic_r(rho, eps, 1)
-    lam = rho * complex(r0)
+    lam = rho * complex(asymptotic_r(rho, eps, 1) if r0 is None else r0)
 
     h = grid.spacing
     row = grid.weights[1:-1] * grid.cos[1:-1] / grid.cos2_mass
     diag, off = 2.0 / h**2 - 1.0, -1.0 / h**2
-    increments = []
-    converged = False
-    iterations = 0
-    scale = max(1.0, abs(eps))
+    tol = params.tol_fp * max(1.0, abs(eps))
 
-    def residual(ui, lam):
+    def residual(z):
+        ui = z[:-2].view(complex)
+        if not np.abs(ui).max() <= 1e80:
+            return None  # escaped, or not finite
         lap = diag * ui  # (-D2 - I) ui
         lap[1:] += off * ui[:-1]
         lap[:-1] += off * ui[1:]
-        g = lap - lam * ui + rho * (ui * ui.conjugate()).real * ui
+        g = lap - complex(z[-2], z[-1]) * ui + rho * (ui * ui.conjugate()).real * ui
         gn = complex(np.dot(row, ui) - eps)
         # h^2 scaling keeps the interior residual comparable to the state
-        return g, gn, max(float(np.max(np.abs(g))) * h * h, abs(gn))
+        return (np.concatenate((g, [gn])).view(float),
+                max(float(np.abs(g).max()) * h * h, abs(gn)), None)
 
-    # the residual at (u, lam): the line search's last trial is the step
-    # taken, so its residual serves the next pass
-    current = None
-    for _ in range(params.max_iter):
-        ui = u[1:-1]
-        if not np.all(np.isfinite(ui)) or np.max(np.abs(ui)) > 1e80:
-            # iteration escaped: report, do not raise
-            return _diverged_branch(params, grid, "finite_difference", iterations,
-                                    increments=tuple(increments))
-        if current is None:
-            current = residual(ui, lam)
-        g, gn, res0 = current
-        rhs = -np.append(g.view(float), [gn.real, gn.imag])
-        sol = spsolve(*_fd_newton_system(ui, lam, rho, h, row), rhs)
-        if not np.all(np.isfinite(sol)):
-            break  # singular Newton system
-        du = sol[:-2].view(complex)
-        dlam = complex(sol[-2], sol[-1])
-        for halvings in range(6):
-            step = 0.5 ** halvings
-            u_try = ui + step * du
-            lam_try = lam + step * dlam
-            current = residual(u_try, lam_try)
-            if current[2] < res0 or res0 < 1e-13:
-                break
-        u = u.copy()
-        u[1:-1] = u_try
-        lam = lam_try
-        iterations += 1
-        inc = float(max(np.max(np.abs(step * du)), abs(step * dlam)))
-        increments.append(inc)
-        if inc <= params.tol_fp * scale:
-            converged = True
-            break
-    return _fd_branch(params, grid, u, lam, iterations,
-                      increments[-1] if increments else float("inf"),
-                      converged, increments)
+    def linearize(z, ev):
+        # a taken trial's residual serves its pass
+        ev = residual(z) if ev is None else ev
+        return None if ev is None else ev + _fd_newton_system(
+            z[:-2].view(complex), complex(z[-2], z[-1]), rho, h, row)
+
+    z = np.append(u[1:-1].view(float), [lam.real, lam.imag])
+    z, ev, iterations, _, steps, converged = _newton(
+        z, residual, linearize, params.max_iter, done=lambda norm, step: step <= tol,
+        accept=lambda trial, norm: trial < norm or norm < 1e-13, halvings=6, take_last=True)
+    if ev is None:
+        return _diverged_branch(params, grid, "finite_difference", iterations,
+                                increments=tuple(steps))
+    u[1:-1] = z[:-2].view(complex)
+    return _fd_branch(params, grid, u, complex(z[-2], z[-1]), iterations,
+                      steps[-1] if steps else float("inf"), converged, steps)
 
 
 # ------------------------------------------------------------- comparison

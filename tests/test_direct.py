@@ -378,6 +378,19 @@ class TestShooting:
         assert warm.iterations <= 2
         assert compare_branches(b, warm) < 1e-10
 
+    def test_converged_on_last_allowed_step(self, grid257):
+        # the norm is tested after every step, the max_iter-th included: a
+        # cap that the converging step reaches gives the branch of a run
+        # with a step to spare, and the increments end with its norm
+        rho = 2.0 + 0.5j
+        at_cap = shoot_solve(CoreParams(rho=rho, eps=1.0, max_iter=3), grid=grid257)
+        spare = shoot_solve(CoreParams(rho=rho, eps=1.0, max_iter=4), grid=grid257)
+        assert spare.converged and spare.iterations == 3
+        assert at_cap.converged and at_cap.iterations == 3
+        assert at_cap.U.values.tobytes() == spare.U.values.tobytes() and at_cap.r == spare.r
+        assert at_cap.increments == spare.increments
+        assert len(at_cap.increments) == 4 and at_cap.increments[-1] == at_cap.fp_residual
+
     def test_seed_on_other_grid_rejected(self, grid257):
         b = shoot_solve(CoreParams(rho=1.0, eps=1.0, **SHOOT), grid=make_grid(129))
         with pytest.raises(InvalidArgument):
@@ -514,12 +527,30 @@ class TestFiniteDifference:
         assert b.iterations == 0
         assert np.array_equal(b.U.values, np.cos(grid257.nodes) * (1.0 + 0j))
 
-    def test_stagnation_reported_not_raised(self, grid257):
+    def test_escape_on_last_allowed_pass_is_diverged(self, grid257, monkeypatch):
+        # every trial of the only pass escapes and the sixth is taken: the
+        # escaped iterate is the diverged record, not a profile of 4e83
+        monkeypatch.setattr(direct, "spsolve", lambda *system: np.full_like(system[-1], 1e85))
+        b = fd_solve(CoreParams(rho=2.0 + 0.5j, eps=1.0, max_iter=1), grid=grid257)
+        assert b.diverged and not b.converged
+        assert b.iterations == 1 and len(b.increments) == 1
+        assert not np.any(b.U.values)
+
+    def test_stagnation_reported_not_raised(self, grid257, monkeypatch):
         # two Newton passes from the cold seed cannot reach rho = 60; the
-        # solver must return a record, not raise
+        # solver must return a record, not raise.  The iterate after the
+        # last allowed pass takes no step, so it gets no Newton system
+        builds = []
+        real = direct._fd_newton_system
+
+        def counted(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(direct, "_fd_newton_system", counted)
         b = fd_solve(CoreParams(rho=60.0, eps=1.0, tol_fp=1e-11, max_iter=2), grid=grid257)
         assert not b.converged
-        assert b.iterations == 2
+        assert b.iterations == 2 and len(builds) == 2
 
     def test_increment_is_step_applied(self, grid257):
         # pass 66 at rho = -50 exhausts the six trial steps; the recorded
@@ -725,3 +756,24 @@ class TestWarmFromFixedPoint:
             assert cold.converged and warm.converged, method
             assert warm.iterations <= cold.iterations, method
             assert compare_branches(cold, warm) <= 1e-11, method
+
+    @pytest.mark.parametrize("start,counts", [("warm", (10, 30, 40)), ("cold", (34, 44, 78))],
+                             ids=["warm", "cold"])
+    def test_work_count(self, grid257, monkeypatch, start, counts):
+        # shooting Newton steps, FD passes and linear solves at the 10
+        # points, which do not depend on the machine: verify's warm starts
+        # against cold starts from eps cos x
+        solves = []
+        real = direct.spsolve
+
+        def counted(*system):
+            solves.append(system)
+            return real(*system)
+
+        monkeypatch.setattr(direct, "spsolve", counted)
+        steps = passes = 0
+        for rho in CRITERION6_POINTS:
+            prev = solve("fixed_point", rho, 1.0, grid257) if start == "warm" else None
+            steps += solve("shooting", rho, 1.0, grid257, prev=prev).iterations
+            passes += solve("finite_difference", rho, 1.0, grid257, prev=prev).iterations
+        assert (steps, passes, len(solves)) == counts

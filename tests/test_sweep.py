@@ -254,6 +254,11 @@ class TestDivergedRecord:
         assert not np.isfinite(b.r.real) and not np.isfinite(b.r.imag)
         assert not np.any(b.U.values)
         assert b.ode_residual == float("inf")
+        if method == "finite_difference":
+            # all six trials escape; the sixth, 1/32 of the step, is taken
+            # regardless and the escape ends the second pass before its solve
+            assert b.iterations == 1 and len(b.increments) == 1
+            assert b.increments[0] == pytest.approx(np.hypot(1e85, 1e85) / 32, rel=1e-12)
         path = tmp_path / "diverged.csv"
         emit_results([record_from_branch(b)], "csv", path)
         row = path.read_text().split("\n")[1].split(",")

@@ -1,12 +1,12 @@
 """Independent solvers for the steady equation -U'' - U = rho (r - |U|^2) U.
 
 Both solvers take the same CoreParams as the reduced solve (rho, eps,
-tol_fp, max_iter), fix the amplitude through the same normalization (the
-cos^2-weighted mean of the envelope equals eps) and return the same Branch
-record, so results can be compared directly against the fixed-point
-method.  Every failure (iteration cap, escape, singular Jacobian) is
-reported in the returned Branch, never raised; an escaped iterate is the
-one diverged record of reduction._diverged_branch (r = nan).
+tol_fp, max_iter), solve the same eps = 1 problem at kappa = rho |eps|^2
+(see reduction) and return the same Branch record, so results can be
+compared directly against the fixed-point method.  Every failure
+(iteration cap, escape, singular Jacobian) is reported in the returned
+Branch, never raised; an escaped iterate is the one diverged record of
+reduction._diverged_branch (r = nan).
 
 Both solvers border their Newton system with the unknown lam = rho * r in
 place of r, which stays regular in the linear limit rho -> 0, so neither
@@ -25,9 +25,8 @@ RK4 in Nystrom form integrates all segments at once as numpy lanes that
 also carry the variational equations, so the Newton Jacobian comes
 exactly from the same integration as the conditions.  Short segments
 bound the growth that blows a single trajectory up at |rho| beyond about
-9; a trial that escapes (|U| reaching ESCAPE_CAP * max(1, |eps|) in any
-lane) is rejected.  The finite-difference solver continues to the
-largest radii.
+9; a trial that escapes (|W| reaching ESCAPE_CAP in any lane) is
+rejected.  The finite-difference solver continues to the largest radii.
 """
 from __future__ import annotations
 
@@ -286,7 +285,7 @@ def _slopes(u: np.ndarray, h: float) -> np.ndarray:
     return d / (12.0 * h)
 
 
-def _shoot_conditions(lanes, u0, v0, wseg, eps):
+def _shoot_conditions(lanes, u0, v0, wseg):
     """The complex shooting conditions ordered by segment: the mismatch of
     U and of U' at its end with the next segment's start (U(pi/2) alone
     for the last segment), then the normalization."""
@@ -295,7 +294,7 @@ def _shoot_conditions(lanes, u0, v0, wseg, eps):
     c[:-1] -= np.stack([u0[1:], v0[1:]], axis=1)
     c = c.ravel()
     # the slot of the last segment's free end slope holds the normalization
-    c[-1] = np.sum(wseg * out[:, 0]) - eps
+    c[-1] = np.sum(wseg * out[:, 0]) - 1.0
     return c
 
 
@@ -350,38 +349,36 @@ def shoot_solve(
 ) -> Branch:
     """Multiple-shooting solution of the full nonlinear problem.
 
-    The 4K real unknowns of the K segments (_segments) are a = U'(-pi/2),
-    (U, U') at the start of segments 1..K-1 and lam = rho r; the conditions
-    are continuity of (U, U') at the inner boundaries, U(pi/2) = 0 and the
+    The 4K real unknowns of the K segments (_segments) are a = W'(-pi/2),
+    (W, W') at the start of segments 1..K-1 and lam = rho r; the conditions
+    are continuity of (W, W') at the inner boundaries, W(pi/2) = 0 and the
     normalization (_shoot_conditions).  The segment starts come from
-    ``seed`` (U from its samples, U' from fourth-order differences; default
-    eps cos x), lam from rho * r0 (default r0 from the small-amplitude
+    ``seed`` / eps (W from its samples, W' from fourth-order differences;
+    default cos x), lam from rho * r0 (default r0 from the small-amplitude
     series).  _newton's rules: the norm is the sum of the jumps, or the
     normalization mismatch if larger; done when it is below
-    ``params.tol_fp * max(1, |eps|)``; a trial is taken when it decreases
-    the norm or is done, within ten halvings.  Trials integrate the
-    trajectory alone; linearizing adds the tangents and fails when one
-    overflows.  At most ``params.max_iter`` steps.  r is the envelope's
-    integral.
+    ``params.tol_fp``; a trial is taken when it decreases the norm or is
+    done, within ten halvings.  Trials integrate the trajectory alone;
+    linearizing adds the tangents and fails when one overflows.  At most
+    ``params.max_iter`` steps.  r is the envelope's integral.
     """
-    rho, eps = params.rho, params.eps
+    eps = params.eps
+    kappa = params.rho * abs(eps) ** 2
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
     stride, h, wseg = _segments(grid)
     m, k_seg = wseg.shape[0] - 1, wseg.shape[1]
     starts = np.arange(k_seg) * m
-    tol = params.tol_fp * max(1.0, abs(eps))
-    cap = ESCAPE_CAP * max(1.0, abs(eps))
 
     def residual(z, tangents=False):
         # z: segment 0's U' = a, (U, U') of segments 1..K-1, lam
         s = np.concatenate([[0.0, 0.0], z[:-2]]).view(complex).reshape(k_seg, 2)
         u0, v0 = s[:, 0], s[:, 1]
-        lanes = _rk4_lanes(rho, complex(z[-2], z[-1]), u0, v0, h, stride, m, cap,
+        lanes = _rk4_lanes(kappa, complex(z[-2], z[-1]), u0, v0, h, stride, m, ESCAPE_CAP,
                            tangents=tangents)
         if lanes is None:
             return None
-        c = _shoot_conditions(lanes, u0, v0, wseg, eps)
+        c = _shoot_conditions(lanes, u0, v0, wseg)
         # the jumps add up along J: their sum, not the largest, measures the
         # profile's error whatever the segment count
         return c.view(float), float(max(np.sum(np.abs(c[:-1])), abs(c[-1]))), lanes
@@ -391,17 +388,17 @@ def shoot_solve(
         return None if ev is None else ev + _shoot_newton_system(ev[2], wseg)
 
     if seed is None:
-        a = complex(eps)
-        u0 = a * grid.cos[starts]
-        v0 = -a * grid.sin[starts]
+        u0 = grid.cos[starts] + 0j
+        v0 = -grid.sin[starts] + 0j
     else:
         if seed.grid != grid:
             raise InvalidArgument("seed must live on the solver grid")
-        values = np.asarray(seed.values, dtype=complex)
+        values = seed.values / eps
         u0 = values[starts]
         v0 = _slopes(values, grid.spacing)[starts]
-    lam = rho * complex(asymptotic_r(rho, eps, 1) if r0 is None else r0)
+    lam = kappa * complex(asymptotic_r(kappa, 1.0, 1) if r0 is None else r0 / abs(eps) ** 2)
     z = np.append(np.stack([u0, v0], axis=1).view(float).ravel()[2:], [lam.real, lam.imag])
+    tol = params.tol_fp
     z, ev, iterations, norms, _, converged = _newton(
         z, residual, linearize, params.max_iter, done=lambda norm, step: norm < tol,
         accept=lambda trial, norm: trial < norm or trial < tol, halvings=10, take_last=False)
@@ -464,33 +461,33 @@ def fd_solve(
 ) -> Branch:
     """Finite-difference solution with a bordered normalization row.
 
-    Unknowns: U at the interior nodes and lam, in real variables, from
-    ``seed`` (default eps cos x) and lam = rho * r0 (default r0 from the
+    Unknowns: W at the interior nodes and lam, in real variables, from
+    ``seed`` / eps (default cos x) and lam = rho * r0 (default r0 from the
     small-amplitude series).  _newton's rules: the norm is the h^2-scaled
-    residual; done when the step taken is at most
-    ``params.tol_fp * max(1, |eps|)``; a trial is taken when it decreases
-    the norm or the norm is below 1e-13, the sixth (1/32 of the step)
-    regardless; an iterate escapes when |U| exceeds 1e80 or is not finite.
-    At most ``params.max_iter`` passes.  The grid needs at least 7 nodes.
+    residual; done when the step taken is at most ``params.tol_fp``; a
+    trial is taken when it decreases the norm or the norm is below 1e-13,
+    the sixth (1/32 of the step) regardless; an iterate escapes when |W|
+    exceeds 1e80 or is not finite.  At most ``params.max_iter`` passes.
+    The grid needs at least 7 nodes.
     """
-    rho, eps = params.rho, params.eps
+    eps = params.eps
+    kappa = params.rho * abs(eps) ** 2
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
     if grid.n_nodes < 7:
         # the envelope's cubic end rule reads four interior nodes
         raise InvalidArgument(f"finite differences need >= 7 nodes, got {grid.n_nodes}")
     if seed is None:
-        u = eps * grid.cos.astype(complex)
+        u = grid.cos.astype(complex)
     else:
         if seed.grid != grid:
             raise InvalidArgument("seed must live on the solver grid")
-        u = seed.values.astype(complex)
-    lam = rho * complex(asymptotic_r(rho, eps, 1) if r0 is None else r0)
+        u = seed.values / eps
+    lam = kappa * complex(asymptotic_r(kappa, 1.0, 1) if r0 is None else r0 / abs(eps) ** 2)
 
     h = grid.spacing
     row = grid.weights[1:-1] * grid.cos[1:-1] / grid.cos2_mass
     diag, off = 2.0 / h**2 - 1.0, -1.0 / h**2
-    tol = params.tol_fp * max(1.0, abs(eps))
 
     def residual(z):
         ui = z[:-2].view(complex)
@@ -499,8 +496,8 @@ def fd_solve(
         lap = diag * ui  # (-D2 - I) ui
         lap[1:] += off * ui[:-1]
         lap[:-1] += off * ui[1:]
-        g = lap - complex(z[-2], z[-1]) * ui + rho * (ui * ui.conjugate()).real * ui
-        gn = complex(np.dot(row, ui) - eps)
+        g = lap - complex(z[-2], z[-1]) * ui + kappa * (ui * ui.conjugate()).real * ui
+        gn = complex(np.dot(row, ui) - 1.0)
         # h^2 scaling keeps the interior residual comparable to the state
         return (np.concatenate((g, [gn])).view(float),
                 max(float(np.abs(g).max()) * h * h, abs(gn)), None)
@@ -509,11 +506,11 @@ def fd_solve(
         # a taken trial's residual serves its pass
         ev = residual(z) if ev is None else ev
         return None if ev is None else ev + _fd_newton_system(
-            z[:-2].view(complex), complex(z[-2], z[-1]), rho, h, row)
+            z[:-2].view(complex), complex(z[-2], z[-1]), kappa, h, row)
 
     z = np.append(u[1:-1].view(float), [lam.real, lam.imag])
     z, ev, iterations, _, steps, converged = _newton(
-        z, residual, linearize, params.max_iter, done=lambda norm, step: step <= tol,
+        z, residual, linearize, params.max_iter, done=lambda norm, step: step <= params.tol_fp,
         accept=lambda trial, norm: trial < norm or norm < 1e-13, halvings=6, take_last=True)
     if ev is None:
         return _diverged_branch(params, grid, "finite_difference", iterations,

@@ -1,13 +1,16 @@
 """Projection splitting and the contraction solve for the reduced problem.
 
-The steady equation -U'' - U = rho (r - |U|^2) U is reduced, through
-U = v cos x and the splitting v = eps (1 + w) with w free of the
-cos^2-weighted mean, to a fixed-point problem for the correction w:
+The steady equation -U'' - U = rho (r - |U|^2) U, with the envelope's
+cos^2-weighted mean fixed at eps, is under U = eps W and r = |eps|^2 s the
+eps = 1 problem at kappa = rho |eps|^2; the phase of eps is a gauge.
+Every solver solves that problem and _branch scales back.  Through
+W = v cos x and the splitting v = 1 + w with w free of the mean, it is a
+fixed-point problem for the correction w:
 
-    w  =  |eps|^2 * G( N(w, rho) ),
+    w  =  G( N(w, kappa) ),
 
 where N is the amplitude-scaled cubic forcing and G inverts the
-linearized operator and removes the mean mode.  For |eps|^2 below an
+linearized operator and removes the mean mode.  For |kappa| below an
 explicit radius the map is a contraction and plain iteration from w = 0
 converges geometrically; far outside that certificate the iteration is
 still attempted.  Near the convergence edge plain iteration settles into
@@ -81,7 +84,9 @@ class Branch:
     Every solver builds it with _branch or, when the solve blew up,
     _diverged_branch: a diverged branch holds no profile (w, v and U are
     zero, r is nan+nanj, ode_residual is inf) and keeps the rest of what
-    the solve did before it stopped.
+    the solve did before it stopped.  fp_residual and increments measure
+    the eps = 1 problem that every solver solves, so they do not scale
+    with |eps|.
 
     accelerated_at is the number of plain map applications after which a
     fixed-point solve switched to Anderson mixing, or None when it did not;
@@ -181,30 +186,27 @@ def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
     return GridFunction(v.grid, _ode_forcing(v.values * v.grid.cos, rho, r))
 
 
-def _ode_residual(v_vals, u_vals, rho, r, grid: Grid) -> float:
-    """Envelope collocation residual of -U'' - U = rho (r - |U|^2) U."""
-    return envelope_residual(v_vals, _ode_forcing(u_vals, rho, r), grid)
-
-
-def _branch(params: CoreParams, grid: Grid, method: str, v_vals, u_vals, r,
+def _branch(params: CoreParams, grid: Grid, method: str, v1, u1, r,
             iterations: int, fp_residual: float, converged: bool, w=None,
             **extra) -> Branch:
-    """Branch of a solve that ended on the envelope v_vals and profile u_vals.
+    """Branch of an eps = 1 solve that ended on the envelope v1 and
+    profile u1, scaled back to v = eps v1 and U = eps u1.
 
-    w defaults to v / eps - 1 and r, when None, to compute_r of the
-    envelope; extra holds the optional Branch fields."""
+    w defaults to v1 - 1 and r, when None, to compute_r of v; extra holds
+    the optional Branch fields."""
     eps = params.eps
-    v = GridFunction(grid, v_vals)
+    v = GridFunction(grid, eps * v1)
+    u_vals = eps * u1
     r = complex(compute_r(v, eps) if r is None else r)
     return Branch(
         params=params,
         r=r,
-        w=GridFunction(grid, v_vals / eps - 1.0 if w is None else w),
+        w=GridFunction(grid, v1 - 1.0 if w is None else w),
         v=v,
         U=GridFunction(grid, u_vals),
         iterations=iterations,
         fp_residual=fp_residual,
-        ode_residual=_ode_residual(v_vals, u_vals, params.rho, r, grid),
+        ode_residual=envelope_residual(v.values, _ode_forcing(u_vals, params.rho, r), grid),
         converged=converged,
         method=method,
         **extra,
@@ -309,11 +311,10 @@ def fixed_point_solve(
     """
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
-    rho, eps = params.rho, params.eps
-    s = abs(eps) ** 2
+    kappa = params.rho * abs(params.eps) ** 2
 
     def fp_map(w):
-        return s * _apply_green(_cubic_forcing(w, rho, grid), grid)
+        return _apply_green(_cubic_forcing(w, kappa, grid), grid)
 
     w = np.zeros(grid.n_nodes, dtype=complex) if w0 is None else w0.values.astype(complex)
     increments: list[float] = []
@@ -363,8 +364,8 @@ def fixed_point_solve(
             return _diverged_branch(params, grid, "fixed_point", iterations,
                                     fp_residual, **history)
         fp_residual = float(np.max(np.abs(fp_map(w) - w)))
-        v_vals = eps * (1.0 + w)
-        return _branch(params, grid, "fixed_point", v_vals, v_vals * grid.cos, None,
+        v1 = 1.0 + w
+        return _branch(params, grid, "fixed_point", v1, v1 * grid.cos, None,
                        iterations, fp_residual, converged, w=w, **history)
 
 

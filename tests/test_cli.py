@@ -53,8 +53,9 @@ class TestSolve:
         assert abs(r_vals[0] - r_vals[2]) < 1e-3  # fd is O(h^2) at 129 nodes
 
     def test_nonconvergence_exit_code(self, capsys):
-        # shooting escapes here (the RK4 step is unstable at this |eps|): a
-        # solve that did not converge exits 2
+        # kappa = rho |eps|^2 = 4e9, far past any branch the solvers follow:
+        # the trajectory from the seed escapes, and a solve that did not
+        # converge exits 2
         code, out, _ = run_cli(
             capsys, "solve", "--rho-re", "1e-3", "--eps-re", "2e6", "--method", "shoot",
             "--nodes", "129",
@@ -107,8 +108,9 @@ class TestSolve:
         assert iterations[1] < iterations[0]
 
     def test_linear_limit_shooting_large_eps(self, capsys):
-        # the exact profile eps cos x peaks at 2e6: the escape cap scales
-        # with |eps| so shooting reaches the linear limit as FD does
+        # the exact profile eps cos x peaks at 2e6, but both solvers solve
+        # for W = U / eps = cos x at kappa = 0, so shooting stays far below
+        # its escape cap and reaches the linear limit as FD does
         r = {}
         for method in ("shoot", "fd"):
             code, out, _ = run_cli(

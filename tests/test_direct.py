@@ -320,7 +320,7 @@ class TestShooting:
         grid = make_grid(n_nodes)
         stride, h, wseg = _segments(grid)
         m, k_seg = wseg.shape[0] - 1, wseg.shape[1]
-        rho, eps = 2.0 + 0.5j, 0.8 - 0.3j
+        rho = 2.0 + 0.5j
         z = 0.5 * np.random.default_rng(n_nodes).standard_normal(4 * k_seg)
 
         def conditions(z):
@@ -328,7 +328,7 @@ class TestShooting:
             u0, v0 = s[:, 0], s[:, 1]
             lanes = _rk4_lanes(rho, complex(z[-2], z[-1]), u0, v0, h, stride, m,
                                direct.ESCAPE_CAP)
-            return lanes, _shoot_conditions(lanes, u0, v0, wseg, eps).view(float)
+            return lanes, _shoot_conditions(lanes, u0, v0, wseg).view(float)
 
         got = _bordered_dense(*_shoot_newton_system(conditions(z)[0], wseg))
         step = 1e-6

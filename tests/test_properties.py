@@ -54,21 +54,57 @@ def trig(coeffs):
     return GridFunction(GRID, vals)
 
 
-@PROPERTY
-@given(rho=rhos, modulus=moduli, theta=st.floats(0.0, 2 * np.pi, allow_nan=False))
-def test_r_gauge_invariant(rho, modulus, theta):
-    # eps -> e^{i theta} eps multiplies U by the same phase and keeps r
-    b = solve("fixed_point", rho, modulus, GRID)
-    rot = solve("fixed_point", rho, modulus * np.exp(1j * theta), GRID)
-    assert b.converged and rot.converged
-    assert abs(rot.r - b.r) <= 1e-12 * max(1.0, abs(rho))
-
-
-@pytest.mark.parametrize("method,examples", [
+phases = st.floats(0.0, 2 * np.pi, allow_nan=False)
+# examples per method: shooting is the slowest solver
+PER_METHOD = pytest.mark.parametrize("method,examples", [
     pytest.param("fixed_point", 25, id="fixed_point"),
     pytest.param("finite_difference", 25, id="finite_difference"),
     pytest.param("shooting", 10, id="shooting"),
 ])
+
+
+@PER_METHOD
+def test_r_gauge_invariant(method, examples):
+    # eps -> e^{i theta} eps multiplies U by the same phase and keeps r:
+    # every solver solves at kappa = rho |eps|^2 and only the rescale
+    # rounds.  The unrotated eps is abs(eps), so that both solves see the
+    # same kappa to the bit
+    @settings(PROPERTY, max_examples=examples)
+    @given(rho=rhos, modulus=moduli, theta=phases)
+    def check(rho, modulus, theta):
+        eps = modulus * np.exp(1j * theta)
+        b = solve(method, rho, abs(eps), GRID)
+        rot = solve(method, rho, eps, GRID)
+        assert b.converged and rot.converged
+        assert rot.iterations == b.iterations
+        assert abs(rot.r - b.r) <= 2e-15 * abs(b.r)
+        phase = eps / abs(eps)
+        assert np.max(np.abs(rot.U.values - phase * b.U.values)) <= 2e-15 * abs(eps)
+
+    check()
+
+
+@PER_METHOD
+def test_amplitude_covariance(method, examples):
+    # U = eps W and r = |eps|^2 s: solving at (rho, eps) is solving at
+    # (rho |eps|^2, 1) and scaling back; kappa is drawn where every method
+    # converges at eps = 1
+    @settings(PROPERTY, max_examples=examples)
+    @given(kappa=rhos, modulus=st.floats(0.3, 2.0, allow_nan=False), theta=phases)
+    @example(kappa=1e-3 * 0.3**2, modulus=0.3, theta=0.0)
+    def check(kappa, modulus, theta):
+        eps = modulus * np.exp(1j * theta)
+        rho = kappa / abs(eps) ** 2
+        b = solve(method, rho, eps, GRID)
+        one = solve(method, rho * abs(eps) ** 2, 1.0, GRID)
+        assert (b.converged, b.iterations) == (one.converged, one.iterations)
+        assert np.max(np.abs(b.U.values - eps * one.U.values)) <= 2e-15 * b.U.sup_norm
+        assert abs(b.r - abs(eps) ** 2 * one.r) <= 2e-15 * abs(b.r)
+
+    check()
+
+
+@PER_METHOD
 def test_conjugate_rho_conjugates_branch(method, examples):
     # mirror_conjugate relies on this: rho -> conj rho gives conj r, conj U
     @settings(PROPERTY, max_examples=examples)

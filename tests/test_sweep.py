@@ -60,7 +60,7 @@ class TestCountZeros:
         assert count_zeros(np.zeros(64, dtype=complex), 1) == (2, 0)
 
     @pytest.mark.parametrize(
-        "rho, eps, n_nodes", [(-12.0, 1.5, 257), (40.0, 3.0, 129)]
+        "rho, eps, n_nodes", [(-12.0, 1.5, 257), (-4.0, 1.5, 129)]
     )
     def test_fd_sign_changing_envelope_has_extra_zeros(self, rho, eps, n_nodes):
         # FD converges here to envelopes that change sign between nodes
@@ -68,6 +68,15 @@ class TestCountZeros:
         assert rec.converged
         assert rec.extra_zeros > 0
         assert rec.zero_count == 2 + rec.extra_zeros
+
+    def test_fd_spurious_branch_not_converged(self):
+        # kappa = 360 at 129 nodes: the nearby spurious branch (r = 17.63,
+        # the true r is 5.5676) does not pass FD's step test, which is
+        # absolute in W and in lam = kappa s, and the solve runs to its cap
+        rec = record_from_branch(solve("finite_difference", 40.0, 3.0, make_grid(129)))
+        assert not rec.converged
+        assert rec.iterations == 800
+        assert (rec.zero_count, rec.extra_zeros) == (0, 0)
 
 
 class TestSymmetryDefect:

@@ -15,7 +15,6 @@ from .quadrature import Grid, GridFunction, integrate, make_grid
 from .greens import (
     enforce_solvability,
     envelope_residual,
-    green_kernel,
     jump_increment,
     solvability_residual,
     solve_linear_inhomogeneous,
@@ -46,14 +45,12 @@ from .physics import (
     extend_solution,
     mu_nu_from_rho,
     physical_from_r,
-    r_from_physical,
     rho_from_physical,
 )
 from .sweep import (
     SweepRecord,
     SweepSpec,
     count_zeros,
-    detect_asymmetric,
     emit_results,
     load_records,
     mirror_conjugate,
@@ -87,14 +84,12 @@ __all__ = [
     "contraction_radius",
     "count_zeros",
     "cubic_forcing",
-    "detect_asymmetric",
     "emit_results",
     "enforce_solvability",
     "envelope_residual",
     "extend_solution",
     "fd_solve",
     "fixed_point_solve",
-    "green_kernel",
     "integrate",
     "jump_increment",
     "load_records",
@@ -104,7 +99,6 @@ __all__ = [
     "ode_forcing",
     "physical_from_r",
     "project_mean",
-    "r_from_physical",
     "record_from_branch",
     "rho_from_physical",
     "run_sweep",

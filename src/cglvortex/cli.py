@@ -14,8 +14,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ExtensionError, InvalidArgument, ToolkitError
-from .quadrature import make_grid
-from .reduction import DEFAULT_NODES, asymptotic_r, asymptotic_U, cubic_forcing, project_mean
+from .quadrature import GridFunction, make_grid
+from .reduction import (
+    DEFAULT_NODES, asymptotic_r, asymptotic_U, compute_r, cubic_forcing, eps_squared, project_mean,
+)
 from .greens import solvability_residual
 from .direct import compare_branches
 # not called here: bench/tracing.py wraps the solvers under these names
@@ -219,7 +221,7 @@ def _cmd_verify(args) -> int:
     eps = complex(args.eps_re, args.eps_im)
     grid = make_grid(args.nodes)
     h = grid.spacing
-    zeta = abs(rho) * abs(eps) ** 2
+    zeta = abs(rho) * eps_squared(eps)
     checks: list[tuple[str, float, float]] = []  # (name, value, bound)
 
     # shooting and FD start from the converged fixed-point branch, which
@@ -252,10 +254,11 @@ def _cmd_verify(args) -> int:
              abs(solvability_residual(forcing)),
              1e-10 * max(1.0, forcing.sup_norm))
         )
-        # gauge invariance of r under a quarter-turn of eps
-        rot = solve("fixed_point", rho, eps * 1j, grid)
+        # gauge invariance of r under a quarter-turn of eps: the turned
+        # branch is i v, and compute_r must undo the phase of eps
+        rot_r = compute_r(GridFunction(grid, 1j * fp.v.values), 1j * eps)
         checks.append(
-            ("gauge[r]", abs(rot.r - fp.r), 1e-12 * max(1.0, abs(rho)))
+            ("gauge[r]", abs(rot_r - fp.r), 1e-12 * max(1.0, abs(rho)))
         )
         rec = record_from_branch(fp)
         checks.append(("zero_count-2", abs(rec.zero_count - 2), 0.5))

@@ -362,8 +362,7 @@ def shoot_solve(
     linearizing adds the tangents and fails when one overflows.  At most
     ``params.max_iter`` steps.  r is the envelope's integral.
     """
-    eps = params.eps
-    kappa = params.rho * abs(eps) ** 2
+    eps, kappa = params.eps, params.kappa
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
     stride, h, wseg = _segments(grid)
@@ -470,8 +469,7 @@ def fd_solve(
     exceeds 1e80 or is not finite.  At most ``params.max_iter`` passes.
     The grid needs at least 7 nodes.
     """
-    eps = params.eps
-    kappa = params.rho * abs(eps) ** 2
+    eps, kappa = params.eps, params.kappa
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
     if grid.n_nodes < 7:
@@ -509,9 +507,13 @@ def fd_solve(
             z[:-2].view(complex), complex(z[-2], z[-1]), kappa, h, row)
 
     z = np.append(u[1:-1].view(float), [lam.real, lam.imag])
-    z, ev, iterations, _, steps, converged = _newton(
-        z, residual, linearize, params.max_iter, done=lambda norm, step: step <= params.tol_fp,
-        accept=lambda trial, norm: trial < norm or norm < 1e-13, halvings=6, take_last=True)
+    # overflow on the way to divergence is expected: a trial that is not
+    # finite escapes, and a step that is not finite ends the solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, ev, iterations, _, steps, converged = _newton(
+            z, residual, linearize, params.max_iter,
+            done=lambda norm, step: step <= params.tol_fp,
+            accept=lambda trial, norm: trial < norm or norm < 1e-13, halvings=6, take_last=True)
     if ev is None:
         return _diverged_branch(params, grid, "finite_difference", iterations,
                                 increments=tuple(steps))

@@ -16,30 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgument, SolvabilityError
-from .quadrature import HALF_PI, Grid, GridFunction, running_integral
+from .errors import SolvabilityError
+from .quadrature import Grid, GridFunction, running_integral
 
 # default absolute solvability tolerance, scaled by sup|f|
 TOL_SOLV = 1e-10
 # enforce_solvability projects a second time when the first leaves less
 # than this share of sup|f| (Kahan and Parlett's "twice is enough")
 REPROJECT_FRACTION = 0.5
-
-
-def green_kernel(x, y):
-    """Two-branch kernel: cos x sin y for y <= x, sin x cos y for y >= x.
-
-    Both branches agree on the diagonal and |g| <= 1 on J x J.
-    Accepts scalars or arrays (broadcast)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slack = 1e-12
-    if np.any(np.abs(x) > HALF_PI + slack) or np.any(np.abs(y) > HALF_PI + slack):
-        raise InvalidArgument("green_kernel arguments must lie in [-pi/2, pi/2]")
-    val = np.where(y <= x, np.cos(x) * np.sin(y), np.sin(x) * np.cos(y))
-    if val.ndim == 0:
-        return float(val)
-    return val
 
 
 def solvability_residual(f: GridFunction) -> complex:

@@ -52,13 +52,6 @@ def physical_from_r(r: complex, mu: float, nu: float, n: int) -> PhysParams:
     )
 
 
-def r_from_physical(R: float, omega: float, mu: float, nu: float, n: int) -> complex:
-    """r = (R + i omega - (1 + i nu) n^2) / (1 + i mu)."""
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
-    return (complex(R, omega) - complex(1.0, nu) * n * n) / complex(1.0, mu)
-
-
 def mu_nu_from_rho(rho: complex, n: int) -> tuple[float, float]:
     """Dispersion constants (mu, nu) whose reduced parameter equals rho.
 

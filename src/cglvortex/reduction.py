@@ -54,23 +54,37 @@ ANDERSON_PATIENCE = 15
 ANDERSON_PROGRESS = 1e-3
 
 
+def eps_squared(eps: complex, zero_ok: bool = False) -> float:
+    """|eps|^2, the amplitude scale of every solve.  InvalidArgument when it
+    overflows, or when it is 0 (eps = 0, or underflow) unless zero_ok: a
+    solve needs a nonzero amplitude, the small-amplitude series do not."""
+    try:
+        s = abs(eps) ** 2
+    except OverflowError:
+        s = float("inf")
+    if not s < float("inf") or (s == 0.0 and not zero_ok):
+        raise InvalidArgument(f"|eps|^2 is 0 or overflows at eps = {eps}")
+    return s
+
+
 @dataclass(frozen=True)
 class CoreParams:
     """Inputs of one solve, shared by the fixed-point, shooting and
     finite-difference solvers: rho, eps, the iteration cap max_iter and the
-    stopping tolerance tol_fp.  No solve reads the certificate: see
-    contraction_radius."""
+    stopping tolerance tol_fp.  kappa = rho |eps|^2 is formed here, once;
+    it may overflow for a huge rho, which no solve converges from.
+    No solve reads the certificate: see contraction_radius."""
 
     rho: complex
     eps: complex
     max_iter: int = 200
     tol_fp: float = 1e-12
+    kappa: complex = field(init=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.rho) and np.isfinite(self.eps)):
             raise InvalidArgument("rho and eps must be finite")
-        if self.eps == 0:
-            raise InvalidArgument("eps must be nonzero")
+        object.__setattr__(self, "kappa", self.rho * eps_squared(self.eps))
         if self.tol_fp <= 0:
             raise InvalidArgument("tol_fp must be positive")
         if self.max_iter < 1:
@@ -311,7 +325,7 @@ def fixed_point_solve(
     """
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
-    kappa = params.rho * abs(params.eps) ** 2
+    kappa = params.kappa
 
     def fp_map(w):
         return _apply_green(_cubic_forcing(w, kappa, grid), grid)
@@ -381,7 +395,7 @@ def asymptotic_r(rho: complex, eps: complex, order: int) -> complex:
     """
     if order not in (0, 1):
         raise InvalidArgument(f"unsupported order {order}")
-    s = abs(eps) ** 2
+    s = eps_squared(eps, zero_ok=True)
     r = 0.75 * s
     if order >= 1:
         r *= 1.0 - rho * s / 32.0
@@ -399,7 +413,7 @@ def asymptotic_U(rho: complex, eps: complex, x, order: int):
     if order not in (0, 1, 2):
         raise InvalidArgument(f"unsupported order {order}")
     x = np.asarray(x, dtype=float)
-    z = rho * abs(eps) ** 2 / 32.0
+    z = rho * eps_squared(eps, zero_ok=True) / 32.0
     bracket = np.ones_like(x, dtype=complex)
     if order >= 1:
         bracket = bracket - z * (2.0 * np.cos(2 * x) - 1.0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .quadrature import Grid, GridFunction, make_grid
-from .reduction import DEFAULT_NODES, Branch, CoreParams, fixed_point_solve
+from .reduction import DEFAULT_NODES, Branch, CoreParams, eps_squared, fixed_point_solve
 from .direct import fd_solve, shoot_solve
 # not called here: bench/tracing.py wraps it under this name
 from .physics import extend_solution  # noqa: F401
@@ -99,8 +99,7 @@ class SweepSpec:
         )
         if not (np.all(np.isfinite(reals)) and np.isfinite(self.eps)):
             raise InvalidArgument("sweep bounds and eps must be finite")
-        if self.eps == 0:
-            raise InvalidArgument("eps must be nonzero")
+        eps_squared(self.eps)
         if self.mode == "rectangle":
             if self.re_steps < 2 or self.im_steps < 2:
                 raise InvalidArgument("rectangle sweeps need >= 2 steps per axis")
@@ -240,29 +239,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
         if spec.warm_start and branch.converged:
             prev = branch
     return records
-
-
-def detect_asymmetric(
-    rho: complex, eps: complex, grid: Grid | None = None
-) -> tuple[SweepRecord, bool]:
-    """Search for a symmetry-broken branch near the symmetric one.
-
-    Seeds the finite-difference solver with eps cos x plus an odd
-    perturbation 0.1 |eps| sin 2x and reports the outcome; the branch is
-    flagged asymmetric when it converged with a symmetry defect exceeding
-    1e-3 times the profile size.  Non-detection is a valid outcome.
-    """
-    if grid is None:
-        grid = make_grid(DEFAULT_NODES)
-    seed_vals = eps * grid.cos + 0.1 * abs(eps) * np.sin(2 * grid.nodes)
-    seed = GridFunction(grid, seed_vals)
-    branch = fd_solve(CoreParams(rho=rho, eps=eps, tol_fp=1e-11), grid=grid, seed=seed)
-    record = record_from_branch(branch)
-    flagged = bool(
-        branch.converged
-        and record.symmetry_defect > 1e-3 * max(branch.U.sup_norm, 1e-300)
-    )
-    return record, flagged
 
 
 def mirror_conjugate(records: Sequence[SweepRecord]) -> list[SweepRecord]:

@@ -86,6 +86,19 @@ class TestSolve:
         for key in ("symmetry_defect", "min_abs_v", "ode_residual"):
             assert doc[key] is None
 
+    def test_fd_divergence_quiet(self):
+        # kappa = rho |eps|^2 overflows to inf: FD's first residual is not
+        # finite, the solve does not converge, and the overflow on the way
+        # there must not reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "cglvortex", "solve", "--method", "fd",
+             "--rho-re", "1e308", "--eps-re", "10"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert strict_json(proc.stdout)["converged"] is False
+
     @pytest.mark.parametrize("flag,value", [
         ("--rho-re", "nan"), ("--rho-im", "inf"), ("--eps-re", "-inf"),
         ("--eps-im", "nan"),
@@ -391,7 +404,8 @@ class TestVerify:
             capsys, "verify", "--rho-re", "0.9", "--rho-im", "0.3", "--eps-re", "0.4",
         )
         assert code == 0
-        fp = fp_branches[0]  # the second is the gauge check's solve at eps*i
+        # one fixed-point solve: the gauge check turns its branch, it does not re-solve
+        [fp] = fp_branches
         assert fp.converged
         assert seeds["shooting"] is fp.U
         assert seeds["finite_difference"] is fp.U
@@ -408,6 +422,21 @@ class TestVerify:
         assert "FAIL  converged[fixed_point]" in out
         assert "PASS  converged[shooting]" in out
         assert "PASS  converged[finite_difference]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    # |eps|^2 overflows a float above |eps| ~ 1.34e154 ...
+    ("solve", "--method", "fp", "--eps-re", "1e155", "--rho-re", "1"),
+    ("solve", "--method", "shoot", "--eps-re", "1e155", "--rho-re", "1"),
+    ("solve", "--method", "fd", "--eps-re", "1e155", "--rho-re", "1"),
+    ("expand", "--eps-re", "1e200"),
+    # ... and underflows to 0 below |eps| ~ 2.2e-162: no amplitude to solve for
+    ("verify", "--eps-re", "1e-170", "--rho-re", "1"),
+])
+def test_amplitude_out_of_float_range_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestParser:

@@ -16,10 +16,15 @@ from cglvortex import (
     fixed_point_solve,
     make_grid,
     physical_from_r,
-    r_from_physical,
     rho_from_physical,
 )
 from cglvortex.reduction import Branch
+
+
+def r_from_physical(R, omega, mu, nu, n):
+    """Oracle: r = (R + i omega - (1 + i nu) n^2) / (1 + i mu), the
+    definition of r that physical_from_r inverts."""
+    return (complex(R, omega) - complex(1.0, nu) * n * n) / complex(1.0, mu)
 
 
 class TestParameterMaps:

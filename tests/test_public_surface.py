@@ -11,15 +11,28 @@ PACKAGE = Path(cglvortex.__file__).parent
 
 # exported names that nothing in the package calls, each with its reason
 REASONS = {
-    "r_from_physical": "the inverse map r <-> (R, omega) of the paper's design",
-    "detect_asymmetric": "asymmetric-branch detection, a feature of the paper's design",
     "solve_linear_inhomogeneous": "bench/run.py times the envelope solve through it",
     "enforce_solvability": "bench/run.py builds admissible forcings with it",
     "integrate": "bench/run.py times the quadrature through it",
-    "green_kernel": "the paper's two-branch Green kernel (criterion 3)",
     "apply_green_op": "the paper's mean-free inverse operator (criteria 3 and 4)",
     "contraction_radius": "the paper's contraction certificate (criterion 4)",
     "load_records": "the reading side of the sweep output",
+}
+
+# the package API: a name joins or leaves it on purpose, not by accident
+EXPORTS = {
+    "Branch", "CoreParams", "ExtensionError", "Grid", "GridFunction",
+    "InvalidArgument", "InvalidState", "PhysParams", "SolvabilityError",
+    "SweepRecord", "SweepSpec", "ToolkitError", "VortexSolution",
+    "apply_green_op", "asymptotic_U", "asymptotic_physical", "asymptotic_r",
+    "cgl_residual", "compare_branches", "compute_r", "contraction_radius",
+    "count_zeros", "cubic_forcing", "emit_results", "enforce_solvability",
+    "envelope_residual", "extend_solution", "fd_solve", "fixed_point_solve",
+    "integrate", "jump_increment", "load_records", "make_grid",
+    "mirror_conjugate", "mu_nu_from_rho", "ode_forcing", "physical_from_r",
+    "project_mean", "record_from_branch", "rho_from_physical", "run_sweep",
+    "shoot_solve", "solvability_residual", "solve", "solve_linear_inhomogeneous",
+    "symmetry_defect",
 }
 
 
@@ -55,6 +68,11 @@ def test_every_export_has_a_caller_or_a_reason():
 
 def test_reasons_name_exports():
     assert set(REASONS) <= set(cglvortex.__all__)
+
+
+def test_exports_are_pinned():
+    assert len(cglvortex.__all__) == len(EXPORTS) == 46
+    assert set(cglvortex.__all__) == EXPORTS
 
 
 def test_import_does_not_load_scipy():

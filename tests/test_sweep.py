@@ -11,8 +11,8 @@ from cglvortex import (
     SweepRecord,
     SweepSpec,
     count_zeros,
-    detect_asymmetric,
     emit_results,
+    fd_solve,
     fixed_point_solve,
     load_records,
     make_grid,
@@ -273,6 +273,17 @@ class TestDivergedRecord:
         row = path.read_text().split("\n")[1].split(",")
         assert row[2] == method
         assert row[4:6] == ["nan", "nan"]
+
+
+def detect_asymmetric(rho, eps, grid):
+    """FD seeded with eps cos x plus the odd perturbation 0.1 |eps| sin 2x:
+    its record, and whether the branch converged with a symmetry defect
+    above 1e-3 times the profile size."""
+    seed = GridFunction(grid, eps * grid.cos + 0.1 * abs(eps) * np.sin(2 * grid.nodes))
+    branch = fd_solve(CoreParams(rho=rho, eps=eps, tol_fp=1e-11), grid=grid, seed=seed)
+    record = record_from_branch(branch)
+    flagged = branch.converged and record.symmetry_defect > 1e-3 * branch.U.sup_norm
+    return record, flagged
 
 
 class TestDetectAsymmetric:

@@ -8,6 +8,7 @@ JSON output follows RFC 8259: quantities that are not finite are null.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import lru_cache
 
@@ -59,6 +60,12 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-3" as an option, not as a negative number, unless
+        # told that a value in exponent form is a number too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _CliError(message)
 
@@ -221,7 +228,11 @@ def _cmd_verify(args) -> int:
     eps = complex(args.eps_re, args.eps_im)
     grid = make_grid(args.nodes)
     h = grid.spacing
-    zeta = abs(rho) * eps_squared(eps)
+    try:
+        rho_abs = abs(rho)
+    except OverflowError:  # both parts finite, the modulus past the float range
+        rho_abs = float("inf")
+    zeta = rho_abs * eps_squared(eps)
     checks: list[tuple[str, float, float]] = []  # (name, value, bound)
 
     # shooting and FD start from the converged fixed-point branch, which
@@ -258,7 +269,7 @@ def _cmd_verify(args) -> int:
         # branch is i v, and compute_r must undo the phase of eps
         rot_r = compute_r(GridFunction(grid, 1j * fp.v.values), 1j * eps)
         checks.append(
-            ("gauge[r]", abs(rot_r - fp.r), 1e-12 * max(1.0, abs(rho)))
+            ("gauge[r]", abs(rot_r - fp.r), 1e-12 * max(1.0, rho_abs))
         )
         rec = record_from_branch(fp)
         checks.append(("zero_count-2", abs(rec.zero_count - 2), 0.5))

@@ -497,8 +497,10 @@ def fd_solve(
         g = lap - complex(z[-2], z[-1]) * ui + kappa * (ui * ui.conjugate()).real * ui
         gn = complex(np.dot(row, ui) - 1.0)
         # h^2 scaling keeps the interior residual comparable to the state
-        return (np.concatenate((g, [gn])).view(float),
-                max(float(np.abs(g).max()) * h * h, abs(gn)), None)
+        norm = max(float(np.abs(g).max()) * h * h, abs(gn))
+        if not np.isfinite(norm):
+            return None  # kappa or lam overflows the residual
+        return np.concatenate((g, [gn])).view(float), norm, None
 
     def linearize(z, ev):
         # a taken trial's residual serves its pass

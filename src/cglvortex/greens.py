@@ -11,6 +11,11 @@ v admits the split integral representation
 which this module evaluates on the grid.  The ratio sin x / cos x is
 0/0-compensated at the interval ends; there the limit values are used
 instead (left: v(-pi/2), right: v(-pi/2) + int_J f sin y dy).
+
+The underscore operators serve the fixed-point map, which is call-bound:
+they multiply by the Grid's complex tables (the bits numpy's cast of the
+float tables would give) and keep each element's operations and operand
+order, since under FMA a * b and b * a can round differently.
 """
 from __future__ import annotations
 
@@ -40,9 +45,11 @@ def jump_increment(f: GridFunction) -> complex:
 
 
 def _remove_cos_mode(values: np.ndarray, grid: Grid) -> np.ndarray:
-    cos = grid.cos
-    c = np.dot(grid.weights, values * cos) / grid.cos2_mass
-    return values - c * cos
+    cos = grid.cos_c
+    tmp = values * cos
+    c = np.dot(grid.weights_c, tmp) / grid.cos2_mass
+    np.multiply(c, cos, out=tmp)
+    return np.subtract(values, tmp, out=tmp)
 
 
 def enforce_solvability(f: GridFunction) -> GridFunction:
@@ -69,17 +76,21 @@ def _check_admissible(f: GridFunction) -> None:
 
 
 def _solve_envelope(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndarray:
-    """Envelope samples from the split representation (no solvability check)."""
-    h = grid.spacing
-    f_sin = f_values * grid.sin
-    A = running_integral(f_sin, h)
-    C = running_integral(f_values * grid.cos, h)
-    B = C[-1] - C[1:-1]
-    v = np.empty(grid.n_nodes, dtype=complex)
+    """Envelope samples from the split representation (no solvability check).
+
+    Both running integrals come from one call on the stacked rows f sin
+    and f cos, and v is assembled in place of the first."""
+    f_sin_cos = f_values * grid.sin_cos_c
+    v, C = running_integral(f_sin_cos, grid.spacing)  # v holds int_{-pi/2}^x f sin
+    B = C[1:-1]
+    np.subtract(C[-1], B, out=B)  # int_x^{pi/2} f cos
     # interior: |cos x| >= sin(h), so grid.tan is finite there
-    v[1:-1] = v_left + A[1:-1] + grid.tan * B
+    np.multiply(grid.tan_c, B, out=B)
+    inner = v[1:-1]
+    np.add(v_left, inner, out=inner)
+    inner += B
     v[0] = v_left
-    v[-1] = v_left + grid.integrate(f_sin)
+    v[-1] = v_left + complex(np.dot(grid.weights_c, f_sin_cos[0]))
     return v
 
 

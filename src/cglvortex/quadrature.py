@@ -27,8 +27,12 @@ class Grid:
     composite-Simpson ``weights``, the samples ``cos``, ``sin``, ``cos2``
     (cos^2) and ``cos4`` (cos^4), ``tan`` (sin / cos on the interior nodes
     only, where cos does not vanish) and the float ``cos2_mass``, the
-    quadrature value of int cos^2 (= pi/2 up to roundoff).  All arrays are
-    read-only."""
+    quadrature value of int cos^2 (= pi/2 up to roundoff).  The fixed-point
+    map multiplies complex arrays by these tables, so the grid also keeps
+    their complex copies ``weights_c``, ``cos_c``, ``cos2_c``, ``cos4_c``
+    and ``tan_c`` and the stacked rows ``sin_cos_c`` = (sin, cos): numpy
+    casts a float operand to exactly these values, so a product reads the
+    same bits without the cast.  All arrays are read-only."""
 
     n_nodes: int
     nodes: np.ndarray = field(init=False, repr=False)
@@ -38,6 +42,12 @@ class Grid:
     cos2: np.ndarray = field(init=False, repr=False)
     cos4: np.ndarray = field(init=False, repr=False)
     tan: np.ndarray = field(init=False, repr=False)
+    weights_c: np.ndarray = field(init=False, repr=False)
+    cos_c: np.ndarray = field(init=False, repr=False)
+    cos2_c: np.ndarray = field(init=False, repr=False)
+    cos4_c: np.ndarray = field(init=False, repr=False)
+    tan_c: np.ndarray = field(init=False, repr=False)
+    sin_cos_c: np.ndarray = field(init=False, repr=False)
     cos2_mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -54,6 +64,10 @@ class Grid:
         cos2 = cos * cos
         tables = dict(nodes=nodes, weights=weights, cos=cos, sin=sin, cos2=cos2,
                       cos4=cos2 * cos2, tan=sin[1:-1] / cos[1:-1])
+        sin_cos_c = np.array([sin, cos], dtype=complex)
+        tables.update({name + "_c": tables[name].astype(complex)
+                       for name in ("weights", "cos2", "cos4", "tan")},
+                      sin_cos_c=sin_cos_c, cos_c=sin_cos_c[1])
         for name, a in tables.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -114,26 +128,41 @@ def integrate(f: GridFunction) -> complex:
 
 
 def running_integral(values: np.ndarray, h: float) -> np.ndarray:
-    """Running integral F_i = int_{x_0}^{x_i} f, 4th order.
+    """Running integrals F_i = int_{x_0}^{x_i} f along the last axis, 4th order.
 
     Each cell integral uses the cubic through the four nearest samples:
     interior cells the centered (-1, 13, 13, -1)/24 rule, the first and
-    last cells the one-sided (9, 19, -5, 1)/24 rule.  cell[i] below holds
-    the integral over [x_{i-1}, x_i] and cell[0] = 0, so one cumulative sum
-    gives F; the interior cells are built in place, term by term.
+    last cells the one-sided (9, 19, -5, 1)/24 rule.  cell[..., i] below
+    holds the integral over [x_{i-1}, x_i] and cell[..., 0] = 0, so one
+    cumulative sum gives F.  The interior rule runs once over all rows,
+    flattened, term by term in place; the cells it fills across a row
+    boundary are then overwritten by the zero and the end cells, which
+    are summed on Python scalars.  numpy divides a complex by 24 as a
+    multiply by 1/24, so complex cells are multiplied; the two differ at
+    most in the sign of a zero cell, which the sum from +0 drops.
     """
     g = np.asarray(values)
-    n = g.shape[0]
-    g13 = 13 * g
-    cell = np.empty(n, dtype=np.result_type(g, 1.0))
-    cell[0] = 0.0
-    cell[1] = (9 * g[0] + 19 * g[1] - 5 * g[2] + g[3]) / 24.0
+    n = g.shape[-1]
+    flat = g.reshape(-1)
+    g13 = 13 * flat
+    cell = np.empty(flat.shape, dtype=np.result_type(g, 1.0))
     mid = cell[2:-1]
-    np.subtract(g13[1:-2], g[:-3], out=mid)  # -g_{i-1} + 13 g_i, to the bit
+    np.subtract(g13[1:-2], flat[:-3], out=mid)  # -g_{i-1} + 13 g_i, to the bit
     mid += g13[2:-1]
-    mid -= g[3:]
-    mid /= 24.0
-    cell[-1] = (g[-4] - 5 * g[-3] + 19 * g[-2] + 9 * g[-1]) / 24.0
-    out = cell.cumsum()
+    mid -= flat[3:]
+    is_complex = cell.dtype.kind == "c"
+    if is_complex:
+        mid *= 1.0 / 24.0
+    else:
+        mid /= 24.0
+    rows = flat.reshape(-1, n)
+    for i, (a, b, c, d), (p, q, r, s) in zip(
+            range(0, flat.size, n), rows[:, :4].tolist(), rows[:, -4:].tolist()):
+        first = 9 * a + 19 * b - 5 * c + d
+        last = p - 5 * q + 19 * r + 9 * s
+        cell[i] = 0.0
+        cell[i + 1] = first * (1.0 / 24.0) if is_complex else first / 24.0
+        cell[i + n - 1] = last * (1.0 / 24.0) if is_complex else last / 24.0
+    out = cell.reshape(g.shape).cumsum(axis=-1)
     out *= h
     return out

@@ -21,7 +21,12 @@ which has the same fixed point, and gives up when that makes no progress.
 Each operator (mean projection, Green inverse, cubic forcing) has one
 implementation on sample arrays that reads the Grid's tables; the public
 functions on GridFunctions validate their input and call it, and the
-fixed-point loop calls it directly.
+fixed-point loop calls it directly.  The map is call-bound, so these
+multiply by the Grid's complex tables and write into arrays they own, but
+every element keeps its operations and the order of their operands:
+where numpy's complex multiply uses FMA, a * b and b * a can differ in
+the last bit, so a map stays bit-identical only with kappa * f written
+as np.multiply(kappa, f), never as f *= kappa.
 """
 from __future__ import annotations
 
@@ -71,8 +76,9 @@ def eps_squared(eps: complex, zero_ok: bool = False) -> float:
 class CoreParams:
     """Inputs of one solve, shared by the fixed-point, shooting and
     finite-difference solvers: rho, eps, the iteration cap max_iter and the
-    stopping tolerance tol_fp.  kappa = rho |eps|^2 is formed here, once;
-    it may overflow for a huge rho, which no solve converges from.
+    stopping tolerance tol_fp, in (0, 1).  kappa = rho |eps|^2 is formed
+    here, once; it may overflow for a huge rho, which no solve converges
+    from.
     No solve reads the certificate: see contraction_radius."""
 
     rho: complex
@@ -84,9 +90,12 @@ class CoreParams:
     def __post_init__(self):
         if not (np.isfinite(self.rho) and np.isfinite(self.eps)):
             raise InvalidArgument("rho and eps must be finite")
-        object.__setattr__(self, "kappa", self.rho * eps_squared(self.eps))
-        if self.tol_fp <= 0:
-            raise InvalidArgument("tol_fp must be positive")
+        with np.errstate(over="ignore"):  # a numpy rho overflows quietly, as complex does
+            object.__setattr__(self, "kappa", self.rho * eps_squared(self.eps))
+        # w corrects the unit mean mode, so a tolerance of 1 or more would
+        # accept whatever the first map returns
+        if not 0 < self.tol_fp < 1:
+            raise InvalidArgument(f"tol_fp must lie in (0, 1), got {self.tol_fp}")
         if self.max_iter < 1:
             raise InvalidArgument("max_iter must be >= 1")
 
@@ -128,7 +137,7 @@ class Branch:
 
 
 def _project_mean(values: np.ndarray, grid: Grid) -> complex:
-    return complex(np.dot(grid.weights, values * grid.cos2) / grid.cos2_mass)
+    return complex(np.dot(grid.weights_c, values * grid.cos2_c) / grid.cos2_mass)
 
 
 def project_mean(u: GridFunction) -> complex:
@@ -143,7 +152,7 @@ def project_mean(u: GridFunction) -> complex:
 
 def _apply_green(f_values: np.ndarray, grid: Grid) -> np.ndarray:
     v = _solve_envelope(f_values, grid, 0.0)
-    return v - _project_mean(v, grid)
+    return np.subtract(v, _project_mean(v, grid), out=v)
 
 
 def apply_green_op(f: GridFunction) -> GridFunction:
@@ -159,9 +168,18 @@ def apply_green_op(f: GridFunction) -> GridFunction:
 
 def _cubic_forcing(w_values: np.ndarray, rho: complex, grid: Grid) -> np.ndarray:
     one = 1.0 + w_values
-    absq = (one * one.conjugate()).real
-    bulk = (2.0 / np.pi) * grid.integrate(absq * one * grid.cos4)
-    f = rho * (bulk - absq * grid.cos2) * one * grid.cos
+    # |1+w|^2 is the real part; under FMA the imaginary part need not be 0,
+    # and once it is, absq is numpy's complex cast of |1+w|^2 to the bit
+    absq = one * one.conjugate()
+    absq.imag = 0.0
+    t = absq * one
+    t *= grid.cos4_c
+    bulk = (2.0 / np.pi) * complex(np.dot(grid.weights_c, t))
+    f = np.multiply(absq, grid.cos2_c, out=t)
+    np.subtract(bulk, f, out=f)
+    np.multiply(rho, f, out=f)  # rho first: under FMA, f * rho rounds differently
+    f *= one
+    f *= grid.cos_c
     # absorb quadrature drift so the output is exactly admissible
     return _remove_cos_mode(f, grid)
 
@@ -343,13 +361,13 @@ def fixed_point_solve(
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, params.max_iter + 1):
             t_w = fp_map(w)
-            sup = float(np.max(np.abs(t_w)))
+            sup = float(np.abs(t_w).max())
             if not np.isfinite(sup):
                 diverged = True
                 fp_residual = float("inf")
                 break
             f = t_w - w
-            inc = float(np.max(np.abs(f)))
+            inc = float(np.abs(f).max())
             increments.append(inc)
             sups.append(sup)
             if inc <= params.tol_fp:
@@ -377,7 +395,7 @@ def fixed_point_solve(
         if diverged:
             return _diverged_branch(params, grid, "fixed_point", iterations,
                                     fp_residual, **history)
-        fp_residual = float(np.max(np.abs(fp_map(w) - w)))
+        fp_residual = float(np.abs(fp_map(w) - w).max())
         v1 = 1.0 + w
         return _branch(params, grid, "fixed_point", v1, v1 * grid.cos, None,
                        iterations, fp_residual, converged, w=w, **history)
@@ -415,11 +433,14 @@ def asymptotic_U(rho: complex, eps: complex, x, order: int):
     x = np.asarray(x, dtype=float)
     z = rho * eps_squared(eps, zero_ok=True) / 32.0
     bracket = np.ones_like(x, dtype=complex)
-    if order >= 1:
-        bracket = bracket - z * (2.0 * np.cos(2 * x) - 1.0)
-    if order >= 2:
-        bracket = bracket + z * z * (4.0 * np.cos(2 * x) + 2.0 * np.cos(4 * x) - 2.0)
-    out = eps * np.cos(x) * bracket
+    # far outside the series' range the terms overflow to inf or nan, as
+    # asymptotic_r's complex arithmetic does, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if order >= 1:
+            bracket = bracket - z * (2.0 * np.cos(2 * x) - 1.0)
+        if order >= 2:
+            bracket = bracket + z * z * (4.0 * np.cos(2 * x) + 2.0 * np.cos(4 * x) - 2.0)
+        out = eps * np.cos(x) * bracket
     if out.ndim == 0:
         return complex(out)
     return out

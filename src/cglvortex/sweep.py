@@ -142,11 +142,16 @@ def count_zeros(envelope: np.ndarray, n: int):
     Returns (zero_count, extra_zeros) with zero_count = 2n + extra_zeros.
     """
     v = np.asarray(envelope)
-    flips = (v * np.roll(v, -1).conjugate()).real < 0
-    vab = np.abs(v)
+    # v padded by its cyclic neighbours: ext[i] = v[i - 1] for i = 0..m+1
+    ext = np.concatenate((v[-1:], v, v[:1]))
+    # pair_flips[i]: sign change from v[i - 1] to v[i], so flips = pair_flips[1:]
+    pair_flips = (ext[:-1] * ext[1:].conjugate()).real < 0
+    flips = pair_flips[1:]
+    ext_abs = np.abs(ext)
+    vab = ext_abs[1:-1]
     dips = (
-        (vab < np.roll(vab, 1)) & (vab <= np.roll(vab, -1))
-        & (vab <= ZERO_TOL * np.max(vab)) & ~flips & ~np.roll(flips, 1)
+        (vab < ext_abs[:-2]) & (vab <= ext_abs[2:])
+        & (vab <= ZERO_TOL * vab.max()) & ~flips & ~pair_flips[:-1]
     )
     extra = int(np.count_nonzero(flips) + np.count_nonzero(dips))
     return 2 * n + extra, extra
@@ -203,7 +208,8 @@ def record_from_branch(branch: Branch) -> SweepRecord:
     zero_count, extra = 0, 0
     if branch.converged:
         # that period holds the envelope on J twice
-        zero_count, extra = count_zeros(np.tile(branch.v.values[:-1], 2), 1)
+        period = branch.v.values[:-1]
+        zero_count, extra = count_zeros(np.concatenate((period, period)), 1)
     rho = branch.params.rho
     return SweepRecord(
         rho_re=rho.real,

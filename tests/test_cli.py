@@ -1,12 +1,16 @@
 """Command-line interface: schemas, exit codes, file emission."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cglvortex import ExtensionError, cli, direct, sweep
+from cglvortex import ExtensionError, cli, direct, make_grid, sweep
 from cglvortex.cli import build_parser, main
 
 
@@ -98,6 +102,36 @@ class TestSolve:
         assert proc.returncode == 2
         assert proc.stderr == ""
         assert strict_json(proc.stdout)["converged"] is False
+
+    @pytest.mark.parametrize("method", ["fp", "shoot", "fd"])
+    def test_overflowing_kappa_reports_diverged(self, capsys, method):
+        # kappa = 1e310 overflows to inf: no method measures a profile there
+        code, out, err = run_cli(capsys, "solve", "--method", method,
+                                 "--rho-re", "1e308", "--eps-re", "10")
+        assert (code, err) == (2, "")
+        doc = strict_json(out)
+        assert doc["converged"] is False
+        for key in ("r_re", "r_im", "symmetry_defect", "min_abs_v", "ode_residual",
+                    "fp_residual"):
+            assert doc[key] is None, key
+        branch = sweep.solve(cli.METHOD_ALIASES[method], 1e308, 10.0, make_grid(257))
+        assert branch.diverged and not branch.converged
+
+    def test_negative_values_in_exponent_form(self, capsys):
+        # argparse alone reads "-1e-3" as an unknown option
+        code, out, _ = run_cli(capsys, "solve", "--rho-re", "-1e-3", "--rho-im", "-.5",
+                               "--eps-re", "-2.5E-1", "--nodes", "9")
+        assert code == 0
+        doc = strict_json(out)
+        assert (doc["rho_re"], doc["rho_im"], doc["eps_re"]) == (-1e-3, -0.5, -0.25)
+
+    @pytest.mark.parametrize("tol", ["1", "1e300"])
+    def test_tolerance_of_one_or_more_rejected(self, capsys, tol):
+        # at --tol 1e300 the first map's 0.42-residual profile passed as converged
+        code, out, err = run_cli(capsys, "solve", "--rho-re", "3", "--rho-im", "1",
+                                 "--tol", tol)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag,value", [
         ("--rho-re", "nan"), ("--rho-im", "inf"), ("--eps-re", "-inf"),
@@ -464,3 +498,98 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         json.loads(proc.stdout)
+
+
+# every finite float, and often a modest one, where the solvers do real work
+FINITE = st.one_of(st.floats(-20.0, 20.0), st.floats(allow_nan=False, allow_infinity=False))
+# tolerances: mostly valid ones, so that the solve runs
+TOLERANCE = st.one_of(st.floats(1e-13, 0.9), FINITE)
+# about 5 s in all; verify solves three times, so it draws fewest
+FUZZ = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+
+
+def run_fuzzed(argv):
+    """Run main in this process: an exit code of the CLI's, no traceback or
+    warning on stderr, and no warning raised at all."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if code == 1 and out.getvalue() == "":  # an input error; verify's FAIL is 1 too
+        assert err.getvalue().startswith("error:"), argv
+    return code, out.getvalue()
+
+
+class TestFuzz:
+    """Numeric flags drawn from all finite floats, the float edges pinned.
+    Small grids keep every solve cheap."""
+
+    @FUZZ
+    @given(method=st.sampled_from(["fp", "shoot", "fd"]), rho_re=FINITE, rho_im=FINITE,
+           eps_re=FINITE, eps_im=FINITE, tol=TOLERANCE)
+    @example(method="fd", rho_re=1e308, rho_im=0.0, eps_re=10.0, eps_im=0.0, tol=1e-12)
+    @example(method="fp", rho_re=3.0, rho_im=1.0, eps_re=1.0, eps_im=0.0, tol=1e300)
+    @example(method="fp", rho_re=-0.0, rho_im=-0.0, eps_re=-0.0, eps_im=5e-324, tol=5e-324)
+    @example(method="shoot", rho_re=1e300, rho_im=-1e-300, eps_re=1e-300, eps_im=0.0,
+             tol=1e-6)
+    @example(method="fd", rho_re=5e-324, rho_im=-5e-324, eps_re=2.2e-308, eps_im=-1e300,
+             tol=0.5)
+    def test_solve(self, method, rho_re, rho_im, eps_re, eps_im, tol):
+        code, out = run_fuzzed(["solve", "--method", method, "--nodes", 9,
+                                "--rho-re", rho_re, "--rho-im", rho_im,
+                                "--eps-re", eps_re, "--eps-im", eps_im, "--tol", tol])
+        if code != 1:
+            strict_json(out)
+
+    @FUZZ
+    @given(rho_re=FINITE, rho_im=FINITE, eps_re=FINITE, eps_im=FINITE, mu=FINITE,
+           nu=FINITE)
+    @example(rho_re=1e308, rho_im=0.0, eps_re=10.0, eps_im=0.0, mu=-0.0, nu=5e-324)
+    @example(rho_re=-1e300, rho_im=1e-300, eps_re=-0.0, eps_im=1e300, mu=1e300, nu=-1e300)
+    def test_expand(self, rho_re, rho_im, eps_re, eps_im, mu, nu):
+        code, out = run_fuzzed(["expand", "--samples", 5, "--rho-re", rho_re,
+                                "--rho-im", rho_im, "--eps-re", eps_re, "--eps-im", eps_im,
+                                "--mu", mu, "--nu", nu])
+        if code != 1:
+            strict_json(out)
+
+    @FUZZ
+    @given(mu=FINITE, nu=FINITE, eps_re=FINITE, eps_im=FINITE)
+    @example(mu=1e300, nu=-1e300, eps_re=5e-324, eps_im=-0.0)
+    @example(mu=-0.0, nu=1e-300, eps_re=1e300, eps_im=0.0)
+    def test_physical(self, mu, nu, eps_re, eps_im):
+        code, out = run_fuzzed(["physical", "--n", 1, "--nodes", 9, "--mu", mu, "--nu", nu,
+                                "--eps-re", eps_re, "--eps-im", eps_im])
+        if code != 1:
+            strict_json(out)
+
+    @settings(FUZZ, max_examples=20)
+    @given(rho_re=FINITE, rho_im=FINITE, eps_re=FINITE, eps_im=FINITE)
+    @example(rho_re=1e308, rho_im=0.0, eps_re=10.0, eps_im=0.0)
+    @example(rho_re=-1e-300, rho_im=5e-324, eps_re=-0.0, eps_im=1e-300)
+    def test_verify(self, rho_re, rho_im, eps_re, eps_im):
+        code, out = run_fuzzed(["verify", "--nodes", 9, "--rho-re", rho_re,
+                                "--rho-im", rho_im, "--eps-re", eps_re, "--eps-im", eps_im])
+        if out:
+            assert out.splitlines()[-1] == f"verify: {'PASS' if code == 0 else 'FAIL'}"
+
+    @FUZZ
+    @given(mode=st.sampled_from(["rect", "mod", "arg"]), a=FINITE, b=FINITE, c=FINITE,
+           eps_re=FINITE)
+    @example(mode="rect", a=-1e300, b=1e300, c=5e-324, eps_re=-0.0)
+    @example(mode="mod", a=1e-300, b=1e308, c=-0.0, eps_re=10.0)
+    @example(mode="arg", a=-5e-324, b=5e-324, c=1e300, eps_re=1e-300)
+    def test_sweep(self, tmp_path_factory, mode, a, b, c, eps_re):
+        out_path = tmp_path_factory.mktemp("fuzz") / "s.json"
+        flags = {"rect": ["--re-min", a, "--re-max", b, "--im-min", c, "--im-max", c + 1.0,
+                          "--re-steps", 2, "--im-steps", 2],
+                 "mod": ["--mod-min", a, "--mod-max", b, "--arg", c, "--steps", 2],
+                 "arg": ["--arg-min", a, "--arg-max", b, "--radius", c, "--steps", 2]}
+        code, _ = run_fuzzed(["sweep", "--mode", mode, "--nodes", 9, "--eps-re", eps_re,
+                              "--format", "json", "--out", out_path, *flags[mode]])
+        if code == 0:
+            strict_json(out_path.read_text())

@@ -161,6 +161,12 @@ class TestKernelsBitIdentical:
             g = g + 1j * rng.standard_normal(n)
         h = np.pi / (n - 1)
         assert np.array_equal(running_integral(g, h), _running_integral_reference(g, h))
+        # stacked rows integrate along the last axis, each row as if alone
+        rows = np.stack([g, g[::-1], 3.0 * g])
+        stacked = running_integral(rows, h)
+        assert stacked.shape == rows.shape
+        for row, out in zip(rows, stacked):
+            assert np.array_equal(out, _running_integral_reference(row, h))
 
     @pytest.mark.parametrize("n", [5, 257, 1025])
     def test_tan_and_cos2_mass_tables(self, n):

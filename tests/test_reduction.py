@@ -296,6 +296,14 @@ class TestFixedPoint:
         with pytest.raises(InvalidArgument):
             CoreParams(rho=1.0, eps=0.1, max_iter=0)
 
+    @pytest.mark.parametrize("tol", [1.0, 2.0, 1e300, float("inf"), float("nan")])
+    def test_tolerance_below_one_required(self, tol):
+        # w corrects the unit mean mode: a tolerance of 1 or more accepts
+        # whatever the first map returns
+        with pytest.raises(InvalidArgument, match="tol_fp"):
+            CoreParams(rho=3 + 1j, eps=1.0, tol_fp=tol)
+        assert CoreParams(rho=3 + 1j, eps=1.0, tol_fp=0.999).tol_fp == 0.999
+
     def test_concurrent_solves_are_independent(self, grid257):
         # pure functions over immutable inputs: parallel calls must agree
         # with the sequential results bit for bit

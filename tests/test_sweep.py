@@ -30,6 +30,19 @@ def one_period_nodes(m):
     return -np.pi / 2 + np.arange(m) * (2 * np.pi / m)
 
 
+def _count_zeros_by_roll(envelope, n):
+    """count_zeros with its cyclic neighbours taken by np.roll."""
+    v = np.asarray(envelope)
+    flips = (v * np.roll(v, -1).conjugate()).real < 0
+    vab = np.abs(v)
+    dips = (
+        (vab < np.roll(vab, 1)) & (vab <= np.roll(vab, -1))
+        & (vab <= sweep.ZERO_TOL * np.max(vab)) & ~flips & ~np.roll(flips, 1)
+    )
+    extra = int(np.count_nonzero(flips) + np.count_nonzero(dips))
+    return 2 * n + extra, extra
+
+
 class TestCountZeros:
     def test_pure_cosine(self):
         assert count_zeros(np.ones(512), 1) == (2, 0)
@@ -58,6 +71,22 @@ class TestCountZeros:
 
     def test_zero_field(self):
         assert count_zeros(np.zeros(64, dtype=complex), 1) == (2, 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 64, 512])
+    def test_matches_rolled_neighbours_on_random_envelopes(self, m):
+        rng = np.random.default_rng(m)
+        for trial in range(40):
+            v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            if trial % 5 == 1:
+                v = v.real  # real envelopes with sign changes
+            elif trial % 5 == 2:
+                v[rng.random(m) < 0.2] = 0.0  # zeros on samples
+            elif trial % 5 >= 3:
+                # dips below ZERO_TOL, and dips with a sign change on either side
+                v = 1.0 + 0.1 * v
+                v[rng.random(m) < 0.1] *= 1e-8 if trial % 5 == 3 else -1e-8
+            n = 1 + trial % 3
+            assert count_zeros(v, n) == _count_zeros_by_roll(v, n)
 
     @pytest.mark.parametrize(
         "rho, eps, n_nodes", [(-12.0, 1.5, 257), (-4.0, 1.5, 129)]

@@ -13,16 +13,17 @@ which this module evaluates on the grid.  The ratio sin x / cos x is
 instead (left: v(-pi/2), right: v(-pi/2) + int_J f sin y dy).
 
 The underscore operators serve the fixed-point map, which is call-bound:
-they multiply by the Grid's complex tables (the bits numpy's cast of the
-float tables would give) and keep each element's operations and operand
-order, since under FMA a * b and b * a can round differently.
+they take one row of samples (n,) or a block of rows (B, n), multiply by
+the Grid's complex tables (the bits numpy's cast of the float tables would
+give) and keep each element's operations and operand order, since under
+FMA a * b and b * a can round differently.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import SolvabilityError
-from .quadrature import Grid, GridFunction, running_integral
+from .quadrature import Grid, GridFunction, _row_sums, running_integral
 
 # default absolute solvability tolerance, scaled by sup|f|
 TOL_SOLV = 1e-10
@@ -47,7 +48,7 @@ def jump_increment(f: GridFunction) -> complex:
 def _remove_cos_mode(values: np.ndarray, grid: Grid) -> np.ndarray:
     cos = grid.cos_c
     tmp = values * cos
-    c = np.dot(grid.weights_c, tmp) / grid.cos2_mass
+    c = _row_sums(tmp, grid, lambda s: s / grid.cos2_mass)
     np.multiply(c, cos, out=tmp)
     return np.subtract(values, tmp, out=tmp)
 
@@ -76,22 +77,24 @@ def _check_admissible(f: GridFunction) -> None:
 
 
 def _solve_envelope(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndarray:
-    """Envelope samples from the split representation (no solvability check).
+    """Envelope samples from the split representation (no solvability check),
+    of one forcing (n,) or of each row of a block (B, n).
 
     Both running integrals come from one call on the stacked rows f sin
     and f cos, and v is assembled in place of the first."""
-    f_sin_cos = f_values * grid.sin_cos_c
-    v, C = running_integral(f_sin_cos, grid.spacing)  # v holds int_{-pi/2}^x f sin
-    B = C[1:-1]
-    np.subtract(C[-1], B, out=B)  # int_x^{pi/2} f cos
+    f_sin_cos = f_values[..., None, :] * grid.sin_cos_c
+    # node axis first, so the end values index the same for one row and a block
+    sums = running_integral(f_sin_cos, grid.spacing).T
+    v, C = sums[:, 0], sums[:, 1]  # v holds int_{-pi/2}^x f sin
+    B = np.subtract(C[-1], C[1:-1])  # int_x^{pi/2} f cos
     # interior: |cos x| >= sin(h), so grid.tan is finite there
-    np.multiply(grid.tan_c, B, out=B)
+    np.multiply(grid.tan_c, B.T, out=B.T)
     inner = v[1:-1]
     np.add(v_left, inner, out=inner)
     inner += B
     v[0] = v_left
-    v[-1] = v_left + complex(np.dot(grid.weights_c, f_sin_cos[0]))
-    return v
+    v[-1] = _row_sums(f_sin_cos[..., 0, :], grid, lambda s: v_left + s).T
+    return v.T
 
 
 def solve_linear_inhomogeneous(f: GridFunction, v_left: complex = 0.0) -> GridFunction:

@@ -127,6 +127,17 @@ def integrate(f: GridFunction) -> complex:
     return f.grid.integrate(f.values)
 
 
+def _row_sums(rows: np.ndarray, grid: Grid, op):
+    """op of the composite-Simpson sum weights_c . row of each row of
+    samples: one value for samples (n,), a (B, 1) column for a block
+    (B, n).  Each row keeps its own dot product (np.dot's routine without
+    its dispatch), so a row sums to the same bits in any block; a matrix
+    product would sum in another order.  op acts on numpy's scalar."""
+    if rows.ndim == 1:
+        return op(grid.weights_c.dot(rows))
+    return np.array([op(grid.weights_c.dot(row)) for row in rows])[:, None]
+
+
 def running_integral(values: np.ndarray, h: float) -> np.ndarray:
     """Running integrals F_i = int_{x_0}^{x_i} f along the last axis, 4th order.
 

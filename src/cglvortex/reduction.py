@@ -21,22 +21,24 @@ which has the same fixed point, and gives up when that makes no progress.
 Each operator (mean projection, Green inverse, cubic forcing) has one
 implementation on sample arrays that reads the Grid's tables; the public
 functions on GridFunctions validate their input and call it, and the
-fixed-point loop calls it directly.  The map is call-bound, so these
-multiply by the Grid's complex tables and write into arrays they own, but
-every element keeps its operations and the order of their operands:
-where numpy's complex multiply uses FMA, a * b and b * a can differ in
-the last bit, so a map stays bit-identical only with kappa * f written
-as np.multiply(kappa, f), never as f *= kappa.
+fixed-point loop calls it directly, on one row of samples (n,) or on a
+block of rows (B, n) with a (B, 1) column of kappas (_fixed_point_block).
+The map is call-bound, so these multiply by the Grid's complex tables and
+write into arrays they own, but every element keeps its operations and
+the order of their operands: where numpy's complex multiply uses FMA,
+a * b and b * a can differ in the last bit, so a map stays bit-identical
+only with kappa * f written as np.multiply(kappa, f), never as f *= kappa.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgument
-from .quadrature import Grid, GridFunction, make_grid
+from .quadrature import Grid, GridFunction, _row_sums, make_grid
 from .greens import _check_admissible, _remove_cos_mode, _solve_envelope, envelope_residual
 
 DEFAULT_NODES = 257
@@ -136,8 +138,8 @@ class Branch:
         return self.U.grid
 
 
-def _project_mean(values: np.ndarray, grid: Grid) -> complex:
-    return complex(np.dot(grid.weights_c, values * grid.cos2_c) / grid.cos2_mass)
+def _project_mean(values: np.ndarray, grid: Grid):  # complex, or a (B, 1) column
+    return _row_sums(values * grid.cos2_c, grid, lambda s: complex(s / grid.cos2_mass))
 
 
 def project_mean(u: GridFunction) -> complex:
@@ -150,9 +152,9 @@ def project_mean(u: GridFunction) -> complex:
     return _project_mean(u.values, u.grid)
 
 
-def _apply_green(f_values: np.ndarray, grid: Grid) -> np.ndarray:
+def _apply_green(f_values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     v = _solve_envelope(f_values, grid, 0.0)
-    return np.subtract(v, _project_mean(v, grid), out=v)
+    return np.subtract(v, _project_mean(v, grid), out=v if out is None else out)
 
 
 def apply_green_op(f: GridFunction) -> GridFunction:
@@ -174,7 +176,7 @@ def _cubic_forcing(w_values: np.ndarray, rho: complex, grid: Grid) -> np.ndarray
     absq.imag = 0.0
     t = absq * one
     t *= grid.cos4_c
-    bulk = (2.0 / np.pi) * complex(np.dot(grid.weights_c, t))
+    bulk = _row_sums(t, grid, lambda s: (2.0 / np.pi) * complex(s))
     f = np.multiply(absq, grid.cos2_c, out=t)
     np.subtract(bulk, f, out=f)
     np.multiply(rho, f, out=f)  # rho first: under FMA, f * rho rounds differently
@@ -316,6 +318,23 @@ def _stalled(increments: list[float]) -> bool:
     return k >= STALL_MIN_ITER and increments[k] > STALL_RATIO * increments[k - 2]
 
 
+class _Row:
+    """One solve of a block: its params, histories and Anderson state."""
+
+    def __init__(self, params: CoreParams):
+        self.params = params
+        self.increments: list[float] = []
+        self.sups: list[float] = []
+        self.mixer: _Anderson | None = None
+        self.accelerated_at: int | None = None
+        self.at_switch = self.best = 0.0
+        self.ended: tuple[int, bool] | None = None  # (iterations, converged)
+
+    def history(self) -> dict:
+        return dict(increments=tuple(self.increments), iterate_sups=tuple(self.sups),
+                    accelerated_at=self.accelerated_at)
+
+
 def fixed_point_solve(
     params: CoreParams,
     grid: Grid | None = None,
@@ -340,65 +359,83 @@ def fixed_point_solve(
         accelerated residual is still above ANDERSON_PROGRESS times its
         value at the switch.
     In the last two cases fp_residual is the latest residual.
+    This is the one-row case of _fixed_point_block.
     """
     if grid is None:
         grid = make_grid(DEFAULT_NODES)
-    kappa = params.kappa
+    w = None if w0 is None else w0.values.astype(complex)[None]
+    return _fixed_point_block([params], grid, w)[0]
 
-    def fp_map(w):
-        return _apply_green(_cubic_forcing(w, kappa, grid), grid)
 
-    w = np.zeros(grid.n_nodes, dtype=complex) if w0 is None else w0.values.astype(complex)
-    increments: list[float] = []
-    sups: list[float] = []
-    converged = False
-    diverged = False
-    mixer: _Anderson | None = None
-    accelerated_at = None
+def _fixed_point_block(params: list[CoreParams], grid: Grid,
+                       w0: np.ndarray | None = None) -> list[Branch]:
+    """fixed_point_solve of each params, all rows at once from w0 (B, n),
+    default 0.  Elementwise steps take every row in one numpy call and each
+    weighted sum is one dot product per row (_row_sums), so a row gets the
+    bits it would get alone.  Anderson mixing runs per row on copied rows.
+    A row leaves the block when it diverges, or one map after it converges
+    or reaches its max_iter: that map measures its fp_residual."""
+    w = np.zeros((len(params), grid.n_nodes), dtype=complex) if w0 is None else w0
+    kappa = np.array([[p.kappa] for p in params])  # the active rows' kappas
+    rows = [_Row(p) for p in params]
+    active = list(range(len(params)))
+    out: list[Branch | None] = [None] * len(params)
 
     # overflow on the way to divergence is expected: sup|T(w)| is nan or
     # inf exactly when T(w) is, and the Branch reports it as diverged
     with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, params.max_iter + 1):
-            t_w = fp_map(w)
-            sup = float(np.abs(t_w).max())
-            if not np.isfinite(sup):
-                diverged = True
-                fp_residual = float("inf")
-                break
-            f = t_w - w
-            inc = float(np.abs(f).max())
-            increments.append(inc)
-            sups.append(sup)
-            if inc <= params.tol_fp:
-                w = t_w
-                converged = True
-                break
-            if mixer is None and _stalled(increments):
-                mixer, accelerated_at = _Anderson(), iterations
-                at_switch = best = inc
-            if mixer is None:
-                w = t_w
-                continue
-            best = min(best, inc)
-            if inc > ANDERSON_DIVERGENCE * at_switch or (
-                iterations - accelerated_at >= ANDERSON_PATIENCE
-                and best > ANDERSON_PROGRESS * at_switch
-            ):
-                diverged = True
-                fp_residual = inc
-                break
-            w = mixer.step(f, t_w)
-
-        history = dict(increments=tuple(increments), iterate_sups=tuple(sups),
-                       accelerated_at=accelerated_at)
-        if diverged:
-            return _diverged_branch(params, grid, "fixed_point", iterations,
-                                    fp_residual, **history)
-        fp_residual = float(np.abs(fp_map(w) - w).max())
-        v1 = 1.0 + w
-        return _branch(params, grid, "fixed_point", v1, v1 * grid.cos, None,
-                       iterations, fp_residual, converged, w=w, **history)
+        # one map more than max_iter: a row that ends stays for the map
+        # that measures its fp_residual
+        for iterations in range(1, max(p.max_iter for p in params) + 2):
+            t_f = np.empty((2,) + w.shape, dtype=complex)  # T(w) and T(w) - w
+            t_w, f = t_f[0], t_f[1]
+            if len(w) == 1:  # numpy's fast path wants equal shapes: (n,) against the tables
+                _apply_green(_cubic_forcing(w[0], kappa[0, 0], grid), grid, t_w[0])
+            else:
+                _apply_green(_cubic_forcing(w, kappa, grid), grid, t_w)
+            np.subtract(t_w, w, out=f)
+            sups, incs = np.abs(t_f).max(axis=-1).tolist()
+            keep = []
+            for i, (k, sup, inc) in enumerate(zip(active, sups, incs)):
+                row = rows[k]
+                if row.ended is not None:
+                    w_k = w[i].copy()
+                    v1 = 1.0 + w_k
+                    out[k] = _branch(row.params, grid, "fixed_point", v1, v1 * grid.cos, None,
+                                     row.ended[0], inc, row.ended[1], w=w_k, **row.history())
+                    continue
+                if not math.isfinite(sup):
+                    out[k] = _diverged_branch(row.params, grid, "fixed_point", iterations,
+                                              **row.history())
+                    continue
+                row.increments.append(inc)
+                row.sups.append(sup)
+                if inc <= row.params.tol_fp:
+                    row.ended = (iterations, True)
+                else:
+                    if row.mixer is None and _stalled(row.increments):
+                        row.mixer, row.accelerated_at = _Anderson(), iterations
+                        row.at_switch = row.best = inc
+                    if row.mixer is not None:
+                        row.best = min(row.best, inc)
+                        if inc > ANDERSON_DIVERGENCE * row.at_switch or (
+                            iterations - row.accelerated_at >= ANDERSON_PATIENCE
+                            and row.best > ANDERSON_PROGRESS * row.at_switch
+                        ):
+                            out[k] = _diverged_branch(row.params, grid, "fixed_point",
+                                                      iterations, inc, **row.history())
+                            continue
+                        t_w[i] = row.mixer.step(f[i].copy(), t_w[i].copy())
+                    if iterations == row.params.max_iter:
+                        row.ended = (iterations, False)
+                keep.append(i)
+            if len(keep) < len(active):
+                if not keep:
+                    break
+                active = [active[i] for i in keep]
+                t_w, kappa = t_w[keep], kappa[keep]
+            w = t_w
+    return out
 
 
 def asymptotic_r(rho: complex, eps: complex, order: int) -> complex:

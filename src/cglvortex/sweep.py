@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .quadrature import Grid, GridFunction, make_grid
-from .reduction import DEFAULT_NODES, Branch, CoreParams, eps_squared, fixed_point_solve
+from .reduction import (DEFAULT_NODES, Branch, CoreParams, _fixed_point_block, eps_squared,
+                        fixed_point_solve)
 from .direct import fd_solve, shoot_solve
 # not called here: bench/tracing.py wraps it under this name
 from .physics import extend_solution  # noqa: F401
@@ -25,6 +26,13 @@ from .physics import extend_solution  # noqa: F401
 METHODS = ("fixed_point", "shooting", "finite_difference")
 
 ZERO_TOL = 1e-6
+
+# stopping tolerance and iteration cap of every sweep point
+SOLVE_TOL = 1e-12
+SOLVE_MAX_ITER = 800
+# a cold fixed-point sweep solves its points in consecutive blocks of at
+# most this many (_fixed_point_block), and records each block before the next
+FP_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -168,8 +176,8 @@ def solve(
     rho: complex,
     eps: complex,
     grid: Grid,
-    tol: float = 1e-12,
-    max_iter: int = 800,
+    tol: float = SOLVE_TOL,
+    max_iter: int = SOLVE_MAX_ITER,
     prev: Branch | None = None,
 ) -> Branch:
     """Solve one parameter point with one of METHODS.
@@ -233,13 +241,21 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
 
     Per-point failures are reported by the solver's Branch and recorded
     (converged false), never aborting the sweep.  With ``warm_start`` each
-    point starts from the last converged branch.  Deterministic for a
-    given spec.
+    point starts from the last converged branch.  A cold fixed-point sweep
+    solves FP_BLOCK points at a time, each to the bits of its own solve.
+    Deterministic for a given spec.
     """
     grid = make_grid(spec.n_nodes)
     records: list[SweepRecord] = []
+    points = spec.points()
+    if spec.method == "fixed_point" and not spec.warm_start:
+        for start in range(0, len(points), FP_BLOCK):
+            params = [CoreParams(rho=rho, eps=spec.eps, max_iter=SOLVE_MAX_ITER, tol_fp=SOLVE_TOL)
+                      for rho in points[start:start + FP_BLOCK]]
+            records += map(record_from_branch, _fixed_point_block(params, grid))
+        return records
     prev: Branch | None = None
-    for rho in spec.points():
+    for rho in points:
         branch = solve(spec.method, rho, spec.eps, grid, prev=prev)
         records.append(record_from_branch(branch))
         if spec.warm_start and branch.converged:

@@ -323,20 +323,45 @@ class TestShooting:
         rho = 2.0 + 0.5j
         z = 0.5 * np.random.default_rng(n_nodes).standard_normal(4 * k_seg)
 
-        def conditions(z):
+        def conditions(z, tangents=False):
             s = np.concatenate([[0.0, 0.0], z[:-2]]).view(complex).reshape(k_seg, 2)
             u0, v0 = s[:, 0], s[:, 1]
             lanes = _rk4_lanes(rho, complex(z[-2], z[-1]), u0, v0, h, stride, m,
-                               direct.ESCAPE_CAP)
+                               direct.ESCAPE_CAP, tangents=tangents)
             return lanes, _shoot_conditions(lanes, u0, v0, wseg).view(float)
 
-        got = _bordered_dense(*_shoot_newton_system(conditions(z)[0], wseg))
+        def difference(dz):
+            """Central differences of the conditions and of each segment's
+            term of the normalization, sum(wseg * U at its output points)."""
+            (out_p, _, _), c_p = conditions(z + dz)
+            (out_m, _, _), c_m = conditions(z - dz)
+            terms = np.sum(wseg * (out_p[:, 0] - out_m[:, 0]), axis=0)
+            return (c_p - c_m) / (2 * step), terms / (2 * step)
+
+        got = _bordered_dense(*_shoot_newton_system(conditions(z, tangents=True)[0], wseg))
         step = 1e-6
-        quotients = np.empty_like(got)
-        for j in range(len(z)):
+        size = 4 * k_seg - 2
+        quotients = np.zeros_like(got)
+        # grouped columns (Curtis, Powell & Reid 1974): core column j reaches
+        # only the band rows j - 2 .. j + 5, so columns 8 apart share no band
+        # row and one perturbation measures them all.  The normalization rows
+        # are dense, but their value is a sum of one term per segment, and
+        # the 4 columns of a segment fall in 4 different groups
+        for first in range(8):
+            group = np.arange(first, size, 8)
+            dz = np.zeros_like(z)
+            dz[group] = step
+            dc, dterms = difference(dz)
+            for j in group:
+                band = slice(max(j - 2, 0), min(j + 6, size))
+                quotients[band, j] = dc[band]
+                k = (j + 2) // 4  # the segment that column j starts
+                quotients[size:, j] = dterms[k].real, dterms[k].imag
+        # the two lam columns are dense: one perturbation each
+        for j in (size, size + 1):
             dz = np.zeros_like(z)
             dz[j] = step
-            quotients[:, j] = (conditions(z + dz)[1] - conditions(z - dz)[1]) / (2 * step)
+            quotients[:, j] = difference(dz)[0]
         assert np.max(np.abs(got - quotients)) <= 1e-7 * np.max(np.abs(quotients))
 
     @pytest.mark.parametrize("n_nodes,k_seg,m", [(129, 128, 1), (257, 256, 1), (513, 256, 2)])

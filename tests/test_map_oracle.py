@@ -5,7 +5,8 @@ tables.  The oracle below is the map written out directly, one numpy
 expression per term, as it stood before that rewrite; every element goes
 through the same operations with the same operands in the same order, so
 the two must agree in every bit (compared as uint64 views, which also
-tells -0.0 from 0.0).
+tells -0.0 from 0.0).  The library maps a block of rows (B, n) in one
+call; each row must equal the oracle's map of that row alone.
 """
 import numpy as np
 import pytest
@@ -71,6 +72,24 @@ def _bits(a):
     return np.atleast_1d(np.asarray(a, dtype=complex)).view(np.uint64)
 
 
+def _oracle_block_forcing(w, kappa, grid):
+    """The oracle forcing of one row (n,) or, row by row, of a block (B, n)
+    with a (B, 1) column of kappas."""
+    if w.ndim == 1:
+        return _cubic_forcing(w, kappa, grid)
+    return np.array([_cubic_forcing(row, k, grid) for row, k in zip(w, kappa[:, 0])])
+
+
+def _oracle_block_green(f, grid, out=None):
+    """The oracle Green inverse of one row or, row by row, of a block,
+    written to out when given."""
+    g = _apply_green(f, grid) if f.ndim == 1 else np.array([_apply_green(row, grid) for row in f])
+    if out is None:
+        return g
+    out[...] = g
+    return out
+
+
 KAPPAS = [2.7, -3.1, 1.9j, -0.6j, 2.2 + 0.7j, -3.4 - 1.1j, 0.0]
 
 
@@ -88,6 +107,44 @@ def test_map_matches_oracle(n):
                                       _bits(f))
                 assert np.array_equal(_bits(reduction._apply_green(f, grid)),
                                       _bits(_apply_green(f, grid)))
+
+
+@pytest.mark.parametrize("n", [5, 7, 129, 257, 513])
+@pytest.mark.parametrize("rows", [1, 3, len(KAPPAS)])
+def test_block_map_matches_oracle_row_by_row(n, rows):
+    # one (B, n) call with a (B, 1) column of kappas, 0 and imaginary ones
+    # included: each row is the oracle's map of that row alone
+    grid = make_grid(n)
+    rng = np.random.default_rng(100 * n + rows)
+    scales = 10.0 ** rng.uniform(-8, 1, size=(rows, 1))
+    w = scales * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    w[-1] = w[-1].real  # with a real kappa, every imaginary part a signed zero
+    kappa = np.array(KAPPAS[-rows:], dtype=complex)[:, None]
+    f = reduction._cubic_forcing(w, kappa, grid)
+    t_w = reduction._apply_green(f, grid)
+    assert f.shape == t_w.shape == (rows, n)
+    for i in range(rows):
+        oracle_f = _cubic_forcing(w[i], KAPPAS[-rows:][i], grid)
+        assert np.array_equal(_bits(f[i]), _bits(oracle_f))
+        assert np.array_equal(_bits(t_w[i]), _bits(_apply_green(oracle_f, grid)))
+
+
+@pytest.mark.parametrize("n", [5, 129, 257])
+def test_block_row_that_overflows_leaves_its_neighbours(n):
+    # a row whose map overflows to inf and NaN sits between finite rows:
+    # every row, the overflowing one too, keeps the bits of its own map
+    grid = make_grid(n)
+    rng = np.random.default_rng(n)
+    w = 0.3 * (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
+    w[1] *= 1e120
+    kappa = np.array([[2.7], [-3.4 - 1.1j], [1.9j]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_w = reduction._apply_green(reduction._cubic_forcing(w, kappa, grid), grid)
+        oracle = [_apply_green(_cubic_forcing(w[i], kappa[i, 0], grid), grid) for i in range(3)]
+    assert not np.all(np.isfinite(t_w[1]))
+    assert np.all(np.isfinite(t_w[0])) and np.all(np.isfinite(t_w[2]))
+    for i in range(3):
+        assert np.array_equal(_bits(t_w[i]), _bits(oracle[i]))
 
 
 @pytest.mark.parametrize("n", [7, 257])
@@ -111,13 +168,15 @@ def test_fixed_point_solve_matches_oracle_loop(n, monkeypatch):
     eps = [1.0] * 10 + [3.0]  # kappa = 360 at the last point: the solve diverges
     library = [fixed_point_solve(CoreParams(rho=rho, eps=e), grid=grid)
                for rho, e in zip(RHOS, eps)]
-    monkeypatch.setattr(reduction, "_cubic_forcing", _cubic_forcing)
-    monkeypatch.setattr(reduction, "_apply_green", _apply_green)
+    block = reduction._fixed_point_block(
+        [CoreParams(rho=rho, eps=e) for rho, e in zip(RHOS, eps)], grid)
+    monkeypatch.setattr(reduction, "_cubic_forcing", _oracle_block_forcing)
+    monkeypatch.setattr(reduction, "_apply_green", _oracle_block_green)
     oracle = [fixed_point_solve(CoreParams(rho=rho, eps=e), grid=grid)
               for rho, e in zip(RHOS, eps)]
     assert any(b.accelerated_at is not None for b in oracle)
     assert any(b.diverged for b in oracle)
-    for b, o in zip(library, oracle):
+    for b, o in zip(library + block, oracle + oracle):
         assert np.array_equal(_bits(b.w.values), _bits(o.w.values))
         assert np.array_equal(_bits(b.r), _bits(o.r))
         assert (b.iterations, b.fp_residual, b.increments, b.iterate_sups,

@@ -17,6 +17,7 @@ from cglvortex import (
     project_mean,
     solvability_residual,
 )
+from cglvortex import reduction
 from cglvortex.reduction import ANDERSON_DIVERGENCE, ANDERSON_PATIENCE, ANDERSON_PROGRESS
 from cglvortex.sweep import solve
 from conftest import random_admissible, random_mean_free_ball
@@ -245,6 +246,18 @@ class TestFixedPoint:
         assert branch.iterations - branch.accelerated_at == ANDERSON_PATIENCE
         assert max(accelerated) <= ANDERSON_DIVERGENCE * at_switch
         assert min(accelerated) > ANDERSON_PROGRESS * at_switch
+
+    @pytest.mark.parametrize("rho,max_iter", [(1.0 + 0.5j, 800), (3.5, 800), (2.0 + 1.0j, 5)])
+    def test_fp_residual_is_measured_at_the_returned_w(self, grid257, rho, max_iter):
+        # converged plain, converged after the switch to Anderson, and capped
+        # at max_iter: fp_residual is sup|T(w) - w| at the branch's own w
+        params = CoreParams(rho=rho, eps=1.0, max_iter=max_iter)
+        branch = fixed_point_solve(params, grid=grid257)
+        w = branch.w.values
+        t_w = reduction._apply_green(reduction._cubic_forcing(w, params.kappa, grid257), grid257)
+        assert branch.fp_residual == float(np.abs(t_w - w).max())
+        assert branch.converged == (max_iter == 800)
+        assert (branch.accelerated_at is not None) == (rho == 3.5)
 
     def test_warm_start_shortens_iteration(self, grid257):
         params = CoreParams(rho=2.5 + 1.0j, eps=1.0, max_iter=400)

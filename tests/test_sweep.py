@@ -1,5 +1,6 @@
 """Zero census, symmetry diagnostics, sweeps, and emission."""
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -229,6 +230,81 @@ class TestRunSweep:
         records = run_sweep(spec)
         assert all(r.converged for r in records)
         assert all(r.extra_zeros == 0 for r in records)
+
+
+def _branch_bits(b):
+    """Every field of a Branch, with profiles and numbers as their bytes."""
+    out = []
+    for f in fields(b):
+        value = getattr(b, f.name)
+        if isinstance(value, GridFunction):
+            value = value.values.tobytes()
+        elif isinstance(value, (float, complex)):
+            value = np.complex128(value).tobytes()
+        out.append((f.name, value))
+    return out
+
+
+def _sweep_params(rhos):
+    return [CoreParams(rho=rho, eps=1.0, max_iter=sweep.SOLVE_MAX_ITER, tol_fp=sweep.SOLVE_TOL)
+            for rho in rhos]
+
+
+@pytest.fixture(scope="module")
+def rectangle_one_row():
+    """The default rectangle's params and the one-row solve of each point."""
+    params = _sweep_params(SweepSpec(mode="rectangle").points())
+    grid = make_grid(257)
+    return params, [_branch_bits(fixed_point_solve(p, grid=grid)) for p in params]
+
+
+class TestColdFixedPointBlocks:
+    # a cold fixed-point sweep solves blocks of points at once; every point
+    # must get the bits of its own one-row solve, whatever its block holds
+
+    def test_rectangle_points_match_one_row_solves(self, rectangle_one_row):
+        params, one_row = rectangle_one_row
+        size = sweep.FP_BLOCK
+        block = [b for start in range(0, len(params), size)
+                 for b in sweep._fixed_point_block(params[start:start + size], make_grid(257))]
+        assert sum(dict(b)["accelerated_at"] is not None for b in one_row) == 14
+        assert [_branch_bits(b) for b in block] == one_row
+
+    @pytest.mark.parametrize("size", [7, 32, 105])
+    def test_order_and_block_split_change_no_bit(self, rectangle_one_row, size):
+        params, one_row = rectangle_one_row
+        rev = params[::-1]
+        block = [b for start in range(0, len(rev), size)
+                 for b in sweep._fixed_point_block(rev[start:start + size], make_grid(257))]
+        assert [_branch_bits(b) for b in block[::-1]] == one_row
+
+    def test_ending_rows_leave_their_neighbours(self, grid257):
+        # plain overflow, Anderson growth, Anderson without progress and a
+        # row that runs out of iterations, each between converging rows
+        rhos = [1.0, -20 + 5j, 3.5, 23 * np.exp(1.2j), 0.5j, 15 * np.exp(1.2j), 2 + 1j]
+        params = _sweep_params(rhos)
+        params[-1] = CoreParams(rho=2 + 1j, eps=1.0, max_iter=5)
+        block = sweep._fixed_point_block(params, grid257)
+        assert [b.diverged for b in block] == [False, True, False, True, False, True, False]
+        assert [b.converged for b in block] == [True, False, True, False, True, False, False]
+        assert block[3].accelerated_at is not None and block[5].accelerated_at is not None
+        assert block[-1].iterations == 5
+        for b, p in zip(block, params):
+            assert _branch_bits(b) == _branch_bits(fixed_point_solve(p, grid=grid257))
+
+    def test_sweep_records_match_one_row_solves(self, monkeypatch):
+        # run_sweep's blocks against solve(), the per-point path of every
+        # other sweep, accelerated_at included
+        spec = SweepSpec(mode="arg_sweep", radius=4.0, arg_steps=21, n_nodes=129)
+        grid = make_grid(129)
+        one_row = [record_from_branch(solve("fixed_point", rho, spec.eps, grid))
+                   for rho in spec.points()]
+        assert any(r.accelerated_at is not None for r in one_row)
+        for size in (1, 4, 16):
+            monkeypatch.setattr(sweep, "FP_BLOCK", size)
+            records = run_sweep(spec)
+            assert records == one_row
+            assert [r.accelerated_at for r in records] == [r.accelerated_at for r in one_row]
 
 
 class TestSolve:

@@ -48,7 +48,7 @@ def jump_increment(f: GridFunction) -> complex:
 def _remove_cos_mode(values: np.ndarray, grid: Grid) -> np.ndarray:
     cos = grid.cos_c
     tmp = values * cos
-    c = _row_sums(tmp, grid, lambda s: s / grid.cos2_mass)
+    c = _row_sums(tmp, grid) / grid.cos2_mass
     np.multiply(c, cos, out=tmp)
     return np.subtract(values, tmp, out=tmp)
 
@@ -78,23 +78,27 @@ def _check_admissible(f: GridFunction) -> None:
 
 def _solve_envelope(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndarray:
     """Envelope samples from the split representation (no solvability check),
-    of one forcing (n,) or of each row of a block (B, n).
+    of one forcing (n,) or of each row of a block (B, n)."""
+    return _envelope_pair(f_values, grid, v_left)[..., 0, :]
 
-    Both running integrals come from one call on the stacked rows f sin
-    and f cos, and v is assembled in place of the first."""
+
+def _envelope_pair(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndarray:
+    """_solve_envelope in [..., 0, :] of a (..., 2, n) array; [..., 1, :] is
+    scratch.  Both running integrals come from one call on the stacked rows
+    f sin and f cos, and v is assembled in place of the first."""
     f_sin_cos = f_values[..., None, :] * grid.sin_cos_c
-    # node axis first, so the end values index the same for one row and a block
-    sums = running_integral(f_sin_cos, grid.spacing).T
-    v, C = sums[:, 0], sums[:, 1]  # v holds int_{-pi/2}^x f sin
-    B = np.subtract(C[-1], C[1:-1])  # int_x^{pi/2} f cos
+    sums = running_integral(f_sin_cos, grid.spacing)
+    v, C = sums[..., 0, :], sums[..., 1, :]  # v holds int_{-pi/2}^x f sin
+    B = C[..., 1:-1]
+    np.subtract(C[..., -1:], B, out=B)  # int_x^{pi/2} f cos
     # interior: |cos x| >= sin(h), so grid.tan is finite there
-    np.multiply(grid.tan_c, B.T, out=B.T)
-    inner = v[1:-1]
+    np.multiply(grid.tan_c, B, out=B)
+    inner = v[..., 1:-1]
     np.add(v_left, inner, out=inner)
     inner += B
-    v[0] = v_left
-    v[-1] = _row_sums(f_sin_cos[..., 0, :], grid, lambda s: v_left + s).T
-    return v.T
+    v[..., 0] = v_left
+    v[..., -1:] = v_left + _row_sums(f_sin_cos[..., 0, :], grid)
+    return sums
 
 
 def solve_linear_inhomogeneous(f: GridFunction, v_left: complex = 0.0) -> GridFunction:
@@ -123,7 +127,7 @@ def envelope_residual(
     d1 = (v_values[2:] - v_values[:-2]) / (2 * h)
     d2 = (v_values[2:] - 2 * v_values[1:-1] + v_values[:-2]) / (h * h)
     resid = -d2 * cos[1:-1] + 2 * d1 * sin[1:-1] - f_values[1:-1]
-    return float(np.max(np.abs(resid)))
+    return float(np.abs(resid).max())
 
 
 def resample_periodic(u_open: np.ndarray, x0: float, period: float, x_new: np.ndarray) -> np.ndarray:

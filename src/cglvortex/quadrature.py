@@ -108,7 +108,7 @@ class GridFunction:
                 f"values shape {values.shape} does not match grid "
                 f"({self.grid.n_nodes} nodes)"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InvalidArgument("values contain NaN or Inf")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -127,15 +127,14 @@ def integrate(f: GridFunction) -> complex:
     return f.grid.integrate(f.values)
 
 
-def _row_sums(rows: np.ndarray, grid: Grid, op):
-    """op of the composite-Simpson sum weights_c . row of each row of
-    samples: one value for samples (n,), a (B, 1) column for a block
-    (B, n).  Each row keeps its own dot product (np.dot's routine without
-    its dispatch), so a row sums to the same bits in any block; a matrix
-    product would sum in another order.  op acts on numpy's scalar."""
+def _row_sums(rows: np.ndarray, grid: Grid):
+    """The composite-Simpson sum weights_c . row of samples (n,), or a
+    (B, 1) column of the sums of each row of a block (B, n).  Each row
+    keeps its own dot product, so it sums to the same bits in any block; a
+    matrix product would sum in another order."""
     if rows.ndim == 1:
-        return op(grid.weights_c.dot(rows))
-    return np.array([op(grid.weights_c.dot(row)) for row in rows])[:, None]
+        return grid.weights_c.dot(rows)
+    return np.array([grid.weights_c.dot(row) for row in rows])[:, None]
 
 
 def running_integral(values: np.ndarray, h: float) -> np.ndarray:

@@ -22,7 +22,7 @@ Each operator (mean projection, Green inverse, cubic forcing) has one
 implementation on sample arrays that reads the Grid's tables; the public
 functions on GridFunctions validate their input and call it, and the
 fixed-point loop calls it directly, on one row of samples (n,) or on a
-block of rows (B, n) with a (B, 1) column of kappas (_fixed_point_block).
+block of rows (B, n) with a (B, 1) column of kappas (_FixedPointBlock).
 The map is call-bound, so these multiply by the Grid's complex tables and
 write into arrays they own, but every element keeps its operations and
 the order of their operands: where numpy's complex multiply uses FMA,
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .quadrature import Grid, GridFunction, _row_sums, make_grid
-from .greens import _check_admissible, _remove_cos_mode, _solve_envelope, envelope_residual
+from .greens import _check_admissible, _envelope_pair, _remove_cos_mode, envelope_residual
 
 DEFAULT_NODES = 257
 
@@ -138,8 +138,8 @@ class Branch:
         return self.U.grid
 
 
-def _project_mean(values: np.ndarray, grid: Grid):  # complex, or a (B, 1) column
-    return _row_sums(values * grid.cos2_c, grid, lambda s: complex(s / grid.cos2_mass))
+def _project_mean(values: np.ndarray, grid: Grid):  # a scalar, or a (B, 1) column
+    return _row_sums(values * grid.cos2_c, grid) / grid.cos2_mass
 
 
 def project_mean(u: GridFunction) -> complex:
@@ -149,12 +149,19 @@ def project_mean(u: GridFunction) -> complex:
     normalization by the quadrature value of int cos^2 (= pi/2) makes the
     projector exactly idempotent on the grid, so project_mean(1) == 1 to
     roundoff."""
-    return _project_mean(u.values, u.grid)
+    return complex(_project_mean(u.values, u.grid))
 
 
-def _apply_green(f_values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
-    v = _solve_envelope(f_values, grid, 0.0)
-    return np.subtract(v, _project_mean(v, grid), out=v if out is None else out)
+def _apply_green(f_values: np.ndarray, grid: Grid) -> np.ndarray:
+    return _green_pair(f_values, grid)[..., 0, :]
+
+
+def _green_pair(f_values: np.ndarray, grid: Grid) -> np.ndarray:
+    """_apply_green in [..., 0, :] of a (..., 2, n) array; [..., 1, :] is scratch."""
+    pair = _envelope_pair(f_values, grid, 0.0)
+    v = pair[..., 0, :]
+    np.subtract(v, _project_mean(v, grid), out=v)
+    return pair
 
 
 def apply_green_op(f: GridFunction) -> GridFunction:
@@ -176,7 +183,11 @@ def _cubic_forcing(w_values: np.ndarray, rho: complex, grid: Grid) -> np.ndarray
     absq.imag = 0.0
     t = absq * one
     t *= grid.cos4_c
-    bulk = _row_sums(t, grid, lambda s: (2.0 / np.pi) * complex(s))
+    s = _row_sums(t, grid)
+    if t.ndim == 1:
+        bulk = (2.0 / np.pi) * complex(s)
+    else:  # Python's float * complex, row by row: numpy's can differ in a NaN's bits
+        bulk = np.array([[(2.0 / np.pi) * complex(x)] for x in s[:, 0]])
     f = np.multiply(absq, grid.cos2_c, out=t)
     np.subtract(bulk, f, out=f)
     np.multiply(rho, f, out=f)  # rho first: under FMA, f * rho rounds differently
@@ -321,6 +332,9 @@ def _stalled(increments: list[float]) -> bool:
 class _Row:
     """One solve of a block: its params, histories and Anderson state."""
 
+    __slots__ = ("params", "increments", "sups", "mixer", "accelerated_at", "at_switch",
+                 "best", "ended")
+
     def __init__(self, params: CoreParams):
         self.params = params
         self.increments: list[float] = []
@@ -339,6 +353,8 @@ def fixed_point_solve(
     params: CoreParams,
     grid: Grid | None = None,
     w0: GridFunction | None = None,
+    *,
+    block: _FixedPointBlock | None = None,
 ) -> Branch:
     """Iterate the reduced fixed-point map from w0 (default 0).
 
@@ -359,83 +375,105 @@ def fixed_point_solve(
         accelerated residual is still above ANDERSON_PROGRESS times its
         value at the switch.
     In the last two cases fp_residual is the latest residual.
-    This is the one-row case of _fixed_point_block.
+    This is the one-row case of _FixedPointBlock.  Given a ``block`` that
+    holds params, it returns params' row of that block (grid and w0 unused).
     """
-    if grid is None:
-        grid = make_grid(DEFAULT_NODES)
-    w = None if w0 is None else w0.values.astype(complex)[None]
-    return _fixed_point_block([params], grid, w)[0]
+    if block is None:
+        if grid is None:
+            grid = make_grid(DEFAULT_NODES)
+        w = None if w0 is None else w0.values.astype(complex)[None]
+        block = _FixedPointBlock([params], grid, w)
+    return block.result(params)
 
 
-def _fixed_point_block(params: list[CoreParams], grid: Grid,
-                       w0: np.ndarray | None = None) -> list[Branch]:
+class _FixedPointBlock:
     """fixed_point_solve of each params, all rows at once from w0 (B, n),
     default 0.  Elementwise steps take every row in one numpy call and each
     weighted sum is one dot product per row (_row_sums), so a row gets the
     bits it would get alone.  Anderson mixing runs per row on copied rows.
     A row leaves the block when it diverges, or one map after it converges
-    or reaches its max_iter: that map measures its fp_residual."""
-    w = np.zeros((len(params), grid.n_nodes), dtype=complex) if w0 is None else w0
+    or reaches its max_iter: that map measures its fp_residual.
+
+    result(params) iterates until that row has left, so a caller that
+    takes the rows in turn does each row's share of the work in its call."""
+
+    def __init__(self, params: list[CoreParams], grid: Grid, w0: np.ndarray | None = None):
+        self.params = params
+        self.branches: list[Branch | None] = [None] * len(params)
+        # a generator of its own, not a method: one that held self would
+        # keep the block's arrays alive in a cycle until the next collection
+        self._leaving = _block_rows(params, grid, w0)
+
+    def result(self, params: CoreParams) -> Branch:
+        k = self.params.index(params)
+        # overflow on the way to divergence is expected: sup|T(w)| is nan or
+        # inf exactly when T(w) is, and the Branch reports it as diverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            while self.branches[k] is None:
+                i, self.branches[i] = next(self._leaving)
+        return self.branches[k]
+
+
+def _block_rows(params: list[CoreParams], grid: Grid, w: np.ndarray | None):
+    """The loop of _FixedPointBlock: yield (row, Branch) as rows leave.
+    Runs only inside _FixedPointBlock.result."""
+    if w is None:
+        w = np.zeros((len(params), grid.n_nodes), dtype=complex)
     kappa = np.array([[p.kappa] for p in params])  # the active rows' kappas
     rows = [_Row(p) for p in params]
     active = list(range(len(params)))
-    out: list[Branch | None] = [None] * len(params)
-
-    # overflow on the way to divergence is expected: sup|T(w)| is nan or
-    # inf exactly when T(w) is, and the Branch reports it as diverged
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one map more than max_iter: a row that ends stays for the map
-        # that measures its fp_residual
-        for iterations in range(1, max(p.max_iter for p in params) + 2):
-            t_f = np.empty((2,) + w.shape, dtype=complex)  # T(w) and T(w) - w
-            t_w, f = t_f[0], t_f[1]
-            if len(w) == 1:  # numpy's fast path wants equal shapes: (n,) against the tables
-                _apply_green(_cubic_forcing(w[0], kappa[0, 0], grid), grid, t_w[0])
+    # one map more than max_iter: a row that ends stays for the map
+    # that measures its fp_residual
+    for iterations in range(1, max(p.max_iter for p in params) + 2):
+        # T(w) in row 0 of each (2, n) pair, T(w) - w into its scratch
+        # row 1, so one call takes every sup
+        if len(w) == 1:  # numpy's fast path wants equal shapes: (n,) against the tables
+            pair = _green_pair(_cubic_forcing(w[0], kappa[0, 0], grid), grid)[None]
+        else:
+            pair = _green_pair(_cubic_forcing(w, kappa, grid), grid)
+        t_w, f = pair[:, 0], pair[:, 1]
+        np.subtract(t_w, w, out=f)
+        norms = np.maximum.reduce(np.abs(pair), axis=-1).tolist()
+        keep = []
+        for i, (k, (sup, inc)) in enumerate(zip(active, norms)):
+            row = rows[k]
+            if row.ended is not None:
+                w_k = w[i].copy()
+                v1 = 1.0 + w_k
+                yield k, _branch(row.params, grid, "fixed_point", v1, v1 * grid.cos, None,
+                                 row.ended[0], inc, row.ended[1], w=w_k, **row.history())
+                continue
+            if not math.isfinite(sup):
+                yield k, _diverged_branch(row.params, grid, "fixed_point", iterations,
+                                          **row.history())
+                continue
+            row.increments.append(inc)
+            row.sups.append(sup)
+            if inc <= row.params.tol_fp:
+                row.ended = (iterations, True)
             else:
-                _apply_green(_cubic_forcing(w, kappa, grid), grid, t_w)
-            np.subtract(t_w, w, out=f)
-            sups, incs = np.abs(t_f).max(axis=-1).tolist()
-            keep = []
-            for i, (k, sup, inc) in enumerate(zip(active, sups, incs)):
-                row = rows[k]
-                if row.ended is not None:
-                    w_k = w[i].copy()
-                    v1 = 1.0 + w_k
-                    out[k] = _branch(row.params, grid, "fixed_point", v1, v1 * grid.cos, None,
-                                     row.ended[0], inc, row.ended[1], w=w_k, **row.history())
-                    continue
-                if not math.isfinite(sup):
-                    out[k] = _diverged_branch(row.params, grid, "fixed_point", iterations,
-                                              **row.history())
-                    continue
-                row.increments.append(inc)
-                row.sups.append(sup)
-                if inc <= row.params.tol_fp:
-                    row.ended = (iterations, True)
-                else:
-                    if row.mixer is None and _stalled(row.increments):
-                        row.mixer, row.accelerated_at = _Anderson(), iterations
-                        row.at_switch = row.best = inc
-                    if row.mixer is not None:
-                        row.best = min(row.best, inc)
-                        if inc > ANDERSON_DIVERGENCE * row.at_switch or (
-                            iterations - row.accelerated_at >= ANDERSON_PATIENCE
-                            and row.best > ANDERSON_PROGRESS * row.at_switch
-                        ):
-                            out[k] = _diverged_branch(row.params, grid, "fixed_point",
-                                                      iterations, inc, **row.history())
-                            continue
-                        t_w[i] = row.mixer.step(f[i].copy(), t_w[i].copy())
-                    if iterations == row.params.max_iter:
-                        row.ended = (iterations, False)
-                keep.append(i)
-            if len(keep) < len(active):
-                if not keep:
-                    break
-                active = [active[i] for i in keep]
-                t_w, kappa = t_w[keep], kappa[keep]
-            w = t_w
-    return out
+                if row.mixer is None and _stalled(row.increments):
+                    row.mixer, row.accelerated_at = _Anderson(), iterations
+                    row.at_switch = row.best = inc
+                if row.mixer is not None:
+                    row.best = min(row.best, inc)
+                    if inc > ANDERSON_DIVERGENCE * row.at_switch or (
+                        iterations - row.accelerated_at >= ANDERSON_PATIENCE
+                        and row.best > ANDERSON_PROGRESS * row.at_switch
+                    ):
+                        yield k, _diverged_branch(row.params, grid, "fixed_point",
+                                                  iterations, inc, **row.history())
+                        continue
+                    t_w[i] = row.mixer.step(f[i].copy(), t_w[i].copy())
+                if iterations == row.params.max_iter:
+                    row.ended = (iterations, False)
+            keep.append(i)
+        if len(keep) < len(active):
+            if not keep:
+                return
+            active = [active[i] for i in keep]
+            t_w, kappa = t_w[keep], kappa[keep]
+        w = t_w
 
 
 def asymptotic_r(rho: complex, eps: complex, order: int) -> complex:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .quadrature import Grid, GridFunction, make_grid
-from .reduction import (DEFAULT_NODES, Branch, CoreParams, _fixed_point_block, eps_squared,
+from .reduction import (DEFAULT_NODES, Branch, CoreParams, _FixedPointBlock, eps_squared,
                         fixed_point_solve)
 from .direct import fd_solve, shoot_solve
 # not called here: bench/tracing.py wraps it under this name
@@ -27,11 +27,13 @@ METHODS = ("fixed_point", "shooting", "finite_difference")
 
 ZERO_TOL = 1e-6
 
-# stopping tolerance and iteration cap of every sweep point
+# stopping tolerance and iteration cap of solve, and of a cold fixed-point
+# sweep's blocks
 SOLVE_TOL = 1e-12
 SOLVE_MAX_ITER = 800
 # a cold fixed-point sweep solves its points in consecutive blocks of at
-# most this many (_fixed_point_block), and records each block before the next
+# most this many (reduction._FixedPointBlock), and records each block
+# before the next
 FP_BLOCK = 16
 
 
@@ -171,6 +173,11 @@ def symmetry_defect(u: GridFunction) -> float:
     return float(np.max(np.abs(vals - vals[::-1])))
 
 
+def _params(rho: complex, eps: complex, tol: float, max_iter: int) -> CoreParams:
+    """The CoreParams of one point for every method: ``tol`` is tol_fp."""
+    return CoreParams(rho=rho, eps=eps, max_iter=max_iter, tol_fp=tol)
+
+
 def solve(
     method: str,
     rho: complex,
@@ -182,7 +189,7 @@ def solve(
 ) -> Branch:
     """Solve one parameter point with one of METHODS.
 
-    Every method gets the same CoreParams (``tol`` as tol_fp, ``max_iter``).
+    Every method gets the same CoreParams (_params).
     ``prev``, a converged branch on the same grid, warm-starts the solve:
     its correction w (fixed point), or its profile and r (shooting and
     finite differences).  Failures are reported in the returned Branch.
@@ -191,7 +198,7 @@ def solve(
         raise InvalidArgument(f"unknown method {method!r}")
     if prev is not None and not prev.converged:
         raise InvalidArgument("prev must be a converged branch")
-    params = CoreParams(rho=rho, eps=eps, max_iter=max_iter, tol_fp=tol)
+    params = _params(rho, eps, tol, max_iter)
     w0 = seed = r0 = None
     if prev is not None:
         w0, seed, r0 = prev.w, prev.U, prev.r
@@ -250,9 +257,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     points = spec.points()
     if spec.method == "fixed_point" and not spec.warm_start:
         for start in range(0, len(points), FP_BLOCK):
-            params = [CoreParams(rho=rho, eps=spec.eps, max_iter=SOLVE_MAX_ITER, tol_fp=SOLVE_TOL)
+            params = [_params(rho, spec.eps, SOLVE_TOL, SOLVE_MAX_ITER)
                       for rho in points[start:start + FP_BLOCK]]
-            records += map(record_from_branch, _fixed_point_block(params, grid))
+            block = _FixedPointBlock(params, grid)
+            records += [record_from_branch(fixed_point_solve(p, block=block)) for p in params]
         return records
     prev: Branch | None = None
     for rho in points:

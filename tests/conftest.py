@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from cglvortex import GridFunction, enforce_solvability, make_grid, project_mean
+from cglvortex import (GridFunction, enforce_solvability, fixed_point_solve, make_grid,
+                       project_mean, reduction)
 
 
 def random_trig(grid, rng, kmax=6):
@@ -27,6 +30,25 @@ def random_mean_free_ball(grid, rng, sigma, kmax=5):
     w = GridFunction(grid, vals)
     scale = sigma * rng.uniform(0.2, 1.0) / max(w.sup_norm, 1e-300)
     return GridFunction(grid, vals * scale)
+
+
+def solve_block(params, grid):
+    """The Branch of each params from one block, taken in turn as a sweep does."""
+    block = reduction._FixedPointBlock(params, grid)
+    return [fixed_point_solve(p, block=block) for p in params]
+
+
+def branch_bits(b):
+    """Every field of a Branch, with profiles and numbers as their bytes."""
+    out = []
+    for f in fields(b):
+        value = getattr(b, f.name)
+        if isinstance(value, GridFunction):
+            value = value.values.tobytes()
+        elif isinstance(value, (float, complex)):
+            value = np.complex128(value).tobytes()
+        out.append((f.name, value))
+    return out
 
 
 @pytest.fixture

@@ -6,12 +6,19 @@ expression per term, as it stood before that rewrite; every element goes
 through the same operations with the same operands in the same order, so
 the two must agree in every bit (compared as uint64 views, which also
 tells -0.0 from 0.0).  The library maps a block of rows (B, n) in one
-call; each row must equal the oracle's map of that row alone.
+call; each row must equal the oracle's map of that row alone.  The
+fixed-point loop is held the same way to a plain copy of the one-row loop
+it replaced.
 """
+import math
+
 import numpy as np
 import pytest
 
-from cglvortex import CoreParams, fixed_point_solve, make_grid, reduction
+from cglvortex import CoreParams, fixed_point_solve, greens, make_grid, reduction
+from cglvortex.reduction import (ANDERSON_DIVERGENCE, ANDERSON_PATIENCE, ANDERSON_PROGRESS,
+                                 _Anderson, _branch, _diverged_branch, _stalled)
+from conftest import branch_bits, solve_block
 
 
 def _running_integral(values, h):
@@ -70,24 +77,6 @@ def _cubic_forcing(w_values, rho, grid):
 
 def _bits(a):
     return np.atleast_1d(np.asarray(a, dtype=complex)).view(np.uint64)
-
-
-def _oracle_block_forcing(w, kappa, grid):
-    """The oracle forcing of one row (n,) or, row by row, of a block (B, n)
-    with a (B, 1) column of kappas."""
-    if w.ndim == 1:
-        return _cubic_forcing(w, kappa, grid)
-    return np.array([_cubic_forcing(row, k, grid) for row, k in zip(w, kappa[:, 0])])
-
-
-def _oracle_block_green(f, grid, out=None):
-    """The oracle Green inverse of one row or, row by row, of a block,
-    written to out when given."""
-    g = _apply_green(f, grid) if f.ndim == 1 else np.array([_apply_green(row, grid) for row in f])
-    if out is None:
-        return g
-    out[...] = g
-    return out
 
 
 KAPPAS = [2.7, -3.1, 1.9j, -0.6j, 2.2 + 0.7j, -3.4 - 1.1j, 0.0]
@@ -154,7 +143,7 @@ def test_envelope_with_complex_left_value_matches_oracle(n):
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for v_left in (0.0, 0.3 - 1.2j, -0.0 + 0j):
         assert np.array_equal(
-            _bits(reduction._solve_envelope(f, grid, v_left)),
+            _bits(greens._solve_envelope(f, grid, v_left)),
             _bits(_solve_envelope(f, grid, v_left)))
 
 
@@ -162,23 +151,80 @@ RHOS = [-3.5, -2.0 + 1.5j, -0.7 + 0.1j, 0.5j, 1.0, 1.5 + 1.25j,
         2.8 + 0.6j, 3.5, 3.5 + 1.0j, -4.0 + 2.0j, 40.0]
 
 
+def _oracle_fixed_point_solve(params, grid):
+    """The one-row loop of fixed_point_solve on the oracle map, as it stood
+    before blocks: plain iteration, then Anderson mixing once it stalls."""
+    kappa = params.kappa
+
+    def fp_map(w):
+        return _apply_green(_cubic_forcing(w, kappa, grid), grid)
+
+    w = np.zeros(grid.n_nodes, dtype=complex)
+    increments, sups = [], []
+    converged = diverged = False
+    mixer = accelerated_at = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, params.max_iter + 1):
+            t_w = fp_map(w)
+            sup = float(np.abs(t_w).max())
+            if not math.isfinite(sup):
+                diverged = True
+                fp_residual = float("inf")
+                break
+            f = t_w - w
+            inc = float(np.abs(f).max())
+            increments.append(inc)
+            sups.append(sup)
+            if inc <= params.tol_fp:
+                w = t_w
+                converged = True
+                break
+            if mixer is None and _stalled(increments):
+                mixer, accelerated_at = _Anderson(), iterations
+                at_switch = best = inc
+            if mixer is None:
+                w = t_w
+                continue
+            best = min(best, inc)
+            if inc > ANDERSON_DIVERGENCE * at_switch or (
+                iterations - accelerated_at >= ANDERSON_PATIENCE
+                and best > ANDERSON_PROGRESS * at_switch
+            ):
+                diverged = True
+                fp_residual = inc
+                break
+            w = mixer.step(f, t_w)
+
+        history = dict(increments=tuple(increments), iterate_sups=tuple(sups),
+                       accelerated_at=accelerated_at)
+        if diverged:
+            return _diverged_branch(params, grid, "fixed_point", iterations,
+                                    fp_residual, **history)
+        fp_residual = float(np.abs(fp_map(w) - w).max())
+        v1 = 1.0 + w
+        return _branch(params, grid, "fixed_point", v1, v1 * grid.cos, None,
+                       iterations, fp_residual, converged, w=w, **history)
+
+
 @pytest.mark.parametrize("n", [129, 257])
-def test_fixed_point_solve_matches_oracle_loop(n, monkeypatch):
+def test_fixed_point_solve_matches_oracle_loop(n):
+    # one-row solves and the rows of one block against the oracle loop, in
+    # every Branch field: plain and Anderson convergence, both kinds of
+    # divergence, and rows capped at max_iter in either phase
     grid = make_grid(n)
     eps = [1.0] * 10 + [3.0]  # kappa = 360 at the last point: the solve diverges
-    library = [fixed_point_solve(CoreParams(rho=rho, eps=e), grid=grid)
-               for rho, e in zip(RHOS, eps)]
-    block = reduction._fixed_point_block(
-        [CoreParams(rho=rho, eps=e) for rho, e in zip(RHOS, eps)], grid)
-    monkeypatch.setattr(reduction, "_cubic_forcing", _oracle_block_forcing)
-    monkeypatch.setattr(reduction, "_apply_green", _oracle_block_green)
-    oracle = [fixed_point_solve(CoreParams(rho=rho, eps=e), grid=grid)
-              for rho, e in zip(RHOS, eps)]
-    assert any(b.accelerated_at is not None for b in oracle)
-    assert any(b.diverged for b in oracle)
-    for b, o in zip(library + block, oracle + oracle):
-        assert np.array_equal(_bits(b.w.values), _bits(o.w.values))
-        assert np.array_equal(_bits(b.r), _bits(o.r))
-        assert (b.iterations, b.fp_residual, b.increments, b.iterate_sups,
-                b.accelerated_at) == (o.iterations, o.fp_residual, o.increments,
-                                      o.iterate_sups, o.accelerated_at)
+    params = [CoreParams(rho=rho, eps=e) for rho, e in zip(RHOS, eps)]
+    params += [CoreParams(rho=2.0 + 1.0j, eps=1.0, max_iter=5),
+               CoreParams(rho=3.5, eps=1.0, max_iter={129: 25, 257: 29}[n]),
+               CoreParams(rho=15 * np.exp(1.2j), eps=1.0)]
+    oracle = [_oracle_fixed_point_solve(p, grid) for p in params]
+    assert any(o.accelerated_at is not None and o.converged for o in oracle)
+    assert any(o.fp_residual == float("inf") for o in oracle)
+    assert any(o.diverged and o.accelerated_at is not None for o in oracle)
+    capped = oracle[-3:-1]  # the second after its switch to Anderson mixing
+    assert [o.iterations for o in capped] == [p.max_iter for p in params[-3:-1]]
+    assert not any(o.converged or o.diverged for o in capped)
+    assert capped[1].accelerated_at is not None
+    expected = [branch_bits(o) for o in oracle]
+    assert [branch_bits(fixed_point_solve(p, grid=grid)) for p in params] == expected
+    assert [branch_bits(b) for b in solve_block(params, grid)] == expected

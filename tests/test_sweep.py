@@ -1,6 +1,5 @@
 """Zero census, symmetry diagnostics, sweeps, and emission."""
 import json
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from cglvortex import (
 )
 from cglvortex import direct, sweep
 from cglvortex.sweep import CSV_COLUMNS
+from conftest import branch_bits, solve_block
 
 
 def one_period_nodes(m):
@@ -232,22 +232,8 @@ class TestRunSweep:
         assert all(r.extra_zeros == 0 for r in records)
 
 
-def _branch_bits(b):
-    """Every field of a Branch, with profiles and numbers as their bytes."""
-    out = []
-    for f in fields(b):
-        value = getattr(b, f.name)
-        if isinstance(value, GridFunction):
-            value = value.values.tobytes()
-        elif isinstance(value, (float, complex)):
-            value = np.complex128(value).tobytes()
-        out.append((f.name, value))
-    return out
-
-
 def _sweep_params(rhos):
-    return [CoreParams(rho=rho, eps=1.0, max_iter=sweep.SOLVE_MAX_ITER, tol_fp=sweep.SOLVE_TOL)
-            for rho in rhos]
+    return [sweep._params(rho, 1.0, sweep.SOLVE_TOL, sweep.SOLVE_MAX_ITER) for rho in rhos]
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +241,7 @@ def rectangle_one_row():
     """The default rectangle's params and the one-row solve of each point."""
     params = _sweep_params(SweepSpec(mode="rectangle").points())
     grid = make_grid(257)
-    return params, [_branch_bits(fixed_point_solve(p, grid=grid)) for p in params]
+    return params, [branch_bits(fixed_point_solve(p, grid=grid)) for p in params]
 
 
 class TestColdFixedPointBlocks:
@@ -266,17 +252,17 @@ class TestColdFixedPointBlocks:
         params, one_row = rectangle_one_row
         size = sweep.FP_BLOCK
         block = [b for start in range(0, len(params), size)
-                 for b in sweep._fixed_point_block(params[start:start + size], make_grid(257))]
+                 for b in solve_block(params[start:start + size], make_grid(257))]
         assert sum(dict(b)["accelerated_at"] is not None for b in one_row) == 14
-        assert [_branch_bits(b) for b in block] == one_row
+        assert [branch_bits(b) for b in block] == one_row
 
     @pytest.mark.parametrize("size", [7, 32, 105])
     def test_order_and_block_split_change_no_bit(self, rectangle_one_row, size):
         params, one_row = rectangle_one_row
         rev = params[::-1]
         block = [b for start in range(0, len(rev), size)
-                 for b in sweep._fixed_point_block(rev[start:start + size], make_grid(257))]
-        assert [_branch_bits(b) for b in block[::-1]] == one_row
+                 for b in solve_block(rev[start:start + size], make_grid(257))]
+        assert [branch_bits(b) for b in block[::-1]] == one_row
 
     def test_ending_rows_leave_their_neighbours(self, grid257):
         # plain overflow, Anderson growth, Anderson without progress and a
@@ -284,13 +270,34 @@ class TestColdFixedPointBlocks:
         rhos = [1.0, -20 + 5j, 3.5, 23 * np.exp(1.2j), 0.5j, 15 * np.exp(1.2j), 2 + 1j]
         params = _sweep_params(rhos)
         params[-1] = CoreParams(rho=2 + 1j, eps=1.0, max_iter=5)
-        block = sweep._fixed_point_block(params, grid257)
+        block = solve_block(params, grid257)
         assert [b.diverged for b in block] == [False, True, False, True, False, True, False]
         assert [b.converged for b in block] == [True, False, True, False, True, False, False]
         assert block[3].accelerated_at is not None and block[5].accelerated_at is not None
         assert block[-1].iterations == 5
         for b, p in zip(block, params):
-            assert _branch_bits(b) == _branch_bits(fixed_point_solve(p, grid=grid257))
+            assert branch_bits(b) == branch_bits(fixed_point_solve(p, grid=grid257))
+
+    def test_each_point_is_solved_in_its_own_call(self, monkeypatch):
+        # a cold sweep still solves point by point through the name
+        # sweep.fixed_point_solve, each call followed by its record, so a
+        # wrapper under that name sees every point and its share of the work
+        calls = []
+        solve_point, record = sweep.fixed_point_solve, sweep.record_from_branch
+
+        def spy_solve(params, *args, **kwargs):
+            calls.append(("solve", params.rho))
+            return solve_point(params, *args, **kwargs)
+
+        def spy_record(branch):
+            calls.append(("record", branch.params.rho))
+            return record(branch)
+
+        monkeypatch.setattr(sweep, "fixed_point_solve", spy_solve)
+        monkeypatch.setattr(sweep, "record_from_branch", spy_record)
+        spec = SweepSpec(mode="arg_sweep", radius=2.0, arg_steps=sweep.FP_BLOCK + 3, n_nodes=65)
+        run_sweep(spec)
+        assert calls == [(kind, rho) for rho in spec.points() for kind in ("solve", "record")]
 
     def test_sweep_records_match_one_row_solves(self, monkeypatch):
         # run_sweep's blocks against solve(), the per-point path of every

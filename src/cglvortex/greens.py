@@ -76,16 +76,12 @@ def _check_admissible(f: GridFunction) -> None:
         )
 
 
-def _solve_envelope(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndarray:
-    """Envelope samples from the split representation (no solvability check),
-    of one forcing (n,) or of each row of a block (B, n)."""
-    return _envelope_pair(f_values, grid, v_left)[..., 0, :]
-
-
 def _envelope_pair(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndarray:
-    """_solve_envelope in [..., 0, :] of a (..., 2, n) array; [..., 1, :] is
-    scratch.  Both running integrals come from one call on the stacked rows
-    f sin and f cos, and v is assembled in place of the first."""
+    """Envelope samples from the split representation (no solvability check)
+    of one forcing (n,) or of each row of a block (B, n), in [..., 0, :] of
+    a (..., 2, n) array; [..., 1, :] is scratch.  Both running integrals
+    come from one call on the stacked rows f sin and f cos, and v is
+    assembled in place of the first."""
     f_sin_cos = f_values[..., None, :] * grid.sin_cos_c
     sums = running_integral(f_sin_cos, grid.spacing)
     v, C = sums[..., 0, :], sums[..., 1, :]  # v holds int_{-pi/2}^x f sin
@@ -108,7 +104,7 @@ def solve_linear_inhomogeneous(f: GridFunction, v_left: complex = 0.0) -> GridFu
     solution with bounded envelope exists and the input is rejected.
     """
     _check_admissible(f)
-    return GridFunction(f.grid, _solve_envelope(f.values, f.grid, complex(v_left)))
+    return GridFunction(f.grid, _envelope_pair(f.values, f.grid, complex(v_left))[0])
 
 
 def envelope_residual(

@@ -13,6 +13,7 @@ We take (mu, nu, n, eps) as inputs and derive (r, R, omega).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,17 @@ import numpy as np
 from .errors import ExtensionError, InvalidArgument, InvalidState
 from .greens import jump_increment
 from .reduction import Branch, asymptotic_r, ode_forcing
+
+
+def _check_n(n: int) -> None:
+    """InvalidArgument unless n >= 1 and n^2 is a finite float: the
+    parameter maps scale by n^2."""
+    try:
+        square = float(n * n)
+    except OverflowError:  # an int square past the float range
+        square = math.inf
+    if not (n >= 1 and square < math.inf):
+        raise InvalidArgument("n must be >= 1 with n^2 a finite float")
 
 
 @dataclass(frozen=True)
@@ -33,19 +45,18 @@ class PhysParams:
     omega: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgument("n must be >= 1")
+        _check_n(self.n)
 
 
 def rho_from_physical(mu: float, nu: float, n: int) -> complex:
     """rho = (1 + i mu) / ((1 + i nu) n^2)."""
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
+    _check_n(n)
     return complex(1.0, mu) / (complex(1.0, nu) * n * n)
 
 
 def physical_from_r(r: complex, mu: float, nu: float, n: int) -> PhysParams:
     """Invert the definition of r: R and omega from a computed branch."""
+    _check_n(n)
     z = complex(1.0, mu) * r
     return PhysParams(
         R=z.real + n * n, mu=mu, nu=nu, n=n, omega=z.imag + nu * n * n
@@ -57,8 +68,7 @@ def mu_nu_from_rho(rho: complex, n: int) -> tuple[float, float]:
 
     Unique when Im rho is nonzero; a real rho lies in the physical image
     only at rho = 1/n^2 (there mu = nu, normalized to (0, 0))."""
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
+    _check_n(n)
     a, b = rho.real * n * n, rho.imag * n * n
     if abs(b) < 1e-14:
         if abs(a - 1.0) < 1e-12:
@@ -118,8 +128,7 @@ def extend_solution(branch: Branch, n: int) -> VortexSolution:
     """
     if not branch.converged:
         raise InvalidState("cannot extend a non-converged branch")
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
+    _check_n(n)
     grid = branch.grid
     m = grid.n_nodes - 1
     h = grid.spacing

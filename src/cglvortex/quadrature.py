@@ -138,7 +138,8 @@ def _row_sums(rows: np.ndarray, grid: Grid):
 
 
 def running_integral(values: np.ndarray, h: float) -> np.ndarray:
-    """Running integrals F_i = int_{x_0}^{x_i} f along the last axis, 4th order.
+    """Running integrals F_i = int_{x_0}^{x_i} f along the last axis, 4th
+    order, of complex rows.
 
     Each cell integral uses the cubic through the four nearest samples:
     interior cells the centered (-1, 13, 13, -1)/24 rule, the first and
@@ -147,32 +148,26 @@ def running_integral(values: np.ndarray, h: float) -> np.ndarray:
     cumulative sum gives F.  The interior rule runs once over all rows,
     flattened, term by term in place; the cells it fills across a row
     boundary are then overwritten by the zero and the end cells, which
-    are summed on Python scalars.  numpy divides a complex by 24 as a
-    multiply by 1/24, so complex cells are multiplied; the two differ at
-    most in the sign of a zero cell, which the sum from +0 drops.
+    are summed on Python scalars.  The cells are complex, and numpy divides
+    a complex by 24 as a multiply by 1/24, so they are multiplied; the two
+    differ at most in the sign of a zero cell, which the sum from +0 drops.
     """
     g = np.asarray(values)
     n = g.shape[-1]
     flat = g.reshape(-1)
     g13 = 13 * flat
-    cell = np.empty(flat.shape, dtype=np.result_type(g, 1.0))
+    cell = np.empty(flat.shape, dtype=complex)
     mid = cell[2:-1]
     np.subtract(g13[1:-2], flat[:-3], out=mid)  # -g_{i-1} + 13 g_i, to the bit
     mid += g13[2:-1]
     mid -= flat[3:]
-    is_complex = cell.dtype.kind == "c"
-    if is_complex:
-        mid *= 1.0 / 24.0
-    else:
-        mid /= 24.0
+    mid *= 1.0 / 24.0
     rows = flat.reshape(-1, n)
     for i, (a, b, c, d), (p, q, r, s) in zip(
             range(0, flat.size, n), rows[:, :4].tolist(), rows[:, -4:].tolist()):
-        first = 9 * a + 19 * b - 5 * c + d
-        last = p - 5 * q + 19 * r + 9 * s
         cell[i] = 0.0
-        cell[i + 1] = first * (1.0 / 24.0) if is_complex else first / 24.0
-        cell[i + n - 1] = last * (1.0 / 24.0) if is_complex else last / 24.0
+        cell[i + 1] = (9 * a + 19 * b - 5 * c + d) * (1.0 / 24.0)
+        cell[i + n - 1] = (p - 5 * q + 19 * r + 9 * s) * (1.0 / 24.0)
     out = cell.reshape(g.shape).cumsum(axis=-1)
     out *= h
     return out

@@ -152,12 +152,9 @@ def project_mean(u: GridFunction) -> complex:
     return complex(_project_mean(u.values, u.grid))
 
 
-def _apply_green(f_values: np.ndarray, grid: Grid) -> np.ndarray:
-    return _green_pair(f_values, grid)[..., 0, :]
-
-
 def _green_pair(f_values: np.ndarray, grid: Grid) -> np.ndarray:
-    """_apply_green in [..., 0, :] of a (..., 2, n) array; [..., 1, :] is scratch."""
+    """apply_green_op of one forcing (n,) or of each row of a block (B, n),
+    in [..., 0, :] of a (..., 2, n) array; [..., 1, :] is scratch."""
     pair = _envelope_pair(f_values, grid, 0.0)
     v = pair[..., 0, :]
     np.subtract(v, _project_mean(v, grid), out=v)
@@ -172,7 +169,7 @@ def apply_green_op(f: GridFunction) -> GridFunction:
     sup norm is bounded by 3 pi times the sup norm of the forcing.
     """
     _check_admissible(f)
-    return GridFunction(f.grid, _apply_green(f.values, f.grid))
+    return GridFunction(f.grid, _green_pair(f.values, f.grid)[0])
 
 
 def _cubic_forcing(w_values: np.ndarray, rho: complex, grid: Grid) -> np.ndarray:
@@ -374,13 +371,16 @@ def fixed_point_solve(
       - no progress: ANDERSON_PATIENCE maps after the switch, the best
         accelerated residual is still above ANDERSON_PROGRESS times its
         value at the switch.
-    In the last two cases fp_residual is the latest residual.
+    In the last two cases fp_residual is the latest residual.  A w0 on
+    another grid raises InvalidArgument.
     This is the one-row case of _FixedPointBlock.  Given a ``block`` that
     holds params, it returns params' row of that block (grid and w0 unused).
     """
     if block is None:
         if grid is None:
             grid = make_grid(DEFAULT_NODES)
+        if w0 is not None and w0.grid != grid:
+            raise InvalidArgument("w0 must live on the solver grid")
         w = None if w0 is None else w0.values.astype(complex)[None]
         block = _FixedPointBlock([params], grid, w)
     return block.result(params)

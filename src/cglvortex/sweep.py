@@ -173,11 +173,6 @@ def symmetry_defect(u: GridFunction) -> float:
     return float(np.max(np.abs(vals - vals[::-1])))
 
 
-def _params(rho: complex, eps: complex, tol: float, max_iter: int) -> CoreParams:
-    """The CoreParams of one point for every method: ``tol`` is tol_fp."""
-    return CoreParams(rho=rho, eps=eps, max_iter=max_iter, tol_fp=tol)
-
-
 def solve(
     method: str,
     rho: complex,
@@ -189,7 +184,7 @@ def solve(
 ) -> Branch:
     """Solve one parameter point with one of METHODS.
 
-    Every method gets the same CoreParams (_params).
+    Every method gets the same CoreParams; ``tol`` is its tol_fp.
     ``prev``, a converged branch on the same grid, warm-starts the solve:
     its correction w (fixed point), or its profile and r (shooting and
     finite differences).  Failures are reported in the returned Branch.
@@ -198,7 +193,7 @@ def solve(
         raise InvalidArgument(f"unknown method {method!r}")
     if prev is not None and not prev.converged:
         raise InvalidArgument("prev must be a converged branch")
-    params = _params(rho, eps, tol, max_iter)
+    params = CoreParams(rho=rho, eps=eps, max_iter=max_iter, tol_fp=tol)
     w0 = seed = r0 = None
     if prev is not None:
         w0, seed, r0 = prev.w, prev.U, prev.r
@@ -257,8 +252,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     points = spec.points()
     if spec.method == "fixed_point" and not spec.warm_start:
         for start in range(0, len(points), FP_BLOCK):
-            params = [_params(rho, spec.eps, SOLVE_TOL, SOLVE_MAX_ITER)
-                      for rho in points[start:start + FP_BLOCK]]
+            params = [CoreParams(rho=rho, eps=spec.eps, max_iter=SOLVE_MAX_ITER,
+                                 tol_fp=SOLVE_TOL) for rho in points[start:start + FP_BLOCK]]
             block = _FixedPointBlock(params, grid)
             records += [record_from_branch(fixed_point_solve(p, block=block)) for p in params]
         return records

@@ -502,6 +502,9 @@ class TestEntryPoint:
 
 # every finite float, and often a modest one, where the solvers do real work
 FINITE = st.one_of(st.floats(-20.0, 20.0), st.floats(allow_nan=False, allow_infinity=False))
+# harmonic numbers n: mostly small ones, and any up to 10**400, far past
+# the float range; only n, since the other int flags size arrays
+HARMONIC = st.one_of(st.integers(-2, 8), st.integers(1, 10**400))
 # tolerances: mostly valid ones, so that the solve runs
 TOLERANCE = st.one_of(st.floats(1e-13, 0.9), FINITE)
 # about 5 s in all; verify solves three times, so it draws fewest
@@ -547,22 +550,26 @@ class TestFuzz:
 
     @FUZZ
     @given(rho_re=FINITE, rho_im=FINITE, eps_re=FINITE, eps_im=FINITE, mu=FINITE,
-           nu=FINITE)
-    @example(rho_re=1e308, rho_im=0.0, eps_re=10.0, eps_im=0.0, mu=-0.0, nu=5e-324)
-    @example(rho_re=-1e300, rho_im=1e-300, eps_re=-0.0, eps_im=1e300, mu=1e300, nu=-1e300)
-    def test_expand(self, rho_re, rho_im, eps_re, eps_im, mu, nu):
+           nu=FINITE, n=HARMONIC)
+    @example(rho_re=1e308, rho_im=0.0, eps_re=10.0, eps_im=0.0, mu=-0.0, nu=5e-324, n=1)
+    @example(rho_re=-1e300, rho_im=1e-300, eps_re=-0.0, eps_im=1e300, mu=1e300, nu=-1e300,
+             n=1)
+    @example(rho_re=0.0, rho_im=0.0, eps_re=1.0, eps_im=0.0, mu=0.0, nu=0.0, n=10**160)
+    def test_expand(self, rho_re, rho_im, eps_re, eps_im, mu, nu, n):
         code, out = run_fuzzed(["expand", "--samples", 5, "--rho-re", rho_re,
                                 "--rho-im", rho_im, "--eps-re", eps_re, "--eps-im", eps_im,
-                                "--mu", mu, "--nu", nu])
+                                "--mu", mu, "--nu", nu, "--n", n])
         if code != 1:
             strict_json(out)
 
     @FUZZ
-    @given(mu=FINITE, nu=FINITE, eps_re=FINITE, eps_im=FINITE)
-    @example(mu=1e300, nu=-1e300, eps_re=5e-324, eps_im=-0.0)
-    @example(mu=-0.0, nu=1e-300, eps_re=1e300, eps_im=0.0)
-    def test_physical(self, mu, nu, eps_re, eps_im):
-        code, out = run_fuzzed(["physical", "--n", 1, "--nodes", 9, "--mu", mu, "--nu", nu,
+    @given(mu=FINITE, nu=FINITE, eps_re=FINITE, eps_im=FINITE, n=HARMONIC)
+    @example(mu=1e300, nu=-1e300, eps_re=5e-324, eps_im=-0.0, n=1)
+    @example(mu=-0.0, nu=1e-300, eps_re=1e300, eps_im=0.0, n=1)
+    @example(mu=0.0, nu=0.0, eps_re=1.0, eps_im=0.0, n=10**329)
+    @example(mu=0.5, nu=-0.3, eps_re=1.0, eps_im=0.0, n=10**160)
+    def test_physical(self, mu, nu, eps_re, eps_im, n):
+        code, out = run_fuzzed(["physical", "--n", n, "--nodes", 9, "--mu", mu, "--nu", nu,
                                 "--eps-re", eps_re, "--eps-im", eps_im])
         if code != 1:
             strict_json(out)

@@ -15,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from cglvortex import CoreParams, fixed_point_solve, greens, make_grid, reduction
+from cglvortex import (CoreParams, GridFunction, apply_green_op, fixed_point_solve, greens,
+                       make_grid, reduction)
 from cglvortex.reduction import (ANDERSON_DIVERGENCE, ANDERSON_PATIENCE, ANDERSON_PROGRESS,
                                  _Anderson, _branch, _diverged_branch, _stalled)
 from conftest import branch_bits, solve_block
@@ -94,8 +95,10 @@ def test_map_matches_oracle(n):
                 f = _cubic_forcing(w0, kappa, grid)
                 assert np.array_equal(_bits(reduction._cubic_forcing(w0, kappa, grid)),
                                       _bits(f))
-                assert np.array_equal(_bits(reduction._apply_green(f, grid)),
-                                      _bits(_apply_green(f, grid)))
+                t_w = _bits(_apply_green(f, grid))
+                assert np.array_equal(_bits(reduction._green_pair(f, grid)[0]), t_w)
+                # f is admissible: the public operator passes its check
+                assert np.array_equal(_bits(apply_green_op(GridFunction(grid, f)).values), t_w)
 
 
 @pytest.mark.parametrize("n", [5, 7, 129, 257, 513])
@@ -110,7 +113,7 @@ def test_block_map_matches_oracle_row_by_row(n, rows):
     w[-1] = w[-1].real  # with a real kappa, every imaginary part a signed zero
     kappa = np.array(KAPPAS[-rows:], dtype=complex)[:, None]
     f = reduction._cubic_forcing(w, kappa, grid)
-    t_w = reduction._apply_green(f, grid)
+    t_w = reduction._green_pair(f, grid)[..., 0, :]
     assert f.shape == t_w.shape == (rows, n)
     for i in range(rows):
         oracle_f = _cubic_forcing(w[i], KAPPAS[-rows:][i], grid)
@@ -128,7 +131,7 @@ def test_block_row_that_overflows_leaves_its_neighbours(n):
     w[1] *= 1e120
     kappa = np.array([[2.7], [-3.4 - 1.1j], [1.9j]])
     with np.errstate(over="ignore", invalid="ignore"):
-        t_w = reduction._apply_green(reduction._cubic_forcing(w, kappa, grid), grid)
+        t_w = reduction._green_pair(reduction._cubic_forcing(w, kappa, grid), grid)[..., 0, :]
         oracle = [_apply_green(_cubic_forcing(w[i], kappa[i, 0], grid), grid) for i in range(3)]
     assert not np.all(np.isfinite(t_w[1]))
     assert np.all(np.isfinite(t_w[0])) and np.all(np.isfinite(t_w[2]))
@@ -143,7 +146,7 @@ def test_envelope_with_complex_left_value_matches_oracle(n):
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for v_left in (0.0, 0.3 - 1.2j, -0.0 + 0j):
         assert np.array_equal(
-            _bits(greens._solve_envelope(f, grid, v_left)),
+            _bits(greens._envelope_pair(f, grid, v_left)[0]),
             _bits(_solve_envelope(f, grid, v_left)))
 
 

@@ -1,4 +1,7 @@
 """Parameter maps, periodic extension, and the rotating-wave residual."""
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from cglvortex import (
     extend_solution,
     fixed_point_solve,
     make_grid,
+    mu_nu_from_rho,
     physical_from_r,
     rho_from_physical,
 )
@@ -40,6 +44,25 @@ class TestParameterMaps:
     def test_rho_invalid_n(self):
         with pytest.raises(InvalidArgument):
             rho_from_physical(0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("n", [0, -2, 2**512, 10**400],
+                             ids=["0", "-2", "2**512", "10**400"])
+    def test_every_map_of_n_rejects_it(self, n):
+        # n < 1, or an n whose square is past the float range
+        branch = _converged_branch(0.0, 1.0, n_nodes=9)
+        for call in (lambda: rho_from_physical(0.0, 0.0, n),
+                     lambda: physical_from_r(0.75, 0.0, 0.0, n),
+                     lambda: mu_nu_from_rho(1.0 + 0j, n),
+                     lambda: asymptotic_physical(0.1, 0.0, 0.0, n),
+                     lambda: PhysParams(R=1.0, mu=0.0, nu=0.0, n=n, omega=0.0),
+                     lambda: extend_solution(branch, n)):
+            with pytest.raises(InvalidArgument, match="n must be >= 1"):
+                call()
+
+    def test_largest_n_with_a_finite_square(self):
+        n = math.isqrt(int(sys.float_info.max))
+        assert 0 < rho_from_physical(0.0, 0.0, n).real < 1e-307
+        assert math.isfinite(physical_from_r(0.75, 0.0, 0.0, n).R)
 
     def test_physical_leading_order(self):
         s = 0.04

@@ -156,7 +156,8 @@ class TestKernelsBitIdentical:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_running_integral_matches_cell_rules(self, n, kind):
         rng = np.random.default_rng(n)
-        g = rng.standard_normal(n)
+        # the one caller passes complex rows: real ones as real-valued complex
+        g = rng.standard_normal(n) + 0j
         if kind == "complex":
             g = g + 1j * rng.standard_normal(n)
         h = np.pi / (n - 1)

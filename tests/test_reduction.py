@@ -254,7 +254,7 @@ class TestFixedPoint:
         params = CoreParams(rho=rho, eps=1.0, max_iter=max_iter)
         branch = fixed_point_solve(params, grid=grid257)
         w = branch.w.values
-        t_w = reduction._apply_green(reduction._cubic_forcing(w, params.kappa, grid257), grid257)
+        t_w = reduction._green_pair(reduction._cubic_forcing(w, params.kappa, grid257), grid257)[0]
         assert branch.fp_residual == float(np.abs(t_w - w).max())
         assert branch.converged == (max_iter == 800)
         assert (branch.accelerated_at is not None) == (rho == 3.5)

@@ -233,7 +233,8 @@ class TestRunSweep:
 
 
 def _sweep_params(rhos):
-    return [sweep._params(rho, 1.0, sweep.SOLVE_TOL, sweep.SOLVE_MAX_ITER) for rho in rhos]
+    return [CoreParams(rho=rho, eps=1.0, max_iter=sweep.SOLVE_MAX_ITER, tol_fp=sweep.SOLVE_TOL)
+            for rho in rhos]
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +356,14 @@ class TestSolve:
         bad = fixed_point_solve(CoreParams(rho=3.5, eps=1.0, max_iter=5), grid=grid257)
         with pytest.raises(InvalidArgument):
             solve("fixed_point", 3.5, 1.0, grid257, prev=bad)
+
+    def test_prev_on_another_grid_rejected(self, grid257):
+        # every method refuses to warm-start from a branch of another grid
+        b = solve("fixed_point", 1.2, 1.0, make_grid(129))
+        assert b.converged
+        for method in sweep.METHODS:
+            with pytest.raises(InvalidArgument, match="must live on the solver grid"):
+                solve(method, 1.2, 1.0, grid257, prev=b)
 
 
 class TestDivergedRecord:

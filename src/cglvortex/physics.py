@@ -49,18 +49,29 @@ class PhysParams:
 
 
 def rho_from_physical(mu: float, nu: float, n: int) -> complex:
-    """rho = (1 + i mu) / ((1 + i nu) n^2)."""
+    """rho = (1 + i mu) / ((1 + i nu) n^2).  InvalidArgument when it is not
+    finite or underflows to 0 (nu n^2 past the float range, say): no solve
+    has such a rho."""
     _check_n(n)
-    return complex(1.0, mu) / (complex(1.0, nu) * n * n)
+    rho = complex(1.0, mu) / (complex(1.0, nu) * n * n)
+    if not (math.isfinite(rho.real) and math.isfinite(rho.imag)) or rho == 0:
+        raise InvalidArgument(
+            "rho = (1 + i mu) / ((1 + i nu) n^2) is not finite or underflows to 0")
+    return rho
 
 
 def physical_from_r(r: complex, mu: float, nu: float, n: int) -> PhysParams:
-    """Invert the definition of r: R and omega from a computed branch."""
+    """Invert the definition of r: R and omega from a computed branch.
+    InvalidArgument when a finite r gives an R or omega that is not finite
+    (mu r or nu n^2 past the float range); the r of a diverged branch (NaN)
+    gives NaN."""
     _check_n(n)
     z = complex(1.0, mu) * r
-    return PhysParams(
-        R=z.real + n * n, mu=mu, nu=nu, n=n, omega=z.imag + nu * n * n
-    )
+    R, omega = z.real + n * n, z.imag + nu * n * n
+    if math.isfinite(r.real) and math.isfinite(r.imag) and not (
+            math.isfinite(R) and math.isfinite(omega)):
+        raise InvalidArgument("R or omega is not finite: (1 + i mu) r or nu n^2 overflows")
+    return PhysParams(R=R, mu=mu, nu=nu, n=n, omega=omega)
 
 
 def mu_nu_from_rho(rho: complex, n: int) -> tuple[float, float]:

@@ -327,13 +327,16 @@ def _stalled(increments: list[float]) -> bool:
 
 
 class _Row:
-    """One solve of a block: its params, histories and Anderson state."""
+    """One solve of a block: its params, its index in the block's params,
+    its own map count, histories and Anderson state."""
 
-    __slots__ = ("params", "increments", "sups", "mixer", "accelerated_at", "at_switch",
-                 "best", "ended")
+    __slots__ = ("params", "index", "maps", "increments", "sups", "mixer", "accelerated_at",
+                 "at_switch", "best", "ended")
 
-    def __init__(self, params: CoreParams):
+    def __init__(self, params: CoreParams, index: int):
         self.params = params
+        self.index = index
+        self.maps = 0
         self.increments: list[float] = []
         self.sups: list[float] = []
         self.mixer: _Anderson | None = None
@@ -387,44 +390,71 @@ def fixed_point_solve(
 
 
 class _FixedPointBlock:
-    """fixed_point_solve of each params, all rows at once from w0 (B, n),
-    default 0.  Elementwise steps take every row in one numpy call and each
-    weighted sum is one dot product per row (_row_sums), so a row gets the
-    bits it would get alone.  Anderson mixing runs per row on copied rows.
-    A row leaves the block when it diverges, or one map after it converges
-    or reaches its max_iter: that map measures its fp_residual.
+    """fixed_point_solve of each params, from the rows of w0 (N, n),
+    default 0, in one rolling block.
 
-    result(params) iterates until that row has left, so a caller that
-    takes the rows in turn does each row's share of the work in its call."""
+    At most ``width`` rows (default: all) are iterated at once; when a row
+    leaves, the next params in list order enters.  Elementwise steps take
+    every row in one numpy call and each weighted sum is one np.vecdot over
+    the rows (_row_sums), so a row gets the bits it would get alone.  Each
+    row counts its own maps for its iterations, its switch to Anderson
+    mixing, Anderson's patience and its max_iter; Anderson mixing runs per
+    row on copied rows.  A row leaves the block when it diverges, or one
+    map after it converges or reaches its max_iter: that map measures its
+    fp_residual.
 
-    def __init__(self, params: list[CoreParams], grid: Grid, w0: np.ndarray | None = None):
-        self.params = params
-        self.branches: list[Branch | None] = [None] * len(params)
+    result(params) iterates until that row has left and hands its Branch
+    over once.  It finds the row by identity, so equal params in two
+    places are two rows, each handed over once.  A call may run maps of
+    rows further ahead, whose Branches then wait in ``finished``.  No row
+    enters while ``width`` of them wait, so when the rows are taken in list
+    order at most width - 1 more finish before the one asked for: at most
+    2 width - 1 wait at once."""
+
+    def __init__(self, params: list[CoreParams], grid: Grid, w0: np.ndarray | None = None,
+                 width: int | None = None):
+        # the rows of each params object, first one last
+        self._rows: dict[int, list[int]] = {}
+        for i in range(len(params) - 1, -1, -1):
+            self._rows.setdefault(id(params[i]), []).append(i)
+        self.finished: dict[int, Branch] = {}  # row -> Branch, until result() takes it
         # a generator of its own, not a method: one that held self would
         # keep the block's arrays alive in a cycle until the next collection
-        self._leaving = _block_rows(params, grid, w0)
+        self._leaving = _block_rows(params, grid, w0, width or len(params), self.finished)
 
     def result(self, params: CoreParams) -> Branch:
-        k = self.params.index(params)
+        k = self._rows[id(params)].pop()
         # overflow on the way to divergence is expected: sup|T(w)| is nan or
         # inf exactly when T(w) is, and the Branch reports it as diverged
         with np.errstate(over="ignore", invalid="ignore"):
-            while self.branches[k] is None:
-                i, self.branches[i] = next(self._leaving)
-        return self.branches[k]
+            while k not in self.finished:
+                next(self._leaving)
+        return self.finished.pop(k)
 
 
-def _block_rows(params: list[CoreParams], grid: Grid, w: np.ndarray | None):
-    """The loop of _FixedPointBlock: yield (row, Branch) as rows leave.
-    Runs only inside _FixedPointBlock.result."""
-    if w is None:
-        w = np.zeros((len(params), grid.n_nodes), dtype=complex)
-    kappa = np.array([[p.kappa] for p in params])  # the active rows' kappas
-    rows = [_Row(p) for p in params]
-    active = list(range(len(params)))
-    # one map more than max_iter: a row that ends stays for the map
-    # that measures its fp_residual
-    for iterations in range(1, max(p.max_iter for p in params) + 2):
+def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None, width: int,
+                finished: dict[int, Branch]):
+    """The loop of _FixedPointBlock: iterate at most width rows at once,
+    put the Branch of each row that leaves in finished and yield, and let
+    the next params enter while fewer than width Branches are finished
+    (or no row is left to iterate).  Runs only inside
+    _FixedPointBlock.result."""
+    n = grid.n_nodes
+    w = np.empty((0, n), dtype=complex)
+    kappa = np.empty((0, 1), dtype=complex)  # the rows' kappas
+    rows: list[_Row] = []
+    entered = 0
+    while True:
+        room = width - len(rows) if len(finished) < width or not rows else 0
+        new = range(entered, min(entered + room, len(params)))
+        if new:
+            entered = new.stop
+            rows += [_Row(params[i], i) for i in new]
+            w = np.concatenate((w, np.zeros((len(new), n), dtype=complex) if w0 is None
+                                else w0[new.start:new.stop]))
+            kappa = np.concatenate((kappa, [[params[i].kappa] for i in new]))
+        if not rows:
+            return
         # T(w) in row 0 of each (2, n) pair, T(w) - w into its scratch
         # row 1, so one call takes every sup
         if len(w) == 1:  # numpy's fast path wants equal shapes: (n,) against the tables
@@ -435,17 +465,21 @@ def _block_rows(params: list[CoreParams], grid: Grid, w: np.ndarray | None):
         np.subtract(t_w, w, out=f)
         norms = np.maximum.reduce(np.abs(pair), axis=-1).tolist()
         keep = []
-        for i, (k, (sup, inc)) in enumerate(zip(active, norms)):
-            row = rows[k]
+        for i, (row, (sup, inc)) in enumerate(zip(rows, norms)):
             if row.ended is not None:
                 w_k = w[i].copy()
                 v1 = 1.0 + w_k
-                yield k, _branch(row.params, grid, "fixed_point", v1, v1 * grid.cos, None,
-                                 row.ended[0], inc, row.ended[1], w=w_k, **row.history())
+                finished[row.index] = _branch(row.params, grid, "fixed_point", v1, v1 * grid.cos,
+                                              None, row.ended[0], inc, row.ended[1], w=w_k,
+                                              **row.history())
+                yield
                 continue
+            row.maps += 1
+            iterations = row.maps
             if not math.isfinite(sup):
-                yield k, _diverged_branch(row.params, grid, "fixed_point", iterations,
-                                          **row.history())
+                finished[row.index] = _diverged_branch(row.params, grid, "fixed_point",
+                                                       iterations, **row.history())
+                yield
                 continue
             row.increments.append(inc)
             row.sups.append(sup)
@@ -461,17 +495,16 @@ def _block_rows(params: list[CoreParams], grid: Grid, w: np.ndarray | None):
                         iterations - row.accelerated_at >= ANDERSON_PATIENCE
                         and row.best > ANDERSON_PROGRESS * row.at_switch
                     ):
-                        yield k, _diverged_branch(row.params, grid, "fixed_point",
-                                                  iterations, inc, **row.history())
+                        finished[row.index] = _diverged_branch(
+                            row.params, grid, "fixed_point", iterations, inc, **row.history())
+                        yield
                         continue
                     t_w[i] = row.mixer.step(f[i].copy(), t_w[i].copy())
                 if iterations == row.params.max_iter:
                     row.ended = (iterations, False)
             keep.append(i)
-        if len(keep) < len(active):
-            if not keep:
-                return
-            active = [active[i] for i in keep]
+        if len(keep) < len(rows):
+            rows = [rows[i] for i in keep]
             t_w, kappa = t_w[keep], kappa[keep]
         w = t_w
 

@@ -28,12 +28,11 @@ METHODS = ("fixed_point", "shooting", "finite_difference")
 ZERO_TOL = 1e-6
 
 # stopping tolerance and iteration cap of solve, and of a cold fixed-point
-# sweep's blocks
+# sweep's rows
 SOLVE_TOL = 1e-12
 SOLVE_MAX_ITER = 800
-# a cold fixed-point sweep solves its points in consecutive blocks of at
-# most this many (reduction._FixedPointBlock), and records each block
-# before the next
+# a cold fixed-point sweep solves all its points in one rolling block
+# (reduction._FixedPointBlock) that iterates at most this many rows at once
 FP_BLOCK = 16
 
 
@@ -244,19 +243,20 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     Per-point failures are reported by the solver's Branch and recorded
     (converged false), never aborting the sweep.  With ``warm_start`` each
     point starts from the last converged branch.  A cold fixed-point sweep
-    solves FP_BLOCK points at a time, each to the bits of its own solve.
+    hands all its points to one rolling block that iterates at most
+    FP_BLOCK rows at once, each to the bits of its own solve; it still
+    asks for each point's branch in its own fixed_point_solve call, in
+    grid order, and records it before the next.
     Deterministic for a given spec.
     """
     grid = make_grid(spec.n_nodes)
     records: list[SweepRecord] = []
     points = spec.points()
     if spec.method == "fixed_point" and not spec.warm_start:
-        for start in range(0, len(points), FP_BLOCK):
-            params = [CoreParams(rho=rho, eps=spec.eps, max_iter=SOLVE_MAX_ITER,
-                                 tol_fp=SOLVE_TOL) for rho in points[start:start + FP_BLOCK]]
-            block = _FixedPointBlock(params, grid)
-            records += [record_from_branch(fixed_point_solve(p, block=block)) for p in params]
-        return records
+        params = [CoreParams(rho=rho, eps=spec.eps, max_iter=SOLVE_MAX_ITER, tol_fp=SOLVE_TOL)
+                  for rho in points]
+        block = _FixedPointBlock(params, grid, width=FP_BLOCK)
+        return [record_from_branch(fixed_point_solve(p, block=block)) for p in params]
     prev: Branch | None = None
     for rho in points:
         branch = solve(spec.method, rho, spec.eps, grid, prev=prev)

@@ -32,9 +32,10 @@ def random_mean_free_ball(grid, rng, sigma, kmax=5):
     return GridFunction(grid, vals * scale)
 
 
-def solve_block(params, grid):
-    """The Branch of each params from one block, taken in turn as a sweep does."""
-    block = reduction._FixedPointBlock(params, grid)
+def solve_block(params, grid, width=None):
+    """The Branch of each params from one block that iterates at most width
+    rows at once (default all), taken in turn as a sweep does."""
+    block = reduction._FixedPointBlock(params, grid, width=width)
     return [fixed_point_solve(p, block=block) for p in params]
 
 

@@ -384,6 +384,16 @@ class TestPhysical:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize("command", [["physical", "--nodes", "9"], ["expand"]])
+    def test_overflowing_parameter_map_rejected(self, capsys, command):
+        # nu n^2 = 1e310 overflows and rho underflows to 0: an input error,
+        # not a converged branch with omega null
+        code, out, err = run_cli(capsys, *command, "--mu", "0", "--nu", "1e10",
+                                 "--n", str(10**150))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: rho = ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_small_point_passes(self, capsys):
@@ -555,6 +565,7 @@ class TestFuzz:
     @example(rho_re=-1e300, rho_im=1e-300, eps_re=-0.0, eps_im=1e300, mu=1e300, nu=-1e300,
              n=1)
     @example(rho_re=0.0, rho_im=0.0, eps_re=1.0, eps_im=0.0, mu=0.0, nu=0.0, n=10**160)
+    @example(rho_re=0.0, rho_im=0.0, eps_re=1.0, eps_im=0.0, mu=0.0, nu=1e10, n=10**150)
     def test_expand(self, rho_re, rho_im, eps_re, eps_im, mu, nu, n):
         code, out = run_fuzzed(["expand", "--samples", 5, "--rho-re", rho_re,
                                 "--rho-im", rho_im, "--eps-re", eps_re, "--eps-im", eps_im,
@@ -568,6 +579,7 @@ class TestFuzz:
     @example(mu=-0.0, nu=1e-300, eps_re=1e300, eps_im=0.0, n=1)
     @example(mu=0.0, nu=0.0, eps_re=1.0, eps_im=0.0, n=10**329)
     @example(mu=0.5, nu=-0.3, eps_re=1.0, eps_im=0.0, n=10**160)
+    @example(mu=0.0, nu=1e10, eps_re=1.0, eps_im=0.0, n=10**150)
     def test_physical(self, mu, nu, eps_re, eps_im, n):
         code, out = run_fuzzed(["physical", "--n", n, "--nodes", 9, "--mu", mu, "--nu", nu,
                                 "--eps-re", eps_re, "--eps-im", eps_im])

@@ -64,6 +64,23 @@ class TestParameterMaps:
         assert 0 < rho_from_physical(0.0, 0.0, n).real < 1e-307
         assert math.isfinite(physical_from_r(0.75, 0.0, 0.0, n).R)
 
+    def test_parameter_maps_that_overflow_are_rejected(self):
+        # nu n^2 = 1e310 overflows: rho underflows to exactly 0 and omega
+        # would be inf; mu r = 1e600 overflows R and omega
+        n = 10**150
+        with pytest.raises(InvalidArgument, match="rho = "):
+            rho_from_physical(0.0, 1e10, n)
+        with pytest.raises(InvalidArgument, match="rho = "):
+            asymptotic_physical(1.0, 0.0, 1e10, n)
+        for r, mu, nu, n in ((0.75, 0.0, 1e10, n), (1e300 + 0j, 1e300, 0.0, 1),
+                             (0.75, 0.0, -1e308, 2)):
+            with pytest.raises(InvalidArgument, match="R or omega is not finite"):
+                physical_from_r(r, mu, nu, n)
+        # a rho of about 1e-308 is not 0, and a diverged branch's r maps to NaN
+        assert 0 < abs(rho_from_physical(0.0, 1e10, 10**149)) < 1e-307
+        p = physical_from_r(complex("nan+nanj"), 0.5, 0.3, 2)
+        assert math.isnan(p.R) and math.isnan(p.omega)
+
     def test_physical_leading_order(self):
         s = 0.04
         p = physical_from_r(0.75 * s, 0.0, 0.0, 1)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cglvortex import Grid, GridFunction, InvalidArgument, integrate, make_grid
-from cglvortex.quadrature import running_integral
+from cglvortex.quadrature import _row_sums, running_integral
 
 
 class TestMakeGrid:
@@ -168,6 +168,35 @@ class TestKernelsBitIdentical:
         assert stacked.shape == rows.shape
         for row, out in zip(rows, stacked):
             assert np.array_equal(out, _running_integral_reference(row, h))
+
+    @pytest.mark.parametrize("n", [5, 7, 129, 257, 513, 1025])
+    def test_block_row_sums_match_one_row_dot(self, n):
+        # one call sums every row of a block to the bits of weights_c.dot(row)
+        g = make_grid(n)
+        rng = np.random.default_rng(n)
+
+        def noise():
+            return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        rows = [noise() * scale for scale in np.logspace(-300, 300, 13)]
+        rows.append(rng.integers(-50, 50, n) * 5e-324 + 1j * rng.integers(-50, 50, n) * 5e-324)
+        rows.append(np.copysign(0.0, rng.standard_normal(n))
+                    + 1j * np.copysign(0.0, rng.standard_normal(n)))
+        payload_nan = np.array([0x7FF8_0000_0000_1234], dtype=np.uint64).view(float)[0]
+        for bad in (np.inf, -np.inf, complex(0.0, np.inf), payload_nan,
+                    complex(1.0, payload_nan)):
+            row = noise()
+            row[rng.integers(n)] = bad
+            rows.append(row)
+        rows = np.array(rows)
+        # _envelope_pair sums the strided rows pair[:, 0, :] of a (B, 2, n) block
+        pair = np.stack([rows, noise() * np.ones_like(rows)], axis=1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for block in (rows, pair[:, 0, :], rows[:3], rows[::-1]):
+                sums = _row_sums(block, g)
+                one = np.array([g.weights_c.dot(row) for row in block])
+                assert sums.shape == (len(block), 1)
+                assert np.array_equal(sums[:, 0].view(np.uint64), one.view(np.uint64))
 
     @pytest.mark.parametrize("n", [5, 257, 1025])
     def test_tan_and_cos2_mass_tables(self, n):

@@ -22,7 +22,7 @@ from cglvortex import (
     solve,
     symmetry_defect,
 )
-from cglvortex import direct, sweep
+from cglvortex import direct, reduction, sweep
 from cglvortex.sweep import CSV_COLUMNS
 from conftest import branch_bits, solve_block
 
@@ -246,24 +246,109 @@ def rectangle_one_row():
 
 
 class TestColdFixedPointBlocks:
-    # a cold fixed-point sweep solves blocks of points at once; every point
-    # must get the bits of its own one-row solve, whatever its block holds
+    # a cold fixed-point sweep solves its points in one rolling block; every
+    # point must get the bits of its own one-row solve, whatever rows it
+    # shares the block with and whenever it enters
 
-    def test_rectangle_points_match_one_row_solves(self, rectangle_one_row):
+    def test_rectangle_points_match_one_row_solves(self, rectangle_one_row, monkeypatch):
         params, one_row = rectangle_one_row
-        size = sweep.FP_BLOCK
-        block = [b for start in range(0, len(params), size)
-                 for b in solve_block(params[start:start + size], make_grid(257))]
         assert sum(dict(b)["accelerated_at"] is not None for b in one_row) == 14
-        assert [branch_bits(b) for b in block] == one_row
+        branches = []
+        solve_point = sweep.fixed_point_solve
 
-    @pytest.mark.parametrize("size", [7, 32, 105])
+        def keep(*args, **kwargs):
+            branches.append(solve_point(*args, **kwargs))
+            return branches[-1]
+
+        monkeypatch.setattr(sweep, "fixed_point_solve", keep)
+        for width in (1, 4, 7, 16, 105):
+            monkeypatch.setattr(sweep, "FP_BLOCK", width)
+            branches.clear()
+            run_sweep(SweepSpec(mode="rectangle"))
+            assert [branch_bits(b) for b in branches] == one_row, width
+
+    @pytest.mark.parametrize("size", [1, 4, 7, 16, 32, 105])
     def test_order_and_block_split_change_no_bit(self, rectangle_one_row, size):
         params, one_row = rectangle_one_row
-        rev = params[::-1]
-        block = [b for start in range(0, len(rev), size)
-                 for b in solve_block(rev[start:start + size], make_grid(257))]
+        block = solve_block(params[::-1], make_grid(257), width=size)
         assert [branch_bits(b) for b in block[::-1]] == one_row
+
+    def test_rows_that_enter_late_keep_their_own_counts(self, grid257):
+        # a block of 3 rows: each ending row enters after fast rows have left,
+        # so the block has run maps before its first; the ending rows overflow,
+        # switch to Anderson and converge, diverge under Anderson without
+        # progress, and run out of iterations
+        overflow, anderson, no_progress, capped = -20 + 5j, 3.5, 15 * np.exp(1.2j), 2 + 0.5j
+        rhos = [0.5, 0.5j, 1.0, -1.0 + 0.3j, overflow, 0.5, anderson, 0.5j, no_progress,
+                1.0, capped, 0.3 + 0.2j]
+        params = _sweep_params(rhos)
+        params[rhos.index(capped)] = CoreParams(rho=capped, eps=1.0, max_iter=5)
+        block = solve_block(params, grid257, width=3)
+        for b, p in zip(block, params):
+            alone = fixed_point_solve(p, grid=grid257)
+            assert (b.iterations, b.accelerated_at) == (alone.iterations, alone.accelerated_at)
+            assert branch_bits(b) == branch_bits(alone)
+        got = {b.params.rho: b for b in block}
+        assert got[overflow].diverged and got[overflow].accelerated_at is None
+        assert got[anderson].converged and got[anderson].accelerated_at is not None
+        assert got[no_progress].diverged and got[no_progress].accelerated_at is not None
+        assert got[no_progress].iterations == (got[no_progress].accelerated_at
+                                               + reduction.ANDERSON_PATIENCE)
+        assert not got[capped].converged and got[capped].iterations == 5
+
+    def test_finished_branches_waiting_are_bounded(self, grid257, monkeypatch):
+        # a slow first row (Anderson) ahead of 60 fast ones: no row enters
+        # while width finished branches wait for their result() call, so at
+        # most width - 1 more finish before the slow row leaves
+        held = []
+        block_rows = reduction._block_rows
+
+        def watched(params, grid, w0, width, finished):
+            for _ in block_rows(params, grid, w0, width, finished):
+                held.append(len(finished))
+                yield
+
+        monkeypatch.setattr(reduction, "_block_rows", watched)
+        params = _sweep_params([3.5] + [0.1 * (1 + k % 7) + 0.05j * k for k in range(60)])
+        for width in (4, 16):
+            held.clear()
+            block = reduction._FixedPointBlock(params, grid257, width=width)
+            for p in params:
+                fixed_point_solve(p, block=block)
+                assert len(block.finished) <= 2 * width - 1
+            assert width < max(held) <= 2 * width - 1
+            assert not block.finished
+
+    def test_equal_params_get_a_row_each(self, grid257):
+        # rows are found by identity: equal params, or one params object in
+        # two places, are two rows, each handed over once
+        p, q = _sweep_params([1.0 + 0.5j, 1.0 + 0.5j])
+        assert p == q and p is not q
+        for params in ([p, q], [p, p]):
+            block = reduction._FixedPointBlock(params, grid257)
+            first, second = (fixed_point_solve(x, block=block) for x in params)
+            assert first is not second
+            assert branch_bits(first) == branch_bits(second)
+        spec = SweepSpec(mode="rectangle", re_min=1.0, re_max=1.0, re_steps=3, im_steps=2,
+                         n_nodes=65)
+        records = run_sweep(spec)
+        assert records[:3] == [records[0]] * 3 and records[3:] == [records[3]] * 3
+        assert records[0] == record_from_branch(solve("fixed_point", 1.0, 1.0, make_grid(65)))
+
+    def test_default_rectangle_work(self, monkeypatch):
+        # one rolling block of 16: at most 160 block maps carry the 2,197
+        # row maps of the 105 one-row solves (233 block maps in chunks of 16)
+        maps = []
+        green_pair = reduction._green_pair
+
+        def counted(f, grid):
+            maps.append(1 if f.ndim == 1 else len(f))
+            return green_pair(f, grid)
+
+        monkeypatch.setattr(reduction, "_green_pair", counted)
+        run_sweep(SweepSpec(mode="rectangle"))
+        assert len(maps) <= 160
+        assert sum(maps) == 2197
 
     def test_ending_rows_leave_their_neighbours(self, grid257):
         # plain overflow, Anderson growth, Anderson without progress and a

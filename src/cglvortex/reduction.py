@@ -22,7 +22,7 @@ Each operator (mean projection, Green inverse, cubic forcing) has one
 implementation on sample arrays that reads the Grid's tables; the public
 functions on GridFunctions validate their input and call it, and the
 fixed-point loop calls it directly, on one row of samples (n,) or on a
-block of rows (B, n) with a (B, 1) column of kappas (_FixedPointBlock).
+block of rows (B, n) with a (B, 1) column of kappas (_block_rows).
 The map is call-bound, so these multiply by the Grid's complex tables and
 write into arrays they own, but every element keeps its operations and
 the order of their operands: where numpy's complex multiply uses FMA,
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -354,7 +355,7 @@ def fixed_point_solve(
     grid: Grid | None = None,
     w0: GridFunction | None = None,
     *,
-    block: _FixedPointBlock | None = None,
+    block: Iterator[Branch] | None = None,
 ) -> Branch:
     """Iterate the reduced fixed-point map from w0 (default 0).
 
@@ -376,8 +377,10 @@ def fixed_point_solve(
         value at the switch.
     In the last two cases fp_residual is the latest residual.  A w0 on
     another grid raises InvalidArgument.
-    This is the one-row case of _FixedPointBlock.  Given a ``block`` that
-    holds params, it returns params' row of that block (grid and w0 unused).
+    This is the one-row case of _block_rows.  Given a ``block`` (a
+    _block_rows generator), it takes the block's next Branch instead (grid
+    and w0 unused); InvalidArgument when that Branch is not params' (by
+    identity) or the block has none left.
     """
     if block is None:
         if grid is None:
@@ -385,13 +388,20 @@ def fixed_point_solve(
         if w0 is not None and w0.grid != grid:
             raise InvalidArgument("w0 must live on the solver grid")
         w = None if w0 is None else w0.values.astype(complex)[None]
-        block = _FixedPointBlock([params], grid, w)
-    return block.result(params)
+        block = _block_rows([params], grid, w)
+    # overflow on the way to divergence is expected: sup|T(w)| is nan or
+    # inf exactly when T(w) is, and the Branch reports it as diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        branch = next(block, None)
+    if branch is None or branch.params is not params:
+        raise InvalidArgument("the block's next branch is not the one asked for")
+    return branch
 
 
-class _FixedPointBlock:
-    """fixed_point_solve of each params, from the rows of w0 (N, n),
-    default 0, in one rolling block.
+def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = None,
+                width: int | None = None) -> Iterator[Branch]:
+    """Yield fixed_point_solve of each params, in the order of params, from
+    the rows of w0 (N, n), default 0, in one rolling block.
 
     At most ``width`` rows (default: all) are iterated at once; when a row
     leaves, the next params in list order enters.  Elementwise steps take
@@ -403,49 +413,22 @@ class _FixedPointBlock:
     map after it converges or reaches its max_iter: that map measures its
     fp_residual.
 
-    result(params) iterates until that row has left and hands its Branch
-    over once.  It finds the row by identity, so equal params in two
-    places are two rows, each handed over once.  A call may run maps of
-    rows further ahead, whose Branches then wait in ``finished``.  No row
-    enters while ``width`` of them wait, so when the rows are taken in list
-    order at most width - 1 more finish before the one asked for: at most
+    After each block map it yields every Branch whose turn has come.  A
+    row that leaves ahead of its turn waits until the rows before it are
+    handed over, and no row enters while ``width`` Branches wait, so at
+    most width - 1 more finish before the one whose turn it is: at most
     2 width - 1 wait at once."""
-
-    def __init__(self, params: list[CoreParams], grid: Grid, w0: np.ndarray | None = None,
-                 width: int | None = None):
-        # the rows of each params object, first one last
-        self._rows: dict[int, list[int]] = {}
-        for i in range(len(params) - 1, -1, -1):
-            self._rows.setdefault(id(params[i]), []).append(i)
-        self.finished: dict[int, Branch] = {}  # row -> Branch, until result() takes it
-        # a generator of its own, not a method: one that held self would
-        # keep the block's arrays alive in a cycle until the next collection
-        self._leaving = _block_rows(params, grid, w0, width or len(params), self.finished)
-
-    def result(self, params: CoreParams) -> Branch:
-        k = self._rows[id(params)].pop()
-        # overflow on the way to divergence is expected: sup|T(w)| is nan or
-        # inf exactly when T(w) is, and the Branch reports it as diverged
-        with np.errstate(over="ignore", invalid="ignore"):
-            while k not in self.finished:
-                next(self._leaving)
-        return self.finished.pop(k)
-
-
-def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None, width: int,
-                finished: dict[int, Branch]):
-    """The loop of _FixedPointBlock: iterate at most width rows at once,
-    put the Branch of each row that leaves in finished and yield, and let
-    the next params enter while fewer than width Branches are finished
-    (or no row is left to iterate).  Runs only inside
-    _FixedPointBlock.result."""
+    width = width or len(params)
+    waiting: dict[int, Branch] = {}  # row -> Branch, until its turn
+    turn = 0
     n = grid.n_nodes
     w = np.empty((0, n), dtype=complex)
     kappa = np.empty((0, 1), dtype=complex)  # the rows' kappas
     rows: list[_Row] = []
     entered = 0
     while True:
-        room = width - len(rows) if len(finished) < width or not rows else 0
+        # Branches wait only while the row whose turn it is still iterates
+        room = width - len(rows) if len(waiting) < width else 0
         new = range(entered, min(entered + room, len(params)))
         if new:
             entered = new.stop
@@ -469,17 +452,15 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None, wid
             if row.ended is not None:
                 w_k = w[i].copy()
                 v1 = 1.0 + w_k
-                finished[row.index] = _branch(row.params, grid, "fixed_point", v1, v1 * grid.cos,
-                                              None, row.ended[0], inc, row.ended[1], w=w_k,
-                                              **row.history())
-                yield
+                waiting[row.index] = _branch(row.params, grid, "fixed_point", v1, v1 * grid.cos,
+                                             None, row.ended[0], inc, row.ended[1], w=w_k,
+                                             **row.history())
                 continue
             row.maps += 1
             iterations = row.maps
             if not math.isfinite(sup):
-                finished[row.index] = _diverged_branch(row.params, grid, "fixed_point",
-                                                       iterations, **row.history())
-                yield
+                waiting[row.index] = _diverged_branch(row.params, grid, "fixed_point",
+                                                      iterations, **row.history())
                 continue
             row.increments.append(inc)
             row.sups.append(sup)
@@ -495,14 +476,16 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None, wid
                         iterations - row.accelerated_at >= ANDERSON_PATIENCE
                         and row.best > ANDERSON_PROGRESS * row.at_switch
                     ):
-                        finished[row.index] = _diverged_branch(
+                        waiting[row.index] = _diverged_branch(
                             row.params, grid, "fixed_point", iterations, inc, **row.history())
-                        yield
                         continue
                     t_w[i] = row.mixer.step(f[i].copy(), t_w[i].copy())
                 if iterations == row.params.max_iter:
                     row.ended = (iterations, False)
             keep.append(i)
+        while turn in waiting:
+            yield waiting.pop(turn)
+            turn += 1
         if len(keep) < len(rows):
             rows = [rows[i] for i in keep]
             t_w, kappa = t_w[keep], kappa[keep]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .quadrature import Grid, GridFunction, make_grid
-from .reduction import (DEFAULT_NODES, Branch, CoreParams, _FixedPointBlock, eps_squared,
+from .reduction import (DEFAULT_NODES, Branch, CoreParams, _block_rows, eps_squared,
                         fixed_point_solve)
 from .direct import fd_solve, shoot_solve
 # not called here: bench/tracing.py wraps it under this name
@@ -31,8 +31,8 @@ ZERO_TOL = 1e-6
 # sweep's rows
 SOLVE_TOL = 1e-12
 SOLVE_MAX_ITER = 800
-# a cold fixed-point sweep solves all its points in one rolling block
-# (reduction._FixedPointBlock) that iterates at most this many rows at once
+# a cold fixed-point sweep's rolling block (reduction._block_rows) iterates
+# at most this many rows at once and hands their Branches over in grid order
 FP_BLOCK = 16
 
 
@@ -243,10 +243,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     Per-point failures are reported by the solver's Branch and recorded
     (converged false), never aborting the sweep.  With ``warm_start`` each
     point starts from the last converged branch.  A cold fixed-point sweep
-    hands all its points to one rolling block that iterates at most
-    FP_BLOCK rows at once, each to the bits of its own solve; it still
-    asks for each point's branch in its own fixed_point_solve call, in
-    grid order, and records it before the next.
+    hands all its points to one rolling block, a generator that iterates
+    at most FP_BLOCK rows at once, each to the bits of its own solve, and
+    hands their Branches over in grid order; each point still takes its
+    branch from the block in its own fixed_point_solve call and records
+    it before the next.
     Deterministic for a given spec.
     """
     grid = make_grid(spec.n_nodes)
@@ -255,7 +256,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     if spec.method == "fixed_point" and not spec.warm_start:
         params = [CoreParams(rho=rho, eps=spec.eps, max_iter=SOLVE_MAX_ITER, tol_fp=SOLVE_TOL)
                   for rho in points]
-        block = _FixedPointBlock(params, grid, width=FP_BLOCK)
+        block = _block_rows(params, grid, width=FP_BLOCK)
         return [record_from_branch(fixed_point_solve(p, block=block)) for p in params]
     prev: Branch | None = None
     for rho in points:

@@ -35,7 +35,7 @@ def random_mean_free_ball(grid, rng, sigma, kmax=5):
 def solve_block(params, grid, width=None):
     """The Branch of each params from one block that iterates at most width
     rows at once (default all), taken in turn as a sweep does."""
-    block = reduction._FixedPointBlock(params, grid, width=width)
+    block = reduction._block_rows(params, grid, width=width)
     return [fixed_point_solve(p, block=block) for p in params]
 
 

@@ -298,34 +298,45 @@ class TestColdFixedPointBlocks:
 
     def test_finished_branches_waiting_are_bounded(self, grid257, monkeypatch):
         # a slow first row (Anderson) ahead of 60 fast ones: no row enters
-        # while width finished branches wait for their result() call, so at
-        # most width - 1 more finish before the slow row leaves
-        held = []
-        block_rows = reduction._block_rows
+        # while width built Branches wait to be handed over, so at most
+        # width - 1 more finish before the slow row leaves
+        built, handed, waiting = [], [], []
+        for name in ("_branch", "_diverged_branch"):
+            def counted(*args, build=getattr(reduction, name), **kwargs):
+                built.append(build(*args, **kwargs))
+                waiting.append(len(built) - len(handed))
+                return built[-1]
 
-        def watched(params, grid, w0, width, finished):
-            for _ in block_rows(params, grid, w0, width, finished):
-                held.append(len(finished))
-                yield
-
-        monkeypatch.setattr(reduction, "_block_rows", watched)
+            monkeypatch.setattr(reduction, name, counted)
         params = _sweep_params([3.5] + [0.1 * (1 + k % 7) + 0.05j * k for k in range(60)])
         for width in (4, 16):
-            held.clear()
-            block = reduction._FixedPointBlock(params, grid257, width=width)
+            del built[:], handed[:], waiting[:]
+            block = reduction._block_rows(params, grid257, width=width)
             for p in params:
-                fixed_point_solve(p, block=block)
-                assert len(block.finished) <= 2 * width - 1
-            assert width < max(held) <= 2 * width - 1
-            assert not block.finished
+                handed.append(fixed_point_solve(p, block=block))
+            assert width < max(waiting) <= 2 * width - 1
+            assert sorted(map(id, handed)) == sorted(map(id, built))  # each built one handed
+            assert next(block, None) is None
+
+    def test_a_block_hands_over_in_order_only(self, grid257):
+        # the block's next Branch goes only to its own params: a point
+        # outside the block (equal but not identical), p a second time, q
+        # before p, and a point after the last all raise
+        p, q, x = _sweep_params([0.5, 1.0, 0.5])
+        for asked in ([x], [p, p], [q], [p, q, p]):
+            block = reduction._block_rows([p, q], grid257)
+            for y in asked[:-1]:
+                fixed_point_solve(y, block=block)
+            with pytest.raises(InvalidArgument):
+                fixed_point_solve(asked[-1], block=block)
 
     def test_equal_params_get_a_row_each(self, grid257):
-        # rows are found by identity: equal params, or one params object in
-        # two places, are two rows, each handed over once
+        # rows are handed over in order: equal params, or one params object
+        # in two places, are two rows, each handed over once
         p, q = _sweep_params([1.0 + 0.5j, 1.0 + 0.5j])
         assert p == q and p is not q
         for params in ([p, q], [p, p]):
-            block = reduction._FixedPointBlock(params, grid257)
+            block = reduction._block_rows(params, grid257)
             first, second = (fixed_point_solve(x, block=block) for x in params)
             assert first is not second
             assert branch_bits(first) == branch_bits(second)

@@ -16,7 +16,11 @@ the integral only when |rho| <= RHO_ZERO_CUTOFF.  Both run the one damped
 Newton loop, _newton, under their own rules, and order their real unknowns
 and conditions along J, so every Newton step is one call of spsolve: a
 banded core bordered by the two lam columns and the two normalization
-rows, solved by block elimination on a banded LU (_gb_lapack).
+rows, solved by block elimination on a banded LU (_gb_lapack).  Each
+solver's Newton-system builder writes the core straight into LAPACK's LU
+band storage, a fresh array that spsolve factors in place and so
+consumes; spsolve owns its right-hand-side and result buffers and calls
+numpy's 2 x 2 eigh and solve gufuncs directly.
 
 Shooting is multiple shooting (Keller 1968; Ascher, Mattheij & Russell
 1995, ch. 4).  J is cut at grid nodes into up to SHOOT_SEGMENTS = 256
@@ -30,9 +34,12 @@ rejected.  The finite-difference solver continues to the largest radii.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
+# the gufuncs behind np.linalg.eigh and np.linalg.solve (README, Numerical notes)
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, solve1 as _solve1
 
 from .errors import InvalidArgument, InvalidState
 from .quadrature import Grid, GridFunction, make_grid
@@ -92,39 +99,51 @@ def _gb_lapack():
 def spsolve(ab, kl, ku, cols, rows, corner, rhs):
     """Solve the bordered system [[A, cols], [rows, corner]] x = rhs.
 
-    A is the n x n core with kl sub- and ku superdiagonals in LAPACK band
-    storage ab[ku + i - j, j] = A[i, j]; cols is n x 2, rows 2 x n.  Block
-    elimination (Keller 1968) on one banded LU of A, in the mixed form of
-    Govaerts & Pryce (1993): the last two unknowns are estimated through
-    the left solve V = A^-T rows^T, then corrected through one solve of A
-    for the remaining rhs and both columns.  The phase symmetry makes A
-    nearly singular at every solution, which V shows as one dominant
-    direction; rotating the rows so that the first is blind to it keeps
-    the solve as accurate as a dense one.  A singular core or Schur
-    complement gives a solution of nan, never an exception.
+    A is the n x n core with kl sub- and ku superdiagonals in LAPACK's LU
+    band storage: ab is a Fortran-ordered (2 kl + ku + 1, n) array with
+    ab[kl + ku + i - j, j] = A[i, j] and zeros in its first kl rows, the
+    room that gbtrf's row interchanges fill.  spsolve consumes ab: gbtrf
+    factors it in place.  cols is n x 2, rows 2 x n.  Block elimination
+    (Keller 1968) on one banded LU of A, in the mixed form of Govaerts &
+    Pryce (1993): the last two unknowns are estimated through the left
+    solve V = A^-T rows^T, then corrected through one solve of A for the
+    remaining rhs and both columns.  The phase symmetry makes A nearly
+    singular at every solution, which V shows as one dominant direction;
+    rotating the rows so that the first is blind to it keeps the solve as
+    accurate as a dense one.  The 2 x 2 systems go to the gufuncs behind
+    np.linalg.eigh and np.linalg.solve, which fill a singular system's
+    solution with nan.  A singular core, or a result whose last two
+    entries are not finite, gives a solution of nan, never an exception.
     """
     gbtrf, gbtrs = _gb_lapack()
     n = ab.shape[1]
-    lu = np.zeros((2 * kl + ku + 1, n), order="F")
-    lu[kl:] = ab
-    lu, piv, info = gbtrf(lu, kl, ku, overwrite_ab=1)
+    lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
     if info != 0:
         return np.full(n + 2, np.nan)
     f = rhs[:n]
     v = gbtrs(lu, kl, ku, rows.T, piv, trans=1)[0]
-    try:
-        with np.errstate(all="ignore"):
-            # q's rows: the minor, then the dominant direction of v
-            q = np.linalg.eigh(v.T @ v)[1].T
-            rows, corner, g = q @ rows, q @ corner, q @ rhs[n:]
-            v = np.column_stack([gbtrs(lu, kl, ku, rows[0], piv, trans=1)[0], v @ q[1]])
-            t1 = np.linalg.solve(corner - v.T @ cols, g - f @ v)
-            sol = gbtrs(lu, kl, ku, np.column_stack([f - cols @ t1, cols]), piv)[0]
-            x, w = sol[:, 0], sol[:, 1:]
-            t2 = np.linalg.solve(corner - rows @ w, g - rows @ x - corner @ t1)
-            return np.concatenate([x - w @ t2, t1 + t2])
-    except np.linalg.LinAlgError:
-        return np.full(n + 2, np.nan)
+    with np.errstate(all="ignore"):
+        # q's rows: the minor, then the dominant direction of v
+        q = _eigh_lo(v.T @ v, signature="d->dd")[1].T
+        rows, corner, g = q @ rows, q @ corner, q @ rhs[n:]
+        # the rotated v stays C-ordered: v.T @ cols and f @ v round by
+        # another BLAS path on a Fortran-ordered one
+        vq = np.empty((n, 2))
+        vq[:, 0] = gbtrs(lu, kl, ku, rows[0], piv, trans=1)[0]
+        vq[:, 1] = v @ q[1]
+        t1 = _solve1(corner - vq.T @ cols, g - f @ vq, signature="dd->d")
+        b = np.empty((n, 3), order="F")
+        b[:, 0] = f - cols @ t1
+        b[:, 1:] = cols
+        sol = gbtrs(lu, kl, ku, b, piv, overwrite_b=1)[0]
+        x, w = sol[:, 0], sol[:, 1:]
+        t2 = _solve1(corner - rows @ w, g - rows @ x - corner @ t1, signature="dd->d")
+        out = np.empty(n + 2)
+        np.subtract(x, w @ t2, out=out[:n])
+        np.add(t1, t2, out=out[n:])
+    if not (math.isfinite(out[n]) and math.isfinite(out[n + 1])):
+        return np.full(n + 2, np.nan)  # a singular 2 x 2 system
+    return out
 
 
 def _newton(z, residual, linearize, max_iter, done, accept, halvings, take_last):
@@ -300,8 +319,8 @@ def _shoot_conditions(lanes, u0, v0, wseg):
 
 @lru_cache(maxsize=8)
 def _shoot_band_pattern(k_seg):
-    """Where the tangents of K = k_seg segments go in the band storage of
-    _shoot_newton_system's core: (band row, column, mask).  tan[:4]
+    """Where the tangents of K = k_seg segments go in the LU band storage
+    of _shoot_newton_system's core: (band row, column, mask).  tan[:4]
     transposed to (k, p, d) and masked by ``mask`` fills ab[band, column];
     the mask drops segment 0's fixed start U and the last segment's free
     end slope."""
@@ -309,7 +328,8 @@ def _shoot_band_pattern(k_seg):
     k, p, d = np.meshgrid(np.arange(k_seg), np.arange(4), np.arange(4), indexing="ij")
     row, col = 4 * k + p, 4 * k + d - 2
     inside = (col >= 0) & (row < size)
-    pattern = (2 + row - col)[inside], col[inside], inside
+    # kl + ku + i - j with kl = 5, ku = 2
+    pattern = (7 + row - col)[inside], col[inside], inside
     for a in pattern:
         a.flags.writeable = False
     return pattern
@@ -321,8 +341,10 @@ def _shoot_newton_system(lanes, wseg):
     direction (k, d) column 4k + d - 2, p and d over Re U, Im U, Re U',
     Im U' (segment 0 starts at U = 0; the last ends with U only).  A
     segment's end depends on its own start and the next start enters with
-    -1: 5 sub- and 2 superdiagonals.  lam borders the columns, the
-    normalization the rows."""
+    -1: 5 sub- and 2 superdiagonals, written into rows 5: of spsolve's LU
+    band storage, a fresh Fortran-ordered (13, 4K - 2) array that spsolve
+    factors in place.  lam borders the columns, the normalization the
+    rows."""
     out, ue, ve = lanes
     k_seg = wseg.shape[1]
     size = 4 * k_seg - 2
@@ -330,9 +352,9 @@ def _shoot_newton_system(lanes, wseg):
     tan = np.stack([ue[1:], ve[1:]], axis=1)
     tan = np.stack([tan.real, tan.imag], axis=2).reshape(6, 4, k_seg)
     band, col, inside = _shoot_band_pattern(k_seg)
-    ab = np.zeros((8, size))
+    ab = np.zeros((13, size), order="F")
     ab[band, col] = tan[:4].transpose(2, 1, 0)[inside]
-    ab[0, 2:] = -1.0
+    ab[5, 2:] = -1.0
     cols = tan[4:].transpose(2, 1, 0).reshape(4 * k_seg, 2)[:size]
     dnorm = np.einsum("jk,jdk->dk", wseg, out[:, 1:])
     rows = dnorm[:4].T.ravel()[2:]
@@ -418,23 +440,28 @@ def shoot_solve(
 
 # ------------------------------------------------------ finite differences
 
-def _fd_newton_system(ui, lam, rho, h, row):
+def _fd_newton_system(ui, abs2, lam, rho, h, row):
     """The Newton system of the FD residual at (ui, lam), as spsolve takes
-    it.  Re u and Im u interleave per node, so -D2 - I and the 2 x 2 blocks
-    of d(|U|^2 U) = 2|U|^2 dU + U^2 conj(dU) make a (2, 2)-banded core; the
+    it; abs2 is |ui|^2, shared with the residual.  Re u and Im u
+    interleave per node, so -D2 - I and the 2 x 2 blocks of
+    d(|U|^2 U) = 2|U|^2 dU + U^2 conj(dU) make a (2, 2)-banded core,
+    written into rows 2: of spsolve's LU band storage, a fresh
+    Fortran-ordered (7, 2 ni) array that spsolve factors in place; the
     columns are d/d(Re lam) = -u and d/d(Im lam) = -i u, the rows the
     normalization of Re u and of Im u."""
     ni = len(ui)
-    arr = 2.0 * rho * (ui * ui.conjugate()).real - lam
+    arr = 2.0 * rho * abs2 - lam
     usq = rho * ui * ui
     diag = 2.0 / h**2 - 1.0
-    ab = np.zeros((5, 2 * ni))
-    ab[0, 2:] = ab[4, :-2] = -1.0 / h**2
-    ab[1, 1::2] = -arr.imag + usq.imag
-    ab[2, 0::2] = diag + (arr.real + usq.real)
-    ab[2, 1::2] = diag + (arr.real - usq.real)
-    ab[3, 0::2] = arr.imag + usq.imag
-    cols = np.stack([(-ui).view(float), (-1j * ui).view(float)], axis=1)
+    ab = np.zeros((7, 2 * ni), order="F")
+    ab[2, 2:] = ab[6, :-2] = -1.0 / h**2
+    ab[3, 1::2] = -arr.imag + usq.imag
+    ab[4, 0::2] = diag + (arr.real + usq.real)
+    ab[4, 1::2] = diag + (arr.real - usq.real)
+    ab[5, 0::2] = arr.imag + usq.imag
+    cols = np.empty((2 * ni, 2))
+    cols[:, 0] = (-ui).view(float)
+    cols[:, 1] = (-1j * ui).view(float)
     rows = np.zeros((2, 2 * ni))
     rows[0, 0::2] = rows[1, 1::2] = row
     return ab, 2, 2, cols, rows, np.zeros((2, 2))
@@ -494,19 +521,20 @@ def fd_solve(
         lap = diag * ui  # (-D2 - I) ui
         lap[1:] += off * ui[:-1]
         lap[:-1] += off * ui[1:]
-        g = lap - complex(z[-2], z[-1]) * ui + kappa * (ui * ui.conjugate()).real * ui
+        abs2 = (ui * ui.conjugate()).real
+        g = lap - complex(z[-2], z[-1]) * ui + kappa * abs2 * ui
         gn = complex(np.dot(row, ui) - 1.0)
         # h^2 scaling keeps the interior residual comparable to the state
         norm = max(float(np.abs(g).max()) * h * h, abs(gn))
         if not np.isfinite(norm):
             return None  # kappa or lam overflows the residual
-        return np.concatenate((g, [gn])).view(float), norm, None
+        return np.concatenate((g, [gn])).view(float), norm, abs2
 
     def linearize(z, ev):
-        # a taken trial's residual serves its pass
+        # a taken trial's residual, |u|^2 included, serves its pass
         ev = residual(z) if ev is None else ev
         return None if ev is None else ev + _fd_newton_system(
-            z[:-2].view(complex), complex(z[-2], z[-1]), kappa, h, row)
+            z[:-2].view(complex), ev[2], complex(z[-2], z[-1]), kappa, h, row)
 
     z = np.append(u[1:-1].view(float), [lam.real, lam.imag])
     # overflow on the way to divergence is expected: a trial that is not

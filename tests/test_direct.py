@@ -12,12 +12,14 @@ from cglvortex import (
     GridFunction,
     InvalidArgument,
     InvalidState,
+    SweepSpec,
     compare_branches,
     fd_solve,
     fixed_point_solve,
     make_grid,
     ode_forcing,
     project_mean,
+    run_sweep,
     shoot_solve,
     solve,
 )
@@ -607,7 +609,7 @@ class TestFiniteDifference:
         for _ in range(2):
             u = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
             lam = complex(rng.standard_normal(), rng.standard_normal())
-            system = _fd_newton_system(u, lam, rho, grid.spacing, row)
+            system = _fd_newton_system(u, (u * u.conjugate()).real, lam, rho, grid.spacing, row)
             dense = _dense_fd_jacobian(grid, u, lam, rho)[np.ix_(order, order)]
             got = _bordered_dense(*system)
             assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -620,19 +622,22 @@ class TestFiniteDifference:
 
 def _bordered_dense(ab, kl, ku, cols, rows, corner):
     """The dense matrix [[A, cols], [rows, corner]] of a bordered band
-    system, reading A from the band storage ab[ku + i - j, j]."""
+    system, reading A from spsolve's LU band storage ab[kl + ku + i - j, j]."""
     n = ab.shape[1]
     mat = np.zeros((n + 2, n + 2))
     for i in range(n):
         for j in range(max(0, i - kl), min(n, i + ku + 1)):
-            mat[i, j] = ab[ku + i - j, j]
+            mat[i, j] = ab[kl + ku + i - j, j]
     mat[:n, n:], mat[n:, :n], mat[n:, n:] = cols, rows, corner
     return mat
 
 
 def _random_bordered(rng, n, kl, ku):
-    ab = rng.standard_normal((kl + ku + 1, n))
-    ab[ku] += 4.0 * (kl + ku)  # a diagonally dominant core
+    """A random bordered system, its core in spsolve's LU band storage: a
+    Fortran-ordered (2 kl + ku + 1, n) array whose first kl rows are zero."""
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    ab[kl:] = rng.standard_normal((kl + ku + 1, n))
+    ab[kl + ku] += 4.0 * (kl + ku)  # a diagonally dominant core
     return (ab, kl, ku, rng.standard_normal((n, 2)), rng.standard_normal((2, n)),
             rng.standard_normal((2, 2)))
 
@@ -657,7 +662,7 @@ class TestBorderedSolve:
         ab, kl, ku, cols, rows, corner = _random_bordered(rng, n, kl, ku)
         phi = 1.0 + rng.random(n)
         core = _bordered_dense(ab, kl, ku, cols, rows, corner)[:n, :n]
-        ab[ku] -= core @ phi / phi
+        ab[kl + ku] -= core @ phi / phi
         mat = _bordered_dense(ab, kl, ku, cols, rows, corner)
         assert np.max(np.abs(mat[:n, :n] @ phi)) <= 1e-12 * np.max(np.abs(mat))
         rhs = rng.standard_normal(n + 2)
@@ -675,6 +680,167 @@ class TestBorderedSolve:
         # a regular core with zero border: the Schur complement is singular
         zeros = np.zeros((20, 2))
         assert np.all(np.isnan(spsolve(ab, kl, ku, zeros, zeros.T, np.zeros((2, 2)), rhs)))
+
+
+def _parent_spsolve(ab, kl, ku, cols, rows, corner, rhs):
+    """spsolve as it stood before it factored LU band storage in place, the
+    oracle of TestParentOracle: A in compact band storage ab[ku + i - j, j]
+    copied into a fresh LU array, the 2 x 2 systems through np.linalg and
+    the right-hand sides stacked by np.column_stack."""
+    gbtrf, gbtrs = direct._gb_lapack()
+    n = ab.shape[1]
+    lu = np.zeros((2 * kl + ku + 1, n), order="F")
+    lu[kl:] = ab
+    lu, piv, info = gbtrf(lu, kl, ku, overwrite_ab=1)
+    if info != 0:
+        return np.full(n + 2, np.nan)
+    f = rhs[:n]
+    v = gbtrs(lu, kl, ku, rows.T, piv, trans=1)[0]
+    try:
+        with np.errstate(all="ignore"):
+            q = np.linalg.eigh(v.T @ v)[1].T
+            rows, corner, g = q @ rows, q @ corner, q @ rhs[n:]
+            v = np.column_stack([gbtrs(lu, kl, ku, rows[0], piv, trans=1)[0], v @ q[1]])
+            t1 = np.linalg.solve(corner - v.T @ cols, g - f @ v)
+            sol = gbtrs(lu, kl, ku, np.column_stack([f - cols @ t1, cols]), piv)[0]
+            x, w = sol[:, 0], sol[:, 1:]
+            t2 = np.linalg.solve(corner - rows @ w, g - rows @ x - corner @ t1)
+            return np.concatenate([x - w @ t2, t1 + t2])
+    except np.linalg.LinAlgError:
+        return np.full(n + 2, np.nan)
+
+
+def _recorded_systems(run):
+    """Copies of the arguments of every spsolve call that run() makes."""
+    systems = []
+    real = direct.spsolve
+
+    def recording(*system):
+        systems.append(tuple(np.array(a, order="K") if isinstance(a, np.ndarray) else a
+                             for a in system))
+        return real(*system)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(direct, "spsolve", recording)
+        run()
+    return systems
+
+
+def _random_systems():
+    """Random (2, 2) and (5, 2) bordered systems: regular, with a singular
+    core and a regular border, with a zero core column, and with a zero
+    border, whose 2 x 2 system is singular."""
+    systems = []
+    for kl, ku, n in ((2, 2, 40), (5, 2, 62)):
+        rng = np.random.default_rng(100 + n)
+        for case in ("regular", "regular", "regular", "singular_core", "zero_column",
+                     "zero_border"):
+            ab, kl, ku, cols, rows, corner = _random_bordered(rng, n, kl, ku)
+            if case == "singular_core":
+                phi = 1.0 + rng.random(n)
+                ab[kl + ku] -= _bordered_dense(ab, kl, ku, cols, rows, corner)[:n, :n] @ phi / phi
+            elif case == "zero_column":
+                ab[:, n // 3] = 0.0
+            elif case == "zero_border":
+                cols, rows, corner = np.zeros((n, 2)), np.zeros((2, n)), np.zeros((2, 2))
+            systems.append((ab, kl, ku, cols, rows, corner, rng.standard_normal(n + 2)))
+    return systems
+
+
+def _ray_systems():
+    """The 159 FD Newton systems of the warm pi/12 ray to |rho| = 200."""
+    spec = SweepSpec(mode="modulus_sweep", method="finite_difference", ray_arg=np.pi / 12,
+                     mod_min=1.0, mod_max=200.0, mod_steps=32, warm_start=True)
+    systems = _recorded_systems(lambda: run_sweep(spec))
+    assert len(systems) == 159
+    return systems
+
+
+def _verify_systems():
+    """The 40 Newton systems (10 shooting, 30 FD) of verify's warm starts
+    at the 10 criterion-6 points."""
+    grid = make_grid(257)
+
+    def run():
+        for rho in CRITERION6_POINTS:
+            fp = solve("fixed_point", rho, 1.0, grid)
+            solve("shooting", rho, 1.0, grid, prev=fp)
+            solve("finite_difference", rho, 1.0, grid, prev=fp)
+
+    systems = _recorded_systems(run)
+    assert sorted({s[1] for s in systems}) == [2, 5] and len(systems) == 40
+    return systems
+
+
+_SYSTEMS = {"random": _random_systems, "ray": _ray_systems, "verify": _verify_systems}
+
+
+@pytest.fixture(scope="module", params=list(_SYSTEMS))
+def systems(request):
+    return _SYSTEMS[request.param]()
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+class TestParentOracle:
+    """spsolve on LU band storage, with buffers it owns and numpy's 2 x 2
+    gufuncs called directly, against the plain parent solve: the same
+    bits on the systems that occur, and on random ones."""
+
+    def test_spsolve_bitwise_equal_to_parent(self, systems):
+        for ab, kl, ku, *rest in systems:
+            ref = _parent_spsolve(ab[kl:], kl, ku, *rest)
+            got = spsolve(ab.copy(order="F"), kl, ku, *rest)
+            assert _bits(got) == _bits(ref)
+
+    def test_lu_storage_consumed_in_place(self):
+        ab, kl, ku, *rest = _random_systems()[0]
+        lu = ab.copy(order="F")
+        spsolve(lu, kl, ku, *rest)
+        factored = direct._gb_lapack()[0](ab.copy(order="F"), kl, ku)[0]
+        assert lu.tobytes() == factored.tobytes()
+
+    def test_gufuncs_bitwise_equal_to_linalg(self, systems, monkeypatch):
+        # every 2 x 2 system spsolve meets: eigh_lo and solve1 against
+        # np.linalg.eigh and np.linalg.solve; where solve raises, solve1's
+        # result is not finite
+        calls = {"eigh": 0, "solve": 0, "singular": 0}
+        real_eigh_lo, real_solve1 = direct._eigh_lo, direct._solve1
+
+        def eigh_lo(a, signature):
+            w, vt = real_eigh_lo(a, signature=signature)
+            ref = np.linalg.eigh(a)
+            assert (_bits(w), _bits(vt)) == (_bits(ref[0]), _bits(ref[1]))
+            calls["eigh"] += 1
+            return w, vt
+
+        def solve1(a, b, signature):
+            x = real_solve1(a, b, signature=signature)
+            try:
+                assert _bits(x) == _bits(np.linalg.solve(a, b))
+                calls["solve"] += 1
+            except np.linalg.LinAlgError:
+                assert not np.all(np.isfinite(x))
+                calls["singular"] += 1
+            return x
+
+        monkeypatch.setattr(direct, "_eigh_lo", eigh_lo)
+        monkeypatch.setattr(direct, "_solve1", solve1)
+        for ab, *rest in systems:
+            spsolve(ab.copy(order="F"), *rest)
+        assert calls["eigh"] > 0 and calls["solve"] + calls["singular"] == 2 * calls["eigh"]
+
+    def test_gufuncs_exported_for_float64(self):
+        # private numpy API: every numpy the package accepts must export both
+        # gufuncs with the float64 loops spsolve asks for
+        from numpy.linalg import _umath_linalg
+
+        assert "d->dd" in _umath_linalg.eigh_lo.types
+        assert "dd->d" in _umath_linalg.solve1.types
+        assert _umath_linalg.eigh_lo.signature == "(m,m)->(m),(m,m)"
+        assert _umath_linalg.solve1.signature == "(m,m),(m)->(m)"
 
 
 class TestBandedLapack:
@@ -713,7 +879,7 @@ class TestBandedLapack:
         from scipy.linalg import lapack
 
         rng = np.random.default_rng(n + singular)
-        ab = _random_bordered(rng, n, kl, ku)[0]
+        ab = _random_bordered(rng, n, kl, ku)[0][kl:]  # the band rows
         if singular:
             ab[:, n // 2] = 0.0  # a zero column: gbtrf reports info > 0
         rhs = rng.standard_normal((n, 3))

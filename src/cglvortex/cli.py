@@ -2,7 +2,8 @@
 
 Commands: solve, sweep, expand, verify, physical.
 Exit codes: 0 success, 1 validation error (including values that are not
-finite), 2 solver non-convergence (solve and physical), 3 I/O error.
+finite, and array sizes too large to allocate), 2 solver non-convergence
+(solve and physical), 3 I/O error.
 JSON output follows RFC 8259: quantities that are not finite are null.
 """
 from __future__ import annotations
@@ -80,6 +81,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# the largest count numpy's size checks accept for a complex array (16 bytes
+# an element): an allocation up to it that is too large raises MemoryError,
+# one past it ValueError (linspace already refuses float64 arrays from 64
+# elements short of sys.maxsize // 8)
+_MAX_SIZE = sys.maxsize // 16
+
+
+def _size(text: str) -> int:
+    """An int flag that sizes arrays (node, sample and step counts)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > _MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"value must be at most {_MAX_SIZE}: {text!r}")
+    return value
+
+
 def _add_rho_eps(p):
     p.add_argument("--rho-re", type=_finite_float, default=0.0)
     p.add_argument("--rho-im", type=_finite_float, default=0.0)
@@ -96,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one parameter point")
     _add_rho_eps(p)
     p.add_argument("--method", choices=list(METHOD_ALIASES), default="fp")
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    p.add_argument("--nodes", type=_size, default=DEFAULT_NODES)
     p.add_argument("--tol", type=_finite_float, default=1e-12)
 
     # a sweep option the user leaves out is not passed on: SweepSpec owns
@@ -105,14 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--mode", choices=list(SWEEP_MODES), required=True)
     p.add_argument("--method", choices=list(METHOD_ALIASES))
-    p.add_argument("--nodes", dest="n_nodes", metavar="NODES", type=int)
+    p.add_argument("--nodes", dest="n_nodes", metavar="NODES", type=_size)
     for flag in ("--eps-re", "--eps-im", "--re-min", "--re-max", "--im-min", "--im-max",
                  "--radius", "--arg-min", "--arg-max", "--mod-min", "--mod-max"):
         p.add_argument(flag, type=_finite_float)
     p.add_argument("--arg", dest="ray_arg", type=_finite_float)
-    p.add_argument("--re-steps", type=int)
-    p.add_argument("--im-steps", type=int)
-    p.add_argument("--steps", type=int,
+    p.add_argument("--re-steps", type=_size)
+    p.add_argument("--im-steps", type=_size)
+    p.add_argument("--steps", type=_size,
                    help=f"steps for arg/mod modes (defaults "
                         f"{SweepSpec.arg_steps}/{SweepSpec.mod_steps})")
     p.add_argument("--continue", dest="warm_start", action="store_true",
@@ -128,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_finite_float, default=0.0)
     p.add_argument("--nu", type=_finite_float, default=0.0)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--samples", type=int, default=33)
+    p.add_argument("--samples", type=_size, default=33)
 
     p = sub.add_parser("verify", help="cross-check all three solvers")
     _add_rho_eps(p)
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    p.add_argument("--nodes", type=_size, default=DEFAULT_NODES)
 
     p = sub.add_parser("physical", help="physical constants of one branch")
     p.add_argument("--mu", type=_finite_float, required=True)
@@ -140,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps-re", type=_finite_float, default=1.0)
     p.add_argument("--eps-im", type=_finite_float, default=0.0)
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    p.add_argument("--nodes", type=_size, default=DEFAULT_NODES)
     return parser
 
 
@@ -335,6 +354,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size under _MAX_SIZE that still cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

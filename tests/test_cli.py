@@ -476,9 +476,42 @@ class TestVerify:
     ("expand", "--eps-re", "1e200"),
     # ... and underflows to 0 below |eps| ~ 2.2e-162: no amplitude to solve for
     ("verify", "--eps-re", "1e-170", "--rho-re", "1"),
+    # a harmonic number n whose square overflows a float
+    ("expand", "--samples", "3", "--n", str(10**160)),
+    ("physical", "--mu", "0", "--nu", "0", "--nodes", "9", "--n", str(10**329)),
 ])
 def test_amplitude_out_of_float_range_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# every flag that sizes an array, in a command that reaches the allocation
+SIZING_COMMANDS = {
+    "expand --samples": ["expand", "--rho-re", "1", "--eps-re", "0.1", "--samples"],
+    "solve --nodes": ["solve", "--nodes"],
+    "sweep rect --re-steps": ["sweep", "--mode", "rect", "--out", "x.csv", "--re-steps"],
+    "sweep rect --im-steps": ["sweep", "--mode", "rect", "--out", "x.csv", "--im-steps"],
+    "sweep mod --steps": ["sweep", "--mode", "mod", "--out", "x.csv", "--steps"],
+    "sweep arg --steps": ["sweep", "--mode", "arg", "--out", "x.csv", "--steps"],
+    "verify --nodes": ["verify", "--nodes"],
+    "physical --nodes": ["physical", "--mu", "0", "--nu", "0.5", "--n", "1", "--nodes"],
+}
+
+
+@pytest.mark.parametrize("size", [
+    # too large to allocate (10**15 float64 is 7.1 PiB, past any 47-bit
+    # address space), so numpy raises MemoryError at once; odd, as node
+    # counts must be
+    10**15 + 1, 2**59 - 1,
+    # past the parser's bound: the first value where linspace's own size
+    # check raises ValueError, then past 2**61 and past sys.maxsize
+    2**60 - 64, 2**61, 10**20,
+])
+@pytest.mark.parametrize("command", SIZING_COMMANDS.values(), ids=SIZING_COMMANDS)
+def test_size_too_large_to_allocate_rejected(capsys, monkeypatch, tmp_path, command, size):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *command, str(size))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
 
@@ -513,11 +546,20 @@ class TestEntryPoint:
 # every finite float, and often a modest one, where the solvers do real work
 FINITE = st.one_of(st.floats(-20.0, 20.0), st.floats(allow_nan=False, allow_infinity=False))
 # harmonic numbers n: mostly small ones, and any up to 10**400, far past
-# the float range; only n, since the other int flags size arrays
+# the float range
 HARMONIC = st.one_of(st.integers(-2, 8), st.integers(1, 10**400))
+
+
+def sizes(small):
+    """An array-sizing flag: the small value that keeps the command cheap,
+    or one too large to allocate (10**15 float64 is 7.1 PiB) and up, past
+    the parser's bound."""
+    return st.one_of(st.just(small), st.integers(min_value=10**15))
+
+
 # tolerances: mostly valid ones, so that the solve runs
 TOLERANCE = st.one_of(st.floats(1e-13, 0.9), FINITE)
-# about 5 s in all; verify solves three times, so it draws fewest
+# verify solves three times, so it draws fewest
 FUZZ = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
 
@@ -539,20 +581,23 @@ def run_fuzzed(argv):
 
 class TestFuzz:
     """Numeric flags drawn from all finite floats, the float edges pinned.
-    Small grids keep every solve cheap."""
+    Sizing flags are small, which keeps every solve cheap, or too large to
+    allocate."""
 
     @FUZZ
     @given(method=st.sampled_from(["fp", "shoot", "fd"]), rho_re=FINITE, rho_im=FINITE,
-           eps_re=FINITE, eps_im=FINITE, tol=TOLERANCE)
-    @example(method="fd", rho_re=1e308, rho_im=0.0, eps_re=10.0, eps_im=0.0, tol=1e-12)
-    @example(method="fp", rho_re=3.0, rho_im=1.0, eps_re=1.0, eps_im=0.0, tol=1e300)
-    @example(method="fp", rho_re=-0.0, rho_im=-0.0, eps_re=-0.0, eps_im=5e-324, tol=5e-324)
+           eps_re=FINITE, eps_im=FINITE, tol=TOLERANCE, nodes=sizes(9))
+    @example(method="fd", rho_re=1e308, rho_im=0.0, eps_re=10.0, eps_im=0.0, tol=1e-12,
+             nodes=9)
+    @example(method="fp", rho_re=3.0, rho_im=1.0, eps_re=1.0, eps_im=0.0, tol=1e300, nodes=9)
+    @example(method="fp", rho_re=-0.0, rho_im=-0.0, eps_re=-0.0, eps_im=5e-324, tol=5e-324,
+             nodes=9)
     @example(method="shoot", rho_re=1e300, rho_im=-1e-300, eps_re=1e-300, eps_im=0.0,
-             tol=1e-6)
+             tol=1e-6, nodes=9)
     @example(method="fd", rho_re=5e-324, rho_im=-5e-324, eps_re=2.2e-308, eps_im=-1e300,
-             tol=0.5)
-    def test_solve(self, method, rho_re, rho_im, eps_re, eps_im, tol):
-        code, out = run_fuzzed(["solve", "--method", method, "--nodes", 9,
+             tol=0.5, nodes=9)
+    def test_solve(self, method, rho_re, rho_im, eps_re, eps_im, tol, nodes):
+        code, out = run_fuzzed(["solve", "--method", method, "--nodes", nodes,
                                 "--rho-re", rho_re, "--rho-im", rho_im,
                                 "--eps-re", eps_re, "--eps-im", eps_im, "--tol", tol])
         if code != 1:
@@ -560,55 +605,60 @@ class TestFuzz:
 
     @FUZZ
     @given(rho_re=FINITE, rho_im=FINITE, eps_re=FINITE, eps_im=FINITE, mu=FINITE,
-           nu=FINITE, n=HARMONIC)
-    @example(rho_re=1e308, rho_im=0.0, eps_re=10.0, eps_im=0.0, mu=-0.0, nu=5e-324, n=1)
+           nu=FINITE, n=HARMONIC, samples=sizes(5))
+    @example(rho_re=1e308, rho_im=0.0, eps_re=10.0, eps_im=0.0, mu=-0.0, nu=5e-324, n=1,
+             samples=5)
     @example(rho_re=-1e300, rho_im=1e-300, eps_re=-0.0, eps_im=1e300, mu=1e300, nu=-1e300,
-             n=1)
-    @example(rho_re=0.0, rho_im=0.0, eps_re=1.0, eps_im=0.0, mu=0.0, nu=0.0, n=10**160)
-    @example(rho_re=0.0, rho_im=0.0, eps_re=1.0, eps_im=0.0, mu=0.0, nu=1e10, n=10**150)
-    def test_expand(self, rho_re, rho_im, eps_re, eps_im, mu, nu, n):
-        code, out = run_fuzzed(["expand", "--samples", 5, "--rho-re", rho_re,
+             n=1, samples=5)
+    @example(rho_re=0.0, rho_im=0.0, eps_re=1.0, eps_im=0.0, mu=0.0, nu=0.0, n=10**160,
+             samples=5)
+    @example(rho_re=0.0, rho_im=0.0, eps_re=1.0, eps_im=0.0, mu=0.0, nu=1e10, n=10**150,
+             samples=5)
+    def test_expand(self, rho_re, rho_im, eps_re, eps_im, mu, nu, n, samples):
+        code, out = run_fuzzed(["expand", "--samples", samples, "--rho-re", rho_re,
                                 "--rho-im", rho_im, "--eps-re", eps_re, "--eps-im", eps_im,
                                 "--mu", mu, "--nu", nu, "--n", n])
         if code != 1:
             strict_json(out)
 
     @FUZZ
-    @given(mu=FINITE, nu=FINITE, eps_re=FINITE, eps_im=FINITE, n=HARMONIC)
-    @example(mu=1e300, nu=-1e300, eps_re=5e-324, eps_im=-0.0, n=1)
-    @example(mu=-0.0, nu=1e-300, eps_re=1e300, eps_im=0.0, n=1)
-    @example(mu=0.0, nu=0.0, eps_re=1.0, eps_im=0.0, n=10**329)
-    @example(mu=0.5, nu=-0.3, eps_re=1.0, eps_im=0.0, n=10**160)
-    @example(mu=0.0, nu=1e10, eps_re=1.0, eps_im=0.0, n=10**150)
-    def test_physical(self, mu, nu, eps_re, eps_im, n):
-        code, out = run_fuzzed(["physical", "--n", n, "--nodes", 9, "--mu", mu, "--nu", nu,
+    @given(mu=FINITE, nu=FINITE, eps_re=FINITE, eps_im=FINITE, n=HARMONIC, nodes=sizes(9))
+    @example(mu=1e300, nu=-1e300, eps_re=5e-324, eps_im=-0.0, n=1, nodes=9)
+    @example(mu=-0.0, nu=1e-300, eps_re=1e300, eps_im=0.0, n=1, nodes=9)
+    @example(mu=0.0, nu=0.0, eps_re=1.0, eps_im=0.0, n=10**329, nodes=9)
+    @example(mu=0.5, nu=-0.3, eps_re=1.0, eps_im=0.0, n=10**160, nodes=9)
+    @example(mu=0.0, nu=1e10, eps_re=1.0, eps_im=0.0, n=10**150, nodes=9)
+    def test_physical(self, mu, nu, eps_re, eps_im, n, nodes):
+        code, out = run_fuzzed(["physical", "--n", n, "--nodes", nodes, "--mu", mu, "--nu", nu,
                                 "--eps-re", eps_re, "--eps-im", eps_im])
         if code != 1:
             strict_json(out)
 
     @settings(FUZZ, max_examples=20)
-    @given(rho_re=FINITE, rho_im=FINITE, eps_re=FINITE, eps_im=FINITE)
-    @example(rho_re=1e308, rho_im=0.0, eps_re=10.0, eps_im=0.0)
-    @example(rho_re=-1e-300, rho_im=5e-324, eps_re=-0.0, eps_im=1e-300)
-    def test_verify(self, rho_re, rho_im, eps_re, eps_im):
-        code, out = run_fuzzed(["verify", "--nodes", 9, "--rho-re", rho_re,
+    @given(rho_re=FINITE, rho_im=FINITE, eps_re=FINITE, eps_im=FINITE, nodes=sizes(9))
+    @example(rho_re=1e308, rho_im=0.0, eps_re=10.0, eps_im=0.0, nodes=9)
+    @example(rho_re=-1e-300, rho_im=5e-324, eps_re=-0.0, eps_im=1e-300, nodes=9)
+    def test_verify(self, rho_re, rho_im, eps_re, eps_im, nodes):
+        code, out = run_fuzzed(["verify", "--nodes", nodes, "--rho-re", rho_re,
                                 "--rho-im", rho_im, "--eps-re", eps_re, "--eps-im", eps_im])
         if out:
             assert out.splitlines()[-1] == f"verify: {'PASS' if code == 0 else 'FAIL'}"
 
     @FUZZ
     @given(mode=st.sampled_from(["rect", "mod", "arg"]), a=FINITE, b=FINITE, c=FINITE,
-           eps_re=FINITE)
-    @example(mode="rect", a=-1e300, b=1e300, c=5e-324, eps_re=-0.0)
-    @example(mode="mod", a=1e-300, b=1e308, c=-0.0, eps_re=10.0)
-    @example(mode="arg", a=-5e-324, b=5e-324, c=1e300, eps_re=1e-300)
-    def test_sweep(self, tmp_path_factory, mode, a, b, c, eps_re):
+           eps_re=FINITE, nodes=sizes(9), steps=sizes(2), im_steps=sizes(2))
+    @example(mode="rect", a=-1e300, b=1e300, c=5e-324, eps_re=-0.0, nodes=9, steps=2,
+             im_steps=2)
+    @example(mode="mod", a=1e-300, b=1e308, c=-0.0, eps_re=10.0, nodes=9, steps=2, im_steps=2)
+    @example(mode="arg", a=-5e-324, b=5e-324, c=1e300, eps_re=1e-300, nodes=9, steps=2,
+             im_steps=2)
+    def test_sweep(self, tmp_path_factory, mode, a, b, c, eps_re, nodes, steps, im_steps):
         out_path = tmp_path_factory.mktemp("fuzz") / "s.json"
         flags = {"rect": ["--re-min", a, "--re-max", b, "--im-min", c, "--im-max", c + 1.0,
-                          "--re-steps", 2, "--im-steps", 2],
-                 "mod": ["--mod-min", a, "--mod-max", b, "--arg", c, "--steps", 2],
-                 "arg": ["--arg-min", a, "--arg-max", b, "--radius", c, "--steps", 2]}
-        code, _ = run_fuzzed(["sweep", "--mode", mode, "--nodes", 9, "--eps-re", eps_re,
+                          "--re-steps", steps, "--im-steps", im_steps],
+                 "mod": ["--mod-min", a, "--mod-max", b, "--arg", c, "--steps", steps],
+                 "arg": ["--arg-min", a, "--arg-max", b, "--radius", c, "--steps", steps]}
+        code, _ = run_fuzzed(["sweep", "--mode", mode, "--nodes", nodes, "--eps-re", eps_re,
                               "--format", "json", "--out", out_path, *flags[mode]])
         if code == 0:
             strict_json(out_path.read_text())

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from cglvortex import (
     shoot_solve,
     solve,
 )
-from cglvortex import direct
+from cglvortex import cli, direct
 from cglvortex.direct import (
     _fd_branch, _fd_newton_system, _rk4_lanes, _segments, _shoot_conditions,
     _shoot_newton_system, _slopes, spsolve,
@@ -948,23 +949,45 @@ class TestWarmFromFixedPoint:
             assert warm.iterations <= cold.iterations, method
             assert compare_branches(cold, warm) <= 1e-11, method
 
-    @pytest.mark.parametrize("start,counts", [("warm", (10, 30, 40)), ("cold", (34, 44, 78))],
+    @pytest.mark.parametrize("start,counts", [("warm", (10, 30, 40, 10, 10, 30)),
+                                              ("cold", (34, 44, 78, 34, 34, 44))],
                              ids=["warm", "cold"])
-    def test_work_count(self, grid257, monkeypatch, start, counts):
-        # shooting Newton steps, FD passes and linear solves at the 10
-        # points, which do not depend on the machine: verify's warm starts
-        # against cold starts from eps cos x
-        solves = []
-        real = direct.spsolve
+    def test_work_count(self, grid257, capsys, monkeypatch, start, counts):
+        # the work at the 10 points, which does not depend on the machine:
+        # shooting Newton steps, FD passes, linear solves, RK4 runs with and
+        # without tangents, and FD system builds.  Warm is verify, which must
+        # pass; cold starts from eps cos x.  A line-search trial integrates
+        # the trajectory alone, and only a trial taken without converging
+        # gets its tangent lanes; the Newton driver that both solvers share
+        # builds a system only for an iterate that takes a step
+        calls = Counter()
 
-        def counted(*system):
-            solves.append(system)
-            return real(*system)
+        def count(name):
+            real = getattr(direct, name)
 
-        monkeypatch.setattr(direct, "spsolve", counted)
-        steps = passes = 0
+            def counted(*args, **kwargs):
+                calls[name, kwargs.get("tangents")] += 1  # _rk4_lanes takes it by keyword
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(direct, name, counted)
+
+        for name in ("spsolve", "_fd_newton_system", "_rk4_lanes"):
+            count(name)
+        iterations = Counter()
+
+        def solving(method, *args, **kwargs):
+            branch = solve(method, *args, **kwargs)
+            iterations[method] += branch.iterations
+            return branch
+
+        monkeypatch.setattr(cli, "solve", solving)
         for rho in CRITERION6_POINTS:
-            prev = solve("fixed_point", rho, 1.0, grid257) if start == "warm" else None
-            steps += solve("shooting", rho, 1.0, grid257, prev=prev).iterations
-            passes += solve("finite_difference", rho, 1.0, grid257, prev=prev).iterations
-        assert (steps, passes, len(solves)) == counts
+            if start == "warm":
+                argv = ["verify", "--rho-re", str(rho.real), "--rho-im", str(rho.imag)]
+                assert cli.main(argv) == 0, capsys.readouterr().out
+            else:
+                for method in ("shooting", "finite_difference"):
+                    solving(method, rho, 1.0, grid257)
+        assert (iterations["shooting"], iterations["finite_difference"],
+                calls["spsolve", None], calls["_rk4_lanes", True], calls["_rk4_lanes", False],
+                calls["_fd_newton_system", None]) == counts

@@ -25,11 +25,17 @@ from cglvortex import (
     solvability_residual,
     solve,
 )
+from cglvortex.reduction import DEFAULT_NODES
 from cglvortex.sweep import CSV_COLUMNS, METHODS
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25, database=None)
 
 GRID = make_grid(129)
+# the rectangle points of acceptance criterion 6
+CRITERION6_POINTS = [
+    -3.5 + 0.75j, -2.0 + 1.5j, -1.0 + 0.25j, -0.5 + 1.0j, 0.5 + 0.5j,
+    1.0 + 0.0j, 1.5 + 1.25j, 2.0 + 0.5j, 3.0 + 1.0j, 3.5 + 1.5j,
+]
 
 # inside the default rectangle's convergence region at |eps| <= 0.8
 rhos = st.builds(
@@ -88,7 +94,18 @@ def test_r_gauge_invariant(method, examples):
 def test_amplitude_covariance(method, examples):
     # U = eps W and r = |eps|^2 s: solving at (rho, eps) is solving at
     # (rho |eps|^2, 1) and scaling back; kappa is drawn where every method
-    # converges at eps = 1
+    # converges at eps = 1.  At the criterion-6 points, on the CLI's
+    # default grid, (rho / 4, eps = 2i) is kappa = rho to the bit
+    # (|2i|^2 = 4): the same iterations to the same verdict as at
+    # (rho, eps = 1), with r four times as large within 1e-15 relative
+    grid = make_grid(DEFAULT_NODES)
+    for rho in CRITERION6_POINTS:
+        one = solve(method, rho, 1.0, grid)
+        b = solve(method, rho / 4, 2j, grid)
+        assert one.converged, rho
+        assert (b.converged, b.iterations) == (one.converged, one.iterations), rho
+        assert abs(b.r - 4 * one.r) <= 1e-15 * abs(4 * one.r), rho
+
     @settings(PROPERTY, max_examples=examples)
     @given(kappa=rhos, modulus=st.floats(0.3, 2.0, allow_nan=False), theta=phases)
     @example(kappa=1e-3 * 0.3**2, modulus=0.3, theta=0.0)

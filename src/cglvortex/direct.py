@@ -4,9 +4,9 @@ Both solvers take the same CoreParams as the reduced solve (rho, eps,
 tol_fp, max_iter), solve the same eps = 1 problem at kappa = rho |eps|^2
 (see reduction) and return the same Branch record, so results can be
 compared directly against the fixed-point method.  Every failure
-(iteration cap, escape, singular Jacobian) is reported in the returned
-Branch, never raised; an escaped iterate is the one diverged record of
-reduction._diverged_branch (r = nan).
+(iteration cap, shooting's stall, escape, singular Jacobian) is reported
+in the returned Branch, never raised; an escaped iterate is the one
+diverged record of reduction._diverged_branch (r = nan).
 
 Both solvers border their Newton system with the unknown lam = rho * r in
 place of r, which stays regular in the linear limit rho -> 0, so neither
@@ -54,6 +54,9 @@ RHO_ZERO_CUTOFF = 1e-13
 RK4_STEPS = 2048
 # multiple-shooting segments, lowered to a divisor of the grid intervals
 SHOOT_SEGMENTS = 256
+# shooting gives up, not converged, when its norm has not halved over the
+# last SHOOT_STALL passes; converging solves never went more than 2
+SHOOT_STALL = 10
 
 
 # ------------------------------------------------------- bordered Newton solve
@@ -146,7 +149,8 @@ def spsolve(ab, kl, ku, cols, rows, corner, rhs):
     return out
 
 
-def _newton(z, residual, linearize, max_iter, done, accept, halvings, take_last):
+def _newton(z, residual, linearize, max_iter, done, accept, halvings, take_last,
+            stall=None):
     """Damped Newton on the real unknowns z, the loop of both solvers.
 
     An evaluation is (F, norm, data), F the real conditions.  residual(z)
@@ -159,8 +163,10 @@ def _newton(z, residual, linearize, max_iter, done, accept, halvings, take_last)
     done(norm, step) is asked of every iterate, step the largest modulus
     over the complex pairs of the step to it (inf at the start).  Ends
     converged, after ``max_iter`` passes, at a non-finite solve, when no
-    trial is taken, or at an iterate without evaluation.  Returns (z, its
-    evaluation, passes, the norms of the iterates, the steps, converged)."""
+    trial is taken, at an iterate without evaluation, or, given ``stall``,
+    not converged at an iterate whose norm is above half the norm
+    ``stall`` passes before it.  Returns (z, its evaluation, passes, the
+    norms of the iterates, the steps, converged)."""
     norms, steps = [], []
     ev = linearize(z, None)
     step = float("inf")
@@ -169,7 +175,8 @@ def _newton(z, residual, linearize, max_iter, done, accept, halvings, take_last)
     while ev is not None:
         norms.append(ev[1])
         converged = done(ev[1], step)
-        if converged or passes == max_iter:
+        if converged or passes == max_iter or (
+                stall is not None and passes >= stall and ev[1] > 0.5 * norms[-1 - stall]):
             break
         delta = spsolve(*ev[3:], -ev[0])
         if not np.all(np.isfinite(delta)):
@@ -380,9 +387,10 @@ def shoot_solve(
     series).  _newton's rules: the norm is the sum of the jumps, or the
     normalization mismatch if larger; done when it is below
     ``params.tol_fp``; a trial is taken when it decreases the norm or is
-    done, within ten halvings.  Trials integrate the trajectory alone;
-    linearizing adds the tangents and fails when one overflows.  At most
-    ``params.max_iter`` steps.  r is the envelope's integral.
+    done, within ten halvings; not converged when the norm has not halved
+    over the last SHOOT_STALL passes.  Trials integrate the trajectory
+    alone; linearizing adds the tangents and fails when one overflows.  At
+    most ``params.max_iter`` steps.  r is the envelope's integral.
     """
     eps, kappa = params.eps, params.kappa
     if grid is None:
@@ -422,7 +430,8 @@ def shoot_solve(
     tol = params.tol_fp
     z, ev, iterations, norms, _, converged = _newton(
         z, residual, linearize, params.max_iter, done=lambda norm, step: norm < tol,
-        accept=lambda trial, norm: trial < norm or trial < tol, halvings=10, take_last=False)
+        accept=lambda trial, norm: trial < norm or trial < tol, halvings=10, take_last=False,
+        stall=SHOOT_STALL)
     if ev is None:
         return _diverged_branch(params, grid, "shooting", iterations)
 

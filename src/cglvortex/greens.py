@@ -12,9 +12,10 @@ which this module evaluates on the grid.  The ratio sin x / cos x is
 0/0-compensated at the interval ends; there the limit values are used
 instead (left: v(-pi/2), right: v(-pi/2) + int_J f sin y dy).
 
-The underscore operators serve the fixed-point map, which is call-bound:
-they take one row of samples (n,) or a block of rows (B, n), multiply by
-the Grid's complex tables (the bits numpy's cast of the float tables would
+The underscore operators serve the fixed-point map: they take one row of
+samples (n,), whose map is call-bound, or a block of rows (B, n), whose
+steps run on contiguous halves of a (2, B, n) pair.  They multiply by the
+Grid's complex tables (the bits numpy's cast of the float tables would
 give) and keep each element's operations and operand order, since under
 FMA a * b and b * a can round differently.
 """
@@ -78,22 +79,27 @@ def _check_admissible(f: GridFunction) -> None:
 
 def _envelope_pair(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndarray:
     """Envelope samples from the split representation (no solvability check)
-    of one forcing (n,) or of each row of a block (B, n), in [..., 0, :] of
-    a (..., 2, n) array; [..., 1, :] is scratch.  Both running integrals
-    come from one call on the stacked rows f sin and f cos, and v is
-    assembled in place of the first."""
-    f_sin_cos = f_values[..., None, :] * grid.sin_cos_c
+    of one forcing (n,) or of each row of a block (B, n), in [0] of a
+    (2, ..., n) pair; [1] is scratch.  Both running integrals come from one
+    call on the stacked rows f sin and f cos, and v is assembled in place
+    of the first, each half of the pair one contiguous block.  The steps
+    take whole rows, with tan_c 0 at the end nodes, and the two end columns
+    are then overwritten by the limit values.  A block's end cells take
+    running_integral's Python fallback only in a row whose end cells are
+    not finite; one forcing's always do."""
+    tables = grid.sin_cos_c if f_values.ndim == 1 else grid.sin_cos_c[:, None]
+    f_sin_cos = f_values * tables  # f first: operand order can change the bits
     sums = running_integral(f_sin_cos, grid.spacing)
-    v, C = sums[..., 0, :], sums[..., 1, :]  # v holds int_{-pi/2}^x f sin
-    B = C[..., 1:-1]
-    np.subtract(C[..., -1:], B, out=B)  # int_x^{pi/2} f cos
+    v, C = sums[0], sums[1]  # v holds int_{-pi/2}^x f sin
+    # int_x^{pi/2} f cos; the end column is copied first, which costs numpy
+    # less than buffering an input that overlaps its output
+    np.subtract(C[..., -1:].copy(), C, out=C)
     # interior: |cos x| >= sin(h), so grid.tan is finite there
-    np.multiply(grid.tan_c, B, out=B)
-    inner = v[..., 1:-1]
-    np.add(v_left, inner, out=inner)
-    inner += B
+    np.multiply(grid.tan_c, C, out=C)
+    np.add(v_left, v, out=v)
+    v += C
     v[..., 0] = v_left
-    v[..., -1:] = v_left + _row_sums(f_sin_cos[..., 0, :], grid)
+    v[..., -1:] = v_left + _row_sums(f_sin_cos[0], grid)
     return sums
 
 

@@ -7,6 +7,7 @@ the same order.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,10 +30,14 @@ class Grid:
     only, where cos does not vanish) and the float ``cos2_mass``, the
     quadrature value of int cos^2 (= pi/2 up to roundoff).  The fixed-point
     map multiplies complex arrays by these tables, so the grid also keeps
-    their complex copies ``weights_c``, ``cos_c``, ``cos2_c``, ``cos4_c``
-    and ``tan_c`` and the stacked rows ``sin_cos_c`` = (sin, cos): numpy
-    casts a float operand to exactly these values, so a product reads the
-    same bits without the cast.  All arrays are read-only."""
+    their complex copies ``weights_c``, ``cos_c``, ``cos2_c`` and
+    ``cos4_c``, the stacked rows ``sin_cos_c`` = (sin, cos), and ``tan_c``,
+    tan padded with 0 at the two end nodes: the envelope solve lays f sin
+    and f cos out as a (2, ..., n) pair, each half one contiguous block,
+    steps whole rows through ``tan_c`` and then overwrites both end
+    columns.  numpy casts a float operand to exactly these values, so a
+    product reads the same bits without the cast.  All arrays are
+    read-only."""
 
     n_nodes: int
     nodes: np.ndarray = field(init=False, repr=False)
@@ -62,12 +67,14 @@ class Grid:
         nodes = np.linspace(-HALF_PI, HALF_PI, self.n_nodes)
         cos, sin = np.cos(nodes), np.sin(nodes)
         cos2 = cos * cos
+        tan = sin[1:-1] / cos[1:-1]
         tables = dict(nodes=nodes, weights=weights, cos=cos, sin=sin, cos2=cos2,
-                      cos4=cos2 * cos2, tan=sin[1:-1] / cos[1:-1])
+                      cos4=cos2 * cos2, tan=tan)
         sin_cos_c = np.array([sin, cos], dtype=complex)
         tables.update({name + "_c": tables[name].astype(complex)
-                       for name in ("weights", "cos2", "cos4", "tan")},
-                      sin_cos_c=sin_cos_c, cos_c=sin_cos_c[1])
+                       for name in ("weights", "cos2", "cos4")},
+                      tan_c=np.pad(tan, 1).astype(complex), sin_cos_c=sin_cos_c,
+                      cos_c=sin_cos_c[1])
         for name, a in tables.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -152,11 +159,19 @@ def running_integral(values: np.ndarray, h: float) -> np.ndarray:
     holds the integral over [x_{i-1}, x_i] and cell[..., 0] = 0, so one
     cumulative sum gives F.  The interior rule runs once over all rows,
     flattened, term by term in place; the cells it fills across a row
-    boundary are then overwritten by the zero and the end cells, which
-    are summed on Python scalars.  The cells are complex, and numpy divides
-    a complex by 24 as a multiply by 1/24, so they are multiplied; the two
-    differ at most in the sign of a zero cell, which the sum from +0 drops.
-    """
+    boundary are then overwritten by the zero and the end cells.  The
+    cells are complex, and numpy divides a complex by 24 as a multiply by
+    1/24, so they are multiplied; the two differ at most in the sign of a
+    zero cell, which the sum from +0 drops.
+
+    Up to two rows (one row, or the stacked pair of one envelope solve)
+    sum their end cells on Python scalars, which costs fewer calls than
+    numpy there.  More rows take the end cells of every row in a few numpy
+    calls, adding -5 times a sample where Python subtracts 5 times it: a
+    finite cell gets the same bits, up to the sign of a zero cell.  A row
+    with an end cell that is not finite (a non-finite end sample, or an
+    overflow) is summed on Python scalars again, since numpy's complex
+    multiply can give a NaN other bits."""
     g = np.asarray(values)
     n = g.shape[-1]
     flat = g.reshape(-1)
@@ -168,11 +183,38 @@ def running_integral(values: np.ndarray, h: float) -> np.ndarray:
     mid -= flat[3:]
     mid *= 1.0 / 24.0
     rows = flat.reshape(-1, n)
-    for i, (a, b, c, d), (p, q, r, s) in zip(
-            range(0, flat.size, n), rows[:, :4].tolist(), rows[:, -4:].tolist()):
-        cell[i] = 0.0
-        cell[i + 1] = (9 * a + 19 * b - 5 * c + d) * (1.0 / 24.0)
-        cell[i + n - 1] = (p - 5 * q + 19 * r + 9 * s) * (1.0 / 24.0)
+    if len(rows) <= 2:
+        _end_cells(cell, n, range(0, flat.size, n), rows[:, :4].tolist(), rows[:, -4:].tolist())
+    else:
+        terms = rows[:, _END_NODES]
+        terms *= _END_WEIGHTS
+        ends = terms[:, 0::4] + terms[:, 1::4]
+        ends += terms[:, 2::4]
+        ends += terms[:, 3::4]
+        ends *= 1.0 / 24.0
+        cells = cell.reshape(-1, n)
+        cells[:, 0] = 0.0
+        cells[:, 1::n - 2] = ends
+        if not cmath.isfinite(ends.sum()):
+            bad = np.flatnonzero(~np.isfinite(ends).all(axis=1))
+            _end_cells(cell, n, (bad * n).tolist(), rows[bad, :4].tolist(),
+                       rows[bad, -4:].tolist())
     out = cell.reshape(g.shape).cumsum(axis=-1)
     out *= h
     return out
+
+
+# the samples and weights of the first and last cells: (a, b, c, d) and
+# (p, q, r, s) of _end_cells
+_END_NODES = [0, 1, 2, 3, -4, -3, -2, -1]
+_END_WEIGHTS = np.array([9, 19, -5, 1, 1, -5, 19, 9], dtype=complex)
+
+
+def _end_cells(cell: np.ndarray, n: int, starts, firsts, lasts) -> None:
+    """The zero and the two end cells of the rows of n cells that begin at
+    the flat indices ``starts``, from their first and last four samples,
+    summed on Python scalars."""
+    for i, (a, b, c, d), (p, q, r, s) in zip(starts, firsts, lasts):
+        cell[i] = 0.0
+        cell[i + 1] = (9 * a + 19 * b - 5 * c + d) * (1.0 / 24.0)
+        cell[i + n - 1] = (p - 5 * q + 19 * r + 9 * s) * (1.0 / 24.0)

@@ -23,14 +23,18 @@ implementation on sample arrays that reads the Grid's tables; the public
 functions on GridFunctions validate their input and call it, and the
 fixed-point loop calls it directly, on one row of samples (n,) or on a
 block of rows (B, n) with a (B, 1) column of kappas (_block_rows).
-The map is call-bound, so these multiply by the Grid's complex tables and
-write into arrays they own, but every element keeps its operations and
-the order of their operands: where numpy's complex multiply uses FMA,
-a * b and b * a can differ in the last bit, so a map stays bit-identical
-only with kappa * f written as np.multiply(kappa, f), never as f *= kappa.
+A one-row map is call-bound, and a block's steps run on contiguous rows;
+so these multiply by the Grid's complex tables and write into arrays they
+own, and a block takes its end cells and bulk term in numpy, on Python
+scalars only in a row where they are not finite.  Every element keeps its
+operations and the order of their operands: where numpy's complex
+multiply uses FMA, a * b and b * a can differ in the last bit, so a map
+stays bit-identical only with kappa * f written as np.multiply(kappa, f),
+never as f *= kappa.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from collections.abc import Iterator
@@ -155,9 +159,11 @@ def project_mean(u: GridFunction) -> complex:
 
 def _green_pair(f_values: np.ndarray, grid: Grid) -> np.ndarray:
     """apply_green_op of one forcing (n,) or of each row of a block (B, n),
-    in [..., 0, :] of a (..., 2, n) array; [..., 1, :] is scratch."""
+    in [0] of a (2, ..., n) pair; [1] is scratch.  As in _envelope_pair,
+    a block's end cells take the Python fallback only in a row whose end
+    cells are not finite."""
     pair = _envelope_pair(f_values, grid, 0.0)
-    v = pair[..., 0, :]
+    v = pair[0]
     np.subtract(v, _project_mean(v, grid), out=v)
     return pair
 
@@ -184,8 +190,13 @@ def _cubic_forcing(w_values: np.ndarray, rho: complex, grid: Grid) -> np.ndarray
     s = _row_sums(t, grid)
     if t.ndim == 1:
         bulk = (2.0 / np.pi) * complex(s)
-    else:  # Python's float * complex, row by row: numpy's can differ in a NaN's bits
-        bulk = np.array([[(2.0 / np.pi) * complex(x)] for x in s[:, 0]])
+    else:
+        bulk = (2.0 / np.pi) * s
+        if not cmath.isfinite(bulk.sum()):
+            # Python's float * complex in a row whose sum is not finite:
+            # numpy's can differ in a NaN's bits
+            for i in np.flatnonzero(~np.isfinite(s[:, 0])).tolist():
+                bulk[i, 0] = (2.0 / np.pi) * complex(s[i, 0])
     f = np.multiply(absq, grid.cos2_c, out=t)
     np.subtract(bulk, f, out=f)
     np.multiply(rho, f, out=f)  # rho first: under FMA, f * rho rounds differently
@@ -438,17 +449,17 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
             kappa = np.concatenate((kappa, [[params[i].kappa] for i in new]))
         if not rows:
             return
-        # T(w) in row 0 of each (2, n) pair, T(w) - w into its scratch
-        # row 1, so one call takes every sup
+        # T(w) in pair[0] of the (2, B, n) pair, T(w) - w into its scratch
+        # pair[1], so one call takes every sup
         if len(w) == 1:  # numpy's fast path wants equal shapes: (n,) against the tables
-            pair = _green_pair(_cubic_forcing(w[0], kappa[0, 0], grid), grid)[None]
+            pair = _green_pair(_cubic_forcing(w[0], kappa[0, 0], grid), grid)[:, None]
         else:
             pair = _green_pair(_cubic_forcing(w, kappa, grid), grid)
-        t_w, f = pair[:, 0], pair[:, 1]
+        t_w, f = pair[0], pair[1]
         np.subtract(t_w, w, out=f)
-        norms = np.maximum.reduce(np.abs(pair), axis=-1).tolist()
+        sups, incs = np.maximum.reduce(np.abs(pair), axis=-1).tolist()
         keep = []
-        for i, (row, (sup, inc)) in enumerate(zip(rows, norms)):
+        for i, (row, sup, inc) in enumerate(zip(rows, sups, incs)):
             if row.ended is not None:
                 w_k = w[i].copy()
                 v1 = 1.0 + w_k

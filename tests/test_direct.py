@@ -419,6 +419,17 @@ class TestShooting:
         assert at_cap.increments == spare.increments
         assert len(at_cap.increments) == 4 and at_cap.increments[-1] == at_cap.fp_residual
 
+    def test_stalled_run_stops_not_converged(self):
+        # the norm creeps from 6.25 down to 4.86 and never halves: the solve
+        # stops after SHOOT_STALL passes, not after all 800 allowed
+        b = solve("shooting", -3.5 + 1.25j, 1.5 + 0.5j, make_grid(33), tol=1e-10)
+        assert not b.converged and not b.diverged
+        assert b.iterations == direct.SHOOT_STALL == 10
+        norms = b.increments
+        assert len(norms) == 11 and norms[-1] == b.fp_residual
+        assert norms[-1] > 0.5 * norms[0]
+        assert all(later < earlier for earlier, later in zip(norms, norms[1:]))
+
     def test_seed_on_other_grid_rejected(self, grid257):
         b = shoot_solve(CoreParams(rho=1.0, eps=1.0, **SHOOT), grid=make_grid(129))
         with pytest.raises(InvalidArgument):

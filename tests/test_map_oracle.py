@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cglvortex import (CoreParams, GridFunction, apply_green_op, fixed_point_solve, greens,
-                       make_grid, reduction)
+                       make_grid, reduction, sweep)
 from cglvortex.reduction import (ANDERSON_DIVERGENCE, ANDERSON_PATIENCE, ANDERSON_PROGRESS,
                                  _Anderson, _branch, _diverged_branch, _stalled)
 from conftest import branch_bits, solve_block
@@ -113,7 +113,7 @@ def test_block_map_matches_oracle_row_by_row(n, rows):
     w[-1] = w[-1].real  # with a real kappa, every imaginary part a signed zero
     kappa = np.array(KAPPAS[-rows:], dtype=complex)[:, None]
     f = reduction._cubic_forcing(w, kappa, grid)
-    t_w = reduction._green_pair(f, grid)[..., 0, :]
+    t_w = reduction._green_pair(f, grid)[0]
     assert f.shape == t_w.shape == (rows, n)
     for i in range(rows):
         oracle_f = _cubic_forcing(w[i], KAPPAS[-rows:][i], grid)
@@ -131,12 +131,48 @@ def test_block_row_that_overflows_leaves_its_neighbours(n):
     w[1] *= 1e120
     kappa = np.array([[2.7], [-3.4 - 1.1j], [1.9j]])
     with np.errstate(over="ignore", invalid="ignore"):
-        t_w = reduction._green_pair(reduction._cubic_forcing(w, kappa, grid), grid)[..., 0, :]
+        t_w = reduction._green_pair(reduction._cubic_forcing(w, kappa, grid), grid)[0]
         oracle = [_apply_green(_cubic_forcing(w[i], kappa[i, 0], grid), grid) for i in range(3)]
     assert not np.all(np.isfinite(t_w[1]))
     assert np.all(np.isfinite(t_w[0])) and np.all(np.isfinite(t_w[2]))
     for i in range(3):
         assert np.array_equal(_bits(t_w[i]), _bits(oracle[i]))
+
+
+PAYLOAD_NAN = np.array([0x7FF8_0000_0000_1234], dtype=np.uint64).view(float)[0]
+
+
+@pytest.mark.parametrize("n", [7, 129, 257])
+def test_sweep_wide_block_with_non_finite_rows_matches_oracle(n):
+    # a block of the sweep's width: numpy takes the bulk term and the end
+    # cells of all rows at once, and a row whose bulk sum or end cells are
+    # not finite takes Python scalars again.  Between finite rows sit a
+    # row whose bulk sum alone overflows and two forcings that are not
+    # finite only in their first or last four samples; every row keeps the
+    # oracle's bits, NaN payloads included
+    grid = make_grid(n)
+    rng = np.random.default_rng(n)
+    rows = sweep.FP_BLOCK
+    assert rows == 16
+    w = 0.3 * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    # |1+w|^3 = 1.6e308 at every node: each sample is finite, but 1.6e308
+    # times int cos^4 = 3 pi / 8 overflows
+    w[5] = 1.6e308 ** (1 / 3)
+    kappa = np.resize(np.array(KAPPAS[:-1], dtype=complex), rows)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = reduction._cubic_forcing(w, kappa, grid)
+        oracle_f = [_cubic_forcing(w[i], kappa[i, 0], grid) for i in range(rows)]
+        f[3, 3] = complex(-np.inf, 1.0)
+        f[9, -4:-2] = complex(PAYLOAD_NAN, 0.5), complex(1.0, np.inf)
+        t_w = reduction._green_pair(f, grid)[0]
+        oracle = [_apply_green(f[i], grid) for i in range(rows)]
+    assert np.isfinite(np.abs(1.0 + w[5]) ** 3).all() and not np.isfinite(oracle_f[5]).any()
+    bad = {3, 5, 9}
+    for i in range(rows):
+        if i not in (3, 9):
+            assert np.array_equal(_bits(f[i]), _bits(oracle_f[i]))
+        assert np.array_equal(_bits(t_w[i]), _bits(oracle[i]))
+        assert np.isfinite(t_w[i]).all() == (i not in bad)
 
 
 @pytest.mark.parametrize("n", [7, 257])

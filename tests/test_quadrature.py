@@ -151,6 +151,9 @@ def _running_integral_reference(g, h):
     return np.array(out) * h
 
 
+PAYLOAD_NAN = np.array([0x7FF8_0000_0000_1234], dtype=np.uint64).view(float)[0]
+
+
 class TestKernelsBitIdentical:
     @pytest.mark.parametrize("n", [5, 7, 257])
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -168,6 +171,29 @@ class TestKernelsBitIdentical:
         assert stacked.shape == rows.shape
         for row, out in zip(rows, stacked):
             assert np.array_equal(out, _running_integral_reference(row, h))
+
+    @pytest.mark.parametrize("n", [5, 7, 257])
+    def test_sweep_wide_block_integrates_each_row_as_alone(self, n):
+        # a (16, 2, n) block, the envelope pair of a sweep's 16 rows, takes
+        # its end cells in numpy and falls back to Python scalars in a row
+        # whose end cells are not finite; each row keeps the bits of its
+        # integral alone, which takes the Python path
+        rng = np.random.default_rng(n)
+        block = rng.standard_normal((16, 2, n)) + 1j * rng.standard_normal((16, 2, n))
+        block[2, 1, :4] = 1e308  # finite samples whose first cell overflows
+        block[3, 1, [0, 3]] = complex(-np.inf, 1.0), complex(0.5, PAYLOAD_NAN)
+        block[9, 0, -4:-2] = complex(np.inf, 0.0), complex(PAYLOAD_NAN, 1.0)
+        block[12, 0, 1] = complex(np.nan, 2.0)
+        h = np.pi / (n - 1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = running_integral(block, h)
+            alone = [[running_integral(row, h) for row in pair] for pair in block]
+        assert out.shape == block.shape
+        assert np.isfinite(block[2]).all() and not np.isfinite(out[2, 1, 1])
+        assert not np.isfinite(out[3, 1, 1:]).any() and np.isfinite(out[4]).all()
+        for pair, pair_alone in zip(out, alone):
+            for row, row_alone in zip(pair, pair_alone):
+                assert np.array_equal(row.view(np.uint64), row_alone.view(np.uint64))
 
     @pytest.mark.parametrize("n", [5, 7, 129, 257, 513, 1025])
     def test_block_row_sums_match_one_row_dot(self, n):
@@ -189,7 +215,8 @@ class TestKernelsBitIdentical:
             row[rng.integers(n)] = bad
             rows.append(row)
         rows = np.array(rows)
-        # _envelope_pair sums the strided rows pair[:, 0, :] of a (B, 2, n) block
+        # _envelope_pair sums the contiguous half pair[0] of a (2, B, n) pair;
+        # strided rows, such as pair[:, 0, :] of a (B, 2, n) stack, sum the same
         pair = np.stack([rows, noise() * np.ones_like(rows)], axis=1)
         with np.errstate(invalid="ignore", over="ignore"):
             for block in (rows, pair[:, 0, :], rows[:3], rows[::-1]):

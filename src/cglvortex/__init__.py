@@ -58,6 +58,7 @@ from .sweep import (
     run_sweep,
     solve,
     symmetry_defect,
+    verify,
 )
 
 __all__ = [
@@ -107,6 +108,7 @@ __all__ = [
     "solve",
     "solve_linear_inhomogeneous",
     "symmetry_defect",
+    "verify",
 ]
 
 __version__ = "0.1.0"

@@ -15,24 +15,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ExtensionError, InvalidArgument, ToolkitError
-from .quadrature import GridFunction, make_grid
-from .reduction import (
-    DEFAULT_NODES, asymptotic_r, asymptotic_U, compute_r, cubic_forcing, eps_squared, project_mean,
-)
-from .greens import solvability_residual
-from .direct import compare_branches
-# not called here: bench/tracing.py wraps the solvers under these names
+from .errors import InvalidArgument, ToolkitError
+from .quadrature import make_grid
+from .reduction import DEFAULT_NODES, asymptotic_r, asymptotic_U
+# not called here: bench/tracing.py wraps the solvers and checks under these names
 from .reduction import fixed_point_solve  # noqa: F401
-from .direct import fd_solve, shoot_solve  # noqa: F401
-from .physics import (
-    asymptotic_physical,
-    cgl_residual,
-    extend_solution,
-    mu_nu_from_rho,
-    physical_from_r,
-    rho_from_physical,
-)
+from .direct import compare_branches, fd_solve, shoot_solve  # noqa: F401
+from .physics import cgl_residual, extend_solution  # noqa: F401
+from .physics import asymptotic_physical, physical_from_r, rho_from_physical
 from .sweep import (
     SweepSpec,
     dumps_json,
@@ -41,6 +31,7 @@ from .sweep import (
     record_from_branch,
     run_sweep,
     solve,
+    verify,
 )
 
 METHOD_ALIASES = {"fp": "fixed_point", "shoot": "shooting", "fd": "finite_difference"}
@@ -243,78 +234,17 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rho = complex(args.rho_re, args.rho_im)
-    eps = complex(args.eps_re, args.eps_im)
-    grid = make_grid(args.nodes)
-    h = grid.spacing
-    try:
-        rho_abs = abs(rho)
-    except OverflowError:  # both parts finite, the modulus past the float range
-        rho_abs = float("inf")
-    zeta = rho_abs * eps_squared(eps)
-    checks: list[tuple[str, float, float]] = []  # (name, value, bound)
-
-    # shooting and FD start from the converged fixed-point branch, which
-    # lies within the discretization error of both; cold where it failed
-    fp = solve("fixed_point", rho, eps, grid)
-    prev = fp if fp.converged else None
-    branches = {"fixed_point": fp}
-    for method in ("shooting", "finite_difference"):
-        branches[method] = solve(method, rho, eps, grid, prev=prev)
-    for name, br in branches.items():
-        checks.append((f"converged[{name}]", 0.0 if br.converged else 1.0, 0.5))
-
-    pair_tol_fd = max(1e-6, h * h * (1.0 + zeta)) * max(1.0, abs(eps))
-    pair_tol_hi = 1e-6 * max(1.0, abs(eps))
-    if all(b.converged for b in branches.values()):
-        d1 = compare_branches(fp, branches["shooting"])
-        d2 = compare_branches(fp, branches["finite_difference"])
-        d3 = compare_branches(branches["shooting"], branches["finite_difference"])
-        checks.append(("diff[fp,shoot]", d1, pair_tol_hi))
-        checks.append(("diff[fp,fd]", d2, pair_tol_fd))
-        checks.append(("diff[shoot,fd]", d3, pair_tol_fd))
-
-        for name, br in branches.items():
-            checks.append(
-                (f"mean_free[{name}]", abs(project_mean(br.w)), 1e-10)
-            )
-        forcing = cubic_forcing(fp.w, rho)
-        checks.append(
-            ("solvability[N(w)]",
-             abs(solvability_residual(forcing)),
-             1e-10 * max(1.0, forcing.sup_norm))
-        )
-        # gauge invariance of r under a quarter-turn of eps: the turned
-        # branch is i v, and compute_r must undo the phase of eps
-        rot_r = compute_r(GridFunction(grid, 1j * fp.v.values), 1j * eps)
-        checks.append(
-            ("gauge[r]", abs(rot_r - fp.r), 1e-12 * max(1.0, rho_abs))
-        )
-        rec = record_from_branch(fp)
-        checks.append(("zero_count-2", abs(rec.zero_count - 2), 0.5))
-        checks.append(("extra_zeros", float(rec.extra_zeros), 0.5))
-        checks.append(("symmetry_defect", rec.symmetry_defect, 1e-8 * max(1.0, abs(eps))))
-        try:
-            mu, nu = mu_nu_from_rho(rho, 1)
-        except InvalidArgument:
-            print("SKIP  cgl_residual            (rho has no physical preimage)")
-        else:
-            phys = physical_from_r(fp.r, mu, nu, 1)
-            bound = 4.0 * h * h * max(1.0, zeta) * abs(complex(1, nu)) * max(1.0, abs(eps))
-            try:
-                resid = cgl_residual(extend_solution(fp, 1), phys)
-            except ExtensionError as exc:  # fails the check, names the jump
-                print(f"verify: {exc}", file=sys.stderr)
-                resid = float("inf")
-            checks.append(("cgl_residual", resid, bound))
-
-    all_ok = True
-    for name, value, bound in checks:
-        ok = value <= bound
-        all_ok &= ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name:24s} {value:.3e}  (bound {bound:.3e})")
-    print("verify:", "PASS" if all_ok else "FAIL")
-    return 0 if all_ok else 1
+    result = verify(complex(args.rho_re, args.rho_im), complex(args.eps_re, args.eps_im),
+                    make_grid(args.nodes))
+    for name, reason in result.skipped:
+        print(f"SKIP  {name:24s}({reason})")
+    if result.extension_error is not None:
+        print(f"verify: {result.extension_error}", file=sys.stderr)
+    for check in result.checks:
+        print(f"{'PASS' if check.passed else 'FAIL'}  {check.name:24s} {check.value:.3e}  "
+              f"(bound {check.bound:.3e})")
+    print("verify:", "PASS" if result.passed else "FAIL")
+    return 0 if result.passed else 1
 
 
 def _cmd_physical(args) -> int:

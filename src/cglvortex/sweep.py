@@ -5,23 +5,24 @@ an argument arc, or a modulus ray, and summarizes each branch in one flat
 record (convergence, r, zero structure, symmetry, envelope minimum,
 collocation residual).  Emission is deterministic: identical specs produce
 byte-identical CSV or JSON files.  JSON follows RFC 8259: quantities that
-are not finite are written as null.
+are not finite are written as null.  verify cross-checks the three
+solvers at one point.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import ExtensionError, InvalidArgument
 from .quadrature import Grid, GridFunction, make_grid
-from .reduction import (DEFAULT_NODES, Branch, CoreParams, _block_rows, eps_squared,
-                        fixed_point_solve)
-from .direct import fd_solve, shoot_solve
-# not called here: bench/tracing.py wraps it under this name
-from .physics import extend_solution  # noqa: F401
+from .greens import solvability_residual
+from .reduction import (DEFAULT_NODES, Branch, CoreParams, _block_rows, compute_r, cubic_forcing,
+                        eps_squared, fixed_point_solve, project_mean)
+from .direct import compare_branches, fd_solve, shoot_solve
+from .physics import cgl_residual, extend_solution, mu_nu_from_rho, physical_from_r
 
 METHODS = ("fixed_point", "shooting", "finite_difference")
 
@@ -235,6 +236,121 @@ def record_from_branch(branch: Branch) -> SweepRecord:
         ode_residual=ode_res,
         accelerated_at=branch.accelerated_at,
     )
+
+
+class Check(NamedTuple):
+    """One check of verify; it passes when value <= bound (NaN fails)."""
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.bound)
+
+
+@dataclass(frozen=True)
+class Verification:
+    """What verify found at one point: the Branches of METHODS, in that
+    order; the checks, in the order they ran; (name, reason) of each check
+    that did not apply; and the ExtensionError that failed cgl_residual,
+    or None."""
+
+    branches: tuple[Branch, ...]
+    checks: tuple[Check, ...]
+    skipped: tuple[tuple[str, str], ...]
+    extension_error: ExtensionError | None
+
+    @property
+    def passed(self) -> bool:
+        return all(check.passed for check in self.checks)
+
+
+def verify(rho: complex, eps: complex, grid: Grid) -> Verification:
+    """Cross-check the three solvers at one point; ``cglvortex verify``
+    prints the result.
+
+    The fixed point solves first; shooting and finite differences start
+    from its branch when it converged, and cold (from eps cos x) when it
+    did not.  With h the grid spacing and zeta = |rho| |eps|^2, the checks
+    in order, each with its bound (a check passes when value <= bound):
+
+    - converged[m] for each method m: 0 if it converged, else 1; 0.5.
+      The rest run only when all three converged.
+    - diff[fp,shoot]: compare_branches, the sup distance modulo phase;
+      1e-6 max(1, |eps|).
+    - diff[fp,fd] and diff[shoot,fd]: the same distance;
+      max(1e-6, h^2 (1 + zeta)) max(1, |eps|).
+    - mean_free[m] for each method: |project_mean(w)|; 1e-10.
+    - solvability[N(w)]: |int N(w) cos| of the fixed point's cubic
+      forcing N(w); 1e-10 max(1, sup |N(w)|).
+    - gauge[r]: |compute_r(i v, i eps) - r| for the fixed point's v and r;
+      1e-12 max(1, |rho|).
+    - zero_count-2: |zero count - 2| of the fixed point's record; 0.5.
+    - extra_zeros: its extra zeros; 0.5.
+    - symmetry_defect: its sup |U(x) - U(-x)|; 1e-8 max(1, |eps|).
+    - cgl_residual: the rotating-wave residual of the fixed point's n = 1
+      extension in the full equation, with (mu, nu) = mu_nu_from_rho(rho, 1);
+      4 h^2 max(1, zeta) |1 + i nu| max(1, |eps|).  It is skipped, with the
+      reason "rho has no physical preimage", when mu_nu_from_rho rejects
+      rho, and its value is inf when extend_solution raises ExtensionError,
+      which the result keeps.
+
+    Invalid input raises what the solvers raise (InvalidArgument).
+    """
+    h = grid.spacing
+    try:
+        rho_abs = abs(rho)
+    except OverflowError:  # both parts finite, the modulus past the float range
+        rho_abs = float("inf")
+    zeta = rho_abs * eps_squared(eps)
+    checks: list[Check] = []
+    skipped: list[tuple[str, str]] = []
+    extension_error = None
+
+    # shooting and FD start from the converged fixed-point branch, which
+    # lies within the discretization error of both; cold where it failed
+    fp = solve("fixed_point", rho, eps, grid)
+    prev = fp if fp.converged else None
+    branches = (fp, solve("shooting", rho, eps, grid, prev=prev),
+                solve("finite_difference", rho, eps, grid, prev=prev))
+    for name, br in zip(METHODS, branches):
+        checks.append(Check(f"converged[{name}]", 0.0 if br.converged else 1.0, 0.5))
+
+    if all(b.converged for b in branches):
+        _, shoot, fd = branches
+        pair_tol_fd = max(1e-6, h * h * (1.0 + zeta)) * max(1.0, abs(eps))
+        pair_tol_hi = 1e-6 * max(1.0, abs(eps))
+        checks.append(Check("diff[fp,shoot]", compare_branches(fp, shoot), pair_tol_hi))
+        checks.append(Check("diff[fp,fd]", compare_branches(fp, fd), pair_tol_fd))
+        checks.append(Check("diff[shoot,fd]", compare_branches(shoot, fd), pair_tol_fd))
+        for name, br in zip(METHODS, branches):
+            checks.append(Check(f"mean_free[{name}]", abs(project_mean(br.w)), 1e-10))
+        forcing = cubic_forcing(fp.w, rho)
+        checks.append(Check("solvability[N(w)]", abs(solvability_residual(forcing)),
+                            1e-10 * max(1.0, forcing.sup_norm)))
+        # gauge invariance of r under a quarter-turn of eps: the turned
+        # branch is i v, and compute_r must undo the phase of eps
+        rot_r = compute_r(GridFunction(grid, 1j * fp.v.values), 1j * eps)
+        checks.append(Check("gauge[r]", abs(rot_r - fp.r), 1e-12 * max(1.0, rho_abs)))
+        rec = record_from_branch(fp)
+        checks.append(Check("zero_count-2", abs(rec.zero_count - 2), 0.5))
+        checks.append(Check("extra_zeros", float(rec.extra_zeros), 0.5))
+        checks.append(Check("symmetry_defect", rec.symmetry_defect, 1e-8 * max(1.0, abs(eps))))
+        try:
+            mu, nu = mu_nu_from_rho(rho, 1)
+        except InvalidArgument:
+            skipped.append(("cgl_residual", "rho has no physical preimage"))
+        else:
+            phys = physical_from_r(fp.r, mu, nu, 1)
+            bound = 4.0 * h * h * max(1.0, zeta) * abs(complex(1, nu)) * max(1.0, abs(eps))
+            try:
+                resid = cgl_residual(extend_solution(fp, 1), phys)
+            except ExtensionError as exc:  # fails the check, names the jump
+                extension_error, resid = exc, float("inf")
+            checks.append(Check("cgl_residual", resid, bound))
+    return Verification(branches, tuple(checks), tuple(skipped), extension_error)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:

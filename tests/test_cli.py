@@ -409,7 +409,7 @@ class TestVerify:
         def blocked(branch, n):
             raise ExtensionError("envelope jump 1.000e-03 blocks the periodic extension")
 
-        monkeypatch.setattr(cli, "extend_solution", blocked)
+        monkeypatch.setattr(sweep, "extend_solution", blocked)
         code, out, err = run_cli(
             capsys, "verify", "--rho-re", "0.9", "--rho-im", "0.3",
             "--eps-re", "0.4", "--nodes", "129",

@@ -24,7 +24,7 @@ from cglvortex import (
     shoot_solve,
     solve,
 )
-from cglvortex import cli, direct
+from cglvortex import direct, sweep
 from cglvortex.direct import (
     _fd_branch, _fd_newton_system, _rk4_lanes, _segments, _shoot_conditions,
     _shoot_newton_system, _slopes, spsolve,
@@ -963,11 +963,11 @@ class TestWarmFromFixedPoint:
     @pytest.mark.parametrize("start,counts", [("warm", (10, 30, 40, 10, 10, 30)),
                                               ("cold", (34, 44, 78, 34, 34, 44))],
                              ids=["warm", "cold"])
-    def test_work_count(self, grid257, capsys, monkeypatch, start, counts):
+    def test_work_count(self, grid257, monkeypatch, start, counts):
         # the work at the 10 points, which does not depend on the machine:
         # shooting Newton steps, FD passes, linear solves, RK4 runs with and
-        # without tangents, and FD system builds.  Warm is verify, which must
-        # pass; cold starts from eps cos x.  A line-search trial integrates
+        # without tangents, and FD system builds.  Warm is sweep.verify,
+        # which must pass; cold starts from eps cos x.  A line-search trial integrates
         # the trajectory alone, and only a trial taken without converging
         # gets its tangent lanes; the Newton driver that both solvers share
         # builds a system only for an iterate that takes a step
@@ -991,11 +991,11 @@ class TestWarmFromFixedPoint:
             iterations[method] += branch.iterations
             return branch
 
-        monkeypatch.setattr(cli, "solve", solving)
+        monkeypatch.setattr(sweep, "solve", solving)
         for rho in CRITERION6_POINTS:
             if start == "warm":
-                argv = ["verify", "--rho-re", str(rho.real), "--rho-im", str(rho.imag)]
-                assert cli.main(argv) == 0, capsys.readouterr().out
+                result = sweep.verify(rho, 1.0 + 0.0j, grid257)
+                assert result.passed, [c for c in result.checks if not c.passed]
             else:
                 for method in ("shooting", "finite_difference"):
                     solving(method, rho, 1.0, grid257)

@@ -32,7 +32,7 @@ EXPORTS = {
     "mirror_conjugate", "mu_nu_from_rho", "ode_forcing", "physical_from_r",
     "project_mean", "record_from_branch", "rho_from_physical", "run_sweep",
     "shoot_solve", "solvability_residual", "solve", "solve_linear_inhomogeneous",
-    "symmetry_defect",
+    "symmetry_defect", "verify",
 }
 
 
@@ -71,7 +71,7 @@ def test_reasons_name_exports():
 
 
 def test_exports_are_pinned():
-    assert len(cglvortex.__all__) == len(EXPORTS) == 46
+    assert len(cglvortex.__all__) == len(EXPORTS) == 47
     assert set(cglvortex.__all__) == EXPORTS
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from cglvortex import (
     CoreParams,
+    ExtensionError,
     GridFunction,
     InvalidArgument,
     SweepRecord,
@@ -21,6 +22,7 @@ from cglvortex import (
     run_sweep,
     solve,
     symmetry_defect,
+    verify,
 )
 from cglvortex import direct, reduction, sweep
 from cglvortex.sweep import CSV_COLUMNS
@@ -460,6 +462,45 @@ class TestSolve:
         for method in sweep.METHODS:
             with pytest.raises(InvalidArgument, match="must live on the solver grid"):
                 solve(method, 1.2, 1.0, grid257, prev=b)
+
+
+VERIFY_CHECKS = (
+    "converged[fixed_point]", "converged[shooting]", "converged[finite_difference]",
+    "diff[fp,shoot]", "diff[fp,fd]", "diff[shoot,fd]",
+    "mean_free[fixed_point]", "mean_free[shooting]", "mean_free[finite_difference]",
+    "solvability[N(w)]", "gauge[r]", "zero_count-2", "extra_zeros", "symmetry_defect",
+    "cgl_residual",
+)
+
+
+class TestVerify:
+    """sweep.verify, without the CLI."""
+
+    def test_criterion6_point_passes_every_check(self, grid257):
+        result = verify(0.5 + 0.5j, 1.0, grid257)
+        checks = {check.name: check for check in result.checks}
+        assert tuple(checks) == VERIFY_CHECKS
+        for name in VERIFY_CHECKS:
+            assert checks[name].passed, checks[name]
+        assert result.passed
+        assert result.skipped == () and result.extension_error is None
+        assert [b.method for b in result.branches] == list(sweep.METHODS)
+        assert all(b.converged for b in result.branches)
+
+    def test_rho_without_physical_preimage_skips_the_residual(self, grid257):
+        result = verify(6.0, 1.0, grid257)
+        assert result.skipped == (("cgl_residual", "rho has no physical preimage"),)
+        names = [check.name for check in result.checks]
+        assert names == list(VERIFY_CHECKS[:-1])
+
+    def test_extension_error_fails_the_residual(self, grid257, capsys):
+        result = verify(2.589 + 5.64j, 1.418, grid257)
+        assert isinstance(result.extension_error, ExtensionError)
+        assert "blocks the periodic extension" in str(result.extension_error)
+        [check] = [check for check in result.checks if check.name == "cgl_residual"]
+        assert check.value == float("inf") and not check.passed
+        assert not result.passed
+        assert capsys.readouterr() == ("", "")
 
 
 class TestDivergedRecord:

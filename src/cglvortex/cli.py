@@ -24,6 +24,7 @@ from .direct import compare_branches, fd_solve, shoot_solve  # noqa: F401
 from .physics import cgl_residual, extend_solution  # noqa: F401
 from .physics import asymptotic_physical, physical_from_r, rho_from_physical
 from .sweep import (
+    SOLVE_TOL,
     SweepSpec,
     dumps_json,
     emit_results,
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rho_eps(p)
     p.add_argument("--method", choices=list(METHOD_ALIASES), default="fp")
     p.add_argument("--nodes", type=_size, default=DEFAULT_NODES)
-    p.add_argument("--tol", type=_finite_float, default=1e-12)
+    p.add_argument("--tol", type=_finite_float, default=SOLVE_TOL)
 
     # a sweep option the user leaves out is not passed on: SweepSpec owns
     # every sweep default

@@ -13,14 +13,16 @@ place of r, which stays regular in the linear limit rho -> 0, so neither
 has a separate path for rho = 0.  Shooting reports r as the envelope's
 integral (compute_r), as the fixed point does; FD reports lam / rho, and
 the integral only when |rho| <= RHO_ZERO_CUTOFF.  Both run the one damped
-Newton loop, _newton, under their own rules, and order their real unknowns
-and conditions along J, so every Newton step is one call of spsolve: a
+Newton loop, _newton, under their own rules, from one start, _start (the
+grid, W = seed / eps and lam), and order their real unknowns and
+conditions along J, so every Newton step is one call of spsolve: a
 banded core bordered by the two lam columns and the two normalization
 rows, solved by block elimination on a banded LU (_gb_lapack).  Each
-solver's Newton-system builder writes the core straight into LAPACK's LU
-band storage, a fresh array that spsolve factors in place and so
-consumes; spsolve owns its right-hand-side and result buffers and calls
-numpy's 2 x 2 eigh and solve gufuncs directly.
+solver's Newton-system builder writes the core's diagonals as strided
+slices straight into LAPACK's LU band storage, a fresh array that
+spsolve factors in place and so consumes; spsolve owns its
+right-hand-side and result buffers and calls numpy's 2 x 2 eigh and
+solve gufuncs directly.
 
 Shooting is multiple shooting (Keller 1968; Ascher, Mattheij & Russell
 1995, ch. 4).  J is cut at grid nodes into up to SHOOT_SEGMENTS = 256
@@ -202,6 +204,18 @@ def _newton(z, residual, linearize, max_iter, done, accept, halvings, take_last,
     return z, ev, passes, norms, steps, converged
 
 
+def _start(params, grid, seed, r0):
+    """The start of both Newton solvers: (the grid, default DEFAULT_NODES
+    nodes; W = seed / eps on it, None without a seed; lam = rho * r0 of
+    the eps = 1 problem, r0 by default from the small-amplitude series)."""
+    grid = make_grid(DEFAULT_NODES) if grid is None else grid
+    if seed is not None and seed.grid != grid:
+        raise InvalidArgument("seed must live on the solver grid")
+    w = None if seed is None else seed.values / params.eps
+    r = asymptotic_r(params.kappa, 1.0, 1) if r0 is None else r0 / abs(params.eps) ** 2
+    return grid, w, params.kappa * complex(r)
+
+
 # --------------------------------------------------------------- shooting
 
 # the real directions the variational lanes 1..6 follow: Re and Im of the
@@ -211,7 +225,7 @@ _DIRECTION_V = np.array([0, 0, 1, 1j, 0, 0])
 _DIRECTION_LAM = np.array([0, 0, 0, 0, 1, 1j])
 
 
-def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap, tangents=True):
+def _rk4_lanes(rho, lam, u0, v0, h, stride, m, tangents=True):
     """Fixed-step RK4 of U'' = -(1 + lam) U + rho |U|^2 U on numpy lanes.
 
     Lane k starts from U = u0[k], U' = v0[k] and takes ``stride`` steps of
@@ -226,7 +240,7 @@ def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap, tangents=True):
     values, so they are the exact derivatives of the discrete trajectory.
     Returns (U at the m + 1 output points, U at the end, U' at
     the end), shaped (m + 1, 7, K) and (7, K) (the trajectory, then the six
-    tangents); or None when a trajectory reaches |U| = ``cap`` (finite-x
+    tangents); or None when a trajectory reaches |U| = ESCAPE_CAP (finite-x
     blowup of a trial) or a tangent overflows.  ``tangents=False`` runs
     lane 0 alone, shaped (m + 1, 1, K) and (1, K), to the bit.
     """
@@ -270,7 +284,7 @@ def _rk4_lanes(rho, lam, u0, v0, h, stride, m, cap, tangents=True):
                 U = Q + hsq6 * (F1 + F23)
                 V = V + h6 * (F1 + 2.0 * F23 + F4)
             out[j] = U
-        escaped = not (np.max(np.abs(out[:, 0])) < cap
+        escaped = not (np.max(np.abs(out[:, 0])) < ESCAPE_CAP
                        and np.all(np.isfinite(U)) and np.all(np.isfinite(V)))
     return None if escaped else (out, U, V)
 
@@ -282,13 +296,13 @@ def _segments(grid: Grid):
     (m + 1, K), give each segment its starting node, the last one also
     the node at pi/2.  Cached per grid and constants; the weights are
     read-only."""
-    return _segment_layout(grid, SHOOT_SEGMENTS, RK4_STEPS)
+    return _segment_layout(grid, SHOOT_SEGMENTS)
 
 
 @lru_cache(maxsize=8)
-def _segment_layout(grid, segments, steps):
+def _segment_layout(grid, segments):
     n = grid.n_nodes
-    stride = -(-steps // (n - 1))  # ceil
+    stride = -(-RK4_STEPS // (n - 1))  # ceil
     k_seg = max(k for k in range(1, segments + 1) if (n - 1) % k == 0)
     m = (n - 1) // k_seg
     wn = grid.weights * grid.cos / grid.cos2_mass
@@ -324,43 +338,29 @@ def _shoot_conditions(lanes, u0, v0, wseg):
     return c
 
 
-@lru_cache(maxsize=8)
-def _shoot_band_pattern(k_seg):
-    """Where the tangents of K = k_seg segments go in the LU band storage
-    of _shoot_newton_system's core: (band row, column, mask).  tan[:4]
-    transposed to (k, p, d) and masked by ``mask`` fills ab[band, column];
-    the mask drops segment 0's fixed start U and the last segment's free
-    end slope."""
-    size = 4 * k_seg - 2
-    k, p, d = np.meshgrid(np.arange(k_seg), np.arange(4), np.arange(4), indexing="ij")
-    row, col = 4 * k + p, 4 * k + d - 2
-    inside = (col >= 0) & (row < size)
-    # kl + ku + i - j with kl = 5, ku = 2
-    pattern = (7 + row - col)[inside], col[inside], inside
-    for a in pattern:
-        a.flags.writeable = False
-    return pattern
-
-
 def _shoot_newton_system(lanes, wseg):
     """The Newton system of _shoot_conditions from the tangent lanes, as
     spsolve takes it.  Condition (segment k, p) is row 4k + p and start
     direction (k, d) column 4k + d - 2, p and d over Re U, Im U, Re U',
     Im U' (segment 0 starts at U = 0; the last ends with U only).  A
     segment's end depends on its own start and the next start enters with
-    -1: 5 sub- and 2 superdiagonals, written into rows 5: of spsolve's LU
-    band storage, a fresh Fortran-ordered (13, 4K - 2) array that spsolve
-    factors in place.  lam borders the columns, the normalization the
-    rows."""
+    -1: 5 sub- and 2 superdiagonals, written as strided slices into rows
+    5: of spsolve's LU band storage, a fresh Fortran-ordered (13, 4K - 2)
+    array that spsolve factors in place.  lam borders the columns, the
+    normalization the rows."""
     out, ue, ve = lanes
     k_seg = wseg.shape[1]
     size = 4 * k_seg - 2
     # tan[d, p, k]: (Re U, Im U, Re U', Im U') of segment k's end along direction d
     tan = np.stack([ue[1:], ve[1:]], axis=1)
     tan = np.stack([tan.real, tan.imag], axis=2).reshape(6, 4, k_seg)
-    band, col, inside = _shoot_band_pattern(k_seg)
     ab = np.zeros((13, size), order="F")
-    ab[band, col] = tan[:4].transpose(2, 1, 0)[inside]
+    # row 4k + p, column 4k + d - 2: band row kl + ku + p - d + 2, one per (p, d)
+    for d in range(4):
+        first = 1 if d < 2 else 0  # segment 0 starts at U = 0
+        for p in range(4):
+            end = k_seg - 1 if p >= 2 else k_seg  # the last segment ends with U only
+            ab[9 + p - d, 4 * first + d - 2:4 * end + d - 2:4] = tan[d, p, first:end]
     ab[5, 2:] = -1.0
     cols = tan[4:].transpose(2, 1, 0).reshape(4 * k_seg, 2)[:size]
     dnorm = np.einsum("jk,jdk->dk", wseg, out[:, 1:])
@@ -392,9 +392,8 @@ def shoot_solve(
     alone; linearizing adds the tangents and fails when one overflows.  At
     most ``params.max_iter`` steps.  r is the envelope's integral.
     """
-    eps, kappa = params.eps, params.kappa
-    if grid is None:
-        grid = make_grid(DEFAULT_NODES)
+    kappa = params.kappa
+    grid, w, lam = _start(params, grid, seed, r0)
     stride, h, wseg = _segments(grid)
     m, k_seg = wseg.shape[0] - 1, wseg.shape[1]
     starts = np.arange(k_seg) * m
@@ -403,7 +402,7 @@ def shoot_solve(
         # z: segment 0's U' = a, (U, U') of segments 1..K-1, lam
         s = np.concatenate([[0.0, 0.0], z[:-2]]).view(complex).reshape(k_seg, 2)
         u0, v0 = s[:, 0], s[:, 1]
-        lanes = _rk4_lanes(kappa, complex(z[-2], z[-1]), u0, v0, h, stride, m, ESCAPE_CAP,
+        lanes = _rk4_lanes(kappa, complex(z[-2], z[-1]), u0, v0, h, stride, m,
                            tangents=tangents)
         if lanes is None:
             return None
@@ -416,16 +415,12 @@ def shoot_solve(
         ev = residual(z, tangents=True)  # None on a tangent overflow
         return None if ev is None else ev + _shoot_newton_system(ev[2], wseg)
 
-    if seed is None:
+    if w is None:
         u0 = grid.cos[starts] + 0j
         v0 = -grid.sin[starts] + 0j
     else:
-        if seed.grid != grid:
-            raise InvalidArgument("seed must live on the solver grid")
-        values = seed.values / eps
-        u0 = values[starts]
-        v0 = _slopes(values, grid.spacing)[starts]
-    lam = kappa * complex(asymptotic_r(kappa, 1.0, 1) if r0 is None else r0 / abs(eps) ** 2)
+        u0 = w[starts]
+        v0 = _slopes(w, grid.spacing)[starts]
     z = np.append(np.stack([u0, v0], axis=1).view(float).ravel()[2:], [lam.real, lam.imag])
     tol = params.tol_fp
     z, ev, iterations, norms, _, converged = _newton(
@@ -449,21 +444,20 @@ def shoot_solve(
 
 # ------------------------------------------------------ finite differences
 
-def _fd_newton_system(ui, abs2, lam, rho, h, row):
+def _fd_newton_system(ui, abs2, lam, rho, diag, off, row):
     """The Newton system of the FD residual at (ui, lam), as spsolve takes
-    it; abs2 is |ui|^2, shared with the residual.  Re u and Im u
-    interleave per node, so -D2 - I and the 2 x 2 blocks of
-    d(|U|^2 U) = 2|U|^2 dU + U^2 conj(dU) make a (2, 2)-banded core,
-    written into rows 2: of spsolve's LU band storage, a fresh
-    Fortran-ordered (7, 2 ni) array that spsolve factors in place; the
-    columns are d/d(Re lam) = -u and d/d(Im lam) = -i u, the rows the
-    normalization of Re u and of Im u."""
+    it; abs2 is |ui|^2 and diag, off the stencil of -D2 - I, both shared
+    with the residual.  Re u and Im u interleave per node, so -D2 - I and
+    the 2 x 2 blocks of d(|U|^2 U) = 2|U|^2 dU + U^2 conj(dU) make a
+    (2, 2)-banded core, written as strided slices into rows 2: of
+    spsolve's LU band storage, a fresh Fortran-ordered (7, 2 ni) array
+    that spsolve factors in place; the columns are d/d(Re lam) = -u and
+    d/d(Im lam) = -i u, the rows the normalization of Re u and of Im u."""
     ni = len(ui)
     arr = 2.0 * rho * abs2 - lam
     usq = rho * ui * ui
-    diag = 2.0 / h**2 - 1.0
     ab = np.zeros((7, 2 * ni), order="F")
-    ab[2, 2:] = ab[6, :-2] = -1.0 / h**2
+    ab[2, 2:] = ab[6, :-2] = off
     ab[3, 1::2] = -arr.imag + usq.imag
     ab[4, 0::2] = diag + (arr.real + usq.real)
     ab[4, 1::2] = diag + (arr.real - usq.real)
@@ -505,19 +499,14 @@ def fd_solve(
     exceeds 1e80 or is not finite.  At most ``params.max_iter`` passes.
     The grid needs at least 7 nodes.
     """
-    eps, kappa = params.eps, params.kappa
-    if grid is None:
-        grid = make_grid(DEFAULT_NODES)
-    if grid.n_nodes < 7:
-        # the envelope's cubic end rule reads four interior nodes
+    kappa = params.kappa
+    if grid is not None and grid.n_nodes < 7:
+        # the envelope's cubic end rule reads four interior nodes; the
+        # default grid has 257
         raise InvalidArgument(f"finite differences need >= 7 nodes, got {grid.n_nodes}")
-    if seed is None:
+    grid, u, lam = _start(params, grid, seed, r0)
+    if u is None:
         u = grid.cos.astype(complex)
-    else:
-        if seed.grid != grid:
-            raise InvalidArgument("seed must live on the solver grid")
-        u = seed.values / eps
-    lam = kappa * complex(asymptotic_r(kappa, 1.0, 1) if r0 is None else r0 / abs(eps) ** 2)
 
     h = grid.spacing
     row = grid.weights[1:-1] * grid.cos[1:-1] / grid.cos2_mass
@@ -543,7 +532,7 @@ def fd_solve(
         # a taken trial's residual, |u|^2 included, serves its pass
         ev = residual(z) if ev is None else ev
         return None if ev is None else ev + _fd_newton_system(
-            z[:-2].view(complex), ev[2], complex(z[-2], z[-1]), kappa, h, row)
+            z[:-2].view(complex), ev[2], complex(z[-2], z[-1]), kappa, diag, off, row)
 
     z = np.append(u[1:-1].view(float), [lam.real, lam.imag])
     # overflow on the way to divergence is expected: a trial that is not

@@ -396,6 +396,18 @@ class TestPhysical:
 
 
 class TestVerify:
+    def test_skip_line_leads(self, capsys):
+        # rho = 6 has no physical preimage: its SKIP line comes before every
+        # check line, and the exit code follows the verdict line, whatever
+        # the verdict
+        code, out, _ = run_cli(capsys, "verify", "--rho-re", "6")
+        lines = out.splitlines()
+        assert lines[0] == "SKIP  cgl_residual            (rho has no physical preimage)"
+        assert len(lines) > 2
+        assert all(line.startswith(("PASS  ", "FAIL  ")) for line in lines[1:-1])
+        assert lines[-1] in ("verify: PASS", "verify: FAIL")
+        assert code == (0 if lines[-1] == "verify: PASS" else 1)
+
     def test_small_point_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--rho-re", "0.9", "--rho-im", "0.3",
@@ -514,6 +526,17 @@ def test_size_too_large_to_allocate_rejected(capsys, monkeypatch, tmp_path, comm
     code, out, err = run_cli(capsys, *command, str(size))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("solve", "--rho-re", "abc"), "invalid float value: 'abc'"),
+    (("solve", "--nodes", "2.5"), "invalid int value: '2.5'"),
+    (("sweep", "--mode", "arg", "--steps", "x"), "invalid int value: 'x'"),
+])
+def test_malformed_number_rejected(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
 
 
 class TestParser:

@@ -29,6 +29,7 @@ from cglvortex.direct import (
     _fd_branch, _fd_newton_system, _rk4_lanes, _segments, _shoot_conditions,
     _shoot_newton_system, _slopes, spsolve,
 )
+from conftest import branch_bits
 
 # Newton controls of the direct-solver tests
 SHOOT = dict(tol_fp=1e-11, max_iter=60)
@@ -38,6 +39,15 @@ CRITERION6_POINTS = [
     -3.5 + 0.75j, -2.0 + 1.5j, -1.0 + 0.25j, -0.5 + 1.0j, 0.5 + 0.5j,
     1.0 + 0.0j, 1.5 + 1.25j, 2.0 + 0.5j, 3.0 + 1.0j, 3.5 + 1.5j,
 ]
+
+
+@pytest.mark.parametrize("solver", [fixed_point_solve, shoot_solve, fd_solve])
+def test_default_grid_is_257_nodes(solver):
+    # a solve without a grid is the solve on make_grid(257), bit for bit
+    params = CoreParams(rho=2.0 + 0.5j, eps=0.5 - 0.2j)
+    b = solver(params)
+    assert b.grid.n_nodes == 257 and b.converged
+    assert branch_bits(b) == branch_bits(solver(params, make_grid(257)))
 
 
 class TestOdeForcing:
@@ -120,8 +130,7 @@ class TestShooting:
         for stride in (64, 128):
             h = np.pi / (stride * 4)
             # rho = 0 and lam = rho r = 0
-            out, u_end, v_end = _rk4_lanes(0.0, 0.0, [0.0], [1.0], h, stride, 4,
-                                           direct.ESCAPE_CAP)
+            out, u_end, v_end = _rk4_lanes(0.0, 0.0, [0.0], [1.0], h, stride, 4)
             errs.append(abs(u_end[0, 0]))  # exact terminal value is 0 for U = cos
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
@@ -135,8 +144,7 @@ class TestShooting:
         r = np.complex128(0.6 - 0.1j)
         slopes = np.array([0.9 + 0.2j, 0.3 - 0.7j, -1.1 + 0.05j])
         h = np.pi / (stride * (n_nodes - 1))
-        got = _rk4_lanes(rho, rho * r, np.zeros(3), slopes, h, stride, n_nodes - 1,
-                         direct.ESCAPE_CAP)
+        got = _rk4_lanes(rho, rho * r, np.zeros(3), slopes, h, stride, n_nodes - 1)
         for lane, a in enumerate(slopes):
             ref = _reference_rk4(rho, r, np.complex128(a), stride * (n_nodes - 1), n_nodes)
             for got_k, ref_k in ((got[0][:, 0, lane], ref[0]), (got[1][0, lane], ref[1]),
@@ -148,10 +156,9 @@ class TestShooting:
         a, r = np.complex128(20.0), np.complex128(0.0)
         assert _reference_rk4(9.0, r, a, 2048, 257) is None
         h = np.pi / 2048
-        assert _rk4_lanes(9.0, 9.0 * r, [0.0], [a], h, 8, 256, direct.ESCAPE_CAP) is None
+        assert _rk4_lanes(9.0, 9.0 * r, [0.0], [a], h, 8, 256) is None
         # one escaping lane fails the whole trial
-        assert _rk4_lanes(9.0, 9.0 * r, [0.0, 0.0], [1.0, a], h, 8, 256,
-                          direct.ESCAPE_CAP) is None
+        assert _rk4_lanes(9.0, 9.0 * r, [0.0, 0.0], [1.0, a], h, 8, 256) is None
 
     @pytest.mark.parametrize("n_nodes", [129, 257, 513])
     @pytest.mark.parametrize("rho", [2.0 + 0.5j, -3.5, 0.0])
@@ -161,8 +168,7 @@ class TestShooting:
         lam = rho * (0.6 - 0.1j)
         u0 = np.array([0.0, 0.2 + 0.1j, -0.3j])
         v0 = np.array([0.9 + 0.2j, 0.3 - 0.7j, -1.1 + 0.05j])
-        args = (rho, lam, u0, v0, np.pi / (stride * (n_nodes - 1)), stride, n_nodes - 1,
-                direct.ESCAPE_CAP)
+        args = (rho, lam, u0, v0, np.pi / (stride * (n_nodes - 1)), stride, n_nodes - 1)
         full = _rk4_lanes(*args)
         alone = _rk4_lanes(*args, tangents=False)
         for got, lanes in zip(alone, full):
@@ -172,7 +178,7 @@ class TestShooting:
     @pytest.mark.parametrize("slopes", [[20.0], [1.0, 20.0], [0.1]])
     def test_trajectory_only_escapes_like_full_run(self, slopes):
         # the escapes of test_rk4_escape_matches_reference, and a lane that stays bounded
-        args = (9.0, 0.0, np.zeros(len(slopes)), slopes, np.pi / 2048, 8, 256, direct.ESCAPE_CAP)
+        args = (9.0, 0.0, np.zeros(len(slopes)), slopes, np.pi / 2048, 8, 256)
         escaped = slopes != [0.1]
         assert (_rk4_lanes(*args) is None) == escaped
         assert (_rk4_lanes(*args, tangents=False) is None) == escaped
@@ -183,7 +189,7 @@ class TestShooting:
         lam = rho * r
         u0, v0 = np.array([0.3 + 0.1j, -0.2j]), np.array([0.9 + 0.2j, 0.4 - 0.3j])
         h, stride, m = np.pi / 2048, 8, 8
-        out, ue, ve = _rk4_lanes(rho, lam, u0, v0, h, stride, m, direct.ESCAPE_CAP)
+        out, ue, ve = _rk4_lanes(rho, lam, u0, v0, h, stride, m)
         step = 1e-6
         for d in range(6):
             shifted = []
@@ -192,7 +198,7 @@ class TestShooting:
                 lanes = _rk4_lanes(rho, lam + t * direct._DIRECTION_LAM[d],
                                    u0 + t * direct._DIRECTION_U[d],
                                    v0 + t * direct._DIRECTION_V[d],
-                                   h, stride, m, direct.ESCAPE_CAP)
+                                   h, stride, m)
                 shifted.append(lanes)
             for i, got in enumerate((out[:, 1 + d], ue[1 + d], ve[1 + d])):
                 fd = (shifted[0][i][..., 0, :] - shifted[1][i][..., 0, :]) / (2 * step)
@@ -330,7 +336,7 @@ class TestShooting:
             s = np.concatenate([[0.0, 0.0], z[:-2]]).view(complex).reshape(k_seg, 2)
             u0, v0 = s[:, 0], s[:, 1]
             lanes = _rk4_lanes(rho, complex(z[-2], z[-1]), u0, v0, h, stride, m,
-                               direct.ESCAPE_CAP, tangents=tangents)
+                               tangents=tangents)
             return lanes, _shoot_conditions(lanes, u0, v0, wseg).view(float)
 
         def difference(dz):
@@ -366,6 +372,38 @@ class TestShooting:
             dz[j] = step
             quotients[:, j] = difference(dz)[0]
         assert np.max(np.abs(got - quotients)) <= 1e-7 * np.max(np.abs(quotients))
+
+    @pytest.mark.parametrize("k_seg", [8, 16, 256])
+    def test_newton_system_band_layout_exact(self, k_seg):
+        # lanes of known distinct tangents, not from RK4: tangent (d, p) of
+        # segment k is the entry (4k + p, 4k + d - 2) of the core, bit for
+        # bit; the next segment's start enters with -1, and every other
+        # entry of ab is 0: its first kl rows, and the places of segment
+        # 0's fixed start U and of the last segment's free end slope
+        _, _, wseg = _segments(make_grid(k_seg + 1))
+        assert wseg.shape[1] == k_seg
+        rng = np.random.default_rng(k_seg)
+        # tan[d, p, k]: (Re U, Im U, Re U', Im U') of segment k's end along direction d
+        tan = rng.uniform(1.0, 2.0, (6, 4, k_seg))
+        ue = np.zeros((7, k_seg), dtype=complex)
+        ve = np.zeros_like(ue)
+        ue[1:] = tan[:, 0] + 1j * tan[:, 1]
+        ve[1:] = tan[:, 2] + 1j * tan[:, 3]
+        out = rng.standard_normal((wseg.shape[0], 7, k_seg)) + 0j
+        ab, kl, ku = _shoot_newton_system((out, ue, ve), wseg)[:3]
+        size = 4 * k_seg - 2
+        expect = np.zeros((2 * kl + ku + 1, size))
+        for i in range(size - 2):
+            expect[kl + ku - 2, i + 2] = -1.0
+        for k in range(k_seg):
+            for p in range(4):
+                for d in range(4):
+                    i, j = 4 * k + p, 4 * k + d - 2
+                    if i < size and j >= 0:
+                        expect[kl + ku + i - j, j] = tan[d, p, k]
+        assert (kl, ku, ab.shape) == (5, 2, expect.shape) and ab.flags.f_contiguous
+        assert ab.tobytes() == expect.tobytes()
+        assert not np.isin(tan[:2, :, 0], ab).any() and not np.isin(tan[:4, 2:, -1], ab).any()
 
     @pytest.mark.parametrize("n_nodes,k_seg,m", [(129, 128, 1), (257, 256, 1), (513, 256, 2)])
     def test_segment_layout(self, n_nodes, k_seg, m):
@@ -621,7 +659,8 @@ class TestFiniteDifference:
         for _ in range(2):
             u = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
             lam = complex(rng.standard_normal(), rng.standard_normal())
-            system = _fd_newton_system(u, (u * u.conjugate()).real, lam, rho, grid.spacing, row)
+            system = _fd_newton_system(u, (u * u.conjugate()).real, lam, rho,
+                                       2.0 / grid.spacing**2 - 1.0, -1.0 / grid.spacing**2, row)
             dense = _dense_fd_jacobian(grid, u, lam, rho)[np.ix_(order, order)]
             got = _bordered_dense(*system)
             assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))

@@ -105,3 +105,27 @@ def test_direct_solves_do_not_load_scipy_linalg():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_peak_memory_within_10_mib_of_import():
+    # the direct solvers load scipy's compiled LAPACK module by itself, not
+    # through scipy.linalg's package init (about 28 MiB): a fresh verify at
+    # one point must peak within 10 MiB of a fresh process that only
+    # imports cglvortex and builds the default grid
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    peak_line = "\nimport resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    children = {
+        "import": "import cglvortex; cglvortex.make_grid(257)",
+        "verify": ("import contextlib, io, cglvortex.cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    rc = cglvortex.cli.main(['verify', '--rho-re', '1.5',\n"
+                   "                             '--rho-im', '1.25'])\n"
+                   "assert rc == 0, rc"),
+    }
+    peak = {}
+    for name, code in children.items():
+        proc = subprocess.run([sys.executable, "-c", code + peak_line],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        peak[name] = int(proc.stdout) / 1024  # ru_maxrss is in KiB
+    assert peak["verify"] - peak["import"] <= 10.0, peak

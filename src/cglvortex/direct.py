@@ -386,11 +386,11 @@ def shoot_solve(
     default cos x), lam from rho * r0 (default r0 from the small-amplitude
     series).  _newton's rules: the norm is the sum of the jumps, or the
     normalization mismatch if larger; done when it is below
-    ``params.tol_fp``; a trial is taken when it decreases the norm or is
-    done, within ten halvings; not converged when the norm has not halved
-    over the last SHOOT_STALL passes.  Trials integrate the trajectory
-    alone; linearizing adds the tangents and fails when one overflows.  At
-    most ``params.max_iter`` steps.  r is the envelope's integral.
+    ``params.tol_fp``; a trial is taken when it lowers the norm, within ten
+    halvings; not converged when the norm has not halved over the last
+    SHOOT_STALL passes.  Trials integrate the trajectory alone; linearizing
+    adds the tangents and fails when one overflows.  At most
+    ``params.max_iter`` steps.  r is the envelope's integral.
     """
     kappa = params.kappa
     grid, w, lam = _start(params, grid, seed, r0)
@@ -425,7 +425,7 @@ def shoot_solve(
     tol = params.tol_fp
     z, ev, iterations, norms, _, converged = _newton(
         z, residual, linearize, params.max_iter, done=lambda norm, step: norm < tol,
-        accept=lambda trial, norm: trial < norm or trial < tol, halvings=10, take_last=False,
+        accept=lambda trial, norm: trial < norm, halvings=10, take_last=False,
         stall=SHOOT_STALL)
     if ev is None:
         return _diverged_branch(params, grid, "shooting", iterations)

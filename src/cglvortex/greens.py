@@ -84,9 +84,9 @@ def _envelope_pair(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndar
     call on the stacked rows f sin and f cos, and v is assembled in place
     of the first, each half of the pair one contiguous block.  The steps
     take whole rows, with tan_c 0 at the end nodes, and the two end columns
-    are then overwritten by the limit values.  A block's end cells take
-    running_integral's Python fallback only in a row whose end cells are
-    not finite; one forcing's always do."""
+    are then overwritten by the limit values.  A block row that is not
+    finite is not finite at the same entries as alone, but its NaNs need
+    not keep their bits (see running_integral)."""
     tables = grid.sin_cos_c if f_values.ndim == 1 else grid.sin_cos_c[:, None]
     f_sin_cos = f_values * tables  # f first: operand order can change the bits
     sums = running_integral(f_sin_cos, grid.spacing)

@@ -7,7 +7,6 @@ the same order.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -168,10 +167,11 @@ def running_integral(values: np.ndarray, h: float) -> np.ndarray:
     sum their end cells on Python scalars, which costs fewer calls than
     numpy there.  More rows take the end cells of every row in a few numpy
     calls, adding -5 times a sample where Python subtracts 5 times it: a
-    finite cell gets the same bits, up to the sign of a zero cell.  A row
-    with an end cell that is not finite (a non-finite end sample, or an
-    overflow) is summed on Python scalars again, since numpy's complex
-    multiply can give a NaN other bits."""
+    finite cell gets the same bits, up to the sign of a zero cell.  The
+    weights are real, and numpy and Python multiply complex numbers by the
+    same formula, so a block row's end cells are not finite at exactly the
+    entries where they are not finite alone; the bits of its NaNs are not
+    kept."""
     g = np.asarray(values)
     n = g.shape[-1]
     flat = g.reshape(-1)
@@ -184,7 +184,11 @@ def running_integral(values: np.ndarray, h: float) -> np.ndarray:
     mid *= 1.0 / 24.0
     rows = flat.reshape(-1, n)
     if len(rows) <= 2:
-        _end_cells(cell, n, range(0, flat.size, n), rows[:, :4].tolist(), rows[:, -4:].tolist())
+        firsts, lasts = rows[:, :4].tolist(), rows[:, -4:].tolist()
+        for i, (a, b, c, d), (p, q, r, s) in zip(range(0, flat.size, n), firsts, lasts):
+            cell[i] = 0.0
+            cell[i + 1] = (9 * a + 19 * b - 5 * c + d) * (1.0 / 24.0)
+            cell[i + n - 1] = (p - 5 * q + 19 * r + 9 * s) * (1.0 / 24.0)
     else:
         terms = rows[:, _END_NODES]
         terms *= _END_WEIGHTS
@@ -195,26 +199,13 @@ def running_integral(values: np.ndarray, h: float) -> np.ndarray:
         cells = cell.reshape(-1, n)
         cells[:, 0] = 0.0
         cells[:, 1::n - 2] = ends
-        if not cmath.isfinite(ends.sum()):
-            bad = np.flatnonzero(~np.isfinite(ends).all(axis=1))
-            _end_cells(cell, n, (bad * n).tolist(), rows[bad, :4].tolist(),
-                       rows[bad, -4:].tolist())
     out = cell.reshape(g.shape).cumsum(axis=-1)
     out *= h
     return out
 
 
-# the samples and weights of the first and last cells: (a, b, c, d) and
-# (p, q, r, s) of _end_cells
+# the samples and weights of the first and last cells of a block's rows:
+# (a, b, c, d) and (p, q, r, s) of the loop in running_integral
 _END_NODES = [0, 1, 2, 3, -4, -3, -2, -1]
 _END_WEIGHTS = np.array([9, 19, -5, 1, 1, -5, 19, 9], dtype=complex)
 
-
-def _end_cells(cell: np.ndarray, n: int, starts, firsts, lasts) -> None:
-    """The zero and the two end cells of the rows of n cells that begin at
-    the flat indices ``starts``, from their first and last four samples,
-    summed on Python scalars."""
-    for i, (a, b, c, d), (p, q, r, s) in zip(starts, firsts, lasts):
-        cell[i] = 0.0
-        cell[i + 1] = (9 * a + 19 * b - 5 * c + d) * (1.0 / 24.0)
-        cell[i + n - 1] = (p - 5 * q + 19 * r + 9 * s) * (1.0 / 24.0)

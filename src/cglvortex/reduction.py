@@ -25,16 +25,16 @@ fixed-point loop calls it directly, on one row of samples (n,) or on a
 block of rows (B, n) with a (B, 1) column of kappas (_block_rows).
 A one-row map is call-bound, and a block's steps run on contiguous rows;
 so these multiply by the Grid's complex tables and write into arrays they
-own, and a block takes its end cells and bulk term in numpy, on Python
-scalars only in a row where they are not finite.  Every element keeps its
-operations and the order of their operands: where numpy's complex
-multiply uses FMA, a * b and b * a can differ in the last bit, so a map
-stays bit-identical only with kappa * f written as np.multiply(kappa, f),
-never as f *= kappa.
+own, and a block takes its end cells and bulk term in numpy.  A block row
+that is not finite is not finite at the entries where it is not finite
+alone, but its NaNs need not keep their bits; such a row has diverged,
+and no record holds its values.  Every element keeps its operations and
+the order of their operands: where numpy's complex multiply uses FMA,
+a * b and b * a can differ in the last bit, so a map stays bit-identical
+only with kappa * f written as np.multiply(kappa, f), never as f *= kappa.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from collections import deque
 from collections.abc import Iterator
@@ -160,8 +160,8 @@ def project_mean(u: GridFunction) -> complex:
 def _green_pair(f_values: np.ndarray, grid: Grid) -> np.ndarray:
     """apply_green_op of one forcing (n,) or of each row of a block (B, n),
     in [0] of a (2, ..., n) pair; [1] is scratch.  As in _envelope_pair,
-    a block's end cells take the Python fallback only in a row whose end
-    cells are not finite."""
+    a block row that is not finite is not finite at the same entries as
+    alone, with NaNs whose bits are not kept."""
     pair = _envelope_pair(f_values, grid, 0.0)
     v = pair[0]
     np.subtract(v, _project_mean(v, grid), out=v)
@@ -188,15 +188,7 @@ def _cubic_forcing(w_values: np.ndarray, rho: complex, grid: Grid) -> np.ndarray
     t = absq * one
     t *= grid.cos4_c
     s = _row_sums(t, grid)
-    if t.ndim == 1:
-        bulk = (2.0 / np.pi) * complex(s)
-    else:
-        bulk = (2.0 / np.pi) * s
-        if not cmath.isfinite(bulk.sum()):
-            # Python's float * complex in a row whose sum is not finite:
-            # numpy's can differ in a NaN's bits
-            for i in np.flatnonzero(~np.isfinite(s[:, 0])).tolist():
-                bulk[i, 0] = (2.0 / np.pi) * complex(s[i, 0])
+    bulk = (2.0 / np.pi) * (complex(s) if t.ndim == 1 else s)
     f = np.multiply(absq, grid.cos2_c, out=t)
     np.subtract(bulk, f, out=f)
     np.multiply(rho, f, out=f)  # rho first: under FMA, f * rho rounds differently
@@ -340,15 +332,15 @@ def _stalled(increments: list[float]) -> bool:
 
 class _Row:
     """One solve of a block: its params, its index in the block's params,
-    its own map count, histories and Anderson state."""
+    its histories (one increment per map, so they count its maps) and
+    Anderson state."""
 
-    __slots__ = ("params", "index", "maps", "increments", "sups", "mixer", "accelerated_at",
-                 "at_switch", "best", "ended")
+    __slots__ = ("params", "index", "increments", "sups", "mixer", "accelerated_at", "at_switch",
+                 "best", "ended")
 
     def __init__(self, params: CoreParams, index: int):
         self.params = params
         self.index = index
-        self.maps = 0
         self.increments: list[float] = []
         self.sups: list[float] = []
         self.mixer: _Anderson | None = None
@@ -467,8 +459,7 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
                                              None, row.ended[0], inc, row.ended[1], w=w_k,
                                              **row.history())
                 continue
-            row.maps += 1
-            iterations = row.maps
+            iterations = len(row.increments) + 1  # this map's number in the row
             if not math.isfinite(sup):
                 waiting[row.index] = _diverged_branch(row.params, grid, "fixed_point",
                                                       iterations, **row.history())

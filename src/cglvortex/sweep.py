@@ -449,8 +449,14 @@ def _number(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-def _record_from_row(d, where: str) -> SweepRecord:
-    """The record of one emitted row: a JSON object, or a CSV line keyed by
+# the JSON types a JSON cell of each field type may have (by exact type, so
+# that true and false are not numbers), keyed like _record_from_row's parsers
+_JSON_TYPES = {"float": (int, float, type(None)), "int": (int,), "bool": (bool,), "str": (str,)}
+
+
+def _record_from_row(d, where: str, typed: bool) -> SweepRecord:
+    """The record of one emitted row: a JSON object (``typed``), whose
+    cells must have their field's JSON type, or a CSV line keyed by
     CSV_COLUMNS (its cells still text), each cell parsed by its field's
     type.  A missing or unreadable cell raises InvalidArgument naming
     ``where`` (file and line or row) and the column."""
@@ -462,10 +468,13 @@ def _record_from_row(d, where: str) -> SweepRecord:
     def cell(f):
         if f.name not in d:
             raise InvalidArgument(f"{where}: missing column {f.name}")
-        try:
-            return parsers[f.type](d[f.name])
-        except (TypeError, ValueError):
-            raise InvalidArgument(f"{where}, column {f.name}: cannot read {d[f.name]!r}") from None
+        value = d[f.name]
+        if not typed or type(value) in _JSON_TYPES[f.type]:
+            try:
+                return parsers[f.type](value)
+            except (TypeError, ValueError, OverflowError):  # Overflow: an int past float range
+                pass
+        raise InvalidArgument(f"{where}, column {f.name}: cannot read {value!r}")
 
     return SweepRecord(**{f.name: cell(f) for f in fields(SweepRecord) if f.name in CSV_COLUMNS})
 
@@ -475,7 +484,8 @@ def load_records(path, format_: str) -> list[SweepRecord]:
     must be UTF-8 text and a JSON file must hold an array, or
     InvalidArgument names the file; a CSV file must carry the CSV_COLUMNS
     header and one field per column in each row; every cell must read as
-    its column's type (converged only true or false), or InvalidArgument
+    its column's type (converged only true or false; in JSON a float is a
+    number or null, an int an integer, a str a string), or InvalidArgument
     names the line (CSV) or row (JSON) and column."""
     if format_ not in ("csv", "json"):
         raise InvalidArgument(f"unknown format {format_!r}")
@@ -487,7 +497,7 @@ def load_records(path, format_: str) -> list[SweepRecord]:
                 raise InvalidArgument(f"{path} is not JSON: {exc}") from None
             if not isinstance(rows, list):
                 raise InvalidArgument(f"{path}: expected an array of records")
-            return [_record_from_row(d, f"{path} row {i}") for i, d in enumerate(rows)]
+            return [_record_from_row(d, f"{path} row {i}", True) for i, d in enumerate(rows)]
         try:
             header = fh.readline()
             rows = [line.rstrip("\n").split(",") for line in fh]
@@ -501,5 +511,6 @@ def load_records(path, format_: str) -> list[SweepRecord]:
             raise InvalidArgument(
                 f"{path} line {line_no}: {len(cells)} fields, expected {len(CSV_COLUMNS)}"
             )
-        records.append(_record_from_row(dict(zip(CSV_COLUMNS, cells)), f"{path} line {line_no}"))
+        records.append(_record_from_row(dict(zip(CSV_COLUMNS, cells)), f"{path} line {line_no}",
+                                        False))
     return records

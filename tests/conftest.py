@@ -6,6 +6,13 @@ import pytest
 from cglvortex import (GridFunction, enforce_solvability, fixed_point_solve, make_grid,
                        project_mean, reduction)
 
+# the 10 rectangle points of acceptance criterion 6, where the three
+# methods must agree (bench/workloads.py's CROSS_POINTS)
+CRITERION6_POINTS = [
+    -3.5 + 0.75j, -2.0 + 1.5j, -1.0 + 0.25j, -0.5 + 1.0j, 0.5 + 0.5j,
+    1.0 + 0.0j, 1.5 + 1.25j, 2.0 + 0.5j, 3.0 + 1.0j, 3.5 + 1.5j,
+]
+
 
 def random_trig(grid, rng, kmax=6):
     """Random complex trigonometric polynomial on the grid."""

@@ -3,8 +3,10 @@
 Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 report lines immediately.
 """
+import runpy
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,12 +34,9 @@ from cglvortex import (
     solvability_residual,
     solve,
 )
-from conftest import random_admissible, random_mean_free_ball
+from conftest import CRITERION6_POINTS, random_admissible, random_mean_free_ball
 
-RECTANGLE_SAMPLES = [
-    -3.5 + 0.75j, -2.0 + 1.5j, -1.0 + 0.25j, -0.5 + 1.0j, 0.5 + 0.5j,
-    1.0 + 0.0j, 1.5 + 1.25j, 2.0 + 0.5j, 3.0 + 1.0j, 3.5 + 1.5j,
-]
+RECTANGLE_SAMPLES = CRITERION6_POINTS
 
 # converged branches produced anywhere in this module, for criterion 8
 _BRANCH_REGISTRY = []
@@ -263,6 +262,12 @@ def test_criterion_6_cross_method_agreement():
         "shooting reached |rho|=9"
     )
     _report(6, ok, msg)
+
+
+def test_benchmark_cross_check_runs_the_criterion6_points():
+    # the benchmark's cross_check workload verifies at these same points
+    workloads = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "workloads.py"))
+    assert list(workloads["CROSS_POINTS"]) == RECTANGLE_SAMPLES
 
 
 def test_criterion_7_pde_residual():

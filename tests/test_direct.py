@@ -29,18 +29,11 @@ from cglvortex.direct import (
     _fd_branch, _fd_newton_system, _rk4_lanes, _segments, _shoot_conditions,
     _shoot_newton_system, _slopes, spsolve,
 )
-from conftest import branch_bits
+from conftest import CRITERION6_POINTS, branch_bits
 
 # Newton controls of the direct-solver tests
 SHOOT = dict(tol_fp=1e-11, max_iter=60)
 FD = dict(tol_fp=1e-11)
-# the criterion-6 rectangle points (RECTANGLE_SAMPLES in test_acceptance.py)
-CRITERION6_POINTS = [
-    -3.5 + 0.75j, -2.0 + 1.5j, -1.0 + 0.25j, -0.5 + 1.0j, 0.5 + 0.5j,
-    1.0 + 0.0j, 1.5 + 1.25j, 2.0 + 0.5j, 3.0 + 1.0j, 3.5 + 1.5j,
-]
-
-
 @pytest.mark.parametrize("solver", [fixed_point_solve, shoot_solve, fd_solve])
 def test_default_grid_is_257_nodes(solver):
     # a solve without a grid is the solve on make_grid(257), bit for bit

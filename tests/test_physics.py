@@ -23,6 +23,7 @@ from cglvortex import (
     rho_from_physical,
 )
 from cglvortex.reduction import Branch
+from conftest import CRITERION6_POINTS
 
 
 def r_from_physical(R, omega, mu, nu, n):
@@ -171,13 +172,6 @@ class TestAsymptoticPhysical:
     def test_invalid_mode_rejected(self, n):
         with pytest.raises(InvalidArgument):
             asymptotic_physical(0.3, 0.2, 0.1, n)
-
-
-# the rectangle points of acceptance criterion 6
-CRITERION6_POINTS = [
-    -3.5 + 0.75j, -2.0 + 1.5j, -1.0 + 0.25j, -0.5 + 1.0j, 0.5 + 0.5j,
-    1.0 + 0.0j, 1.5 + 1.25j, 2.0 + 0.5j, 3.0 + 1.0j, 3.5 + 1.5j,
-]
 
 
 def _converged_branch(rho, eps, n_nodes=257):

@@ -27,16 +27,11 @@ from cglvortex import (
 )
 from cglvortex.reduction import DEFAULT_NODES
 from cglvortex.sweep import CSV_COLUMNS, METHODS
+from conftest import CRITERION6_POINTS
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25, database=None)
 
 GRID = make_grid(129)
-# the rectangle points of acceptance criterion 6
-CRITERION6_POINTS = [
-    -3.5 + 0.75j, -2.0 + 1.5j, -1.0 + 0.25j, -0.5 + 1.0j, 0.5 + 0.5j,
-    1.0 + 0.0j, 1.5 + 1.25j, 2.0 + 0.5j, 3.0 + 1.0j, 3.5 + 1.5j,
-]
-
 # inside the default rectangle's convergence region at |eps| <= 0.8
 rhos = st.builds(
     complex,

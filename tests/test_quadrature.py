@@ -175,9 +175,9 @@ class TestKernelsBitIdentical:
     @pytest.mark.parametrize("n", [5, 7, 257])
     def test_sweep_wide_block_integrates_each_row_as_alone(self, n):
         # a (16, 2, n) block, the envelope pair of a sweep's 16 rows, takes
-        # its end cells in numpy and falls back to Python scalars in a row
-        # whose end cells are not finite; each row keeps the bits of its
-        # integral alone, which takes the Python path
+        # its end cells in numpy; each row integral alone takes the Python
+        # path.  A row keeps the bits of its integral alone where that is
+        # finite, and is not finite where it is not; a NaN's bits may differ
         rng = np.random.default_rng(n)
         block = rng.standard_normal((16, 2, n)) + 1j * rng.standard_normal((16, 2, n))
         block[2, 1, :4] = 1e308  # finite samples whose first cell overflows
@@ -193,7 +193,10 @@ class TestKernelsBitIdentical:
         assert not np.isfinite(out[3, 1, 1:]).any() and np.isfinite(out[4]).all()
         for pair, pair_alone in zip(out, alone):
             for row, row_alone in zip(pair, pair_alone):
-                assert np.array_equal(row.view(np.uint64), row_alone.view(np.uint64))
+                finite = np.isfinite(row)
+                assert np.array_equal(finite, np.isfinite(row_alone))
+                assert np.array_equal(row[finite].view(np.uint64),
+                                      row_alone[finite].view(np.uint64))
 
     @pytest.mark.parametrize("n", [5, 7, 129, 257, 513, 1025])
     def test_block_row_sums_match_one_row_dot(self, n):

@@ -152,12 +152,22 @@ class TestSweepSpec:
         with pytest.raises(InvalidArgument):
             SweepSpec(mode="rectangle", **{field: value})
 
-    @pytest.mark.parametrize("field,value", [("eps", 0.0)])
+    @pytest.mark.parametrize("field,value", [("eps", 0.0), ("method", "newton")])
     def test_solver_controls_validated(self, field, value):
         # a sweep that cannot run any solver is refused up front instead of
         # writing a record per point that did not converge
         with pytest.raises(InvalidArgument):
             SweepSpec(mode="rectangle", **{field: value})
+
+    @pytest.mark.parametrize("mode,field,value", [
+        ("arg_sweep", "arg_steps", 1), ("arg_sweep", "arg_min", 4.0),
+        ("arg_sweep", "radius", 0.0), ("arg_sweep", "radius", -1.0),
+        ("modulus_sweep", "mod_steps", 1), ("modulus_sweep", "mod_min", 10.0),
+    ])
+    def test_ray_and_circle_bounds_rejected(self, mode, field, value):
+        # arg_max defaults to pi and mod_max to 9
+        with pytest.raises(InvalidArgument):
+            SweepSpec(mode=mode, **{field: value})
 
     def test_rectangle_points_row_major(self):
         spec = SweepSpec(
@@ -398,19 +408,31 @@ class TestColdFixedPointBlocks:
         run_sweep(spec)
         assert calls == [(kind, rho) for rho in spec.points() for kind in ("solve", "record")]
 
-    def test_sweep_records_match_one_row_solves(self, monkeypatch):
+    def test_sweep_records_match_one_row_solves(self, monkeypatch, tmp_path):
         # run_sweep's blocks against solve(), the per-point path of every
-        # other sweep, accelerated_at included
-        spec = SweepSpec(mode="arg_sweep", radius=4.0, arg_steps=21, n_nodes=129)
-        grid = make_grid(129)
-        one_row = [record_from_branch(solve("fixed_point", rho, spec.eps, grid))
-                   for rho in spec.points()]
-        assert any(r.accelerated_at is not None for r in one_row)
-        for size in (1, 4, 16):
-            monkeypatch.setattr(sweep, "FP_BLOCK", size)
-            records = run_sweep(spec)
-            assert records == one_row
-            assert [r.accelerated_at for r in records] == [r.accelerated_at for r in one_row]
+        # other sweep, as emitted CSV bytes (a diverged record's nan cells
+        # are not == to themselves), accelerated_at included; 91 of the 99
+        # points of the wide rectangle do not converge
+        specs = [SweepSpec(mode="arg_sweep", radius=4.0, arg_steps=21, n_nodes=129),
+                 SweepSpec(mode="rectangle", re_min=-40.0, re_max=40.0, re_steps=11,
+                           im_min=-20.0, im_max=20.0, im_steps=9, n_nodes=33)]
+
+        def csv_bytes(records):
+            path = tmp_path / "records.csv"
+            emit_results(records, "csv", path)
+            return path.read_bytes()
+
+        for spec in specs:
+            grid = make_grid(spec.n_nodes)
+            one_row = [record_from_branch(solve("fixed_point", rho, spec.eps, grid))
+                       for rho in spec.points()]
+            assert any(r.accelerated_at is not None for r in one_row)
+            for size in (1, 4, 16):
+                monkeypatch.setattr(sweep, "FP_BLOCK", size)
+                records = run_sweep(spec)
+                assert csv_bytes(records) == csv_bytes(one_row), (spec.mode, size)
+                assert [r.accelerated_at for r in records] == [r.accelerated_at for r in one_row]
+        assert sum(not r.converged for r in one_row) == 91
 
 
 class TestSolve:
@@ -501,6 +523,17 @@ class TestVerify:
         assert check.value == float("inf") and not check.passed
         assert not result.passed
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("rho", [1e308 + 1e308j, 1.5e308 + 1.5e308j])
+    def test_huge_rho_fails_without_raising(self, rho):
+        # both parts finite, and at 1.5e308 (1 + i) |rho| past the float
+        # range: every solve diverges, and only the three convergence
+        # checks are made
+        result = verify(rho, 1.0, make_grid(9))
+        assert not result.passed
+        assert [check.name for check in result.checks] == [
+            f"converged[{name}]" for name in sweep.METHODS]
+        assert not any(check.passed for check in result.checks)
 
 
 class TestDivergedRecord:
@@ -646,6 +679,61 @@ class TestEmission:
         path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
         with pytest.raises(InvalidArgument, match=rf"two\.csv line 3, column {column}"):
             load_records(path, "csv")
+
+    @pytest.mark.parametrize("column,cell", [
+        ("iterations", 3.5), ("r_re", True), ("zero_count", True), ("method", 5),
+        ("converged", "true"), ("converged", 1), ("r_im", "0.5"),
+        pytest.param("r_re", 10**400, id="r_re-int_past_float"),
+    ])
+    def test_json_bad_cell_named(self, tmp_path, column, cell):
+        # a JSON cell must already have its column's JSON type: a number or
+        # null for a float, an integer for an int, true or false, a string
+        path = tmp_path / "two.json"
+        emit_results([self._one_record()] * 2, "json", path)
+        rows = json.loads(path.read_text())
+        rows[1][column] = cell
+        path.write_text(json.dumps(rows))
+        with pytest.raises(InvalidArgument, match=rf"two\.json row 1, column {column}"):
+            load_records(path, "json")
+
+    def test_json_numbers_read_as_floats(self, tmp_path):
+        # a float column reads any JSON number, and null as NaN
+        path = tmp_path / "one.json"
+        emit_results([self._one_record()], "json", path)
+        rows = json.loads(path.read_text())
+        rows[0].update(r_re=3, r_im=None)
+        path.write_text(json.dumps(rows))
+        (back,) = load_records(path, "json")
+        assert type(back.r_re) is float and back.r_re == 3.0
+        assert np.isnan(back.r_im)
+
+    @pytest.mark.parametrize("row", [5, [1.25, -0.5], "fixed_point", None])
+    def test_json_row_not_an_object_named(self, tmp_path, row):
+        path = tmp_path / "two.json"
+        emit_results([self._one_record()] * 2, "json", path)
+        rows = json.loads(path.read_text())
+        rows[1] = row
+        path.write_text(json.dumps(rows))
+        with pytest.raises(InvalidArgument, match=r"two\.json row 1: expected an object"):
+            load_records(path, "json")
+
+    def test_csv_header_checked(self, tmp_path):
+        path = tmp_path / "one.csv"
+        emit_results([self._one_record()], "csv", path)
+        header, row = path.read_text().splitlines()
+        path.write_text("\n".join([header.replace("r_re", "r_real"), row]) + "\n")
+        with pytest.raises(InvalidArgument, match=r"unexpected CSV header in .*one\.csv"):
+            load_records(path, "csv")
+
+    @pytest.mark.parametrize("format_", ["CSV", "txt", ""])
+    def test_unknown_format_rejected(self, tmp_path, format_):
+        path = tmp_path / "one.csv"
+        with pytest.raises(InvalidArgument, match="unknown format"):
+            emit_results([self._one_record()], format_, path)
+        assert not path.exists()
+        emit_results([self._one_record()], "csv", path)
+        with pytest.raises(InvalidArgument, match="unknown format"):
+            load_records(path, format_)
 
     def test_json_missing_column_named(self, tmp_path):
         path = tmp_path / "two.json"

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import InvalidArgument, ToolkitError
 from .quadrature import make_grid
 from .reduction import DEFAULT_NODES, asymptotic_r, asymptotic_U
-# not called here: bench/tracing.py wraps the solvers and checks under these names
+# no longer called here; these names stay only because bench/tracing.py looks
+# them up (ROADMAP item 1a, step ii, removes them)
 from .reduction import fixed_point_solve  # noqa: F401
 from .direct import compare_branches, fd_solve, shoot_solve  # noqa: F401
 from .physics import cgl_residual, extend_solution  # noqa: F401

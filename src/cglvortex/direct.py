@@ -45,7 +45,6 @@ from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, solve1 as _solve1
 
 from .errors import InvalidArgument, InvalidState
 from .quadrature import Grid, GridFunction, make_grid
-from .greens import resample_periodic
 from .reduction import (
     DEFAULT_NODES, Branch, CoreParams, _branch, _diverged_branch, asymptotic_r,
 )
@@ -555,19 +554,22 @@ def fd_solve(
 def compare_branches(b1: Branch, b2: Branch) -> float:
     """Distance between two branches modulo the free phase.
 
-    Resamples b2 onto b1's grid (trigonometric interpolation of the
-    periodic extension) when grids differ, aligns b2 by the closed-form
-    phase theta = arg(vdot(u2, u1)), which minimizes the sum over the
-    nodes of |U1 - e^{i theta} U2|^2, and returns the sup distance at that
-    phase, max(sup |U1 - e^{i theta} U2|, |r1 - r2|)."""
+    Compares the branches at the nodes of the coarser grid, which the
+    finer grid must contain (n - 1 a multiple of n_coarse - 1), so the
+    distance does not depend on the order of the arguments.  Aligns U2 by
+    the closed-form phase theta = arg(vdot(u2, u1)), which minimizes the
+    sum over those nodes of |U1 - e^{i theta} U2|^2, and returns the sup
+    distance at that phase, max(sup |U1 - e^{i theta} U2|, |r1 - r2|).
+    Raises InvalidState unless both branches converged and InvalidArgument
+    when the grids do not nest."""
     if not (b1.converged and b2.converged):
         raise InvalidState("compare_branches requires converged branches")
-    u1 = b1.U.values
-    if b2.grid == b1.grid:
-        u2 = b2.U.values
-    else:
-        open2 = np.concatenate([b2.U.values[:-1], -b2.U.values[:-1]])
-        u2 = resample_periodic(open2, -np.pi / 2, 2 * np.pi, b1.grid.nodes)
+    n1, n2 = b1.grid.n_nodes, b2.grid.n_nodes
+    cells = min(n1, n2) - 1  # the coarse grid's intervals
+    if (max(n1, n2) - 1) % cells:
+        raise InvalidArgument(f"grids of {n1} and {n2} nodes do not nest")
+    u1 = b1.U.values[::(n1 - 1) // cells]
+    u2 = b2.U.values[::(n2 - 1) // cells]
     theta = np.angle(np.vdot(u2, u1))  # conj(u2) . u1
     sup = float(np.max(np.abs(u1 - np.exp(1j * theta) * u2)))
     return max(sup, float(abs(b1.r - b2.r)))

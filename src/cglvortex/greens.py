@@ -131,20 +131,3 @@ def envelope_residual(
     resid = -d2 * cos[1:-1] + 2 * d1 * sin[1:-1] - f_values[1:-1]
     return float(np.abs(resid).max())
 
-
-def resample_periodic(u_open: np.ndarray, x0: float, period: float, x_new: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of periodic samples at x_new.
-
-    u_open holds samples on [x0, x0 + period) without the duplicate right
-    endpoint.  Exact for trigonometric polynomials below the Nyquist
-    frequency of the sample set."""
-    m = u_open.shape[0]
-    coef = np.fft.fft(u_open) / m
-    k = np.fft.fftfreq(m, d=1.0 / m)  # integer wave numbers
-    # for even m, split the Nyquist mode symmetrically to keep realness
-    phase = np.exp(1j * np.outer(x_new - x0, k) * (2 * np.pi / period))
-    if m % 2 == 0:
-        ny = m // 2
-        sel = np.abs(k) == ny
-        phase[:, sel] = np.cos(np.outer(x_new - x0, k[sel]) * (2 * np.pi / period))
-    return phase @ coef

@@ -458,8 +458,9 @@ def _record_from_row(d, where: str, typed: bool) -> SweepRecord:
     """The record of one emitted row: a JSON object (``typed``), whose
     cells must have their field's JSON type, or a CSV line keyed by
     CSV_COLUMNS (its cells still text), each cell parsed by its field's
-    type.  A missing or unreadable cell raises InvalidArgument naming
-    ``where`` (file and line or row) and the column."""
+    type; a CSV cell must also be the text _csv_cell writes for the value
+    it parses to.  A missing or unreadable cell raises InvalidArgument
+    naming ``where`` (file and line or row) and the column."""
     if not isinstance(d, dict):
         raise InvalidArgument(f"{where}: expected an object of {len(CSV_COLUMNS)} columns")
     # keyed by the annotations' text (this module postpones annotations)
@@ -471,7 +472,9 @@ def _record_from_row(d, where: str, typed: bool) -> SweepRecord:
         value = d[f.name]
         if not typed or type(value) in _JSON_TYPES[f.type]:
             try:
-                return parsers[f.type](value)
+                parsed = parsers[f.type](value)
+                if typed or _csv_cell(parsed) == value:
+                    return parsed
             except (TypeError, ValueError, OverflowError):  # Overflow: an int past float range
                 pass
         raise InvalidArgument(f"{where}, column {f.name}: cannot read {value!r}")
@@ -485,8 +488,10 @@ def load_records(path, format_: str) -> list[SweepRecord]:
     InvalidArgument names the file; a CSV file must carry the CSV_COLUMNS
     header and one field per column in each row; every cell must read as
     its column's type (converged only true or false; in JSON a float is a
-    number or null, an int an integer, a str a string), or InvalidArgument
-    names the line (CSV) or row (JSON) and column."""
+    number or null, an int an integer, a str a string; a CSV cell must be
+    exactly the text emit_results writes for the value it reads as, so
+    012, +2 and NaN are refused), or InvalidArgument names the line (CSV)
+    or row (JSON) and column."""
     if format_ not in ("csv", "json"):
         raise InvalidArgument(f"unknown format {format_!r}")
     with open(path, "r", encoding="utf-8") as fh:

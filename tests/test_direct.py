@@ -976,6 +976,41 @@ class TestCompareBranches:
         with pytest.raises(InvalidState):
             compare_branches(good, bad)
 
+    def test_nonconverged_rejected_before_grids(self, grid257):
+        # the branches are checked before their grids, which do not nest here
+        good = fixed_point_solve(CoreParams(rho=1.0, eps=0.5), grid=grid257)
+        bad = fixed_point_solve(CoreParams(rho=3.5, eps=1.0, max_iter=5), grid=make_grid(101))
+        assert not bad.converged
+        for pair in ((good, bad), (bad, good)):
+            with pytest.raises(InvalidState):
+                compare_branches(*pair)
+
+    @pytest.mark.parametrize("coarse,fine", [(129, 257), (129, 513), (257, 513)])
+    def test_nested_grids_meet_on_coarse_nodes(self, coarse, fine):
+        # one distance in both argument orders, taken at the coarse nodes
+        rho, eps = 0.9 + 0.2j, 0.6
+        bc, bf = (fixed_point_solve(CoreParams(rho=rho, eps=eps), grid=make_grid(n))
+                  for n in (coarse, fine))
+        d = compare_branches(bc, bf)
+        assert 0 < d < 1e-8
+        assert abs(d - compare_branches(bf, bc)) <= 1e-15
+        # the fine nodes that coincide with the coarse ones
+        shared = np.isclose(bf.grid.nodes[:, None], bc.grid.nodes[None, :], rtol=0, atol=1e-14)
+        rows, cols = np.nonzero(shared)
+        assert np.array_equal(cols, np.arange(coarse))
+        u1, u2 = bc.U.values, bf.U.values[rows]
+        theta = np.angle(np.sum(np.conj(u2) * u1))
+        expected = max(np.abs(u1 - np.exp(1j * theta) * u2).max(), abs(bc.r - bf.r))
+        assert abs(d - expected) <= 1e-15
+
+    def test_grids_that_do_not_nest_rejected(self, grid257):
+        # 256 intervals are not a multiple of 100
+        b257, b101 = (fixed_point_solve(CoreParams(rho=1.0, eps=0.5), grid=grid)
+                      for grid in (grid257, make_grid(101)))
+        for pair in ((b257, b101), (b101, b257)):
+            with pytest.raises(InvalidArgument, match="do not nest"):
+                compare_branches(*pair)
+
 
 class TestWarmFromFixedPoint:
     """verify starts shooting and FD from the converged fixed-point branch:

@@ -1,6 +1,8 @@
 """Every exported name has a caller inside the package or a stated reason."""
 import ast
+import importlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +75,15 @@ def test_reasons_name_exports():
 def test_exports_are_pinned():
     assert len(cglvortex.__all__) == len(EXPORTS) == 47
     assert set(cglvortex.__all__) == EXPORTS
+
+
+def test_every_tracer_target_resolves():
+    # bench/tracing.py wraps each (module, attribute) it names and raises
+    # when one is missing, so an import that only the tracer reads stays
+    tracing = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "tracing.py"))
+    assert tracing["TARGETS"]
+    for module_name, attr, _ in tracing["TARGETS"]:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr)
 
 
 def test_import_does_not_load_scipy():

@@ -667,10 +667,15 @@ class TestEmission:
         with pytest.raises(InvalidArgument, match="line 3"):
             load_records(path, "csv")
 
-    @pytest.mark.parametrize("column,cell", [("r_re", "abc"), ("converged", "abc")])
+    @pytest.mark.parametrize("column,cell", [
+        ("r_re", "abc"), ("converged", "abc"), ("iterations", " 1_2 "), ("iterations", "012"),
+        ("r_re", "0_7.5"), ("r_re", "NaN"), ("zero_count", "+2"),
+    ])
     def test_csv_bad_cell_named(self, tmp_path, column, cell):
         # a cell that does not read as its column's type names file, line
-        # and column; converged is only true or false
+        # and column; converged is only true or false, and a cell must be
+        # the text emit_results writes for the value it reads as, so
+        # int() and float()'s spaces, underscores, signs and zeros are refused
         path = tmp_path / "two.csv"
         emit_results([self._one_record()] * 2, "csv", path)
         header, first, second = path.read_text().splitlines()

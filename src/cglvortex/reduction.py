@@ -51,6 +51,11 @@ DEFAULT_NODES = 257
 # precondition tolerance: corrections fed to the forcing map must be mean-free
 MEAN_FREE_TOL = 1e-10
 
+# smallest |eps| a solve accepts: compute_r integrates the cube |v|^2 v of
+# v = eps v1, which leaves the normal float range below the cube root of
+# the smallest normal float, about 2.81e-103, and r then loses digits
+EPS_FLOOR = float(np.cbrt(np.finfo(float).tiny))
+
 # plain iteration has stalled at iteration k >= STALL_MIN_ITER when
 # |dw_k| > STALL_RATIO |dw_{k-2}|: it no longer contracts
 STALL_MIN_ITER = 10
@@ -68,14 +73,19 @@ ANDERSON_PROGRESS = 1e-3
 
 def eps_squared(eps: complex, zero_ok: bool = False) -> float:
     """|eps|^2, the amplitude scale of every solve.  InvalidArgument when it
-    overflows, or when it is 0 (eps = 0, or underflow) unless zero_ok: a
-    solve needs a nonzero amplitude, the small-amplitude series do not."""
+    overflows, or when |eps| is below EPS_FLOOR (eps = 0 among them) unless
+    zero_ok: a solve needs an amplitude whose r compute_r can form, the
+    small-amplitude series do not."""
     try:
-        s = abs(eps) ** 2
+        a = abs(eps)
+        s = a ** 2
     except OverflowError:
         s = float("inf")
-    if not s < float("inf") or (s == 0.0 and not zero_ok):
-        raise InvalidArgument(f"|eps|^2 is 0 or overflows at eps = {eps}")
+    if not s < float("inf"):
+        raise InvalidArgument(f"|eps|^2 overflows at eps = {eps}")
+    if a < EPS_FLOOR and not zero_ok:
+        raise InvalidArgument(f"|eps| = {a:.3g} is below {EPS_FLOOR:.3g}, where r loses "
+                              f"precision, at eps = {eps}")
     return s
 
 

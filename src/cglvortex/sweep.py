@@ -32,6 +32,11 @@ ZERO_TOL = 1e-6
 # sweep's rows
 SOLVE_TOL = 1e-12
 SOLVE_MAX_ITER = 800
+# three points are equally spaced on a line (a modulus ray, a rectangle
+# row) when their second difference is below LINE_TOL times their step;
+# linspace's rounding leaves it near 1e-15 of the step there, and an arc
+# of k steps leaves about pi / k
+LINE_TOL = 1e-8
 # a cold fixed-point sweep's rolling block (reduction._block_rows) iterates
 # at most this many rows at once and hands their Branches over in grid order
 FP_BLOCK = 16
@@ -76,6 +81,8 @@ class SweepSpec:
     mode "rectangle": re/im bounds and steps;
     mode "arg_sweep": fixed radius, arg bounds and steps;
     mode "modulus_sweep": fixed arg, modulus bounds and steps.
+    warm_start: each point starts from the last converged branch, or from
+    the secant of the two before it (see run_sweep).
     """
 
     mode: str
@@ -181,27 +188,47 @@ def solve(
     tol: float = SOLVE_TOL,
     max_iter: int = SOLVE_MAX_ITER,
     prev: Branch | None = None,
+    before: Branch | None = None,
 ) -> Branch:
     """Solve one parameter point with one of METHODS.
 
     Every method gets the same CoreParams; ``tol`` is its tol_fp.
     ``prev``, a converged branch on the same grid, warm-starts the solve:
     its correction w (fixed point), or its profile and r (shooting and
-    finite differences).  Failures are reported in the returned Branch.
+    finite differences).  ``before``, the converged branch one step behind
+    prev, turns that start into the secant predictor 2 prev - before (of
+    w, or of the profile and r) when before, prev and rho are equally
+    spaced on a line (see _on_line); elsewhere the start is prev's.
+    Failures are reported in the returned Branch.
     """
     if method not in METHODS:
         raise InvalidArgument(f"unknown method {method!r}")
-    if prev is not None and not prev.converged:
-        raise InvalidArgument("prev must be a converged branch")
+    if before is not None and prev is None:
+        raise InvalidArgument("before needs prev")
+    for name, branch in (("prev", prev), ("before", before)):
+        if branch is not None and not branch.converged:
+            raise InvalidArgument(f"{name} must be a converged branch")
+        if branch is not None and branch.w.grid != grid:
+            raise InvalidArgument(f"{name} must live on the solver grid")
     params = CoreParams(rho=rho, eps=eps, max_iter=max_iter, tol_fp=tol)
     w0 = seed = r0 = None
     if prev is not None:
         w0, seed, r0 = prev.w, prev.U, prev.r
+    if before is not None and _on_line(before.params.rho, prev.params.rho, rho):
+        w0 = GridFunction(grid, 2.0 * w0.values - before.w.values)
+        seed = GridFunction(grid, 2.0 * seed.values - before.U.values)
+        r0 = 2.0 * r0 - before.r
     if method == "fixed_point":
         return fixed_point_solve(params, grid=grid, w0=w0)
     if method == "shooting":
         return shoot_solve(params, grid=grid, seed=seed, r0=r0)
     return fd_solve(params, grid=grid, seed=seed, r0=r0)
+
+
+def _on_line(rho0: complex, rho1: complex, rho2: complex) -> bool:
+    """True when rho0, rho1, rho2 are equally spaced on a line: their
+    second difference is below LINE_TOL times the step rho2 - rho1."""
+    return abs(rho2 - 2.0 * rho1 + rho0) <= LINE_TOL * abs(rho2 - rho1)
 
 
 def record_from_branch(branch: Branch) -> SweepRecord:
@@ -358,12 +385,17 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
 
     Per-point failures are reported by the solver's Branch and recorded
     (converged false), never aborting the sweep.  With ``warm_start`` each
-    point starts from the last converged branch.  A cold fixed-point sweep
-    hands all its points to one rolling block, a generator that iterates
-    at most FP_BLOCK rows at once, each to the bits of its own solve, and
-    hands their Branches over in grid order; each point still takes its
-    branch from the block in its own fixed_point_solve call and records
-    it before the next.
+    point starts from the last converged branch, prev; when the two points
+    before it both converged, it also passes the earlier one to solve as
+    ``before``, which starts from the secant 2 prev - before where the
+    three points lie equally spaced on a line (a modulus ray, a rectangle
+    row) and from the copy of prev after a row jump or on an arc.  A
+    failed point breaks the pair: the next point starts from a copy.
+    A cold fixed-point sweep hands all its points to one rolling block, a
+    generator that iterates at most FP_BLOCK rows at once, each to the
+    bits of its own solve, and hands their Branches over in grid order;
+    each point still takes its branch from the block in its own
+    fixed_point_solve call and records it before the next.
     Deterministic for a given spec.
     """
     grid = make_grid(spec.n_nodes)
@@ -374,12 +406,15 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
                   for rho in points]
         block = _block_rows(params, grid, width=FP_BLOCK)
         return [record_from_branch(fixed_point_solve(p, block=block)) for p in params]
-    prev: Branch | None = None
+    prev = before = None
+    last_converged = False
     for rho in points:
-        branch = solve(spec.method, rho, spec.eps, grid, prev=prev)
+        branch = solve(spec.method, rho, spec.eps, grid, prev=prev, before=before)
         records.append(record_from_branch(branch))
-        if spec.warm_start and branch.converged:
-            prev = branch
+        if spec.warm_start:
+            before = prev if branch.converged and last_converged else None
+            prev = branch if branch.converged else prev
+            last_converged = branch.converged
     return records
 
 

@@ -486,7 +486,7 @@ class TestVerify:
     ("solve", "--method", "shoot", "--eps-re", "1e155", "--rho-re", "1"),
     ("solve", "--method", "fd", "--eps-re", "1e155", "--rho-re", "1"),
     ("expand", "--eps-re", "1e200"),
-    # ... and underflows to 0 below |eps| ~ 2.2e-162: no amplitude to solve for
+    # ... and underflows to 0 below |eps| ~ 2.2e-162, past the floor of 2.81e-103
     ("verify", "--eps-re", "1e-170", "--rho-re", "1"),
     # a harmonic number n whose square overflows a float
     ("expand", "--samples", "3", "--n", str(10**160)),
@@ -496,6 +496,24 @@ def test_amplitude_out_of_float_range_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["fp", "shoot", "fd"])
+def test_eps_below_the_r_floor_rejected(capsys, method):
+    # compute_r cubes v = eps v1, which leaves the normal float range below
+    # |eps| = 2.81e-103: a solve there is an input error, not a wrong r ...
+    code, out, err = run_cli(capsys, "solve", "--rho-re", "1", "--eps-re", "1e-105",
+                             "--method", method, "--nodes", "129")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "2.81e-103" in err and err.count("\n") == 1
+    # ... and just above it r keeps its digits (r / |eps|^2 -> 3/4 as kappa
+    # -> 0); FD's r is offset there for another reason
+    code, out, _ = run_cli(capsys, "solve", "--rho-re", "1", "--eps-re", "3e-103",
+                           "--method", method)
+    doc = json.loads(out)
+    assert code == 0 and doc["converged"] is True
+    if method != "fd":
+        assert abs(doc["r_re"] / 3e-103 ** 2 - 0.75) <= 1e-14
 
 
 # every flag that sizes an array, in a command that reaches the allocation

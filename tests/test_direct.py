@@ -792,11 +792,15 @@ def _random_systems():
 
 
 def _ray_systems():
-    """The 159 FD Newton systems of the warm pi/12 ray to |rho| = 200."""
+    """The 131 FD Newton systems of the warm pi/12 ray to |rho| = 200.
+
+    From its third point on, each point starts from the secant predictor
+    of the two before it, which saves 28 of the 159 passes that copying
+    the last branch took."""
     spec = SweepSpec(mode="modulus_sweep", method="finite_difference", ray_arg=np.pi / 12,
                      mod_min=1.0, mod_max=200.0, mod_steps=32, warm_start=True)
     systems = _recorded_systems(lambda: run_sweep(spec))
-    assert len(systems) == 159
+    assert len(systems) == 131
     return systems
 
 

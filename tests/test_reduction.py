@@ -309,6 +309,19 @@ class TestFixedPoint:
         with pytest.raises(InvalidArgument):
             CoreParams(rho=1.0, eps=0.1, max_iter=0)
 
+    def test_eps_floor(self):
+        # a solve needs |eps| >= EPS_FLOOR, the cube root of the smallest
+        # normal float, where |v|^2 v in compute_r is still normal; the
+        # small-amplitude series take any eps, 0 among them
+        floor = reduction.EPS_FLOOR
+        assert floor ** 3 >= np.finfo(float).tiny and 2.81e-103 < floor < 2.82e-103
+        assert CoreParams(rho=1.0, eps=1j * floor).kappa == floor ** 2
+        for eps in (0.0, 0.99 * floor, 1e-105j, 1e-170):
+            with pytest.raises(InvalidArgument, match="2.81e-103"):
+                CoreParams(rho=1.0, eps=eps)
+            assert reduction.eps_squared(eps, zero_ok=True) == abs(eps) ** 2
+        assert asymptotic_r(1.0, 1e-105, 1) == pytest.approx(0.75e-210, rel=1e-14)
+
     @pytest.mark.parametrize("tol", [1.0, 2.0, 1e300, float("inf"), float("nan")])
     def test_tolerance_below_one_required(self, tol):
         # w corrects the unit mean mode: a tolerance of 1 or more accepts

@@ -1,5 +1,6 @@
 """Zero census, symmetry diagnostics, sweeps, and emission."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -455,18 +456,81 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
     def test_prev_matches_warm_sweep(self, method):
+        # the second point starts from the first's branch; the third, on
+        # the same ray, from the secant 2 b1 - b0 of the two before it
         spec = SweepSpec(
             mode="modulus_sweep", method=method, mod_min=1.0, mod_max=2.0,
-            mod_steps=2, ray_arg=0.3, n_nodes=129, warm_start=True,
+            mod_steps=3, ray_arg=0.3, n_nodes=129, warm_start=True,
         )
         records = run_sweep(spec)
         grid = make_grid(129)
-        rho0, rho1 = spec.points()
-        prev = solve(method, rho0, spec.eps, grid)
-        b = solve(method, rho1, spec.eps, grid, prev=prev)
-        assert records[1].converged and b.converged
-        assert b.r == complex(records[1].r_re, records[1].r_im)
-        assert b.iterations == records[1].iterations
+        rho0, rho1, rho2 = spec.points()
+        b0 = solve(method, rho0, spec.eps, grid)
+        b1 = solve(method, rho1, spec.eps, grid, prev=b0)
+        b2 = solve(method, rho2, spec.eps, grid, prev=b1, before=b0)
+        for rec, b in zip(records[1:], (b1, b2)):
+            assert rec.converged and b.converged
+            assert b.r == complex(rec.r_re, rec.r_im)
+            assert b.iterations == rec.iterations
+        # the secant start is not the copy of b1
+        assert branch_bits(b2) != branch_bits(solve(method, rho2, spec.eps, grid, prev=b1))
+
+    @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
+    def test_warm_rectangle_copies_across_a_row_jump(self, method):
+        # 3 x 2 points: each row's third point extrapolates from the two
+        # before it; the first two points of the second row, whose
+        # neighbours do not lie on one line with them, copy the last branch
+        spec = SweepSpec(
+            mode="rectangle", method=method, re_min=-1.0, re_max=1.0, re_steps=3,
+            im_min=0.0, im_max=1.0, im_steps=2, n_nodes=129, warm_start=True,
+        )
+        records = run_sweep(spec)
+        grid = make_grid(129)
+        p = spec.points()
+        b = [solve(method, p[0], spec.eps, grid)]
+        b.append(solve(method, p[1], spec.eps, grid, prev=b[0]))
+        b.append(solve(method, p[2], spec.eps, grid, prev=b[1], before=b[0]))
+        b.append(solve(method, p[3], spec.eps, grid, prev=b[2]))
+        b.append(solve(method, p[4], spec.eps, grid, prev=b[3]))
+        b.append(solve(method, p[5], spec.eps, grid, prev=b[4], before=b[3]))
+        assert [r.converged for r in records] == [True] * 6
+        assert records == [record_from_branch(x) for x in b]
+        # the row jump copies: passing the branch two points back changes no bit
+        jump = solve(method, p[3], spec.eps, grid, prev=b[2], before=b[1])
+        assert branch_bits(jump) == branch_bits(b[3])
+
+    def test_warm_arc_copies(self):
+        # points on an arc are not equally spaced on a line: every warm
+        # point starts from the last converged branch alone
+        spec = SweepSpec(mode="arg_sweep", method="finite_difference", radius=2.0,
+                         arg_min=0.0, arg_max=1.0, arg_steps=4, n_nodes=129, warm_start=True)
+        grid = make_grid(129)
+        prev, expected = None, []
+        for rho in spec.points():
+            b = solve("finite_difference", rho, spec.eps, grid, prev=prev)
+            expected.append(record_from_branch(b))
+            prev = b if b.converged else prev
+        assert run_sweep(spec) == expected
+
+    def test_after_a_failed_point_the_start_is_a_copy(self, monkeypatch):
+        # the point after a failure starts from the last converged branch,
+        # and the one after that too: the secant needs two converged
+        # neighbours in a row
+        spec = SweepSpec(mode="modulus_sweep", method="fixed_point", mod_min=1.0, mod_max=2.0,
+                         mod_steps=5, ray_arg=0.3, n_nodes=129, warm_start=True)
+        starts = []
+        real_solve = sweep.solve
+
+        def failing_second(method, rho, eps, grid, prev=None, before=None):
+            starts.append((prev, before))
+            b = real_solve(method, rho, eps, grid, prev=prev, before=before)
+            return replace(b, converged=False) if len(starts) == 2 else b
+
+        monkeypatch.setattr(sweep, "solve", failing_second)
+        run_sweep(spec)
+        assert [(p is None, q is None) for p, q in starts] == [
+            (True, True), (False, True), (False, True), (False, True), (False, False),
+        ]
 
     def test_unknown_method_rejected(self, grid257):
         with pytest.raises(InvalidArgument):
@@ -476,6 +540,12 @@ class TestSolve:
         bad = fixed_point_solve(CoreParams(rho=3.5, eps=1.0, max_iter=5), grid=grid257)
         with pytest.raises(InvalidArgument):
             solve("fixed_point", 3.5, 1.0, grid257, prev=bad)
+        # so is an unconverged before, and a before without prev
+        b0 = solve("fixed_point", 1.0, 1.0, grid257)
+        with pytest.raises(InvalidArgument, match="before must be a converged branch"):
+            solve("fixed_point", 1.5, 1.0, grid257, prev=b0, before=bad)
+        with pytest.raises(InvalidArgument, match="before needs prev"):
+            solve("fixed_point", 1.5, 1.0, grid257, before=b0)
 
     def test_prev_on_another_grid_rejected(self, grid257):
         # every method refuses to warm-start from a branch of another grid
@@ -484,6 +554,10 @@ class TestSolve:
         for method in sweep.METHODS:
             with pytest.raises(InvalidArgument, match="must live on the solver grid"):
                 solve(method, 1.2, 1.0, grid257, prev=b)
+            with pytest.raises(InvalidArgument, match="before must live on the solver grid"):
+                solve(method, 1.2, 1.0, grid257, prev=solve(method, 1.1, 1.0, grid257), before=b)
+            with pytest.raises(InvalidArgument, match="prev must live on the solver grid"):
+                solve(method, 1.2, 1.0, grid257, prev=b, before=solve(method, 1.1, 1.0, grid257))
 
 
 VERIFY_CHECKS = (

@@ -128,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"steps for arg/mod modes (defaults "
                         f"{SweepSpec.arg_steps}/{SweepSpec.mod_steps})")
     p.add_argument("--continue", dest="warm_start", action="store_true",
-                   help="warm-start each point from its neighbor, or from the secant "
-                        "of the two before it on a ray or rectangle row")
+                   help="warm-start each point from its neighbor, or on a ray or "
+                        "rectangle row from the secant or quadratic extrapolation of "
+                        "the two or three before it")
     p.add_argument("--mirror", action="store_true", default=False,
                    help="append conjugate-parameter records")
     p.add_argument("--out", required=True)

@@ -792,15 +792,16 @@ def _random_systems():
 
 
 def _ray_systems():
-    """The 131 FD Newton systems of the warm pi/12 ray to |rho| = 200.
+    """The 112 FD Newton systems of the warm pi/12 ray to |rho| = 200.
 
-    From its third point on, each point starts from the secant predictor
-    of the two before it, which saves 28 of the 159 passes that copying
-    the last branch took."""
+    The third point starts from the secant predictor of the two before it
+    and every later point from the quadratic predictor of the three before
+    it, which takes 112 passes where the secant alone took 131 and copying
+    the last branch 159."""
     spec = SweepSpec(mode="modulus_sweep", method="finite_difference", ray_arg=np.pi / 12,
                      mod_min=1.0, mod_max=200.0, mod_steps=32, warm_start=True)
     systems = _recorded_systems(lambda: run_sweep(spec))
-    assert len(systems) == 131
+    assert len(systems) == 112
     return systems
 
 

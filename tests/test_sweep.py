@@ -233,6 +233,18 @@ class TestRunSweep:
         assert converged[False] <= converged[True]
         assert len(converged[True]) == 32
 
+    @pytest.mark.parametrize("method, passes", [("finite_difference", 112), ("shooting", 81)])
+    def test_warm_ray_work(self, method, passes):
+        # the benchmark's ray_fd sweep, and shooting on the same ray: 32
+        # points, all converged, in exactly this many Newton passes (FD)
+        # or steps (shooting) from the quadratic start; the secant start
+        # took 131 and 100, copying the last branch 159 and 127
+        spec = SweepSpec(mode="modulus_sweep", method=method, ray_arg=np.pi / 12,
+                         mod_min=1.0, mod_max=200.0, mod_steps=32, warm_start=True)
+        records = run_sweep(spec)
+        assert [r.converged for r in records] == [True] * 32
+        assert sum(r.iterations for r in records) == passes
+
     def test_shooting_modulus_sweep_to_nine(self):
         # warm-started shooting along the positive real axis, |rho| = 1..9
         spec = SweepSpec(
@@ -457,47 +469,95 @@ class TestSolve:
     @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
     def test_prev_matches_warm_sweep(self, method):
         # the second point starts from the first's branch; the third, on
-        # the same ray, from the secant 2 b1 - b0 of the two before it
+        # the same ray, from the secant 2 b1 - b0 of the two before it; the
+        # fourth and fifth from the quadratic of the three before them
         spec = SweepSpec(
             mode="modulus_sweep", method=method, mod_min=1.0, mod_max=2.0,
-            mod_steps=3, ray_arg=0.3, n_nodes=129, warm_start=True,
+            mod_steps=5, ray_arg=0.3, n_nodes=129, warm_start=True,
         )
         records = run_sweep(spec)
         grid = make_grid(129)
-        rho0, rho1, rho2 = spec.points()
-        b0 = solve(method, rho0, spec.eps, grid)
-        b1 = solve(method, rho1, spec.eps, grid, prev=b0)
-        b2 = solve(method, rho2, spec.eps, grid, prev=b1, before=b0)
-        for rec, b in zip(records[1:], (b1, b2)):
-            assert rec.converged and b.converged
-            assert b.r == complex(rec.r_re, rec.r_im)
-            assert b.iterations == rec.iterations
-        # the secant start is not the copy of b1
-        assert branch_bits(b2) != branch_bits(solve(method, rho2, spec.eps, grid, prev=b1))
+        rho = spec.points()
+        b = [solve(method, rho[0], spec.eps, grid)]
+        b.append(solve(method, rho[1], spec.eps, grid, prev=b[0]))
+        b.append(solve(method, rho[2], spec.eps, grid, prev=b[1], before=b[0]))
+        for k in (3, 4):
+            b.append(solve(method, rho[k], spec.eps, grid, prev=b[k - 1], before=b[k - 2],
+                           earlier=b[k - 3]))
+        assert [r.converged for r in records] == [True] * 5
+        assert records == [record_from_branch(x) for x in b]
+        # the secant start is not the copy of b1, nor the quadratic the secant
+        assert branch_bits(b[2]) != branch_bits(solve(method, rho[2], spec.eps, grid, prev=b[1]))
+        secant = solve(method, rho[3], spec.eps, grid, prev=b[2], before=b[1])
+        assert branch_bits(b[3]) != branch_bits(secant)
 
     @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
     def test_warm_rectangle_copies_across_a_row_jump(self, method):
-        # 3 x 2 points: each row's third point extrapolates from the two
+        # 4 x 2 points: each row's third point extrapolates the secant of
+        # the two before it and its fourth the quadratic of the three
         # before it; the first two points of the second row, whose
         # neighbours do not lie on one line with them, copy the last branch
         spec = SweepSpec(
-            mode="rectangle", method=method, re_min=-1.0, re_max=1.0, re_steps=3,
+            mode="rectangle", method=method, re_min=-1.0, re_max=1.0, re_steps=4,
             im_min=0.0, im_max=1.0, im_steps=2, n_nodes=129, warm_start=True,
         )
         records = run_sweep(spec)
         grid = make_grid(129)
         p = spec.points()
-        b = [solve(method, p[0], spec.eps, grid)]
-        b.append(solve(method, p[1], spec.eps, grid, prev=b[0]))
-        b.append(solve(method, p[2], spec.eps, grid, prev=b[1], before=b[0]))
-        b.append(solve(method, p[3], spec.eps, grid, prev=b[2]))
-        b.append(solve(method, p[4], spec.eps, grid, prev=b[3]))
-        b.append(solve(method, p[5], spec.eps, grid, prev=b[4], before=b[3]))
-        assert [r.converged for r in records] == [True] * 6
+        b = []
+        for row in (0, 4):
+            b.append(solve(method, p[row], spec.eps, grid, prev=b[-1] if b else None))
+            b.append(solve(method, p[row + 1], spec.eps, grid, prev=b[-1]))
+            b.append(solve(method, p[row + 2], spec.eps, grid, prev=b[-1], before=b[-2]))
+            b.append(solve(method, p[row + 3], spec.eps, grid, prev=b[-1], before=b[-2],
+                           earlier=b[-3]))
+        assert [r.converged for r in records] == [True] * 8
         assert records == [record_from_branch(x) for x in b]
-        # the row jump copies: passing the branch two points back changes no bit
-        jump = solve(method, p[3], spec.eps, grid, prev=b[2], before=b[1])
-        assert branch_bits(jump) == branch_bits(b[3])
+        # the row jump copies: passing the branches two and three points
+        # back changes no bit, at the jump and one point after it
+        jump = solve(method, p[4], spec.eps, grid, prev=b[3], before=b[2], earlier=b[1])
+        assert branch_bits(jump) == branch_bits(b[4])
+        after = solve(method, p[5], spec.eps, grid, prev=b[4], before=b[3], earlier=b[2])
+        assert branch_bits(after) == branch_bits(b[5])
+
+    @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_start_reproduces_polynomial_data(self, grid257, monkeypatch, method, order):
+        # branches whose w, U and r are polynomials of degree order - 1 in
+        # the step k along the ray extrapolate to their value at the next
+        # step, to rounding: the secant reproduces linear data, the
+        # quadratic quadratic data
+        rng = np.random.default_rng(order)
+        coeffs = [rng.standard_normal((3, 257)) + 1j * rng.standard_normal((3, 257))
+                  for _ in range(order)]
+        base = solve("fixed_point", 1.0, 1.0, grid257)
+
+        def at(k):  # the data at step k: columns w, U, r of sum_j c_j k^j
+            w, u, r = sum(c * k ** j for j, c in enumerate(coeffs))
+            return w, u, r[0]
+
+        def branch(k):
+            w, u, r = at(k)
+            return replace(base, params=replace(base.params, rho=(1.0 + 0.5 * k) * np.exp(0.3j)),
+                           w=GridFunction(grid257, w), U=GridFunction(grid257, u), r=r)
+
+        seen = {}
+
+        def capture(params, grid=None, w0=None, seed=None, r0=None):
+            seen.update(w0=w0, seed=seed, r0=r0)
+            return base
+
+        for name in ("fixed_point_solve", "shoot_solve", "fd_solve"):
+            monkeypatch.setattr(sweep, name, capture)
+        trail = [branch(k) for k in range(order - 1, -1, -1)]
+        solve(method, (1.0 + 0.5 * order) * np.exp(0.3j), 1.0, grid257,
+              **dict(zip(("prev", "before", "earlier"), trail)))
+        w, u, r = at(order)
+        if method == "fixed_point":
+            np.testing.assert_allclose(seen["w0"].values, w, rtol=0, atol=1e-13)
+        else:
+            np.testing.assert_allclose(seen["seed"].values, u, rtol=0, atol=1e-13)
+            assert abs(seen["r0"] - r) <= 1e-13
 
     def test_warm_arc_copies(self):
         # points on an arc are not equally spaced on a line: every warm
@@ -513,24 +573,29 @@ class TestSolve:
         assert run_sweep(spec) == expected
 
     def test_after_a_failed_point_the_start_is_a_copy(self, monkeypatch):
-        # the point after a failure starts from the last converged branch,
-        # and the one after that too: the secant needs two converged
-        # neighbours in a row
+        # the trail grows by one converged branch per point up to three; the
+        # point after a failure starts from the last converged branch alone,
+        # and the trail grows again from the next converged point
         spec = SweepSpec(mode="modulus_sweep", method="fixed_point", mod_min=1.0, mod_max=2.0,
-                         mod_steps=5, ray_arg=0.3, n_nodes=129, warm_start=True)
-        starts = []
+                         mod_steps=9, ray_arg=0.3, n_nodes=129, warm_start=True)
+        starts, branches = [], []
         real_solve = sweep.solve
 
-        def failing_second(method, rho, eps, grid, prev=None, before=None):
-            starts.append((prev, before))
-            b = real_solve(method, rho, eps, grid, prev=prev, before=before)
-            return replace(b, converged=False) if len(starts) == 2 else b
+        def failing_fifth(method, rho, eps, grid, prev=None, before=None, earlier=None):
+            starts.append((prev, before, earlier))
+            b = real_solve(method, rho, eps, grid, prev=prev, before=before, earlier=earlier)
+            b = replace(b, converged=False) if len(starts) == 5 else b
+            branches.append(b)
+            return b
 
-        monkeypatch.setattr(sweep, "solve", failing_second)
+        monkeypatch.setattr(sweep, "solve", failing_fifth)
         run_sweep(spec)
-        assert [(p is None, q is None) for p, q in starts] == [
-            (True, True), (False, True), (False, True), (False, True), (False, False),
-        ]
+        b = branches
+        assert [tuple(map(id, s)) for s in starts] == [tuple(map(id, t)) for t in [
+            (None, None, None), (b[0], None, None), (b[1], b[0], None), (b[2], b[1], b[0]),
+            (b[3], b[2], b[1]),  # the fifth point fails
+            (b[3], None, None), (b[5], None, None), (b[6], b[5], None), (b[7], b[6], b[5]),
+        ]]
 
     def test_unknown_method_rejected(self, grid257):
         with pytest.raises(InvalidArgument):
@@ -546,6 +611,12 @@ class TestSolve:
             solve("fixed_point", 1.5, 1.0, grid257, prev=b0, before=bad)
         with pytest.raises(InvalidArgument, match="before needs prev"):
             solve("fixed_point", 1.5, 1.0, grid257, before=b0)
+        # and so are an unconverged earlier, and an earlier without before
+        b1 = solve("fixed_point", 1.5, 1.0, grid257, prev=b0)
+        with pytest.raises(InvalidArgument, match="earlier must be a converged branch"):
+            solve("fixed_point", 2.0, 1.0, grid257, prev=b1, before=b0, earlier=bad)
+        with pytest.raises(InvalidArgument, match="earlier needs before"):
+            solve("fixed_point", 2.0, 1.0, grid257, prev=b1, earlier=b0)
 
     def test_prev_on_another_grid_rejected(self, grid257):
         # every method refuses to warm-start from a branch of another grid
@@ -558,6 +629,9 @@ class TestSolve:
                 solve(method, 1.2, 1.0, grid257, prev=solve(method, 1.1, 1.0, grid257), before=b)
             with pytest.raises(InvalidArgument, match="prev must live on the solver grid"):
                 solve(method, 1.2, 1.0, grid257, prev=b, before=solve(method, 1.1, 1.0, grid257))
+            near = solve(method, 1.1, 1.0, grid257)
+            with pytest.raises(InvalidArgument, match="earlier must live on the solver grid"):
+                solve(method, 1.2, 1.0, grid257, prev=near, before=near, earlier=b)
 
 
 VERIFY_CHECKS = (

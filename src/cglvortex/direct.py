@@ -22,7 +22,10 @@ solver's Newton-system builder writes the core's diagonals as strided
 slices straight into LAPACK's LU band storage, a fresh array that
 spsolve factors in place and so consumes; spsolve owns its
 right-hand-side and result buffers and calls numpy's 2 x 2 eigh and
-solve gufuncs directly.
+solve gufuncs directly.  It also returns a re-solve through the factors
+it made, with which FD, whose stop is a step test, ends on the
+simplified Newton correction instead of factoring once more to measure
+a last step of about 1e-13.
 
 Shooting is multiple shooting (Keller 1968; Ascher, Mattheij & Russell
 1995, ch. 4).  J is cut at grid nodes into up to SHOOT_SEGMENTS = 256
@@ -116,14 +119,20 @@ def spsolve(ab, kl, ku, cols, rows, corner, rhs):
     rotating the rows so that the first is blind to it keeps the solve as
     accurate as a dense one.  The 2 x 2 systems go to the gufuncs behind
     np.linalg.eigh and np.linalg.solve, which fill a singular system's
-    solution with nan.  A singular core, or a result whose last two
-    entries are not finite, gives a solution of nan, never an exception.
+    solution with nan.
+
+    Returns (x, resolve).  resolve(rhs2) solves the same system for
+    another right-hand side through the factors this call made: one
+    single-column gbtrs and the two 2 x 2 Schur systems, by the same
+    operations as the first solve.  A singular core, or a result whose
+    last two entries are not finite, gives x of nan and resolve None,
+    never an exception.
     """
     gbtrf, gbtrs = _gb_lapack()
     n = ab.shape[1]
     lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
     if info != 0:
-        return np.full(n + 2, np.nan)
+        return np.full(n + 2, np.nan), None
     f = rhs[:n]
     v = gbtrs(lu, kl, ku, rows.T, piv, trans=1)[0]
     with np.errstate(all="ignore"):
@@ -135,23 +144,43 @@ def spsolve(ab, kl, ku, cols, rows, corner, rhs):
         vq = np.empty((n, 2))
         vq[:, 0] = gbtrs(lu, kl, ku, rows[0], piv, trans=1)[0]
         vq[:, 1] = v @ q[1]
-        t1 = _solve1(corner - vq.T @ cols, g - f @ vq, signature="dd->d")
+        schur1 = corner - vq.T @ cols
+        t1 = _solve1(schur1, g - f @ vq, signature="dd->d")
         b = np.empty((n, 3), order="F")
         b[:, 0] = f - cols @ t1
         b[:, 1:] = cols
         sol = gbtrs(lu, kl, ku, b, piv, overwrite_b=1)[0]
         x, w = sol[:, 0], sol[:, 1:]
-        t2 = _solve1(corner - rows @ w, g - rows @ x - corner @ t1, signature="dd->d")
+        schur2 = corner - rows @ w
+        t2 = _solve1(schur2, g - rows @ x - corner @ t1, signature="dd->d")
         out = np.empty(n + 2)
         np.subtract(x, w @ t2, out=out[:n])
         np.add(t1, t2, out=out[n:])
     if not (math.isfinite(out[n]) and math.isfinite(out[n + 1])):
-        return np.full(n + 2, np.nan)  # a singular 2 x 2 system
-    return out
+        return np.full(n + 2, np.nan), None  # a singular 2 x 2 system
+
+    def resolve(rhs):
+        f, g = rhs[:n], q @ rhs[n:]
+        with np.errstate(all="ignore"):
+            t1 = _solve1(schur1, g - f @ vq, signature="dd->d")
+            x = gbtrs(lu, kl, ku, f - cols @ t1, piv, overwrite_b=1)[0]
+            t2 = _solve1(schur2, g - rows @ x - corner @ t1, signature="dd->d")
+            out = np.empty(n + 2)
+            np.subtract(x, w @ t2, out=out[:n])
+            np.add(t1, t2, out=out[n:])
+        return out
+
+    return out, resolve
+
+
+def _step_size(dz):
+    """The largest modulus over the complex pairs of the real vector dz."""
+    d = dz.view(complex)
+    return max(float(np.abs(d[:-1]).max()), abs(complex(d[-1])))
 
 
 def _newton(z, residual, linearize, max_iter, done, accept, halvings, take_last,
-            stall=None):
+            stall=None, tol=None):
     """Damped Newton on the real unknowns z, the loop of both solvers.
 
     An evaluation is (F, norm, data), F the real conditions.  residual(z)
@@ -166,8 +195,17 @@ def _newton(z, residual, linearize, max_iter, done, accept, halvings, take_last,
     converged, after ``max_iter`` passes, at a non-finite solve, when no
     trial is taken, at an iterate without evaluation, or, given ``stall``,
     not converged at an iterate whose norm is above half the norm
-    ``stall`` passes before it.  Returns (z, its evaluation, passes, the
-    norms of the iterates, the steps, converged)."""
+    ``stall`` passes before it.
+
+    Given ``tol``, done must hold for every step up to tol: a taken trial
+    z+ that is not done, before the last pass, and whose pass predicts a
+    next step at most tol (step * norm(z+) <= tol * norm(z)) is first
+    corrected by the simplified Newton step (Deuflhard 2004, ch. 2):
+    -F(z+) solved through the factors of z's pass.  If that correction
+    is at most tol, it is one more pass, to the iterate that ends the
+    solve; otherwise z+ is linearized as without ``tol``.  Returns (z,
+    its evaluation, passes, the norms of the iterates, the steps,
+    converged)."""
     norms, steps = [], []
     ev = linearize(z, None)
     step = float("inf")
@@ -179,20 +217,25 @@ def _newton(z, residual, linearize, max_iter, done, accept, halvings, take_last,
         if converged or passes == max_iter or (
                 stall is not None and passes >= stall and ev[1] > 0.5 * norms[-1 - stall]):
             break
-        delta = spsolve(*ev[3:], -ev[0])
+        delta, resolve = spsolve(*ev[3:], -ev[0])
         if not np.all(np.isfinite(delta)):
             break  # singular Newton system
         passes += 1
+        correction = None
         for k in range(halvings):
-            dz = 0.5**k * delta
+            dz = delta if k == 0 else 0.5**k * delta
             z_try = z + dz
             trial = residual(z_try)
             if (accept(float("inf") if trial is None else trial[1], ev[1])
                     or take_last and k == halvings - 1):
-                d = dz.view(complex)
-                step = max(float(np.abs(d[:-1]).max()), abs(complex(d[-1])))
+                step = _step_size(dz)
                 if trial is None or done(trial[1], step) or passes == max_iter:
                     break
+                if tol is not None and step * trial[1] <= tol * ev[1]:
+                    correction = resolve(-trial[0])
+                    if _step_size(correction) <= tol:
+                        break
+                    correction = None
                 trial = linearize(z_try, trial)
                 if trial is not None:
                     break
@@ -200,6 +243,12 @@ def _newton(z, residual, linearize, max_iter, done, accept, halvings, take_last,
             break  # line search exhausted
         z, ev = z_try, trial
         steps.append(step)
+        if correction is not None:  # the last pass, through z's factors
+            norms.append(ev[1])
+            passes += 1
+            z, step = z + correction, _step_size(correction)
+            ev = residual(z)
+            steps.append(step)
     return z, ev, passes, norms, steps, converged
 
 
@@ -443,7 +492,7 @@ def shoot_solve(
 
 # ------------------------------------------------------ finite differences
 
-def _fd_newton_system(ui, abs2, lam, rho, diag, off, row):
+def _fd_newton_system(ui, abs2, lam, rho, diag, off, rows, corner):
     """The Newton system of the FD residual at (ui, lam), as spsolve takes
     it; abs2 is |ui|^2 and diag, off the stencil of -D2 - I, both shared
     with the residual.  Re u and Im u interleave per node, so -D2 - I and
@@ -451,7 +500,9 @@ def _fd_newton_system(ui, abs2, lam, rho, diag, off, row):
     (2, 2)-banded core, written as strided slices into rows 2: of
     spsolve's LU band storage, a fresh Fortran-ordered (7, 2 ni) array
     that spsolve factors in place; the columns are d/d(Re lam) = -u and
-    d/d(Im lam) = -i u, the rows the normalization of Re u and of Im u."""
+    d/d(Im lam) = -i u.  rows, the normalization of Re u and of Im u, and
+    the zero corner do not depend on the iterate: the solve builds them
+    once (_fd_border) and every pass shares them."""
     ni = len(ui)
     arr = 2.0 * rho * abs2 - lam
     usq = rho * ui * ui
@@ -464,9 +515,15 @@ def _fd_newton_system(ui, abs2, lam, rho, diag, off, row):
     cols = np.empty((2 * ni, 2))
     cols[:, 0] = (-ui).view(float)
     cols[:, 1] = (-1j * ui).view(float)
-    rows = np.zeros((2, 2 * ni))
+    return ab, 2, 2, cols, rows, corner
+
+
+def _fd_border(row):
+    """The bordering rows and corner of every FD Newton system: the
+    normalization weights ``row`` on Re u and on Im u, and zeros."""
+    rows = np.zeros((2, 2 * len(row)))
     rows[0, 0::2] = rows[1, 1::2] = row
-    return ab, 2, 2, cols, rows, np.zeros((2, 2))
+    return rows, np.zeros((2, 2))
 
 
 def _fd_branch(params, grid, u_vals, lam, iterations, resid, converged, increments):
@@ -495,8 +552,12 @@ def fd_solve(
     residual; done when the step taken is at most ``params.tol_fp``; a
     trial is taken when it decreases the norm or the norm is below 1e-13,
     the sixth (1/32 of the step) regardless; an iterate escapes when |W|
-    exceeds 1e80 or is not finite.  At most ``params.max_iter`` passes.
-    The grid needs at least 7 nodes.
+    exceeds 1e80 or is not finite.  A taken trial whose pass predicts a
+    next step within ``params.tol_fp`` is first corrected through that
+    pass's factors (_newton's ``tol``): a correction within tol_fp is the
+    last pass, and a solve that ends so makes one factorization fewer
+    than it reports passes.  At most ``params.max_iter`` passes.  The
+    grid needs at least 7 nodes.
     """
     kappa = params.kappa
     if grid is not None and grid.n_nodes < 7:
@@ -510,6 +571,7 @@ def fd_solve(
     h = grid.spacing
     row = grid.weights[1:-1] * grid.cos[1:-1] / grid.cos2_mass
     diag, off = 2.0 / h**2 - 1.0, -1.0 / h**2
+    border = _fd_border(row)
 
     def residual(z):
         ui = z[:-2].view(complex)
@@ -531,7 +593,7 @@ def fd_solve(
         # a taken trial's residual, |u|^2 included, serves its pass
         ev = residual(z) if ev is None else ev
         return None if ev is None else ev + _fd_newton_system(
-            z[:-2].view(complex), ev[2], complex(z[-2], z[-1]), kappa, diag, off, row)
+            z[:-2].view(complex), ev[2], complex(z[-2], z[-1]), kappa, diag, off, *border)
 
     z = np.append(u[1:-1].view(float), [lam.real, lam.imag])
     # overflow on the way to divergence is expected: a trial that is not
@@ -540,7 +602,8 @@ def fd_solve(
         z, ev, iterations, _, steps, converged = _newton(
             z, residual, linearize, params.max_iter,
             done=lambda norm, step: step <= params.tol_fp,
-            accept=lambda trial, norm: trial < norm or norm < 1e-13, halvings=6, take_last=True)
+            accept=lambda trial, norm: trial < norm or norm < 1e-13, halvings=6, take_last=True,
+            tol=params.tol_fp)
     if ev is None:
         return _diverged_branch(params, grid, "finite_difference", iterations,
                                 increments=tuple(steps))

@@ -172,7 +172,8 @@ class TestSolve:
         assert r["shoot"] == pytest.approx(r["fd"], rel=1e-12)
 
     def test_singular_jacobian_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(direct, "spsolve", lambda *system: np.full_like(system[-1], np.nan))
+        monkeypatch.setattr(direct, "spsolve",
+                            lambda *system: (np.full_like(system[-1], np.nan), None))
         code, out, _ = run_cli(
             capsys, "solve", "--rho-re", "2", "--rho-im", "0.5", "--method", "fd",
             "--nodes", "129",

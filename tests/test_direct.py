@@ -26,7 +26,7 @@ from cglvortex import (
 )
 from cglvortex import direct, sweep
 from cglvortex.direct import (
-    _fd_branch, _fd_newton_system, _rk4_lanes, _segments, _shoot_conditions,
+    _fd_border, _fd_branch, _fd_newton_system, _rk4_lanes, _segments, _shoot_conditions,
     _shoot_newton_system, _slopes, spsolve,
 )
 from conftest import CRITERION6_POINTS, branch_bits
@@ -240,7 +240,7 @@ class TestShooting:
             monkeypatch.setattr(direct, "_gb_lapack", lambda: (flagged, gbtrs))
         else:
             monkeypatch.setattr(direct, "spsolve",
-                                lambda *system: np.full_like(system[-1], np.nan))
+                                lambda *system: (np.full_like(system[-1], np.nan), None))
         rho, eps = 2.0 + 0.5j, 1.0
         b = shoot_solve(CoreParams(rho=rho, eps=eps, **SHOOT), grid=grid257)
         assert not b.converged and not b.diverged
@@ -591,7 +591,8 @@ class TestFiniteDifference:
             fd_solve(CoreParams(rho=0.5, eps=1.0), grid=make_grid(5))
 
     def test_singular_matrix_reported_not_raised(self, grid257, monkeypatch):
-        monkeypatch.setattr(direct, "spsolve", lambda *system: np.full_like(system[-1], np.nan))
+        monkeypatch.setattr(direct, "spsolve",
+                            lambda *system: (np.full_like(system[-1], np.nan), None))
         b = fd_solve(CoreParams(rho=2.0 + 0.5j, eps=1.0, **FD), grid=grid257)
         assert not b.converged and not b.diverged
         assert b.iterations == 0
@@ -600,11 +601,60 @@ class TestFiniteDifference:
     def test_escape_on_last_allowed_pass_is_diverged(self, grid257, monkeypatch):
         # every trial of the only pass escapes and the sixth is taken: the
         # escaped iterate is the diverged record, not a profile of 4e83
-        monkeypatch.setattr(direct, "spsolve", lambda *system: np.full_like(system[-1], 1e85))
+        monkeypatch.setattr(direct, "spsolve",
+                            lambda *system: (np.full_like(system[-1], 1e85), None))
         b = fd_solve(CoreParams(rho=2.0 + 0.5j, eps=1.0, max_iter=1), grid=grid257)
         assert b.diverged and not b.converged
         assert b.iterations == 1 and len(b.increments) == 1
         assert not np.any(b.U.values)
+
+    def test_failed_correction_factors_again(self, grid257, monkeypatch):
+        # a simplified correction above tol_fp is dropped: the solve
+        # linearizes the iterate it tried to correct and factors again, so
+        # its Newton systems and its branch are those of the loop without
+        # the simplified step
+        params = CoreParams(rho=2.0 + 0.5j, eps=1.0, **FD)
+        real_newton, real_spsolve = direct._newton, direct.spsolve
+        plain, held = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(direct, "_newton",
+                       lambda *args, tol=None, **kwargs: real_newton(*args, **kwargs))
+            plain_systems = _recorded_systems(lambda: plain.append(fd_solve(params, grid257)))
+        resolved = []
+
+        def inflated(*system):
+            x, resolve = real_spsolve(*system)
+
+            def off(rhs):
+                resolved.append(rhs)
+                return resolve(rhs) + 1.0  # a correction of 1 in every unknown
+
+            return x, off
+
+        monkeypatch.setattr(direct, "spsolve", inflated)
+        systems = _recorded_systems(lambda: held.append(fd_solve(params, grid257)))
+        assert resolved and plain[0].converged
+        assert len(systems) == len(plain_systems) == plain[0].iterations
+        for got, ref in zip(systems, plain_systems):
+            assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in ref]
+        assert branch_bits(held[0]) == branch_bits(plain[0])
+
+    def test_simplified_correction_is_a_pass(self, grid257, monkeypatch):
+        # the correction that ends the solve is its last pass, made without
+        # a factorization; one pass fewer allowed stops the solve, not
+        # converged, at the iterate that correction would have moved
+        params = dict(rho=2.0 + 0.5j, eps=1.0, **FD)
+        factorizations = []
+        real = direct.spsolve
+        monkeypatch.setattr(direct, "spsolve",
+                            lambda *system: factorizations.append(1) or real(*system))
+        full = fd_solve(CoreParams(**params), grid=grid257)
+        assert full.converged and len(factorizations) == full.iterations - 1
+        assert full.increments[-1] <= params["tol_fp"] < full.increments[-2]
+        short = fd_solve(CoreParams(max_iter=full.iterations - 1, **params), grid=grid257)
+        assert not short.converged and not short.diverged
+        assert short.iterations == full.iterations - 1
+        assert short.increments == full.increments[:-1]
 
     def test_stagnation_reported_not_raised(self, grid257, monkeypatch):
         # two Newton passes from the cold seed cannot reach rho = 60; the
@@ -653,7 +703,8 @@ class TestFiniteDifference:
             u = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
             lam = complex(rng.standard_normal(), rng.standard_normal())
             system = _fd_newton_system(u, (u * u.conjugate()).real, lam, rho,
-                                       2.0 / grid.spacing**2 - 1.0, -1.0 / grid.spacing**2, row)
+                                       2.0 / grid.spacing**2 - 1.0, -1.0 / grid.spacing**2,
+                                       *_fd_border(row))
             dense = _dense_fd_jacobian(grid, u, lam, rho)[np.ix_(order, order)]
             got = _bordered_dense(*system)
             assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -686,6 +737,12 @@ def _random_bordered(rng, n, kl, ku):
             rng.standard_normal((2, 2)))
 
 
+def _is_nan_solve(solved):
+    """A singular solve: a solution of nan and no factors to re-solve with."""
+    x, resolve = solved
+    return bool(np.all(np.isnan(x))) and resolve is None
+
+
 class TestBorderedSolve:
     @pytest.mark.parametrize("kl,ku,n", [(2, 2, 40), (5, 2, 62)])
     def test_matches_dense(self, kl, ku, n):
@@ -694,7 +751,7 @@ class TestBorderedSolve:
             system = _random_bordered(rng, n, kl, ku)
             rhs = rng.standard_normal(n + 2)
             ref = np.linalg.solve(_bordered_dense(*system), rhs)
-            got = spsolve(*system, rhs)
+            got = spsolve(*system, rhs)[0]
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("kl,ku,n", [(2, 2, 40), (5, 2, 62)])
@@ -711,7 +768,7 @@ class TestBorderedSolve:
         assert np.max(np.abs(mat[:n, :n] @ phi)) <= 1e-12 * np.max(np.abs(mat))
         rhs = rng.standard_normal(n + 2)
         ref = np.linalg.solve(mat, rhs)
-        got = spsolve(ab, kl, ku, cols, rows, corner, rhs)
+        got = spsolve(ab, kl, ku, cols, rows, corner, rhs)[0]
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_singular_reported_as_nan(self):
@@ -720,10 +777,10 @@ class TestBorderedSolve:
         rhs = rng.standard_normal(22)
         zero_column = ab.copy()
         zero_column[:, 7] = 0.0
-        assert np.all(np.isnan(spsolve(zero_column, kl, ku, cols, rows, corner, rhs)))
+        assert _is_nan_solve(spsolve(zero_column, kl, ku, cols, rows, corner, rhs))
         # a regular core with zero border: the Schur complement is singular
         zeros = np.zeros((20, 2))
-        assert np.all(np.isnan(spsolve(ab, kl, ku, zeros, zeros.T, np.zeros((2, 2)), rhs)))
+        assert _is_nan_solve(spsolve(ab, kl, ku, zeros, zeros.T, np.zeros((2, 2)), rhs))
 
 
 def _parent_spsolve(ab, kl, ku, cols, rows, corner, rhs):
@@ -792,22 +849,25 @@ def _random_systems():
 
 
 def _ray_systems():
-    """The 112 FD Newton systems of the warm pi/12 ray to |rho| = 200.
+    """The 82 FD Newton systems of the warm pi/12 ray to |rho| = 200.
 
     The third point starts from the secant predictor of the two before it
     and every later point from the quadratic predictor of the three before
-    it, which takes 112 passes where the secant alone took 131 and copying
-    the last branch 159."""
+    it, which takes 111 passes (112 before FD's simplified last step).  On
+    29 of the 32 points the last pass is the simplified correction, solved
+    through the factors of the pass before it, so 111 passes need only 82
+    factorizations."""
     spec = SweepSpec(mode="modulus_sweep", method="finite_difference", ray_arg=np.pi / 12,
                      mod_min=1.0, mod_max=200.0, mod_steps=32, warm_start=True)
     systems = _recorded_systems(lambda: run_sweep(spec))
-    assert len(systems) == 112
+    assert len(systems) == 82
     return systems
 
 
 def _verify_systems():
-    """The 40 Newton systems (10 shooting, 30 FD) of verify's warm starts
-    at the 10 criterion-6 points."""
+    """The 35 Newton systems of verify's warm starts at the 10 criterion-6
+    points: 10 of shooting and 25 of FD, whose 30 passes end on the
+    simplified correction, through factors already made, at 5 points."""
     grid = make_grid(257)
 
     def run():
@@ -817,7 +877,7 @@ def _verify_systems():
             solve("finite_difference", rho, 1.0, grid, prev=fp)
 
     systems = _recorded_systems(run)
-    assert sorted({s[1] for s in systems}) == [2, 5] and len(systems) == 40
+    assert sorted({s[1] for s in systems}) == [2, 5] and len(systems) == 35
     return systems
 
 
@@ -841,7 +901,7 @@ class TestParentOracle:
     def test_spsolve_bitwise_equal_to_parent(self, systems):
         for ab, kl, ku, *rest in systems:
             ref = _parent_spsolve(ab[kl:], kl, ku, *rest)
-            got = spsolve(ab.copy(order="F"), kl, ku, *rest)
+            got = spsolve(ab.copy(order="F"), kl, ku, *rest)[0]
             assert _bits(got) == _bits(ref)
 
     def test_lu_storage_consumed_in_place(self):
@@ -850,6 +910,24 @@ class TestParentOracle:
         spsolve(lu, kl, ku, *rest)
         factored = direct._gb_lapack()[0](ab.copy(order="F"), kl, ku)[0]
         assert lu.tobytes() == factored.tobytes()
+
+    def test_resolve_through_held_factors(self, systems):
+        # the factors spsolve returns solve its own right-hand side again
+        # to the bit, and another one as a dense solve of the bordered
+        # system does; a singular system holds no factors
+        rng = np.random.default_rng(38)
+        held = 0
+        for ab, kl, ku, cols, rows, corner, rhs in systems:
+            x, resolve = spsolve(ab.copy(order="F"), kl, ku, cols, rows, corner, rhs)
+            if resolve is None:
+                assert np.all(np.isnan(x))
+                continue
+            held += 1
+            assert _bits(resolve(rhs)) == _bits(x)
+            other = rng.standard_normal(len(rhs))
+            ref = np.linalg.solve(_bordered_dense(ab, kl, ku, cols, rows, corner), other)
+            assert np.max(np.abs(resolve(other) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert held > 0
 
     def test_gufuncs_bitwise_equal_to_linalg(self, systems, monkeypatch):
         # every 2 x 2 system spsolve meets: eigh_lo and solve1 against
@@ -1032,8 +1110,8 @@ class TestWarmFromFixedPoint:
             assert warm.iterations <= cold.iterations, method
             assert compare_branches(cold, warm) <= 1e-11, method
 
-    @pytest.mark.parametrize("start,counts", [("warm", (10, 30, 40, 10, 10, 30)),
-                                              ("cold", (34, 44, 78, 34, 34, 44))],
+    @pytest.mark.parametrize("start,counts", [("warm", (10, 30, 35, 10, 10, 25)),
+                                              ("cold", (34, 44, 71, 34, 34, 37))],
                              ids=["warm", "cold"])
     def test_work_count(self, grid257, monkeypatch, start, counts):
         # the work at the 10 points, which does not depend on the machine:
@@ -1042,7 +1120,10 @@ class TestWarmFromFixedPoint:
         # which must pass; cold starts from eps cos x.  A line-search trial integrates
         # the trajectory alone, and only a trial taken without converging
         # gets its tangent lanes; the Newton driver that both solvers share
-        # builds a system only for an iterate that takes a step
+        # builds a system only for an iterate that takes a step.  FD ends
+        # on the simplified correction through the last pass's factors,
+        # a pass with no system of its own, at 5 warm and 7 cold points:
+        # 40 and 78 solves before it
         calls = Counter()
 
         def count(name):

@@ -233,12 +233,14 @@ class TestRunSweep:
         assert converged[False] <= converged[True]
         assert len(converged[True]) == 32
 
-    @pytest.mark.parametrize("method, passes", [("finite_difference", 112), ("shooting", 81)])
+    @pytest.mark.parametrize("method, passes", [("finite_difference", 111), ("shooting", 81)])
     def test_warm_ray_work(self, method, passes):
         # the benchmark's ray_fd sweep, and shooting on the same ray: 32
         # points, all converged, in exactly this many Newton passes (FD)
         # or steps (shooting) from the quadratic start; the secant start
-        # took 131 and 100, copying the last branch 159 and 127
+        # took 131 and 100, copying the last branch 159 and 127.  FD's
+        # simplified last step moved one point from 4 passes to 3 (112
+        # before it)
         spec = SweepSpec(mode="modulus_sweep", method=method, ray_arg=np.pi / 12,
                          mod_min=1.0, mod_max=200.0, mod_steps=32, warm_start=True)
         records = run_sweep(spec)
@@ -696,7 +698,8 @@ class TestDivergedRecord:
     ])
     def test_one_diverged_record(self, grid257, tmp_path, monkeypatch, method, rho, eps):
         if method == "finite_difference":
-            monkeypatch.setattr(direct, "spsolve", lambda *system: np.full_like(system[-1], 1e85))
+            monkeypatch.setattr(direct, "spsolve",
+                                lambda *system: (np.full_like(system[-1], 1e85), None))
         b = solve(method, rho, eps, grid257)
         assert b.diverged and not b.converged
         assert not np.isfinite(b.r.real) and not np.isfinite(b.r.imag)

@@ -19,7 +19,7 @@ from .errors import InvalidArgument, ToolkitError
 from .quadrature import make_grid
 from .reduction import DEFAULT_NODES, asymptotic_r, asymptotic_U
 # no longer called here; these names stay only because bench/tracing.py looks
-# them up (ROADMAP item 1a, step ii, removes them)
+# them up (ROADMAP item 19 removes them with the tracer's cglvortex.cli targets)
 from .reduction import fixed_point_solve  # noqa: F401
 from .direct import compare_branches, fd_solve, shoot_solve  # noqa: F401
 from .physics import cgl_residual, extend_solution  # noqa: F401

@@ -94,7 +94,7 @@ def _envelope_pair(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndar
     # int_x^{pi/2} f cos; the end column is copied first, which costs numpy
     # less than buffering an input that overlaps its output
     np.subtract(C[..., -1:].copy(), C, out=C)
-    # interior: |cos x| >= sin(h), so grid.tan is finite there
+    # interior: |cos x| >= sin(h), so grid.tan_c is finite there
     np.multiply(grid.tan_c, C, out=C)
     np.add(v_left, v, out=v)
     v += C

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -24,14 +25,16 @@ from .reduction import Branch, asymptotic_r, ode_forcing
 
 
 def _check_n(n: int) -> None:
-    """InvalidArgument unless n >= 1 and n^2 is a finite float: the
-    parameter maps scale by n^2."""
-    try:
-        square = float(n * n)
-    except OverflowError:  # an int square past the float range
-        square = math.inf
-    if not (n >= 1 and square < math.inf):
-        raise InvalidArgument("n must be >= 1 with n^2 a finite float")
+    """InvalidArgument unless n is an integer (numpy's too), n >= 1 and
+    n^2 is a finite float: the parameter maps scale by n^2."""
+    square = math.inf
+    if isinstance(n, Integral):
+        try:
+            square = float(int(n) ** 2)  # int: a numpy square would wrap
+        except OverflowError:  # an int square past the float range
+            pass
+    if not (square < math.inf and n >= 1):
+        raise InvalidArgument("n must be >= 1, an integer, with n^2 a finite float")
 
 
 @dataclass(frozen=True)

@@ -24,28 +24,24 @@ class Grid:
     n_nodes must be odd and at least 5 so that composite Simpson applies;
     the grid builds its nodes from it, so grids with equal node counts are
     equal.  The grid owns the tables every operator on J reads: the
-    composite-Simpson ``weights``, the samples ``cos``, ``sin``, ``cos2``
-    (cos^2) and ``cos4`` (cos^4), ``tan`` (sin / cos on the interior nodes
-    only, where cos does not vanish) and the float ``cos2_mass``, the
-    quadrature value of int cos^2 (= pi/2 up to roundoff).  The fixed-point
-    map multiplies complex arrays by these tables, so the grid also keeps
-    their complex copies ``weights_c``, ``cos_c``, ``cos2_c`` and
-    ``cos4_c``, the stacked rows ``sin_cos_c`` = (sin, cos), and ``tan_c``,
-    tan padded with 0 at the two end nodes: the envelope solve lays f sin
-    and f cos out as a (2, ..., n) pair, each half one contiguous block,
-    steps whole rows through ``tan_c`` and then overwrites both end
-    columns.  numpy casts a float operand to exactly these values, so a
-    product reads the same bits without the cast.  All arrays are
-    read-only."""
+    composite-Simpson ``weights``, the samples ``cos`` and ``sin``, and
+    the float ``cos2_mass``, the quadrature value of int cos^2 (= pi/2 up
+    to roundoff).  The fixed-point map multiplies complex arrays by its
+    tables, so the grid keeps them complex: ``weights_c``, ``cos_c``,
+    ``cos2_c`` (cos^2) and ``cos4_c`` (cos^4), the stacked rows
+    ``sin_cos_c`` = (sin, cos), and ``tan_c``, sin / cos on the interior
+    nodes, where cos does not vanish, padded with 0 at the two end nodes:
+    the envelope solve lays f sin and f cos out as a (2, ..., n) pair,
+    each half one contiguous block, steps whole rows through ``tan_c`` and
+    then overwrites both end columns.  numpy casts a float operand to
+    exactly these values, so a product reads the same bits without the
+    cast.  All arrays are read-only."""
 
     n_nodes: int
     nodes: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     cos: np.ndarray = field(init=False, repr=False)
     sin: np.ndarray = field(init=False, repr=False)
-    cos2: np.ndarray = field(init=False, repr=False)
-    cos4: np.ndarray = field(init=False, repr=False)
-    tan: np.ndarray = field(init=False, repr=False)
     weights_c: np.ndarray = field(init=False, repr=False)
     cos_c: np.ndarray = field(init=False, repr=False)
     cos2_c: np.ndarray = field(init=False, repr=False)
@@ -67,13 +63,11 @@ class Grid:
         cos, sin = np.cos(nodes), np.sin(nodes)
         cos2 = cos * cos
         tan = sin[1:-1] / cos[1:-1]
-        tables = dict(nodes=nodes, weights=weights, cos=cos, sin=sin, cos2=cos2,
-                      cos4=cos2 * cos2, tan=tan)
         sin_cos_c = np.array([sin, cos], dtype=complex)
-        tables.update({name + "_c": tables[name].astype(complex)
-                       for name in ("weights", "cos2", "cos4")},
-                      tan_c=np.pad(tan, 1).astype(complex), sin_cos_c=sin_cos_c,
-                      cos_c=sin_cos_c[1])
+        tables = dict(nodes=nodes, weights=weights, cos=cos, sin=sin,
+                      weights_c=weights.astype(complex), cos2_c=cos2.astype(complex),
+                      cos4_c=(cos2 * cos2).astype(complex), tan_c=np.pad(tan, 1).astype(complex),
+                      sin_cos_c=sin_cos_c, cos_c=sin_cos_c[1])
         for name, a in tables.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)

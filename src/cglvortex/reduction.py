@@ -39,6 +39,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -113,8 +114,9 @@ class CoreParams:
         # accept whatever the first map returns
         if not 0 < self.tol_fp < 1:
             raise InvalidArgument(f"tol_fp must lie in (0, 1), got {self.tol_fp}")
-        if self.max_iter < 1:
-            raise InvalidArgument("max_iter must be >= 1")
+        # every solver stops at passes == max_iter, which no other value reaches
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise InvalidArgument(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +230,7 @@ def compute_r(v: GridFunction, eps: complex) -> complex:
         raise InvalidArgument("eps must be nonzero")
     vals = v.values
     absq = (vals * vals.conjugate()).real
-    return (2.0 / (eps * np.pi)) * v.grid.integrate(absq * vals * v.grid.cos4)
+    return (2.0 / (eps * np.pi)) * v.grid.integrate(absq * vals * v.grid.cos4_c)
 
 
 def _ode_forcing(u_vals: np.ndarray, rho: complex, r: complex) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,8 +44,6 @@ LINE_TOL = 1e-8
 # to |rho| = 200 the quadratic saves 19 of the secant's 131 passes, and a
 # cubic would save 2 more)
 PREDICTORS = ((1,), (2, -1), (3, -3, 1))
-# solve's keywords for those branches, newest first
-_TRAIL = ("prev", "before", "earlier")
 # a cold fixed-point sweep's rolling block (reduction._block_rows) iterates
 # at most this many rows at once and hands their Branches over in grid order
 FP_BLOCK = 16
@@ -126,6 +125,9 @@ class SweepSpec:
         if not (np.all(np.isfinite(reals)) and np.isfinite(self.eps)):
             raise InvalidArgument("sweep bounds and eps must be finite")
         eps_squared(self.eps)
+        steps = (self.re_steps, self.im_steps, self.arg_steps, self.mod_steps)
+        if not all(isinstance(k, Integral) for k in steps):
+            raise InvalidArgument(f"sweep steps must be integers, got {steps}")
         if self.mode == "rectangle":
             if self.re_steps < 2 or self.im_steps < 2:
                 raise InvalidArgument("rectangle sweeps need >= 2 steps per axis")
@@ -196,38 +198,34 @@ def solve(
     grid: Grid,
     tol: float = SOLVE_TOL,
     max_iter: int = SOLVE_MAX_ITER,
-    prev: Branch | None = None,
-    before: Branch | None = None,
-    earlier: Branch | None = None,
+    trail: Sequence[Branch] = (),
 ) -> Branch:
     """Solve one parameter point with one of METHODS.
 
     Every method gets the same CoreParams; ``tol`` is its tol_fp.
-    ``prev``, a converged branch on the same grid, warm-starts the solve:
-    its correction w (fixed point), or its profile and r (shooting and
-    finite differences).  ``before``, the converged branch one step behind
-    prev, and ``earlier``, the one one step behind before, raise the order
-    of that start (PREDICTORS): to the secant 2 prev - before when before,
-    prev and rho are equally spaced on a line (see _on_line), and to the
-    quadratic 3 prev - 3 before + earlier when earlier, before and prev
-    are too (of w, or of the profile and r).  Elsewhere the start stays
-    the copy of prev, or the secant.
+    ``trail``, the converged branches of the points just before rho on the
+    same grid, newest first and at most len(PREDICTORS) of them,
+    warm-starts the solve from trail[0]: its correction w (fixed point),
+    or its profile and r (shooting and finite differences).  trail[1] and
+    trail[2] raise the order of that start (PREDICTORS): to the secant
+    2 trail[0] - trail[1] when trail[1], trail[0] and rho are equally
+    spaced on a line (see _on_line), and to the quadratic
+    3 trail[0] - 3 trail[1] + trail[2] when trail[2], trail[1] and
+    trail[0] are too (of w, or of the profile and r).  Elsewhere the start
+    stays the copy of trail[0], or the secant.  An empty trail starts cold.
     Failures are reported in the returned Branch.
     """
     if method not in METHODS:
         raise InvalidArgument(f"unknown method {method!r}")
-    if before is not None and prev is None:
-        raise InvalidArgument("before needs prev")
-    if earlier is not None and before is None:
-        raise InvalidArgument("earlier needs before")
-    for name, branch in zip(_TRAIL, (prev, before, earlier)):
-        if branch is not None and not branch.converged:
-            raise InvalidArgument(f"{name} must be a converged branch")
-        if branch is not None and branch.w.grid != grid:
-            raise InvalidArgument(f"{name} must live on the solver grid")
+    if len(trail) > len(PREDICTORS):
+        raise InvalidArgument(f"trail holds at most {len(PREDICTORS)} branches")
+    for k, branch in enumerate(trail):
+        if not branch.converged:
+            raise InvalidArgument(f"trail[{k}] must be a converged branch")
+        if branch.w.grid != grid:
+            raise InvalidArgument(f"trail[{k}] must live on the solver grid")
     params = CoreParams(rho=rho, eps=eps, max_iter=max_iter, tol_fp=tol)
     w0 = seed = r0 = None
-    trail = [b for b in (prev, before, earlier) if b is not None]
     if trail:
         rhos = [rho] + [b.params.rho for b in trail]
         order = 1
@@ -235,9 +233,9 @@ def solve(
             order += 1
         starts = [(b.w.values, b.U.values, b.r) for b in trail[:order]]
         w0, seed, r0 = (_extrapolate(PREDICTORS[order - 1], column) for column in zip(*starts))
-        # a copy keeps prev's own GridFunctions
-        w0, seed = (prev.w, prev.U) if order == 1 else (GridFunction(grid, w0),
-                                                         GridFunction(grid, seed))
+        # a copy keeps trail[0]'s own GridFunctions
+        w0, seed = (trail[0].w, trail[0].U) if order == 1 else (GridFunction(grid, w0),
+                                                                 GridFunction(grid, seed))
     if method == "fixed_point":
         return fixed_point_solve(params, grid=grid, w0=w0)
     if method == "shooting":
@@ -332,9 +330,10 @@ def verify(rho: complex, eps: complex, grid: Grid) -> Verification:
     prints the result.
 
     The fixed point solves first; shooting and finite differences start
-    from its branch when it converged, and cold (from eps cos x) when it
-    did not.  With h the grid spacing and zeta = |rho| |eps|^2, the checks
-    in order, each with its bound (a check passes when value <= bound):
+    from its branch, passed as the trail (fp,), when it converged, and
+    cold (from eps cos x, an empty trail) when it did not.  With h the
+    grid spacing and zeta = |rho| |eps|^2, the checks in order, each with
+    its bound (a check passes when value <= bound):
 
     - converged[m] for each method m: 0 if it converged, else 1; 0.5.
       The rest run only when all three converged.
@@ -372,9 +371,9 @@ def verify(rho: complex, eps: complex, grid: Grid) -> Verification:
     # shooting and FD start from the converged fixed-point branch, which
     # lies within the discretization error of both; cold where it failed
     fp = solve("fixed_point", rho, eps, grid)
-    prev = fp if fp.converged else None
-    branches = (fp, solve("shooting", rho, eps, grid, prev=prev),
-                solve("finite_difference", rho, eps, grid, prev=prev))
+    trail = (fp,) if fp.converged else ()
+    branches = (fp, solve("shooting", rho, eps, grid, trail=trail),
+                solve("finite_difference", rho, eps, grid, trail=trail))
     for name, br in zip(METHODS, branches):
         checks.append(Check(f"converged[{name}]", 0.0 if br.converged else 1.0, 0.5))
 
@@ -418,15 +417,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
 
     Per-point failures are reported by the solver's Branch and recorded
     (converged false), never aborting the sweep.  With ``warm_start`` each
-    point starts from the last converged branch, prev; when the points
-    just before it converged, it also passes the one or two before prev
-    to solve as ``before`` and ``earlier``: a trail of up to three
-    consecutive converged branches.  On a modulus ray or a rectangle row,
-    where the points lie equally spaced on a line, the start is then the
-    secant 2 prev - before or the quadratic 3 prev - 3 before + earlier;
-    after a row jump or on an arc it is the copy of prev.  A failed point
-    clears the trail: the next point starts from a copy, and the trail
-    grows again from there.
+    point passes solve a ``trail``: the converged branches of the up to
+    three points just before it, newest first.  On a modulus ray or a
+    rectangle row, where the points lie equally spaced on a line, the
+    start is then the secant or the quadratic of the trail; after a row
+    jump or on an arc it is the copy of trail[0].  A failed point clears
+    the trail: the next point passes the last converged branch alone, so
+    it starts from a copy, and the trail grows again from there.
     A cold fixed-point sweep hands all its points to one rolling block, a
     generator that iterates at most FP_BLOCK rows at once, each to the
     bits of its own solve, and hands their Branches over in grid order;
@@ -448,7 +445,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     trail: list[Branch] = []
     last: list[Branch] = []
     for rho in points:
-        branch = solve(spec.method, rho, spec.eps, grid, **dict(zip(_TRAIL, trail or last)))
+        branch = solve(spec.method, rho, spec.eps, grid, trail=trail or last)
         records.append(record_from_branch(branch))
         if spec.warm_start:
             trail = [branch, *trail[:2]] if branch.converged else []

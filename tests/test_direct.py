@@ -258,7 +258,7 @@ class TestShooting:
             prev = solve("fixed_point", 1.5 + 1.25j, 1.0, grid257)
 
             def run():
-                return solve("shooting", 1.5 + 1.25j, 1.0, grid257, prev=prev)
+                return solve("shooting", 1.5 + 1.25j, 1.0, grid257, trail=(prev,))
         else:
             rho = {"cold": 3.5 + 1.5j, "ray60": 60.0 * np.exp(1j * np.pi / 12),
                    "ray134": 134.0 * np.exp(1j * np.pi / 12)}[case]
@@ -695,7 +695,7 @@ class TestFiniteDifference:
         ni = n_nodes - 2
         rho = 3.0 + 2.0j
         rng = np.random.default_rng(n_nodes)
-        row = grid.weights[1:-1] * grid.cos[1:-1] / np.dot(grid.weights, grid.cos2)
+        row = grid.weights[1:-1] * grid.cos[1:-1] / np.dot(grid.weights, grid.cos * grid.cos)
         order = np.append(np.stack([np.arange(ni), ni + np.arange(ni)], axis=1).ravel(),
                           [2 * ni, 2 * ni + 1])
         pattern = None
@@ -873,8 +873,8 @@ def _verify_systems():
     def run():
         for rho in CRITERION6_POINTS:
             fp = solve("fixed_point", rho, 1.0, grid)
-            solve("shooting", rho, 1.0, grid, prev=fp)
-            solve("finite_difference", rho, 1.0, grid, prev=fp)
+            solve("shooting", rho, 1.0, grid, trail=(fp,))
+            solve("finite_difference", rho, 1.0, grid, trail=(fp,))
 
     systems = _recorded_systems(run)
     assert sorted({s[1] for s in systems}) == [2, 5] and len(systems) == 35
@@ -1105,7 +1105,7 @@ class TestWarmFromFixedPoint:
         assert fp.converged
         for method in ("shooting", "finite_difference"):
             cold = solve(method, rho, 1.0, grid257)
-            warm = solve(method, rho, 1.0, grid257, prev=fp)
+            warm = solve(method, rho, 1.0, grid257, trail=(fp,))
             assert cold.converged and warm.converged, method
             assert warm.iterations <= cold.iterations, method
             assert compare_branches(cold, warm) <= 1e-11, method

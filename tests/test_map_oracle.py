@@ -40,6 +40,10 @@ def _running_integral(values, h):
     return out
 
 
+def _cos2(grid):  # cos^2, as Grid forms it
+    return grid.cos * grid.cos
+
+
 def _remove_cos_mode(values, grid):
     cos = grid.cos
     c = np.dot(grid.weights, values * cos) / grid.cos2_mass
@@ -53,14 +57,14 @@ def _solve_envelope(f_values, grid, v_left):
     C = _running_integral(f_values * grid.cos, h)
     B = C[-1] - C[1:-1]
     v = np.empty(grid.n_nodes, dtype=complex)
-    v[1:-1] = v_left + A[1:-1] + grid.tan * B
+    v[1:-1] = v_left + A[1:-1] + grid.sin[1:-1] / grid.cos[1:-1] * B
     v[0] = v_left
     v[-1] = v_left + grid.integrate(f_sin)
     return v
 
 
 def _project_mean(values, grid):
-    return complex(np.dot(grid.weights, values * grid.cos2) / grid.cos2_mass)
+    return complex(np.dot(grid.weights, values * _cos2(grid)) / grid.cos2_mass)
 
 
 def _apply_green(f_values, grid):
@@ -71,8 +75,9 @@ def _apply_green(f_values, grid):
 def _cubic_forcing(w_values, rho, grid):
     one = 1.0 + w_values
     absq = (one * one.conjugate()).real
-    bulk = (2.0 / np.pi) * grid.integrate(absq * one * grid.cos4)
-    f = rho * (bulk - absq * grid.cos2) * one * grid.cos
+    cos2 = _cos2(grid)
+    bulk = (2.0 / np.pi) * grid.integrate(absq * one * (cos2 * cos2))
+    f = rho * (bulk - absq * cos2) * one * grid.cos
     return _remove_cos_mode(f, grid)
 
 

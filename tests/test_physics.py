@@ -41,15 +41,18 @@ class TestParameterMaps:
 
     def test_rho_n_scaling(self):
         assert rho_from_physical(0.0, 0.0, 2) == pytest.approx(0.25)
+        # a numpy n is an integer too; its square, past int64, must not wrap
+        assert rho_from_physical(0.0, 0.0, np.int64(2**32)) == pytest.approx(2.0**-64)
 
     def test_rho_invalid_n(self):
         with pytest.raises(InvalidArgument):
             rho_from_physical(0.0, 0.0, 0)
 
-    @pytest.mark.parametrize("n", [0, -2, 2**512, 10**400],
-                             ids=["0", "-2", "2**512", "10**400"])
+    @pytest.mark.parametrize("n", [0, -2, 2**512, 10**400, 1.5, 2.0],
+                             ids=["0", "-2", "2**512", "10**400", "1.5", "2.0"])
     def test_every_map_of_n_rejects_it(self, n):
-        # n < 1, or an n whose square is past the float range
+        # n < 1, an n whose square is past the float range, or an n that is
+        # not an integer
         branch = _converged_branch(0.0, 1.0, n_nodes=9)
         for call in (lambda: rho_from_physical(0.0, 0.0, n),
                      lambda: physical_from_r(0.75, 0.0, 0.0, n),

@@ -22,8 +22,8 @@ class TestMakeGrid:
         g = make_grid(129)
         assert make_grid(129) is g
         x = g.nodes
-        tables = {"cos": np.cos(x), "sin": np.sin(x), "cos2": np.cos(x) ** 2,
-                  "cos4": np.cos(x) ** 4, "weights": None}
+        tables = {"cos": np.cos(x), "sin": np.sin(x), "cos2_c": np.cos(x) ** 2,
+                  "cos4_c": np.cos(x) ** 4, "weights": None}
         for name, expect in tables.items():
             arr = getattr(g, name)
             if expect is not None:
@@ -232,10 +232,11 @@ class TestKernelsBitIdentical:
     def test_tan_and_cos2_mass_tables(self, n):
         g = make_grid(n)
         cos, sin = np.cos(g.nodes), np.sin(g.nodes)
-        assert np.array_equal(g.tan, sin[1:-1] / cos[1:-1])
+        assert np.array_equal(g.tan_c[1:-1], sin[1:-1] / cos[1:-1])
+        assert g.tan_c[0] == 0 and g.tan_c[-1] == 0
         assert g.cos2_mass == np.dot(g.weights, cos * cos)
-        assert not g.tan.flags.writeable
+        assert not g.tan_c.flags.writeable
         with pytest.raises(ValueError):
-            g.tan[0] = 0.0
+            g.tan_c[0] = 0.0
         with pytest.raises(AttributeError):
             g.cos2_mass = 1.0

@@ -135,6 +135,14 @@ class TestSweepSpec:
         with pytest.raises(InvalidArgument):
             SweepSpec(mode="rectangle", re_steps=1)
 
+    def test_step_counts_must_be_integers(self):
+        # points() hands each count to linspace, which refuses a float
+        for bad in (dict(re_steps=2.5), dict(im_steps=3.0), dict(arg_steps=4.5),
+                    dict(mod_steps=float("inf"))):
+            with pytest.raises(InvalidArgument, match="sweep steps must be integers"):
+                SweepSpec(mode="rectangle", **bad)
+        assert SweepSpec(mode="rectangle", re_steps=np.int64(3)).points()[2] == 3.5
+
     def test_unordered_bounds_rejected(self):
         with pytest.raises(InvalidArgument):
             SweepSpec(mode="rectangle", re_min=2.0, re_max=-2.0)
@@ -481,16 +489,16 @@ class TestSolve:
         grid = make_grid(129)
         rho = spec.points()
         b = [solve(method, rho[0], spec.eps, grid)]
-        b.append(solve(method, rho[1], spec.eps, grid, prev=b[0]))
-        b.append(solve(method, rho[2], spec.eps, grid, prev=b[1], before=b[0]))
+        b.append(solve(method, rho[1], spec.eps, grid, trail=(b[0],)))
+        b.append(solve(method, rho[2], spec.eps, grid, trail=(b[1], b[0])))
         for k in (3, 4):
-            b.append(solve(method, rho[k], spec.eps, grid, prev=b[k - 1], before=b[k - 2],
-                           earlier=b[k - 3]))
+            b.append(solve(method, rho[k], spec.eps, grid, trail=(b[k - 1], b[k - 2], b[k - 3])))
         assert [r.converged for r in records] == [True] * 5
         assert records == [record_from_branch(x) for x in b]
         # the secant start is not the copy of b1, nor the quadratic the secant
-        assert branch_bits(b[2]) != branch_bits(solve(method, rho[2], spec.eps, grid, prev=b[1]))
-        secant = solve(method, rho[3], spec.eps, grid, prev=b[2], before=b[1])
+        assert branch_bits(b[2]) != branch_bits(solve(method, rho[2], spec.eps, grid,
+                                                      trail=(b[1],)))
+        secant = solve(method, rho[3], spec.eps, grid, trail=(b[2], b[1]))
         assert branch_bits(b[3]) != branch_bits(secant)
 
     @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
@@ -508,18 +516,17 @@ class TestSolve:
         p = spec.points()
         b = []
         for row in (0, 4):
-            b.append(solve(method, p[row], spec.eps, grid, prev=b[-1] if b else None))
-            b.append(solve(method, p[row + 1], spec.eps, grid, prev=b[-1]))
-            b.append(solve(method, p[row + 2], spec.eps, grid, prev=b[-1], before=b[-2]))
-            b.append(solve(method, p[row + 3], spec.eps, grid, prev=b[-1], before=b[-2],
-                           earlier=b[-3]))
+            b.append(solve(method, p[row], spec.eps, grid, trail=b[-1:]))
+            b.append(solve(method, p[row + 1], spec.eps, grid, trail=(b[-1],)))
+            b.append(solve(method, p[row + 2], spec.eps, grid, trail=(b[-1], b[-2])))
+            b.append(solve(method, p[row + 3], spec.eps, grid, trail=(b[-1], b[-2], b[-3])))
         assert [r.converged for r in records] == [True] * 8
         assert records == [record_from_branch(x) for x in b]
         # the row jump copies: passing the branches two and three points
         # back changes no bit, at the jump and one point after it
-        jump = solve(method, p[4], spec.eps, grid, prev=b[3], before=b[2], earlier=b[1])
+        jump = solve(method, p[4], spec.eps, grid, trail=(b[3], b[2], b[1]))
         assert branch_bits(jump) == branch_bits(b[4])
-        after = solve(method, p[5], spec.eps, grid, prev=b[4], before=b[3], earlier=b[2])
+        after = solve(method, p[5], spec.eps, grid, trail=(b[4], b[3], b[2]))
         assert branch_bits(after) == branch_bits(b[5])
 
     @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
@@ -552,8 +559,7 @@ class TestSolve:
         for name in ("fixed_point_solve", "shoot_solve", "fd_solve"):
             monkeypatch.setattr(sweep, name, capture)
         trail = [branch(k) for k in range(order - 1, -1, -1)]
-        solve(method, (1.0 + 0.5 * order) * np.exp(0.3j), 1.0, grid257,
-              **dict(zip(("prev", "before", "earlier"), trail)))
+        solve(method, (1.0 + 0.5 * order) * np.exp(0.3j), 1.0, grid257, trail=trail)
         w, u, r = at(order)
         if method == "fixed_point":
             np.testing.assert_allclose(seen["w0"].values, w, rtol=0, atol=1e-13)
@@ -567,11 +573,11 @@ class TestSolve:
         spec = SweepSpec(mode="arg_sweep", method="finite_difference", radius=2.0,
                          arg_min=0.0, arg_max=1.0, arg_steps=4, n_nodes=129, warm_start=True)
         grid = make_grid(129)
-        prev, expected = None, []
+        trail, expected = (), []
         for rho in spec.points():
-            b = solve("finite_difference", rho, spec.eps, grid, prev=prev)
+            b = solve("finite_difference", rho, spec.eps, grid, trail=trail)
             expected.append(record_from_branch(b))
-            prev = b if b.converged else prev
+            trail = (b,) if b.converged else trail
         assert run_sweep(spec) == expected
 
     def test_after_a_failed_point_the_start_is_a_copy(self, monkeypatch):
@@ -583,9 +589,9 @@ class TestSolve:
         starts, branches = [], []
         real_solve = sweep.solve
 
-        def failing_fifth(method, rho, eps, grid, prev=None, before=None, earlier=None):
-            starts.append((prev, before, earlier))
-            b = real_solve(method, rho, eps, grid, prev=prev, before=before, earlier=earlier)
+        def failing_fifth(method, rho, eps, grid, trail=()):
+            starts.append(tuple(trail))
+            b = real_solve(method, rho, eps, grid, trail=trail)
             b = replace(b, converged=False) if len(starts) == 5 else b
             branches.append(b)
             return b
@@ -594,9 +600,9 @@ class TestSolve:
         run_sweep(spec)
         b = branches
         assert [tuple(map(id, s)) for s in starts] == [tuple(map(id, t)) for t in [
-            (None, None, None), (b[0], None, None), (b[1], b[0], None), (b[2], b[1], b[0]),
+            (), (b[0],), (b[1], b[0]), (b[2], b[1], b[0]),
             (b[3], b[2], b[1]),  # the fifth point fails
-            (b[3], None, None), (b[5], None, None), (b[6], b[5], None), (b[7], b[6], b[5]),
+            (b[3],), (b[5],), (b[6], b[5]), (b[7], b[6], b[5]),
         ]]
 
     def test_unknown_method_rejected(self, grid257):
@@ -605,35 +611,31 @@ class TestSolve:
 
     def test_unconverged_prev_rejected(self, grid257):
         bad = fixed_point_solve(CoreParams(rho=3.5, eps=1.0, max_iter=5), grid=grid257)
-        with pytest.raises(InvalidArgument):
-            solve("fixed_point", 3.5, 1.0, grid257, prev=bad)
-        # so is an unconverged before, and a before without prev
+        with pytest.raises(InvalidArgument, match=r"trail\[0\] must be a converged branch"):
+            solve("fixed_point", 3.5, 1.0, grid257, trail=(bad,))
+        # so is an unconverged branch further back in the trail
         b0 = solve("fixed_point", 1.0, 1.0, grid257)
-        with pytest.raises(InvalidArgument, match="before must be a converged branch"):
-            solve("fixed_point", 1.5, 1.0, grid257, prev=b0, before=bad)
-        with pytest.raises(InvalidArgument, match="before needs prev"):
-            solve("fixed_point", 1.5, 1.0, grid257, before=b0)
-        # and so are an unconverged earlier, and an earlier without before
-        b1 = solve("fixed_point", 1.5, 1.0, grid257, prev=b0)
-        with pytest.raises(InvalidArgument, match="earlier must be a converged branch"):
-            solve("fixed_point", 2.0, 1.0, grid257, prev=b1, before=b0, earlier=bad)
-        with pytest.raises(InvalidArgument, match="earlier needs before"):
-            solve("fixed_point", 2.0, 1.0, grid257, prev=b1, earlier=b0)
+        with pytest.raises(InvalidArgument, match=r"trail\[1\] must be a converged branch"):
+            solve("fixed_point", 1.5, 1.0, grid257, trail=(b0, bad))
+        b1 = solve("fixed_point", 1.5, 1.0, grid257, trail=(b0,))
+        with pytest.raises(InvalidArgument, match=r"trail\[2\] must be a converged branch"):
+            solve("fixed_point", 2.0, 1.0, grid257, trail=(b1, b0, bad))
 
     def test_prev_on_another_grid_rejected(self, grid257):
         # every method refuses to warm-start from a branch of another grid
         b = solve("fixed_point", 1.2, 1.0, make_grid(129))
         assert b.converged
         for method in sweep.METHODS:
-            with pytest.raises(InvalidArgument, match="must live on the solver grid"):
-                solve(method, 1.2, 1.0, grid257, prev=b)
-            with pytest.raises(InvalidArgument, match="before must live on the solver grid"):
-                solve(method, 1.2, 1.0, grid257, prev=solve(method, 1.1, 1.0, grid257), before=b)
-            with pytest.raises(InvalidArgument, match="prev must live on the solver grid"):
-                solve(method, 1.2, 1.0, grid257, prev=b, before=solve(method, 1.1, 1.0, grid257))
             near = solve(method, 1.1, 1.0, grid257)
-            with pytest.raises(InvalidArgument, match="earlier must live on the solver grid"):
-                solve(method, 1.2, 1.0, grid257, prev=near, before=near, earlier=b)
+            for k, trail in ((0, (b,)), (0, (b, near)), (1, (near, b)), (2, (near, near, b))):
+                with pytest.raises(InvalidArgument,
+                                   match=rf"trail\[{k}\] must live on the solver grid"):
+                    solve(method, 1.2, 1.0, grid257, trail=trail)
+
+    def test_trail_of_four_rejected(self, grid257):
+        b = solve("fixed_point", 1.0, 1.0, grid257)
+        with pytest.raises(InvalidArgument, match="trail holds at most 3 branches"):
+            solve("fixed_point", 1.5, 1.0, grid257, trail=(b, b, b, b))
 
 
 VERIFY_CHECKS = (

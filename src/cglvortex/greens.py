@@ -17,7 +17,8 @@ samples (n,), whose map is call-bound, or a block of rows (B, n), whose
 steps run on contiguous halves of a (2, B, n) pair.  They multiply by the
 Grid's complex tables (the bits numpy's cast of the float tables would
 give) and keep each element's operations and operand order, since under
-FMA a * b and b * a can round differently.
+FMA a * b and b * a can round differently.  A block map passes them arrays
+to write into; without those they write fresh arrays.
 """
 from __future__ import annotations
 
@@ -46,9 +47,11 @@ def jump_increment(f: GridFunction) -> complex:
     return f.grid.integrate(f.values * f.grid.sin)
 
 
-def _remove_cos_mode(values: np.ndarray, grid: Grid) -> np.ndarray:
+def _remove_cos_mode(values: np.ndarray, grid: Grid,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    # the result goes to out (default fresh), which must not be values
     cos = grid.cos_c
-    tmp = values * cos
+    tmp = np.multiply(values, cos, out)
     c = _row_sums(tmp, grid) / grid.cos2_mass
     np.multiply(c, cos, out=tmp)
     return np.subtract(values, tmp, out=tmp)
@@ -77,7 +80,8 @@ def _check_admissible(f: GridFunction) -> None:
         )
 
 
-def _envelope_pair(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndarray:
+def _envelope_pair(f_values: np.ndarray, grid: Grid, v_left: complex,
+                   out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Envelope samples from the split representation (no solvability check)
     of one forcing (n,) or of each row of a block (B, n), in [0] of a
     (2, ..., n) pair; [1] is scratch.  Both running integrals come from one
@@ -86,10 +90,17 @@ def _envelope_pair(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndar
     take whole rows, with tan_c 0 at the end nodes, and the two end columns
     are then overwritten by the limit values.  A block row that is not
     finite is not finite at the same entries as alone, but its NaNs need
-    not keep their bits (see running_integral)."""
+    not keep their bits (see running_integral).
+
+    Every step writes into the pair ``out`` (default a fresh array) and
+    running_integral's ``work``: f sin and f cos are formed in out, and
+    their integrals replace them there.  f_values is read first, so it may
+    lie in work."""
     tables = grid.sin_cos_c if f_values.ndim == 1 else grid.sin_cos_c[:, None]
-    f_sin_cos = f_values * tables  # f first: operand order can change the bits
-    sums = running_integral(f_sin_cos, grid.spacing)
+    # f first: operand order can change the bits
+    f_sin_cos = np.multiply(f_values, tables, out)
+    v_right = v_left + _row_sums(f_sin_cos[0], grid)
+    sums = running_integral(f_sin_cos, grid.spacing, f_sin_cos, work)
     v, C = sums[0], sums[1]  # v holds int_{-pi/2}^x f sin
     # int_x^{pi/2} f cos; the end column is copied first, which costs numpy
     # less than buffering an input that overlaps its output
@@ -99,7 +110,7 @@ def _envelope_pair(f_values: np.ndarray, grid: Grid, v_left: complex) -> np.ndar
     np.add(v_left, v, out=v)
     v += C
     v[..., 0] = v_left
-    v[..., -1:] = v_left + _row_sums(f_sin_cos[0], grid)
+    v[..., -1:] = v_right
     return sums
 
 

@@ -142,7 +142,8 @@ def _row_sums(rows: np.ndarray, grid: Grid):
     return np.vecdot(grid.weights_c, rows)[:, None]
 
 
-def running_integral(values: np.ndarray, h: float) -> np.ndarray:
+def running_integral(values: np.ndarray, h: float, out: np.ndarray | None = None,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """Running integrals F_i = int_{x_0}^{x_i} f along the last axis, 4th
     order, of complex rows.
 
@@ -165,12 +166,20 @@ def running_integral(values: np.ndarray, h: float) -> np.ndarray:
     weights are real, and numpy and Python multiply complex numbers by the
     same formula, so a block row's end cells are not finite at exactly the
     entries where they are not finite alone; the bits of its NaNs are not
-    kept."""
+    kept.
+
+    The integrals go to ``out`` (complex, values' shape; default a fresh
+    array), which may be values itself: they are written after every
+    sample is read.  ``work`` (complex, twice values' size; default fresh)
+    holds the samples times 13 and the cells, so a caller that owns both
+    allocates nothing of values' size here."""
     g = np.asarray(values)
     n = g.shape[-1]
     flat = g.reshape(-1)
-    g13 = 13 * flat
-    cell = np.empty(flat.shape, dtype=complex)
+    g13, cell = (None, None) if work is None else work.reshape(2, -1)
+    g13 = np.multiply(13, flat, g13)
+    if cell is None:
+        cell = np.empty(flat.shape, dtype=complex)
     mid = cell[2:-1]
     np.subtract(g13[1:-2], flat[:-3], out=mid)  # -g_{i-1} + 13 g_i, to the bit
     mid += g13[2:-1]
@@ -193,7 +202,9 @@ def running_integral(values: np.ndarray, h: float) -> np.ndarray:
         cells = cell.reshape(-1, n)
         cells[:, 0] = 0.0
         cells[:, 1::n - 2] = ends
-    out = cell.reshape(g.shape).cumsum(axis=-1)
+    # along axis -1 into out, not into cell: cumsum into its own input
+    # would copy that input first
+    out = cell.reshape(g.shape).cumsum(-1, None, out)
     out *= h
     return out
 

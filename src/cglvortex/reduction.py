@@ -24,8 +24,11 @@ functions on GridFunctions validate their input and call it, and the
 fixed-point loop calls it directly, on one row of samples (n,) or on a
 block of rows (B, n) with a (B, 1) column of kappas (_block_rows).
 A one-row map is call-bound, and a block's steps run on contiguous rows;
-so these multiply by the Grid's complex tables and write into arrays they
-own, and a block takes its end cells and bulk term in numpy.  A block row
+so these multiply by the Grid's complex tables and write in place where
+they can, and a block takes its end cells and bulk term in numpy.  Each
+takes optional arrays to write into: a block map passes the work arrays
+the block allocated when it started, so it allocates no (B, n) array,
+while a one-row map and the public functions write fresh ones.  A block row
 that is not finite is not finite at the entries where it is not finite
 alone, but its NaNs need not keep their bits; such a row has diverged,
 and no record holds its values.  Every element keeps its operations and
@@ -155,8 +158,9 @@ class Branch:
         return self.U.grid
 
 
-def _project_mean(values: np.ndarray, grid: Grid):  # a scalar, or a (B, 1) column
-    return _row_sums(values * grid.cos2_c, grid) / grid.cos2_mass
+def _project_mean(values: np.ndarray, grid: Grid, out: np.ndarray | None = None):
+    # a scalar, or a (B, 1) column; values * cos2 goes to out (default fresh)
+    return _row_sums(np.multiply(values, grid.cos2_c, out), grid) / grid.cos2_mass
 
 
 def project_mean(u: GridFunction) -> complex:
@@ -169,14 +173,17 @@ def project_mean(u: GridFunction) -> complex:
     return complex(_project_mean(u.values, u.grid))
 
 
-def _green_pair(f_values: np.ndarray, grid: Grid) -> np.ndarray:
+def _green_pair(f_values: np.ndarray, grid: Grid, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """apply_green_op of one forcing (n,) or of each row of a block (B, n),
     in [0] of a (2, ..., n) pair; [1] is scratch.  As in _envelope_pair,
     a block row that is not finite is not finite at the same entries as
-    alone, with NaNs whose bits are not kept."""
-    pair = _envelope_pair(f_values, grid, 0.0)
+    alone, with NaNs whose bits are not kept.  A block passes the pair
+    ``out`` and four (B, n) rows of ``work``, which f_values may lie in;
+    without them each step writes a fresh array."""
+    pair = _envelope_pair(f_values, grid, 0.0, out, work)
     v = pair[0]
-    np.subtract(v, _project_mean(v, grid), out=v)
+    np.subtract(v, _project_mean(v, grid, None if work is None else work[0]), out=v)
     return pair
 
 
@@ -191,13 +198,20 @@ def apply_green_op(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, _green_pair(f.values, f.grid)[0])
 
 
-def _cubic_forcing(w_values: np.ndarray, rho: complex, grid: Grid) -> np.ndarray:
-    one = 1.0 + w_values
+def _cubic_forcing(w_values: np.ndarray, rho: complex, grid: Grid,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """N(w) of one correction (n,), or of each row of a block (B, n) with a
+    (B, 1) column rho.  A block passes three (B, n) rows of ``work``, which
+    every step writes into, and the forcing is returned in work[0];
+    without them each step writes a fresh array."""
+    one, absq, t = (None, None, None) if work is None else work[:3]
+    one = np.add(1.0, w_values, one)
     # |1+w|^2 is the real part; under FMA the imaginary part need not be 0,
     # and once it is, absq is numpy's complex cast of |1+w|^2 to the bit
-    absq = one * one.conjugate()
+    absq = np.conjugate(one, absq)
+    np.multiply(one, absq, absq)
     absq.imag = 0.0
-    t = absq * one
+    t = np.multiply(absq, one, t)
     t *= grid.cos4_c
     s = _row_sums(t, grid)
     bulk = (2.0 / np.pi) * (complex(s) if t.ndim == 1 else s)
@@ -206,8 +220,9 @@ def _cubic_forcing(w_values: np.ndarray, rho: complex, grid: Grid) -> np.ndarray
     np.multiply(rho, f, out=f)  # rho first: under FMA, f * rho rounds differently
     f *= one
     f *= grid.cos_c
-    # absorb quadrature drift so the output is exactly admissible
-    return _remove_cos_mode(f, grid)
+    # absorb quadrature drift so the output is exactly admissible; one is
+    # no longer read
+    return _remove_cos_mode(f, grid, one)
 
 
 def cubic_forcing(w: GridFunction, rho: complex) -> GridFunction:
@@ -432,12 +447,28 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
     row that leaves ahead of its turn waits until the rows before it are
     handed over, and no row enters while ``width`` Branches wait, so at
     most width - 1 more finish before the one whose turn it is: at most
-    2 width - 1 wait at once."""
-    width = width or len(params)
+    2 width - 1 wait at once.
+
+    The block allocates its work arrays when it starts, eight blocks of
+    (width, n) complex samples: two regions, each the room of a map's
+    (2, B, n) pair, and four for _cubic_forcing's and _green_pair's steps.
+    The iterate w is the first B rows of one region and the map writes its
+    pair into the other, so T(w) - w reads the old w; the regions then
+    swap.  Rows enter after the last row of w, and when rows leave, each
+    row after the first to leave is copied down into the gap.  A map of
+    B >= 2 rows writes every step into these arrays; a one-row map, which
+    is call-bound, takes fresh arrays for its steps and writes its pair
+    into the region.  A Branch or an Anderson mixer keeps copies, never a
+    view of these arrays."""
+    width = min(width or len(params), len(params))
     waiting: dict[int, Branch] = {}  # row -> Branch, until its turn
     turn = 0
     n = grid.n_nodes
-    w = np.empty((0, n), dtype=complex)
+    regions = np.empty((2, 2 * width * n), dtype=complex)
+    scratch = np.empty(4 * width * n, dtype=complex)
+    at = 0  # the region whose first rows hold w
+    w = regions[at, :0].reshape(0, n)
+    b = 0  # the rows the views below are laid out for
     kappa = np.empty((0, 1), dtype=complex)  # the rows' kappas
     rows: list[_Row] = []
     entered = 0
@@ -448,20 +479,32 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
         if new:
             entered = new.stop
             rows += [_Row(params[i], i) for i in new]
-            w = np.concatenate((w, np.zeros((len(new), n), dtype=complex) if w0 is None
-                                else w0[new.start:new.stop]))
+            grown = regions[at, :len(rows) * n].reshape(len(rows), n)
+            grown[len(w):] = 0.0 if w0 is None else w0[new.start:new.stop]
+            w = grown
             kappa = np.concatenate((kappa, [[params[i].kappa] for i in new]))
         if not rows:
             return
+        # views of the work arrays for b rows, made again only when b
+        # changes: a one-row map would lose a tenth of its time to them
+        if len(rows) != b:
+            b = len(rows)
+            pairs = tuple(regions[:, :2 * b * n].reshape(2, 2, b, n))
+            work = scratch[:4 * b * n].reshape(4, b, n)
+            mags = work[0].view(float).reshape(2, b, n)
+            # numpy's fast path wants equal shapes: one row maps (n,) against the tables
+            row_pairs = tuple(p[:, 0] for p in pairs)
         # T(w) in pair[0] of the (2, B, n) pair, T(w) - w into its scratch
         # pair[1], so one call takes every sup
-        if len(w) == 1:  # numpy's fast path wants equal shapes: (n,) against the tables
-            pair = _green_pair(_cubic_forcing(w[0], kappa[0, 0], grid), grid)[:, None]
+        pair = pairs[1 - at]
+        if b == 1:
+            _green_pair(_cubic_forcing(w[0], kappa[0, 0], grid), grid, row_pairs[1 - at])
         else:
-            pair = _green_pair(_cubic_forcing(w, kappa, grid), grid)
+            _green_pair(_cubic_forcing(w, kappa, grid, work), grid, pair, work)
+        at = 1 - at
         t_w, f = pair[0], pair[1]
-        np.subtract(t_w, w, out=f)
-        sups, incs = np.maximum.reduce(np.abs(pair), axis=-1).tolist()
+        np.subtract(t_w, w, f)
+        sups, incs = np.maximum.reduce(np.abs(pair, mags), -1).tolist()
         keep = []
         for i, (row, sup, inc) in enumerate(zip(rows, sups, incs)):
             if row.ended is not None:
@@ -501,8 +544,11 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
             yield waiting.pop(turn)
             turn += 1
         if len(keep) < len(rows):
-            rows = [rows[i] for i in keep]
-            t_w, kappa = t_w[keep], kappa[keep]
+            rows, kappa = [rows[i] for i in keep], kappa[keep]
+            for j, i in enumerate(keep):
+                if i > j:
+                    t_w[j] = t_w[i]
+            t_w = t_w[:len(keep)]
         w = t_w
 
 

@@ -23,7 +23,7 @@ from .greens import solvability_residual
 from .reduction import (DEFAULT_NODES, Branch, CoreParams, _block_rows, compute_r, cubic_forcing,
                         eps_squared, fixed_point_solve, project_mean)
 from .direct import compare_branches, fd_solve, shoot_solve
-from .physics import cgl_residual, extend_solution, mu_nu_from_rho, physical_from_r
+from .physics import _check_n, cgl_residual, extend_solution, mu_nu_from_rho, physical_from_r
 
 METHODS = ("fixed_point", "shooting", "finite_difference")
 
@@ -45,8 +45,13 @@ LINE_TOL = 1e-8
 # cubic would save 2 more)
 PREDICTORS = ((1,), (2, -1), (3, -3, 1))
 # a cold fixed-point sweep's rolling block (reduction._block_rows) iterates
-# at most this many rows at once and hands their Branches over in grid order
-FP_BLOCK = 16
+# at most this many rows at once and hands their Branches over in grid order.
+# Its work arrays hold 8 FP_BLOCK rows of samples.  bench/run.py rect_fp,
+# medians of 4 alternating 8 s runs on a 2-vCPU host, wall_s and
+# peak_rss_mb: 0.0900 s, 35.10 MiB at 16; 0.0825 s, 35.29 MiB at 24;
+# 0.0832 s, 35.69 MiB at 32 (a 16-row block that allocates per map:
+# 0.0883 s, 35.26 MiB)
+FP_BLOCK = 24
 
 
 @dataclass(frozen=True)
@@ -168,8 +173,13 @@ def count_zeros(envelope: np.ndarray, n: int):
     where neither adjoining pair does, a cyclic local minimum of |v| at or
     below ZERO_TOL times sup |v|.  A zero on a sample thus counts once.
     Returns (zero_count, extra_zeros) with zero_count = 2n + extra_zeros.
+    InvalidArgument for an n that the parameter maps reject, or an
+    envelope that is not a nonempty 1-D array of finite samples.
     """
+    _check_n(n)
     v = np.asarray(envelope)
+    if not (v.ndim == 1 and v.size and np.isfinite(v).all()):
+        raise InvalidArgument("envelope must be a nonempty 1-D array of finite samples")
     # v padded by its cyclic neighbours: ext[i] = v[i - 1] for i = 0..m+1
     ext = np.concatenate((v[-1:], v, v[:1]))
     # pair_flips[i]: sign change from v[i - 1] to v[i], so flips = pair_flips[1:]

@@ -158,7 +158,7 @@ def test_sweep_wide_block_with_non_finite_rows_matches_oracle(n):
     grid = make_grid(n)
     rng = np.random.default_rng(n)
     rows = sweep.FP_BLOCK
-    assert rows == 16
+    assert rows == 24
     w = 0.3 * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
     # |1+w|^3 = 1.6e308 at every node: each sample is finite, but 1.6e308
     # times int cos^4 = 3 pi / 8 overflows

@@ -174,7 +174,7 @@ class TestKernelsBitIdentical:
 
     @pytest.mark.parametrize("n", [5, 7, 257])
     def test_sweep_wide_block_integrates_each_row_as_alone(self, n):
-        # a (16, 2, n) block, the envelope pair of a sweep's 16 rows, takes
+        # a (16, 2, n) block, the envelope pair of 16 sweep rows, takes
         # its end cells in numpy; each row integral alone takes the Python
         # path.  A row keeps the bits of its integral alone where that is
         # finite, and is not finite where it is not; a NaN's bits may differ

@@ -1,5 +1,6 @@
 """Zero census, symmetry diagnostics, sweeps, and emission."""
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -75,6 +76,20 @@ class TestCountZeros:
 
     def test_zero_field(self):
         assert count_zeros(np.zeros(64, dtype=complex), 1) == (2, 0)
+
+    @pytest.mark.parametrize("envelope, n", [
+        (np.ones(4), -2), (np.ones(4), 0), (np.ones(4), 1.5), (np.ones(4), 2**600),
+        (np.array([]), 1), (np.full(4, np.nan), 1),
+        (np.array([1.0, np.inf, 1.0]), 1), (np.array([1.0, complex(0, np.nan)]), 1),
+        (np.ones((2, 4)), 1), (np.array(1.0), 1),
+    ], ids=["n-negative", "n-zero", "n-fraction", "n-square-overflows", "empty",
+            "all-nan", "inf-sample", "nan-imaginary", "2-d", "0-d"])
+    def test_invalid_input_rejected(self, envelope, n):
+        with pytest.raises(InvalidArgument):
+            count_zeros(envelope, n)
+
+    def test_numpy_integer_n_accepted(self):
+        assert count_zeros(np.ones(8), np.int64(2)) == (4, 0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 64, 512])
     def test_matches_rolled_neighbours_on_random_envelopes(self, m):
@@ -296,13 +311,13 @@ class TestColdFixedPointBlocks:
             return branches[-1]
 
         monkeypatch.setattr(sweep, "fixed_point_solve", keep)
-        for width in (1, 4, 7, 16, 105):
+        for width in (1, 4, 7, 16, 24, 105):
             monkeypatch.setattr(sweep, "FP_BLOCK", width)
             branches.clear()
             run_sweep(SweepSpec(mode="rectangle"))
             assert [branch_bits(b) for b in branches] == one_row, width
 
-    @pytest.mark.parametrize("size", [1, 4, 7, 16, 32, 105])
+    @pytest.mark.parametrize("size", [1, 4, 7, 16, 24, 32, 105])
     def test_order_and_block_split_change_no_bit(self, rectangle_one_row, size):
         params, one_row = rectangle_one_row
         block = solve_block(params[::-1], make_grid(257), width=size)
@@ -382,19 +397,68 @@ class TestColdFixedPointBlocks:
         assert records[0] == record_from_branch(solve("fixed_point", 1.0, 1.0, make_grid(65)))
 
     def test_default_rectangle_work(self, monkeypatch):
-        # one rolling block of 16: at most 160 block maps carry the 2,197
-        # row maps of the 105 one-row solves (233 block maps in chunks of 16)
+        # one rolling block of 24: 109 block maps carry the 2,197 row maps
+        # of the 105 one-row solves (158 in a rolling block of 16, 233 in
+        # chunks of 16)
+        assert sweep.FP_BLOCK == 24
         maps = []
         green_pair = reduction._green_pair
 
-        def counted(f, grid):
+        def counted(f, grid, *out_work):
             maps.append(1 if f.ndim == 1 else len(f))
-            return green_pair(f, grid)
+            return green_pair(f, grid, *out_work)
 
         monkeypatch.setattr(reduction, "_green_pair", counted)
         run_sweep(SweepSpec(mode="rectangle"))
-        assert len(maps) <= 160
+        assert len(maps) == 109
         assert sum(maps) == 2197
+
+    def test_block_maps_write_into_the_blocks_arrays(self, grid257, monkeypatch):
+        # after its first map, a map of B >= 2 rows allocates no (B, n)
+        # array: every step writes into the work arrays that the block
+        # allocated when it started.  The traced peak runs from the start of
+        # one map's forcing to the next's, so it takes the whole map and its
+        # bookkeeping; four equal rows end together, so no Branch is built
+        # in between.  numpy's iterator takes a buffer of up to its bufsize
+        # elements (8192 by default, B n here) for a step that broadcasts a
+        # table over the rows; the smallest bufsize keeps those out of the
+        # measure.  Every forcing lies in one array, and the map's output
+        # pair takes turns between two
+        rows, n = 4, grid257.n_nodes
+        params = _sweep_params([1.0 + 0.5j] * rows)
+        peaks, forcings, pairs = [], [], []
+        cubic, green_pair = reduction._cubic_forcing, reduction._green_pair
+
+        def traced_cubic(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
+            tracemalloc.reset_peak()
+            start[0] = tracemalloc.get_traced_memory()[0]
+            forcings.append(cubic(*args))
+            return forcings[-1]
+
+        def kept_pair(*args):
+            pairs.append(green_pair(*args))
+            return pairs[-1]
+
+        monkeypatch.setattr(reduction, "_cubic_forcing", traced_cubic)
+        monkeypatch.setattr(reduction, "_green_pair", kept_pair)
+        start = [0]
+        bufsize = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            block = solve_block(params, grid257)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        maps = block[0].iterations + 1
+        assert len(peaks) == maps > 10 and all(b.iterations + 1 == maps for b in block)
+        assert max(peaks[2:]) < rows * n * 16  # peaks[k] is map k's
+        assert all(p.shape == (2, rows, n) for p in pairs)
+        assert all(np.shares_memory(f, forcings[0]) for f in forcings)
+        assert all(np.shares_memory(p, q) for p, q in zip(pairs, pairs[2:]))
+        assert not any(np.shares_memory(p, q) for p, q in zip(pairs, pairs[1:]))
+        # what a Branch keeps owns its memory
+        assert all(gf.values.flags.owndata for b in block for gf in (b.w, b.v, b.U))
 
     def test_ending_rows_leave_their_neighbours(self, grid257):
         # plain overflow, Anderson growth, Anderson without progress and a

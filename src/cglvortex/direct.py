@@ -49,7 +49,7 @@ from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, solve1 as _solve1
 from .errors import InvalidArgument, InvalidState
 from .quadrature import Grid, GridFunction, make_grid
 from .reduction import (
-    DEFAULT_NODES, Branch, CoreParams, _branch, _diverged_branch, asymptotic_r,
+    DEFAULT_NODES, UFUNC_BUFSIZE, Branch, CoreParams, _branch, _diverged_branch, asymptotic_r,
 )
 
 ESCAPE_CAP = 1e6
@@ -291,10 +291,16 @@ def _rk4_lanes(rho, lam, u0, v0, h, stride, m, tangents=True):
     tangents); or None when a trajectory reaches |U| = ESCAPE_CAP (finite-x
     blowup of a trial) or a tangent overflows.  ``tangents=False`` runs
     lane 0 alone, shaped (m + 1, 1, K) and (1, K), to the bit.
+
+    The stage arrays (F1 to F4, P, Q and force's scratch) are allocated
+    once per call; each stage writes into them through out=, with the
+    operations and operand order of the fresh-array form, so each bit is
+    the same and a step allocates no (7, K) array.  The step loop runs
+    under numpy's ufunc buffer size UFUNC_BUFSIZE, which the np.errstate
+    block around it scopes.
     """
     u0 = np.asarray(u0, dtype=complex)
-    U = np.empty((7 if tangents else 1,) + u0.shape, dtype=complex)
-    V = np.empty_like(U)
+    U, V = np.empty((2, 7 if tangents else 1) + u0.shape, dtype=complex)
     U[0], V[0] = u0, v0
     if tangents:
         U[1:] = _DIRECTION_U[:, None]
@@ -307,30 +313,61 @@ def _rk4_lanes(rho, lam, u0, v0, h, stride, m, tangents=True):
     hsq4, hsq2, hsq6 = h * h / 4.0, h * h / 2.0, h * h / 6.0
 
     c0 = -1.0 - lam
+    # the stage arrays and force's scratch T; re2, im2 and coef hold |u|^2
+    # and its coefficient, g, X and Y the factors 2 rho u and Re(conj(u) dU)
+    F1, F2, F3, F4, P, Q, T = np.empty((7,) + U.shape, dtype=complex)
+    re2, im2 = np.empty((2,) + u0.shape)
+    coef, g = np.empty((2,) + u0.shape, dtype=complex)
+    X, Y = np.empty((2, len(U) - 1) + u0.shape)
 
-    def force(U):
+    def force(U, F):
+        # F = (c0 + rho |u|^2) U.  coef is complex: a real rho's real
+        # product lands in it as the multiply by U would cast it
         u = U[0]
-        F = (c0 + rho * (u.real * u.real + u.imag * u.imag)) * U
+        np.multiply(u.real, u.real, out=re2)
+        np.multiply(u.imag, u.imag, out=im2)
+        np.add(re2, im2, out=re2)
+        np.multiply(rho, re2, out=coef)
+        np.add(c0, coef, out=coef)
+        np.multiply(coef, U, out=F)
         if tangents:
             # d(|U|^2) = 2 Re(conj(U) dU); lam enters the lam lanes as -dlam U
             dU = U[1:]
-            F[1:] += (2.0 * rho * u) * (u.real * dU.real + u.imag * dU.imag)
-            F[5:] -= dlam * u
-        return F
+            np.multiply(2.0 * rho, u, out=g)
+            np.multiply(u.real, dU.real, out=X)
+            np.multiply(u.imag, dU.imag, out=Y)
+            np.add(X, Y, out=X)
+            np.multiply(g, X, out=T[1:])
+            F[1:] += T[1:]
+            np.multiply(dlam, u, out=T[5:])
+            F[5:] -= T[5:]
 
     # an escaping lane overflows: its inf and nan are caught below
     with np.errstate(over="ignore", invalid="ignore"):
+        np.setbufsize(UFUNC_BUFSIZE)
         for j in range(1, m + 1):
             for _ in range(stride):
-                F1 = force(U)
-                P = U + hh * V
-                F2 = force(P)
-                F3 = force(P + hsq4 * F1)
-                Q = U + h * V
-                F4 = force(Q + hsq2 * F2)
-                F23 = F2 + F3
-                U = Q + hsq6 * (F1 + F23)
-                V = V + h6 * (F1 + 2.0 * F23 + F4)
+                force(U, F1)
+                np.multiply(hh, V, out=P)
+                np.add(U, P, out=P)  # P = U + hh V
+                force(P, F2)
+                np.multiply(hsq4, F1, out=Q)
+                np.add(P, Q, out=Q)  # P + hsq4 F1, in Q before Q is formed
+                force(Q, F3)
+                np.multiply(h, V, out=Q)
+                np.add(U, Q, out=Q)  # Q = U + h V
+                np.multiply(hsq2, F2, out=P)
+                np.add(Q, P, out=P)  # Q + hsq2 F2, in P, which is read no more
+                force(P, F4)
+                np.add(F2, F3, out=F2)  # F23 = F2 + F3
+                np.add(F1, F2, out=F3)
+                np.multiply(hsq6, F3, out=F3)
+                np.add(Q, F3, out=U)  # U = Q + hsq6 (F1 + F23)
+                np.multiply(2.0, F2, out=P)
+                np.add(F1, P, out=P)
+                np.add(P, F4, out=P)
+                np.multiply(h6, P, out=P)
+                np.add(V, P, out=V)  # V = V + h6 (F1 + 2 F23 + F4)
             out[j] = U
         escaped = not (np.max(np.abs(out[:, 0])) < ESCAPE_CAP
                        and np.all(np.isfinite(U)) and np.all(np.isfinite(V)))

@@ -73,6 +73,20 @@ ANDERSON_DIVERGENCE = 100.0
 # times the residual at the switch
 ANDERSON_PATIENCE = 15
 ANDERSON_PROGRESS = 1e-3
+# numpy's ufunc buffer size, in elements, under which fixed_point_solve
+# advances its block and _rk4_lanes takes its steps (numpy's default is
+# 8,192).  A step that broadcasts a table or a column over a block's rows,
+# or the trajectory over shooting's tangent lanes, or that casts a float
+# operand to complex, passes that operand through a buffer this large.  The
+# size sets how many elements an inner loop takes, not what an element
+# computes, and no sum reduction, whose pairwise order would follow those
+# chunks, runs under it.  bench/run.py, medians of 4 alternating 8 s runs
+# at seed 0 on a 2-vCPU host, wall_s of rect_fp and cross_check: 0.0837 s,
+# 0.0807 s at 8,192 with fresh RK4 stage arrays; with held ones, 0.0799 s,
+# 0.0763 s at 1,024; 0.0715 s, 0.0770 s at 512; 0.0759 s, 0.0747 s at 256;
+# 0.0757 s, 0.0761 s at 128 (rect_fp peak_rss_mb 35.48 MiB, then
+# 35.56-35.58 MiB at each size)
+UFUNC_BUFSIZE = 256
 
 
 def eps_squared(eps: complex, zero_ok: bool = False) -> float:
@@ -311,8 +325,10 @@ def contraction_radius(sigma: float, rho_abs: float) -> float:
 
     delta(sigma) = min(sigma/(1+sigma), 1/3) / (3 pi |rho| (2+sigma) (1+sigma)^2).
     """
-    if sigma <= 0 or rho_abs <= 0:
-        raise InvalidArgument("sigma and rho_abs must be positive")
+    # NaN fails both comparisons
+    if not (0 < sigma < math.inf and 0 < rho_abs < math.inf):
+        raise InvalidArgument(f"sigma and rho_abs must be positive and finite, got "
+                              f"{sigma!r} and {rho_abs!r}")
     return (
         min(sigma / (1.0 + sigma), 1.0 / 3.0)
         / (3.0 * np.pi * rho_abs * (2.0 + sigma) * (1.0 + sigma) ** 2)
@@ -410,7 +426,10 @@ def fixed_point_solve(
     This is the one-row case of _block_rows.  Given a ``block`` (a
     _block_rows generator), it takes the block's next Branch instead (grid
     and w0 unused); InvalidArgument when that Branch is not params' (by
-    identity) or the block has none left.
+    identity) or the block has none left.  The block advances under
+    numpy's ufunc buffer size UFUNC_BUFSIZE, set inside the np.errstate
+    block around it, so leaving that block gives the caller back its own
+    size, also when a map raises.
     """
     if block is None:
         if grid is None:
@@ -422,6 +441,7 @@ def fixed_point_solve(
     # overflow on the way to divergence is expected: sup|T(w)| is nan or
     # inf exactly when T(w) is, and the Branch reports it as diverged
     with np.errstate(over="ignore", invalid="ignore"):
+        np.setbufsize(UFUNC_BUFSIZE)
         branch = next(block, None)
     if branch is None or branch.params is not params:
         raise InvalidArgument("the block's next branch is not the one asked for")
@@ -459,7 +479,12 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
     B >= 2 rows writes every step into these arrays; a one-row map, which
     is call-bound, takes fresh arrays for its steps and writes its pair
     into the region.  A Branch or an Anderson mixer keeps copies, never a
-    view of these arrays."""
+    view of these arrays.
+
+    The block sets no numpy state of its own: fixed_point_solve advances
+    it under UFUNC_BUFSIZE, so a step that broadcasts an (n,) table or a
+    (B, 1) column over the rows buffers at most that many elements of
+    the operand at a time, with the same bits as at numpy's default."""
     width = min(width or len(params), len(params))
     waiting: dict[int, Branch] = {}  # row -> Branch, until its turn
     turn = 0
@@ -552,6 +577,12 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
         w = t_w
 
 
+def _check_order(order, orders: tuple[int, ...]) -> None:
+    # a bool is an Integral, and True == 1.0 == 1 would pass the membership test
+    if isinstance(order, bool) or not isinstance(order, Integral) or order not in orders:
+        raise InvalidArgument(f"unsupported order {order!r}: an integer in {orders}")
+
+
 def asymptotic_r(rho: complex, eps: complex, order: int) -> complex:
     """Small-amplitude series for r.
 
@@ -562,8 +593,7 @@ def asymptotic_r(rho: complex, eps: complex, order: int) -> complex:
     computed branches carry a conjugate-coupled coefficient instead, so
     order-1 comparisons should be made at real rho.
     """
-    if order not in (0, 1):
-        raise InvalidArgument(f"unsupported order {order}")
+    _check_order(order, (0, 1))
     s = eps_squared(eps, zero_ok=True)
     r = 0.75 * s
     if order >= 1:
@@ -579,8 +609,7 @@ def asymptotic_U(rho: complex, eps: complex, x, order: int):
     polynomial-in-cosine forms of cos 3x / cos x and
     (3 cos 3x + cos 5x) / cos x.  Finite at the zeros of cos x.
     """
-    if order not in (0, 1, 2):
-        raise InvalidArgument(f"unsupported order {order}")
+    _check_order(order, (0, 1, 2))
     x = np.asarray(x, dtype=float)
     z = rho * eps_squared(eps, zero_ok=True) / 32.0
     bracket = np.ones_like(x, dtype=complex)

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -175,6 +176,38 @@ class TestShooting:
         escaped = slopes != [0.1]
         assert (_rk4_lanes(*args) is None) == escaped
         assert (_rk4_lanes(*args, tangents=False) is None) == escaped
+
+    def test_rk4_steps_allocate_no_lane_array(self):
+        # the stages write into arrays that _rk4_lanes allocates once per
+        # call: the traced peak from one force evaluation to the next stays
+        # below one (7, K) array, and so do numpy's iterator buffers, which
+        # UFUNC_BUFSIZE bounds
+        k_seg, stride, m = 256, 8, 2
+        rng = np.random.default_rng(5)
+        v0 = rng.normal(size=k_seg) + 1j * rng.normal(size=k_seg)
+        rises, last = [], []
+        code = direct._rk4_lanes.__code__
+
+        def tracer(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "force"
+                    and frame.f_back.f_code is code):
+                if last:
+                    rises.append(tracemalloc.get_traced_memory()[1] - last[0])
+                tracemalloc.reset_peak()
+                last[:] = [tracemalloc.get_traced_memory()[0]]
+
+        previous = sys.gettrace()
+        tracemalloc.start()
+        sys.settrace(tracer)
+        try:
+            lanes = _rk4_lanes(2.0 + 0.5j, 1.1 - 0.3j, np.zeros(k_seg), v0, np.pi / 4096,
+                               stride, m)
+        finally:
+            sys.settrace(previous)
+            tracemalloc.stop()
+        assert lanes is not None
+        assert len(rises) == 4 * stride * m - 1
+        assert max(rises) < 7 * k_seg * 16
 
     def test_tangent_lanes_are_trajectory_derivatives(self):
         # the variational lanes against central differences of the trajectory

@@ -152,7 +152,10 @@ class TestContractionRadius:
     def test_vanishes_with_sigma(self):
         assert contraction_radius(1e-6, 1.0) < 1e-6
 
-    @pytest.mark.parametrize("sigma,rho_abs", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("sigma,rho_abs", [
+        (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
+        (0.5, float("nan")), (float("nan"), 1.0), (float("inf"), 1.0), (0.5, float("inf")),
+    ])
     def test_invalid(self, sigma, rho_abs):
         with pytest.raises(InvalidArgument):
             contraction_radius(sigma, rho_abs)
@@ -364,6 +367,21 @@ class TestAsymptotics:
     def test_r_bad_order(self):
         with pytest.raises(InvalidArgument):
             asymptotic_r(1.0, 0.2, 2)
+
+    @pytest.mark.parametrize("order", [-1, True, False, 1.0, 0.0, np.float64(1.0), np.True_],
+                             ids=["-1", "True", "False", "1.0", "0.0", "f64-1.0", "np-True"])
+    def test_bool_float_or_negative_order_rejected(self, order):
+        # a bool or a float is refused even where it equals a valid order
+        with pytest.raises(InvalidArgument):
+            asymptotic_r(1.0, 0.2, order)
+        with pytest.raises(InvalidArgument):
+            asymptotic_U(1.0, 0.2, 0.0, order)
+
+    def test_numpy_integer_order_accepted(self):
+        assert asymptotic_r(1.0, 0.2, np.int64(1)) == asymptotic_r(1.0, 0.2, 1)
+        x = np.linspace(-np.pi / 2, np.pi / 2, 9)
+        got = asymptotic_U(1.0, 0.2, x, np.int32(2))
+        assert got.tobytes() == asymptotic_U(1.0, 0.2, x, 2).tobytes()
 
     def test_U_order0(self):
         x = np.linspace(-np.pi / 2, np.pi / 2, 9)

@@ -460,6 +460,35 @@ class TestColdFixedPointBlocks:
         # what a Branch keeps owns its memory
         assert all(gf.values.flags.owndata for b in block for gf in (b.w, b.v, b.U))
 
+    def test_block_maps_run_under_the_library_buffer_size(self, grid257, monkeypatch):
+        # the trace above with numpy's buffer size left as the caller has it:
+        # fixed_point_solve runs every block map under UFUNC_BUFSIZE, which
+        # keeps the iterator's buffers below one (B, n) array
+        rows, n = 4, grid257.n_nodes
+        params = _sweep_params([1.0 + 0.5j] * rows)
+        peaks, sizes = [], []
+        cubic = reduction._cubic_forcing
+
+        def traced_cubic(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
+            tracemalloc.reset_peak()
+            start[0] = tracemalloc.get_traced_memory()[0]
+            sizes.append(np.getbufsize())
+            return cubic(*args)
+
+        monkeypatch.setattr(reduction, "_cubic_forcing", traced_cubic)
+        start = [0]
+        bufsize = np.getbufsize()
+        tracemalloc.start()
+        try:
+            block = solve_block(params, grid257)
+        finally:
+            tracemalloc.stop()
+        maps = block[0].iterations + 1
+        assert len(peaks) == maps > 10
+        assert max(peaks[2:]) < rows * n * 16  # peaks[k] is map k's
+        assert set(sizes) == {reduction.UFUNC_BUFSIZE} and np.getbufsize() == bufsize
+
     def test_ending_rows_leave_their_neighbours(self, grid257):
         # plain overflow, Anderson growth, Anderson without progress and a
         # row that runs out of iterations, each between converging rows
@@ -520,6 +549,58 @@ class TestColdFixedPointBlocks:
                 assert csv_bytes(records) == csv_bytes(one_row), (spec.mode, size)
                 assert [r.accelerated_at for r in records] == [r.accelerated_at for r in one_row]
         assert sum(not r.converged for r in one_row) == 91
+
+
+class TestScopedBufferSize:
+    # the fixed-point maps and shooting's RK4 lanes run under
+    # reduction.UFUNC_BUFSIZE; the caller's numpy buffer size is what it was
+    # after every call, however the call ends
+
+    @pytest.fixture(params=[None, 1024], ids=["default", "caller_1024"])
+    def bufsize(self, request):
+        before = np.getbufsize()
+        if request.param is not None:
+            np.setbufsize(request.param)
+        try:
+            yield np.getbufsize()
+        finally:
+            np.setbufsize(before)
+
+    def test_default_rectangle(self, bufsize):
+        assert len(run_sweep(SweepSpec(mode="rectangle"))) == 105
+        assert np.getbufsize() == bufsize
+
+    @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
+    def test_one_solve(self, bufsize, method, grid257):
+        assert solve(method, 2.0 + 0.5j, 1.0, grid257).converged
+        assert np.getbufsize() == bufsize
+
+    def test_verify(self, bufsize, grid257):
+        assert verify(2.0 + 0.5j, 1.0, grid257).passed
+        assert np.getbufsize() == bufsize
+
+    def test_block_closed_early(self, bufsize, grid257):
+        params = _sweep_params([1.0 + 0.5j, 2.0, 0.5j])
+        block = reduction._block_rows(params, grid257, width=2)
+        assert fixed_point_solve(params[0], block=block).converged
+        assert np.getbufsize() == bufsize
+        block.close()
+        assert np.getbufsize() == bufsize
+
+    def test_block_whose_row_raises(self, bufsize, grid257, monkeypatch):
+        cubic, calls = reduction._cubic_forcing, []
+
+        def failing_cubic(*args):
+            calls.append(np.getbufsize())
+            if len(calls) == 3:
+                raise RuntimeError("map failed")
+            return cubic(*args)
+
+        monkeypatch.setattr(reduction, "_cubic_forcing", failing_cubic)
+        with pytest.raises(RuntimeError, match="map failed"):
+            solve_block(_sweep_params([1.0 + 0.5j, 2.0]), grid257)
+        assert calls == [reduction.UFUNC_BUFSIZE] * 3
+        assert np.getbufsize() == bufsize
 
 
 class TestSolve:

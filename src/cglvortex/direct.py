@@ -32,7 +32,11 @@ Shooting is multiple shooting (Keller 1968; Ascher, Mattheij & Russell
 segments (_segments), one grid interval each up to 257 nodes.  Classical
 RK4 in Nystrom form integrates all segments at once as numpy lanes that
 also carry the variational equations, so the Newton Jacobian comes
-exactly from the same integration as the conditions.  Short segments
+exactly from the same integration as the conditions.  Its four stages
+take two batched force calls per step, F2 with F3 and then F4 with the
+next step's F1, on two stacked stage points: each element goes through
+the operations of one call per stage in the same order, so every bit is
+the same (_rk4_lanes).  Short segments
 bound the growth that blows a single trajectory up at |rho| beyond about
 9; a trial that escapes (|W| reaching ESCAPE_CAP in any lane) is
 rejected.  The finite-difference solver continues to the largest radii.
@@ -292,82 +296,110 @@ def _rk4_lanes(rho, lam, u0, v0, h, stride, m, tangents=True):
     blowup of a trial) or a tangent overflows.  ``tangents=False`` runs
     lane 0 alone, shaped (m + 1, 1, K) and (1, K), to the bit.
 
-    The stage arrays (F1 to F4, P, Q and force's scratch) are allocated
-    once per call; each stage writes into them through out=, with the
-    operations and operand order of the fresh-array form, so each bit is
-    the same and a step allocates no (7, K) array.  The step loop runs
-    under numpy's ufunc buffer size UFUNC_BUFSIZE, which the np.errstate
-    block around it scopes.
+    The stages go to force in pairs, one call on a stacked (2, 7, K)
+    array each: F2 with F3, whose points need only U, U' and F1; then F4
+    with the next step's F1, which needs only the next U.  One call on U
+    alone starts the loop and the last step's F4 goes alone, so no stage
+    is evaluated that the one-call-per-stage loop skips.  force forms
+    |U|^2 and Re(conj(U) dU) by one multiply of the float views and one
+    add of their halves, into the real part of complex arrays whose
+    imaginary part stays +0.0: the very operand that casting the float
+    sum to complex gives, so rho |U|^2 and 2 rho U Re(conj(U) dU) take
+    numpy's complex loop on the same values.  Every element goes through
+    the operations of the one-call-per-stage form in the same order, so
+    every bit is the same.  The arrays are allocated once per call, each
+    stage writes into them through out= and a step allocates no (7, K)
+    array.  The step loop runs under numpy's ufunc buffer size
+    UFUNC_BUFSIZE, which the np.errstate block around it scopes.
     """
     u0 = np.asarray(u0, dtype=complex)
-    U, V = np.empty((2, 7 if tangents else 1) + u0.shape, dtype=complex)
+    shape = (7 if tangents else 1,) + u0.shape
+    # A stacks P and R = P + hsq4 F1, B the point G of F4 and U; FA gets F2
+    # and F3, FB F4 and the next F1
+    A, B, FA, FB = np.empty((4, 2) + shape, dtype=complex)
+    (P, R), (G, U), (F2, F3), (F4, F1) = A, B, FA, FB
+    V, Q, S = np.empty((3,) + shape, dtype=complex)
     U[0], V[0] = u0, v0
     if tangents:
         U[1:] = _DIRECTION_U[:, None]
         V[1:] = _DIRECTION_V[:, None]
     dlam = _DIRECTION_LAM[4:, None]
-    out = np.empty((m + 1,) + U.shape, dtype=complex)
+    out = np.empty((m + 1,) + shape, dtype=complex)
     out[0] = U
     hh = 0.5 * h
     h6 = h / 6.0
     hsq4, hsq2, hsq6 = h * h / 4.0, h * h / 2.0, h * h / 6.0
-
     c0 = -1.0 - lam
-    # the stage arrays and force's scratch T; re2, im2 and coef hold |u|^2
-    # and its coefficient, g, X and Y the factors 2 rho u and Re(conj(u) dU)
-    F1, F2, F3, F4, P, Q, T = np.empty((7,) + U.shape, dtype=complex)
-    re2, im2 = np.empty((2,) + u0.shape)
-    coef, g = np.empty((2,) + u0.shape, dtype=complex)
-    X, Y = np.empty((2, len(U) - 1) + u0.shape)
+    rho2 = 2.0 * rho
 
-    def force(U, F):
-        # F = (c0 + rho |u|^2) U.  coef is complex: a real rho's real
-        # product lands in it as the multiply by U would cast it
-        u = U[0]
-        np.multiply(u.real, u.real, out=re2)
-        np.multiply(u.imag, u.imag, out=im2)
-        np.add(re2, im2, out=re2)
-        np.multiply(rho, re2, out=coef)
-        np.add(c0, coef, out=coef)
-        np.multiply(coef, U, out=F)
+    # force's scratch for two stage points: abs2 and X hold |u|^2 and
+    # Re(conj(u) dU) in their real part and +0.0 in their imaginary, sq and
+    # dsq the float products they sum; coef is c0 + rho |u|^2, g 2 rho u
+    abs2 = np.zeros((2,) + u0.shape, dtype=complex)
+    sq, coef = np.empty_like(abs2).view(float), np.empty_like(abs2)
+    if tangents:
+        X = np.zeros((2, 6) + u0.shape, dtype=complex)
+        dsq, T, g = np.empty_like(X).view(float), np.empty_like(X), np.empty_like(abs2)
+
+    def stage(W, F):
+        # force on the stacked points W into F, with its views bound once
+        n = len(W)
+        u = W[:, 0]
+        uf = u.view(float)
+        sq_n, abs2_n, coef_n = sq[:n], abs2[:n], coef[:n]
+        sq_re, sq_im, abs2_re, coef_b = sq_n[:, 0::2], sq_n[:, 1::2], abs2_n.real, coef_n[:, None]
         if tangents:
-            # d(|U|^2) = 2 Re(conj(U) dU); lam enters the lam lanes as -dlam U
-            dU = U[1:]
-            np.multiply(2.0 * rho, u, out=g)
-            np.multiply(u.real, dU.real, out=X)
-            np.multiply(u.imag, dU.imag, out=Y)
-            np.add(X, Y, out=X)
-            np.multiply(g, X, out=T[1:])
-            F[1:] += T[1:]
-            np.multiply(dlam, u, out=T[5:])
-            F[5:] -= T[5:]
+            ub, ufb, duf = u[:, None], uf[:, None], W[:, 1:].view(float)
+            dsq_n, X_n, T_n, g_n = dsq[:n], X[:n], T[:n], g[:n]
+            dsq_re, dsq_im, X_re = dsq_n[..., 0::2], dsq_n[..., 1::2], X_n.real
+            g_b, T_lam, F_d, F_lam = g_n[:, None], T_n[:, 4:], F[:, 1:], F[:, 5:]
 
+        def force():
+            # F = (c0 + rho |u|^2) U
+            np.multiply(uf, uf, out=sq_n)
+            np.add(sq_re, sq_im, out=abs2_re)
+            np.multiply(rho, abs2_n, out=coef_n)
+            np.add(c0, coef_n, out=coef_n)
+            np.multiply(coef_b, W, out=F)
+            if tangents:
+                # d(|U|^2) = 2 Re(conj(U) dU); lam enters the lam lanes as -dlam U
+                np.multiply(rho2, u, out=g_n)
+                np.multiply(ufb, duf, out=dsq_n)
+                np.add(dsq_re, dsq_im, out=X_re)
+                np.multiply(g_b, X_n, out=T_n)
+                np.add(F_d, T_n, out=F_d)
+                np.multiply(dlam, ub, out=T_lam)
+                np.subtract(F_lam, T_lam, out=F_lam)
+        return force
+
+    # U alone to start, the two pairs of a step, and the last step's F4 alone
+    first, last = stage(B[1:], FB[1:]), stage(B[:1], FB[:1])
+    pair_a, pair_b = stage(A, FA), stage(B, FB)
     # an escaping lane overflows: its inf and nan are caught below
     with np.errstate(over="ignore", invalid="ignore"):
         np.setbufsize(UFUNC_BUFSIZE)
+        first()  # F1 of the first step
         for j in range(1, m + 1):
-            for _ in range(stride):
-                force(U, F1)
+            for i in range(stride):
                 np.multiply(hh, V, out=P)
                 np.add(U, P, out=P)  # P = U + hh V
-                force(P, F2)
-                np.multiply(hsq4, F1, out=Q)
-                np.add(P, Q, out=Q)  # P + hsq4 F1, in Q before Q is formed
-                force(Q, F3)
+                np.multiply(hsq4, F1, out=R)
+                np.add(P, R, out=R)  # R = P + hsq4 F1
+                pair_a()  # F2, F3
                 np.multiply(h, V, out=Q)
                 np.add(U, Q, out=Q)  # Q = U + h V
-                np.multiply(hsq2, F2, out=P)
-                np.add(Q, P, out=P)  # Q + hsq2 F2, in P, which is read no more
-                force(P, F4)
-                np.add(F2, F3, out=F2)  # F23 = F2 + F3
-                np.add(F1, F2, out=F3)
-                np.multiply(hsq6, F3, out=F3)
-                np.add(Q, F3, out=U)  # U = Q + hsq6 (F1 + F23)
-                np.multiply(2.0, F2, out=P)
-                np.add(F1, P, out=P)
-                np.add(P, F4, out=P)
-                np.multiply(h6, P, out=P)
-                np.add(V, P, out=V)  # V = V + h6 (F1 + 2 F23 + F4)
+                np.multiply(hsq2, F2, out=G)
+                np.add(Q, G, out=G)  # G = Q + hsq2 F2
+                np.add(F2, F3, out=F3)  # F23 = F2 + F3, in F3
+                np.add(F1, F3, out=F2)
+                np.multiply(hsq6, F2, out=F2)
+                np.add(Q, F2, out=U)  # U = Q + hsq6 (F1 + F23)
+                np.multiply(2.0, F3, out=S)
+                np.add(F1, S, out=S)  # F1 + 2 F23, before F1 gives way to the next
+                (last if j == m and i == stride - 1 else pair_b)()  # F4, and the next F1
+                np.add(S, F4, out=S)
+                np.multiply(h6, S, out=S)
+                np.add(V, S, out=V)  # V = V + h6 (F1 + 2 F23 + F4)
             out[j] = U
         escaped = not (np.max(np.abs(out[:, 0])) < ESCAPE_CAP
                        and np.all(np.isfinite(U)) and np.all(np.isfinite(V)))
@@ -415,9 +447,10 @@ def _shoot_conditions(lanes, u0, v0, wseg):
     U and of U' at its end with the next segment's start (U(pi/2) alone
     for the last segment), then the normalization."""
     out, ue, ve = lanes
-    c = np.stack([ue[0], ve[0]], axis=1)
-    c[:-1] -= np.stack([u0[1:], v0[1:]], axis=1)
-    c = c.ravel()
+    c = np.empty(2 * len(u0), dtype=complex)
+    np.subtract(ue[0, :-1], u0[1:], out=c[0:-2:2])
+    np.subtract(ve[0, :-1], v0[1:], out=c[1:-2:2])
+    c[-2] = ue[0, -1]
     # the slot of the last segment's free end slope holds the normalization
     c[-1] = np.sum(wseg * out[:, 0]) - 1.0
     return c
@@ -437,8 +470,8 @@ def _shoot_newton_system(lanes, wseg):
     k_seg = wseg.shape[1]
     size = 4 * k_seg - 2
     # tan[d, p, k]: (Re U, Im U, Re U', Im U') of segment k's end along direction d
-    tan = np.stack([ue[1:], ve[1:]], axis=1)
-    tan = np.stack([tan.real, tan.imag], axis=2).reshape(6, 4, k_seg)
+    tan = np.empty((6, 4, k_seg))
+    tan[:, 0], tan[:, 1], tan[:, 2], tan[:, 3] = ue[1:].real, ue[1:].imag, ve[1:].real, ve[1:].imag
     ab = np.zeros((13, size), order="F")
     # row 4k + p, column 4k + d - 2: band row kl + ku + p - d + 2, one per (p, d)
     for d in range(4):
@@ -538,8 +571,8 @@ def _fd_newton_system(ui, abs2, lam, rho, diag, off, rows, corner):
     spsolve's LU band storage, a fresh Fortran-ordered (7, 2 ni) array
     that spsolve factors in place; the columns are d/d(Re lam) = -u and
     d/d(Im lam) = -i u.  rows, the normalization of Re u and of Im u, and
-    the zero corner do not depend on the iterate: the solve builds them
-    once (_fd_border) and every pass shares them."""
+    the zero corner do not depend on the iterate: every solve on the grid
+    shares them (_fd_layout)."""
     ni = len(ui)
     arr = 2.0 * rho * abs2 - lam
     usq = rho * ui * ui
@@ -555,12 +588,21 @@ def _fd_newton_system(ui, abs2, lam, rho, diag, off, rows, corner):
     return ab, 2, 2, cols, rows, corner
 
 
-def _fd_border(row):
-    """The bordering rows and corner of every FD Newton system: the
-    normalization weights ``row`` on Re u and on Im u, and zeros."""
+@lru_cache(maxsize=8)
+def _fd_layout(grid: Grid):
+    """(row, diag, off, rows, corner) of finite differences on grid: row
+    the normalization weights of the interior nodes, diag and off the
+    stencil of -D2 - I, and rows (row on Re u and on Im u) and corner (a
+    zero 2 x 2 block) the border of every FD Newton system.  Cached per
+    grid, as _segments is; the arrays are read-only."""
+    h = grid.spacing
+    row = grid.weights[1:-1] * grid.cos[1:-1] / grid.cos2_mass
     rows = np.zeros((2, 2 * len(row)))
     rows[0, 0::2] = rows[1, 1::2] = row
-    return rows, np.zeros((2, 2))
+    corner = np.zeros((2, 2))
+    for a in (row, rows, corner):
+        a.flags.writeable = False
+    return row, 2.0 / h**2 - 1.0, -1.0 / h**2, rows, corner
 
 
 def _fd_branch(params, grid, u_vals, lam, iterations, resid, converged, increments):
@@ -606,9 +648,7 @@ def fd_solve(
         u = grid.cos.astype(complex)
 
     h = grid.spacing
-    row = grid.weights[1:-1] * grid.cos[1:-1] / grid.cos2_mass
-    diag, off = 2.0 / h**2 - 1.0, -1.0 / h**2
-    border = _fd_border(row)
+    row, diag, off, *border = _fd_layout(grid)
 
     def residual(z):
         ui = z[:-2].view(complex)

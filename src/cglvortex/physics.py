@@ -25,10 +25,11 @@ from .reduction import Branch, asymptotic_r, ode_forcing
 
 
 def _check_n(n: int) -> None:
-    """InvalidArgument unless n is an integer (numpy's too), n >= 1 and
-    n^2 is a finite float: the parameter maps scale by n^2."""
+    """InvalidArgument unless n is an integer (numpy's too, not a bool),
+    n >= 1 and n^2 is a finite float: the parameter maps scale by n^2."""
     square = math.inf
-    if isinstance(n, Integral):
+    # a bool is an Integral, and True would pass as n = 1
+    if isinstance(n, Integral) and not isinstance(n, bool):
         try:
             square = float(int(n) ** 2)  # int: a numpy square would wrap
         except OverflowError:  # an int square past the float range
@@ -65,10 +66,12 @@ def rho_from_physical(mu: float, nu: float, n: int) -> complex:
 
 def physical_from_r(r: complex, mu: float, nu: float, n: int) -> PhysParams:
     """Invert the definition of r: R and omega from a computed branch.
-    InvalidArgument when a finite r gives an R or omega that is not finite
-    (mu r or nu n^2 past the float range); the r of a diverged branch (NaN)
-    gives NaN."""
+    InvalidArgument when r has an infinite part, or when a finite r gives
+    an R or omega that is not finite (mu r or nu n^2 past the float range);
+    the r of a diverged branch (NaN) gives NaN."""
     _check_n(n)
+    if math.isinf(r.real) or math.isinf(r.imag):
+        raise InvalidArgument(f"r has an infinite part: {r}")
     z = complex(1.0, mu) * r
     R, omega = z.real + n * n, z.imag + nu * n * n
     if math.isfinite(r.real) and math.isfinite(r.imag) and not (
@@ -181,8 +184,12 @@ def cgl_residual(sol: VortexSolution, p: PhysParams) -> float:
     u = sol.values
     C = np.cos(nn * x)
     Cp = -nn * np.sin(nn * x)
-    d1 = (np.roll(V, -1) - np.roll(V, 1)) / (2 * hx)
-    d2 = (np.roll(V, -1) - 2 * V + np.roll(V, 1)) / (hx * hx)
+    # the cyclic neighbours V[i + 1] and V[i - 1], sliced from V padded
+    # by its last sample in front and its first behind
+    padded = np.concatenate((V[-1:], V, V[:1]))
+    after, before = padded[2:], padded[:-2]
+    d1 = (after - before) / (2 * hx)
+    d2 = (after - 2 * V + before) / (hx * hx)
     u_xx = d2 * C + 2 * d1 * Cp - nn * nn * V * C
     absq = (u * u.conjugate()).real
     resid = (

@@ -81,11 +81,12 @@ ANDERSON_PROGRESS = 1e-3
 # size sets how many elements an inner loop takes, not what an element
 # computes, and no sum reduction, whose pairwise order would follow those
 # chunks, runs under it.  bench/run.py, medians of 4 alternating 8 s runs
-# at seed 0 on a 2-vCPU host, wall_s of rect_fp and cross_check: 0.0837 s,
-# 0.0807 s at 8,192 with fresh RK4 stage arrays; with held ones, 0.0799 s,
-# 0.0763 s at 1,024; 0.0715 s, 0.0770 s at 512; 0.0759 s, 0.0747 s at 256;
-# 0.0757 s, 0.0761 s at 128 (rect_fp peak_rss_mb 35.48 MiB, then
-# 35.56-35.58 MiB at each size)
+# at seed 0 on a 2-vCPU host, wall_s of rect_fp, which runs no RK4:
+# 0.0837 s at 8,192, 0.0799 s at 1,024, 0.0715 s at 512, 0.0759 s at 256,
+# 0.0757 s at 128 (peak_rss_mb 35.48 MiB, then 35.56-35.58 MiB at each
+# size); of cross_check, with RK4's stages in paired force calls: 0.0720 s
+# at 8,192, 0.0708 s at 1,024, 0.0687 s at 256, 0.0695 s at 128
+# (peak_rss_mb 38.46-38.50 MiB at each size)
 UFUNC_BUFSIZE = 256
 
 
@@ -131,8 +132,10 @@ class CoreParams:
         # accept whatever the first map returns
         if not 0 < self.tol_fp < 1:
             raise InvalidArgument(f"tol_fp must lie in (0, 1), got {self.tol_fp}")
-        # every solver stops at passes == max_iter, which no other value reaches
-        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+        # every solver stops at passes == max_iter, which no other value
+        # reaches; a bool is an Integral, and True would pass as 1
+        if not (isinstance(self.max_iter, Integral) and not isinstance(self.max_iter, bool)
+                and self.max_iter >= 1):
             raise InvalidArgument(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 

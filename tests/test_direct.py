@@ -27,7 +27,7 @@ from cglvortex import (
 )
 from cglvortex import direct, sweep
 from cglvortex.direct import (
-    _fd_border, _fd_branch, _fd_newton_system, _rk4_lanes, _segments, _shoot_conditions,
+    _fd_branch, _fd_layout, _fd_newton_system, _rk4_lanes, _segments, _shoot_conditions,
     _shoot_newton_system, _slopes, spsolve,
 )
 from conftest import CRITERION6_POINTS, branch_bits
@@ -181,7 +181,8 @@ class TestShooting:
         # the stages write into arrays that _rk4_lanes allocates once per
         # call: the traced peak from one force evaluation to the next stays
         # below one (7, K) array, and so do numpy's iterator buffers, which
-        # UFUNC_BUFSIZE bounds
+        # UFUNC_BUFSIZE bounds.  force takes the stages in pairs: one call
+        # on U to start, then two per step (the last step's F4 alone)
         k_seg, stride, m = 256, 8, 2
         rng = np.random.default_rng(5)
         v0 = rng.normal(size=k_seg) + 1j * rng.normal(size=k_seg)
@@ -206,7 +207,7 @@ class TestShooting:
             sys.settrace(previous)
             tracemalloc.stop()
         assert lanes is not None
-        assert len(rises) == 4 * stride * m - 1
+        assert len(rises) == 2 * stride * m
         assert max(rises) < 7 * k_seg * 16
 
     def test_tangent_lanes_are_trajectory_derivatives(self):
@@ -721,14 +722,14 @@ class TestFiniteDifference:
 
     @pytest.mark.parametrize("n_nodes", [9, 257])
     def test_jacobian_assembly(self, n_nodes):
-        # the banded core, border and corner against the dense Jacobian,
-        # whose unknowns (Re u, Im u, Re lam, Im lam) are reordered to the
+        # the banded core, border and corner, with the stencil and border
+        # of the grid's FD layout, against the dense Jacobian, whose
+        # unknowns (Re u, Im u, Re lam, Im lam) are reordered to the
         # interleaved (Re u_i, Im u_i) per node
         grid = make_grid(n_nodes)
         ni = n_nodes - 2
         rho = 3.0 + 2.0j
         rng = np.random.default_rng(n_nodes)
-        row = grid.weights[1:-1] * grid.cos[1:-1] / np.dot(grid.weights, grid.cos * grid.cos)
         order = np.append(np.stack([np.arange(ni), ni + np.arange(ni)], axis=1).ravel(),
                           [2 * ni, 2 * ni + 1])
         pattern = None
@@ -736,8 +737,7 @@ class TestFiniteDifference:
             u = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
             lam = complex(rng.standard_normal(), rng.standard_normal())
             system = _fd_newton_system(u, (u * u.conjugate()).real, lam, rho,
-                                       2.0 / grid.spacing**2 - 1.0, -1.0 / grid.spacing**2,
-                                       *_fd_border(row))
+                                       *_fd_layout(grid)[1:])
             dense = _dense_fd_jacobian(grid, u, lam, rho)[np.ix_(order, order)]
             got = _bordered_dense(*system)
             assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))

@@ -48,11 +48,11 @@ class TestParameterMaps:
         with pytest.raises(InvalidArgument):
             rho_from_physical(0.0, 0.0, 0)
 
-    @pytest.mark.parametrize("n", [0, -2, 2**512, 10**400, 1.5, 2.0],
-                             ids=["0", "-2", "2**512", "10**400", "1.5", "2.0"])
+    @pytest.mark.parametrize("n", [0, -2, 2**512, 10**400, 1.5, 2.0, True],
+                             ids=["0", "-2", "2**512", "10**400", "1.5", "2.0", "True"])
     def test_every_map_of_n_rejects_it(self, n):
         # n < 1, an n whose square is past the float range, or an n that is
-        # not an integer
+        # not an integer (a bool is an Integral, but not a count)
         branch = _converged_branch(0.0, 1.0, n_nodes=9)
         for call in (lambda: rho_from_physical(0.0, 0.0, n),
                      lambda: physical_from_r(0.75, 0.0, 0.0, n),
@@ -82,8 +82,17 @@ class TestParameterMaps:
                 physical_from_r(r, mu, nu, n)
         # a rho of about 1e-308 is not 0, and a diverged branch's r maps to NaN
         assert 0 < abs(rho_from_physical(0.0, 1e10, 10**149)) < 1e-307
-        p = physical_from_r(complex("nan+nanj"), 0.5, 0.3, 2)
-        assert math.isnan(p.R) and math.isnan(p.omega)
+        for r in (complex("nan+nanj"), complex(math.nan, 0.0), complex(0.5, math.nan)):
+            p = physical_from_r(r, 0.5, 0.3, 2)
+            assert math.isnan(p.R) and math.isnan(p.omega)
+
+    @pytest.mark.parametrize("r", [complex(math.inf, 0.0), complex(0.0, -math.inf),
+                                   complex(math.inf, math.nan), math.inf],
+                             ids=["inf-real", "inf-imaginary", "inf-and-nan", "inf-float"])
+    def test_infinite_r_rejected(self, r):
+        # no branch has an infinite r: only a diverged one's NaN maps to NaN
+        with pytest.raises(InvalidArgument, match="r has an infinite part"):
+            physical_from_r(r, 1.0, 1.0, 1)
 
     def test_physical_leading_order(self):
         s = 0.04

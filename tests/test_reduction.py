@@ -312,8 +312,8 @@ class TestFixedPoint:
         with pytest.raises(InvalidArgument):
             CoreParams(rho=1.0, eps=0.1, max_iter=0)
         # every solver stops at passes == max_iter, which a cap that is not
-        # an integer never reaches; numpy integers pass
-        for cap in (2.5, float("inf"), 1e9 + 0.5):
+        # an integer never reaches; a bool is no cap; numpy integers pass
+        for cap in (2.5, float("inf"), 1e9 + 0.5, True):
             with pytest.raises(InvalidArgument, match="max_iter must be an integer"):
                 CoreParams(rho=1.0, eps=0.1, max_iter=cap)
         assert CoreParams(rho=1.0, eps=0.1, max_iter=np.int64(5)).max_iter == 5

@@ -1,11 +1,15 @@
 """Shooting's RK4 lanes against a plain copy of the lanes, bit for bit.
 
 The library's _rk4_lanes writes every stage into arrays it allocates once
-per call.  The oracle below is the lanes as they stood before that
-rewrite, with a fresh array for every stage and every term; each element
-goes through the same operations with the same operands in the same
-order, so the two must agree in every bit (compared as uint64 views of
-the float parts, which also tells -0.0 from 0.0).
+per call and takes the stages in pairs, two stacked stage points in one
+force call.  The oracle below is the lanes with one force call per stage
+and a fresh array for every stage and every term; each element goes
+through the same operations with the same operands in the same order, so
+the two must agree in every bit (compared as uint64 views of the float
+parts, which also tells -0.0 from 0.0).  The layouts tested include 129
+nodes (128 lanes of 16 steps) and 513 nodes (two output intervals per
+lane, so the F1 that a pair carries into the next step crosses an output
+point).
 """
 import numpy as np
 import pytest
@@ -66,7 +70,7 @@ def _bits(lanes):
 
 
 @pytest.mark.parametrize("tangents", [True, False])
-@pytest.mark.parametrize("n_nodes", [9, 33, 257])
+@pytest.mark.parametrize("n_nodes", [9, 33, 129, 257, 513])
 def test_lanes_match_oracle_bitwise(n_nodes, tangents):
     # random starts on shooting's layout, with the complex lam shooting
     # passes and with the real rho, lam that a real kappa or a test gives

@@ -79,10 +79,10 @@ class TestCountZeros:
 
     @pytest.mark.parametrize("envelope, n", [
         (np.ones(4), -2), (np.ones(4), 0), (np.ones(4), 1.5), (np.ones(4), 2**600),
-        (np.array([]), 1), (np.full(4, np.nan), 1),
+        (np.ones(4), True), (np.array([]), 1), (np.full(4, np.nan), 1),
         (np.array([1.0, np.inf, 1.0]), 1), (np.array([1.0, complex(0, np.nan)]), 1),
         (np.ones((2, 4)), 1), (np.array(1.0), 1),
-    ], ids=["n-negative", "n-zero", "n-fraction", "n-square-overflows", "empty",
+    ], ids=["n-negative", "n-zero", "n-fraction", "n-square-overflows", "n-bool", "empty",
             "all-nan", "inf-sample", "nan-imaginary", "2-d", "0-d"])
     def test_invalid_input_rejected(self, envelope, n):
         with pytest.raises(InvalidArgument):

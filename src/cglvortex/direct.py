@@ -53,7 +53,8 @@ from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, solve1 as _solve1
 from .errors import InvalidArgument, InvalidState
 from .quadrature import Grid, GridFunction, make_grid
 from .reduction import (
-    DEFAULT_NODES, UFUNC_BUFSIZE, Branch, CoreParams, _branch, _diverged_branch, asymptotic_r,
+    DEFAULT_NODES, UFUNC_BUFSIZE, Branch, CoreParams, _branch, _diverged_branch, _finish,
+    asymptotic_r,
 )
 
 ESCAPE_CAP = 1e6
@@ -556,8 +557,8 @@ def shoot_solve(
     v[1:-1] = u_vals[1:-1] / grid.cos[1:-1]
     v[0] = complex(z[0], z[1])
     v[-1] = -ve[0, -1]
-    return _branch(params, grid, "shooting", v, u_vals, None, iterations, ev[1], converged,
-                   increments=tuple(norms))
+    return _branch(params, grid, "shooting", _finish(params, v, u_vals, None, grid), v - 1.0,
+                   iterations, ev[1], converged, increments=tuple(norms))
 
 
 # ------------------------------------------------------ finite differences
@@ -613,8 +614,8 @@ def _fd_branch(params, grid, u_vals, lam, iterations, resid, converged, incremen
     v[-1] = 4 * v[-2] - 6 * v[-3] + 4 * v[-4] - v[-5]
     # in the linear limit r is the envelope's integral (r None)
     r = lam / params.rho if abs(params.rho) > RHO_ZERO_CUTOFF else None
-    return _branch(params, grid, "finite_difference", v, u_vals, r, iterations, resid,
-                   converged, increments=tuple(increments))
+    return _branch(params, grid, "finite_difference", _finish(params, v, u_vals, r, grid),
+                   v - 1.0, iterations, resid, converged, increments=tuple(increments))
 
 
 def fd_solve(

@@ -124,21 +124,33 @@ def solve_linear_inhomogeneous(f: GridFunction, v_left: complex = 0.0) -> GridFu
     return GridFunction(f.grid, _envelope_pair(f.values, f.grid, complex(v_left))[0])
 
 
-def envelope_residual(
-    v_values: np.ndarray, f_values: np.ndarray, grid: Grid
-) -> float:
+def envelope_residual(v_values: np.ndarray, f_values: np.ndarray, grid: Grid,
+                      work: np.ndarray | None = None):
     """Collocation residual of -U'' - U = f in envelope form.
 
     With U = v cos x the equation is equivalent to
     -v'' cos x + 2 v' sin x = f; v is differentiated by centered
     differences, so the cosine factor carries no discretization error and
     the residual is O(h^2) in the envelope derivatives alone.
-    Returns the sup over interior nodes.
+    Returns the sup over interior nodes: a float for one row (n,), a list
+    of floats, one per row, for a block of rows (B, n).  A block may pass
+    three (B, n) rows of ``work``, which every step writes into; without
+    them each step writes a fresh array.
     """
     h = grid.spacing
-    cos, sin = grid.cos, grid.sin
-    d1 = (v_values[2:] - v_values[:-2]) / (2 * h)
-    d2 = (v_values[2:] - 2 * v_values[1:-1] + v_values[:-2]) / (h * h)
-    resid = -d2 * cos[1:-1] + 2 * d1 * sin[1:-1] - f_values[1:-1]
-    return float(np.abs(resid).max())
-
+    v, f = v_values, f_values
+    d1, d2, mag = (None, None, None) if work is None else (
+        work[0][..., 1:-1], work[1][..., 1:-1], work[2].view(float)[..., :v.shape[-1] - 2])
+    d1 = np.subtract(v[..., 2:], v[..., :-2], d1)
+    d1 /= 2 * h
+    d2 = np.multiply(2, v[..., 1:-1], d2)
+    np.subtract(v[..., 2:], d2, out=d2)
+    d2 += v[..., :-2]
+    d2 /= h * h
+    np.negative(d2, out=d2)
+    d2 *= grid.cos[1:-1]
+    np.multiply(2, d1, out=d1)
+    d1 *= grid.sin[1:-1]
+    d2 += d1
+    d2 -= f[..., 1:-1]
+    return np.abs(d2, mag).max(-1).tolist()

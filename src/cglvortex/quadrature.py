@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -21,7 +22,8 @@ HALF_PI = np.pi / 2.0
 class Grid:
     """Uniform nodes spanning J = [-pi/2, pi/2], endpoints included.
 
-    n_nodes must be odd and at least 5 so that composite Simpson applies;
+    n_nodes must be an odd integer (numpy's too, not a bool or a float) and
+    at least 5 so that composite Simpson applies;
     the grid builds its nodes from it, so grids with equal node counts are
     equal.  The grid owns the tables every operator on J reads: the
     composite-Simpson ``weights``, the samples ``cos`` and ``sin``, and
@@ -52,8 +54,9 @@ class Grid:
 
     def __post_init__(self):
         n = self.n_nodes
-        if n != int(n) or n < 5 or n % 2 == 0:
-            raise InvalidArgument(f"n_nodes must be odd and >= 5, got {n}")
+        # a bool is an Integral, and 7.0 == 7; CoreParams refuses both as counts
+        if not isinstance(n, Integral) or isinstance(n, bool) or n < 5 or n % 2 == 0:
+            raise InvalidArgument(f"n_nodes must be an odd integer >= 5, got {n!r}")
         object.__setattr__(self, "n_nodes", int(n))
         weights = np.ones(self.n_nodes)
         weights[1:-1:2] = 4.0
@@ -88,9 +91,11 @@ class Grid:
         return hash(("Grid", self.n_nodes))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def make_grid(n_nodes: int) -> Grid:
-    """The uniform grid on J (one shared instance per node count)."""
+    """The uniform grid on J (one shared instance per node count and its
+    type: the cache must not answer 7.0 with the grid of 7, which Grid
+    refuses)."""
     return Grid(n_nodes)
 
 

@@ -3,7 +3,7 @@
 The steady equation -U'' - U = rho (r - |U|^2) U, with the envelope's
 cos^2-weighted mean fixed at eps, is under U = eps W and r = |eps|^2 s the
 eps = 1 problem at kappa = rho |eps|^2; the phase of eps is a gauge.
-Every solver solves that problem and _branch scales back.  Through
+Every solver solves that problem and _finish scales back.  Through
 W = v cos x and the splitting v = 1 + w with w free of the mean, it is a
 fixed-point problem for the correction w:
 
@@ -256,19 +256,36 @@ def cubic_forcing(w: GridFunction, rho: complex) -> GridFunction:
     return GridFunction(w.grid, _cubic_forcing(w.values, rho, w.grid))
 
 
+def _cube_sums(v_values: np.ndarray, grid: Grid, out: np.ndarray | None = None):
+    """int |v|^2 v cos^4 of one row (n,), or a (B, 1) column of it for each
+    row of a block (B, n); |v|^2 v cos^4 goes to out (default fresh)."""
+    t = np.conjugate(v_values, out)
+    np.multiply(v_values, t, t)
+    t.imag = 0.0  # now numpy's complex cast of |v|^2, to the bit
+    np.multiply(t, v_values, t)
+    t *= grid.cos4_c
+    return _row_sums(t, grid)
+
+
 def compute_r(v: GridFunction, eps: complex) -> complex:
     """Response coefficient r = (2 / (eps pi)) int |v|^2 v cos^4 y dy."""
     if eps == 0:
         raise InvalidArgument("eps must be nonzero")
-    vals = v.values
-    absq = (vals * vals.conjugate()).real
-    return (2.0 / (eps * np.pi)) * v.grid.integrate(absq * vals * v.grid.cos4_c)
+    return (2.0 / (eps * np.pi)) * complex(_cube_sums(v.values, v.grid))
 
 
-def _ode_forcing(u_vals: np.ndarray, rho: complex, r: complex) -> np.ndarray:
-    """Right-hand side rho (r - |U|^2) U of the branch ODE."""
-    absq = (u_vals * u_vals.conjugate()).real
-    return rho * (r - absq) * u_vals
+def _ode_forcing(u_vals: np.ndarray, rho: complex, r: complex,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Right-hand side rho (r - |U|^2) U of the branch ODE, of one row (n,)
+    or of each row of a block (B, n) with (B, 1) columns rho and r, in out
+    (default fresh)."""
+    f = np.conjugate(u_vals, out)
+    np.multiply(u_vals, f, f)
+    f.imag = 0.0  # numpy's complex cast of |U|^2
+    np.subtract(r, f, f)
+    np.multiply(rho, f, f)
+    f *= u_vals
+    return f
 
 
 def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
@@ -276,27 +293,50 @@ def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
     return GridFunction(v.grid, _ode_forcing(v.values * v.grid.cos, rho, r))
 
 
-def _branch(params: CoreParams, grid: Grid, method: str, v1, u1, r,
-            iterations: int, fp_residual: float, converged: bool, w=None,
-            **extra) -> Branch:
-    """Branch of an eps = 1 solve that ended on the envelope v1 and
-    profile u1, scaled back to v = eps v1 and U = eps u1.
+def _finish(params, v1: np.ndarray, u1: np.ndarray, r, grid: Grid,
+            work: np.ndarray | None = None) -> tuple:
+    """(v, U, r, ode_residual) of eps = 1 solves that ended on the envelope
+    v1 and profile u1: v = eps v1 and U = eps u1 scaled back, r (when None,
+    compute_r of v) and the collocation residual of U's forcing.  Of one
+    params' row (n,), with r and ode_residual numbers, or of a list of
+    params' rows (B, n), with eps, rho and r (B, 1) columns and
+    ode_residual a list.  Each step takes every row in one numpy call and
+    each sum is one np.vecdot (_row_sums), and compute_r's scalar steps
+    run per row on the row's own eps, so each row gets the bits it gets
+    alone.  A block passes four (B, n) rows of ``work`` and takes v and U
+    in v1 and u1; without work every step writes a fresh array."""
+    one = v1.ndim == 1
+    rows = [params] if one else params
 
-    w defaults to v1 - 1 and r, when None, to compute_r of v; extra holds
-    the optional Branch fields."""
-    eps = params.eps
-    v = GridFunction(grid, eps * v1)
-    u_vals = eps * u1
-    r = complex(compute_r(v, eps) if r is None else r)
+    def column(values):  # one row's number as it is
+        return values[0] if one else np.array(values, dtype=complex)[:, None]
+
+    eps = column([p.eps for p in rows])
+    t = None if work is None else work[0]
+    v = np.multiply(eps, v1, None if work is None else v1)
+    u = np.multiply(eps, u1, None if work is None else u1)
+    if r is None:
+        sums = np.ravel(_cube_sums(v, grid, t)).tolist()
+        r = column([(2.0 / (p.eps * np.pi)) * s for p, s in zip(rows, sums)])
+    f = _ode_forcing(u, column([p.rho for p in rows]), r, t)
+    return v, u, r, envelope_residual(v, f, grid, None if work is None else work[1:])
+
+
+def _branch(params: CoreParams, grid: Grid, method: str, finished: tuple, w: np.ndarray,
+            iterations: int, fp_residual: float, converged: bool, **extra) -> Branch:
+    """Branch of one solve from _finish's (v, U, r, ode_residual) of its row
+    and its correction w, arrays that the Branch keeps, so a block passes
+    copies of its rows; extra holds the optional Branch fields."""
+    v, u, r, ode_residual = finished
     return Branch(
         params=params,
-        r=r,
-        w=GridFunction(grid, v1 - 1.0 if w is None else w),
-        v=v,
-        U=GridFunction(grid, u_vals),
+        r=complex(r),
+        w=GridFunction(grid, w),
+        v=GridFunction(grid, v),
+        U=GridFunction(grid, u),
         iterations=iterations,
         fp_residual=fp_residual,
-        ode_residual=envelope_residual(v.values, _ode_forcing(u_vals, params.rho, r), grid),
+        ode_residual=ode_residual,
         converged=converged,
         method=method,
         **extra,
@@ -466,11 +506,17 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
     map after it converges or reaches its max_iter: that map measures its
     fp_residual.
 
-    After each block map it yields every Branch whose turn has come.  A
-    row that leaves ahead of its turn waits until the rows before it are
-    handed over, and no row enters while ``width`` Branches wait, so at
-    most width - 1 more finish before the one whose turn it is: at most
-    2 width - 1 wait at once.
+    A row that diverges takes its Branch (_diverged_branch) when it
+    leaves.  A row that converges or reaches its max_iter waits as its
+    last iterate and fp_residual until its Branch is due.  After each
+    block map, once the row whose turn it is has left, the block finishes
+    the run of waiting rows from that turn on in one _finish call per at
+    most ``width`` rows (_fixed_point_branches), and yields the run's
+    Branches in turn.  So rows that leave together, or ahead of their
+    turn, are finished together: on the default rectangle at FP_BLOCK =
+    24, 87 of the 105 rows leave in runs of 12 or 27.  No row enters while
+    ``width`` rows wait, so at most width - 1 more leave before the one
+    whose turn it is: at most 2 width - 1 wait at once.
 
     The block allocates its work arrays when it starts, eight blocks of
     (width, n) complex samples: two regions, each the room of a map's
@@ -481,15 +527,19 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
     row after the first to leave is copied down into the gap.  A map of
     B >= 2 rows writes every step into these arrays; a one-row map, which
     is call-bound, takes fresh arrays for its steps and writes its pair
-    into the region.  A Branch or an Anderson mixer keeps copies, never a
-    view of these arrays.
+    into the region.  Between maps the old iterate's region and the
+    scratch are free, and finishing B >= 2 rows writes into them: v1 and
+    U1 into the region, _finish's steps into the scratch.  A Branch or an
+    Anderson mixer keeps copies, never a view of these arrays.
 
     The block sets no numpy state of its own: fixed_point_solve advances
     it under UFUNC_BUFSIZE, so a step that broadcasts an (n,) table or a
     (B, 1) column over the rows buffers at most that many elements of
     the operand at a time, with the same bits as at numpy's default."""
     width = min(width or len(params), len(params))
-    waiting: dict[int, Branch] = {}  # row -> Branch, until its turn
+    # row -> its diverged Branch, or (_Row, w, fp_residual) of a row that
+    # ended, until its turn
+    waiting: dict[int, Branch | tuple] = {}
     turn = 0
     n = grid.n_nodes
     regions = np.empty((2, 2 * width * n), dtype=complex)
@@ -501,7 +551,7 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
     rows: list[_Row] = []
     entered = 0
     while True:
-        # Branches wait only while the row whose turn it is still iterates
+        # rows wait only while the row whose turn it is still iterates
         room = width - len(rows) if len(waiting) < width else 0
         new = range(entered, min(entered + room, len(params)))
         if new:
@@ -536,11 +586,7 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
         keep = []
         for i, (row, sup, inc) in enumerate(zip(rows, sups, incs)):
             if row.ended is not None:
-                w_k = w[i].copy()
-                v1 = 1.0 + w_k
-                waiting[row.index] = _branch(row.params, grid, "fixed_point", v1, v1 * grid.cos,
-                                             None, row.ended[0], inc, row.ended[1], w=w_k,
-                                             **row.history())
+                waiting[row.index] = (row, w[i].copy(), inc)
                 continue
             iterations = len(row.increments) + 1  # this map's number in the row
             if not math.isfinite(sup):
@@ -568,9 +614,17 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
                 if iterations == row.params.max_iter:
                     row.ended = (iterations, False)
             keep.append(i)
-        while turn in waiting:
-            yield waiting.pop(turn)
-            turn += 1
+        run = []  # the rows from turn on that wait, in turn
+        while turn + len(run) in waiting:
+            run.append(waiting.pop(turn + len(run)))
+        turn += len(run)
+        ended = [x for x in run if not isinstance(x, Branch)]
+        # the old iterate's region and the scratch are free until the next map
+        built = iter([b for k in range(0, len(ended), width)
+                      for b in _fixed_point_branches(ended[k:k + width], grid,
+                                                     regions[1 - at], scratch)])
+        for x in run:
+            yield x if isinstance(x, Branch) else next(built)
         if len(keep) < len(rows):
             rows, kappa = [rows[i] for i in keep], kappa[keep]
             for j, i in enumerate(keep):
@@ -580,10 +634,37 @@ def _block_rows(params: list[CoreParams], grid: Grid, w0: np.ndarray | None = No
         w = t_w
 
 
+def _fixed_point_branches(ended: list[tuple], grid: Grid, room: np.ndarray,
+                          scratch: np.ndarray) -> list[Branch]:
+    """The Branches of fixed-point rows that ended, each (_Row, w, fp_residual)
+    with w its last iterate, from one _finish call: one row (n,) on fresh
+    arrays, B >= 2 rows (B, n) in the flat complex arrays room (2 B n
+    samples at least) and scratch (4 B n), and copies of those rows."""
+    if len(ended) == 1:
+        v1 = 1.0 + ended[0][1]
+        finished = [_finish(ended[0][0].params, v1, v1 * grid.cos_c, None, grid)]
+    else:
+        b, n = len(ended), grid.n_nodes
+        v1, u1 = room[:2 * b * n].reshape(2, b, n)
+        np.add(1.0, np.stack([w for _, w, _ in ended], out=v1), out=v1)
+        np.multiply(v1, grid.cos_c, out=u1)
+        v, u, r, residuals = _finish([row.params for row, _, _ in ended], v1, u1, None, grid,
+                                     scratch[:4 * b * n].reshape(4, b, n))
+        finished = [(v[j].copy(), u[j].copy(), r[j, 0], residuals[j]) for j in range(b)]
+    return [_branch(row.params, grid, "fixed_point", fin, w, row.ended[0], inc, row.ended[1],
+                    **row.history()) for (row, w, inc), fin in zip(ended, finished)]
+
+
 def _check_order(order, orders: tuple[int, ...]) -> None:
     # a bool is an Integral, and True == 1.0 == 1 would pass the membership test
     if isinstance(order, bool) or not isinstance(order, Integral) or order not in orders:
         raise InvalidArgument(f"unsupported order {order!r}: an integer in {orders}")
+
+
+def _check_rho(rho) -> None:
+    # a NaN rho would come back as a NaN series, not as an error
+    if np.isnan(rho):
+        raise InvalidArgument(f"rho must not be NaN, got {rho!r}")
 
 
 def asymptotic_r(rho: complex, eps: complex, order: int) -> complex:
@@ -594,9 +675,12 @@ def asymptotic_r(rho: complex, eps: complex, order: int) -> complex:
 
     The first-order coefficient is exact on the real rho axis; off it the
     computed branches carry a conjugate-coupled coefficient instead, so
-    order-1 comparisons should be made at real rho.
+    order-1 comparisons should be made at real rho.  InvalidArgument for a
+    NaN rho; an infinite one overflows the series, as a huge finite one
+    does.
     """
     _check_order(order, (0, 1))
+    _check_rho(rho)
     s = eps_squared(eps, zero_ok=True)
     r = 0.75 * s
     if order >= 1:
@@ -611,9 +695,14 @@ def asymptotic_U(rho: complex, eps: complex, x, order: int):
     with q = 2 cos 2x - 1 and p = 4 cos 2x + 2 cos 4x - 2, the
     polynomial-in-cosine forms of cos 3x / cos x and
     (3 cos 3x + cos 5x) / cos x.  Finite at the zeros of cos x.
+    InvalidArgument for a NaN rho, as in asymptotic_r, or an x that is not
+    finite.
     """
     _check_order(order, (0, 1, 2))
+    _check_rho(rho)
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise InvalidArgument("x must be finite")
     z = rho * eps_squared(eps, zero_ok=True) / 32.0
     bracket = np.ones_like(x, dtype=complex)
     # far outside the series' range the terms overflow to inf or nan, as

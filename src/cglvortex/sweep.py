@@ -180,6 +180,13 @@ def count_zeros(envelope: np.ndarray, n: int):
     v = np.asarray(envelope)
     if not (v.ndim == 1 and v.size and np.isfinite(v).all()):
         raise InvalidArgument("envelope must be a nonempty 1-D array of finite samples")
+    extra = _extra_zeros(v)
+    return 2 * n + extra, extra
+
+
+def _extra_zeros(v: np.ndarray) -> int:
+    """The envelope's zeros among cyclic samples v (finite, 1-D, nonempty),
+    as count_zeros counts them."""
     # v padded by its cyclic neighbours: ext[i] = v[i - 1] for i = 0..m+1
     ext = np.concatenate((v[-1:], v, v[:1]))
     # pair_flips[i]: sign change from v[i - 1] to v[i], so flips = pair_flips[1:]
@@ -191,8 +198,7 @@ def count_zeros(envelope: np.ndarray, n: int):
         (vab < ext_abs[:-2]) & (vab <= ext_abs[2:])
         & (vab <= ZERO_TOL * vab.max()) & ~flips & ~pair_flips[:-1]
     )
-    extra = int(np.count_nonzero(flips) + np.count_nonzero(dips))
-    return 2 * n + extra, extra
+    return int(np.count_nonzero(flips) + np.count_nonzero(dips))
 
 
 def symmetry_defect(u: GridFunction) -> float:
@@ -241,11 +247,13 @@ def solve(
         order = 1
         while order < len(trail) and _on_line(rhos[order + 1], rhos[order], rhos[order - 1]):
             order += 1
-        starts = [(b.w.values, b.U.values, b.r) for b in trail[:order]]
-        w0, seed, r0 = (_extrapolate(PREDICTORS[order - 1], column) for column in zip(*starts))
-        # a copy keeps trail[0]'s own GridFunctions
-        w0, seed = (trail[0].w, trail[0].U) if order == 1 else (GridFunction(grid, w0),
-                                                                 GridFunction(grid, seed))
+        coeffs, lead = PREDICTORS[order - 1], trail[:order]
+        # only what the method reads: w, or the profile and r
+        if method == "fixed_point":
+            w0 = _start(coeffs, [b.w for b in lead])
+        else:
+            seed = _start(coeffs, [b.U for b in lead])
+            r0 = _extrapolate(coeffs, [b.r for b in lead])
     if method == "fixed_point":
         return fixed_point_solve(params, grid=grid, w0=w0)
     if method == "shooting":
@@ -264,6 +272,14 @@ def _extrapolate(coeffs, terms):
         term = t if abs(c) == 1 else abs(c) * t
         total = term if total is None else total + term if c > 0 else total - term
     return total
+
+
+def _start(coeffs, functions: list[GridFunction]) -> GridFunction:
+    """The extrapolation of functions by coeffs; the copy (1,) keeps
+    functions[0] itself."""
+    if len(coeffs) == 1:
+        return functions[0]
+    return GridFunction(functions[0].grid, _extrapolate(coeffs, [f.values for f in functions]))
 
 
 def _on_line(rho0: complex, rho1: complex, rho2: complex) -> bool:
@@ -285,9 +301,10 @@ def record_from_branch(branch: Branch) -> SweepRecord:
         ode_res = branch.ode_residual
     zero_count, extra = 0, 0
     if branch.converged:
-        # that period holds the envelope on J twice
-        period = branch.v.values[:-1]
-        zero_count, extra = count_zeros(np.concatenate((period, period)), 1)
+        # that period holds the cyclic envelope on J twice, so its census is
+        # twice J's; the Branch's envelope is finite
+        extra = 2 * _extra_zeros(branch.v.values[:-1])
+        zero_count = 2 + extra
     rho = branch.params.rho
     return SweepRecord(
         rho_re=rho.real,

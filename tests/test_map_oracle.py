@@ -8,17 +8,20 @@ the two must agree in every bit (compared as uint64 views, which also
 tells -0.0 from 0.0).  The library maps a block of rows (B, n) in one
 call; each row must equal the oracle's map of that row alone.  The
 fixed-point loop is held the same way to a plain copy of the one-row loop
-it replaced.
+it replaced, and the Branch that ends a solve to a plain copy of the
+one-row builder that each solve called before a block finished its rows
+together.
 """
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cglvortex import (CoreParams, GridFunction, apply_green_op, fixed_point_solve, greens,
-                       make_grid, reduction, sweep)
+from cglvortex import (Branch, CoreParams, GridFunction, apply_green_op, fixed_point_solve,
+                       greens, make_grid, reduction, sweep)
 from cglvortex.reduction import (ANDERSON_DIVERGENCE, ANDERSON_PATIENCE, ANDERSON_PROGRESS,
-                                 _Anderson, _branch, _diverged_branch, _stalled)
+                                 _Anderson, _diverged_branch, _stalled)
 from conftest import branch_bits, solve_block
 
 
@@ -196,6 +199,44 @@ def test_envelope_with_complex_left_value_matches_oracle(n):
             _bits(_solve_envelope(f, grid, v_left)))
 
 
+def _oracle_branch(params, grid, method, v1, u1, r, iterations, fp_residual, converged,
+                   w=None, **extra):
+    """The Branch of an eps = 1 solve that ended on v1 and u1, built from
+    one row on fresh arrays, with compute_r, the ODE forcing and the
+    envelope residual written out."""
+    eps = params.eps
+    v = GridFunction(grid, eps * v1)
+    u_vals = eps * u1
+    if r is None:
+        vals = v.values
+        absq = (vals * vals.conjugate()).real
+        r = (2.0 / (eps * np.pi)) * grid.integrate(absq * vals * grid.cos4_c)
+    r = complex(r)
+    absq = (u_vals * u_vals.conjugate()).real
+    forcing = params.rho * (r - absq) * u_vals
+    h, vv = grid.spacing, v.values
+    d1 = (vv[2:] - vv[:-2]) / (2 * h)
+    d2 = (vv[2:] - 2 * vv[1:-1] + vv[:-2]) / (h * h)
+    resid = -d2 * grid.cos[1:-1] + 2 * d1 * grid.sin[1:-1] - forcing[1:-1]
+    return Branch(params=params, r=r, w=GridFunction(grid, v1 - 1.0 if w is None else w), v=v,
+                  U=GridFunction(grid, u_vals), iterations=iterations, fp_residual=fp_residual,
+                  ode_residual=float(np.abs(resid).max()), converged=converged, method=method,
+                  **extra)
+
+
+def _words(branch):
+    """Every field of a Branch, each profile and number as uint64 words."""
+    out = []
+    for f in fields(branch):
+        value = getattr(branch, f.name)
+        if isinstance(value, GridFunction):
+            value = value.values
+        if isinstance(value, (np.ndarray, float, complex)):
+            value = _bits(value).tolist()
+        out.append((f.name, value))
+    return out
+
+
 RHOS = [-3.5, -2.0 + 1.5j, -0.7 + 0.1j, 0.5j, 1.0, 1.5 + 1.25j,
         2.8 + 0.6j, 3.5, 3.5 + 1.0j, -4.0 + 2.0j, 40.0]
 
@@ -251,8 +292,8 @@ def _oracle_fixed_point_solve(params, grid):
                                     fp_residual, **history)
         fp_residual = float(np.abs(fp_map(w) - w).max())
         v1 = 1.0 + w
-        return _branch(params, grid, "fixed_point", v1, v1 * grid.cos, None,
-                       iterations, fp_residual, converged, w=w, **history)
+        return _oracle_branch(params, grid, "fixed_point", v1, v1 * grid.cos, None,
+                              iterations, fp_residual, converged, w=w, **history)
 
 
 @pytest.mark.parametrize("n", [129, 257])
@@ -277,3 +318,84 @@ def test_fixed_point_solve_matches_oracle_loop(n):
     expected = [branch_bits(o) for o in oracle]
     assert [branch_bits(fixed_point_solve(p, grid=grid)) for p in params] == expected
     assert [branch_bits(b) for b in solve_block(params, grid)] == expected
+
+
+EPSES = [1.0, 0.7 + 0.2j, np.complex128(-0.4 + 1.1j), 1.3, -0.9j]
+
+
+@pytest.mark.parametrize("n", [7, 129, 257])
+def test_finished_rows_match_the_oracle_branch(n):
+    # _finish of one row (n,), with r given or taken from v, and of a block
+    # of rows (B, n) in its work arrays: each row is the oracle's Branch of
+    # that row alone.  eps is a float, a complex and a numpy complex, and
+    # rho a float and complex
+    grid = make_grid(n)
+    rng = np.random.default_rng(n)
+    rows = len(EPSES)
+    w = 0.3 * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    w[-1] = w[-1].real  # every imaginary part a signed zero
+    params = [CoreParams(rho=rho, eps=eps) for rho, eps in zip([2.0, -1.5 + 0.5j, 0.3j, 3.5, 1.0],
+                                                              EPSES)]
+    u_over_v = rng.uniform(0.5, 1.5, n)  # a profile that is not v1 cos, as shooting's
+    expected = []
+    for p, w_k in zip(params, w):
+        v1 = 1.0 + w_k
+        for r in (None, 0.4 - 0.1j):
+            got = reduction._branch(p, grid, "m", reduction._finish(p, v1, v1 * u_over_v, r, grid),
+                                    v1 - 1.0, 3, 1e-13, True, increments=(0.5,))
+            oracle = _oracle_branch(p, grid, "m", v1, v1 * u_over_v, r, 3, 1e-13, True,
+                                    increments=(0.5,))
+            assert _words(got) == _words(oracle)
+        expected.append(_words(_oracle_branch(p, grid, "m", v1, v1 * grid.cos, None, 3, 0.0, True,
+                                              w=w_k)))
+    for b in (2, rows):
+        work = np.full((6, b, n), np.nan + 0j)  # none of it is read before it is written
+        v1, u1 = work[:2]
+        np.add(1.0, w[:b], out=v1)
+        np.multiply(v1, grid.cos_c, out=u1)
+        v, u, r, residuals = reduction._finish(params[:b], v1, u1, None, grid, work[2:])
+        assert np.shares_memory(v, v1) and np.shares_memory(u, u1) and r.shape == (b, 1)
+        got = [reduction._branch(p, grid, "m", (v[j].copy(), u[j].copy(), r[j, 0], residuals[j]),
+                                 w[j], 3, 0.0, True) for j, p in enumerate(params[:b])]
+        assert [_words(g) for g in got] == expected[:b]
+
+
+def test_block_branches_match_oracle_solves(monkeypatch):
+    # a slow first row holds the turn while the rows behind it end, so a run
+    # of up to 2 width - 1 rows is finished at once, in chunks of at most
+    # width; between them rows that diverge (overflow, and Anderson without
+    # progress) and rows that stop at max_iter, with eps != 1.  Every Branch
+    # matches the oracle solve of its row alone in every field
+    grid, width = make_grid(129), 4
+    eps = 0.7 + 0.2j
+    scale = abs(eps) ** 2
+    slow = [CoreParams(rho=3.5, eps=1.0), CoreParams(rho=3.5 / scale, eps=eps)]
+    fast = [CoreParams(rho=(0.2 + 0.1j * k) / scale, eps=eps) for k in range(6)]
+    fast += [CoreParams(rho=0.3 * k - 0.5j, eps=1.3) for k in range(4)]
+    ending = [CoreParams(rho=-20 + 5j, eps=1.0), CoreParams(rho=15 * np.exp(1.2j), eps=1.0),
+              CoreParams(rho=2.0 + 1.0j, eps=eps, max_iter=5),
+              CoreParams(rho=3.5, eps=np.complex128(1.0), max_iter=25)]
+    params = [slow[0], *fast[:5], ending[0], *fast[5:8], slow[1], ending[1], *fast[8:],
+              ending[2], ending[3]]
+    events = []
+    finish = reduction._finish
+
+    def counted(p, v1, *args):
+        events.append(len(v1) if v1.ndim == 2 else 1)
+        return finish(p, v1, *args)
+
+    monkeypatch.setattr(reduction, "_finish", counted)
+    block = reduction._block_rows(params, grid, width=width)
+    branches = []
+    for p in params:
+        branches.append(fixed_point_solve(p, block=block))
+        events.append("handed")
+    # the first hand-over finishes a run of more than width ended rows, and
+    # the overflowed row between them, in two calls
+    assert events[:2] == [width, width - 2] and events[2:9] == ["handed"] * (2 * width - 1)
+    assert max(e for e in events if e != "handed") == width
+    oracle = [_oracle_fixed_point_solve(p, grid) for p in params]
+    assert sum(o.diverged for o in oracle) == 2 and sum(o.accelerated_at is not None
+                                                        for o in oracle) >= 3
+    assert sum(not (o.converged or o.diverged) for o in oracle) == 2
+    assert [_words(b) for b in branches] == [_words(o) for o in oracle]

@@ -19,6 +19,8 @@ REASONS = {
     "apply_green_op": "the paper's mean-free inverse operator (criteria 3 and 4)",
     "contraction_radius": "the paper's contraction certificate (criterion 4)",
     "load_records": "the reading side of the sweep output",
+    "count_zeros": "the zero census of a VortexSolution's envelope at any n; record_from_branch "
+                   "takes a Branch's n = 1 census through the same private _extra_zeros",
 }
 
 # the package API: a name joins or leaves it on purpose, not by accident

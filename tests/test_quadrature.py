@@ -47,6 +47,20 @@ class TestMakeGrid:
         with pytest.raises(InvalidArgument):
             Grid(bad)
 
+    @pytest.mark.parametrize("bad", [7.0, np.float64(257.0), True])
+    def test_count_that_is_not_an_integer_rejected(self, bad):
+        # as CoreParams refuses max_iter=2.0: make_grid's cache must not hand
+        # 7.0 the grid of 7
+        make_grid(7), make_grid(257)
+        with pytest.raises(InvalidArgument):
+            make_grid(bad)
+        with pytest.raises(InvalidArgument):
+            Grid(bad)
+
+    def test_numpy_integer_count_accepted(self):
+        g = make_grid(np.int64(9))
+        assert g == make_grid(9) and type(g.n_nodes) is int
+
     def test_grid_builds_its_nodes(self):
         # nodes are not an input, so equal grids carry equal nodes
         with pytest.raises(TypeError):

@@ -377,6 +377,21 @@ class TestAsymptotics:
         with pytest.raises(InvalidArgument):
             asymptotic_U(1.0, 0.2, 0.0, order)
 
+    @pytest.mark.parametrize("rho", [float("nan"), complex(1.0, float("nan")),
+                                     np.complex128(complex(float("nan"), 0.0))])
+    def test_nan_rho_rejected(self, rho):
+        # a NaN rho would return a NaN series
+        with pytest.raises(InvalidArgument):
+            asymptotic_r(rho, 1.0, 1)
+        with pytest.raises(InvalidArgument):
+            asymptotic_U(rho, 1.0, 0.0, 1)
+
+    @pytest.mark.parametrize("x", [float("nan"), [0.0, float("nan")], float("inf"),
+                                   np.array([-np.inf, 0.0])])
+    def test_x_that_is_not_finite_rejected(self, x):
+        with pytest.raises(InvalidArgument):
+            asymptotic_U(1.0, 0.2, x, 2)
+
     def test_numpy_integer_order_accepted(self):
         assert asymptotic_r(1.0, 0.2, np.int64(1)) == asymptotic_r(1.0, 0.2, 1)
         x = np.linspace(-np.pi / 2, np.pi / 2, 9)

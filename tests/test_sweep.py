@@ -117,6 +117,34 @@ class TestCountZeros:
         assert rec.extra_zeros > 0
         assert rec.zero_count == 2 + rec.extra_zeros
 
+    @pytest.mark.parametrize("n_nodes", [5, 9, 129])
+    def test_record_census_is_the_doubled_period_census(self, n_nodes):
+        # record_from_branch counts one cyclic period of the envelope on J
+        # and doubles it: the census of that period repeated twice, as the
+        # n = 1 extension holds it, on envelopes with sign changes, zeros on
+        # samples and dips, and on FD envelopes that change sign
+        grid = make_grid(n_nodes)
+        base = solve("fixed_point", 1.0, 1.0, grid)
+        rng = np.random.default_rng(n_nodes)
+        branches = [solve("finite_difference", -12.0, 1.5, make_grid(257)), base]
+        for trial in range(40):
+            v = rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes)
+            if trial % 4 == 1:
+                v = v.real + 0j
+            elif trial % 4 == 2:
+                v[rng.random(n_nodes) < 0.3] = 0.0
+            elif trial % 4 == 3:
+                v = 1.0 + 0.1 * v
+                v[rng.random(n_nodes) < 0.2] *= 1e-8 if trial % 8 == 3 else -1e-8
+            branches.append(replace(base, v=GridFunction(grid, v)))
+        counts = set()
+        for b in branches:
+            period = b.v.values[:-1]
+            rec = record_from_branch(b)
+            assert (rec.zero_count, rec.extra_zeros) == count_zeros(np.tile(period, 2), 1)
+            counts.add(rec.extra_zeros)
+        assert len(counts) > 3
+
     def test_fd_spurious_branch_not_converged(self):
         # kappa = 360 at 129 nodes: the nearby spurious branch (r = 17.63,
         # the true r is 5.5676) does not pass FD's step test, which is
@@ -282,8 +310,8 @@ class TestRunSweep:
         assert all(r.extra_zeros == 0 for r in records)
 
 
-def _sweep_params(rhos):
-    return [CoreParams(rho=rho, eps=1.0, max_iter=sweep.SOLVE_MAX_ITER, tol_fp=sweep.SOLVE_TOL)
+def _sweep_params(rhos, eps=1.0):
+    return [CoreParams(rho=rho, eps=eps, max_iter=sweep.SOLVE_MAX_ITER, tol_fp=sweep.SOLVE_TOL)
             for rho in rhos]
 
 
@@ -459,6 +487,45 @@ class TestColdFixedPointBlocks:
         assert not any(np.shares_memory(p, q) for p, q in zip(pairs, pairs[1:]))
         # what a Branch keeps owns its memory
         assert all(gf.values.flags.owndata for b in block for gf in (b.w, b.v, b.U))
+
+    def test_finishing_a_run_allocates_no_block_array(self, grid257, monkeypatch):
+        # twelve equal rows with eps != 1 end at one map and are finished in
+        # one _finish call on the block's free arrays: the call allocates no
+        # (B, n) array, not even of floats, and finishing the run allocates
+        # no (B, n) complex array beyond the v and U that the Branches keep
+        rows, n = 12, grid257.n_nodes
+        params = _sweep_params([1.0 + 0.5j] * rows, eps=0.7 + 0.2j)
+        finish, branches = reduction._finish, reduction._fixed_point_branches
+        calls, runs = [], []
+
+        def traced_finish(p, v1, *args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = finish(p, v1, *args)
+            calls.append((len(v1), tracemalloc.get_traced_memory()[1] - start))
+            return got
+
+        def traced_branches(ended, *args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            built = branches(ended, *args)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            runs.append((len(built), peak - sum(b.v.values.nbytes + b.U.values.nbytes
+                                                for b in built)))
+            return built
+
+        monkeypatch.setattr(reduction, "_finish", traced_finish)
+        monkeypatch.setattr(reduction, "_fixed_point_branches", traced_branches)
+        tracemalloc.start()
+        try:
+            block = solve_block(params, grid257)
+        finally:
+            tracemalloc.stop()
+        assert [b for b, _ in calls] == [b for b, _ in runs] == [rows]
+        assert calls[0][1] < rows * n * 8
+        assert runs[0][1] < rows * n * 16
+        assert all(gf.values.flags.owndata for b in block for gf in (b.w, b.v, b.U))
+        assert len({gf.values.ctypes.data for b in block for gf in (b.w, b.v, b.U)}) == 3 * rows
 
     def test_block_maps_run_under_the_library_buffer_size(self, grid257, monkeypatch):
         # the trace above with numpy's buffer size left as the caller has it:
@@ -711,6 +778,36 @@ class TestSolve:
         else:
             np.testing.assert_allclose(seen["seed"].values, u, rtol=0, atol=1e-13)
             assert abs(seen["r0"] - r) <= 1e-13
+
+    @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
+    def test_start_extrapolates_only_what_the_method_reads(self, grid257, monkeypatch,
+                                                           method):
+        # the fixed point reads w, shooting and FD the profile and r: a
+        # column that the method does not read is not extrapolated, so its
+        # overflow (2 trail[0] - trail[1] of samples near the float limit)
+        # does not stop the solve
+        base = solve("fixed_point", 1.0, 1.0, grid257)
+        huge = GridFunction(grid257, np.full(257, 1.5e308 + 0j))
+        unread = "U" if method == "fixed_point" else "w"
+        trail = [replace(base, params=replace(base.params, rho=rho), **{unread: huge})
+                 for rho in (1.2, 1.1)]
+        seen = {}
+
+        def capture(params, grid=None, w0=None, seed=None, r0=None):
+            seen.update(w0=w0, seed=seed, r0=r0)
+            return base
+
+        for name in ("fixed_point_solve", "shoot_solve", "fd_solve"):
+            monkeypatch.setattr(sweep, name, capture)
+        with np.errstate(over="raise"):
+            solve(method, 1.3, 1.0, grid257, trail=trail)
+        read = ("w0",) if method == "fixed_point" else ("seed", "r0")
+        assert {k for k, v in seen.items() if v is not None} == set(read)
+        for k, column in zip(read, (("w", "U")[method != "fixed_point"], "r")):
+            first, second = (getattr(b, column) for b in trail)
+            first, second = (getattr(x, "values", x) for x in (first, second))
+            got = getattr(seen[k], "values", seen[k])
+            assert np.array_equal(got, 2 * first - second)
 
     def test_warm_arc_copies(self):
         # points on an arc are not equally spaced on a line: every warm

@@ -50,11 +50,11 @@ import numpy as np
 # the gufuncs behind np.linalg.eigh and np.linalg.solve (README, Numerical notes)
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, solve1 as _solve1
 
-from .errors import InvalidArgument, InvalidState
+from .errors import InvalidArgument, InvalidState, _finite, _instance
 from .quadrature import Grid, GridFunction, make_grid
 from .reduction import (
     DEFAULT_NODES, UFUNC_BUFSIZE, Branch, CoreParams, _branch, _diverged_branch, _finish,
-    asymptotic_r,
+    _r_series,
 )
 
 ESCAPE_CAP = 1e6
@@ -265,7 +265,7 @@ def _start(params, grid, seed, r0):
     if seed is not None and seed.grid != grid:
         raise InvalidArgument("seed must live on the solver grid")
     w = None if seed is None else seed.values / params.eps
-    r = asymptotic_r(params.kappa, 1.0, 1) if r0 is None else r0 / abs(params.eps) ** 2
+    r = _r_series(params.kappa, 1.0, 1) if r0 is None else _finite(r0, "r0") / abs(params.eps) ** 2
     return grid, w, params.kappa * complex(r)
 
 
@@ -703,6 +703,8 @@ def compare_branches(b1: Branch, b2: Branch) -> float:
     distance at that phase, max(sup |U1 - e^{i theta} U2|, |r1 - r2|).
     Raises InvalidState unless both branches converged and InvalidArgument
     when the grids do not nest."""
+    _instance(b1, Branch, "b1")
+    _instance(b2, Branch, "b2")
     if not (b1.converged and b2.converged):
         raise InvalidState("compare_branches requires converged branches")
     n1, n2 = b1.grid.n_nodes, b2.grid.n_nodes

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolvabilityError
+from .errors import SolvabilityError, _finite
 from .quadrature import Grid, GridFunction, _row_sums, running_integral
 
 # default absolute solvability tolerance, scaled by sup|f|
@@ -121,7 +121,8 @@ def solve_linear_inhomogeneous(f: GridFunction, v_left: complex = 0.0) -> GridFu
     solution with bounded envelope exists and the input is rejected.
     """
     _check_admissible(f)
-    return GridFunction(f.grid, _envelope_pair(f.values, f.grid, complex(v_left))[0])
+    v_left = complex(_finite(v_left, "v_left"))
+    return GridFunction(f.grid, _envelope_pair(f.values, f.grid, v_left)[0])
 
 
 def envelope_residual(v_values: np.ndarray, f_values: np.ndarray, grid: Grid,

@@ -15,26 +15,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ExtensionError, InvalidArgument, InvalidState
+from .errors import ExtensionError, InvalidArgument, InvalidState, _count, _finite
 from .greens import jump_increment
 from .reduction import Branch, asymptotic_r, ode_forcing
 
 
 def _check_n(n: int) -> None:
-    """InvalidArgument unless n is an integer (numpy's too, not a bool),
-    n >= 1 and n^2 is a finite float: the parameter maps scale by n^2."""
-    square = math.inf
-    # a bool is an Integral, and True would pass as n = 1
-    if isinstance(n, Integral) and not isinstance(n, bool):
-        try:
-            square = float(int(n) ** 2)  # int: a numpy square would wrap
-        except OverflowError:  # an int square past the float range
-            pass
-    if not (square < math.inf and n >= 1):
+    """InvalidArgument, with this one message, unless n is a count >= 1
+    (errors._count) and n^2 is a finite float: the parameter maps scale by
+    n^2."""
+    try:
+        square = float(int(_count(n, "n", 1)) ** 2)  # int: a numpy square would wrap
+    except (InvalidArgument, OverflowError):  # Overflow: an int square past the float range
+        square = math.inf
+    if not square < math.inf:
         raise InvalidArgument("n must be >= 1, an integer, with n^2 a finite float")
 
 
@@ -49,6 +46,8 @@ class PhysParams:
     omega: float
 
     def __post_init__(self):
+        _finite(self.mu, "mu", real=True)
+        _finite(self.nu, "nu", real=True)
         _check_n(self.n)
 
 
@@ -56,6 +55,8 @@ def rho_from_physical(mu: float, nu: float, n: int) -> complex:
     """rho = (1 + i mu) / ((1 + i nu) n^2).  InvalidArgument when it is not
     finite or underflows to 0 (nu n^2 past the float range, say): no solve
     has such a rho."""
+    _finite(mu, "mu", real=True)
+    _finite(nu, "nu", real=True)
     _check_n(n)
     rho = complex(1.0, mu) / (complex(1.0, nu) * n * n)
     if not (math.isfinite(rho.real) and math.isfinite(rho.imag)) or rho == 0:
@@ -69,9 +70,10 @@ def physical_from_r(r: complex, mu: float, nu: float, n: int) -> PhysParams:
     InvalidArgument when r has an infinite part, or when a finite r gives
     an R or omega that is not finite (mu r or nu n^2 past the float range);
     the r of a diverged branch (NaN) gives NaN."""
+    _finite(r, "r", nan_ok=True)
+    _finite(mu, "mu", real=True)
+    _finite(nu, "nu", real=True)
     _check_n(n)
-    if math.isinf(r.real) or math.isinf(r.imag):
-        raise InvalidArgument(f"r has an infinite part: {r}")
     z = complex(1.0, mu) * r
     R, omega = z.real + n * n, z.imag + nu * n * n
     if math.isfinite(r.real) and math.isfinite(r.imag) and not (
@@ -85,6 +87,7 @@ def mu_nu_from_rho(rho: complex, n: int) -> tuple[float, float]:
 
     Unique when Im rho is nonzero; a real rho lies in the physical image
     only at rho = 1/n^2 (there mu = nu, normalized to (0, 0))."""
+    _finite(rho, "rho")
     _check_n(n)
     a, b = rho.real * n * n, rho.imag * n * n
     if abs(b) < 1e-14:

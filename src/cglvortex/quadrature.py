@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _count
 
 HALF_PI = np.pi / 2.0
 
@@ -53,9 +52,8 @@ class Grid:
     cos2_mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.n_nodes
-        # a bool is an Integral, and 7.0 == 7; CoreParams refuses both as counts
-        if not isinstance(n, Integral) or isinstance(n, bool) or n < 5 or n % 2 == 0:
+        n = _count(self.n_nodes, "n_nodes", 1)
+        if n < 5 or n % 2 == 0:
             raise InvalidArgument(f"n_nodes must be an odd integer >= 5, got {n!r}")
         object.__setattr__(self, "n_nodes", int(n))
         weights = np.ones(self.n_nodes)
@@ -117,10 +115,6 @@ class GridFunction:
             raise InvalidArgument("values contain NaN or Inf")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=complex))
 
     @property
     def sup_norm(self) -> float:

@@ -42,11 +42,10 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _count, _finite, _positive
 from .quadrature import Grid, GridFunction, _row_sums, make_grid
 from .greens import _check_admissible, _envelope_pair, _remove_cos_mode, envelope_residual
 
@@ -94,7 +93,8 @@ def eps_squared(eps: complex, zero_ok: bool = False) -> float:
     """|eps|^2, the amplitude scale of every solve.  InvalidArgument when it
     overflows, or when |eps| is below EPS_FLOOR (eps = 0 among them) unless
     zero_ok: a solve needs an amplitude whose r compute_r can form, the
-    small-amplitude series do not."""
+    small-amplitude series do not.  eps must be a finite number."""
+    _finite(eps, "eps")
     try:
         a = abs(eps)
         s = a ** 2
@@ -124,19 +124,15 @@ class CoreParams:
     kappa: complex = field(init=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and np.isfinite(self.eps)):
-            raise InvalidArgument("rho and eps must be finite")
+        _finite(self.rho, "rho")  # as it is: a numpy rho keeps kappa's bits
         with np.errstate(over="ignore"):  # a numpy rho overflows quietly, as complex does
             object.__setattr__(self, "kappa", self.rho * eps_squared(self.eps))
         # w corrects the unit mean mode, so a tolerance of 1 or more would
         # accept whatever the first map returns
-        if not 0 < self.tol_fp < 1:
+        if not 0 < _finite(self.tol_fp, "tol_fp", real=True) < 1:
             raise InvalidArgument(f"tol_fp must lie in (0, 1), got {self.tol_fp}")
-        # every solver stops at passes == max_iter, which no other value
-        # reaches; a bool is an Integral, and True would pass as 1
-        if not (isinstance(self.max_iter, Integral) and not isinstance(self.max_iter, bool)
-                and self.max_iter >= 1):
-            raise InvalidArgument(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        # every solver stops at passes == max_iter, which no other value reaches
+        _count(self.max_iter, "max_iter", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,6 +247,7 @@ def cubic_forcing(w: GridFunction, rho: complex) -> GridFunction:
     followed by removal of the residual cosine-mode content (quadrature
     drift), so the result always satisfies the solvability condition.
     """
+    _finite(rho, "rho")
     if abs(project_mean(w)) > MEAN_FREE_TOL * max(1.0, w.sup_norm):
         raise InvalidArgument("correction w must be mean-free")
     return GridFunction(w.grid, _cubic_forcing(w.values, rho, w.grid))
@@ -269,7 +266,7 @@ def _cube_sums(v_values: np.ndarray, grid: Grid, out: np.ndarray | None = None):
 
 def compute_r(v: GridFunction, eps: complex) -> complex:
     """Response coefficient r = (2 / (eps pi)) int |v|^2 v cos^4 y dy."""
-    if eps == 0:
+    if _finite(eps, "eps") == 0:
         raise InvalidArgument("eps must be nonzero")
     return (2.0 / (eps * np.pi)) * complex(_cube_sums(v.values, v.grid))
 
@@ -290,7 +287,8 @@ def _ode_forcing(u_vals: np.ndarray, rho: complex, r: complex,
 
 def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
     """Pointwise forcing f(x) = rho (r - |v|^2 cos^2 x) v(x) cos x."""
-    return GridFunction(v.grid, _ode_forcing(v.values * v.grid.cos, rho, r))
+    return GridFunction(v.grid, _ode_forcing(v.values * v.grid.cos, _finite(rho, "rho"),
+                                             _finite(r, "r")))
 
 
 def _finish(params, v1: np.ndarray, u1: np.ndarray, r, grid: Grid,
@@ -368,10 +366,8 @@ def contraction_radius(sigma: float, rho_abs: float) -> float:
 
     delta(sigma) = min(sigma/(1+sigma), 1/3) / (3 pi |rho| (2+sigma) (1+sigma)^2).
     """
-    # NaN fails both comparisons
-    if not (0 < sigma < math.inf and 0 < rho_abs < math.inf):
-        raise InvalidArgument(f"sigma and rho_abs must be positive and finite, got "
-                              f"{sigma!r} and {rho_abs!r}")
+    _positive(sigma, "sigma")
+    _positive(rho_abs, "rho_abs")
     return (
         min(sigma / (1.0 + sigma), 1.0 / 3.0)
         / (3.0 * np.pi * rho_abs * (2.0 + sigma) * (1.0 + sigma) ** 2)
@@ -655,18 +651,6 @@ def _fixed_point_branches(ended: list[tuple], grid: Grid, room: np.ndarray,
                     **row.history()) for (row, w, inc), fin in zip(ended, finished)]
 
 
-def _check_order(order, orders: tuple[int, ...]) -> None:
-    # a bool is an Integral, and True == 1.0 == 1 would pass the membership test
-    if isinstance(order, bool) or not isinstance(order, Integral) or order not in orders:
-        raise InvalidArgument(f"unsupported order {order!r}: an integer in {orders}")
-
-
-def _check_rho(rho) -> None:
-    # a NaN rho would come back as a NaN series, not as an error
-    if np.isnan(rho):
-        raise InvalidArgument(f"rho must not be NaN, got {rho!r}")
-
-
 def asymptotic_r(rho: complex, eps: complex, order: int) -> complex:
     """Small-amplitude series for r.
 
@@ -675,13 +659,17 @@ def asymptotic_r(rho: complex, eps: complex, order: int) -> complex:
 
     The first-order coefficient is exact on the real rho axis; off it the
     computed branches carry a conjugate-coupled coefficient instead, so
-    order-1 comparisons should be made at real rho.  InvalidArgument for a
-    NaN rho; an infinite one overflows the series, as a huge finite one
-    does.
+    order-1 comparisons should be made at real rho.  rho and eps must be
+    finite; a huge rho overflows the series.
     """
-    _check_order(order, (0, 1))
-    _check_rho(rho)
-    s = eps_squared(eps, zero_ok=True)
+    _count(order, "order", 0, 1)
+    _finite(rho, "rho")
+    return _r_series(rho, eps_squared(eps, zero_ok=True), order)
+
+
+def _r_series(rho, s: float, order: int) -> complex:
+    """asymptotic_r at |eps|^2 = s, unchecked: a Newton solve starts from
+    it at kappa = rho |eps|^2, which may have overflowed, and s = 1."""
     r = 0.75 * s
     if order >= 1:
         r *= 1.0 - rho * s / 32.0
@@ -694,15 +682,14 @@ def asymptotic_U(rho: complex, eps: complex, x, order: int):
     U = eps cos x [ 1 - z q(x) + z^2 p(x) + ... ],  z = rho |eps|^2 / 32,
     with q = 2 cos 2x - 1 and p = 4 cos 2x + 2 cos 4x - 2, the
     polynomial-in-cosine forms of cos 3x / cos x and
-    (3 cos 3x + cos 5x) / cos x.  Finite at the zeros of cos x.
-    InvalidArgument for a NaN rho, as in asymptotic_r, or an x that is not
-    finite.
+    (3 cos 3x + cos 5x) / cos x.  Finite at the zeros of cos x.  rho and
+    eps are checked as in asymptotic_r, and x must hold finite real numbers.
     """
-    _check_order(order, (0, 1, 2))
-    _check_rho(rho)
+    _count(order, "order", 0, 2)
+    _finite(rho, "rho")
+    if np.asarray(x).dtype.kind not in "iuf" or not np.isfinite(x).all():
+        raise InvalidArgument("x must hold finite real numbers")
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise InvalidArgument("x must be finite")
     z = rho * eps_squared(eps, zero_ok=True) / 32.0
     bracket = np.ones_like(x, dtype=complex)
     # far outside the series' range the terms overflow to inf or nan, as

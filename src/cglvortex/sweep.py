@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ExtensionError, InvalidArgument
+from .errors import ExtensionError, InvalidArgument, _count, _finite, _instance, _positive
 from .quadrature import Grid, GridFunction, make_grid
 from .greens import solvability_residual
 from .reduction import (DEFAULT_NODES, Branch, CoreParams, _block_rows, compute_r, cubic_forcing,
@@ -96,6 +95,9 @@ class SweepSpec:
     warm_start: each point starts from the last converged branch, or from
     the secant or quadratic extrapolation of the two or three before it
     (see run_sweep).
+    Every field is checked, whether the mode reads it or not: the bounds
+    finite, radius positive, eps as a solve takes it, n_nodes as make_grid
+    does, and each step count an integer >= 2.
     """
 
     mode: str
@@ -123,33 +125,20 @@ class SweepSpec:
             raise InvalidArgument(f"unknown sweep mode {self.mode!r}")
         if self.method not in METHODS:
             raise InvalidArgument(f"unknown method {self.method!r}")
-        reals = (
-            self.re_min, self.re_max, self.im_min, self.im_max, self.radius,
-            self.arg_min, self.arg_max, self.ray_arg, self.mod_min, self.mod_max,
-        )
-        if not (np.all(np.isfinite(reals)) and np.isfinite(self.eps)):
-            raise InvalidArgument("sweep bounds and eps must be finite")
+        for name in ("re_min", "re_max", "im_min", "im_max", "arg_min", "arg_max", "ray_arg",
+                     "mod_min", "mod_max"):
+            _finite(getattr(self, name), name, real=True)
+        _positive(self.radius, "radius")
         eps_squared(self.eps)
-        steps = (self.re_steps, self.im_steps, self.arg_steps, self.mod_steps)
-        if not all(isinstance(k, Integral) for k in steps):
-            raise InvalidArgument(f"sweep steps must be integers, got {steps}")
-        if self.mode == "rectangle":
-            if self.re_steps < 2 or self.im_steps < 2:
-                raise InvalidArgument("rectangle sweeps need >= 2 steps per axis")
-            if self.re_min > self.re_max or self.im_min > self.im_max:
-                raise InvalidArgument("rectangle bounds must be ordered")
-        elif self.mode == "arg_sweep":
-            if self.arg_steps < 2:
-                raise InvalidArgument("arg sweeps need >= 2 steps")
-            if self.arg_min > self.arg_max:
-                raise InvalidArgument("arg bounds must be ordered")
-            if self.radius <= 0:
-                raise InvalidArgument("radius must be positive")
-        else:
-            if self.mod_steps < 2:
-                raise InvalidArgument("modulus sweeps need >= 2 steps")
-            if self.mod_min > self.mod_max:
-                raise InvalidArgument("modulus bounds must be ordered")
+        make_grid(self.n_nodes)
+        for name in ("re_steps", "im_steps", "arg_steps", "mod_steps"):
+            _count(getattr(self, name), name, 2)
+        if self.mode == "rectangle" and (self.re_min > self.re_max or self.im_min > self.im_max):
+            raise InvalidArgument("rectangle bounds must be ordered")
+        if self.mode == "arg_sweep" and self.arg_min > self.arg_max:
+            raise InvalidArgument("arg bounds must be ordered")
+        if self.mode == "modulus_sweep" and self.mod_min > self.mod_max:
+            raise InvalidArgument("modulus bounds must be ordered")
 
     def points(self) -> list[complex]:
         if self.mode == "rectangle":
@@ -233,6 +222,7 @@ def solve(
     """
     if method not in METHODS:
         raise InvalidArgument(f"unknown method {method!r}")
+    _instance(grid, Grid, "grid")
     if len(trail) > len(PREDICTORS):
         raise InvalidArgument(f"trail holds at most {len(PREDICTORS)} branches")
     for k, branch in enumerate(trail):
@@ -383,11 +373,11 @@ def verify(rho: complex, eps: complex, grid: Grid) -> Verification:
       rho, and its value is inf when extend_solution raises ExtensionError,
       which the result keeps.
 
-    Invalid input raises what the solvers raise (InvalidArgument).
+    Invalid input raises InvalidArgument.
     """
-    h = grid.spacing
+    h = _instance(grid, Grid, "grid").spacing
     try:
-        rho_abs = abs(rho)
+        rho_abs = abs(_finite(rho, "rho"))
     except OverflowError:  # both parts finite, the modulus past the float range
         rho_abs = float("inf")
     zeta = rho_abs * eps_squared(eps)
@@ -458,7 +448,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     fixed_point_solve call and records it before the next.
     Deterministic for a given spec.
     """
-    grid = make_grid(spec.n_nodes)
+    grid = make_grid(_instance(spec, SweepSpec, "spec").n_nodes)
     records: list[SweepRecord] = []
     points = spec.points()
     if spec.method == "fixed_point" and not spec.warm_start:

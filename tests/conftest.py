@@ -14,6 +14,11 @@ CRITERION6_POINTS = [
 ]
 
 
+def sampled(grid, fn):
+    """The GridFunction of fn's samples at the grid's nodes."""
+    return GridFunction(grid, np.asarray(fn(grid.nodes), dtype=complex))
+
+
 def random_trig(grid, rng, kmax=6):
     """Random complex trigonometric polynomial on the grid."""
     x = grid.nodes

@@ -16,6 +16,7 @@ from cglvortex import (
     solve_linear_inhomogeneous,
 )
 from cglvortex.greens import envelope_residual
+from conftest import sampled
 
 
 def green_kernel(x, y):
@@ -82,7 +83,7 @@ class TestGreenKernel:
             return np.cos(3 * y) + 1j * np.sin(2 * y)  # both orthogonal to cos y
 
         g = make_grid(257)
-        U = solve_linear_inhomogeneous(GridFunction.from_callable(g, f_of), 0.0).values * g.cos
+        U = solve_linear_inhomogeneous(sampled(g, f_of), 0.0).values * g.cos
         t, wt = np.polynomial.legendre.leggauss(40)
 
         def piece(x, a, b):
@@ -97,12 +98,12 @@ class TestGreenKernel:
 class TestSolvability:
     def test_cos_gives_half_pi(self):
         g = make_grid(257)
-        f = GridFunction.from_callable(g, np.cos)
+        f = sampled(g, np.cos)
         assert solvability_residual(f) == pytest.approx(np.pi / 2, abs=1e-10)
 
     def test_cos3_orthogonal(self):
         g = make_grid(257)
-        f = GridFunction.from_callable(g, lambda x: np.cos(3 * x))
+        f = sampled(g, lambda x: np.cos(3 * x))
         assert abs(solvability_residual(f)) < 1e-12
 
     def test_zero(self):
@@ -114,19 +115,19 @@ class TestSolvability:
 class TestEnforceSolvability:
     def test_cos_maps_to_zero(self):
         g = make_grid(257)
-        f = GridFunction.from_callable(g, np.cos)
+        f = sampled(g, np.cos)
         out = enforce_solvability(f)
         assert out.sup_norm < 1e-14
 
     def test_admissible_unchanged(self):
         g = make_grid(257)
-        f = GridFunction.from_callable(g, lambda x: np.cos(3 * x))
+        f = sampled(g, lambda x: np.cos(3 * x))
         out = enforce_solvability(f)
         assert np.max(np.abs(out.values - f.values)) < 1e-13
 
     def test_mixed(self):
         g = make_grid(257)
-        f = GridFunction.from_callable(g, lambda x: np.cos(x) + np.cos(3 * x))
+        f = sampled(g, lambda x: np.cos(x) + np.cos(3 * x))
         out = enforce_solvability(f)
         assert np.max(np.abs(out.values - np.cos(3 * g.nodes))) < 1e-12
 
@@ -148,12 +149,12 @@ class TestEnforceSolvability:
 class TestJumpIncrement:
     def test_even_forcing(self):
         g = make_grid(257)
-        f = GridFunction.from_callable(g, lambda x: np.cos(3 * x))
+        f = sampled(g, lambda x: np.cos(3 * x))
         assert abs(jump_increment(f)) < 1e-12
 
     def test_sin(self):
         g = make_grid(257)
-        f = GridFunction.from_callable(g, np.sin)
+        f = sampled(g, np.sin)
         assert jump_increment(f) == pytest.approx(np.pi / 2, abs=1e-10)
 
     def test_zero(self):
@@ -171,14 +172,14 @@ class TestLinearSolve:
     def test_cos3_closed_form(self):
         # oracle: dense Dirichlet solve pinned the envelope to cos^2 x / 2
         g = make_grid(513)
-        f = GridFunction.from_callable(g, lambda x: np.cos(3 * x))
+        f = sampled(g, lambda x: np.cos(3 * x))
         v = solve_linear_inhomogeneous(f, 0.0)
         assert np.max(np.abs(v.values - np.cos(g.nodes) ** 2 / 2)) < 1e-7
 
     def test_against_dense_oracle(self):
         n = 513
         g = make_grid(n)
-        f = GridFunction.from_callable(g, lambda x: np.cos(3 * x))
+        f = sampled(g, lambda x: np.cos(3 * x))
         v = solve_linear_inhomogeneous(f, 0.0)
         x, U_fd = dense_dirichlet_solve(lambda t: np.cos(3 * t), n)
         # remove the cosine-mode ambiguity of the oracle, then compare profiles
@@ -201,7 +202,7 @@ class TestLinearSolve:
 
     def test_rejects_inadmissible(self):
         g = make_grid(257)
-        f = GridFunction.from_callable(g, np.cos)
+        f = sampled(g, np.cos)
         with pytest.raises(SolvabilityError):
             solve_linear_inhomogeneous(f, 0.0)
 

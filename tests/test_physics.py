@@ -91,7 +91,7 @@ class TestParameterMaps:
                              ids=["inf-real", "inf-imaginary", "inf-and-nan", "inf-float"])
     def test_infinite_r_rejected(self, r):
         # no branch has an infinite r: only a diverged one's NaN maps to NaN
-        with pytest.raises(InvalidArgument, match="r has an infinite part"):
+        with pytest.raises(InvalidArgument, match="r must be a finite number"):
             physical_from_r(r, 1.0, 1.0, 1)
 
     def test_physical_leading_order(self):

@@ -1,13 +1,20 @@
-"""Every exported name has a caller inside the package or a stated reason."""
+"""Every exported name has a caller inside the package or a stated reason,
+and refuses what is not a valid scalar argument with InvalidArgument."""
 import ast
 import importlib
+import inspect
+import math
 import os
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import cglvortex
+from cglvortex import CoreParams, GridFunction, InvalidArgument, fixed_point_solve, make_grid
 
 PACKAGE = Path(cglvortex.__file__).parent
 
@@ -142,3 +149,124 @@ def test_verify_peak_memory_within_10_mib_of_import():
         assert proc.returncode == 0, proc.stderr
         peak[name] = int(proc.stdout) / 1024  # ru_maxrss is in KiB
     assert peak["verify"] - peak["import"] <= 10.0, peak
+
+
+# the annotations (as text: every module postpones them) that mark a scalar
+# parameter, each with the numpy scalar type that must pass where it does;
+# asymptotic_U's x, positions as a scalar or an array, has none
+SCALAR_TYPES = {"complex": np.complex128, "complex | None": np.complex128,
+                "float": np.float64, "int": np.int64}
+UNANNOTATED = {("asymptotic_U", "x"): "float"}
+# what no scalar parameter accepts, and what no count accepts besides
+REFUSED = (math.nan, math.inf, -math.inf, True, "1")
+REFUSED_COUNT = (7.0,)
+# exported callables whose scalar parameters are not checked, each with its reason
+EXEMPT = {
+    "Branch": "an output record: every solver builds it, a diverged one with r = NaN",
+    "SweepRecord": "an output record: NaN cells mark what a diverged branch does not have",
+    "VortexSolution": "an output record of extend_solution",
+}
+# parameters not checked, or values they accept, each with its reason
+EXEMPT_PARAMS = {
+    ("PhysParams", "R"): (REFUSED, "an output of physical_from_r, NaN at a diverged branch's r"),
+    ("PhysParams", "omega"): (REFUSED, "an output of physical_from_r, as R"),
+    ("physical_from_r", "r"): ((math.nan,), "a diverged branch's r is NaN and maps to NaN, "
+                                            "which cglvortex physical prints as null"),
+}
+
+
+def _scalars(name):
+    """(parameter, annotation) of each scalar parameter of an export."""
+    try:
+        params = inspect.signature(getattr(cglvortex, name)).parameters
+    except ValueError:  # the exception types take a message
+        return []
+    return [(p, UNANNOTATED.get((name, p), a.annotation)) for p, a in params.items()
+            if UNANNOTATED.get((name, p), a.annotation) in SCALAR_TYPES]
+
+
+WALKED = [(name, param, kind) for name in cglvortex.__all__ if name not in EXEMPT
+          for param, kind in _scalars(name)]
+
+
+@pytest.fixture(scope="module")
+def valid_calls():
+    """Keyword arguments of one valid call of each walked export; a scalar
+    left out takes its default."""
+    grid = make_grid(9)
+    ones, zeros = GridFunction(grid, np.ones(9)), GridFunction(grid, np.zeros(9))
+    params = CoreParams(rho=0.5, eps=1.0)
+    phys = dict(mu=0.5, nu=0.25, n=1)
+    return {
+        "CoreParams": dict(rho=0.5 + 0.25j, eps=1.0),
+        "Grid": dict(n_nodes=9),
+        "make_grid": dict(n_nodes=9),
+        "PhysParams": dict(R=1.5, omega=0.5, **phys),
+        "SweepSpec": dict(mode="rectangle"),
+        "asymptotic_U": dict(rho=0.5, eps=0.1, x=0.3, order=1),
+        "asymptotic_physical": dict(eps=0.1, **phys),
+        "asymptotic_r": dict(rho=0.5, eps=0.1, order=1),
+        "compute_r": dict(v=ones, eps=1.0),
+        "contraction_radius": dict(sigma=1.0, rho_abs=1.0),
+        "count_zeros": dict(envelope=np.ones(4), n=1),
+        "cubic_forcing": dict(w=zeros, rho=0.5),
+        "extend_solution": dict(branch=fixed_point_solve(params, grid), n=1),
+        "fd_solve": dict(params=params, grid=grid, r0=0.75),
+        "mu_nu_from_rho": dict(rho=0.5 + 0.25j, n=1),
+        "ode_forcing": dict(v=ones, rho=0.5, r=0.75),
+        "physical_from_r": dict(r=0.75, **phys),
+        "rho_from_physical": phys,
+        "shoot_solve": dict(params=params, grid=grid, r0=0.75),
+        "solve": dict(method="fixed_point", rho=0.5, eps=1.0, grid=grid),
+        "solve_linear_inhomogeneous": dict(f=zeros),
+        "verify": dict(rho=0.5 + 0.25j, eps=1.0, grid=grid),
+    }
+
+
+def test_walker_covers_every_export(valid_calls):
+    walked = {name for name, _, _ in WALKED}
+    assert walked == set(valid_calls)
+    assert set(EXEMPT) <= set(cglvortex.__all__)
+    assert {(name, param) for name, param, _ in WALKED} >= set(EXEMPT_PARAMS)
+
+
+@pytest.mark.parametrize("name,param,kind", WALKED, ids=[f"{n}.{p}" for n, p, _ in WALKED])
+def test_scalar_argument_refused(valid_calls, name, param, kind):
+    # InvalidArgument, never another exception type or a result (a NaN one
+    # among them), for each value no scalar takes
+    accepted, _ = EXEMPT_PARAMS.get((name, param), ((), ""))
+    wrong = []
+    for value in REFUSED + (REFUSED_COUNT if kind == "int" else ()):
+        if value in accepted:  # math.nan is itself, so `in` finds it
+            continue
+        try:
+            result = getattr(cglvortex, name)(**dict(valid_calls[name], **{param: value}))
+        except InvalidArgument:
+            continue
+        except Exception as exc:  # any other type is the fault this test reports
+            wrong.append((value, type(exc).__name__))
+        else:
+            wrong.append((value, f"returned {result!r}"[:80]))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("name,param,kind", WALKED, ids=[f"{n}.{p}" for n, p, _ in WALKED])
+def test_numpy_scalar_accepted(valid_calls, name, param, kind):
+    call = dict(valid_calls[name])
+    default = inspect.signature(getattr(cglvortex, name)).parameters[param].default
+    call[param] = SCALAR_TYPES[kind](call.get(param, default))
+    getattr(cglvortex, name)(**call)
+
+
+def test_numpy_rho_keeps_kappa_bits():
+    # the checkers return rho and eps as they are: a cast to complex could
+    # move kappa's bits where numpy's complex multiply uses FMA
+    for rho, eps, words in (
+        (np.complex128(2.0 + 0.5j) / 3, np.complex128(0.7 - 0.2j),
+         [4600036707391256221, 4591029508136515229]),
+        (np.complex128(-1.5 + 1.25j) / 7, 0.3 + 0.9j, [13819488467998968568, 4594958362668583203]),
+        (np.complex128(complex(-0.0, 1e-300)), 1e150, [9223372036854775808, 4607182418800017407]),
+    ):
+        kappa = CoreParams(rho=rho, eps=eps).kappa
+        assert type(kappa) is np.complex128
+        assert np.array([kappa]).view(np.uint64).tolist() == words

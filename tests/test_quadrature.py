@@ -4,6 +4,7 @@ import pytest
 
 from cglvortex import Grid, GridFunction, InvalidArgument, integrate, make_grid
 from cglvortex.quadrature import _row_sums, running_integral
+from conftest import sampled
 
 
 class TestMakeGrid:
@@ -88,12 +89,12 @@ class TestGridFunction:
 
     def test_sup_norm(self):
         g = make_grid(9)
-        f = GridFunction.from_callable(g, lambda x: 2j * np.cos(x))
+        f = sampled(g, lambda x: 2j * np.cos(x))
         assert f.sup_norm == pytest.approx(2.0)
 
     def test_values_read_only(self):
         g = make_grid(9)
-        f = GridFunction.from_callable(g, np.cos)
+        f = sampled(g, np.cos)
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
@@ -101,13 +102,13 @@ class TestGridFunction:
 class TestIntegrate:
     def test_cos_squared(self):
         g = make_grid(257)
-        f = GridFunction.from_callable(g, lambda x: np.cos(x) ** 2)
+        f = sampled(g, lambda x: np.cos(x) ** 2)
         assert integrate(f) == pytest.approx(np.pi / 2, abs=1e-10)
 
     def test_cos_fourth(self):
         # the bulk coefficient of the cubic forcing: int cos^4 = 3 pi / 8
         g = make_grid(257)
-        f = GridFunction.from_callable(g, lambda x: np.cos(x) ** 4)
+        f = sampled(g, lambda x: np.cos(x) ** 4)
         assert integrate(f) == pytest.approx(3 * np.pi / 8, abs=1e-10)
 
     def test_zero(self):
@@ -120,7 +121,7 @@ class TestIntegrate:
         # is spectrally accurate here: the error sits at roundoff already
         for n in (129, 257):
             g = make_grid(n)
-            f = GridFunction.from_callable(g, lambda x: np.cos(x) ** 4)
+            f = sampled(g, lambda x: np.cos(x) ** 4)
             assert abs(integrate(f) - 3 * np.pi / 8) < 1e-14
 
     def test_fourth_order_on_generic_smooth(self):
@@ -129,7 +130,7 @@ class TestIntegrate:
         errs = []
         for n in (129, 257):
             g = make_grid(n)
-            f = GridFunction.from_callable(g, np.exp)
+            f = sampled(g, np.exp)
             errs.append(abs(integrate(f) - exact))
         assert errs[0] / errs[1] >= 12.0
 

@@ -20,7 +20,7 @@ from cglvortex import (
 from cglvortex import reduction
 from cglvortex.reduction import ANDERSON_DIVERGENCE, ANDERSON_PATIENCE, ANDERSON_PROGRESS
 from cglvortex.sweep import solve
-from conftest import random_admissible, random_mean_free_ball
+from conftest import random_admissible, random_mean_free_ball, sampled
 
 L_BOUND = 3 * np.pi
 
@@ -31,11 +31,11 @@ class TestProjectMean:
         assert project_mean(u) == pytest.approx(1.0, abs=1e-14)
 
     def test_cos_2x(self, grid257):
-        u = GridFunction.from_callable(grid257, lambda x: np.cos(2 * x))
+        u = sampled(grid257, lambda x: np.cos(2 * x))
         assert project_mean(u) == pytest.approx(0.5, abs=1e-12)
 
     def test_mean_free_combination(self, grid257):
-        u = GridFunction.from_callable(grid257, lambda x: 2 * np.cos(2 * x) - 1)
+        u = sampled(grid257, lambda x: 2 * np.cos(2 * x) - 1)
         assert abs(project_mean(u)) < 1e-13
 
 
@@ -47,14 +47,14 @@ class TestApplyGreenOp:
 
     def test_cos3_closed_form(self, grid513):
         # pinned by the dense-solve oracle: response is (2 cos 2x - 1)/8
-        f = GridFunction.from_callable(grid513, lambda x: np.cos(3 * x))
+        f = sampled(grid513, lambda x: np.cos(3 * x))
         out = apply_green_op(f)
         expect = (2 * np.cos(2 * grid513.nodes) - 1) / 8
         assert np.max(np.abs(out.values - expect)) < 1e-7
 
     def test_expansion_consistency(self, grid513):
         # 32 * G(-(1/4) cos 3y) + (2 cos 2x - 1) vanishes
-        f = GridFunction.from_callable(grid513, lambda x: -0.25 * np.cos(3 * x))
+        f = sampled(grid513, lambda x: -0.25 * np.cos(3 * x))
         out = apply_green_op(f)
         check = 32 * out.values + (2 * np.cos(2 * grid513.nodes) - 1)
         assert np.max(np.abs(check)) < 1e-6

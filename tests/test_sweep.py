@@ -28,7 +28,7 @@ from cglvortex import (
 )
 from cglvortex import direct, reduction, sweep
 from cglvortex.sweep import CSV_COLUMNS
-from conftest import branch_bits, solve_block
+from conftest import branch_bits, sampled, solve_block
 
 
 def one_period_nodes(m):
@@ -157,7 +157,7 @@ class TestCountZeros:
 
 class TestSymmetryDefect:
     def test_even_profile(self, grid257):
-        u = GridFunction.from_callable(grid257, np.cos)
+        u = sampled(grid257, np.cos)
         assert symmetry_defect(u) <= 1e-15
 
     def test_pinned_odd_perturbation(self, grid257):
@@ -182,9 +182,22 @@ class TestSweepSpec:
         # points() hands each count to linspace, which refuses a float
         for bad in (dict(re_steps=2.5), dict(im_steps=3.0), dict(arg_steps=4.5),
                     dict(mod_steps=float("inf"))):
-            with pytest.raises(InvalidArgument, match="sweep steps must be integers"):
+            with pytest.raises(InvalidArgument, match="_steps must be an integer >= 2"):
                 SweepSpec(mode="rectangle", **bad)
         assert SweepSpec(mode="rectangle", re_steps=np.int64(3)).points()[2] == 3.5
+
+    @pytest.mark.parametrize("bad", [dict(n_nodes=4), dict(n_nodes=7.0), dict(n_nodes=True),
+                                     dict(re_steps=True), dict(mod_steps=True)],
+                             ids=["nodes-4", "nodes-7.0", "nodes-True", "re_steps-True",
+                                  "mod_steps-True"])
+    def test_checked_when_built(self, bad):
+        # the node count goes through make_grid, whose Grid owns the node
+        # rule, so run_sweep is never the first to refuse it; every step
+        # count is checked, whether the mode reads it or not
+        with pytest.raises(InvalidArgument):
+            SweepSpec(mode="rectangle", **bad)
+        with pytest.raises(InvalidArgument, match="n_nodes must be an odd integer >= 5, got 4"):
+            SweepSpec(mode="modulus_sweep", n_nodes=4)
 
     def test_unordered_bounds_rejected(self):
         with pytest.raises(InvalidArgument):

@@ -47,7 +47,12 @@ import math
 from functools import lru_cache
 
 import numpy as np
-# the gufuncs behind np.linalg.eigh and np.linalg.solve (README, Numerical notes)
+# the gufuncs behind np.linalg.eigh and np.linalg.solve, private numpy API:
+# the wrappers add only input checks, casts that are no-ops on float64 and
+# an error mode that turns a singular system into LinAlgError, where the
+# gufunc fills its solution with nan, which spsolve reports as nan.
+# tests/test_direct.py holds both bit-identical to the wrappers and checks
+# that the installed numpy exports them
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, solve1 as _solve1
 
 from .errors import InvalidArgument, InvalidState, _finite, _instance
@@ -64,7 +69,8 @@ RK4_STEPS = 2048
 # multiple-shooting segments, lowered to a divisor of the grid intervals
 SHOOT_SEGMENTS = 256
 # shooting gives up, not converged, when its norm has not halved over the
-# last SHOOT_STALL passes; converging solves never went more than 2
+# last SHOOT_STALL passes; converging solves never went more than 2.  FD has
+# no such rule: its converging solves pass through long runs without halving
 SHOOT_STALL = 10
 
 
@@ -261,8 +267,9 @@ def _start(params, grid, seed, r0):
     """The start of both Newton solvers: (the grid, default DEFAULT_NODES
     nodes; W = seed / eps on it, None without a seed; lam = rho * r0 of
     the eps = 1 problem, r0 by default from the small-amplitude series)."""
-    grid = make_grid(DEFAULT_NODES) if grid is None else grid
-    if seed is not None and seed.grid != grid:
+    _instance(params, CoreParams, "params")
+    grid = make_grid(DEFAULT_NODES) if grid is None else _instance(grid, Grid, "grid")
+    if seed is not None and _instance(seed, GridFunction, "seed").grid != grid:
         raise InvalidArgument("seed must live on the solver grid")
     w = None if seed is None else seed.values / params.eps
     r = _r_series(params.kappa, 1.0, 1) if r0 is None else _finite(r0, "r0") / abs(params.eps) ** 2
@@ -511,8 +518,8 @@ def shoot_solve(
     adds the tangents and fails when one overflows.  At most
     ``params.max_iter`` steps.  r is the envelope's integral.
     """
-    kappa = params.kappa
     grid, w, lam = _start(params, grid, seed, r0)
+    kappa = params.kappa
     stride, h, wseg = _segments(grid)
     m, k_seg = wseg.shape[0] - 1, wseg.shape[1]
     starts = np.arange(k_seg) * m
@@ -639,12 +646,12 @@ def fd_solve(
     than it reports passes.  At most ``params.max_iter`` passes.  The
     grid needs at least 7 nodes.
     """
+    grid, u, lam = _start(params, grid, seed, r0)
     kappa = params.kappa
-    if grid is not None and grid.n_nodes < 7:
+    if grid.n_nodes < 7:
         # the envelope's cubic end rule reads four interior nodes; the
         # default grid has 257
         raise InvalidArgument(f"finite differences need >= 7 nodes, got {grid.n_nodes}")
-    grid, u, lam = _start(params, grid, seed, r0)
     if u is None:
         u = grid.cos.astype(complex)
 

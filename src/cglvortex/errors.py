@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, and the checkers of public
 arguments."""
 import cmath
+from collections.abc import Sequence
 from numbers import Complex, Integral, Real
 
 
@@ -71,3 +72,10 @@ def _instance(value, cls: type, name: str):
     if not isinstance(value, cls):
         raise InvalidArgument(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def _instances(values, cls: type, name: str):
+    """A sequence (a list or a tuple, say) of instances of cls."""
+    for k, value in enumerate(_instance(values, Sequence, name)):
+        _instance(value, cls, f"{name}[{k}]")
+    return values

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolvabilityError, _finite
+from .errors import SolvabilityError, _finite, _instance
 from .quadrature import Grid, GridFunction, _row_sums, running_integral
 
 # default absolute solvability tolerance, scaled by sup|f|
@@ -36,7 +36,7 @@ REPROJECT_FRACTION = 0.5
 
 def solvability_residual(f: GridFunction) -> complex:
     """int_J f(y) cos y dy.  Zero (within tolerance) marks f as admissible."""
-    return f.grid.integrate(f.values * f.grid.cos)
+    return _instance(f, GridFunction, "f").grid.integrate(f.values * f.grid.cos)
 
 
 def jump_increment(f: GridFunction) -> complex:
@@ -44,7 +44,7 @@ def jump_increment(f: GridFunction) -> complex:
 
     Equals v(pi/2) - v(-pi/2) for the solution of the linearized problem,
     and vanishes for even forcing."""
-    return f.grid.integrate(f.values * f.grid.sin)
+    return _instance(f, GridFunction, "f").grid.integrate(f.values * f.grid.sin)
 
 
 def _remove_cos_mode(values: np.ndarray, grid: Grid,
@@ -66,7 +66,7 @@ def enforce_solvability(f: GridFunction) -> GridFunction:
     the leftover's residual is roundoff of f, not of the leftover, so the
     projection is applied once more; the result then passes the
     admissibility check relative to its own size.  Idempotent."""
-    values = _remove_cos_mode(f.values, f.grid)
+    values = _remove_cos_mode(_instance(f, GridFunction, "f").values, f.grid)
     if np.max(np.abs(values)) < REPROJECT_FRACTION * f.sup_norm:
         values = _remove_cos_mode(values, f.grid)
     return GridFunction(f.grid, values)
@@ -138,7 +138,7 @@ def envelope_residual(v_values: np.ndarray, f_values: np.ndarray, grid: Grid,
     three (B, n) rows of ``work``, which every step writes into; without
     them each step writes a fresh array.
     """
-    h = grid.spacing
+    h = _instance(grid, Grid, "grid").spacing
     v, f = v_values, f_values
     d1, d2, mag = (None, None, None) if work is None else (
         work[0][..., 1:-1], work[1][..., 1:-1], work[2].view(float)[..., :v.shape[-1] - 2])

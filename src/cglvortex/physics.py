@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtensionError, InvalidArgument, InvalidState, _count, _finite
+from .errors import ExtensionError, InvalidArgument, InvalidState, _count, _finite, _instance
 from .greens import jump_increment
 from .reduction import Branch, asymptotic_r, ode_forcing
 
@@ -146,7 +146,7 @@ def extend_solution(branch: Branch, n: int) -> VortexSolution:
     branches leave only quadrature and solver error, which falls about
     as h^5.
     """
-    if not branch.converged:
+    if not _instance(branch, Branch, "branch").converged:
         raise InvalidState("cannot extend a non-converged branch")
     _check_n(n)
     grid = branch.grid
@@ -178,7 +178,7 @@ def cgl_residual(sol: VortexSolution, p: PhysParams) -> float:
     the cosine factor and its derivatives are exact, so the residual
     carries only the envelope discretization error, O(h^2).
     """
-    if p.n != sol.n:
+    if _instance(p, PhysParams, "p").n != _instance(sol, VortexSolution, "sol").n:
         raise InvalidArgument("solution and parameters disagree in n")
     x = sol.nodes
     hx = x[1] - x[0]

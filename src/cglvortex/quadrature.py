@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgument, _count
+from .errors import InvalidArgument, _count, _instance
 
 HALF_PI = np.pi / 2.0
 
@@ -89,11 +89,15 @@ class Grid:
         return hash(("Grid", self.n_nodes))
 
 
-@lru_cache(maxsize=32, typed=True)
 def make_grid(n_nodes: int) -> Grid:
-    """The uniform grid on J (one shared instance per node count and its
-    type: the cache must not answer 7.0 with the grid of 7, which Grid
-    refuses)."""
+    """The uniform grid on J, one shared instance per node count.  The count
+    is checked before the cache sees it, which could not hash a list."""
+    return _shared_grid(_count(n_nodes, "n_nodes", 1))
+
+
+@lru_cache(maxsize=32, typed=True)
+def _shared_grid(n_nodes: int) -> Grid:
+    # typed: 257 and np.int64(257) are cached apart
     return Grid(n_nodes)
 
 
@@ -106,7 +110,7 @@ class GridFunction:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.grid.n_nodes,):
+        if values.shape != (_instance(self.grid, Grid, "grid").n_nodes,):
             raise InvalidArgument(
                 f"values shape {values.shape} does not match grid "
                 f"({self.grid.n_nodes} nodes)"
@@ -123,7 +127,7 @@ class GridFunction:
 
 def integrate(f: GridFunction) -> complex:
     """Integral of f over J by composite Simpson (error O(h^4) for C^4 f)."""
-    return f.grid.integrate(f.values)
+    return _instance(f, GridFunction, "f").grid.integrate(f.values)
 
 
 def _row_sums(rows: np.ndarray, grid: Grid):

@@ -42,10 +42,11 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from types import GeneratorType
 
 import numpy as np
 
-from .errors import InvalidArgument, _count, _finite, _positive
+from .errors import InvalidArgument, _count, _finite, _instance, _positive
 from .quadrature import Grid, GridFunction, _row_sums, make_grid
 from .greens import _check_admissible, _envelope_pair, _remove_cos_mode, envelope_residual
 
@@ -183,7 +184,7 @@ def project_mean(u: GridFunction) -> complex:
     normalization by the quadrature value of int cos^2 (= pi/2) makes the
     projector exactly idempotent on the grid, so project_mean(1) == 1 to
     roundoff."""
-    return complex(_project_mean(u.values, u.grid))
+    return complex(_project_mean(_instance(u, GridFunction, "u").values, u.grid))
 
 
 def _green_pair(f_values: np.ndarray, grid: Grid, out: np.ndarray | None = None,
@@ -248,7 +249,7 @@ def cubic_forcing(w: GridFunction, rho: complex) -> GridFunction:
     drift), so the result always satisfies the solvability condition.
     """
     _finite(rho, "rho")
-    if abs(project_mean(w)) > MEAN_FREE_TOL * max(1.0, w.sup_norm):
+    if abs(project_mean(_instance(w, GridFunction, "w"))) > MEAN_FREE_TOL * max(1.0, w.sup_norm):
         raise InvalidArgument("correction w must be mean-free")
     return GridFunction(w.grid, _cubic_forcing(w.values, rho, w.grid))
 
@@ -266,6 +267,7 @@ def _cube_sums(v_values: np.ndarray, grid: Grid, out: np.ndarray | None = None):
 
 def compute_r(v: GridFunction, eps: complex) -> complex:
     """Response coefficient r = (2 / (eps pi)) int |v|^2 v cos^4 y dy."""
+    _instance(v, GridFunction, "v")
     if _finite(eps, "eps") == 0:
         raise InvalidArgument("eps must be nonzero")
     return (2.0 / (eps * np.pi)) * complex(_cube_sums(v.values, v.grid))
@@ -287,6 +289,7 @@ def _ode_forcing(u_vals: np.ndarray, rho: complex, r: complex,
 
 def ode_forcing(v: GridFunction, rho: complex, r: complex) -> GridFunction:
     """Pointwise forcing f(x) = rho (r - |v|^2 cos^2 x) v(x) cos x."""
+    _instance(v, GridFunction, "v")
     return GridFunction(v.grid, _ode_forcing(v.values * v.grid.cos, _finite(rho, "rho"),
                                              _finite(r, "r")))
 
@@ -470,19 +473,21 @@ def fixed_point_solve(
     block around it, so leaving that block gives the caller back its own
     size, also when a map raises.
     """
+    _instance(params, CoreParams, "params")
     if block is None:
-        if grid is None:
-            grid = make_grid(DEFAULT_NODES)
-        if w0 is not None and w0.grid != grid:
+        grid = make_grid(DEFAULT_NODES) if grid is None else _instance(grid, Grid, "grid")
+        if w0 is not None and _instance(w0, GridFunction, "w0").grid != grid:
             raise InvalidArgument("w0 must live on the solver grid")
         w = None if w0 is None else w0.values.astype(complex)[None]
         block = _block_rows([params], grid, w)
+    else:
+        _instance(block, GeneratorType, "block")
     # overflow on the way to divergence is expected: sup|T(w)| is nan or
     # inf exactly when T(w) is, and the Branch reports it as diverged
     with np.errstate(over="ignore", invalid="ignore"):
         np.setbufsize(UFUNC_BUFSIZE)
         branch = next(block, None)
-    if branch is None or branch.params is not params:
+    if not isinstance(branch, Branch) or branch.params is not params:
         raise InvalidArgument("the block's next branch is not the one asked for")
     return branch
 

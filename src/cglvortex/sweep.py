@@ -16,7 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ExtensionError, InvalidArgument, _count, _finite, _instance, _positive
+from .errors import (ExtensionError, InvalidArgument, _count, _finite, _instance, _instances,
+                     _positive)
 from .quadrature import Grid, GridFunction, make_grid
 from .greens import solvability_residual
 from .reduction import (DEFAULT_NODES, Branch, CoreParams, _block_rows, compute_r, cubic_forcing,
@@ -39,9 +40,9 @@ SOLVE_MAX_ITER = 800
 LINE_TOL = 1e-8
 # the coefficients of the warm starts solve extrapolates from the last
 # 1, 2 or 3 converged branches, newest first: the copy, the secant and the
-# quadratic of natural-parameter continuation (on the 32-point FD pi/12 ray
-# to |rho| = 200 the quadratic saves 19 of the secant's 131 passes, and a
-# cubic would save 2 more)
+# quadratic of natural-parameter continuation (on the benchmark's FD pi/12
+# ray the quadratic takes fewer passes than the secant, and a cubic hardly
+# fewer than the quadratic)
 PREDICTORS = ((1,), (2, -1), (3, -3, 1))
 # a cold fixed-point sweep's rolling block (reduction._block_rows) iterates
 # at most this many rows at once and hands their Branches over in grid order.
@@ -192,7 +193,7 @@ def _extra_zeros(v: np.ndarray) -> int:
 
 def symmetry_defect(u: GridFunction) -> float:
     """sup |U(x) - U(-x)| over the (symmetric) grid."""
-    vals = u.values
+    vals = _instance(u, GridFunction, "u").values
     return float(np.max(np.abs(vals - vals[::-1])))
 
 
@@ -223,7 +224,7 @@ def solve(
     if method not in METHODS:
         raise InvalidArgument(f"unknown method {method!r}")
     _instance(grid, Grid, "grid")
-    if len(trail) > len(PREDICTORS):
+    if len(_instances(trail, Branch, "trail")) > len(PREDICTORS):
         raise InvalidArgument(f"trail holds at most {len(PREDICTORS)} branches")
     for k, branch in enumerate(trail):
         if not branch.converged:
@@ -285,7 +286,7 @@ def record_from_branch(branch: Branch) -> SweepRecord:
     envelope minimum and collocation residual are recorded as NaN."""
     nan = float("nan")
     defect, min_v, ode_res = nan, nan, nan
-    if not branch.diverged:
+    if not _instance(branch, Branch, "branch").diverged:
         defect = symmetry_defect(branch.U)
         min_v = float(np.min(np.abs(branch.v.values)))
         ode_res = branch.ode_residual
@@ -473,7 +474,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
 def mirror_conjugate(records: Sequence[SweepRecord]) -> list[SweepRecord]:
     """Records for the conjugate parameters: rho -> conj rho maps branches
     to branches with r -> conj r and identical real diagnostics."""
-    out = list(records)
+    out = list(_instances(records, SweepRecord, "records"))
     for rec in records:
         out.append(replace(rec, rho_im=-rec.rho_im, r_im=-rec.r_im))
     return out
@@ -506,7 +507,7 @@ def _csv_cell(value) -> str:
 def emit_results(records: Sequence[SweepRecord], format_: str, path) -> None:
     """Write records to path as CSV or JSON (LF endings, 17 significant
     digits, byte-stable for identical inputs)."""
-    if not records:
+    if not _instances(records, SweepRecord, "records"):
         raise InvalidArgument("no records to emit")
     if format_ not in ("csv", "json"):
         raise InvalidArgument(f"unknown format {format_!r}")

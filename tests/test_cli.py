@@ -1,10 +1,13 @@
 """Command-line interface: schemas, exit codes, file emission."""
+import argparse
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,6 +575,21 @@ class TestParser:
         )
         assert code == 0
         assert out.splitlines()[-1] == "verify: PASS"
+
+    def test_readme_command_line_names_every_flag(self):
+        # the README's "Command line" block lists each subcommand with
+        # exactly the --flags that its parser defines
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## Command line\n", 1)[1].split("```")[1]
+        parts = re.split(r"^cglvortex (\w+)", block, flags=re.MULTILINE)[1:]
+        written = {command: set(re.findall(r"--[a-z][a-z-]*", text))
+                   for command, text in zip(parts[::2], parts[1::2])}
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        defined = {command: {flag for action in parser._actions
+                             for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+                   for command, parser in commands.items()}
+        assert written == defined
 
 
 class TestEntryPoint:

@@ -31,6 +31,7 @@ from cglvortex.direct import (
     _shoot_newton_system, _slopes, spsolve,
 )
 from conftest import CRITERION6_POINTS, branch_bits
+from work_counts import RAY_FD_FACTORIZATIONS, VERIFY_WORK
 
 # Newton controls of the direct-solver tests
 SHOOT = dict(tol_fp=1e-11, max_iter=60)
@@ -882,25 +883,24 @@ def _random_systems():
 
 
 def _ray_systems():
-    """The 82 FD Newton systems of the warm pi/12 ray to |rho| = 200.
+    """The FD Newton systems of the warm pi/12 ray to |rho| = 200.
 
     The third point starts from the secant predictor of the two before it
     and every later point from the quadratic predictor of the three before
-    it, which takes 111 passes (112 before FD's simplified last step).  On
-    29 of the 32 points the last pass is the simplified correction, solved
-    through the factors of the pass before it, so 111 passes need only 82
-    factorizations."""
+    it.  On most points the last pass is the simplified correction, solved
+    through the factors of the pass before it, so the ray makes fewer
+    factorizations than it takes passes."""
     spec = SweepSpec(mode="modulus_sweep", method="finite_difference", ray_arg=np.pi / 12,
                      mod_min=1.0, mod_max=200.0, mod_steps=32, warm_start=True)
     systems = _recorded_systems(lambda: run_sweep(spec))
-    assert len(systems) == 82
+    assert len(systems) == RAY_FD_FACTORIZATIONS
     return systems
 
 
 def _verify_systems():
-    """The 35 Newton systems of verify's warm starts at the 10 criterion-6
-    points: 10 of shooting and 25 of FD, whose 30 passes end on the
-    simplified correction, through factors already made, at 5 points."""
+    """The Newton systems of verify's warm starts at the 10 criterion-6
+    points, of shooting and of FD, whose passes end on the simplified
+    correction, through factors already made, at some points."""
     grid = make_grid(257)
 
     def run():
@@ -910,7 +910,8 @@ def _verify_systems():
             solve("finite_difference", rho, 1.0, grid, trail=(fp,))
 
     systems = _recorded_systems(run)
-    assert sorted({s[1] for s in systems}) == [2, 5] and len(systems) == 35
+    assert sorted({s[1] for s in systems}) == [2, 5]
+    assert len(systems) == VERIFY_WORK["warm"]["factorizations"]
     return systems
 
 
@@ -1143,10 +1144,8 @@ class TestWarmFromFixedPoint:
             assert warm.iterations <= cold.iterations, method
             assert compare_branches(cold, warm) <= 1e-11, method
 
-    @pytest.mark.parametrize("start,counts", [("warm", (10, 30, 35, 10, 10, 25)),
-                                              ("cold", (34, 44, 71, 34, 34, 37))],
-                             ids=["warm", "cold"])
-    def test_work_count(self, grid257, monkeypatch, start, counts):
+    @pytest.mark.parametrize("start", ["warm", "cold"])
+    def test_work_count(self, grid257, monkeypatch, start):
         # the work at the 10 points, which does not depend on the machine:
         # shooting Newton steps, FD passes, linear solves, RK4 runs with and
         # without tangents, and FD system builds.  Warm is sweep.verify,
@@ -1155,8 +1154,7 @@ class TestWarmFromFixedPoint:
         # gets its tangent lanes; the Newton driver that both solvers share
         # builds a system only for an iterate that takes a step.  FD ends
         # on the simplified correction through the last pass's factors,
-        # a pass with no system of its own, at 5 warm and 7 cold points:
-        # 40 and 78 solves before it
+        # a pass with no system of its own, at 5 warm and 7 cold points
         calls = Counter()
 
         def count(name):
@@ -1185,6 +1183,8 @@ class TestWarmFromFixedPoint:
             else:
                 for method in ("shooting", "finite_difference"):
                     solving(method, rho, 1.0, grid257)
-        assert (iterations["shooting"], iterations["finite_difference"],
-                calls["spsolve", None], calls["_rk4_lanes", True], calls["_rk4_lanes", False],
-                calls["_fd_newton_system", None]) == counts
+        assert dict(shoot_steps=iterations["shooting"],
+                    fd_passes=iterations["finite_difference"],
+                    factorizations=calls["spsolve", None],
+                    rk4_tangent=calls["_rk4_lanes", True], rk4_plain=calls["_rk4_lanes", False],
+                    fd_systems=calls["_fd_newton_system", None]) == VERIFY_WORK[start]

@@ -1,10 +1,12 @@
 """Every exported name has a caller inside the package or a stated reason,
-and refuses what is not a valid scalar argument with InvalidArgument."""
+and refuses what is not a valid scalar or object argument with
+InvalidArgument."""
 import ast
 import importlib
 import inspect
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -78,7 +80,9 @@ def test_every_export_has_a_caller_or_a_reason():
 
 
 def test_reasons_name_exports():
+    # every stated reason holds: the name is exported and has no caller
     assert set(REASONS) <= set(cglvortex.__all__)
+    assert set(REASONS) & _references() == set()
 
 
 def test_exports_are_pinned():
@@ -188,66 +192,118 @@ def _scalars(name):
 WALKED = [(name, param, kind) for name in cglvortex.__all__ if name not in EXEMPT
           for param, kind in _scalars(name)]
 
+# the exported classes; a parameter annotated with one of them, optionally
+# "| None", or with a Sequence or Iterator of one, is an object parameter
+CLASSES = {name for name in cglvortex.__all__ if isinstance(getattr(cglvortex, name), type)}
+OBJECT_ANNOTATION = re.compile(r"(?:(?:Sequence|Iterator)\[(\w+)\]|(\w+))( \| None)?")
+
+
+def _objects(name):
+    """(parameter, values it must refuse) of each object parameter of an
+    export: 1, None unless None is its default, and [1] where it takes many."""
+    try:
+        params = inspect.signature(getattr(cglvortex, name)).parameters
+    except ValueError:  # the exception types take a message
+        return []
+    found = []
+    for param, a in params.items():
+        match = OBJECT_ANNOTATION.fullmatch(str(a.annotation))
+        if match and (match[1] or match[2]) in CLASSES:
+            found.append((param, (1,) + ((None,) if match[3] is None else ())
+                          + (([1],) if match[1] else ())))
+    return found
+
+
+OBJECT_WALKED = [(name, param, values) for name in cglvortex.__all__ if name not in EXEMPT
+                 for param, values in _objects(name)]
+
 
 @pytest.fixture(scope="module")
-def valid_calls():
-    """Keyword arguments of one valid call of each walked export; a scalar
-    left out takes its default."""
+def valid_calls(tmp_path_factory):
+    """Keyword arguments of one valid call of each walked export; an
+    argument left out takes its default."""
     grid = make_grid(9)
     ones, zeros = GridFunction(grid, np.ones(9)), GridFunction(grid, np.zeros(9))
     params = CoreParams(rho=0.5, eps=1.0)
     phys = dict(mu=0.5, nu=0.25, n=1)
+    branch = fixed_point_solve(params, grid)
+    records = [cglvortex.record_from_branch(branch)]
     return {
         "CoreParams": dict(rho=0.5 + 0.25j, eps=1.0),
         "Grid": dict(n_nodes=9),
+        "GridFunction": dict(grid=grid, values=np.ones(9)),
         "make_grid": dict(n_nodes=9),
         "PhysParams": dict(R=1.5, omega=0.5, **phys),
         "SweepSpec": dict(mode="rectangle"),
+        "apply_green_op": dict(f=zeros),
         "asymptotic_U": dict(rho=0.5, eps=0.1, x=0.3, order=1),
         "asymptotic_physical": dict(eps=0.1, **phys),
         "asymptotic_r": dict(rho=0.5, eps=0.1, order=1),
+        "cgl_residual": dict(sol=cglvortex.extend_solution(branch, 1),
+                             p=cglvortex.PhysParams(R=1.5, omega=0.5, **phys)),
+        "compare_branches": dict(b1=branch, b2=branch),
         "compute_r": dict(v=ones, eps=1.0),
         "contraction_radius": dict(sigma=1.0, rho_abs=1.0),
         "count_zeros": dict(envelope=np.ones(4), n=1),
         "cubic_forcing": dict(w=zeros, rho=0.5),
-        "extend_solution": dict(branch=fixed_point_solve(params, grid), n=1),
+        "emit_results": dict(records=records, format_="csv",
+                             path=tmp_path_factory.mktemp("emit") / "out.csv"),
+        "enforce_solvability": dict(f=ones),
+        "envelope_residual": dict(v_values=np.ones(9), f_values=np.zeros(9), grid=grid),
+        "extend_solution": dict(branch=branch, n=1),
         "fd_solve": dict(params=params, grid=grid, r0=0.75),
+        "fixed_point_solve": dict(params=params, grid=grid),
+        "integrate": dict(f=ones),
+        "jump_increment": dict(f=ones),
+        "mirror_conjugate": dict(records=records),
         "mu_nu_from_rho": dict(rho=0.5 + 0.25j, n=1),
         "ode_forcing": dict(v=ones, rho=0.5, r=0.75),
         "physical_from_r": dict(r=0.75, **phys),
+        "project_mean": dict(u=ones),
+        "record_from_branch": dict(branch=branch),
         "rho_from_physical": phys,
+        "run_sweep": dict(spec=cglvortex.SweepSpec(mode="rectangle", re_steps=2, im_steps=2,
+                                                   n_nodes=9)),
         "shoot_solve": dict(params=params, grid=grid, r0=0.75),
+        "solvability_residual": dict(f=ones),
         "solve": dict(method="fixed_point", rho=0.5, eps=1.0, grid=grid),
         "solve_linear_inhomogeneous": dict(f=zeros),
+        "symmetry_defect": dict(u=ones),
         "verify": dict(rho=0.5 + 0.25j, eps=1.0, grid=grid),
     }
 
 
 def test_walker_covers_every_export(valid_calls):
     walked = {name for name, _, _ in WALKED}
-    assert walked == set(valid_calls)
+    assert walked | {name for name, _, _ in OBJECT_WALKED} == set(valid_calls)
     assert set(EXEMPT) <= set(cglvortex.__all__)
     assert {(name, param) for name, param, _ in WALKED} >= set(EXEMPT_PARAMS)
 
 
-@pytest.mark.parametrize("name,param,kind", WALKED, ids=[f"{n}.{p}" for n, p, _ in WALKED])
-def test_scalar_argument_refused(valid_calls, name, param, kind):
-    # InvalidArgument, never another exception type or a result (a NaN one
-    # among them), for each value no scalar takes
-    accepted, _ = EXEMPT_PARAMS.get((name, param), ((), ""))
+def _not_refused(name, call, param, values):
+    """(value, what happened) for each value of param that the export's
+    call did not refuse with InvalidArgument: another exception type, or a
+    result (a NaN one among them)."""
     wrong = []
-    for value in REFUSED + (REFUSED_COUNT if kind == "int" else ()):
-        if value in accepted:  # math.nan is itself, so `in` finds it
-            continue
+    for value in values:
         try:
-            result = getattr(cglvortex, name)(**dict(valid_calls[name], **{param: value}))
+            result = getattr(cglvortex, name)(**dict(call, **{param: value}))
         except InvalidArgument:
             continue
-        except Exception as exc:  # any other type is the fault this test reports
+        except Exception as exc:  # any other type is the fault the tests report
             wrong.append((value, type(exc).__name__))
         else:
             wrong.append((value, f"returned {result!r}"[:80]))
-    assert wrong == []
+    return wrong
+
+
+@pytest.mark.parametrize("name,param,kind", WALKED, ids=[f"{n}.{p}" for n, p, _ in WALKED])
+def test_scalar_argument_refused(valid_calls, name, param, kind):
+    # each value no scalar takes
+    accepted, _ = EXEMPT_PARAMS.get((name, param), ((), ""))
+    # math.nan is itself, so `in` finds it
+    values = [v for v in REFUSED + (REFUSED_COUNT if kind == "int" else ()) if v not in accepted]
+    assert _not_refused(name, valid_calls[name], param, values) == []
 
 
 @pytest.mark.parametrize("name,param,kind", WALKED, ids=[f"{n}.{p}" for n, p, _ in WALKED])
@@ -270,3 +326,16 @@ def test_numpy_rho_keeps_kappa_bits():
         kappa = CoreParams(rho=rho, eps=eps).kappa
         assert type(kappa) is np.complex128
         assert np.array([kappa]).view(np.uint64).tolist() == words
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _, _ in OBJECT_WALKED}))
+def test_object_walker_calls_are_valid(valid_calls, name):
+    # so that a refusal below is the walked argument's, not another's
+    getattr(cglvortex, name)(**valid_calls[name])
+
+
+@pytest.mark.parametrize("name,param,values", OBJECT_WALKED,
+                         ids=[f"{n}.{p}" for n, p, _ in OBJECT_WALKED])
+def test_object_argument_refused(valid_calls, name, param, values):
+    # refused where it enters, never an AttributeError from deeper in the call
+    assert _not_refused(name, valid_calls[name], param, values) == []

@@ -48,10 +48,10 @@ class TestMakeGrid:
         with pytest.raises(InvalidArgument):
             Grid(bad)
 
-    @pytest.mark.parametrize("bad", [7.0, np.float64(257.0), True])
+    @pytest.mark.parametrize("bad", [7.0, np.float64(257.0), True, [9]])
     def test_count_that_is_not_an_integer_rejected(self, bad):
         # as CoreParams refuses max_iter=2.0: make_grid's cache must not hand
-        # 7.0 the grid of 7
+        # 7.0 the grid of 7, nor meet a list, which it cannot hash
         make_grid(7), make_grid(257)
         with pytest.raises(InvalidArgument):
             make_grid(bad)

@@ -29,6 +29,8 @@ from cglvortex import (
 from cglvortex import direct, reduction, sweep
 from cglvortex.sweep import CSV_COLUMNS
 from conftest import branch_bits, sampled, solve_block
+from work_counts import (RAY_FD_PASSES, RAY_SHOOT_STEPS, RECT_ACCELERATED, RECT_BLOCK_MAPS,
+                         RECT_MAPS, RECT_POINTS)
 
 
 def one_period_nodes(m):
@@ -187,9 +189,10 @@ class TestSweepSpec:
         assert SweepSpec(mode="rectangle", re_steps=np.int64(3)).points()[2] == 3.5
 
     @pytest.mark.parametrize("bad", [dict(n_nodes=4), dict(n_nodes=7.0), dict(n_nodes=True),
-                                     dict(re_steps=True), dict(mod_steps=True)],
+                                     dict(re_steps=True), dict(mod_steps=True),
+                                     dict(n_nodes=[9])],
                              ids=["nodes-4", "nodes-7.0", "nodes-True", "re_steps-True",
-                                  "mod_steps-True"])
+                                  "mod_steps-True", "nodes-list"])
     def test_checked_when_built(self, bad):
         # the node count goes through make_grid, whose Grid owns the node
         # rule, so run_sweep is never the first to refuse it; every step
@@ -297,14 +300,12 @@ class TestRunSweep:
         assert converged[False] <= converged[True]
         assert len(converged[True]) == 32
 
-    @pytest.mark.parametrize("method, passes", [("finite_difference", 111), ("shooting", 81)])
+    @pytest.mark.parametrize("method, passes", [("finite_difference", RAY_FD_PASSES),
+                                                ("shooting", RAY_SHOOT_STEPS)])
     def test_warm_ray_work(self, method, passes):
         # the benchmark's ray_fd sweep, and shooting on the same ray: 32
         # points, all converged, in exactly this many Newton passes (FD)
-        # or steps (shooting) from the quadratic start; the secant start
-        # took 131 and 100, copying the last branch 159 and 127.  FD's
-        # simplified last step moved one point from 4 passes to 3 (112
-        # before it)
+        # or steps (shooting) from the quadratic start
         spec = SweepSpec(mode="modulus_sweep", method=method, ray_arg=np.pi / 12,
                          mod_min=1.0, mod_max=200.0, mod_steps=32, warm_start=True)
         records = run_sweep(spec)
@@ -343,7 +344,7 @@ class TestColdFixedPointBlocks:
 
     def test_rectangle_points_match_one_row_solves(self, rectangle_one_row, monkeypatch):
         params, one_row = rectangle_one_row
-        assert sum(dict(b)["accelerated_at"] is not None for b in one_row) == 14
+        assert sum(dict(b)["accelerated_at"] is not None for b in one_row) == RECT_ACCELERATED
         branches = []
         solve_point = sweep.fixed_point_solve
 
@@ -438,9 +439,8 @@ class TestColdFixedPointBlocks:
         assert records[0] == record_from_branch(solve("fixed_point", 1.0, 1.0, make_grid(65)))
 
     def test_default_rectangle_work(self, monkeypatch):
-        # one rolling block of 24: 109 block maps carry the 2,197 row maps
-        # of the 105 one-row solves (158 in a rolling block of 16, 233 in
-        # chunks of 16)
+        # one rolling block of 24 rows carries the row maps of the
+        # one-row solves
         assert sweep.FP_BLOCK == 24
         maps = []
         green_pair = reduction._green_pair
@@ -451,8 +451,8 @@ class TestColdFixedPointBlocks:
 
         monkeypatch.setattr(reduction, "_green_pair", counted)
         run_sweep(SweepSpec(mode="rectangle"))
-        assert len(maps) == 109
-        assert sum(maps) == 2197
+        assert len(maps) == RECT_BLOCK_MAPS
+        assert sum(maps) == RECT_MAPS
 
     def test_block_maps_write_into_the_blocks_arrays(self, grid257, monkeypatch):
         # after its first map, a map of B >= 2 rows allocates no (B, n)
@@ -647,7 +647,7 @@ class TestScopedBufferSize:
             np.setbufsize(before)
 
     def test_default_rectangle(self, bufsize):
-        assert len(run_sweep(SweepSpec(mode="rectangle"))) == 105
+        assert len(run_sweep(SweepSpec(mode="rectangle"))) == RECT_POINTS
         assert np.getbufsize() == bufsize
 
     @pytest.mark.parametrize("method", ["fixed_point", "shooting", "finite_difference"])
@@ -1179,10 +1179,10 @@ class TestEmission:
             load_records(path, "json")
 
     def test_default_rectangle_round_trip(self, tmp_path):
-        # the 14 accelerated records read back equal: equality ignores
+        # the accelerated records read back equal: equality ignores
         # accelerated_at, the one field that is not emitted
         records = run_sweep(SweepSpec(mode="rectangle"))
-        assert sum(r.accelerated_at is not None for r in records) == 14
+        assert sum(r.accelerated_at is not None for r in records) == RECT_ACCELERATED
         for fmt in ("csv", "json"):
             path = tmp_path / f"rect.{fmt}"
             emit_results(records, fmt, path)
